@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-dist test-rescale race bench bench-engine bench-paper cover lint verify
+.PHONY: build test test-dist test-rescale race bench bench-engine bench-paper bench-build benchmark cover lint loc verify
 
 build:
 	$(GO) build ./...
@@ -45,6 +45,29 @@ bench-engine:
 bench-paper:
 	$(GO) test -bench=. -benchmem .
 
+# benchmark runs the repository's benchmark (bench/, contract in
+# BENCHMARK.json): every workload in a fresh child process, results in
+# bench/out/result.json. This — not BENCH_engine.json / BENCH_caps.json,
+# which are single overwritten snapshots of millisecond runs — is the basis
+# for any performance claim; see bench/README.md for compare and -trace.
+benchmark:
+	bash bench/run.sh run
+
+# bench-build vets, builds and tests bench/ against the working tree. bench/
+# is its own module, so the root `go build ./...` does not notice when a
+# refactor breaks the exported engine/controller surface it compiles against.
+bench-build:
+	cd bench && $(GO) vet ./... && $(GO) build -o /dev/null ./... && $(GO) test ./...
+
+# loc prints the non-test, non-blank, non-comment Go line counts the
+# "one supervisor" simplification is judged on: the lifecycle packages, and
+# the three CLIs (with the flag package they share shown separately).
+loc:
+	@count() { find "$$@" -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | grep -v '^[[:space:]]*$$' | grep -cv '^[[:space:]]*//'; }; \
+	echo "internal/engine + internal/controller: $$(count internal/engine internal/controller)"; \
+	echo "cmd/{caplive,capsim,capsysctl}:          $$(count cmd/caplive cmd/capsim cmd/capsysctl)"; \
+	echo "cmd/internal/cliflags:                   $$(count cmd/internal/cliflags)"
+
 # cover writes an aggregate coverage profile and prints the per-function
 # summary; open with `go tool cover -html=cover.out`.
 cover:
@@ -66,8 +89,9 @@ lint:
 # concurrency-heavy cores, including the heartbeat-piggyback metric
 # aggregation path and the key-group repartitioning under rescale), run the
 # entire test suite under the race detector (benchmarks skip themselves
-# under -race; see bench_race_on_test.go), and finish with the live-rescale
-# and multi-process distributed batteries.
+# under -race; see bench_race_on_test.go), finish with the live-rescale and
+# multi-process distributed batteries, and check that the separate bench/
+# module still builds and passes against the tree.
 verify:
 	$(GO) vet ./...
 	$(GO) run ./cmd/capslint -strict ./...
@@ -76,3 +100,4 @@ verify:
 	$(GO) test -race ./...
 	$(MAKE) test-rescale
 	$(GO) test -timeout 5m -run 'TestProcessCluster' ./cmd/caplive
+	$(MAKE) bench-build

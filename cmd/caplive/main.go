@@ -29,10 +29,9 @@ import (
 	_ "net/http/pprof" // -pprof-addr registers the /debug/pprof handlers
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
+	"capsys/cmd/internal/cliflags"
 	"capsys/internal/cluster"
 	"capsys/internal/controller"
 	"capsys/internal/costmodel"
@@ -44,68 +43,82 @@ import (
 	"capsys/internal/telemetry"
 )
 
+// liveFlags are the flags only caplive has; the shared ones are in
+// cliflags.Common.
+type liveFlags struct {
+	costScale   float64
+	timeout     time.Duration
+	metricsAddr string
+	ckptEvery   int64
+	killWorker  int
+	killEpoch   int64
+	listenAddr  string
+	joinAddr    string
+	hbEvery     time.Duration
+	pprofAddr   string
+}
+
+// registerFlags declares every caplive flag on fs.
+func registerFlags(fs *flag.FlagSet) (*cliflags.Common, *liveFlags) {
+	f := &cliflags.Common{
+		Query: "Q1-sliding", Strategy: "caps", Records: 5000,
+		Workers: 4, Slots: 4, Cores: 2, IOBps: 50e6, NetBps: 500e6,
+		Transport: engine.TransportUnary, Fuse: "on", RescaleEpoch: 2,
+	}
+	f.Register(fs, map[string]string{
+		"strategy":     "placement: caps|default|evenly|random|greedy|worst",
+		"seed":         "seed for randomized strategies and event generation",
+		"cores":        "CPU cores per worker (engine meter)",
+		"rescale":      "live rescale: comma-separated op=parallelism changes applied at -rescale-epoch (requires -checkpoint-every; local and -listen modes)",
+		"transport":    "data-plane exchange: unary|batched|network (forced to network in -listen/-join mode)",
+		"fuse":         "operator fusion: run co-located Forward chains as one goroutine, bypassing the exchange (on|off)",
+		"batch-size":   "batched/network transport: records per batch (0 = engine default)",
+		"batch-linger": "batched/network transport: max wait for a partial batch (0 = engine default, negative disables)",
+	})
+	o := &liveFlags{}
+	fs.Float64Var(&o.costScale, "cost-scale", 1, "multiply profiled per-record CPU costs")
+	fs.DurationVar(&o.timeout, "timeout", 5*time.Minute, "run timeout")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve live telemetry over HTTP (/metrics Prometheus, /events JSON) on this address")
+	fs.Int64Var(&o.ckptEvery, "checkpoint-every", 0, "inject a checkpoint barrier every N source records (0 disables)")
+	fs.IntVar(&o.killWorker, "kill-worker", -1, "kill this worker when it passes -kill-epoch (degraded run; -1 disables)")
+	fs.Int64Var(&o.killEpoch, "kill-epoch", 1, "checkpoint epoch at which -kill-worker fires")
+	fs.StringVar(&o.listenAddr, "listen", "", "coordinator mode: run the control plane on this address and wait for -workers joiners")
+	fs.StringVar(&o.joinAddr, "join", "", "worker mode: join the coordinator at this address and serve deploys until shutdown")
+	fs.DurationVar(&o.hbEvery, "heartbeat-every", 0, "worker mode: heartbeat interval, which also paces metric and trace shipping (0 = 500ms default)")
+	fs.StringVar(&o.pprofAddr, "pprof-addr", "", "serve net/http/pprof (/debug/pprof) on this address, in any mode")
+	return f, o
+}
+
 func main() {
-	var (
-		queryName    = flag.String("query", "Q1-sliding", "built-in query name")
-		strategy     = flag.String("strategy", "caps", "placement: caps|default|evenly|random|greedy|worst")
-		seed         = flag.Int64("seed", 0, "seed for randomized strategies and event generation")
-		records      = flag.Int64("records", 5000, "records per source task")
-		workers      = flag.Int("workers", 4, "number of workers")
-		slots        = flag.Int("slots", 4, "slots per worker")
-		cores        = flag.Float64("cores", 2, "CPU cores per worker (engine meter)")
-		ioBps        = flag.Float64("io-bps", 50e6, "disk bandwidth per worker (bytes/s)")
-		netBps       = flag.Float64("net-bps", 500e6, "network bandwidth per worker (bytes/s)")
-		costScale    = flag.Float64("cost-scale", 1, "multiply profiled per-record CPU costs")
-		timeout      = flag.Duration("timeout", 5*time.Minute, "run timeout")
-		metricsAddr  = flag.String("metrics-addr", "", "serve live telemetry over HTTP (/metrics Prometheus, /events JSON) on this address")
-		traceOut     = flag.String("trace-out", "", "append structured trace events as JSONL to this file")
-		ckptEvery    = flag.Int64("checkpoint-every", 0, "inject a checkpoint barrier every N source records (0 disables)")
-		killWorker   = flag.Int("kill-worker", -1, "kill this worker when it passes -kill-epoch (degraded run; -1 disables)")
-		killEpoch    = flag.Int64("kill-epoch", 1, "checkpoint epoch at which -kill-worker fires")
-		rescaleSpec  = flag.String("rescale", "", "live rescale: comma-separated op=parallelism changes applied at -rescale-epoch (requires -checkpoint-every; local and -listen modes)")
-		rescaleEpoch = flag.Int64("rescale-epoch", 2, "checkpoint epoch at which -rescale fires")
-		transport    = flag.String("transport", engine.TransportUnary, "data-plane exchange: unary|batched|network (forced to network in -listen/-join mode)")
-		fuseFlag     = flag.String("fuse", "on", "operator fusion: run co-located Forward chains as one goroutine, bypassing the exchange (on|off)")
-		batchSize    = flag.Int("batch-size", 0, "batched/network transport: records per batch (0 = engine default)")
-		batchLinger  = flag.Duration("batch-linger", 0, "batched/network transport: max wait for a partial batch (0 = engine default, negative disables)")
-		listenAddr   = flag.String("listen", "", "coordinator mode: run the control plane on this address and wait for -workers joiners")
-		joinAddr     = flag.String("join", "", "worker mode: join the coordinator at this address and serve deploys until shutdown")
-		hbEvery      = flag.Duration("heartbeat-every", 0, "worker mode: heartbeat interval, which also paces metric and trace shipping (0 = 500ms default)")
-		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof (/debug/pprof) on this address, in any mode")
-	)
+	f, o := registerFlags(flag.CommandLine)
 	flag.Parse()
-	noFuse, err := parseFuseFlag(*fuseFlag)
-	if err != nil {
+	if err := dispatch(f, o); err != nil {
 		fmt.Fprintln(os.Stderr, "caplive:", err)
 		os.Exit(1)
 	}
-	rescales, err := parseRescalesFlag(*rescaleSpec, *rescaleEpoch)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "caplive:", err)
-		os.Exit(1)
+}
+
+func dispatch(f *cliflags.Common, o *liveFlags) error {
+	// Flag syntax is checked before any mode starts listening or joining.
+	if _, err := f.EngineOptions(); err != nil {
+		return err
 	}
-	if *pprofAddr != "" {
-		var stop func()
-		stop, err = servePprof(*pprofAddr)
+	if o.pprofAddr != "" {
+		stop, err := servePprof(o.pprofAddr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "caplive:", err)
-			os.Exit(1)
+			return err
 		}
 		defer stop()
 	}
 	switch {
-	case *listenAddr != "" && *joinAddr != "":
-		err = fmt.Errorf("-listen and -join are mutually exclusive")
-	case *joinAddr != "":
-		err = runJoin(*joinAddr, *timeout, *metricsAddr, *traceOut, *hbEvery)
-	case *listenAddr != "":
-		err = runCoordinator(*listenAddr, *queryName, *strategy, *seed, *records, *workers, *slots, *cores, *ioBps, *netBps, *costScale, *timeout, *ckptEvery, *batchSize, *batchLinger, noFuse, *metricsAddr, *traceOut, rescales)
+	case o.listenAddr != "" && o.joinAddr != "":
+		return fmt.Errorf("-listen and -join are mutually exclusive")
+	case o.joinAddr != "":
+		return runJoin(f, o)
+	case o.listenAddr != "":
+		return runCoordinator(f, o)
 	default:
-		err = run(*queryName, *strategy, *seed, *records, *workers, *slots, *cores, *ioBps, *netBps, *costScale, *timeout, *metricsAddr, *traceOut, *ckptEvery, *killWorker, *killEpoch, *transport, *batchSize, *batchLinger, noFuse, rescales)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "caplive:", err)
-		os.Exit(1)
+		return run(f, o)
 	}
 }
 
@@ -151,33 +164,22 @@ func servePprof(addr string) (stop func(), err error) {
 // cluster down. The worker's telemetry hub feeds three consumers: the
 // heartbeat piggyback to the coordinator, an optional local -metrics-addr
 // scrape endpoint, and an optional local -trace-out JSONL file.
-func runJoin(addr string, timeout time.Duration, metricsAddr, traceOut string, hbEvery time.Duration) error {
+func runJoin(f *cliflags.Common, o *liveFlags) error {
 	tel := telemetry.New()
 	tel.RegisterRuntimeGauges()
-	if traceOut != "" {
-		f, err := os.OpenFile(traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("open -trace-out: %w", err)
-		}
-		defer f.Close()
-		tel.Tracer().SetSink(f)
+	stop, err := cliflags.Observe(tel, f.TraceOut, o.metricsAddr, os.Stdout)
+	if err != nil {
+		return err
 	}
-	if metricsAddr != "" {
-		srv, bound, err := tel.Serve(metricsAddr)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Printf("telemetry: serving http://%s/metrics and /events\n", bound)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer stop()
+	ctx, cancel := context.WithTimeout(context.Background(), o.timeout)
 	defer cancel()
-	return controller.JoinCluster(ctx, addr, controller.NexmarkBuilderWith(tel), controller.JoinOptions{
+	return controller.JoinCluster(ctx, o.joinAddr, controller.NexmarkBuilderWith(tel), controller.JoinOptions{
 		Logf: func(format string, args ...any) {
 			fmt.Printf("worker: "+format+"\n", args...)
 		},
 		Telemetry:      tel,
-		HeartbeatEvery: hbEvery,
+		HeartbeatEvery: o.hbEvery,
 	})
 }
 
@@ -185,15 +187,12 @@ func runJoin(addr string, timeout time.Duration, metricsAddr, traceOut string, h
 // local run would, then deploy it across joined worker processes over the
 // network transport and supervise to completion (recovering from worker
 // deaths by re-running the placement strategy over the survivors).
-func runCoordinator(listen, queryName, strategy string, seed, records int64, workers, slots int,
-	cores, ioBps, netBps, costScale float64, timeout time.Duration, ckptEvery int64,
-	batchSize int, batchLinger time.Duration, noFuse bool, metricsAddr, traceOut string,
-	rescales []engine.RescalePlan) error {
-	spec, err := nexmark.ByName(queryName)
+func runCoordinator(f *cliflags.Common, o *liveFlags) error {
+	spec, err := nexmark.ByName(f.Query)
 	if err != nil {
 		return err
 	}
-	c, err := cluster.Homogeneous(workers, slots, cores, ioBps, netBps)
+	c, err := f.Cluster()
 	if err != nil {
 		return err
 	}
@@ -201,53 +200,53 @@ func runCoordinator(listen, queryName, strategy string, seed, records int64, wor
 	if err != nil {
 		return err
 	}
-	plan, strat, u, err := makePlan(spec, c, phys, strategy, slots, seed)
+	plan, strat, u, err := makePlan(spec, c, phys, f.Strategy, f.Slots, f.Seed)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("plan (%s):\n%s\n", strategy, plan)
+	fmt.Printf("plan (%s):\n%s\n", f.Strategy, plan)
 	assign, err := controller.AssignmentsOf(phys, plan)
 	if err != nil {
 		return err
 	}
-	espec := controller.EngineCluster(c)
+	eo, err := f.EngineOptions()
+	if err != nil {
+		return err
+	}
 	deploy := controller.DeploySpec{
-		Query:            queryName,
-		Seed:             seed,
-		RecordsPerSource: records,
-		SnapshotInterval: ckptEvery,
-		BatchSize:        batchSize,
-		BatchLinger:      batchLinger,
-		DisableFusion:    noFuse,
-		CPUCostScale:     costScale,
-		Workers:          espec.Workers,
+		Query:            f.Query,
+		Seed:             f.Seed,
+		RecordsPerSource: f.Records,
+		SnapshotInterval: o.ckptEvery,
+		BatchSize:        f.BatchSize,
+		BatchLinger:      f.BatchLinger,
+		DisableFusion:    eo.DisableFusion,
+		CPUCostScale:     o.costScale,
+		Workers:          controller.EngineCluster(c).Workers,
 		Assign:           assign,
 	}
 	// The coordinator's hub is the cluster aggregation point: worker
 	// heartbeat deltas and trace batches merge into it (DESIGN.md §9).
 	tel := telemetry.New()
 	tel.RegisterRuntimeGauges()
-	if traceOut != "" {
-		f, err := os.OpenFile(traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("open -trace-out: %w", err)
-		}
-		defer f.Close()
-		tel.Tracer().SetSink(f)
+	stop, err := cliflags.Observe(tel, f.TraceOut, "", nil)
+	if err != nil {
+		return err
 	}
+	defer stop()
 	opts := controller.CoordinatorOptions{
 		Logf: func(format string, args ...any) {
 			fmt.Printf("coordinator: "+format+"\n", args...)
 		},
 		Telemetry: tel,
-		Rescales:  rescales,
+		Rescales:  eo.Rescales,
 	}
 	if strat != nil {
 		prev := plan
 		opts.Replan = func(dead []int, attempt int) ([]controller.TaskAssignment, error) {
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
-			next, err := controller.Replace(ctx, phys, c, strat, u, dead, seed+int64(attempt), prev)
+			next, err := controller.Replace(ctx, phys, c, strat, u, dead, f.Seed+int64(attempt), prev)
 			if err != nil {
 				return nil, err
 			}
@@ -255,23 +254,23 @@ func runCoordinator(listen, queryName, strategy string, seed, records int64, wor
 			return controller.AssignmentsOf(phys, next)
 		}
 	}
-	co, err := controller.NewCoordinator(listen, deploy, workers, opts)
+	co, err := controller.NewCoordinator(o.listenAddr, deploy, f.Workers, opts)
 	if err != nil {
 		return err
 	}
 	defer co.Shutdown()
-	if metricsAddr != "" {
-		ln, err := net.Listen("tcp", metricsAddr)
+	if o.metricsAddr != "" {
+		ln, err := net.Listen("tcp", o.metricsAddr)
 		if err != nil {
-			return fmt.Errorf("telemetry listen %s: %w", metricsAddr, err)
+			return fmt.Errorf("telemetry listen %s: %w", o.metricsAddr, err)
 		}
 		srv := &http.Server{Handler: co.ClusterHandler()}
 		go func() { _ = srv.Serve(ln) }()
 		defer srv.Close()
 		fmt.Printf("cluster telemetry: serving http://%s/metrics /events /healthz /workers\n", ln.Addr())
 	}
-	fmt.Printf("coordinator: control plane on %s, waiting for %d workers\n", co.Addr(), workers)
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	fmt.Printf("coordinator: control plane on %s, waiting for %d workers\n", co.Addr(), f.Workers)
+	ctx, cancel := context.WithTimeout(context.Background(), o.timeout)
 	defer cancel()
 	if err := co.WaitJoined(ctx); err != nil {
 		return err
@@ -305,15 +304,12 @@ func runCoordinator(listen, queryName, strategy string, seed, records int64, wor
 	return nil
 }
 
-func run(queryName, strategy string, seed, records int64, workers, slots int,
-	cores, ioBps, netBps, costScale float64, timeout time.Duration, metricsAddr, traceOut string,
-	ckptEvery int64, killWorker int, killEpoch int64, transport string, batchSize int, batchLinger time.Duration,
-	noFuse bool, rescales []engine.RescalePlan) error {
-	spec, err := nexmark.ByName(queryName)
+func run(f *cliflags.Common, o *liveFlags) error {
+	spec, err := nexmark.ByName(f.Query)
 	if err != nil {
 		return err
 	}
-	c, err := cluster.Homogeneous(workers, slots, cores, ioBps, netBps)
+	c, err := f.Cluster()
 	if err != nil {
 		return err
 	}
@@ -322,71 +318,54 @@ func run(queryName, strategy string, seed, records int64, workers, slots int,
 		return err
 	}
 
-	plan, _, _, err := makePlan(spec, c, phys, strategy, slots, seed)
+	plan, _, _, err := makePlan(spec, c, phys, f.Strategy, f.Slots, f.Seed)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("plan (%s):\n%s\n", strategy, plan)
+	fmt.Printf("plan (%s):\n%s\n", f.Strategy, plan)
 
 	tel := telemetry.New()
-	if traceOut != "" {
-		f, err := os.OpenFile(traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("open -trace-out: %w", err)
-		}
-		defer f.Close()
-		tel.Tracer().SetSink(f)
-	}
-	if metricsAddr != "" {
-		srv, bound, err := tel.Serve(metricsAddr)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Printf("telemetry: serving http://%s/metrics and /events\n", bound)
-	}
-
-	binding, err := nexmark.BindEngine(spec, seed)
+	stop, err := cliflags.Observe(tel, f.TraceOut, o.metricsAddr, os.Stdout)
 	if err != nil {
 		return err
 	}
-	if costScale != 1 {
+	defer stop()
+
+	binding, err := nexmark.BindEngine(spec, f.Seed)
+	if err != nil {
+		return err
+	}
+	if o.costScale != 1 {
 		for op := range binding.PerRecordCPU {
-			binding.PerRecordCPU[op] *= costScale
+			binding.PerRecordCPU[op] *= o.costScale
 		}
 	}
 	espec := controller.EngineCluster(c)
-	jobOpts := engine.JobOptions{
-		RecordsPerSource: records,
-		Stateful:         binding.Stateful,
-		PerRecordCPU:     binding.PerRecordCPU,
-		SnapshotInterval: ckptEvery,
-		Transport:        transport,
-		BatchSize:        batchSize,
-		BatchLinger:      batchLinger,
-		DisableFusion:    noFuse,
-		Telemetry:        tel,
+	jobOpts, err := f.EngineOptions()
+	if err != nil {
+		return err
 	}
-	if len(rescales) > 0 {
-		if ckptEvery <= 0 {
-			return fmt.Errorf("-rescale requires -checkpoint-every > 0 (rescales are epoch-aligned)")
-		}
-		jobOpts.Rescales = rescales
+	jobOpts.Stateful = binding.Stateful
+	jobOpts.PerRecordCPU = binding.PerRecordCPU
+	jobOpts.SnapshotInterval = o.ckptEvery
+	jobOpts.Telemetry = tel
+	if len(jobOpts.Rescales) > 0 && o.ckptEvery <= 0 {
+		return fmt.Errorf("-rescale requires -checkpoint-every > 0 (rescales are epoch-aligned)")
 	}
-	if killWorker >= 0 {
-		if ckptEvery <= 0 {
+	if o.killWorker >= 0 {
+		if o.ckptEvery <= 0 {
 			return fmt.Errorf("-kill-worker requires -checkpoint-every > 0 (kills are epoch-aligned)")
 		}
-		if killWorker >= workers {
-			return fmt.Errorf("-kill-worker %d out of range (workers: %d)", killWorker, workers)
+		if o.killWorker >= f.Workers {
+			return fmt.Errorf("-kill-worker %d out of range (workers: %d)", o.killWorker, f.Workers)
 		}
-		jobOpts.FaultPlan.KillWorkers = []engine.WorkerKill{{Worker: killWorker, AtEpoch: killEpoch}}
+		jobOpts.FaultPlan.KillWorkers = []engine.WorkerKill{{Worker: o.killWorker, AtEpoch: o.killEpoch}}
 	}
 	job, err := engine.NewJob(spec.Graph, plan, espec, binding.Factories, jobOpts)
 	if err != nil {
 		return err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), o.timeout)
 	defer cancel()
 	res, err := job.Run(ctx)
 	if err != nil {
@@ -473,37 +452,4 @@ func summarize(reg *metrics.Registry, tel *telemetry.Telemetry) string {
 			op, a.in, a.useful, a.maxBack, p50, p95, p99)
 	}
 	return out
-}
-
-// parseFuseFlag maps the -fuse on|off flag onto the engine's DisableFusion
-// option (true = fusion off).
-func parseFuseFlag(v string) (bool, error) {
-	switch v {
-	case "on", "":
-		return false, nil
-	case "off":
-		return true, nil
-	}
-	return false, fmt.Errorf("-fuse must be on or off (got %q)", v)
-}
-
-// parseRescalesFlag parses the -rescale "op=parallelism[,op=parallelism]"
-// spec into the engine's rescale schedule, all firing at the same epoch.
-func parseRescalesFlag(spec string, atEpoch int64) ([]engine.RescalePlan, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var plans []engine.RescalePlan
-	for _, kv := range strings.Split(spec, ",") {
-		op, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok || op == "" {
-			return nil, fmt.Errorf("-rescale entry %q: want op=parallelism", kv)
-		}
-		p, err := strconv.Atoi(v)
-		if err != nil || p <= 0 {
-			return nil, fmt.Errorf("-rescale entry %q: parallelism must be a positive integer", kv)
-		}
-		plans = append(plans, engine.RescalePlan{Op: dataflow.OperatorID(op), Parallelism: p, AtEpoch: atEpoch})
-	}
-	return plans, nil
 }

@@ -16,13 +16,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
+	"capsys/cmd/internal/cliflags"
 	"capsys/internal/cluster"
 	"capsys/internal/controller"
-	"capsys/internal/dataflow"
 	"capsys/internal/engine"
 	"capsys/internal/nexmark"
 	"capsys/internal/placement"
@@ -30,112 +29,64 @@ import (
 	"capsys/internal/telemetry"
 )
 
+// simFlags are the flags only capsim has; the shared ones are in
+// cliflags.Common (Query may list several comma-separated names here).
+type simFlags struct {
+	all       bool
+	scale     float64
+	utilDump  bool
+	live      bool
+	snapEvery int64
+}
+
+// registerFlags declares every capsim flag on fs.
+func registerFlags(fs *flag.FlagSet) (*cliflags.Common, *simFlags) {
+	f := &cliflags.Common{
+		Strategy: "caps", Records: 5000,
+		Workers: 4, Slots: 4, Cores: 4, IOBps: 200e6, NetBps: 1.25e9,
+		Transport: engine.TransportUnary, Fuse: "on", RescaleEpoch: 2,
+	}
+	f.Register(fs, map[string]string{
+		"query":         "comma-separated built-in query names",
+		"trace-out":     "append one controller.decision trace event per query as JSONL to this file",
+		"records":       "live mode: records per source task",
+		"transport":     "live mode: data-plane exchange (unary|batched)",
+		"fuse":          "live mode: operator fusion — run co-located Forward chains as one goroutine (on|off)",
+		"batch-size":    "live mode, batched transport: records per batch (0 = engine default)",
+		"batch-linger":  "live mode, batched transport: max wait for a partial batch (0 = engine default, negative disables)",
+		"rescale":       "live mode: comma-separated op=parallelism changes applied live at -rescale-epoch during the replay",
+		"rescale-epoch": "live mode: checkpoint epoch at which -rescale fires",
+	})
+	o := &simFlags{}
+	fs.BoolVar(&o.all, "all", false, "deploy all six benchmark queries")
+	fs.Float64Var(&o.scale, "rate-scale", 1.0, "multiply all target rates by this factor")
+	fs.BoolVar(&o.utilDump, "util", false, "print per-worker utilization")
+	fs.BoolVar(&o.live, "live", false, "after simulating, replay each deployed query on the live engine and report measured throughput")
+	fs.Int64Var(&o.snapEvery, "snapshot-every", 0, "live mode: checkpoint barrier interval in records per source (0 disables; required by -rescale)")
+	return f, o
+}
+
 func main() {
-	var (
-		queries  = flag.String("query", "", "comma-separated built-in query names")
-		all      = flag.Bool("all", false, "deploy all six benchmark queries")
-		strategy = flag.String("strategy", "caps", "placement strategy: caps|default|evenly|random|greedy")
-		seed     = flag.Int64("seed", 0, "seed for randomized strategies")
-		workers  = flag.Int("workers", 4, "number of workers")
-		slots    = flag.Int("slots", 4, "slots per worker")
-		cores    = flag.Float64("cores", 4, "CPU cores per worker")
-		ioBps    = flag.Float64("io-bps", 200e6, "disk bandwidth per worker (bytes/s)")
-		netBps   = flag.Float64("net-bps", 1.25e9, "network bandwidth per worker (bytes/s)")
-		scale    = flag.Float64("rate-scale", 1.0, "multiply all target rates by this factor")
-		utilDump = flag.Bool("util", false, "print per-worker utilization")
-		traceOut = flag.String("trace-out", "", "append one controller.decision trace event per query as JSONL to this file")
-
-		live         = flag.Bool("live", false, "after simulating, replay each deployed query on the live engine and report measured throughput")
-		records      = flag.Int64("records", 5000, "live mode: records per source task")
-		transport    = flag.String("transport", engine.TransportUnary, "live mode: data-plane exchange (unary|batched)")
-		fuseFlag     = flag.String("fuse", "on", "live mode: operator fusion — run co-located Forward chains as one goroutine (on|off)")
-		batchSize    = flag.Int("batch-size", 0, "live mode, batched transport: records per batch (0 = engine default)")
-		batchLinger  = flag.Duration("batch-linger", 0, "live mode, batched transport: max wait for a partial batch (0 = engine default, negative disables)")
-		snapEvery    = flag.Int64("snapshot-every", 0, "live mode: checkpoint barrier interval in records per source (0 disables; required by -rescale)")
-		rescaleSpec  = flag.String("rescale", "", "live mode: comma-separated op=parallelism changes applied live at -rescale-epoch during the replay")
-		rescaleEpoch = flag.Int64("rescale-epoch", 2, "live mode: checkpoint epoch at which -rescale fires")
-	)
+	f, o := registerFlags(flag.CommandLine)
 	flag.Parse()
-	noFuse, err := parseFuseFlag(*fuseFlag)
+	if err := run(f, o); err != nil {
+		fmt.Fprintln(os.Stderr, "capsim:", err)
+		os.Exit(1)
+	}
+}
+
+func run(f *cliflags.Common, o *simFlags) error {
+	// Live-mode flag syntax is checked up front, as a bad -fuse or -rescale
+	// should not cost a simulation first.
+	live, err := f.EngineOptions()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "capsim:", err)
-		os.Exit(1)
+		return err
 	}
-	rescales, err := parseRescalesFlag(*rescaleSpec, *rescaleEpoch)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "capsim:", err)
-		os.Exit(1)
-	}
-	lo := liveOptions{
-		enabled:     *live,
-		records:     *records,
-		transport:   *transport,
-		batchSize:   *batchSize,
-		batchLinger: *batchLinger,
-		noFuse:      noFuse,
-		snapEvery:   *snapEvery,
-		rescales:    rescales,
-	}
-	if err := run(*queries, *all, *strategy, *seed, *workers, *slots, *cores, *ioBps, *netBps, *scale, *utilDump, *traceOut, lo); err != nil {
-		fmt.Fprintln(os.Stderr, "capsim:", err)
-		os.Exit(1)
-	}
-}
-
-// liveOptions configures the optional live-engine replay of the simulated
-// deployments: same plans, real goroutines and meters, selectable exchange
-// transport.
-type liveOptions struct {
-	enabled     bool
-	records     int64
-	transport   string
-	batchSize   int
-	batchLinger time.Duration
-	noFuse      bool
-	snapEvery   int64
-	rescales    []engine.RescalePlan
-}
-
-// parseRescalesFlag parses the -rescale "op=parallelism[,op=parallelism]"
-// spec into the engine's rescale schedule, all firing at the same epoch.
-func parseRescalesFlag(spec string, atEpoch int64) ([]engine.RescalePlan, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var plans []engine.RescalePlan
-	for _, kv := range strings.Split(spec, ",") {
-		op, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok || op == "" {
-			return nil, fmt.Errorf("-rescale entry %q: want op=parallelism", kv)
-		}
-		p, err := strconv.Atoi(v)
-		if err != nil || p <= 0 {
-			return nil, fmt.Errorf("-rescale entry %q: parallelism must be a positive integer", kv)
-		}
-		plans = append(plans, engine.RescalePlan{Op: dataflow.OperatorID(op), Parallelism: p, AtEpoch: atEpoch})
-	}
-	return plans, nil
-}
-
-// parseFuseFlag maps the -fuse on|off flag onto the engine's DisableFusion
-// option (true = fusion off).
-func parseFuseFlag(v string) (bool, error) {
-	switch v {
-	case "on", "":
-		return false, nil
-	case "off":
-		return true, nil
-	}
-	return false, fmt.Errorf("-fuse must be on or off (got %q)", v)
-}
-
-func run(queries string, all bool, strategy string, seed int64,
-	workers, slots int, cores, ioBps, netBps, scale float64, utilDump bool, traceOut string, lo liveOptions) error {
 	var specs []nexmark.QuerySpec
-	if all {
+	if o.all {
 		specs = nexmark.AllQueries()
-	} else if queries != "" {
-		for _, name := range strings.Split(queries, ",") {
+	} else if f.Query != "" {
+		for _, name := range strings.Split(f.Query, ",") {
 			q, err := nexmark.ByName(strings.TrimSpace(name))
 			if err != nil {
 				return err
@@ -145,25 +96,25 @@ func run(queries string, all bool, strategy string, seed int64,
 	} else {
 		return fmt.Errorf("one of -query or -all is required")
 	}
-	if scale != 1.0 {
+	if o.scale != 1.0 {
 		for i := range specs {
-			specs[i] = specs[i].Scaled(scale)
+			specs[i] = specs[i].Scaled(o.scale)
 		}
 	}
-	c, err := cluster.Homogeneous(workers, slots, cores, ioBps, netBps)
+	c, err := f.Cluster()
 	if err != nil {
 		return err
 	}
-	strat, err := placement.ByName(strategy)
+	strat, err := placement.ByName(f.Strategy)
 	if err != nil {
 		return err
 	}
-	deps, res, err := controller.DeployAll(context.Background(), specs, c, strat, seed, simulator.DefaultConfig())
+	deps, res, err := controller.DeployAll(context.Background(), specs, c, strat, f.Seed, simulator.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	if traceOut != "" {
-		if err := writeDecisionTrace(traceOut, strat.Name(), res); err != nil {
+	if f.TraceOut != "" {
+		if err := writeDecisionTrace(f.TraceOut, strat.Name(), res); err != nil {
 			return err
 		}
 	}
@@ -173,14 +124,15 @@ func run(queries string, all bool, strategy string, seed int64,
 		fmt.Printf("%-14s %12.0f %12.0f %8.1f %10.1f\n",
 			name, q.Target, q.Throughput, q.Backpressure*100, q.LatencySec*1000)
 	}
-	if utilDump {
+	if o.utilDump {
 		fmt.Printf("\n%-8s %8s %8s %8s\n", "worker", "cpu", "io", "net")
 		for w, u := range res.WorkerUtilization {
 			fmt.Printf("w%-7d %8.3f %8.3f %8.3f\n", w, u.CPU, u.IO, u.Net)
 		}
 	}
-	if lo.enabled {
-		return runLive(context.Background(), deps, c, seed, lo)
+	if o.live {
+		live.SnapshotInterval = o.snapEvery
+		return runLive(context.Background(), deps, c, f.Seed, live)
 	}
 	return nil
 }
@@ -189,32 +141,23 @@ func run(queries string, all bool, strategy string, seed int64,
 // a time, under the configured exchange transport — the measured rec/s
 // column is the ground truth the simulator's steady-state throughput
 // approximates.
-func runLive(ctx context.Context, deps []controller.Deployment, c *cluster.Cluster, seed int64, lo liveOptions) error {
-	if lo.records <= 0 {
+func runLive(ctx context.Context, deps []controller.Deployment, c *cluster.Cluster, seed int64, opts engine.JobOptions) error {
+	if opts.RecordsPerSource <= 0 {
 		return fmt.Errorf("-live requires -records > 0")
 	}
-	if len(lo.rescales) > 0 && lo.snapEvery <= 0 {
+	if len(opts.Rescales) > 0 && opts.SnapshotInterval <= 0 {
 		return fmt.Errorf("-rescale requires -snapshot-every > 0 (rescales are epoch-aligned)")
 	}
 	espec := controller.EngineCluster(c)
-	fmt.Printf("\nlive engine (%s transport, %d records/source):\n", lo.transport, lo.records)
+	fmt.Printf("\nlive engine (%s transport, %d records/source):\n", opts.Transport, opts.RecordsPerSource)
 	fmt.Printf("%-14s %12s %12s %12s %10s %10s\n", "query", "sourced", "elapsed", "rec/s", "sink", "batches")
 	for _, dep := range deps {
 		binding, err := nexmark.BindEngine(dep.Spec, seed)
 		if err != nil {
 			return err
 		}
-		job, err := engine.NewJob(dep.Spec.Graph, dep.Plan, espec, binding.Factories, engine.JobOptions{
-			RecordsPerSource: lo.records,
-			Stateful:         binding.Stateful,
-			PerRecordCPU:     binding.PerRecordCPU,
-			Transport:        lo.transport,
-			BatchSize:        lo.batchSize,
-			BatchLinger:      lo.batchLinger,
-			DisableFusion:    lo.noFuse,
-			SnapshotInterval: lo.snapEvery,
-			Rescales:         lo.rescales,
-		})
+		opts.Stateful, opts.PerRecordCPU = binding.Stateful, binding.PerRecordCPU
+		job, err := engine.NewJob(dep.Spec.Graph, dep.Plan, espec, binding.Factories, opts)
 		if err != nil {
 			return err
 		}

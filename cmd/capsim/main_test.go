@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,27 +12,37 @@ import (
 	"capsys/internal/telemetry"
 )
 
+// runArgs parses args exactly as main would and runs the command.
+func runArgs(args ...string) error {
+	fs := flag.NewFlagSet("capsim", flag.ContinueOnError)
+	f, o := registerFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	return run(f, o)
+}
+
 func TestRunSingleQuery(t *testing.T) {
-	if err := run("Q1-sliding", false, "caps", 0, 4, 4, 4, 200e6, 1.25e9, 1, false, "", liveOptions{}); err != nil {
+	if err := runArgs("-query", "Q1-sliding"); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunAllQueriesScaled(t *testing.T) {
-	if err := run("", true, "evenly", 2, 18, 8, 4, 200e6, 1.25e9, 0.7, true, "", liveOptions{}); err != nil {
+	if err := runArgs("-all", "-strategy", "evenly", "-seed", "2", "-workers", "18", "-slots", "8", "-rate-scale", "0.7", "-util"); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunMultipleNamedQueries(t *testing.T) {
-	if err := run("Q1-sliding, Q3-inf", false, "default", 1, 8, 4, 4, 200e6, 1.25e9, 1, false, "", liveOptions{}); err != nil {
+	if err := runArgs("-query", "Q1-sliding, Q3-inf", "-strategy", "default", "-seed", "1", "-workers", "8"); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunTraceOut(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	if err := run("Q1-sliding,Q3-inf", false, "caps", 0, 8, 4, 4, 200e6, 1.25e9, 1, false, path, liveOptions{}); err != nil {
+	if err := runArgs("-query", "Q1-sliding,Q3-inf", "-workers", "8", "-trace-out", path); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)
@@ -65,10 +76,12 @@ func TestRunErrors(t *testing.T) {
 		name string
 		f    func() error
 	}{
-		{"no queries", func() error { return run("", false, "caps", 0, 4, 4, 4, 1, 1, 1, false, "", liveOptions{}) }},
-		{"unknown query", func() error { return run("Q99", false, "caps", 0, 4, 4, 4, 1, 1, 1, false, "", liveOptions{}) }},
-		{"unknown strategy", func() error { return run("Q1-sliding", false, "zap", 0, 4, 4, 4, 1, 1, 1, false, "", liveOptions{}) }},
-		{"bad cluster", func() error { return run("Q1-sliding", false, "caps", 0, 0, 4, 4, 1, 1, 1, false, "", liveOptions{}) }},
+		{"no queries", func() error { return runArgs() }},
+		{"unknown query", func() error { return runArgs("-query", "Q99") }},
+		{"unknown strategy", func() error { return runArgs("-query", "Q1-sliding", "-strategy", "zap") }},
+		{"bad cluster", func() error { return runArgs("-query", "Q1-sliding", "-workers", "0") }},
+		{"bad fuse", func() error { return runArgs("-query", "Q1-sliding", "-fuse", "maybe") }},
+		{"bad rescale", func() error { return runArgs("-query", "Q1-sliding", "-rescale", "slide-win") }},
 	}
 	for _, tc := range cases {
 		if err := tc.f(); err == nil {
@@ -79,13 +92,11 @@ func TestRunErrors(t *testing.T) {
 
 func TestRunLiveMode(t *testing.T) {
 	for _, tr := range engine.TransportNames() {
-		lo := liveOptions{enabled: true, records: 500, transport: tr}
-		if err := run("Q1-sliding", false, "caps", 0, 4, 4, 4, 200e6, 1.25e9, 1, false, "", lo); err != nil {
+		if err := runArgs("-query", "Q1-sliding", "-live", "-records", "500", "-transport", tr); err != nil {
 			t.Fatalf("%s: %v", tr, err)
 		}
 	}
-	bad := liveOptions{enabled: true, records: 500, transport: "carrier-pigeon"}
-	if err := run("Q1-sliding", false, "caps", 0, 4, 4, 4, 200e6, 1.25e9, 1, false, "", bad); err == nil {
+	if err := runArgs("-query", "Q1-sliding", "-live", "-records", "500", "-transport", "carrier-pigeon"); err == nil {
 		t.Error("unknown live transport: no error")
 	}
 }

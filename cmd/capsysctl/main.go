@@ -29,10 +29,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
+	"capsys/cmd/internal/cliflags"
 	"capsys/internal/cluster"
 	"capsys/internal/controller"
 	"capsys/internal/costmodel"
@@ -60,64 +60,72 @@ type output struct {
 	} `json:"simulated"`
 }
 
-func main() {
-	var (
-		queryName   = flag.String("query", "", "built-in query name (Q1-sliding .. Q6-session)")
-		queryFile   = flag.String("query-file", "", "JSON query spec file ('-' = stdin)")
-		clusterFile = flag.String("cluster-file", "", "JSON cluster spec file")
-		strategy    = flag.String("strategy", "caps", "placement strategy: caps|default|evenly|random|greedy")
-		seed        = flag.Int64("seed", 0, "seed for randomized strategies")
-		workers     = flag.Int("workers", 4, "number of workers (ignored with -cluster-file)")
-		slots       = flag.Int("slots", 4, "slots per worker")
-		cores       = flag.Float64("cores", 4, "CPU cores per worker")
-		ioBps       = flag.Float64("io-bps", 200e6, "disk bandwidth per worker (bytes/s)")
-		netBps      = flag.Float64("net-bps", 1.25e9, "network bandwidth per worker (bytes/s)")
-		listQueries = flag.Bool("list", false, "list built-in queries and exit")
-		noSim       = flag.Bool("no-sim", false, "skip the simulated evaluation")
-		chain       = flag.Bool("chain", false, "apply operator chaining before placement; the plan is expanded back to the original graph")
+// ctlFlags are the flags only capsysctl has; the shared ones are in
+// cliflags.Common.
+type ctlFlags struct {
+	queryFile   string
+	clusterFile string
+	noSim       bool
+	chain       bool
+	snapEvery   int64
+	killWorker  int
+	killEpoch   int64
+	sourceRate  float64
+	metricsAddr string
+	list        bool
+	recovery    bool
+}
 
-		recovery   = flag.Bool("recovery", false, "run the fault-injection recovery study on the live engine (all strategies)")
-		records    = flag.Int64("records", 2000, "recovery/rescale: records per source task")
-		snapEvery  = flag.Int64("snapshot-every", 250, "recovery/rescale: checkpoint barrier interval (records per source)")
-		killWorker = flag.Int("kill-worker", -1, "recovery: worker to kill (-1 = busiest under each plan)")
-		killEpoch  = flag.Int64("kill-epoch", 3, "recovery: checkpoint epoch at which the worker dies")
-
-		rescaleSpec  = flag.String("rescale", "", "run a live rescale on the engine: comma-separated op=parallelism changes under -strategy (e.g. slide-win=12)")
-		rescaleEpoch = flag.Int64("rescale-epoch", 3, "rescale: checkpoint epoch at which -rescale fires")
-		sourceRate   = flag.Float64("source-rate", 0, "rescale: throttle each source task to this records/s (0 = unthrottled)")
-
-		metricsAddr = flag.String("metrics-addr", "", "recovery: serve live telemetry over HTTP (/metrics, /events) on this address")
-		traceOut    = flag.String("trace-out", "", "recovery: append structured trace events as JSONL to this file")
-
-		transport   = flag.String("transport", engine.TransportUnary, "recovery: data-plane exchange (unary|batched|network)")
-		fuseFlag    = flag.String("fuse", "on", "recovery: operator fusion — run co-located Forward chains as one goroutine (on|off)")
-		batchSize   = flag.Int("batch-size", 0, "recovery, batched transport: records per batch (0 = engine default)")
-		batchLinger = flag.Duration("batch-linger", 0, "recovery, batched transport: max wait for a partial batch (0 = engine default, negative disables)")
-	)
-	flag.Parse()
-	noFuse, err := parseFuseFlag(*fuseFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "capsysctl:", err)
-		os.Exit(1)
+// registerFlags declares every capsysctl flag on fs.
+func registerFlags(fs *flag.FlagSet) (*cliflags.Common, *ctlFlags) {
+	f := &cliflags.Common{
+		Strategy: "caps", Records: 2000,
+		Workers: 4, Slots: 4, Cores: 4, IOBps: 200e6, NetBps: 1.25e9,
+		Transport: engine.TransportUnary, Fuse: "on", RescaleEpoch: 3,
 	}
+	f.Register(fs, map[string]string{
+		"query":         "built-in query name (Q1-sliding .. Q6-session)",
+		"workers":       "number of workers (ignored with -cluster-file)",
+		"records":       "recovery/rescale: records per source task",
+		"rescale":       "run a live rescale on the engine: comma-separated op=parallelism changes under -strategy (e.g. slide-win=12)",
+		"rescale-epoch": "rescale: checkpoint epoch at which -rescale fires",
+		"trace-out":     "recovery: append structured trace events as JSONL to this file",
+		"transport":     "recovery: data-plane exchange (unary|batched|network)",
+		"fuse":          "recovery: operator fusion — run co-located Forward chains as one goroutine (on|off)",
+		"batch-size":    "recovery, batched transport: records per batch (0 = engine default)",
+		"batch-linger":  "recovery, batched transport: max wait for a partial batch (0 = engine default, negative disables)",
+	})
+	o := &ctlFlags{}
+	fs.StringVar(&o.queryFile, "query-file", "", "JSON query spec file ('-' = stdin)")
+	fs.StringVar(&o.clusterFile, "cluster-file", "", "JSON cluster spec file")
+	fs.BoolVar(&o.list, "list", false, "list built-in queries and exit")
+	fs.BoolVar(&o.noSim, "no-sim", false, "skip the simulated evaluation")
+	fs.BoolVar(&o.chain, "chain", false, "apply operator chaining before placement; the plan is expanded back to the original graph")
+	fs.BoolVar(&o.recovery, "recovery", false, "run the fault-injection recovery study on the live engine (all strategies)")
+	fs.Int64Var(&o.snapEvery, "snapshot-every", 250, "recovery/rescale: checkpoint barrier interval (records per source)")
+	fs.IntVar(&o.killWorker, "kill-worker", -1, "recovery: worker to kill (-1 = busiest under each plan)")
+	fs.Int64Var(&o.killEpoch, "kill-epoch", 3, "recovery: checkpoint epoch at which the worker dies")
+	fs.Float64Var(&o.sourceRate, "source-rate", 0, "rescale: throttle each source task to this records/s (0 = unthrottled)")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "recovery: serve live telemetry over HTTP (/metrics, /events) on this address")
+	return f, o
+}
 
-	if *listQueries {
+func main() {
+	f, o := registerFlags(flag.CommandLine)
+	flag.Parse()
+	_, err := f.DisableFusion()
+	switch {
+	case err != nil:
+	case o.list:
 		for _, q := range nexmark.AllQueries() {
 			fmt.Printf("%-14s %2d tasks  target %8.0f rec/s\n", q.Name, q.Graph.TotalTasks(), q.TotalRate())
 		}
-		return
-	}
-	if *recovery {
-		err = runRecovery(os.Stdout, *queryName, *seed, *workers, *slots, *cores, *ioBps, *netBps,
-			*records, *snapEvery, *killWorker, *killEpoch, *metricsAddr, *traceOut,
-			*transport, *batchSize, *batchLinger, noFuse)
-	} else if *rescaleSpec != "" {
-		err = runRescale(os.Stdout, *queryName, *strategy, *rescaleSpec, *rescaleEpoch, *seed,
-			*workers, *slots, *cores, *ioBps, *netBps, *records, *snapEvery, *sourceRate,
-			*metricsAddr, *traceOut, *transport, *batchSize, *batchLinger, noFuse)
-	} else {
-		err = run(*queryName, *queryFile, *clusterFile, *strategy, *seed,
-			*workers, *slots, *cores, *ioBps, *netBps, *noSim, *chain)
+	case o.recovery:
+		err = runRecovery(os.Stdout, f, o)
+	case f.Rescale != "":
+		err = runRescale(os.Stdout, f, o)
+	default:
+		err = run(f, o)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "capsysctl:", err)
@@ -127,26 +135,27 @@ func main() {
 
 // runRecovery executes the fault-injection study for every strategy and
 // prints the comparison report.
-func runRecovery(w *os.File, queryName string, seed int64, workers, slots int,
-	cores, ioBps, netBps float64, records, snapEvery int64, killWorker int, killEpoch int64,
-	metricsAddr, traceOut string, transport string, batchSize int, batchLinger time.Duration,
-	noFuse bool) error {
-	if queryName == "" {
+func runRecovery(w *os.File, f *cliflags.Common, o *ctlFlags) error {
+	if f.Query == "" {
 		return fmt.Errorf("-recovery requires -query (see -list)")
 	}
-	spec, err := nexmark.ByName(queryName)
+	spec, err := nexmark.ByName(f.Query)
+	if err != nil {
+		return err
+	}
+	eo, err := f.EngineOptions()
 	if err != nil {
 		return err
 	}
 	// The survivors must be able to host the whole graph after a death;
 	// raise the slot count if the flags leave no headroom.
-	if workers < 2 {
+	if f.Workers < 2 {
 		return fmt.Errorf("-recovery needs at least 2 workers")
 	}
-	if need := spec.Graph.TotalTasks()/(workers-1) + 1; slots < need {
-		slots = need
+	if need := spec.Graph.TotalTasks()/(f.Workers-1) + 1; f.Slots < need {
+		f.Slots = need
 	}
-	c, err := cluster.Homogeneous(workers, slots, cores, ioBps, netBps)
+	c, err := f.Cluster()
 	if err != nil {
 		return err
 	}
@@ -154,34 +163,23 @@ func runRecovery(w *os.File, queryName string, seed int64, workers, slots int,
 	// file cover the whole study, with each event attributed by query /
 	// strategy attrs.
 	tel := telemetry.New()
-	if traceOut != "" {
-		f, err := os.OpenFile(traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("open -trace-out: %w", err)
-		}
-		defer f.Close()
-		tel.Tracer().SetSink(f)
+	stop, err := cliflags.Observe(tel, f.TraceOut, o.metricsAddr, os.Stderr)
+	if err != nil {
+		return err
 	}
-	if metricsAddr != "" {
-		srv, bound, err := tel.Serve(metricsAddr)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/metrics and /events\n", bound)
-	}
+	defer stop()
 	var outcomes []*controller.RecoveryOutcome
 	for _, strat := range experiments.RecoveryStrategies(spec, 200_000) {
 		out, err := controller.RunRecovery(context.Background(), spec, c, strat, controller.RecoveryOptions{
-			Seed:             seed,
-			RecordsPerSource: records,
-			SnapshotInterval: snapEvery,
-			KillWorker:       killWorker,
-			KillAtEpoch:      killEpoch,
-			Transport:        transport,
-			BatchSize:        batchSize,
-			BatchLinger:      batchLinger,
-			DisableFusion:    noFuse,
+			Seed:             f.Seed,
+			RecordsPerSource: f.Records,
+			SnapshotInterval: o.snapEvery,
+			KillWorker:       o.killWorker,
+			KillAtEpoch:      o.killEpoch,
+			Transport:        f.Transport,
+			BatchSize:        f.BatchSize,
+			BatchLinger:      f.BatchLinger,
+			DisableFusion:    eo.DisableFusion,
 			Telemetry:        tel,
 		})
 		if err != nil {
@@ -254,98 +252,66 @@ func renderRecoveryReport(outcomes []*controller.RecoveryOutcome) string {
 	return b.String()
 }
 
-// parseRescalesFlag parses the -rescale "op=parallelism[,op=parallelism]"
-// spec into the engine's rescale schedule, all firing at the same epoch.
-func parseRescalesFlag(spec string, atEpoch int64) ([]engine.RescalePlan, error) {
-	var plans []engine.RescalePlan
-	for _, kv := range strings.Split(spec, ",") {
-		op, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok || op == "" {
-			return nil, fmt.Errorf("-rescale entry %q: want op=parallelism", kv)
-		}
-		p, err := strconv.Atoi(v)
-		if err != nil || p <= 0 {
-			return nil, fmt.Errorf("-rescale entry %q: parallelism must be a positive integer", kv)
-		}
-		plans = append(plans, engine.RescalePlan{Op: dataflow.OperatorID(op), Parallelism: p, AtEpoch: atEpoch})
-	}
-	return plans, nil
-}
-
 // runRescale executes one live rescale under the chosen strategy: deploy,
 // drain to the scheduled checkpoint epoch, repartition the operators'
 // key-groups, re-place, resume — and print what it cost.
-func runRescale(w *os.File, queryName, strategy, rescaleSpec string, rescaleEpoch, seed int64,
-	workers, slots int, cores, ioBps, netBps float64, records, snapEvery int64, sourceRate float64,
-	metricsAddr, traceOut string, transport string, batchSize int, batchLinger time.Duration,
-	noFuse bool) error {
-	if queryName == "" {
+func runRescale(w *os.File, f *cliflags.Common, o *ctlFlags) error {
+	if f.Query == "" {
 		return fmt.Errorf("-rescale requires -query (see -list)")
 	}
-	spec, err := nexmark.ByName(queryName)
+	spec, err := nexmark.ByName(f.Query)
 	if err != nil {
 		return err
 	}
-	plans, err := parseRescalesFlag(rescaleSpec, rescaleEpoch)
+	eo, err := f.EngineOptions()
 	if err != nil {
 		return err
 	}
-	strat, err := placement.ByName(strategy)
+	strat, err := placement.ByName(f.Strategy)
 	if err != nil {
 		return err
 	}
 	// The cluster must be able to host the scaled-up graph; raise the slot
 	// count if the flags leave no headroom.
 	maxTasks := spec.Graph.TotalTasks()
-	for _, p := range plans {
+	for _, p := range eo.Rescales {
 		op := spec.Graph.Operator(p.Op)
 		if op == nil {
-			return fmt.Errorf("-rescale: query %s has no operator %q", queryName, p.Op)
+			return fmt.Errorf("-rescale: query %s has no operator %q", f.Query, p.Op)
 		}
 		if grow := p.Parallelism - op.Parallelism; grow > 0 {
 			maxTasks += grow
 		}
 	}
-	if need := maxTasks/workers + 1; slots < need {
-		slots = need
+	if need := maxTasks/f.Workers + 1; f.Slots < need {
+		f.Slots = need
 	}
-	c, err := cluster.Homogeneous(workers, slots, cores, ioBps, netBps)
+	c, err := f.Cluster()
 	if err != nil {
 		return err
 	}
 	tel := telemetry.New()
-	if traceOut != "" {
-		f, err := os.OpenFile(traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("open -trace-out: %w", err)
-		}
-		defer f.Close()
-		tel.Tracer().SetSink(f)
+	stop, err := cliflags.Observe(tel, f.TraceOut, o.metricsAddr, os.Stderr)
+	if err != nil {
+		return err
 	}
-	if metricsAddr != "" {
-		srv, bound, err := tel.Serve(metricsAddr)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/metrics and /events\n", bound)
-	}
+	defer stop()
 	opts := controller.RescaleOptions{
-		Seed:             seed,
-		RecordsPerSource: records,
-		SnapshotInterval: snapEvery,
-		Rescales:         plans,
-		Transport:        transport,
-		BatchSize:        batchSize,
-		BatchLinger:      batchLinger,
-		DisableFusion:    noFuse,
+		Seed:             f.Seed,
+		RecordsPerSource: f.Records,
+		SnapshotInterval: o.snapEvery,
+		Rescales:         eo.Rescales,
+		Transport:        f.Transport,
+		BatchSize:        f.BatchSize,
+		BatchLinger:      f.BatchLinger,
+		DisableFusion:    eo.DisableFusion,
 		Telemetry:        tel,
 	}
-	if sourceRate > 0 {
+	if o.sourceRate > 0 {
 		opts.SourceRate = map[dataflow.OperatorID]float64{}
 		for _, op := range spec.Graph.Operators() {
 			if len(spec.Graph.Upstream(op.ID)) == 0 {
-				opts.SourceRate[op.ID] = sourceRate
+				opts.SourceRate[op.ID] = o.sourceRate
 			}
 		}
 	}
@@ -356,7 +322,7 @@ func runRescale(w *os.File, queryName, strategy, rescaleSpec string, rescaleEpoc
 	if err := tel.Tracer().SinkErr(); err != nil {
 		return fmt.Errorf("trace sink: %w", err)
 	}
-	_, err = fmt.Fprint(w, renderRescaleReport(out, plans))
+	_, err = fmt.Fprint(w, renderRescaleReport(out, eo.Rescales))
 	return err
 }
 
@@ -412,15 +378,14 @@ func renderRescaleReport(o *controller.RescaleOutcome, plans []engine.RescalePla
 	return b.String()
 }
 
-func run(queryName, queryFile, clusterFile, strategy string, seed int64,
-	workers, slots int, cores, ioBps, netBps float64, noSim, chain bool) error {
+func run(f *cliflags.Common, o *ctlFlags) error {
 	var spec nexmark.QuerySpec
 	var err error
 	switch {
-	case queryFile != "":
-		spec, err = specio.LoadQuery(queryFile)
-	case queryName != "":
-		spec, err = nexmark.ByName(queryName)
+	case o.queryFile != "":
+		spec, err = specio.LoadQuery(o.queryFile)
+	case f.Query != "":
+		spec, err = nexmark.ByName(f.Query)
 	default:
 		return fmt.Errorf("one of -query or -query-file is required (see -list)")
 	}
@@ -429,16 +394,16 @@ func run(queryName, queryFile, clusterFile, strategy string, seed int64,
 	}
 
 	var c *cluster.Cluster
-	if clusterFile != "" {
-		c, err = specio.LoadCluster(clusterFile)
+	if o.clusterFile != "" {
+		c, err = specio.LoadCluster(o.clusterFile)
 	} else {
-		c, err = cluster.Homogeneous(workers, slots, cores, ioBps, netBps)
+		c, err = f.Cluster()
 	}
 	if err != nil {
 		return err
 	}
 
-	strat, err := placement.ByName(strategy)
+	strat, err := placement.ByName(f.Strategy)
 	if err != nil {
 		return err
 	}
@@ -447,7 +412,7 @@ func run(queryName, queryFile, clusterFile, strategy string, seed int64,
 	// the resulting plan is expanded back onto the original operators.
 	placementSpec := spec
 	var chained *dataflow.ChainResult
-	if chain {
+	if o.chain {
 		chained, err = dataflow.Chain(spec.Graph)
 		if err != nil {
 			return err
@@ -474,7 +439,7 @@ func run(queryName, queryFile, clusterFile, strategy string, seed int64,
 	placeUsage := costmodel.FromRates(placementSpec.Graph, placeRates)
 
 	start := time.Now()
-	plan, err := strat.Place(context.Background(), placePhys, c, placeUsage, seed)
+	plan, err := strat.Place(context.Background(), placePhys, c, placeUsage, f.Seed)
 	if err != nil {
 		return err
 	}
@@ -510,7 +475,7 @@ func run(queryName, queryFile, clusterFile, strategy string, seed int64,
 	out.Cost = map[string]float64{"cpu": cost.CPU, "io": cost.IO, "net": cost.Net}
 	out.Decision = decision.String()
 
-	if !noSim {
+	if !o.noSim {
 		res, err := simulator.Evaluate([]simulator.QueryDeployment{{
 			Name: spec.Name, Phys: phys, Plan: plan, SourceRates: spec.SourceRates,
 		}}, c, simulator.DefaultConfig())
@@ -527,16 +492,4 @@ func run(queryName, queryFile, clusterFile, strategy string, seed int64,
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// parseFuseFlag maps the -fuse on|off flag onto the engine's DisableFusion
-// option (true = fusion off).
-func parseFuseFlag(v string) (bool, error) {
-	switch v {
-	case "on", "":
-		return false, nil
-	case "off":
-		return true, nil
-	}
-	return false, fmt.Errorf("-fuse must be on or off (got %q)", v)
 }

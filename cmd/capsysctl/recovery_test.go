@@ -105,7 +105,10 @@ func TestRunRecoveryMode(t *testing.T) {
 	}
 	defer f.Close()
 	trace := filepath.Join(t.TempDir(), "trace.jsonl")
-	if err := runRecovery(f, "Q1-sliding", 1, 4, 4, 8, 500e6, 2e9, 400, 100, -1, 1, "127.0.0.1:0", trace, engine.TransportBatched, 16, 0, false); err != nil {
+	cf, o := parseArgs(t, "-query", "Q1-sliding", "-seed", "1", "-cores", "8", "-io-bps", "500e6", "-net-bps", "2e9",
+		"-records", "400", "-snapshot-every", "100", "-kill-epoch", "1", "-metrics-addr", "127.0.0.1:0", "-trace-out", trace,
+		"-transport", engine.TransportBatched, "-batch-size", "16")
+	if err := runRecovery(f, cf, o); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(f.Name())
@@ -130,10 +133,12 @@ func TestRunRecoveryErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer devnull.Close()
-	if err := runRecovery(devnull, "", 1, 4, 4, 8, 500e6, 2e9, 400, 100, -1, 1, "", "", engine.TransportUnary, 0, 0, false); err == nil {
+	cf, o := parseArgs(t, "-records", "400", "-snapshot-every", "100", "-kill-epoch", "1")
+	if err := runRecovery(devnull, cf, o); err == nil {
 		t.Error("missing query accepted")
 	}
-	if err := runRecovery(devnull, "Q1-sliding", 1, 1, 4, 8, 500e6, 2e9, 400, 100, -1, 1, "", "", engine.TransportUnary, 0, 0, false); err == nil {
+	cf, o = parseArgs(t, "-query", "Q1-sliding", "-workers", "1", "-records", "400", "-snapshot-every", "100", "-kill-epoch", "1")
+	if err := runRecovery(devnull, cf, o); err == nil {
 		t.Error("single-worker cluster accepted")
 	}
 }

@@ -247,6 +247,80 @@ func TestDistHealthzStaleWorker(t *testing.T) {
 	}
 }
 
+// startTelemetryCluster is startDistCluster with a telemetry hub on every
+// side: the coordinator aggregates into coTel, each worker ships from its
+// own hub every hbEvery.
+func startTelemetryCluster(t *testing.T, ctx context.Context, fx *distFixture, coTel *telemetry.Telemetry, hbEvery time.Duration) *Coordinator {
+	t.Helper()
+	co, err := NewCoordinator("127.0.0.1:0", fx.deploy, distWorkers, CoordinatorOptions{
+		HeartbeatTimeout: 5 * time.Second,
+		Telemetry:        coTel,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cancels []context.CancelFunc
+	var errs []chan error
+	for w := 0; w < distWorkers; w++ {
+		wctx, cancel := context.WithCancel(ctx)
+		cancels = append(cancels, cancel)
+		errc := make(chan error, 1)
+		errs = append(errs, errc)
+		wtel := telemetry.New()
+		go func() {
+			errc <- JoinCluster(wctx, co.Addr(), NexmarkBuilderWith(wtel), JoinOptions{
+				HeartbeatEvery: hbEvery,
+				Telemetry:      wtel,
+			})
+		}()
+	}
+	if err := co.WaitJoined(ctx); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		co.Shutdown()
+		for _, cancel := range cancels {
+			cancel()
+		}
+		for _, errc := range errs {
+			<-errc
+		}
+	})
+	return co
+}
+
+// TestDistFlushBeforeDone is the regression test for the lost telemetry
+// tail: workers whose heartbeat never ticks must still land their trace
+// events and metric deltas at the coordinator, because each DONE is preceded
+// on the same connection by a final trace batch and heartbeat. Nothing may
+// depend on waiting after Run returns.
+func TestDistFlushBeforeDone(t *testing.T) {
+	fx := newDistFixture(t, "Q3-inf")
+	coTel := telemetry.New()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	co := startTelemetryCluster(t, ctx, fx, coTel, time.Hour)
+	if _, err := co.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	snap := coTel.Registry().Snapshot()
+	done := map[string]bool{}
+	for _, ev := range coTel.Tracer().Events() {
+		if ev.Kind == telemetry.EventWorkerAttemptDone {
+			done[ev.Src] = true
+		}
+	}
+	for w := 0; w < distWorkers; w++ {
+		id := fx.deploy.Workers[w].ID
+		if !done[id] {
+			t.Errorf("no worker.attempt.done from %s in the coordinator timeline when Run returned", id)
+		}
+		if name := metrics.WorkerMetricName(id, "net.frames_sent"); snap[name] <= 0 {
+			t.Errorf("%s = %v when Run returned, want > 0", name, snap[name])
+		}
+	}
+}
+
 // TestDistAggregationLive runs the full 3-worker in-process cluster with
 // telemetry on every side and asserts the coordinator's merged view: live
 // per-worker net.* series with cluster rollups, relayed saturation gauges,
@@ -259,40 +333,7 @@ func TestDistAggregationLive(t *testing.T) {
 	coTel := telemetry.New()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-
-	co, err := NewCoordinator("127.0.0.1:0", fx.deploy, distWorkers, CoordinatorOptions{
-		HeartbeatTimeout: 5 * time.Second,
-		Telemetry:        coTel,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dc := &distCluster{co: co}
-	for w := 0; w < distWorkers; w++ {
-		wctx, cancel := context.WithCancel(ctx)
-		dc.cancel = append(dc.cancel, cancel)
-		errc := make(chan error, 1)
-		dc.errs = append(dc.errs, errc)
-		wtel := telemetry.New()
-		go func(wtel *telemetry.Telemetry) {
-			errc <- JoinCluster(wctx, co.Addr(), NexmarkBuilderWith(wtel), JoinOptions{
-				HeartbeatEvery: 25 * time.Millisecond,
-				Telemetry:      wtel,
-			})
-		}(wtel)
-	}
-	if err := co.WaitJoined(ctx); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		co.Shutdown()
-		for _, cancel := range dc.cancel {
-			cancel()
-		}
-		for _, errc := range dc.errs {
-			<-errc
-		}
-	})
+	co := startTelemetryCluster(t, ctx, fx, coTel, 25*time.Millisecond)
 
 	res, err := co.Run(ctx)
 	if err != nil {

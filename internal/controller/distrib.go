@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,12 +32,13 @@ import (
 //	worker -> coordinator  DONE    {final report}
 //
 // Checkpoint snapshots stream to the coordinator as they are taken, so the
-// coordinator's SnapshotStore plays the role of durable remote checkpoint
-// storage: state survives any worker's death. Failure detection is
-// control-plane liveness — a broken worker connection or missed heartbeats
-// — and recovery aborts the survivors, re-places the dead workers' tasks,
-// and redeploys everything from the last globally complete epoch, exactly
-// mirroring the in-process engine's kill-recovery path.
+// engine.Supervisor it runs plays the role of durable remote checkpoint
+// storage: state survives any worker's death. The Coordinator is the
+// supervisor's remote AttemptExecutor — it deploys an attempt, pumps worker
+// events, detects failures (a broken control connection, missed heartbeats,
+// a PEERDOWN report), aborts the survivors and reports how the attempt
+// ended; what happens next (restore epoch, re-placement, rescale) is the
+// supervisor's lifecycle, shared with the in-process engine.
 
 // TaskAssignment is one task-to-worker placement in wire-safe form.
 type TaskAssignment struct {
@@ -49,8 +49,12 @@ type TaskAssignment struct {
 // AssignmentsOf flattens a plan into wire-safe assignments (deterministic
 // order).
 func AssignmentsOf(phys *dataflow.PhysicalGraph, plan *dataflow.Plan) ([]TaskAssignment, error) {
-	var out []TaskAssignment
-	for _, t := range phys.Tasks() {
+	return assignmentsOf(phys.Tasks(), plan)
+}
+
+func assignmentsOf(tasks []dataflow.TaskID, plan *dataflow.Plan) ([]TaskAssignment, error) {
+	out := make([]TaskAssignment, 0, len(tasks))
+	for _, t := range tasks {
 		w, ok := plan.Worker(t)
 		if !ok {
 			return nil, fmt.Errorf("controller: task %v unassigned", t)
@@ -61,6 +65,17 @@ func AssignmentsOf(phys *dataflow.PhysicalGraph, plan *dataflow.Plan) ([]TaskAss
 		})
 	}
 	return out, nil
+}
+
+// planOf is the inverse edge conversion: the supervisor speaks plans, the
+// caller-facing hooks speak assignments. A task named twice would vanish in
+// the plan's map, so it is rejected here.
+func planOf(assign []TaskAssignment) (*dataflow.Plan, error) {
+	plan := DeploySpec{Assign: assign}.Plan()
+	if plan.Len() != len(assign) {
+		return nil, fmt.Errorf("controller: %d assignments name only %d distinct tasks", len(assign), plan.Len())
+	}
+	return plan, nil
 }
 
 // DeploySpec is everything a worker process needs to build its share of a
@@ -134,14 +149,9 @@ func NexmarkBuilderWith(tel *telemetry.Telemetry) JobBuilder {
 		if err != nil {
 			return nil, err
 		}
-		binding, err := nexmark.BindEngine(q, spec.Seed)
+		binding, err := bindScaled(q, spec.Seed, spec.CPUCostScale)
 		if err != nil {
 			return nil, err
-		}
-		if spec.CPUCostScale > 0 && spec.CPUCostScale != 1 {
-			for op := range binding.PerRecordCPU {
-				binding.PerRecordCPU[op] *= spec.CPUCostScale
-			}
 		}
 		graph := q.Graph
 		if len(spec.Rescaled) > 0 {
@@ -278,13 +288,13 @@ type CoordinatorOptions struct {
 
 // Coordinator supervises one distributed job across worker processes.
 type Coordinator struct {
-	ln    net.Listener
-	spec  DeploySpec
-	n     int
-	opts  CoordinatorOptions
-	store *engine.SnapshotStore
-	clk   clock.Clock
-	agg   clusterAgg
+	ln   net.Listener
+	spec DeploySpec
+	n    int
+	opts CoordinatorOptions
+	sup  *engine.Supervisor
+	clk  clock.Clock
+	agg  clusterAgg
 
 	// connMu orders WaitJoined's appends to conns against connSnapshot
 	// reads from HTTP handlers; once the cluster is complete the slice is
@@ -297,20 +307,15 @@ type Coordinator struct {
 	// exported on /healthz.
 	curAttempt atomic.Int64
 
-	// dpRestarts counts attempts restarted for data-plane-only failures
-	// (PEERDOWN reports whose accused peer was still control-plane live);
-	// bounded by maxDataPlaneRestarts before escalating to a worker death.
+	// Run's goroutine only: start is the origin of fault-record offsets;
+	// assign is the deployed placement in the hooks' wire-safe shape (what
+	// RescaleAssign sees as prev); dpRestarts counts attempts restarted for
+	// data-plane-only failures (PEERDOWN reports whose accused peer was
+	// still control-plane live), bounded by maxDataPlaneRestarts before
+	// escalating to a worker death.
+	start      time.Time
+	assign     []TaskAssignment
 	dpRestarts int
-
-	// rescaleMu guards the pending rescale queue: ScheduleRescale appends
-	// from any goroutine; the supervision loop consumes.
-	rescaleMu      sync.Mutex
-	pendingRescale []engine.RescalePlan
-	// rescaledAt/lastRescale carry one applied rescale across the redeploy:
-	// downtime ends (and rescale.complete fires) when the rescaled attempt
-	// starts. Only the supervision loop touches them.
-	rescaledAt  time.Time
-	lastRescale *engine.RescaleEvent
 }
 
 type coordConn struct {
@@ -347,101 +352,98 @@ func NewCoordinator(listen string, spec DeploySpec, workers int, opts Coordinato
 		opts.StopTimeout = 10 * time.Second
 	}
 	// Pin the key-group count so every worker, every attempt, and the
-	// coordinator's own repartitioning agree on how keyed state and keyed
+	// supervisor's own repartitioning agree on how keyed state and keyed
 	// routing partition — before and after any rescale. The resolution
 	// mirrors engine.NewJob's default so a pre-rescale cluster is
 	// byte-compatible with one that never pins.
 	if spec.KeyGroups == 0 {
 		spec.KeyGroups = engine.DefaultKeyGroups
-		for _, p := range opParallelisms(spec.Assign) {
-			if p > spec.KeyGroups {
-				spec.KeyGroups = p
+		perOp := make(map[string]int)
+		for _, a := range spec.Assign {
+			if perOp[a.Task.Op]++; perOp[a.Task.Op] > spec.KeyGroups {
+				spec.KeyGroups = perOp[a.Task.Op]
 			}
 		}
 	}
 	co := &Coordinator{
-		ln:     nil,
 		spec:   spec,
 		n:      workers,
 		opts:   opts,
-		store:  engine.NewSnapshotStore(len(spec.Assign)),
 		clk:    opts.Now.OrSystem(),
 		agg:    clusterAgg{tel: opts.Telemetry},
 		events: make(chan coordEvent, 64),
+	}
+	plan, err := planOf(spec.Assign)
+	if err != nil {
+		return nil, err
+	}
+	cfg := engine.SupervisorConfig{
+		Plan:             plan,
+		Workers:          spec.Workers,
+		KeyGroups:        spec.KeyGroups,
+		SnapshotInterval: spec.SnapshotInterval,
+		Transport:        engine.TransportNetwork,
+		Emit:             co.trace,
+		Logf:             opts.Logf,
+		Now:              opts.Now,
+	}
+	for _, a := range spec.Assign {
+		cfg.Tasks = append(cfg.Tasks, dataflow.TaskID{Op: dataflow.OperatorID(a.Task.Op), Index: a.Task.Index})
+	}
+	// The hooks keep their caller-facing shapes; conversion to and from the
+	// supervisor's plans happens here, at the executor edge.
+	if opts.Replan != nil {
+		cfg.OnFault = func(ev engine.FailureEvent) (*dataflow.Plan, error) {
+			if ev.Kind != engine.FaultKillWorker {
+				return nil, nil // nobody died: restart in place
+			}
+			next, err := opts.Replan(ev.DeadWorkers, ev.Attempt+1)
+			if err != nil {
+				return nil, err
+			}
+			return co.hookPlan(next)
+		}
+	}
+	if opts.RescaleAssign != nil {
+		cfg.OnRescale = func(ev engine.RescaleEvent, _ *dataflow.Plan) (*dataflow.Plan, error) {
+			next, err := opts.RescaleAssign(ev, co.assign)
+			if err != nil {
+				return nil, err
+			}
+			return co.hookPlan(next)
+		}
+	}
+	if co.sup, err = engine.NewSupervisor(cfg); err != nil {
+		return nil, err
 	}
 	for _, p := range opts.Rescales {
 		if err := co.ScheduleRescale(p); err != nil {
 			return nil, err
 		}
 	}
-	ln, err := net.Listen("tcp", listen)
-	if err != nil {
+	if co.ln, err = net.Listen("tcp", listen); err != nil {
 		return nil, err
 	}
-	co.ln = ln
 	return co, nil
 }
 
-// opParallelisms derives each operator's parallelism from the task
-// assignments (task indices are dense, so the count is the parallelism).
-func opParallelisms(assign []TaskAssignment) map[string]int {
-	out := make(map[string]int)
-	for _, a := range assign {
-		out[a.Task.Op]++
+// hookPlan converts a hook's answer for the supervisor. The spec may list
+// more workers than processes joined; only the coordinator knows that a
+// task sent to one of those would never be deployed.
+func (co *Coordinator) hookPlan(next []TaskAssignment) (*dataflow.Plan, error) {
+	for _, a := range next {
+		if a.Worker >= co.n {
+			return nil, fmt.Errorf("%w: task %v on worker %d, but only %d workers joined", engine.ErrInvalidPlan, a.Task, a.Worker, co.n)
+		}
 	}
-	return out
+	return planOf(next)
 }
 
 // ScheduleRescale queues a live parallelism change; it triggers at the first
 // globally complete checkpoint epoch >= AtEpoch. Safe from any goroutine
 // while the coordinator runs.
 func (co *Coordinator) ScheduleRescale(p engine.RescalePlan) error {
-	if co.spec.SnapshotInterval <= 0 {
-		return fmt.Errorf("controller: rescale needs checkpoints; set SnapshotInterval > 0")
-	}
-	ps := opParallelisms(co.spec.Assign)
-	if ps[string(p.Op)] == 0 {
-		return fmt.Errorf("controller: rescale of unknown operator %q", p.Op)
-	}
-	if p.Parallelism <= 0 {
-		return fmt.Errorf("controller: rescale of %q to non-positive parallelism %d", p.Op, p.Parallelism)
-	}
-	if p.Parallelism > co.spec.KeyGroups {
-		return fmt.Errorf("controller: rescale of %q to %d exceeds %d key-groups", p.Op, p.Parallelism, co.spec.KeyGroups)
-	}
-	if p.AtEpoch < 0 {
-		return fmt.Errorf("controller: rescale of %q at negative epoch %d", p.Op, p.AtEpoch)
-	}
-	co.rescaleMu.Lock()
-	co.pendingRescale = append(co.pendingRescale, p)
-	co.rescaleMu.Unlock()
-	return nil
-}
-
-// dueRescale returns the first pending plan due at the given complete epoch
-// without removing it — the plan stays pending until applied, so a worker
-// death racing the drain simply re-triggers it at the next complete epoch.
-func (co *Coordinator) dueRescale(epoch int64) *engine.RescalePlan {
-	co.rescaleMu.Lock()
-	defer co.rescaleMu.Unlock()
-	for i := range co.pendingRescale {
-		if epoch >= co.pendingRescale[i].AtEpoch {
-			p := co.pendingRescale[i]
-			return &p
-		}
-	}
-	return nil
-}
-
-func (co *Coordinator) dropRescale(p *engine.RescalePlan) {
-	co.rescaleMu.Lock()
-	defer co.rescaleMu.Unlock()
-	for i := range co.pendingRescale {
-		if co.pendingRescale[i] == *p {
-			co.pendingRescale = append(co.pendingRescale[:i], co.pendingRescale[i+1:]...)
-			return
-		}
-	}
+	return co.sup.Schedule(p)
 }
 
 // Addr is the bound control-plane address workers join.
@@ -593,254 +595,216 @@ func (co *Coordinator) staleWorker(alive map[int]bool) (int, bool) {
 	return -1, false
 }
 
-// Run drives the job to completion across the joined workers, recovering
-// from worker deaths when Replan is set, and assembles the distributed
-// JobResult from the final attempt's reports.
+// Run drives the job to completion across the joined workers — recovering
+// from worker deaths when Replan is set, applying scheduled rescales — and
+// returns the distributed JobResult assembled from the final attempt's
+// reports. The lifecycle is engine.Supervisor's; the coordinator executes
+// its attempts.
 func (co *Coordinator) Run(ctx context.Context) (*engine.JobResult, error) {
 	if len(co.conns) < co.n {
 		return nil, fmt.Errorf("controller: Run before WaitJoined completed (%d of %d workers)", len(co.conns), co.n)
 	}
-	start := co.clk()
-	assign := co.spec.Assign
-	alive := make(map[int]bool, co.n)
-	for w := 0; w < co.n; w++ {
-		alive[w] = true
-	}
-	var agg engine.DistAgg
-	var restore int64
-	var failedAt time.Time
+	co.start = co.clk()
+	return co.sup.Run(ctx, remoteExecutor{co})
+}
 
-	for attempt := 1; ; attempt++ {
-		res, err := co.runAttempt(ctx, start, &agg, alive, &assign, &restore, &failedAt, attempt)
-		if err == errRetryAttempt {
+// remoteExecutor is the Coordinator as the supervisor's AttemptExecutor.
+type remoteExecutor struct{ co *Coordinator }
+
+// SetParallelism records the new parallelism as a deploy-spec override, so
+// every later DEPLOY makes the workers derive the rescaled topology.
+func (x remoteExecutor) SetParallelism(op dataflow.OperatorID, parallelism int) error {
+	over := x.co.spec.Rescaled
+	for i := range over {
+		if over[i].Op == string(op) {
+			over[i].Parallelism = parallelism
+			return nil
+		}
+	}
+	x.co.spec.Rescaled = append(over, OpParallelism{Op: string(op), Parallelism: parallelism})
+	return nil
+}
+
+// RunAttempt deploys one attempt to every live worker and supervises it to
+// its end.
+func (x remoteExecutor) RunAttempt(ctx context.Context, at engine.AttemptSpec) (engine.AttemptEnd, error) {
+	co := x.co
+	co.curAttempt.Store(int64(at.No))
+	assign, err := assignmentsOf(at.Tasks, at.Plan)
+	if err != nil {
+		return engine.AttemptEnd{}, err
+	}
+	co.assign = assign
+	a := &distAttempt{co: co, at: at, alive: make(map[int]bool, co.n)}
+	for w := 0; w < co.n; w++ {
+		a.alive[w] = true
+	}
+	for _, w := range at.Dead {
+		delete(a.alive, w)
+	}
+	return a.run(ctx)
+}
+
+// distAttempt is the supervision state of one deployed attempt.
+type distAttempt struct {
+	co    *Coordinator
+	at    engine.AttemptSpec
+	alive map[int]bool
+	// end accumulates what the supervisor needs to know about how the
+	// attempt ended: the fault or drain, deaths, fault records.
+	end engine.AttemptEnd
+}
+
+// run is the two-phase deploy followed by the event pump:
+// DEPLOY → READY from everyone → START → supervise until every live worker
+// reports DONE, or a fault or a due rescale ends the attempt early.
+func (a *distAttempt) run(ctx context.Context) (engine.AttemptEnd, error) {
+	co, no := a.co, a.at.No
+	taskWorker := make(map[engine.WireTaskID]int, len(co.assign))
+	for _, as := range co.assign {
+		taskWorker[as.Task] = as.Worker
+	}
+	restoreSnaps := co.sup.EpochSnapshots(a.at.RestoreEpoch)
+	for w := range a.alive {
+		d := co.spec
+		d.Assign = co.assign
+		d.Attempt = no
+		d.Local = w
+		d.RestoreEpoch = a.at.RestoreEpoch
+		for _, s := range restoreSnaps {
+			if taskWorker[s.Task] == w {
+				d.Snapshots = append(d.Snapshots, s)
+			}
+		}
+		if err := co.conns[w].w.send(engine.FrameDeploy, d); err != nil {
+			return a.sendFailed(ctx, w, "deploy", err)
+		}
+	}
+
+	// Every frame is attempt-tagged, so stale traffic from an aborted
+	// attempt (snapshots, late DONE/STOPPED reports) is dropped below.
+	peers := make(map[int]string, len(a.alive))
+	reports := make(map[int]*engine.WorkerReport, len(a.alive))
+	for len(reports) < len(a.alive) {
+		ev, err := co.nextEvent(ctx, a.alive)
+		if err != nil {
+			return engine.AttemptEnd{}, err
+		}
+		if !a.alive[ev.worker] {
 			continue
 		}
-		return res, err
-	}
-}
-
-// runAttempt deploys and supervises one attempt. errRetryAttempt means a
-// worker died, recovery succeeded, and Run should redeploy.
-func (co *Coordinator) runAttempt(ctx context.Context, start time.Time, agg *engine.DistAgg,
-	alive map[int]bool, assign *[]TaskAssignment, restore *int64, failedAt *time.Time,
-	attempt int) (*engine.JobResult, error) {
-	{
-		co.curAttempt.Store(int64(attempt))
-		taskWorker := make(map[engine.WireTaskID]int, len(*assign))
-		for _, a := range *assign {
-			taskWorker[a.Task] = a.Worker
-		}
-		restoreSnaps := co.store.EpochSnapshots(*restore)
-
-		// Phase 1: deploy, gather every live worker's data address.
-		for w := range alive {
-			d := co.spec
-			d.Assign = *assign
-			d.Attempt = attempt
-			d.Local = w
-			d.RestoreEpoch = *restore
-			for _, s := range restoreSnaps {
-				if taskWorker[s.Task] == w {
-					d.Snapshots = append(d.Snapshots, s)
-				}
-			}
-			if err := co.conns[w].w.send(engine.FrameDeploy, d); err != nil {
-				if errors.Is(err, errEncodePayload) {
-					// Local encode failure (e.g. the restore snapshot set
-					// outgrew MaxFramePayload): the worker is healthy, and
-					// the oversized data would survive any redeploy. Fail
-					// the run with the real cause.
-					return nil, fmt.Errorf("controller: deploy for worker %d: %w", w, err)
-				}
-				return co.recover(ctx, start, agg, alive, assign, restore, failedAt, attempt, w, err)
-			}
-		}
-		peers := make(map[int]string, len(alive))
-		for len(peers) < len(alive) {
-			ev, err := co.nextEvent(ctx, alive)
-			if err != nil {
-				return nil, err
-			}
-			if !alive[ev.worker] {
+		if ev.err != nil {
+			// A connection error after DONE is an exiting worker, not a
+			// failure of the attempt.
+			if reports[ev.worker] != nil {
 				continue
 			}
-			if ev.err != nil {
-				return co.recover(ctx, start, agg, alive, assign, restore, failedAt, attempt, ev.worker, ev.err)
-			}
-			switch ev.frame.Type {
-			case engine.FrameReady:
-				var r wireReady
-				if err := engine.DecodePayload(ev.frame.Payload, &r); err != nil {
-					return nil, fmt.Errorf("controller: bad READY from worker %d: %w", ev.worker, err)
-				}
-				if r.Attempt == attempt {
-					peers[ev.worker] = r.Addr
-				}
-			case engine.FrameHeartbeat:
-			default:
-				// Stale events from the aborted attempt (snapshots, late
-				// DONE/STOPPED reports) are dropped.
-			}
+			a.died(ev.worker, ev.err)
+			return a.abort(ctx)
 		}
-
-		// Phase 2: start. Downtime ends when the restarted attempt begins.
-		if !failedAt.IsZero() {
-			agg.Downtime += co.clk.Since(*failedAt)
-			*failedAt = time.Time{}
-		}
-		if !co.rescaledAt.IsZero() {
-			// Rescale downtime likewise ends once the rescaled deployment is
-			// about to start.
-			d := co.clk.Since(co.rescaledAt)
-			agg.RescaleDowntime += d
-			co.rescaledAt = time.Time{}
-			if ev := co.lastRescale; ev != nil {
-				co.trace(telemetry.Event{Kind: telemetry.EventRescaleComplete, Op: string(ev.Op), Epoch: ev.Epoch, Attempt: attempt,
-					Attrs: map[string]any{"from": ev.OldParallelism, "to": ev.NewParallelism, "downtime_ms": d.Seconds() * 1e3}})
-				co.lastRescale = nil
+		switch ev.frame.Type {
+		case engine.FrameReady:
+			var r wireReady
+			if err := engine.DecodePayload(ev.frame.Payload, &r); err != nil {
+				return engine.AttemptEnd{}, fmt.Errorf("controller: bad READY from worker %d: %w", ev.worker, err)
 			}
-		}
-		for w := range alive {
-			if err := co.conns[w].w.send(engine.FrameStart, wireStart{Attempt: attempt, Peers: peers}); err != nil {
-				if errors.Is(err, errEncodePayload) {
-					return nil, fmt.Errorf("controller: start for worker %d: %w", w, err)
-				}
-				return co.recover(ctx, start, agg, alive, assign, restore, failedAt, attempt, w, err)
-			}
-		}
-
-		// Phase 3: supervise until every live worker reports DONE.
-		reports := make(map[int]*engine.WorkerReport, len(alive))
-		for len(reports) < len(alive) {
-			ev, err := co.nextEvent(ctx, alive)
-			if err != nil {
-				return nil, err
-			}
-			if !alive[ev.worker] {
+			if r.Attempt != no || peers[ev.worker] != "" {
 				continue
 			}
-			if ev.err != nil {
-				// A connection error after DONE is an exiting worker, not a
-				// failure of the attempt.
-				if reports[ev.worker] != nil {
-					continue
-				}
-				return co.recover(ctx, start, agg, alive, assign, restore, failedAt, attempt, ev.worker, ev.err)
+			peers[ev.worker] = r.Addr
+			if len(peers) < len(a.alive) {
+				continue
 			}
-			switch ev.frame.Type {
-			case engine.FrameSnapshot:
-				var s wireSnap
-				if err := engine.DecodePayload(ev.frame.Payload, &s); err == nil && s.Attempt == attempt {
-					if done := co.store.Record(s.Snap); done > 0 {
-						co.logf("checkpoint: epoch %d complete (%d snapshots)", done, co.store.Taken())
-						co.trace(telemetry.Event{Kind: telemetry.EventCheckpointComplete, Epoch: done, Attempt: attempt,
-							Attrs: map[string]any{"snapshots": co.store.Taken()}})
-						if p := co.dueRescale(done); p != nil {
-							return co.rescaleLive(ctx, start, agg, alive, assign, restore, failedAt, attempt, p)
-						}
-					}
+			// Everyone is deployed and restored: downtime ends here.
+			a.at.Up()
+			for w := range a.alive {
+				if err := co.conns[w].w.send(engine.FrameStart, wireStart{Attempt: no, Peers: peers}); err != nil {
+					return a.sendFailed(ctx, w, "start", err)
 				}
-			case engine.FrameEpochStart:
-				var e wireEpoch
-				if err := engine.DecodePayload(ev.frame.Payload, &e); err == nil && e.Attempt == attempt {
-					co.conns[ev.worker].lastEpoch.Store(e.Epoch)
-					co.logf("epoch %d started", e.Epoch)
-					co.trace(telemetry.Event{Kind: telemetry.EventCheckpointStart, Epoch: e.Epoch, Attempt: attempt})
-				}
-			case engine.FramePeerDown:
-				var p wirePeer
-				if err := engine.DecodePayload(ev.frame.Payload, &p); err == nil && p.Attempt == attempt {
-					if !alive[p.Peer] {
-						// Already known dead: recovery via its control-plane
-						// liveness is in motion, nothing new to act on.
-						co.logf("worker %d reports peer %d unreachable (already dead)", ev.worker, p.Peer)
-						continue
-					}
-					// The accused peer is still control-plane live: the
-					// failure is data-plane-only (TCP reset between live
-					// workers, a severed shared connection). Heartbeats will
-					// never detect it, so act on the report: restart the
-					// attempt, keeping every worker, from the last complete
-					// epoch.
-					return co.recoverDataPlane(ctx, start, agg, alive, assign, restore, failedAt, attempt, ev.worker, p.Peer)
-				}
-			case engine.FrameDone:
-				var r wireReport
-				if err := engine.DecodePayload(ev.frame.Payload, &r); err != nil || r.Report == nil {
-					return nil, fmt.Errorf("controller: bad DONE from worker %d: %v", ev.worker, err)
-				}
-				if r.Report.Attempt == attempt {
-					reports[ev.worker] = r.Report
-				}
-			case engine.FrameHeartbeat, engine.FrameStopped:
+			}
+		case engine.FrameSnapshot:
+			var s wireSnap
+			if err := engine.DecodePayload(ev.frame.Payload, &s); err != nil || s.Attempt != no {
+				continue
+			}
+			done, drain := co.sup.RecordSnapshot(s.Snap)
+			if done == 0 {
+				continue
+			}
+			taken := co.sup.SnapshotsTaken()
+			co.logf("checkpoint: epoch %d complete (%d snapshots)", done, taken)
+			co.trace(telemetry.Event{Kind: telemetry.EventCheckpointComplete, Epoch: done, Attempt: no,
+				Attrs: map[string]any{"snapshots": taken}})
+			if drain {
+				// The abort is the drain: every task's state as of the epoch
+				// is already in the store.
+				co.logf("rescale: draining at epoch %d (attempt %d)", done, no)
+				a.end.DrainEpoch = done
+				a.end.At = co.clk()
+				return a.abort(ctx)
+			}
+		case engine.FrameEpochStart:
+			var e wireEpoch
+			if err := engine.DecodePayload(ev.frame.Payload, &e); err == nil && e.Attempt == no {
+				co.conns[ev.worker].lastEpoch.Store(e.Epoch)
+				co.logf("epoch %d started", e.Epoch)
+				co.trace(telemetry.Event{Kind: telemetry.EventCheckpointStart, Epoch: e.Epoch, Attempt: no})
+			}
+		case engine.FramePeerDown:
+			var p wirePeer
+			if err := engine.DecodePayload(ev.frame.Payload, &p); err != nil || p.Attempt != no {
+				continue
+			}
+			if !a.alive[p.Peer] {
+				// Already known dead: recovery via its control-plane
+				// liveness is in motion, nothing new to act on.
+				co.logf("worker %d reports peer %d unreachable (already dead)", ev.worker, p.Peer)
+				continue
+			}
+			// The accused peer is still control-plane live: the failure is
+			// data-plane-only (TCP reset between live workers, a severed
+			// shared connection). Heartbeats will never detect it and
+			// neither endpoint is provably at fault, so restart the attempt
+			// with every worker kept — until the budget is spent, when the
+			// accused is treated as dead.
+			if co.dpRestarts >= maxDataPlaneRestarts {
+				a.died(p.Peer, fmt.Errorf("persistent data-plane failure: worker %d reports it unreachable after %d restarts", ev.worker, co.dpRestarts))
+				return a.abort(ctx)
+			}
+			co.dpRestarts++
+			co.trace(telemetry.Event{Kind: telemetry.EventPeerDown, Worker: co.workerID(p.Peer), Attempt: no,
+				Attrs: map[string]any{"reporter": ev.worker, "accused": p.Peer, "restart": co.dpRestarts}})
+			a.end.Fault = &engine.FailureEvent{Kind: engine.FaultPeerDown, Worker: -1}
+			a.end.Cause = fmt.Sprintf("worker %d cannot reach live peer %d (data-plane restart %d/%d)",
+				ev.worker, p.Peer, co.dpRestarts, maxDataPlaneRestarts)
+			a.end.At = co.clk()
+			return a.abort(ctx)
+		case engine.FrameDone:
+			var r wireReport
+			if err := engine.DecodePayload(ev.frame.Payload, &r); err != nil || r.Report == nil {
+				return engine.AttemptEnd{}, fmt.Errorf("controller: bad DONE from worker %d: %v", ev.worker, err)
+			}
+			if r.Report.Attempt == no {
+				reports[ev.worker] = r.Report
 			}
 		}
-
-		agg.Elapsed = co.clk.Since(start)
-		agg.RestoredEpoch = *restore
-		agg.Snapshots = co.store.Taken()
-		all := make([]*engine.WorkerReport, 0, len(reports))
-		for _, r := range reports {
-			all = append(all, r)
-		}
-		co.trace(telemetry.Event{Kind: telemetry.EventJobComplete, Attempt: attempt,
-			Attrs: map[string]any{"recoveries": agg.Recoveries, "snapshots": agg.Snapshots}})
-		return engine.AssembleDistResult(all, *agg), nil
 	}
+	for _, r := range reports {
+		a.end.Reports = append(a.end.Reports, r)
+	}
+	return a.end, nil
 }
 
-// recover handles one worker death mid-attempt: abort the survivors,
-// collect their progress, account reprocessing, re-place the dead workers'
-// tasks and hand control back to Run's attempt loop (the non-nil error
-// return is the unrecoverable path).
-func (co *Coordinator) recover(ctx context.Context, start time.Time, agg *engine.DistAgg,
-	alive map[int]bool, assign *[]TaskAssignment, restore *int64, failedAt *time.Time,
-	attempt, deadWorker int, cause error) (*engine.JobResult, error) {
-	*failedAt = co.clk()
-	co.logf("worker %d dead (attempt %d): %v", deadWorker, attempt, cause)
-	delete(alive, deadWorker)
-	co.conns[deadWorker].alive.Store(false)
-	co.conns[deadWorker].c.Close()
-	co.trace(telemetry.Event{Kind: telemetry.EventRecoveryStart, Worker: co.workerID(deadWorker), Attempt: attempt,
-		Attrs: map[string]any{"cause": cause.Error()}})
-	agg.Faults = append(agg.Faults, engine.FaultRecord{
-		Kind:      engine.FaultKillWorker,
-		Worker:    deadWorker,
-		Recovered: co.opts.Replan != nil && len(alive) > 0,
-		At:        co.clk.Since(start),
-	})
-	if co.opts.Replan == nil {
-		return nil, fmt.Errorf("controller: worker %d died and no Replan is configured: %w", deadWorker, cause)
+// sendFailed classifies a failed DEPLOY/START send. A local encode failure
+// (e.g. the restore snapshot set outgrew MaxFramePayload) says nothing
+// about the worker, and the oversized data would survive any redeploy: fail
+// the run with the real cause. Anything else is the worker's connection.
+func (a *distAttempt) sendFailed(ctx context.Context, w int, what string, err error) (engine.AttemptEnd, error) {
+	if errors.Is(err, errEncodePayload) {
+		return engine.AttemptEnd{}, fmt.Errorf("controller: %s for worker %d: %w", what, w, err)
 	}
-	if len(alive) == 0 {
-		return nil, fmt.Errorf("controller: all workers dead after worker %d: %w", deadWorker, cause)
-	}
-	agg.Recoveries++
-
-	stopped, err := co.abortAndCollect(ctx, start, agg, alive, attempt)
-	if err != nil {
-		return nil, err
-	}
-	if len(alive) == 0 {
-		return nil, fmt.Errorf("controller: all workers dead during recovery: %w", cause)
-	}
-
-	prevRestore := *restore
-	*restore = co.store.LastComplete()
-	agg.Reprocessed += reprocessedSince(stopped, co.store, prevRestore, *restore)
-
-	next, err := co.opts.Replan(deadWorkers(co.n, alive), attempt+1)
-	if err != nil {
-		return nil, fmt.Errorf("controller: re-placement after worker %d died: %w", deadWorker, err)
-	}
-	if err := validateAssign(next, *assign, alive); err != nil {
-		return nil, err
-	}
-	*assign = next
-	co.logf("recovery: restarting attempt %d from epoch %d on %d survivors", attempt+1, *restore, len(alive))
-	co.trace(telemetry.Event{Kind: telemetry.EventRecoveryRestart, Epoch: *restore, Attempt: attempt + 1,
-		Attrs: map[string]any{"survivors": len(alive)}})
-	return nil, errRetryAttempt
+	a.died(w, err)
+	return a.abort(ctx)
 }
 
 // maxDataPlaneRestarts bounds how many data-plane-only restarts a run may
@@ -849,357 +813,72 @@ func (co *Coordinator) recover(ctx context.Context, start time.Time, agg *engine
 // control-plane-live workers would restart the job forever.
 const maxDataPlaneRestarts = 3
 
-// recoverDataPlane handles a PEERDOWN report whose accused peer is still
-// control-plane live: the data plane between two live workers failed, a
-// condition heartbeats can never surface. Neither endpoint is provably at
-// fault, so the attempt restarts from the last complete epoch with every
-// worker kept; once the restart budget is exhausted the accused peer is
-// treated as dead and the normal dead-worker recovery runs.
-func (co *Coordinator) recoverDataPlane(ctx context.Context, start time.Time, agg *engine.DistAgg,
-	alive map[int]bool, assign *[]TaskAssignment, restore *int64, failedAt *time.Time,
-	attempt, reporter, accused int) (*engine.JobResult, error) {
-	if co.dpRestarts >= maxDataPlaneRestarts {
-		return co.recover(ctx, start, agg, alive, assign, restore, failedAt, attempt, accused,
-			fmt.Errorf("persistent data-plane failure: worker %d reports it unreachable after %d restarts", reporter, co.dpRestarts))
+// died declares worker w dead: its connection is closed, it leaves the
+// alive set, and the attempt's end records the death. The first death
+// becomes the attempt's fault, displacing a drain or a data-plane report.
+func (a *distAttempt) died(w int, cause error) {
+	co := a.co
+	co.logf("worker %d dead (attempt %d): %v", w, a.at.No, cause)
+	delete(a.alive, w)
+	co.conns[w].alive.Store(false)
+	co.conns[w].c.Close()
+	a.end.NewDead = append(a.end.NewDead, w)
+	a.end.Faults = append(a.end.Faults, engine.FaultRecord{Kind: engine.FaultKillWorker, Worker: w, At: co.clk.Since(co.start)})
+	if a.end.Fault == nil || a.end.Fault.Kind != engine.FaultKillWorker {
+		a.end.Fault = &engine.FailureEvent{Kind: engine.FaultKillWorker, Worker: w, WorkerID: co.workerID(w)}
+		a.end.Cause = fmt.Sprintf("worker %d: %v", w, cause)
 	}
-	co.dpRestarts++
-	*failedAt = co.clk()
-	co.logf("worker %d cannot reach live peer %d (attempt %d): restarting all workers (data-plane restart %d/%d)",
-		reporter, accused, attempt, co.dpRestarts, maxDataPlaneRestarts)
-	co.trace(telemetry.Event{Kind: telemetry.EventPeerDown, Worker: co.workerID(accused), Attempt: attempt,
-		Attrs: map[string]any{"reporter": reporter, "accused": accused, "restart": co.dpRestarts}})
-	agg.Recoveries++
-
-	stopped, err := co.abortAndCollect(ctx, start, agg, alive, attempt)
-	if err != nil {
-		return nil, err
+	if a.end.At.IsZero() {
+		a.end.At = co.clk()
 	}
-	if len(alive) == 0 {
-		return nil, fmt.Errorf("controller: all workers dead during data-plane restart of attempt %d", attempt)
-	}
-
-	prevRestore := *restore
-	*restore = co.store.LastComplete()
-	agg.Reprocessed += reprocessedSince(stopped, co.store, prevRestore, *restore)
-
-	// A worker that died while stopping turns this into an ordinary
-	// dead-worker recovery: its tasks must move, which needs Replan. That
-	// includes the common SIGKILL race where a peer's data-plane report
-	// arrives before control-plane liveness notices the death — emit the
-	// recovery.start the control-plane path would have, so the timeline
-	// records the death recovery whichever detector fired first.
-	if dead := deadWorkers(co.n, alive); len(dead) > 0 {
-		if co.opts.Replan == nil {
-			return nil, fmt.Errorf("controller: worker %d died during data-plane restart and no Replan is configured", dead[0])
-		}
-		for _, d := range dead {
-			co.trace(telemetry.Event{Kind: telemetry.EventRecoveryStart, Worker: co.workerID(d), Attempt: attempt,
-				Attrs: map[string]any{"cause": "worker died during data-plane restart"}})
-		}
-		next, err := co.opts.Replan(dead, attempt+1)
-		if err != nil {
-			return nil, fmt.Errorf("controller: re-placement during data-plane restart: %w", err)
-		}
-		if err := validateAssign(next, *assign, alive); err != nil {
-			return nil, err
-		}
-		*assign = next
-	}
-	co.logf("recovery: restarting attempt %d from epoch %d after data-plane failure", attempt+1, *restore)
-	co.trace(telemetry.Event{Kind: telemetry.EventRecoveryRestart, Epoch: *restore, Attempt: attempt + 1,
-		Attrs: map[string]any{"survivors": len(alive), "data_plane": true}})
-	return nil, errRetryAttempt
 }
 
-// rescaleLive executes one scheduled rescale after a complete epoch
-// triggered it: abort every worker (the drain — their state as of the epoch
-// is already in the store), repartition the operator's key-groups at the
-// newest complete epoch, rewrite the deploy spec and assignments for the new
-// parallelism, and redeploy. Mirrors the in-process engine's
-// checkpoint→repartition→resume protocol with the coordinator's store as
-// the durable state.
-func (co *Coordinator) rescaleLive(ctx context.Context, start time.Time, agg *engine.DistAgg,
-	alive map[int]bool, assign *[]TaskAssignment, restore *int64, failedAt *time.Time,
-	attempt int, p *engine.RescalePlan) (*engine.JobResult, error) {
-	co.rescaledAt = co.clk()
-	oldP := opParallelisms(*assign)[string(p.Op)]
-	co.logf("rescale: draining %q %d→%d (attempt %d)", p.Op, oldP, p.Parallelism, attempt)
-	stopped, err := co.abortAndCollect(ctx, start, agg, alive, attempt)
-	if err != nil {
-		return nil, err
+// abort ends the attempt early: it aborts every live worker and collects
+// their STOPPED progress reports for the supervisor's reprocessing
+// accounting (checkpoint snapshots that raced the abort are still
+// recorded). A worker dying while stopping is one more death of this
+// attempt. Workers silent past StopTimeout are left for the next attempt's
+// liveness checks.
+func (a *distAttempt) abort(ctx context.Context) (engine.AttemptEnd, error) {
+	co, no := a.co, a.at.No
+	for w := range a.alive {
+		// A failed send surfaces as that worker's read error below.
+		_ = co.conns[w].w.send(engine.FrameAbort, wireEpoch{Attempt: no})
 	}
-	if dead := deadWorkers(co.n, alive); len(dead) > 0 {
-		// A worker died while draining: the fault wins. Recovery proceeds as
-		// for any death; the rescale stays pending and re-triggers at the
-		// next complete epoch of the recovered deployment.
-		co.rescaledAt = time.Time{}
-		*failedAt = co.clk()
-		if len(alive) == 0 {
-			return nil, fmt.Errorf("controller: all workers dead during rescale drain")
-		}
-		if co.opts.Replan == nil {
-			return nil, fmt.Errorf("controller: worker %d died during rescale drain and no Replan is configured", dead[0])
-		}
-		agg.Recoveries++
-		for _, d := range dead {
-			co.trace(telemetry.Event{Kind: telemetry.EventRecoveryStart, Worker: co.workerID(d), Attempt: attempt,
-				Attrs: map[string]any{"cause": "worker died during rescale drain"}})
-		}
-		prevRestore := *restore
-		*restore = co.store.LastComplete()
-		agg.Reprocessed += reprocessedSince(stopped, co.store, prevRestore, *restore)
-		next, err := co.opts.Replan(dead, attempt+1)
-		if err != nil {
-			return nil, fmt.Errorf("controller: re-placement during rescale drain: %w", err)
-		}
-		if err := validateAssign(next, *assign, alive); err != nil {
-			return nil, err
-		}
-		*assign = next
-		co.logf("recovery: worker died during rescale drain; restarting attempt %d from epoch %d (rescale stays pending)", attempt+1, *restore)
-		co.trace(telemetry.Event{Kind: telemetry.EventRecoveryRestart, Epoch: *restore, Attempt: attempt + 1,
-			Attrs: map[string]any{"survivors": len(alive)}})
-		return nil, errRetryAttempt
-	}
-
-	// Late snapshots collected during the abort may have completed a newer
-	// epoch (which prunes older ones from the store); the newest complete
-	// epoch is the one whose snapshots are guaranteed retained. Account the
-	// rolled-back work before the store rewrite discards the old task set.
-	epoch := co.store.LastComplete()
-	prevRestore := *restore
-	reproc := reprocessedSince(stopped, co.store, prevRestore, epoch)
-	moved, err := co.store.ApplyRescale(string(p.Op), oldP, p.Parallelism, co.spec.KeyGroups, epoch)
-	if err != nil {
-		return nil, err
-	}
-	ev := engine.RescaleEvent{
-		Op:             p.Op,
-		OldParallelism: oldP,
-		NewParallelism: p.Parallelism,
-		Epoch:          epoch,
-		MovedBytes:     moved,
-		Attempt:        attempt,
-	}
-	var next []TaskAssignment
-	if co.opts.RescaleAssign != nil {
-		next, err = co.opts.RescaleAssign(ev, *assign)
-	} else {
-		next, err = rescaleAssignments(*assign, string(p.Op), oldP, p.Parallelism, co.spec.Workers, alive)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("controller: re-placement for rescale of %q: %w", p.Op, err)
-	}
-	if err := validateRescaleAssign(next, *assign, string(p.Op), oldP, p.Parallelism, alive); err != nil {
-		return nil, err
-	}
-	co.spec.Rescaled = setOverride(co.spec.Rescaled, string(p.Op), p.Parallelism)
-	*assign = next
-	*restore = epoch
-	agg.Reprocessed += reproc
-	agg.Rescales++
-	agg.RescaleMoved += moved
-	co.lastRescale = &ev
-	co.dropRescale(p)
-	co.logf("rescale: %q %d→%d applied at epoch %d (%d state bytes moved); redeploying", p.Op, oldP, p.Parallelism, epoch, moved)
-	co.trace(telemetry.Event{Kind: telemetry.EventRescaleStart, Op: string(p.Op), Epoch: epoch, Attempt: attempt,
-		Attrs: map[string]any{"from": oldP, "to": p.Parallelism, "state_moved_bytes": moved}})
-	return nil, errRetryAttempt
-}
-
-// rescaleAssignments is the default re-placement for a rescale: every task
-// outside the rescaled operator (and its surviving indices) stays put; fresh
-// tasks pack onto the lowest-index live workers with free slots.
-func rescaleAssignments(prev []TaskAssignment, op string, oldP, newP int, workers []engine.WorkerSpec, alive map[int]bool) ([]TaskAssignment, error) {
-	slotUse := make([]int, len(workers))
-	var next []TaskAssignment
-	for _, a := range prev {
-		if a.Task.Op == op && a.Task.Index >= newP {
-			continue
-		}
-		next = append(next, a)
-		if a.Worker >= 0 && a.Worker < len(slotUse) {
-			slotUse[a.Worker]++
-		}
-	}
-	for i := oldP; i < newP; i++ {
-		placed := false
-		for w := range workers {
-			if alive[w] && slotUse[w] < workers[w].Slots {
-				next = append(next, TaskAssignment{Task: engine.WireTaskID{Op: op, Index: i}, Worker: w})
-				slotUse[w]++
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			return nil, fmt.Errorf("no free slot for new task %s[%d] (need RescaleAssign or more capacity)", op, i)
-		}
-	}
-	return next, nil
-}
-
-// setOverride records op's new parallelism in the deploy spec's override
-// list, replacing an earlier override of the same operator.
-func setOverride(over []OpParallelism, op string, parallelism int) []OpParallelism {
-	for i := range over {
-		if over[i].Op == op {
-			over[i].Parallelism = parallelism
-			return over
-		}
-	}
-	return append(over, OpParallelism{Op: op, Parallelism: parallelism})
-}
-
-// validateRescaleAssign rejects rescale re-placements that miss or invent
-// tasks relative to the rescaled task set, or assign onto dead workers.
-func validateRescaleAssign(next, prev []TaskAssignment, op string, oldP, newP int, alive map[int]bool) error {
-	want := make(map[engine.WireTaskID]bool, len(prev)-oldP+newP)
-	for _, a := range prev {
-		if a.Task.Op != op {
-			want[a.Task] = true
-		}
-	}
-	for i := 0; i < newP; i++ {
-		want[engine.WireTaskID{Op: op, Index: i}] = true
-	}
-	if len(next) != len(want) {
-		return fmt.Errorf("controller: rescale re-placement has %d assignments, want %d", len(next), len(want))
-	}
-	seen := make(map[engine.WireTaskID]bool, len(next))
-	for _, a := range next {
-		if !want[a.Task] {
-			return fmt.Errorf("controller: rescale re-placement invented task %v", a.Task)
-		}
-		if seen[a.Task] {
-			return fmt.Errorf("controller: rescale re-placement assigns task %v twice", a.Task)
-		}
-		seen[a.Task] = true
-		if !alive[a.Worker] {
-			return fmt.Errorf("controller: rescale re-placement puts task %v on dead worker %d", a.Task, a.Worker)
-		}
-	}
-	return nil
-}
-
-// abortAndCollect aborts every live worker and collects their STOPPED
-// progress reports for reprocessing accounting (checkpoint snapshots that
-// raced the abort are still recorded). A worker dying while stopping is
-// removed from alive and gains a fault record; the caller decides what its
-// loss means.
-func (co *Coordinator) abortAndCollect(ctx context.Context, start time.Time, agg *engine.DistAgg,
-	alive map[int]bool, attempt int) (map[int]*engine.WorkerReport, error) {
-	for w := range alive {
-		co.conns[w].w.send(engine.FrameAbort, wireEpoch{Attempt: attempt})
-	}
-	stopped := make(map[int]*engine.WorkerReport, len(alive))
+	stopped := make(map[int]bool, len(a.alive))
 	deadline := time.After(co.opts.StopTimeout)
-	var moreDead []int
-collect:
-	for len(stopped) < len(alive) {
+	for len(stopped) < len(a.alive) {
 		select {
 		case ev := <-co.events:
-			if !alive[ev.worker] {
+			if !a.alive[ev.worker] {
 				continue
 			}
 			if ev.err != nil {
-				moreDead = append(moreDead, ev.worker)
-				delete(alive, ev.worker)
+				a.died(ev.worker, ev.err)
+				delete(stopped, ev.worker) // keep the count over live workers only
 				continue
 			}
 			switch ev.frame.Type {
 			case engine.FrameStopped, engine.FrameDone:
 				var r wireReport
-				if err := engine.DecodePayload(ev.frame.Payload, &r); err == nil && r.Report != nil && r.Report.Attempt == attempt {
-					stopped[ev.worker] = r.Report
+				if err := engine.DecodePayload(ev.frame.Payload, &r); err == nil && r.Report != nil && r.Report.Attempt == no && !stopped[ev.worker] {
+					stopped[ev.worker] = true
+					a.end.Reports = append(a.end.Reports, r.Report)
 				}
 			case engine.FrameSnapshot:
 				// Snapshots raced the abort; they are still valid state.
 				var s wireSnap
-				if err := engine.DecodePayload(ev.frame.Payload, &s); err == nil && s.Attempt == attempt {
-					co.store.Record(s.Snap)
+				if err := engine.DecodePayload(ev.frame.Payload, &s); err == nil && s.Attempt == no {
+					co.sup.RecordSnapshot(s.Snap)
 				}
 			}
 		case <-deadline:
-			break collect
+			return a.end, nil
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return engine.AttemptEnd{}, ctx.Err()
 		}
 	}
-	for _, w := range moreDead {
-		co.logf("worker %d also died during recovery", w)
-		co.conns[w].alive.Store(false)
-		co.conns[w].c.Close()
-		agg.Faults = append(agg.Faults, engine.FaultRecord{
-			Kind: engine.FaultKillWorker, Worker: w, Recovered: len(alive) > 0, At: co.clk.Since(start),
-		})
-	}
-	return stopped, nil
-}
-
-// deadWorkers lists the workers of a co.n-process cluster not in alive.
-func deadWorkers(n int, alive map[int]bool) []int {
-	dead := make([]int, 0, n-len(alive))
-	for w := 0; w < n; w++ {
-		if !alive[w] {
-			dead = append(dead, w)
-		}
-	}
-	return dead
-}
-
-// errRetryAttempt is recover's signal to Run's loop to redeploy. It never
-// escapes Run.
-var errRetryAttempt = fmt.Errorf("controller: retry attempt")
-
-// reprocessedSince mirrors the in-process engine's accounting: records the
-// aborted attempt had processed beyond the restore point are work the next
-// attempt must redo. Dead workers send no report, so their in-flight
-// progress since their last snapshot is unknowable and uncounted.
-func reprocessedSince(stopped map[int]*engine.WorkerReport, store *engine.SnapshotStore, prevRestore, restore int64) int64 {
-	base := make(map[engine.WireTaskID]int64)
-	for _, s := range store.EpochSnapshots(prevRestore) {
-		base[s.Task] = s.RecordsIn
-	}
-	// The newer restore point supersedes the attempt's own starting state.
-	for _, s := range store.EpochSnapshots(restore) {
-		base[s.Task] = s.RecordsIn
-	}
-	var total int64
-	for _, rep := range stopped {
-		for _, ts := range rep.Tasks {
-			if d := ts.RecordsIn - base[ts.Task]; d > 0 {
-				total += d
-			}
-		}
-	}
-	return total
-}
-
-// validateAssign rejects re-placements that drop tasks, invent tasks, or
-// assign onto dead workers.
-func validateAssign(next, prev []TaskAssignment, alive map[int]bool) error {
-	if len(next) != len(prev) {
-		return fmt.Errorf("controller: re-placement has %d assignments, want %d", len(next), len(prev))
-	}
-	known := make(map[engine.WireTaskID]bool, len(prev))
-	for _, a := range prev {
-		known[a.Task] = true
-	}
-	seen := make(map[engine.WireTaskID]bool, len(next))
-	for _, a := range next {
-		if !known[a.Task] {
-			return fmt.Errorf("controller: re-placement invented task %v", a.Task)
-		}
-		if seen[a.Task] {
-			return fmt.Errorf("controller: re-placement assigns task %v twice", a.Task)
-		}
-		seen[a.Task] = true
-		if !alive[a.Worker] {
-			return fmt.Errorf("controller: re-placement puts task %v on dead worker %d", a.Task, a.Worker)
-		}
-	}
-	return nil
+	return a.end, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -1285,30 +964,40 @@ func JoinCluster(ctx context.Context, addr string, build JobBuilder, opts JoinOp
 			frames <- coordEvent{frame: f}
 		}
 	}()
+	// ship sends the tracer's new events (stamped with this worker's
+	// identity) and a heartbeat carrying the metric delta since the previous
+	// call. It runs on every tick and once more before each DONE/STOPPED, so
+	// an attempt that finishes between ticks still lands its tail at the
+	// coordinator — in order on the same connection, ahead of the report.
+	// Both payloads are best-effort observability: the trace feed drops
+	// rather than blocks, and an encode failure must not kill liveness, so
+	// only the heartbeat send's error is returned. shipMu serializes the
+	// sampler, which keeps per-call state.
+	var shipMu sync.Mutex
+	sampler := newHBSampler(opts.Telemetry)
+	feed := opts.Telemetry.Tracer().Subscribe(0)
+	srcID := fmt.Sprintf("w%d", me)
+	ship := func() error {
+		shipMu.Lock()
+		defer shipMu.Unlock()
+		for evs := feed.Drain(256); len(evs) > 0; evs = feed.Drain(256) {
+			for i := range evs {
+				evs[i].Src = srcID
+				evs[i].WSeq = evs[i].Seq
+			}
+			_ = w.send(engine.FrameTrace, wireTrace{Events: evs, Dropped: feed.Dropped()})
+		}
+		return w.send(engine.FrameHeartbeat, wireHeartbeat{Stats: sampler.sample()})
+	}
 	stopHB := make(chan struct{})
 	defer close(stopHB)
 	go func() {
-		// Each tick ships the tracer's new events (stamped with this
-		// worker's identity) and a heartbeat carrying the metric delta
-		// since the previous tick. Both are best-effort observability:
-		// the trace feed drops rather than blocks, and an encode failure
-		// must not kill liveness, so only the heartbeat send is fatal.
-		sampler := newHBSampler(opts.Telemetry)
-		feed := opts.Telemetry.Tracer().Subscribe(0)
-		srcID := fmt.Sprintf("w%d", me)
 		t := time.NewTicker(opts.HeartbeatEvery)
 		defer t.Stop()
 		for {
 			select {
 			case <-t.C:
-				if evs := feed.Drain(256); len(evs) > 0 {
-					for i := range evs {
-						evs[i].Src = srcID
-						evs[i].WSeq = evs[i].Seq
-					}
-					w.send(engine.FrameTrace, wireTrace{Events: evs, Dropped: feed.Dropped()})
-				}
-				if w.send(engine.FrameHeartbeat, wireHeartbeat{Stats: sampler.sample()}) != nil {
+				if ship() != nil {
 					return
 				}
 			case <-stopHB:
@@ -1415,6 +1104,9 @@ func JoinCluster(ctx context.Context, addr string, build JobBuilder, opts JoinOp
 				}
 				run = nil
 				logf("attempt %d aborted", attempt)
+				if err := ship(); err != nil {
+					return err
+				}
 				if err := w.send(engine.FrameStopped, wireReport{Report: rep}); err != nil {
 					return err
 				}
@@ -1436,6 +1128,9 @@ func JoinCluster(ctx context.Context, addr string, build JobBuilder, opts JoinOp
 			if !rep.Completed {
 				typ = engine.FrameStopped
 			}
+			if err := ship(); err != nil {
+				return err
+			}
 			if err := w.send(typ, wireReport{Report: rep}); err != nil {
 				return err
 			}
@@ -1451,14 +1146,4 @@ func sumRecordsIn(rep *engine.WorkerReport) int64 {
 		n += t.RecordsIn
 	}
 	return n
-}
-
-// sortedWorkers is a small helper for deterministic logging/tests.
-func sortedWorkers(m map[int]string) []int {
-	out := make([]int, 0, len(m))
-	for w := range m {
-		out = append(out, w)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -471,6 +471,12 @@ func TestDistPeerDownRestartsAttempt(t *testing.T) {
 // re-placed — instead of restarting forever.
 func TestDistPeerDownEscalatesAfterBudget(t *testing.T) {
 	fx := newDistFixture(t, "Q3-inf")
+	// The Replan below packs every task onto the one survivor, so that worker
+	// needs the slots for it: re-placements are capacity-checked.
+	fx.deploy.Workers = append([]engine.WorkerSpec(nil), fx.deploy.Workers...)
+	for i := range fx.deploy.Workers {
+		fx.deploy.Workers[i].Slots = len(fx.deploy.Assign)
+	}
 	var replanMu sync.Mutex
 	var replanDead []int
 	co, err := NewCoordinator("127.0.0.1:0", fx.deploy, 2, CoordinatorOptions{
@@ -679,30 +685,115 @@ func TestDistValidation(t *testing.T) {
 		t.Error("Run before WaitJoined accepted")
 	}
 
-	alive := map[int]bool{0: true, 1: true}
-	prev := []TaskAssignment{
-		{Task: engine.WireTaskID{Op: "a", Index: 0}, Worker: 2},
-		{Task: engine.WireTaskID{Op: "b", Index: 0}, Worker: 0},
+	// Re-placements go through the supervisor's one plan validator. Each row
+	// kills fake worker 1 of a two-worker cluster and has Replan answer with
+	// the row's assignments: a bad answer must fail the run with a plan error
+	// while the surviving worker stays alive — never be deployed, bounced by
+	// the workers, and "recovered" as a death until the cluster is gone.
+	all := func(w int) []TaskAssignment {
+		next := append([]TaskAssignment(nil), fx.deploy.Assign...)
+		for i := range next {
+			next[i].Worker = w
+		}
+		return next
+	}
+	roomy := fx.deploy
+	roomy.Workers = append([]engine.WorkerSpec(nil), fx.deploy.Workers...)
+	for i := range roomy.Workers {
+		roomy.Workers[i].Slots = len(fx.deploy.Assign)
 	}
 	cases := []struct {
-		name string
-		next []TaskAssignment
+		name   string
+		deploy DeploySpec
+		next   func(survivor int) []TaskAssignment
+		ok     bool
 	}{
-		{"dropped task", prev[:1]},
-		{"invented task", []TaskAssignment{prev[0], {Task: engine.WireTaskID{Op: "c", Index: 0}, Worker: 0}}},
-		{"duplicate task", []TaskAssignment{prev[0], prev[0]}},
-		{"dead worker", []TaskAssignment{{Task: prev[0].Task, Worker: 2}, {Task: prev[1].Task, Worker: 0}}},
+		{"dropped task", roomy, func(s int) []TaskAssignment { return all(s)[1:] }, false},
+		{"invented task", roomy, func(s int) []TaskAssignment {
+			return append(all(s), TaskAssignment{Task: engine.WireTaskID{Op: "ghost", Index: 0}, Worker: s})
+		}, false},
+		{"duplicate task", roomy, func(s int) []TaskAssignment { return append(all(s)[1:], all(s)[1]) }, false},
+		{"dead worker", roomy, func(s int) []TaskAssignment { return all(1 - s) }, false},
+		{"overloaded worker", fx.deploy, all, false},
+		{"valid", roomy, all, true},
 	}
 	for _, tc := range cases {
-		if err := validateAssign(tc.next, prev, alive); err == nil {
-			t.Errorf("%s: accepted", tc.name)
+		t.Run(tc.name, func(t *testing.T) {
+			err := runWithReplan(t, tc.deploy, tc.next)
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("valid re-placement rejected: %v", err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			if tc.name != "duplicate task" && !errors.Is(err, engine.ErrInvalidPlan) {
+				t.Errorf("error = %v, want engine.ErrInvalidPlan", err)
+			}
+			if tc.name == "overloaded worker" && !strings.Contains(err.Error(), "overloaded") {
+				t.Errorf("error = %v, want the overloaded worker and its counts named", err)
+			}
+		})
+	}
+}
+
+// runWithReplan runs a two-fake-worker cluster whose worker 1 dies right
+// after START and whose Replan answers next(survivor). It returns Run's
+// error and fails the test if the survivor was declared dead.
+func runWithReplan(t *testing.T, deploy DeploySpec, next func(survivor int) []TaskAssignment) error {
+	t.Helper()
+	co, err := NewCoordinator("127.0.0.1:0", deploy, 2, CoordinatorOptions{
+		HeartbeatTimeout: 30 * time.Second,
+		StopTimeout:      10 * time.Second,
+		Replan: func(dead []int, attempt int) ([]TaskAssignment, error) {
+			return next(1 - dead[0]), nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Shutdown()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	joined := make(chan error, 1)
+	go func() { joined <- co.WaitJoined(ctx) }()
+	survivor := joinFakeWorker(t, co.Addr())
+	victim := joinFakeWorker(t, co.Addr())
+	if err := <-joined; err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := co.Run(ctx)
+		done <- err
+	}()
+	for _, fw := range []*fakeDistWorker{survivor, victim} {
+		fw.expectDeployReady(1)
+	}
+	for _, fw := range []*fakeDistWorker{survivor, victim} {
+		fw.expect(engine.FrameStart)
+	}
+	victim.c.Close()
+	survivor.expect(engine.FrameAbort)
+	if err := survivor.w.send(engine.FrameStopped, wireReport{Report: &engine.WorkerReport{Worker: survivor.id, Attempt: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	// A deployable plan reaches the survivor as attempt 2; a rejected one
+	// ends the run first.
+	go func() {
+		survivor.c.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if fr, err := engine.ReadFrame(survivor.c); err == nil && fr.Type == engine.FrameDeploy {
+			survivor.w.send(engine.FrameReady, wireReady{Attempt: 2, Addr: "127.0.0.1:40000"})
+			if fr, err := engine.ReadFrame(survivor.c); err == nil && fr.Type == engine.FrameStart {
+				survivor.w.send(engine.FrameDone, wireReport{Report: &engine.WorkerReport{Worker: survivor.id, Attempt: 2, Completed: true}})
+			}
 		}
+	}()
+	err = <-done
+	if !co.conns[survivor.id].alive.Load() {
+		t.Errorf("surviving worker %d was declared dead", survivor.id)
 	}
-	good := []TaskAssignment{
-		{Task: prev[0].Task, Worker: 0},
-		{Task: prev[1].Task, Worker: 1},
-	}
-	if err := validateAssign(good, prev, alive); err != nil {
-		t.Errorf("valid re-placement rejected: %v", err)
-	}
+	return err
 }

@@ -3,7 +3,6 @@ package controller
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"capsys/internal/cluster"
@@ -107,32 +106,11 @@ func RunRecovery(ctx context.Context, spec nexmark.QuerySpec, c *cluster.Cluster
 	if opts.SnapshotInterval <= 0 {
 		return nil, fmt.Errorf("controller: SnapshotInterval must be > 0 (kills are epoch-aligned)")
 	}
-	phys, err := dataflow.Expand(spec.Graph)
+	st, err := startLiveStudy(ctx, spec, c, strat, opts.Seed, opts.CPUCostScale, opts.Telemetry)
 	if err != nil {
 		return nil, err
 	}
-	u, err := usageFor(spec.Graph, spec.SourceRates)
-	if err != nil {
-		return nil, err
-	}
-
-	start := time.Now()
-	plan, err := strat.Place(ctx, phys, c, u, opts.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("controller: initial placement: %w", err)
-	}
-	placementTime := time.Since(start)
-	tracer := opts.Telemetry.Tracer()
-	tracer.Emit(telemetry.Event{
-		Kind:  telemetry.EventDecision,
-		Query: spec.Name,
-		Attrs: map[string]any{
-			"phase":        "initial-placement",
-			"strategy":     strat.Name(),
-			"tasks":        phys.NumTasks(),
-			"placement_ms": placementTime.Seconds() * 1e3,
-		},
-	})
+	plan := st.plan
 
 	kill := opts.KillWorker
 	if kill < 0 {
@@ -143,20 +121,6 @@ func RunRecovery(ctx context.Context, spec nexmark.QuerySpec, c *cluster.Cluster
 	}
 	onKilled := len(plan.TasksOn(kill))
 
-	binding, err := nexmark.BindEngine(spec, opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	if opts.CPUCostScale > 0 && opts.CPUCostScale != 1 {
-		for op := range binding.PerRecordCPU {
-			binding.PerRecordCPU[op] *= opts.CPUCostScale
-		}
-	}
-	espec := EngineCluster(c)
-
-	var mu sync.Mutex
-	var replaceTime time.Duration
-	moved := 0
 	jobOpts := engine.JobOptions{
 		ChannelCapacity:  opts.ChannelCapacity,
 		Transport:        opts.Transport,
@@ -164,8 +128,8 @@ func RunRecovery(ctx context.Context, spec nexmark.QuerySpec, c *cluster.Cluster
 		BatchLinger:      opts.BatchLinger,
 		DisableFusion:    opts.DisableFusion,
 		RecordsPerSource: opts.RecordsPerSource,
-		PerRecordCPU:     binding.PerRecordCPU,
-		Stateful:         binding.Stateful,
+		PerRecordCPU:     st.binding.PerRecordCPU,
+		Stateful:         st.binding.Stateful,
 		SnapshotInterval: opts.SnapshotInterval,
 		FaultPlan: engine.FaultPlan{
 			KillWorkers: []engine.WorkerKill{{Worker: kill, AtEpoch: opts.KillAtEpoch}},
@@ -175,39 +139,23 @@ func RunRecovery(ctx context.Context, spec nexmark.QuerySpec, c *cluster.Cluster
 	if !opts.NoRecovery {
 		jobOpts.OnFailure = func(ev engine.FailureEvent) (*dataflow.Plan, error) {
 			t := time.Now()
-			next, err := Replace(ctx, phys, c, strat, u, ev.DeadWorkers, opts.Seed+int64(ev.Attempt), plan)
-			elapsed := time.Since(t)
-			movedNow := 0
-			mu.Lock()
-			replaceTime += elapsed
-			if err == nil {
-				for _, task := range phys.Tasks() {
-					if next.MustWorker(task) != plan.MustWorker(task) {
-						moved++
-						movedNow++
-					}
+			next, err := Replace(ctx, st.phys, c, strat, st.usage, ev.DeadWorkers, opts.Seed+int64(ev.Attempt), plan)
+			if err != nil {
+				return nil, err
+			}
+			moved := 0
+			for _, task := range st.phys.Tasks() {
+				if next.MustWorker(task) != plan.MustWorker(task) {
+					moved++
 				}
 			}
-			mu.Unlock()
-			if err == nil {
-				tracer.Emit(telemetry.Event{
-					Kind:    telemetry.EventReschedule,
-					Query:   spec.Name,
-					Worker:  ev.WorkerID,
-					Attempt: ev.Attempt,
-					Attrs: map[string]any{
-						"strategy":     strat.Name(),
-						"moved_tasks":  movedNow,
-						"dead_workers": len(ev.DeadWorkers),
-						"replace_ms":   elapsed.Seconds() * 1e3,
-					},
-				})
-			}
-			return next, err
+			st.replaced(time.Since(t), moved, telemetry.Event{Worker: ev.WorkerID, Attempt: ev.Attempt,
+				Attrs: map[string]any{"dead_workers": len(ev.DeadWorkers)}})
+			return next, nil
 		}
 	}
 
-	job, err := engine.NewJob(spec.Graph, plan, espec, binding.Factories, jobOpts)
+	job, err := engine.NewJob(spec.Graph, plan, EngineCluster(c), st.binding.Factories, jobOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -215,6 +163,7 @@ func RunRecovery(ctx context.Context, spec nexmark.QuerySpec, c *cluster.Cluster
 	if err != nil {
 		return nil, err
 	}
+	st.export(res)
 
 	out := &RecoveryOutcome{
 		Query:         spec.Name,
@@ -222,23 +171,104 @@ func RunRecovery(ctx context.Context, spec nexmark.QuerySpec, c *cluster.Cluster
 		Transport:     job.Transport(),
 		KilledWorker:  kill,
 		TasksOnKilled: onKilled,
-		PlacementTime: placementTime,
-		ReplaceTime:   replaceTime,
-		MovedTasks:    moved,
+		PlacementTime: st.placementTime,
+		ReplaceTime:   st.replaceTime,
+		MovedTasks:    st.moved,
 		Recovered:     res.Recoveries > 0,
 		Result:        res,
 	}
-	for _, st := range res.Tasks {
+	for _, ts := range res.Tasks {
 		if res.Elapsed > 0 {
-			if f := st.BackpressureT.Seconds() / res.Elapsed.Seconds(); f > out.Backpressure {
+			if f := ts.BackpressureT.Seconds() / res.Elapsed.Seconds(); f > out.Backpressure {
 				out.Backpressure = f
 			}
 		}
 	}
-	res.Metrics.Gauge("controller.placement_seconds").Set(placementTime.Seconds())
-	res.Metrics.Gauge("controller.replacement_seconds").Set(replaceTime.Seconds())
-	res.Metrics.Counter("controller.tasks_moved").Inc(int64(moved))
 	return out, nil
+}
+
+// liveStudy is what RunRecovery and RunRescale share: the initial placement
+// and its decision event, the bound engine operators, and the bookkeeping of
+// the re-placements the engine's hooks ask for.
+type liveStudy struct {
+	spec          nexmark.QuerySpec
+	strat         placement.Strategy
+	phys          *dataflow.PhysicalGraph
+	usage         *costmodel.Usage
+	plan          *dataflow.Plan
+	placementTime time.Duration
+	binding       *nexmark.EngineBinding
+	tracer        *telemetry.Tracer
+	// The engine calls its hooks on Job.Run's goroutine, which is the
+	// study's own, so the tallies need no lock.
+	replaceTime time.Duration
+	moved       int
+}
+
+func startLiveStudy(ctx context.Context, spec nexmark.QuerySpec, c *cluster.Cluster, strat placement.Strategy, seed int64, cpuCostScale float64, tel *telemetry.Telemetry) (*liveStudy, error) {
+	st := &liveStudy{spec: spec, strat: strat, tracer: tel.Tracer()}
+	var err error
+	if st.phys, err = dataflow.Expand(spec.Graph); err != nil {
+		return nil, err
+	}
+	if st.usage, err = usageFor(spec.Graph, spec.SourceRates); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	if st.plan, err = strat.Place(ctx, st.phys, c, st.usage, seed); err != nil {
+		return nil, fmt.Errorf("controller: initial placement: %w", err)
+	}
+	st.placementTime = time.Since(start)
+	st.tracer.Emit(telemetry.Event{
+		Kind:  telemetry.EventDecision,
+		Query: spec.Name,
+		Attrs: map[string]any{
+			"phase":        "initial-placement",
+			"strategy":     strat.Name(),
+			"tasks":        st.phys.NumTasks(),
+			"placement_ms": st.placementTime.Seconds() * 1e3,
+		},
+	})
+	if st.binding, err = bindScaled(spec, seed, cpuCostScale); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// bindScaled binds the query's engine operators with the profiled
+// per-record CPU costs multiplied by scale (0 = 1).
+func bindScaled(spec nexmark.QuerySpec, seed int64, scale float64) (*nexmark.EngineBinding, error) {
+	binding, err := nexmark.BindEngine(spec, seed)
+	if err != nil {
+		return nil, err
+	}
+	if scale > 0 && scale != 1 {
+		for op := range binding.PerRecordCPU {
+			binding.PerRecordCPU[op] *= scale
+		}
+	}
+	return binding, nil
+}
+
+// replaced books one successful re-placement and emits its reschedule
+// event; ev carries the caller's identifying fields and extra attrs.
+func (st *liveStudy) replaced(elapsed time.Duration, moved int, ev telemetry.Event) {
+	st.replaceTime += elapsed
+	st.moved += moved
+	ev.Kind = telemetry.EventReschedule
+	ev.Query = st.spec.Name
+	ev.Attrs["strategy"] = st.strat.Name()
+	ev.Attrs["moved_tasks"] = moved
+	ev.Attrs["replace_ms"] = elapsed.Seconds() * 1e3
+	st.tracer.Emit(ev)
+}
+
+// export publishes the controller's share of the run on the result's
+// registry, beside the engine's job.* series.
+func (st *liveStudy) export(res *engine.JobResult) {
+	res.Metrics.Gauge("controller.placement_seconds").Set(st.placementTime.Seconds())
+	res.Metrics.Gauge("controller.replacement_seconds").Set(st.replaceTime.Seconds())
+	res.Metrics.Counter("controller.tasks_moved").Inc(int64(st.moved))
 }
 
 // Replace is the reconciliation step: given the dead workers, it restricts

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"capsys/internal/cluster"
@@ -91,48 +90,13 @@ func RunRescale(ctx context.Context, spec nexmark.QuerySpec, c *cluster.Cluster,
 	if len(opts.Rescales) == 0 {
 		return nil, fmt.Errorf("controller: no rescales scheduled")
 	}
-	phys, err := dataflow.Expand(spec.Graph)
+	st, err := startLiveStudy(ctx, spec, c, strat, opts.Seed, opts.CPUCostScale, opts.Telemetry)
 	if err != nil {
 		return nil, err
-	}
-	u, err := usageFor(spec.Graph, spec.SourceRates)
-	if err != nil {
-		return nil, err
-	}
-
-	start := time.Now()
-	plan, err := strat.Place(ctx, phys, c, u, opts.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("controller: initial placement: %w", err)
-	}
-	placementTime := time.Since(start)
-	tracer := opts.Telemetry.Tracer()
-	tracer.Emit(telemetry.Event{
-		Kind:  telemetry.EventDecision,
-		Query: spec.Name,
-		Attrs: map[string]any{
-			"phase":        "initial-placement",
-			"strategy":     strat.Name(),
-			"tasks":        phys.NumTasks(),
-			"placement_ms": placementTime.Seconds() * 1e3,
-		},
-	})
-
-	binding, err := nexmark.BindEngine(spec, opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	if opts.CPUCostScale > 0 && opts.CPUCostScale != 1 {
-		for op := range binding.PerRecordCPU {
-			binding.PerRecordCPU[op] *= opts.CPUCostScale
-		}
 	}
 
 	// over accumulates the applied parallelism overrides so each
 	// re-placement prices the usage model on the topology actually running.
-	var mu sync.Mutex
-	var replaceTime time.Duration
-	moved := 0
 	over := make(map[dataflow.OperatorID]int)
 
 	jobOpts := engine.JobOptions{
@@ -143,17 +107,15 @@ func RunRescale(ctx context.Context, spec nexmark.QuerySpec, c *cluster.Cluster,
 		DisableFusion:    opts.DisableFusion,
 		RecordsPerSource: opts.RecordsPerSource,
 		SourceRate:       opts.SourceRate,
-		PerRecordCPU:     binding.PerRecordCPU,
-		Stateful:         binding.Stateful,
+		PerRecordCPU:     st.binding.PerRecordCPU,
+		Stateful:         st.binding.Stateful,
 		SnapshotInterval: opts.SnapshotInterval,
 		Rescales:         opts.Rescales,
 		Telemetry:        opts.Telemetry,
 		OnRescale: func(ev engine.RescaleEvent, prev *dataflow.Plan, newPhys *dataflow.PhysicalGraph) (*dataflow.Plan, error) {
 			t := time.Now()
-			mu.Lock()
 			over[ev.Op] = ev.NewParallelism
 			rg, err := spec.Graph.Rescale(over)
-			mu.Unlock()
 			if err != nil {
 				return nil, fmt.Errorf("controller: rescale usage model: %w", err)
 			}
@@ -162,38 +124,22 @@ func RunRescale(ctx context.Context, spec nexmark.QuerySpec, c *cluster.Cluster,
 				return nil, fmt.Errorf("controller: rescale usage model: %w", err)
 			}
 			next, err := rescalePlace(ctx, newPhys, c, strat, ru, opts.Seed+ev.Epoch, prev)
-			elapsed := time.Since(t)
 			if err != nil {
 				return nil, err
 			}
-			movedNow := 0
+			moved := 0
 			for _, task := range newPhys.Tasks() {
 				if pw, ok := prev.Worker(task); ok && next.MustWorker(task) != pw {
-					movedNow++
+					moved++
 				}
 			}
-			mu.Lock()
-			replaceTime += elapsed
-			moved += movedNow
-			mu.Unlock()
-			tracer.Emit(telemetry.Event{
-				Kind:  telemetry.EventReschedule,
-				Query: spec.Name,
-				Op:    string(ev.Op),
-				Epoch: ev.Epoch,
-				Attrs: map[string]any{
-					"strategy":    strat.Name(),
-					"from":        ev.OldParallelism,
-					"to":          ev.NewParallelism,
-					"moved_tasks": movedNow,
-					"replace_ms":  elapsed.Seconds() * 1e3,
-				},
-			})
+			st.replaced(time.Since(t), moved, telemetry.Event{Op: string(ev.Op), Epoch: ev.Epoch,
+				Attrs: map[string]any{"from": ev.OldParallelism, "to": ev.NewParallelism}})
 			return next, nil
 		},
 	}
 
-	job, err := engine.NewJob(spec.Graph, plan, EngineCluster(c), binding.Factories, jobOpts)
+	job, err := engine.NewJob(spec.Graph, st.plan, EngineCluster(c), st.binding.Factories, jobOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -201,17 +147,14 @@ func RunRescale(ctx context.Context, spec nexmark.QuerySpec, c *cluster.Cluster,
 	if err != nil {
 		return nil, err
 	}
-
-	res.Metrics.Gauge("controller.placement_seconds").Set(placementTime.Seconds())
-	res.Metrics.Gauge("controller.replacement_seconds").Set(replaceTime.Seconds())
-	res.Metrics.Counter("controller.tasks_moved").Inc(int64(moved))
+	st.export(res)
 	return &RescaleOutcome{
 		Query:         spec.Name,
 		Strategy:      strat.Name(),
 		Transport:     job.Transport(),
-		PlacementTime: placementTime,
-		ReplaceTime:   replaceTime,
-		MovedTasks:    moved,
+		PlacementTime: st.placementTime,
+		ReplaceTime:   st.replaceTime,
+		MovedTasks:    st.moved,
 		Result:        res,
 	}, nil
 }

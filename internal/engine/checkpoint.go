@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"sync"
 
 	"capsys/internal/dataflow"
@@ -54,7 +55,7 @@ type coordinator interface {
 // the newest complete one are pruned.
 type checkpointCoordinator struct {
 	mu           sync.Mutex
-	numTasks     int                                         // guarded by mu; changes only in applyRescale
+	numTasks     int                                         // guarded by mu; changes only in repartition
 	snaps        map[dataflow.TaskID]map[int64]*taskSnapshot // guarded by mu
 	lastComplete int64                                       // guarded by mu
 	taken        int64                                       // guarded by mu
@@ -118,14 +119,23 @@ func (c *checkpointCoordinator) record(t dataflow.TaskID, s *taskSnapshot) int64
 	return 0
 }
 
-// applyRescale rewrites the coordinator's durable snapshot set for a
-// parallelism change resuming from epoch: every epoch beyond the resume
-// point is discarded (they are partial — the rescale aborted the attempt
-// mid-stream — and the old and new task sets must never mix within one
-// epoch), removed tasks' histories are dropped, the repartitioned snapshots
-// are installed at the resume epoch, and the completion quorum becomes the
-// new task count.
-func (c *checkpointCoordinator) applyRescale(epoch int64, removed []dataflow.TaskID, repartitioned map[dataflow.TaskID]*taskSnapshot, numTasks int) {
+// repartition rewrites the durable snapshot set for a parallelism change of
+// op resuming from a complete epoch: the operator's oldP snapshots at that
+// epoch are split/merged along key-group boundaries into newP snapshots,
+// every epoch beyond the resume point is discarded (they are partial — the
+// drain aborted the attempt mid-stream — and the old and new task sets must
+// never mix within one epoch), removed tasks' histories are dropped, and the
+// completion quorum becomes the new task count. It returns the stored state
+// bytes whose owning task changed. No task may be running.
+func (c *checkpointCoordinator) repartition(op dataflow.OperatorID, oldP, newP, keyGroups int, epoch int64) (int64, error) {
+	old := make([]*taskSnapshot, oldP)
+	for i := range old {
+		old[i] = c.snapshotFor(dataflow.TaskID{Op: op, Index: i}, epoch)
+	}
+	repartitioned, moved, err := repartitionTaskSnapshots(old, oldP, newP, keyGroups)
+	if err != nil {
+		return 0, fmt.Errorf("engine: rescale %q %d→%d: %w", op, oldP, newP, err)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, m := range c.snaps {
@@ -135,21 +145,21 @@ func (c *checkpointCoordinator) applyRescale(epoch int64, removed []dataflow.Tas
 			}
 		}
 	}
-	for _, t := range removed {
-		delete(c.snaps, t)
+	for i := newP; i < oldP; i++ {
+		delete(c.snaps, dataflow.TaskID{Op: op, Index: i})
 	}
-	for t, s := range repartitioned {
-		byEpoch := c.snaps[t]
-		if byEpoch == nil {
-			byEpoch = make(map[int64]*taskSnapshot)
-			c.snaps[t] = byEpoch
+	for i, s := range repartitioned {
+		t := dataflow.TaskID{Op: op, Index: i}
+		if c.snaps[t] == nil {
+			c.snaps[t] = make(map[int64]*taskSnapshot)
 		}
-		byEpoch[epoch] = s
+		c.snaps[t][epoch] = s
 	}
-	c.numTasks = numTasks
+	c.numTasks += newP - oldP
 	if epoch > c.lastComplete {
 		c.lastComplete = epoch
 	}
+	return moved, nil
 }
 
 // lastCompleteEpoch returns the newest epoch every task has snapshotted,

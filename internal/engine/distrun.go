@@ -6,10 +6,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"capsys/internal/dataflow"
-	"capsys/internal/metrics"
 	"capsys/internal/telemetry"
 )
 
@@ -28,6 +26,14 @@ type WireTaskID struct {
 
 func (w WireTaskID) String() string { return fmt.Sprintf("%s[%d]", w.Op, w.Index) }
 
+// less is the canonical task order: by operator, then index.
+func (w WireTaskID) less(o WireTaskID) bool {
+	if w.Op != o.Op {
+		return w.Op < o.Op
+	}
+	return w.Index < o.Index
+}
+
 func (w WireTaskID) taskID() dataflow.TaskID {
 	return dataflow.TaskID{Op: dataflow.OperatorID(w.Op), Index: w.Index}
 }
@@ -38,7 +44,7 @@ func wireTaskOf(t dataflow.TaskID) WireTaskID {
 
 // WireSnapshot is one task's checkpoint contribution in wire-safe form.
 // Workers ship these to the coordinator as they are taken — the
-// coordinator's SnapshotStore models durable remote checkpoint storage, so
+// coordinator's Supervisor holds them as durable remote checkpoint storage, so
 // snapshots survive worker loss — and receive back the restore set for a
 // redeploy.
 type WireSnapshot struct {
@@ -268,7 +274,7 @@ func (r *WorkerRun) Start(ctx context.Context, peers map[int]string) {
 	})
 	go func() {
 		defer close(r.done)
-		_, err := a.run(ctx)
+		err := a.run(ctx)
 		a.close()
 		done := telemetry.Event{
 			Kind:    telemetry.EventWorkerAttemptDone,
@@ -281,7 +287,7 @@ func (r *WorkerRun) Start(ctx context.Context, peers map[int]string) {
 			tr.Emit(done)
 			return
 		}
-		r.report = r.buildReport()
+		r.report = a.report(!r.aborted.Load())
 		done.Attrs = map[string]any{"completed": r.report.Completed}
 		tr.Emit(done)
 	}()
@@ -300,7 +306,7 @@ func (r *WorkerRun) Discard() *WorkerReport {
 	r.aborted.Store(true)
 	r.once.Do(r.att.doAbort)
 	r.att.close()
-	rep := r.buildReport()
+	rep := r.att.report(false)
 	r.report = rep
 	close(r.done)
 	return rep
@@ -317,13 +323,18 @@ func (r *WorkerRun) Report() (*WorkerReport, error) {
 	return r.report, nil
 }
 
-func (r *WorkerRun) buildReport() *WorkerReport {
-	a := r.att
+// report assembles the attempt's counters once no task goroutine remains:
+// this worker's share in a distributed attempt, every task (Worker -1) in an
+// in-process one.
+func (a *attempt) report(completed bool) *WorkerReport {
 	rep := &WorkerReport{
-		Worker:    a.dist.Local,
+		Worker:    -1,
 		Attempt:   a.no,
-		Completed: !r.aborted.Load(),
+		Completed: completed,
 		Lost:      a.lost.Load(),
+	}
+	if a.dist != nil {
+		rep.Worker = a.dist.Local
 	}
 	for _, rt := range a.tasks {
 		rep.Tasks = append(rep.Tasks, WireTaskStats{
@@ -343,12 +354,7 @@ func (r *WorkerRun) buildReport() *WorkerReport {
 		rep.CreditStalls += rt.creditStalls
 		rep.CreditStallSeconds += rt.creditStallT.Seconds()
 	}
-	sort.Slice(rep.Tasks, func(i, k int) bool {
-		if rep.Tasks[i].Task.Op != rep.Tasks[k].Task.Op {
-			return rep.Tasks[i].Task.Op < rep.Tasks[k].Task.Op
-		}
-		return rep.Tasks[i].Task.Index < rep.Tasks[k].Task.Index
-	})
+	sort.Slice(rep.Tasks, func(i, k int) bool { return rep.Tasks[i].Task.less(rep.Tasks[k].Task) })
 	if na := a.net; na != nil {
 		rep.NetFramesSent = na.framesSent.Load()
 		rep.NetFramesRecv = na.framesRecv.Load()
@@ -363,228 +369,4 @@ func (r *WorkerRun) buildReport() *WorkerReport {
 		rep.NetCreditWait = na.creditWaitSnapshot()
 	}
 	return rep
-}
-
-// SnapshotStore is the coordinator-side checkpoint storage for a
-// distributed run: the same epoch-completion logic the in-process
-// coordinator uses, fed by WireSnapshot frames. It lives in the controller
-// process, so checkpoints survive any worker's death.
-type SnapshotStore struct {
-	c *checkpointCoordinator
-}
-
-// NewSnapshotStore builds storage for a job with numTasks total tasks.
-func NewSnapshotStore(numTasks int) *SnapshotStore {
-	return &SnapshotStore{c: newCheckpointCoordinator(numTasks)}
-}
-
-// Record stores one snapshot and returns the epoch it completed (every
-// task reported), or 0.
-func (s *SnapshotStore) Record(w WireSnapshot) int64 {
-	t, snap := wireToSnapshot(w)
-	return s.c.record(t, snap)
-}
-
-// LastComplete is the newest globally complete epoch (0 if none).
-func (s *SnapshotStore) LastComplete() int64 { return s.c.lastCompleteEpoch() }
-
-// Taken counts distinct (task, epoch) snapshots recorded.
-func (s *SnapshotStore) Taken() int64 { return s.c.snapshotsTaken() }
-
-// EpochSnapshots returns every task's snapshot at the given epoch, in
-// canonical task order (nil for epoch 0).
-func (s *SnapshotStore) EpochSnapshots(epoch int64) []WireSnapshot {
-	if epoch <= 0 {
-		return nil
-	}
-	s.c.mu.Lock()
-	var out []WireSnapshot
-	for t, m := range s.c.snaps {
-		if snap := m[epoch]; snap != nil {
-			out = append(out, snapshotToWire(t, snap))
-		}
-	}
-	s.c.mu.Unlock()
-	sort.Slice(out, func(i, k int) bool {
-		if out[i].Task.Op != out[k].Task.Op {
-			return out[i].Task.Op < out[k].Task.Op
-		}
-		return out[i].Task.Index < out[k].Task.Index
-	})
-	return out
-}
-
-// ApplyRescale rewrites the store for a live parallelism change of one
-// operator, resuming from a globally complete epoch: the operator's oldP
-// snapshots at that epoch are split/merged along key-group boundaries into
-// newP snapshots (statebackend.Repartition plus the generic operator-aux
-// splitter), removed tasks' histories are dropped, and the epoch-completion
-// quorum becomes the new total task count. It returns the stored state bytes
-// whose owning task changed. The epoch must be complete — call under the
-// same supervision that produced it, after the attempt has been aborted and
-// its late snapshots collected.
-func (s *SnapshotStore) ApplyRescale(op string, oldP, newP, keyGroups int, epoch int64) (int64, error) {
-	if epoch <= 0 {
-		return 0, fmt.Errorf("engine: rescale of %q needs a complete epoch, got %d", op, epoch)
-	}
-	opID := dataflow.OperatorID(op)
-	oldSnaps := make([]*taskSnapshot, oldP)
-	for i := 0; i < oldP; i++ {
-		oldSnaps[i] = s.c.snapshotFor(dataflow.TaskID{Op: opID, Index: i}, epoch)
-	}
-	newSnaps, moved, err := repartitionTaskSnapshots(oldSnaps, oldP, newP, keyGroups)
-	if err != nil {
-		return 0, fmt.Errorf("engine: rescale %q %d→%d: %w", op, oldP, newP, err)
-	}
-	var removed []dataflow.TaskID
-	for i := newP; i < oldP; i++ {
-		removed = append(removed, dataflow.TaskID{Op: opID, Index: i})
-	}
-	repart := make(map[dataflow.TaskID]*taskSnapshot, newP)
-	for i, snap := range newSnaps {
-		repart[dataflow.TaskID{Op: opID, Index: i}] = snap
-	}
-	s.c.mu.Lock()
-	numTasks := s.c.numTasks - oldP + newP
-	s.c.mu.Unlock()
-	s.c.applyRescale(epoch, removed, repart, numTasks)
-	return moved, nil
-}
-
-// DistAgg is the coordinator-side recovery bookkeeping folded into an
-// assembled result.
-type DistAgg struct {
-	Elapsed       time.Duration
-	Recoveries    int
-	Downtime      time.Duration
-	Reprocessed   int64
-	RestoredEpoch int64
-	Snapshots     int64
-	Faults        []FaultRecord
-
-	// Live-rescale bookkeeping (see SnapshotStore.ApplyRescale).
-	Rescales        int
-	RescaleDowntime time.Duration
-	RescaleMoved    int64
-}
-
-// AssembleDistResult folds the final attempt's worker reports into a
-// JobResult with the same counters and metrics registry an in-process run
-// produces (worker saturation gauges excepted: the meters live in the
-// worker processes).
-func AssembleDistResult(reports []*WorkerReport, agg DistAgg) *JobResult {
-	res := &JobResult{
-		Elapsed: agg.Elapsed,
-		Tasks:   make(map[dataflow.TaskID]TaskStats),
-		Metrics: metrics.NewRegistry(),
-	}
-	var batches, batchRecords, creditStalls int64
-	var creditStallSec float64
-	var netSent, netRecv, bytesSent, bytesRecv, credits, dataBatches, unexpected int64
-	var dials, reconnects, encodeErrors int64
-	var creditWait telemetry.HistogramSnapshot
-	for _, rep := range reports {
-		if rep == nil {
-			continue
-		}
-		res.LostRecords += rep.Lost
-		batches += rep.Batches
-		batchRecords += rep.BatchRecords
-		creditStalls += rep.CreditStalls
-		creditStallSec += rep.CreditStallSeconds
-		netSent += rep.NetFramesSent
-		netRecv += rep.NetFramesRecv
-		bytesSent += rep.NetBytesSent
-		bytesRecv += rep.NetBytesRecv
-		credits += rep.NetCreditFrames
-		dataBatches += rep.NetDataBatches
-		unexpected += rep.NetUnexpectedFrames
-		dials += rep.NetDials
-		reconnects += rep.NetReconnects
-		encodeErrors += rep.NetEncodeErrors
-		// Merge failure only occurs across mismatched bucket layouts, which
-		// one binary's workers cannot produce; losing a histogram would
-		// still leave every scalar intact.
-		_ = creditWait.Merge(rep.NetCreditWait)
-		for _, ts := range rep.Tasks {
-			id := ts.Task.taskID()
-			busy := time.Duration(ts.BusySeconds * float64(time.Second))
-			useful := 0.0
-			inRate, outRate := 0.0, 0.0
-			if agg.Elapsed > 0 {
-				useful = ts.BusySeconds / agg.Elapsed.Seconds()
-				if useful > 1 {
-					useful = 1
-				}
-				inRate = float64(ts.RecordsIn) / agg.Elapsed.Seconds()
-				outRate = float64(ts.RecordsOut) / agg.Elapsed.Seconds()
-			}
-			res.Tasks[id] = TaskStats{
-				Worker:          ts.Worker,
-				RecordsIn:       ts.RecordsIn,
-				RecordsOut:      ts.RecordsOut,
-				BytesOut:        ts.BytesOut,
-				BusyTime:        busy,
-				BackpressureT:   time.Duration(ts.BackpressureSeconds * float64(time.Second)),
-				UsefulFraction:  useful,
-				ObservedInRate:  inRate,
-				ObservedOutRate: outRate,
-			}
-			name := func(metric string) string {
-				return metrics.TaskMetricName(ts.Task.Op, ts.Task.Index, metric)
-			}
-			bp := time.Duration(ts.BackpressureSeconds * float64(time.Second))
-			res.Metrics.Counter(name("records_in")).Inc(ts.RecordsIn)   //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-			res.Metrics.Counter(name("records_out")).Inc(ts.RecordsOut) //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-			res.Metrics.Counter(name("bytes_out")).Inc(ts.BytesOut)     //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-			res.Metrics.Time(name("busy_seconds")).Add(busy)            //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-			res.Metrics.Time(name("backpressure_seconds")).Add(bp)      //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-			res.Metrics.Gauge(name("useful_fraction")).Set(useful)      //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-			if ts.IsSink {
-				res.SinkRecords += ts.RecordsIn
-			}
-			if ts.IsSource {
-				res.SourceRecords += ts.RecordsOut
-			}
-			if ts.Dead {
-				res.Failed = true
-			}
-		}
-	}
-	res.Faults = agg.Faults
-	res.Recoveries = agg.Recoveries
-	res.Downtime = agg.Downtime
-	res.RecordsReprocessed = agg.Reprocessed
-	res.SnapshotsTaken = agg.Snapshots
-	res.RestoredEpoch = agg.RestoredEpoch
-	res.Metrics.Counter("job.recoveries").Inc(int64(res.Recoveries))
-	res.Metrics.Gauge("job.downtime_seconds").Set(res.Downtime.Seconds())
-	res.Metrics.Counter("job.records_reprocessed").Inc(res.RecordsReprocessed)
-	res.Metrics.Counter("job.lost_records").Inc(res.LostRecords)
-	res.Metrics.Counter("job.snapshots").Inc(res.SnapshotsTaken)
-	res.Metrics.Gauge("job.restored_epoch").Set(float64(res.RestoredEpoch))
-	res.Rescales = agg.Rescales
-	res.RescaleDowntime = agg.RescaleDowntime
-	res.RescaleMovedBytes = agg.RescaleMoved
-	if res.Rescales > 0 {
-		res.Metrics.Counter("job.rescales").Inc(int64(res.Rescales))
-		res.Metrics.Gauge("job.rescale_downtime_seconds").Set(res.RescaleDowntime.Seconds())
-		res.Metrics.Counter("job.rescale_moved_bytes").Inc(res.RescaleMovedBytes)
-	}
-	res.Metrics.Counter("exchange.batches").Inc(batches)
-	res.Metrics.Counter("exchange.batch_records").Inc(batchRecords)
-	res.Metrics.Counter("exchange.credit_stalls").Inc(creditStalls)
-	res.Metrics.Time("exchange.credit_stall_seconds").Add(time.Duration(creditStallSec * float64(time.Second)))
-	res.Metrics.Counter("net.frames_sent").Inc(netSent)
-	res.Metrics.Counter("net.frames_received").Inc(netRecv)
-	res.Metrics.Counter("net.bytes_sent").Inc(bytesSent)
-	res.Metrics.Counter("net.bytes_received").Inc(bytesRecv)
-	res.Metrics.Counter("net.credit_frames").Inc(credits)
-	res.Metrics.Counter("net.data_batches").Inc(dataBatches)
-	res.Metrics.Counter("net.unexpected_frames").Inc(unexpected)
-	res.Metrics.Counter("net.dials").Inc(dials)
-	res.Metrics.Counter("net.reconnects").Inc(reconnects)
-	res.Metrics.Counter("net.encode_errors").Inc(encodeErrors)
-	exportCreditWait(res.Metrics, creditWait)
-	return res
 }

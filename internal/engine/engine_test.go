@@ -580,26 +580,6 @@ func TestWindowRequiresState(t *testing.T) {
 	}
 }
 
-func TestMeterConsumeBlocks(t *testing.T) {
-	m := NewMeter(1000, 10) // 1000 tokens/s
-	start := time.Now()
-	m.Consume(100) // needs ~90ms beyond the 10-token burst
-	if el := time.Since(start); el < 50*time.Millisecond {
-		t.Errorf("Consume returned after %v, want >= ~90ms", el)
-	}
-	if m.Blocked() == 0 {
-		t.Error("Blocked not recorded")
-	}
-	if m.Rate() != 1000 {
-		t.Errorf("Rate = %v", m.Rate())
-	}
-	// Zero and negative are no-ops, and nil meters are safe.
-	m.Consume(0)
-	m.Consume(-5)
-	var nilM *Meter
-	nilM.Consume(10)
-}
-
 func TestJobResultMetricsRegistry(t *testing.T) {
 	g := chainGraph(t, []dataflow.Operator{
 		{ID: "src", Kind: dataflow.KindSource, Parallelism: 1, Selectivity: 1},

@@ -22,6 +22,9 @@ const (
 	// FaultStallTask pauses a task (simulating a stalled channel or a GC /
 	// network hiccup) for a fixed wall-clock duration.
 	FaultStallTask
+	// FaultPeerDown is a data-plane failure between two live workers of a
+	// distributed run: nobody died, so the attempt restarts in place.
+	FaultPeerDown
 )
 
 // String names the fault kind for reports and metrics.
@@ -33,6 +36,8 @@ func (k FaultKind) String() string {
 		return "crash-task"
 	case FaultStallTask:
 		return "stall-task"
+	case FaultPeerDown:
+		return "peer-down"
 	default:
 		return "unknown"
 	}
@@ -237,27 +242,13 @@ func (f *faultState) note(rec FaultRecord) {
 	f.trace(rec)
 }
 
-// markRecovered flags every recorded fault of the given kind as recovered.
-func (f *faultState) markRecovered(kind FaultKind, task dataflow.TaskID, worker int) {
+// takeNew returns the fault records that fired since the previous call; the
+// local executor hands each attempt's share to the supervisor, which owns the
+// run's fault list and marks recoveries.
+func (f *faultState) takeNew() []FaultRecord {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for i := range f.records {
-		r := &f.records[i]
-		if r.Kind != kind || r.Recovered {
-			continue
-		}
-		if kind == FaultKillWorker && r.Worker == worker {
-			r.Recovered = true
-		} else if kind == FaultCrashTask && r.Task == task {
-			r.Recovered = true
-		}
-	}
-}
-
-func (f *faultState) all() []FaultRecord {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]FaultRecord, len(f.records))
-	copy(out, f.records)
+	out := f.records
+	f.records = nil
 	return out
 }

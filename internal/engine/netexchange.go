@@ -182,7 +182,7 @@ type netAttempt struct {
 
 	// live mirrors the counters above into the job's Telemetry registry as
 	// they happen, so a scrape mid-run sees the wire moving instead of
-	// zeros until exportMetrics folds the totals at attempt teardown. All
+	// zeros until the attempt's report folds the totals at teardown. All
 	// pointers are nil when the job runs without a hub.
 	live netLive
 	// peerStats tracks frames/bytes per (local node, peer) pair by
@@ -610,21 +610,6 @@ func (na *netAttempt) fatalErr() error {
 	na.fatalMu.Lock()
 	defer na.fatalMu.Unlock()
 	return na.fatal
-}
-
-// exportMetrics folds the wire counters into a result registry.
-func (na *netAttempt) exportMetrics(reg *metrics.Registry) {
-	reg.Counter("net.frames_sent").Inc(na.framesSent.Load())
-	reg.Counter("net.frames_received").Inc(na.framesRecv.Load())
-	reg.Counter("net.bytes_sent").Inc(na.bytesSent.Load())
-	reg.Counter("net.bytes_received").Inc(na.bytesRecv.Load())
-	reg.Counter("net.credit_frames").Inc(na.creditFrames.Load())
-	reg.Counter("net.data_batches").Inc(na.dataBatches.Load())
-	reg.Counter("net.unexpected_frames").Inc(na.unexpectedFrames.Load())
-	reg.Counter("net.dials").Inc(na.dials.Load())
-	reg.Counter("net.reconnects").Inc(na.reconnects.Load())
-	reg.Counter("net.encode_errors").Inc(na.encodeErrors.Load())
-	exportCreditWait(reg, na.creditWaitSnapshot())
 }
 
 // exportCreditWait folds a credit-wait distribution into a result registry:

@@ -95,7 +95,7 @@ func TestWorkerRunWireClean(t *testing.T) {
 	}
 	// Worker 0 hosts only src; worker 1 only snk. Every record crossed the
 	// wire exactly once.
-	res := AssembleDistResult([]*WorkerReport{rep0, rep1}, DistAgg{Elapsed: time.Second})
+	res := assembleResult([]*WorkerReport{rep0, rep1}, runAgg{elapsed: time.Second}, true)
 	if res.SourceRecords != records || res.SinkRecords != records {
 		t.Fatalf("source/sink = %d/%d, want %d/%d", res.SourceRecords, res.SinkRecords, records, records)
 	}
@@ -279,7 +279,7 @@ func TestWireCreditFanInExceedsCapacity(t *testing.T) {
 	if !rep0.Completed || !rep1.Completed {
 		t.Fatalf("fan-in run not completed: w0=%v w1=%v", rep0.Completed, rep1.Completed)
 	}
-	res := AssembleDistResult([]*WorkerReport{rep0, rep1}, DistAgg{Elapsed: time.Second})
+	res := assembleResult([]*WorkerReport{rep0, rep1}, runAgg{elapsed: time.Second}, true)
 	if want := int64(2 * perSource); res.SinkRecords != want || res.SourceRecords != want {
 		t.Errorf("source/sink = %d/%d, want %d/%d", res.SourceRecords, res.SinkRecords, want, want)
 	}

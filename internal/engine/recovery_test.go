@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -381,23 +382,30 @@ func TestFaultPlanValidation(t *testing.T) {
 // A recovery plan that re-uses the dead worker, drops tasks, or overloads a
 // survivor must fail the run loudly, never deploy silently.
 func TestRecoveryPlanValidated(t *testing.T) {
+	allOn := func(phys *dataflow.PhysicalGraph, w int) *dataflow.Plan {
+		np := dataflow.NewPlan()
+		for _, task := range phys.Tasks() {
+			np.Assign(task, w)
+		}
+		return np
+	}
 	bad := []struct {
-		name string
-		plan func(phys *dataflow.PhysicalGraph, ev FailureEvent) *dataflow.Plan
+		name  string
+		slots int // per worker; the job has four tasks
+		plan  func(phys *dataflow.PhysicalGraph, ev FailureEvent) *dataflow.Plan
 	}{
-		{"dead-worker", func(phys *dataflow.PhysicalGraph, ev FailureEvent) *dataflow.Plan {
-			np := dataflow.NewPlan()
-			for _, task := range phys.Tasks() {
-				np.Assign(task, ev.Worker) // everything onto the corpse
-			}
-			return np
+		{"dead-worker", 4, func(phys *dataflow.PhysicalGraph, ev FailureEvent) *dataflow.Plan {
+			return allOn(phys, ev.Worker) // everything onto the corpse
 		}},
-		{"partial", func(phys *dataflow.PhysicalGraph, ev FailureEvent) *dataflow.Plan {
+		{"partial", 4, func(phys *dataflow.PhysicalGraph, ev FailureEvent) *dataflow.Plan {
 			np := dataflow.NewPlan()
 			np.Assign(phys.Tasks()[0], 0)
 			return np
 		}},
-		{"nil", func(*dataflow.PhysicalGraph, FailureEvent) *dataflow.Plan { return nil }},
+		{"nil", 4, func(*dataflow.PhysicalGraph, FailureEvent) *dataflow.Plan { return nil }},
+		{"overloaded", 3, func(phys *dataflow.PhysicalGraph, ev FailureEvent) *dataflow.Plan {
+			return allOn(phys, 0) // complete and alive, but four tasks on three slots
+		}},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
@@ -425,12 +433,12 @@ func TestRecoveryPlanValidated(t *testing.T) {
 					return tc.plan(phys, ev), nil
 				},
 			}
-			job, err := NewJob(g, roundRobinPlan(t, g, 2), bigWorkers(2, 4), factories, opts)
+			job, err := NewJob(g, roundRobinPlan(t, g, 2), bigWorkers(2, tc.slots), factories, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := job.Run(context.Background()); err == nil {
-				t.Error("invalid recovery plan accepted")
+			if _, err := job.Run(context.Background()); !errors.Is(err, ErrInvalidPlan) {
+				t.Errorf("Run error = %v, want ErrInvalidPlan", err)
 			}
 		})
 	}

@@ -5,11 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"time"
 
 	"capsys/internal/dataflow"
 	"capsys/internal/statebackend"
-	"capsys/internal/telemetry"
 )
 
 // Live rescaling: change one operator's parallelism on a running job without
@@ -222,167 +220,47 @@ func (j *Job) Rescale(op dataflow.OperatorID, parallelism int) error {
 }
 
 func (j *Job) schedule(p RescalePlan) error {
-	if j.opts.SnapshotInterval <= 0 {
-		return fmt.Errorf("engine: rescale needs checkpoints; set SnapshotInterval > 0")
-	}
+	// The graph-shaped rules are checked here, where the graph lives; the
+	// supervisor checks the rest and owns the queue. rescaleMu: SetParallelism
+	// swaps the graph between attempts.
 	j.rescaleMu.Lock()
-	defer j.rescaleMu.Unlock()
-	o := j.graph.Operator(p.Op)
-	if o == nil {
-		return fmt.Errorf("engine: rescale of unknown operator %q", p.Op)
-	}
-	if len(j.graph.Upstream(p.Op)) == 0 {
-		return fmt.Errorf("engine: cannot rescale source %q (source count fixes the input partitioning)", p.Op)
-	}
-	if p.Parallelism <= 0 {
-		return fmt.Errorf("engine: rescale of %q to non-positive parallelism %d", p.Op, p.Parallelism)
-	}
-	if p.Parallelism > j.opts.KeyGroups {
-		return fmt.Errorf("engine: rescale of %q to %d exceeds %d key-groups", p.Op, p.Parallelism, j.opts.KeyGroups)
-	}
-	if p.AtEpoch < 0 {
-		return fmt.Errorf("engine: rescale of %q at negative epoch %d", p.Op, p.AtEpoch)
-	}
-	// A Forward-edge peer would be left at the old parallelism; reject now
-	// rather than fail the drain later.
-	if _, err := j.graph.Rescale(map[dataflow.OperatorID]int{p.Op: p.Parallelism}); err != nil {
-		return fmt.Errorf("engine: %w", err)
-	}
-	j.pendingRescales = append(j.pendingRescales, p)
-	return nil
-}
-
-// dueRescale returns the first pending rescale due at the given completed
-// epoch, without removing it: the plan stays pending until applied, so a
-// fault racing the drain simply re-triggers it at the next complete epoch.
-func (j *Job) dueRescale(epoch int64) *RescalePlan {
-	j.rescaleMu.Lock()
-	defer j.rescaleMu.Unlock()
-	for i := range j.pendingRescales {
-		if epoch >= j.pendingRescales[i].AtEpoch {
-			p := j.pendingRescales[i]
-			return &p
+	g := j.graph
+	j.rescaleMu.Unlock()
+	if g.Operator(p.Op) != nil {
+		if len(g.Upstream(p.Op)) == 0 {
+			return fmt.Errorf("engine: cannot rescale source %q (source count fixes the input partitioning)", p.Op)
+		}
+		// A Forward-edge peer would be left at the old parallelism; reject
+		// now rather than fail the drain later.
+		if _, err := g.Rescale(map[dataflow.OperatorID]int{p.Op: p.Parallelism}); err != nil {
+			return fmt.Errorf("engine: %w", err)
 		}
 	}
-	return nil
+	return j.sup.Schedule(p)
 }
 
-// dropRescale removes the applied plan from the pending list.
-func (j *Job) dropRescale(p *RescalePlan) {
-	j.rescaleMu.Lock()
-	defer j.rescaleMu.Unlock()
-	for i := range j.pendingRescales {
-		if j.pendingRescales[i] == *p {
-			j.pendingRescales = append(j.pendingRescales[:i], j.pendingRescales[i+1:]...)
-			return
-		}
-	}
-}
-
-// applyRescale executes one drained rescale between attempts: repartition
-// the operator's snapshots at the drain epoch, rewrite the coordinator's
-// snapshot set, swap in the rescaled graph, and re-place tasks. It returns
-// the plan for the next attempt. Caller (Run) owns j's graph fields — no
-// task goroutines are alive here.
-func (j *Job) applyRescale(p *RescalePlan, epoch int64, coord *checkpointCoordinator, plan *dataflow.Plan, dead map[int]bool, attemptNo int) (*dataflow.Plan, *RescaleEvent, error) {
-	oldP := j.graph.Operator(p.Op).Parallelism
-	newP := p.Parallelism
-	oldSnaps := make([]*taskSnapshot, oldP)
-	for i := 0; i < oldP; i++ {
-		oldSnaps[i] = coord.snapshotFor(dataflow.TaskID{Op: p.Op, Index: i}, epoch)
-	}
-	newSnaps, moved, err := repartitionTaskSnapshots(oldSnaps, oldP, newP, j.opts.KeyGroups)
+// SetParallelism swaps in the rescaled graph between attempts (the local
+// executor's topology step; no task goroutine is alive).
+func (x *localExecutor) SetParallelism(op dataflow.OperatorID, parallelism int) error {
+	j := x.j
+	g, err := j.graph.Rescale(map[dataflow.OperatorID]int{op: parallelism})
 	if err != nil {
-		return nil, nil, fmt.Errorf("engine: rescale %q %d→%d: %w", p.Op, oldP, newP, err)
+		return err
 	}
-	newGraph, err := j.graph.Rescale(map[dataflow.OperatorID]int{p.Op: newP})
+	phys, err := dataflow.Expand(g)
 	if err != nil {
-		return nil, nil, fmt.Errorf("engine: rescale %q: %w", p.Op, err)
+		return err
 	}
-	newPhys, err := dataflow.Expand(newGraph)
-	if err != nil {
-		return nil, nil, fmt.Errorf("engine: rescale %q: %w", p.Op, err)
-	}
-	var removed []dataflow.TaskID
-	for i := newP; i < oldP; i++ {
-		removed = append(removed, dataflow.TaskID{Op: p.Op, Index: i})
-	}
-	repart := make(map[dataflow.TaskID]*taskSnapshot, newP)
-	for i, s := range newSnaps {
-		repart[dataflow.TaskID{Op: p.Op, Index: i}] = s
-	}
-	coord.applyRescale(epoch, removed, repart, newPhys.NumTasks())
 	// rescaleMu: Job.Rescale validates against j.graph from other
 	// goroutines; Run's goroutine is the only writer.
 	j.rescaleMu.Lock()
-	j.graph = newGraph
-	j.phys = newPhys
-	j.fuseNext = fusionMap(newGraph, j.opts.DisableFusion)
+	j.graph, j.phys, j.fuseNext = g, phys, fusionMap(g, j.opts.DisableFusion)
 	j.rescaleMu.Unlock()
-
-	ev := &RescaleEvent{
-		Op:             p.Op,
-		OldParallelism: oldP,
-		NewParallelism: newP,
-		Epoch:          epoch,
-		MovedBytes:     moved,
-		DeadWorkers:    deadList(dead),
-		Attempt:        attemptNo,
-	}
-	var newPlan *dataflow.Plan
-	if j.opts.OnRescale != nil {
-		newPlan, err = j.opts.OnRescale(*ev, plan, newPhys)
-		if err != nil {
-			return nil, nil, fmt.Errorf("engine: rescale re-placement for %q: %w", p.Op, err)
-		}
-	} else {
-		newPlan, err = defaultRescalePlan(plan, newPhys, j.spec, dead)
-		if err != nil {
-			return nil, nil, fmt.Errorf("engine: rescale %q: %w", p.Op, err)
-		}
-	}
-	if err := j.validateRecoveryPlan(newPlan, dead); err != nil {
-		return nil, nil, err
-	}
-	return newPlan, ev, nil
-}
-
-// defaultRescalePlan keeps every surviving task where it is and packs new
-// tasks onto the lowest-index live workers with free slots — deterministic,
-// so distributed coordinator and tests agree on placement without a search.
-func defaultRescalePlan(prev *dataflow.Plan, phys *dataflow.PhysicalGraph, spec ClusterSpec, dead map[int]bool) (*dataflow.Plan, error) {
-	plan := dataflow.NewPlanSized(phys.NumTasks())
-	slotUse := make([]int, len(spec.Workers))
-	var fresh []dataflow.TaskID
-	for _, t := range phys.Tasks() {
-		if w, ok := prev.Worker(t); ok {
-			plan.Assign(t, w)
-			if w >= 0 && w < len(slotUse) {
-				slotUse[w]++
-			}
-			continue
-		}
-		fresh = append(fresh, t)
-	}
-	for _, t := range fresh {
-		placed := false
-		for w := range spec.Workers {
-			if !dead[w] && slotUse[w] < spec.Workers[w].Slots {
-				plan.Assign(t, w)
-				slotUse[w]++
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			return nil, fmt.Errorf("no free slot for new task %v (need OnRescale or more capacity)", t)
-		}
-	}
-	return plan, nil
+	return nil
 }
 
 // fusionMap recomputes the fusion successor map for a (possibly rescaled)
-// graph; NewJob and applyRescale share it so an attempt after a rescale
+// graph; NewJob and SetParallelism share it so an attempt after a rescale
 // fuses by exactly the same rule as the first.
 func fusionMap(g *dataflow.LogicalGraph, disabled bool) map[dataflow.OperatorID]dataflow.OperatorID {
 	fuseNext := make(map[dataflow.OperatorID]dataflow.OperatorID)
@@ -401,14 +279,10 @@ func fusionMap(g *dataflow.LogicalGraph, disabled bool) map[dataflow.OperatorID]
 // completes. Called from snapshotTask on task goroutines; the failure event,
 // if any, wins the race (the rescale stays pending and re-arms).
 func (a *attempt) maybeTriggerRescale(epoch int64) {
-	if a.dist != nil {
-		// Distributed workers drain under coordinator control (the store
-		// lives coordinator-side and remote record() never completes epochs),
-		// so this path is in-process only.
-		return
-	}
-	p := a.j.dueRescale(epoch)
-	if p == nil {
+	// Distributed workers drain under coordinator control (the store lives
+	// coordinator-side and remote record() never completes epochs), so this
+	// path is in-process only.
+	if a.dist != nil || a.j.sup.dueRescale(epoch) == nil {
 		return
 	}
 	a.mu.Lock()
@@ -418,42 +292,4 @@ func (a *attempt) maybeTriggerRescale(epoch int64) {
 	}
 	a.mu.Unlock()
 	a.doAbort()
-}
-
-// takeRescale reports the epoch a rescale drained at, or 0. A concurrent
-// failure event takes precedence: the caller handles the fault and the
-// still-pending rescale re-triggers next epoch.
-func (a *attempt) takeRescale() (int64, time.Time) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.failEv != nil {
-		return 0, time.Time{}
-	}
-	return a.rescaleEpoch, a.rescaleAt
-}
-
-func emitRescaleStart(tel *telemetry.Telemetry, ev *RescaleEvent) {
-	tel.Tracer().Emit(telemetry.Event{
-		Kind:  telemetry.EventRescaleStart,
-		Op:    string(ev.Op),
-		Epoch: ev.Epoch,
-		Attrs: map[string]any{
-			"from":              ev.OldParallelism,
-			"to":                ev.NewParallelism,
-			"state_moved_bytes": ev.MovedBytes,
-		},
-	})
-}
-
-func emitRescaleComplete(tel *telemetry.Telemetry, ev *RescaleEvent, downtime time.Duration) {
-	tel.Tracer().Emit(telemetry.Event{
-		Kind:  telemetry.EventRescaleComplete,
-		Op:    string(ev.Op),
-		Epoch: ev.Epoch,
-		Attrs: map[string]any{
-			"from":        ev.OldParallelism,
-			"to":          ev.NewParallelism,
-			"downtime_ms": downtime.Seconds() * 1e3,
-		},
-	})
 }

@@ -54,18 +54,12 @@ func nanoTokens(n float64) int64 {
 //     readers (Consumed, Utilization, the live saturation gauges) merge the
 //     shards. Shards also coalesce their struck tokens locally so a chain or
 //     batch pays one bucket draw per pass instead of one per record.
-//
-// Legacy Consume calls (tests, external callers) account through a shared
-// CAS spill cell and draw immediately; they remain exact, just not
-// contention-free.
 type Meter struct {
 	rate  float64 // tokens per second; immutable after NewMeter
 	burst float64 // immutable after NewMeter
 
 	// balance is the bucket level in nanotokens; draws go negative (debt).
 	balance atomic.Int64
-	// spillBits accumulates tokens consumed outside any shard (CAS float).
-	spillBits atomic.Uint64
 	// shards is the copy-on-write registry of per-task accounting shards.
 	shards atomic.Pointer[[]*MeterShard]
 
@@ -85,17 +79,6 @@ func NewMeter(rate, burst float64) *Meter {
 	m := &Meter{rate: rate, burst: burst, last: now, created: now}
 	m.balance.Store(nanoTokens(burst))
 	return m
-}
-
-// Consume takes n tokens, sleeping as needed to respect the refill rate.
-// n <= 0 is a no-op. Accounting lands in the shared spill cell; hot paths
-// should strike a MeterShard instead.
-func (m *Meter) Consume(n float64) {
-	if m == nil || n <= 0 {
-		return
-	}
-	m.spillAdd(n)
-	m.draw(n)
 }
 
 // draw deducts n tokens from the bucket, pacing the caller when the bucket
@@ -140,16 +123,6 @@ func (m *Meter) settleDebt() {
 	}
 }
 
-func (m *Meter) spillAdd(n float64) {
-	for {
-		old := m.spillBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + n)
-		if m.spillBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Blocked reports the cumulative time consumers spent waiting on this meter.
 func (m *Meter) Blocked() time.Duration {
 	m.mu.Lock()
@@ -160,13 +133,13 @@ func (m *Meter) Blocked() time.Duration {
 // Rate returns the meter's refill rate.
 func (m *Meter) Rate() float64 { return m.rate }
 
-// Consumed returns the cumulative tokens taken from this meter: the spill
-// cell plus every shard's published total.
+// Consumed returns the cumulative tokens taken from this meter: the sum of
+// every shard's published total.
 func (m *Meter) Consumed() float64 {
 	if m == nil {
 		return 0
 	}
-	total := math.Float64frombits(m.spillBits.Load())
+	total := 0.0
 	if list := m.shards.Load(); list != nil {
 		for _, sh := range *list {
 			total += math.Float64frombits(sh.bits.Load())

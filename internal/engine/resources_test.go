@@ -9,15 +9,13 @@ import (
 
 // TestMeterShardConcurrentExactness: many goroutines striking their own
 // shards — with snapshot readers polling Consumed throughout — must merge to
-// the exact total, and mixing in legacy Consume calls through the spill cell
-// must stay exact too. The shard contract is single-writer per shard, not
+// the exact total. The shard contract is single-writer per shard, not
 // single-reader per meter.
 func TestMeterShardConcurrentExactness(t *testing.T) {
 	m := NewMeter(1e12, 1e12) // effectively unmetered: pacing is not under test
 	const (
 		writers = 8
 		strikes = 10000
-		legacy  = 2500
 	)
 	shards := make([]*MeterShard, writers)
 	for i := range shards {
@@ -58,18 +56,11 @@ func TestMeterShardConcurrentExactness(t *testing.T) {
 			}
 			sh.Draw()
 		}(shards[i])
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < legacy; j++ {
-				m.Consume(2)
-			}
-		}()
 	}
 	wg.Wait()
 	close(stop)
 	readers.Wait()
-	want := float64(writers)*float64(strikes)*0.5 + float64(writers)*float64(legacy)*2
+	want := float64(writers) * float64(strikes) * 0.5
 	if got := m.Consumed(); math.Abs(got-want) > 1e-6 {
 		t.Errorf("Consumed = %v, want %v", got, want)
 	}
@@ -77,7 +68,8 @@ func TestMeterShardConcurrentExactness(t *testing.T) {
 
 // TestMeterShardDrawPaces: coalesced draws still hit the token bucket — a
 // shard that strikes more than the bucket holds must sleep the deficit off
-// on Draw, just as Consume does.
+// on Draw. Zero and negative strikes are no-ops, and nil meters and shards
+// are safe.
 func TestMeterShardDrawPaces(t *testing.T) {
 	m := NewMeter(1000, 10) // 1000 tokens/s, 10 burst
 	sh := m.NewShard()
@@ -89,6 +81,22 @@ func TestMeterShardDrawPaces(t *testing.T) {
 	}
 	if m.Blocked() == 0 {
 		t.Error("meter recorded no blocked time")
+	}
+	if m.Rate() != 1000 {
+		t.Errorf("Rate = %v", m.Rate())
+	}
+	sh.Strike(0)
+	sh.Strike(-5)
+	sh.Draw()
+	if got := m.Consumed(); got != 60 {
+		t.Errorf("Consumed = %v after zero and negative strikes, want 60", got)
+	}
+	var nilM *Meter
+	nilSh := nilM.NewShard()
+	nilSh.Strike(10)
+	nilSh.Draw()
+	if nilSh != nil || nilM.Consumed() != 0 {
+		t.Error("nil meter handed out a shard or consumed tokens")
 	}
 }
 
@@ -117,19 +125,8 @@ func TestMeterUtilizationSeesShards(t *testing.T) {
 	}
 }
 
-// BenchmarkMeterSharedConsume and BenchmarkMeterShardStrike measure the
-// before/after of the meter rewrite: N goroutines hammering one meter via
-// the legacy CAS spill path versus striking private shards with coalesced
-// draws. The shard path must be faster per operation.
-func BenchmarkMeterSharedConsume(b *testing.B) {
-	m := NewMeter(1e12, 1e12)
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			m.Consume(1)
-		}
-	})
-}
-
+// BenchmarkMeterShardStrike measures the meter hot path: N goroutines
+// striking private shards of one meter with coalesced draws.
 func BenchmarkMeterShardStrike(b *testing.B) {
 	m := NewMeter(1e12, 1e12)
 	b.RunParallel(func(pb *testing.PB) {
