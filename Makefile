@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-dist test-rescale race bench bench-engine bench-paper bench-build benchmark cover lint loc verify
+.PHONY: build test test-dist test-rescale stress race bench bench-engine bench-paper bench-build benchmark cover lint loc verify
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,16 @@ test-dist:
 test-rescale:
 	$(GO) test -race -timeout 5m ./internal/statebackend
 	$(GO) test -race -timeout 5m -run 'Rescale|SplitOpStates|RouteMatchesStateAssignment' ./internal/engine ./internal/controller ./internal/experiments
+
+# stress repeats the schedule-sensitive batteries — the distributed control
+# plane, worker attempts over the wire, wire payloads, rescale and fusion —
+# five times each at GOMAXPROCS 1 and 4, once plain and once under the race
+# detector: a flake that needs a particular interleaving gets twenty chances
+# to show instead of one.
+STRESS_RUN = TestDist|TestWorkerRun|TestWire|TestPrepareWorkerAttempt|Rescale|Fus
+stress:
+	$(GO) test -timeout 20m -count=5 -cpu 1,4 -run '$(STRESS_RUN)' ./internal/engine ./internal/controller
+	$(GO) test -race -timeout 30m -count=5 -cpu 1,4 -run '$(STRESS_RUN)' ./internal/engine ./internal/controller
 
 race:
 	$(GO) test -race ./...

@@ -243,7 +243,7 @@ func runCoordinator(f *cliflags.Common, o *liveFlags) error {
 	}
 	if strat != nil {
 		prev := plan
-		opts.Replan = func(dead []int, attempt int) ([]controller.TaskAssignment, error) {
+		opts.Replan = func(dead []int, attempt int) (*dataflow.Plan, error) {
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
 			next, err := controller.Replace(ctx, phys, c, strat, u, dead, f.Seed+int64(attempt), prev)
@@ -251,7 +251,7 @@ func runCoordinator(f *cliflags.Common, o *liveFlags) error {
 				return nil, err
 			}
 			prev = next
-			return controller.AssignmentsOf(phys, next)
+			return next, nil
 		}
 	}
 	co, err := controller.NewCoordinator(o.listenAddr, deploy, f.Workers, opts)

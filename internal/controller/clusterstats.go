@@ -23,14 +23,13 @@ import (
 // worker restart inside one control connection cannot double-count.
 // Gauges and callback-gauge samples are absolutes — last write wins.
 
-// wireStats is one worker's metric delta since its previous heartbeat.
+// wireStats is one worker's metric delta since its previous heartbeat, in
+// the same named form worker reports use (engine.WorkerReport).
 type wireStats struct {
-	// Counters and TimesNS are deltas of monotone series (counter values,
-	// meter counts under "<name>.count", time accumulators in nanoseconds).
-	Counters map[string]int64
-	TimesNS  map[string]int64
-	// Gauges are point-in-time absolutes.
-	Gauges map[string]float64
+	// Counters and Times are deltas of monotone series (counter values,
+	// meter counts under "<name>.count", time accumulators); Gauges are
+	// point-in-time absolutes.
+	metrics.TypedValues
 	// FnGauges are the worker's callback gauges evaluated at sample time
 	// (per-task saturation, queue depths, credit-gate levels).
 	FnGauges []telemetry.GaugeSample
@@ -81,9 +80,11 @@ func (s *hbSampler) sample() *wireStats {
 	}
 	cur := s.tel.Registry().TypedSnapshot()
 	out := &wireStats{
-		Counters: make(map[string]int64),
-		TimesNS:  make(map[string]int64),
-		Gauges:   cur.Gauges,
+		TypedValues: metrics.TypedValues{
+			Counters: make(map[string]int64),
+			Gauges:   cur.Gauges,
+			Times:    make(map[string]time.Duration),
+		},
 		FnGauges: s.tel.SampleGaugeFuncs(),
 		Hists:    make(map[string]telemetry.HistogramSnapshot),
 	}
@@ -94,7 +95,7 @@ func (s *hbSampler) sample() *wireStats {
 	}
 	for n, v := range cur.Times {
 		if d := v - s.prev.Times[n]; d > 0 {
-			out.TimesNS[n] = int64(d)
+			out.Times[n] = d
 		}
 	}
 	for _, name := range s.tel.HistogramNames() {
@@ -137,11 +138,11 @@ func (a *clusterAgg) applyStats(worker string, s *wireStats) {
 		//capslint:allow metricnames cluster rollup of the same runtime-keyed series
 		reg.Counter(metrics.ClusterMetricName(n)).Inc(d)
 	}
-	for n, ns := range s.TimesNS {
+	for n, d := range s.Times {
 		//capslint:allow metricnames per-worker series are runtime-keyed by the canonical WorkerMetricName/ClusterMetricName helpers
-		reg.Time(metrics.WorkerMetricName(worker, n)).Add(time.Duration(ns))
+		reg.Time(metrics.WorkerMetricName(worker, n)).Add(d)
 		//capslint:allow metricnames cluster rollup of the same runtime-keyed series
-		reg.Time(metrics.ClusterMetricName(n)).Add(time.Duration(ns))
+		reg.Time(metrics.ClusterMetricName(n)).Add(d)
 	}
 	for n, v := range s.Gauges {
 		//capslint:allow metricnames per-worker series are runtime-keyed by the canonical WorkerMetricName helper

@@ -38,8 +38,8 @@ func TestDistHBSamplerDeltas(t *testing.T) {
 	if st.Gauges["queue.depth"] != 7 {
 		t.Errorf("gauge = %v, want 7", st.Gauges["queue.depth"])
 	}
-	if st.TimesNS["busy"] != int64(2*time.Second) {
-		t.Errorf("time delta = %d, want %d", st.TimesNS["busy"], int64(2*time.Second))
+	if st.Times["busy"] != 2*time.Second {
+		t.Errorf("time delta = %v, want %v", st.Times["busy"], 2*time.Second)
 	}
 	if h, ok := st.Hists["net.credit_wait_seconds"]; !ok || h.Count != 2 {
 		t.Errorf("hist interval = %+v, want count 2", h)
@@ -54,7 +54,7 @@ func TestDistHBSamplerDeltas(t *testing.T) {
 	if st.Gauges["queue.depth"] != 4 {
 		t.Errorf("gauge = %v, want the absolute 4", st.Gauges["queue.depth"])
 	}
-	if _, ok := st.TimesNS["busy"]; ok {
+	if _, ok := st.Times["busy"]; ok {
 		t.Error("unchanged time accumulator shipped a zero delta")
 	}
 	if _, ok := st.Hists["net.credit_wait_seconds"]; ok {
@@ -92,20 +92,22 @@ func TestDistClusterMetricsGolden(t *testing.T) {
 	h.Observe(0.004)
 
 	agg.applyStats("w0", &wireStats{
-		Counters: map[string]int64{"net.frames_sent": 40, "net.bytes_sent": 4096},
-		TimesNS:  map[string]int64{"exchange.credit_stall_seconds": int64(time.Second)},
-		Gauges:   map[string]float64{"trace_dropped": 2},
+		TypedValues: metrics.TypedValues{
+			Counters: map[string]int64{"net.frames_sent": 40, "net.bytes_sent": 4096},
+			Times:    map[string]time.Duration{"exchange.credit_stall_seconds": time.Second},
+			Gauges:   map[string]float64{"trace_dropped": 2},
+		},
 		FnGauges: []telemetry.GaugeSample{
 			{Family: "worker_saturation", Labels: map[string]string{"worker": "w0", "resource": "cpu"}, Value: 0.25},
 			{Family: "net_pump_queue_depth", Labels: nil, Value: 3},
 		},
 		Hists: map[string]telemetry.HistogramSnapshot{"net.credit_wait_seconds": h.Snapshot()},
 	})
-	agg.applyStats("w1", &wireStats{
+	agg.applyStats("w1", &wireStats{TypedValues: metrics.TypedValues{
 		Counters: map[string]int64{"net.frames_sent": 2, "sink[0].records_in": 17},
-	})
+	}})
 	// A second heartbeat from w0 must add, not replace.
-	agg.applyStats("w0", &wireStats{Counters: map[string]int64{"net.frames_sent": 2}})
+	agg.applyStats("w0", &wireStats{TypedValues: metrics.TypedValues{Counters: map[string]int64{"net.frames_sent": 2}}})
 
 	// Two seconds of pinned wall clock pass before the scrape, giving the
 	// windowed view a deterministic nonzero span.

@@ -40,14 +40,14 @@ import (
 // ended; what happens next (restore epoch, re-placement, rescale) is the
 // supervisor's lifecycle, shared with the in-process engine.
 
-// TaskAssignment is one task-to-worker placement in wire-safe form.
+// TaskAssignment is one task-to-worker placement, the flat form a plan takes
+// inside a DeploySpec.
 type TaskAssignment struct {
-	Task   engine.WireTaskID
+	Task   dataflow.TaskID
 	Worker int
 }
 
-// AssignmentsOf flattens a plan into wire-safe assignments (deterministic
-// order).
+// AssignmentsOf flattens a plan into assignments (deterministic order).
 func AssignmentsOf(phys *dataflow.PhysicalGraph, plan *dataflow.Plan) ([]TaskAssignment, error) {
 	return assignmentsOf(phys.Tasks(), plan)
 }
@@ -59,23 +59,9 @@ func assignmentsOf(tasks []dataflow.TaskID, plan *dataflow.Plan) ([]TaskAssignme
 		if !ok {
 			return nil, fmt.Errorf("controller: task %v unassigned", t)
 		}
-		out = append(out, TaskAssignment{
-			Task:   engine.WireTaskID{Op: string(t.Op), Index: t.Index},
-			Worker: w,
-		})
+		out = append(out, TaskAssignment{Task: t, Worker: w})
 	}
 	return out, nil
-}
-
-// planOf is the inverse edge conversion: the supervisor speaks plans, the
-// caller-facing hooks speak assignments. A task named twice would vanish in
-// the plan's map, so it is rejected here.
-func planOf(assign []TaskAssignment) (*dataflow.Plan, error) {
-	plan := DeploySpec{Assign: assign}.Plan()
-	if plan.Len() != len(assign) {
-		return nil, fmt.Errorf("controller: %d assignments name only %d distinct tasks", len(assign), plan.Len())
-	}
-	return plan, nil
 }
 
 // DeploySpec is everything a worker process needs to build its share of a
@@ -103,26 +89,20 @@ type DeploySpec struct {
 	// Rescaled carries per-operator parallelism overrides from applied live
 	// rescales; workers rebuild the query graph with these parallelisms, so
 	// a redeploy after a rescale derives the rescaled topology everywhere.
-	Rescaled []OpParallelism
+	Rescaled map[dataflow.OperatorID]int
 
 	// Attempt-specific, filled by the coordinator per deploy.
 	Attempt      int
 	Local        int
 	RestoreEpoch int64
-	Snapshots    []engine.WireSnapshot
+	Snapshots    []*engine.TaskSnapshot
 }
 
-// OpParallelism is one operator's parallelism override in wire-safe form.
-type OpParallelism struct {
-	Op          string
-	Parallelism int
-}
-
-// Plan reconstructs the dataflow plan from the wire-safe assignments.
+// Plan reconstructs the dataflow plan from the assignments.
 func (d DeploySpec) Plan() *dataflow.Plan {
 	p := dataflow.NewPlanSized(len(d.Assign))
 	for _, a := range d.Assign {
-		p.Assign(dataflow.TaskID{Op: dataflow.OperatorID(a.Task.Op), Index: a.Task.Index}, a.Worker)
+		p.Assign(a.Task, a.Worker)
 	}
 	return p
 }
@@ -155,11 +135,7 @@ func NexmarkBuilderWith(tel *telemetry.Telemetry) JobBuilder {
 		}
 		graph := q.Graph
 		if len(spec.Rescaled) > 0 {
-			over := make(map[dataflow.OperatorID]int, len(spec.Rescaled))
-			for _, r := range spec.Rescaled {
-				over[dataflow.OperatorID(r.Op)] = r.Parallelism
-			}
-			graph, err = graph.Rescale(over)
+			graph, err = graph.Rescale(spec.Rescaled)
 			if err != nil {
 				return nil, fmt.Errorf("controller: applying rescale overrides: %w", err)
 			}
@@ -199,7 +175,7 @@ type (
 	}
 	wireSnap struct {
 		Attempt int
-		Snap    engine.WireSnapshot
+		Snap    *engine.TaskSnapshot
 	}
 	wireReport struct{ Report *engine.WorkerReport }
 	wirePeer   struct {
@@ -213,8 +189,11 @@ type (
 // frames. Version 3 added live rescaling: DEPLOY specs carry the pinned
 // key-group count and per-operator parallelism overrides, which an older
 // worker would silently ignore and build the wrong topology — so the
-// version gates the join handshake.
-const distProtoVersion = 3
+// version gates the join handshake. Version 4 dropped the wire-only mirror
+// types: frames carry dataflow.TaskID and engine.TaskSnapshot directly, and
+// worker reports carry per-task engine.TaskStats plus a named metric
+// snapshot instead of one scalar field per counter.
+const distProtoVersion = 4
 
 // errEncodePayload marks a send that failed locally while gob-encoding the
 // body — the data was unencodable or too large (MaxFramePayload), which
@@ -259,7 +238,7 @@ type CoordinatorOptions struct {
 	StopTimeout time.Duration
 	// Replan re-places the dead workers' tasks onto survivors. Nil means
 	// worker loss is fatal.
-	Replan func(dead []int, attempt int) ([]TaskAssignment, error)
+	Replan func(dead []int, attempt int) (*dataflow.Plan, error)
 	// Rescales schedules live parallelism changes: each plan triggers at the
 	// first globally complete checkpoint epoch >= its AtEpoch, draining the
 	// cluster to that epoch, repartitioning the operator's key-groups in the
@@ -267,10 +246,10 @@ type CoordinatorOptions struct {
 	// rescaled topology. More can be added at runtime via ScheduleRescale.
 	Rescales []engine.RescalePlan
 	// RescaleAssign re-places tasks for an applied rescale (the previous
-	// assignments still name the old task set; the returned set must cover
-	// the rescaled one). Nil keeps surviving tasks where they are and packs
-	// new tasks onto the lowest-index live workers with free slots.
-	RescaleAssign func(ev engine.RescaleEvent, prev []TaskAssignment) ([]TaskAssignment, error)
+	// plan still names the old task set; the returned one must cover the
+	// rescaled one). Nil keeps surviving tasks where they are and packs new
+	// tasks onto the lowest-index live workers with free slots.
+	RescaleAssign func(ev engine.RescaleEvent, prev *dataflow.Plan) (*dataflow.Plan, error)
 	// Logf, when set, receives progress lines ("checkpoint: epoch 3
 	// complete", "worker 1 dead: ...").
 	Logf func(format string, args ...any)
@@ -308,13 +287,10 @@ type Coordinator struct {
 	curAttempt atomic.Int64
 
 	// Run's goroutine only: start is the origin of fault-record offsets;
-	// assign is the deployed placement in the hooks' wire-safe shape (what
-	// RescaleAssign sees as prev); dpRestarts counts attempts restarted for
-	// data-plane-only failures (PEERDOWN reports whose accused peer was
-	// still control-plane live), bounded by maxDataPlaneRestarts before
-	// escalating to a worker death.
+	// dpRestarts counts attempts restarted for data-plane-only failures
+	// (PEERDOWN reports whose accused peer was still control-plane live),
+	// bounded by maxDataPlaneRestarts before escalating to a worker death.
 	start      time.Time
-	assign     []TaskAssignment
 	dpRestarts int
 }
 
@@ -336,8 +312,10 @@ type coordEvent struct {
 }
 
 // NewCoordinator binds the control listener for a cluster of `workers`
-// worker processes. spec's attempt-specific fields are ignored; the
-// coordinator fills them per deploy.
+// worker processes — the first `workers` entries of spec.Workers; a plan
+// naming any other worker is rejected with engine.ErrInvalidPlan, at
+// construction and at every re-placement. spec's attempt-specific fields are
+// ignored; the coordinator fills them per deploy.
 func NewCoordinator(listen string, spec DeploySpec, workers int, opts CoordinatorOptions) (*Coordinator, error) {
 	if workers <= 0 || workers > len(spec.Workers) {
 		return nil, fmt.Errorf("controller: %d worker processes for a %d-worker spec", workers, len(spec.Workers))
@@ -358,7 +336,7 @@ func NewCoordinator(listen string, spec DeploySpec, workers int, opts Coordinato
 	// byte-compatible with one that never pins.
 	if spec.KeyGroups == 0 {
 		spec.KeyGroups = engine.DefaultKeyGroups
-		perOp := make(map[string]int)
+		perOp := make(map[dataflow.OperatorID]int)
 		for _, a := range spec.Assign {
 			if perOp[a.Task.Op]++; perOp[a.Task.Op] > spec.KeyGroups {
 				spec.KeyGroups = perOp[a.Task.Op]
@@ -373,46 +351,29 @@ func NewCoordinator(listen string, spec DeploySpec, workers int, opts Coordinato
 		agg:    clusterAgg{tel: opts.Telemetry},
 		events: make(chan coordEvent, 64),
 	}
-	plan, err := planOf(spec.Assign)
-	if err != nil {
-		return nil, err
-	}
 	cfg := engine.SupervisorConfig{
-		Plan:             plan,
-		Workers:          spec.Workers,
+		Plan:             spec.Plan(),
+		Workers:          spec.Workers[:workers],
 		KeyGroups:        spec.KeyGroups,
 		SnapshotInterval: spec.SnapshotInterval,
 		Transport:        engine.TransportNetwork,
+		OnRescale:        opts.RescaleAssign,
 		Emit:             co.trace,
 		Logf:             opts.Logf,
 		Now:              opts.Now,
 	}
 	for _, a := range spec.Assign {
-		cfg.Tasks = append(cfg.Tasks, dataflow.TaskID{Op: dataflow.OperatorID(a.Task.Op), Index: a.Task.Index})
+		cfg.Tasks = append(cfg.Tasks, a.Task)
 	}
-	// The hooks keep their caller-facing shapes; conversion to and from the
-	// supervisor's plans happens here, at the executor edge.
 	if opts.Replan != nil {
 		cfg.OnFault = func(ev engine.FailureEvent) (*dataflow.Plan, error) {
 			if ev.Kind != engine.FaultKillWorker {
 				return nil, nil // nobody died: restart in place
 			}
-			next, err := opts.Replan(ev.DeadWorkers, ev.Attempt+1)
-			if err != nil {
-				return nil, err
-			}
-			return co.hookPlan(next)
+			return opts.Replan(ev.DeadWorkers, ev.Attempt+1)
 		}
 	}
-	if opts.RescaleAssign != nil {
-		cfg.OnRescale = func(ev engine.RescaleEvent, _ *dataflow.Plan) (*dataflow.Plan, error) {
-			next, err := opts.RescaleAssign(ev, co.assign)
-			if err != nil {
-				return nil, err
-			}
-			return co.hookPlan(next)
-		}
-	}
+	var err error
 	if co.sup, err = engine.NewSupervisor(cfg); err != nil {
 		return nil, err
 	}
@@ -425,18 +386,6 @@ func NewCoordinator(listen string, spec DeploySpec, workers int, opts Coordinato
 		return nil, err
 	}
 	return co, nil
-}
-
-// hookPlan converts a hook's answer for the supervisor. The spec may list
-// more workers than processes joined; only the coordinator knows that a
-// task sent to one of those would never be deployed.
-func (co *Coordinator) hookPlan(next []TaskAssignment) (*dataflow.Plan, error) {
-	for _, a := range next {
-		if a.Worker >= co.n {
-			return nil, fmt.Errorf("%w: task %v on worker %d, but only %d workers joined", engine.ErrInvalidPlan, a.Task, a.Worker, co.n)
-		}
-	}
-	return planOf(next)
 }
 
 // ScheduleRescale queues a live parallelism change; it triggers at the first
@@ -614,14 +563,10 @@ type remoteExecutor struct{ co *Coordinator }
 // SetParallelism records the new parallelism as a deploy-spec override, so
 // every later DEPLOY makes the workers derive the rescaled topology.
 func (x remoteExecutor) SetParallelism(op dataflow.OperatorID, parallelism int) error {
-	over := x.co.spec.Rescaled
-	for i := range over {
-		if over[i].Op == string(op) {
-			over[i].Parallelism = parallelism
-			return nil
-		}
+	if x.co.spec.Rescaled == nil {
+		x.co.spec.Rescaled = make(map[dataflow.OperatorID]int)
 	}
-	x.co.spec.Rescaled = append(over, OpParallelism{Op: string(op), Parallelism: parallelism})
+	x.co.spec.Rescaled[op] = parallelism
 	return nil
 }
 
@@ -630,11 +575,6 @@ func (x remoteExecutor) SetParallelism(op dataflow.OperatorID, parallelism int) 
 func (x remoteExecutor) RunAttempt(ctx context.Context, at engine.AttemptSpec) (engine.AttemptEnd, error) {
 	co := x.co
 	co.curAttempt.Store(int64(at.No))
-	assign, err := assignmentsOf(at.Tasks, at.Plan)
-	if err != nil {
-		return engine.AttemptEnd{}, err
-	}
-	co.assign = assign
 	a := &distAttempt{co: co, at: at, alive: make(map[int]bool, co.n)}
 	for w := 0; w < co.n; w++ {
 		a.alive[w] = true
@@ -660,19 +600,19 @@ type distAttempt struct {
 // reports DONE, or a fault or a due rescale ends the attempt early.
 func (a *distAttempt) run(ctx context.Context) (engine.AttemptEnd, error) {
 	co, no := a.co, a.at.No
-	taskWorker := make(map[engine.WireTaskID]int, len(co.assign))
-	for _, as := range co.assign {
-		taskWorker[as.Task] = as.Worker
+	assign, err := assignmentsOf(a.at.Tasks, a.at.Plan)
+	if err != nil {
+		return engine.AttemptEnd{}, err
 	}
 	restoreSnaps := co.sup.EpochSnapshots(a.at.RestoreEpoch)
 	for w := range a.alive {
 		d := co.spec
-		d.Assign = co.assign
+		d.Assign = assign
 		d.Attempt = no
 		d.Local = w
 		d.RestoreEpoch = a.at.RestoreEpoch
 		for _, s := range restoreSnaps {
-			if taskWorker[s.Task] == w {
+			if a.at.Plan.MustWorker(s.Task) == w {
 				d.Snapshots = append(d.Snapshots, s)
 			}
 		}
@@ -724,7 +664,7 @@ func (a *distAttempt) run(ctx context.Context) (engine.AttemptEnd, error) {
 			}
 		case engine.FrameSnapshot:
 			var s wireSnap
-			if err := engine.DecodePayload(ev.frame.Payload, &s); err != nil || s.Attempt != no {
+			if err := engine.DecodePayload(ev.frame.Payload, &s); err != nil || s.Attempt != no || s.Snap == nil {
 				continue
 			}
 			done, drain := co.sup.RecordSnapshot(s.Snap)
@@ -868,7 +808,7 @@ func (a *distAttempt) abort(ctx context.Context) (engine.AttemptEnd, error) {
 			case engine.FrameSnapshot:
 				// Snapshots raced the abort; they are still valid state.
 				var s wireSnap
-				if err := engine.DecodePayload(ev.frame.Payload, &s); err == nil && s.Attempt == no {
+				if err := engine.DecodePayload(ev.frame.Payload, &s); err == nil && s.Attempt == no && s.Snap != nil {
 					co.sup.RecordSnapshot(s.Snap)
 				}
 			}
@@ -909,7 +849,7 @@ func (c *coordClient) EpochStarted(epoch int64) {
 	c.w.send(engine.FrameEpochStart, wireEpoch{Attempt: c.attempt, Epoch: epoch})
 }
 
-func (c *coordClient) TaskSnapshot(s engine.WireSnapshot) {
+func (c *coordClient) TaskSnapshot(s *engine.TaskSnapshot) {
 	c.w.send(engine.FrameSnapshot, wireSnap{Attempt: c.attempt, Snap: s})
 }
 

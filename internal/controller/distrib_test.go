@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -14,7 +16,9 @@ import (
 	"capsys/internal/cluster"
 	"capsys/internal/dataflow"
 	"capsys/internal/engine"
+	"capsys/internal/metrics"
 	"capsys/internal/nexmark"
+	"capsys/internal/telemetry"
 )
 
 // distFixture holds everything shared between the in-memory reference run
@@ -75,9 +79,26 @@ func newDistFixture(t *testing.T, query string) *distFixture {
 	}
 }
 
-// referenceResult runs the same job in-process on the batched transport —
-// the golden the distributed cluster must reproduce.
-func (f *distFixture) referenceResult(t *testing.T) *engine.JobResult {
+// deployOn returns the fixture's deploy spec re-placed round-robin over the
+// first n workers with the given slots each — a plan a cluster of n joined
+// processes can actually run. The spec keeps listing every worker: the
+// coordinator must hold plans to the ones that joined.
+func (f *distFixture) deployOn(n, slots int) DeploySpec {
+	d := f.deploy
+	d.Workers = append([]engine.WorkerSpec(nil), f.deploy.Workers...)
+	for i := range d.Workers {
+		d.Workers[i].Slots = slots
+	}
+	d.Assign = append([]TaskAssignment(nil), f.deploy.Assign...)
+	for i := range d.Assign {
+		d.Assign[i].Worker = i % n
+	}
+	return d
+}
+
+// referenceResult runs the same job in-process on the given transport —
+// batched is the golden the distributed cluster must reproduce.
+func (f *distFixture) referenceResult(t *testing.T, transport string) *engine.JobResult {
 	t.Helper()
 	binding, err := nexmark.BindEngine(f.spec, distSeed)
 	if err != nil {
@@ -86,7 +107,7 @@ func (f *distFixture) referenceResult(t *testing.T) *engine.JobResult {
 	job, err := engine.NewJob(f.spec.Graph, f.plan, f.espec, binding.Factories, engine.JobOptions{
 		RecordsPerSource: distRecords,
 		SnapshotInterval: distSnapshot,
-		Transport:        engine.TransportBatched,
+		Transport:        transport,
 		Stateful:         binding.Stateful,
 		PerRecordCPU:     binding.PerRecordCPU,
 	})
@@ -152,7 +173,7 @@ func TestDistClusterMatchesInMemory(t *testing.T) {
 	for _, query := range []string{"Q3-inf", "Q2-join"} {
 		t.Run(query, func(t *testing.T) {
 			fx := newDistFixture(t, query)
-			want := fx.referenceResult(t)
+			want := fx.referenceResult(t, engine.TransportBatched)
 
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
@@ -197,6 +218,26 @@ func TestDistClusterMatchesInMemory(t *testing.T) {
 			if snap["net.credit_frames"] <= 0 {
 				t.Errorf("net.credit_frames = %v, want > 0 (wire flow control must engage)", snap["net.credit_frames"])
 			}
+			// The coordinator assembles its result from named snapshots in
+			// worker reports, the in-process network run from its one
+			// attempt's: both must export the same exchange.* and net.* series
+			// and have flushed the same records through the exchange.
+			local := fx.referenceResult(t, engine.TransportNetwork).Metrics.Snapshot()
+			series := func(snap map[string]float64) (names []string) {
+				for n := range snap {
+					if strings.HasPrefix(n, "net.") || strings.HasPrefix(n, "exchange.") {
+						names = append(names, n)
+					}
+				}
+				sort.Strings(names)
+				return names
+			}
+			if got, want := series(snap), series(local); !reflect.DeepEqual(got, want) {
+				t.Errorf("coordinator run exports %v,\nin-process network run %v", got, want)
+			}
+			if got, want := snap["exchange.batch_records"], local["exchange.batch_records"]; got != want || got <= 0 {
+				t.Errorf("exchange.batch_records = %v, in-process network run = %v", got, want)
+			}
 		})
 	}
 }
@@ -207,7 +248,7 @@ func TestDistClusterMatchesInMemory(t *testing.T) {
 // land on the in-memory sink outcome.
 func TestDistClusterKillRecovery(t *testing.T) {
 	fx := newDistFixture(t, "Q3-inf")
-	want := fx.referenceResult(t)
+	want := fx.referenceResult(t, engine.TransportBatched)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -220,7 +261,7 @@ func TestDistClusterKillRecovery(t *testing.T) {
 		// its context watcher, but keep the heartbeat net tight anyway.
 		HeartbeatTimeout: 2 * time.Second,
 		StopTimeout:      30 * time.Second,
-		Replan: func(dead []int, attempt int) ([]TaskAssignment, error) {
+		Replan: func(dead []int, attempt int) (*dataflow.Plan, error) {
 			deadSet := make(map[int]bool, len(dead))
 			for _, w := range dead {
 				deadSet[w] = true
@@ -234,14 +275,14 @@ func TestDistClusterKillRecovery(t *testing.T) {
 			if len(survivors) == 0 {
 				return nil, fmt.Errorf("no survivors")
 			}
-			next := make([]TaskAssignment, len(fx.deploy.Assign))
-			copy(next, fx.deploy.Assign)
+			next := dataflow.NewPlanSized(len(fx.deploy.Assign))
 			moved := 0
-			for i := range next {
-				if deadSet[next[i].Worker] {
-					next[i].Worker = survivors[moved%len(survivors)]
+			for _, a := range fx.deploy.Assign {
+				if deadSet[a.Worker] {
+					a.Worker = survivors[moved%len(survivors)]
 					moved++
 				}
+				next.Assign(a.Task, a.Worker)
 			}
 			return next, nil
 		},
@@ -390,7 +431,7 @@ func (f *fakeDistWorker) expectDeployReady(attempt int) {
 // than log an advisory line and leave the job hung forever.
 func TestDistPeerDownRestartsAttempt(t *testing.T) {
 	fx := newDistFixture(t, "Q3-inf")
-	co, err := NewCoordinator("127.0.0.1:0", fx.deploy, 2, CoordinatorOptions{
+	co, err := NewCoordinator("127.0.0.1:0", fx.deployOn(2, len(fx.deploy.Assign)), 2, CoordinatorOptions{
 		HeartbeatTimeout: 30 * time.Second,
 		StopTimeout:      10 * time.Second,
 	})
@@ -473,24 +514,19 @@ func TestDistPeerDownEscalatesAfterBudget(t *testing.T) {
 	fx := newDistFixture(t, "Q3-inf")
 	// The Replan below packs every task onto the one survivor, so that worker
 	// needs the slots for it: re-placements are capacity-checked.
-	fx.deploy.Workers = append([]engine.WorkerSpec(nil), fx.deploy.Workers...)
-	for i := range fx.deploy.Workers {
-		fx.deploy.Workers[i].Slots = len(fx.deploy.Assign)
-	}
+	deploy := fx.deployOn(2, len(fx.deploy.Assign))
 	var replanMu sync.Mutex
 	var replanDead []int
-	co, err := NewCoordinator("127.0.0.1:0", fx.deploy, 2, CoordinatorOptions{
+	co, err := NewCoordinator("127.0.0.1:0", deploy, 2, CoordinatorOptions{
 		HeartbeatTimeout: 30 * time.Second,
 		StopTimeout:      10 * time.Second,
-		Replan: func(dead []int, attempt int) ([]TaskAssignment, error) {
+		Replan: func(dead []int, attempt int) (*dataflow.Plan, error) {
 			replanMu.Lock()
 			replanDead = append([]int(nil), dead...)
 			replanMu.Unlock()
-			survivor := 1 - dead[0] // two-process cluster
-			next := make([]TaskAssignment, len(fx.deploy.Assign))
-			copy(next, fx.deploy.Assign)
-			for i := range next {
-				next[i].Worker = survivor
+			next := dataflow.NewPlan()
+			for _, a := range deploy.Assign {
+				next.Assign(a.Task, 1-dead[0]) // two-process cluster
 			}
 			return next, nil
 		},
@@ -555,6 +591,107 @@ func TestDistPeerDownEscalatesAfterBudget(t *testing.T) {
 	}
 }
 
+// TestWirePayloadRoundTrip pins that every control-plane payload carrying
+// engine types survives gob unchanged: the frames speak dataflow.TaskID,
+// engine.TaskSnapshot, engine.TaskStats and named metric snapshots directly,
+// with no wire-only mirror in between to drift.
+func TestWirePayloadRoundTrip(t *testing.T) {
+	win0, win1 := dataflow.TaskID{Op: "win", Index: 0}, dataflow.TaskID{Op: "win", Index: 1}
+	snap := &engine.TaskSnapshot{
+		Task: win1, Epoch: 3, RecordsIn: 300, RecordsOut: 120, BytesOut: 9600, SrcOffset: 7,
+		RR: []int{2, 0}, OpState: []byte("op"), NSState: []byte(`{"groups":[{"g":1}]}`),
+	}
+	wait, err := telemetry.NewHistogram(telemetry.DefaultLatencyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait.Observe(0.002)
+	wait.Observe(0.040)
+	payloads := []any{
+		&DeploySpec{
+			Query: "Q1-sliding", Seed: 5, RecordsPerSource: 800, SnapshotInterval: 100, KeyGroups: 128,
+			Workers:  []engine.WorkerSpec{{ID: "w0", Slots: 4, Cores: 2, IOBps: 1e6, NetBps: 1e9}},
+			Assign:   []TaskAssignment{{Task: win0, Worker: 0}, {Task: win1, Worker: 1}},
+			Rescaled: map[dataflow.OperatorID]int{"win": 6},
+			Attempt:  2, Local: 1, RestoreEpoch: 3,
+			Snapshots: []*engine.TaskSnapshot{snap},
+		},
+		&wireSnap{Attempt: 2, Snap: snap},
+		&wireReport{Report: &engine.WorkerReport{
+			Worker: 1, Attempt: 2, Completed: true, Lost: 4,
+			Tasks: map[dataflow.TaskID]engine.TaskStats{
+				win1: {Worker: 1, RecordsIn: 300, RecordsOut: 120, BytesOut: 9600,
+					BusyTime: 3 * time.Millisecond, BackpressureT: time.Millisecond, Sink: true, Dead: true},
+			},
+			Metrics: metrics.TypedValues{
+				Counters: map[string]int64{"net.frames_sent": 40, "exchange.batches": 12},
+				Times:    map[string]time.Duration{"exchange.credit_stall_seconds": 5 * time.Millisecond},
+			},
+			Hists: map[string]telemetry.HistogramSnapshot{"net.credit_wait_seconds": wait.Snapshot()},
+		}},
+		&wireHeartbeat{Stats: &wireStats{
+			TypedValues: metrics.TypedValues{
+				Counters: map[string]int64{"net.frames_sent": 3},
+				Gauges:   map[string]float64{"queue.depth": 4},
+				Times:    map[string]time.Duration{"exchange.credit_stall_seconds": time.Millisecond},
+			},
+			FnGauges: []telemetry.GaugeSample{{Family: "worker_saturation", Labels: map[string]string{"resource": "cpu"}, Value: 0.25}},
+			Hists:    map[string]telemetry.HistogramSnapshot{"net.credit_wait_seconds": wait.Snapshot()},
+		}},
+	}
+	for _, in := range payloads {
+		buf, err := engine.EncodePayload(in)
+		if err != nil {
+			t.Fatalf("%T: %v", in, err)
+		}
+		out := reflect.New(reflect.TypeOf(in).Elem()).Interface()
+		if err := engine.DecodePayload(buf, out); err != nil {
+			t.Fatalf("%T: %v", in, err)
+		}
+		if !reflect.DeepEqual(in, out) {
+			t.Errorf("%T changed in transit:\n sent %+v\n got  %+v", in, in, out)
+		}
+	}
+}
+
+// TestDistJoinVersionGate: report and restore payloads changed shape between
+// protocol 3 and 4, so a worker from the other side of that line must be
+// turned away at the handshake — not welcomed and then fed frames it would
+// misdecode. The coordinator drops it and keeps waiting for a real worker.
+func TestDistJoinVersionGate(t *testing.T) {
+	fx := newDistFixture(t, "Q3-inf")
+	co, err := NewCoordinator("127.0.0.1:0", fx.deployOn(1, len(fx.deploy.Assign)), 1, CoordinatorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Shutdown()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	joined := make(chan error, 1)
+	go func() { joined <- co.WaitJoined(ctx) }()
+	for _, tc := range []struct {
+		proto   int
+		welcome bool
+	}{{distProtoVersion - 1, false}, {distProtoVersion + 1, false}, {distProtoVersion, true}} {
+		c, err := net.DialTimeout("tcp", co.Addr(), 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := (&connWriter{c: c}).send(engine.FrameHello, wireJoin{Proto: tc.proto}); err != nil {
+			t.Fatal(err)
+		}
+		c.SetReadDeadline(time.Now().Add(10 * time.Second))
+		f, err := engine.ReadFrame(c)
+		if welcomed := err == nil && f.Type == engine.FrameWelcome; welcomed != tc.welcome {
+			t.Errorf("proto %d against %d: welcomed = %v (read error %v), want %v", tc.proto, distProtoVersion, welcomed, err, tc.welcome)
+		}
+	}
+	if err := <-joined; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestConnWriterClassifiesEncodeErrors pins the error taxonomy recovery
 // depends on: a local encode failure (oversized or unencodable body) must
 // be distinguishable from a connection error, or the coordinator would
@@ -587,7 +724,7 @@ func TestDistClusterRescaleLive(t *testing.T) {
 	for _, to := range []int{10, 5} {
 		t.Run(fmt.Sprintf("slide-win 8→%d", to), func(t *testing.T) {
 			fx := newDistFixture(t, "Q1-sliding")
-			want := fx.referenceResult(t)
+			want := fx.referenceResult(t, engine.TransportBatched)
 
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
@@ -685,52 +822,64 @@ func TestDistValidation(t *testing.T) {
 		t.Error("Run before WaitJoined accepted")
 	}
 
+	// The initial assignment is held to the processes that will join, not to
+	// the spec's worker list: fx.deploy places tasks on all three workers.
+	for name, bad := range map[string]DeploySpec{
+		"task on a worker that will not join": fx.deploy,
+		"task assigned twice": func() DeploySpec {
+			d := fx.deployOn(2, len(fx.deploy.Assign))
+			d.Assign = append(d.Assign, d.Assign[0])
+			return d
+		}(),
+	} {
+		if _, err := NewCoordinator("127.0.0.1:0", bad, 2, CoordinatorOptions{}); !errors.Is(err, engine.ErrInvalidPlan) {
+			t.Errorf("initial assignment with a %s: error = %v, want engine.ErrInvalidPlan", name, err)
+		}
+	}
+
 	// Re-placements go through the supervisor's one plan validator. Each row
 	// kills fake worker 1 of a two-worker cluster and has Replan answer with
-	// the row's assignments: a bad answer must fail the run with a plan error
-	// while the surviving worker stays alive — never be deployed, bounced by
-	// the workers, and "recovered" as a death until the cluster is gone.
-	all := func(w int) []TaskAssignment {
-		next := append([]TaskAssignment(nil), fx.deploy.Assign...)
-		for i := range next {
-			next[i].Worker = w
+	// the row's plan: a bad answer must fail the run with a plan error while
+	// the surviving worker stays alive — never be deployed, bounced by the
+	// workers, and "recovered" as a death until the cluster is gone.
+	tight := fx.deployOn(2, fx.deploy.Workers[0].Slots)
+	roomy := fx.deployOn(2, len(fx.deploy.Assign))
+	all := func(w int) *dataflow.Plan {
+		next := dataflow.NewPlan()
+		for _, a := range fx.deploy.Assign {
+			next.Assign(a.Task, w)
 		}
 		return next
-	}
-	roomy := fx.deploy
-	roomy.Workers = append([]engine.WorkerSpec(nil), fx.deploy.Workers...)
-	for i := range roomy.Workers {
-		roomy.Workers[i].Slots = len(fx.deploy.Assign)
 	}
 	cases := []struct {
 		name   string
 		deploy DeploySpec
-		next   func(survivor int) []TaskAssignment
-		ok     bool
+		next   func(survivor int) *dataflow.Plan // nil: no Replan hook at all
+		want   error
 	}{
-		{"dropped task", roomy, func(s int) []TaskAssignment { return all(s)[1:] }, false},
-		{"invented task", roomy, func(s int) []TaskAssignment {
-			return append(all(s), TaskAssignment{Task: engine.WireTaskID{Op: "ghost", Index: 0}, Worker: s})
-		}, false},
-		{"duplicate task", roomy, func(s int) []TaskAssignment { return append(all(s)[1:], all(s)[1]) }, false},
-		{"dead worker", roomy, func(s int) []TaskAssignment { return all(1 - s) }, false},
-		{"overloaded worker", fx.deploy, all, false},
-		{"valid", roomy, all, true},
+		{"dropped task", roomy, func(s int) *dataflow.Plan {
+			next := dataflow.NewPlan()
+			for _, a := range fx.deploy.Assign[1:] {
+				next.Assign(a.Task, s)
+			}
+			return next
+		}, engine.ErrInvalidPlan},
+		{"invented task", roomy, func(s int) *dataflow.Plan {
+			next := all(s)
+			next.Assign(dataflow.TaskID{Op: "ghost", Index: 0}, s)
+			return next
+		}, engine.ErrInvalidPlan},
+		{"dead worker", roomy, func(s int) *dataflow.Plan { return all(1 - s) }, engine.ErrInvalidPlan},
+		{"worker that never joined", roomy, func(int) *dataflow.Plan { return all(2) }, engine.ErrInvalidPlan},
+		{"overloaded worker", tight, all, engine.ErrInvalidPlan},
+		{"no hook", roomy, nil, engine.ErrNoReplacementHook},
+		{"valid", roomy, all, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			err := runWithReplan(t, tc.deploy, tc.next)
-			if tc.ok {
-				if err != nil {
-					t.Fatalf("valid re-placement rejected: %v", err)
-				}
-				return
-			}
-			if err == nil {
-				t.Fatal("accepted")
-			}
-			if tc.name != "duplicate task" && !errors.Is(err, engine.ErrInvalidPlan) {
-				t.Errorf("error = %v, want engine.ErrInvalidPlan", err)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("error = %v, want %v", err, tc.want)
 			}
 			if tc.name == "overloaded worker" && !strings.Contains(err.Error(), "overloaded") {
 				t.Errorf("error = %v, want the overloaded worker and its counts named", err)
@@ -740,17 +889,18 @@ func TestDistValidation(t *testing.T) {
 }
 
 // runWithReplan runs a two-fake-worker cluster whose worker 1 dies right
-// after START and whose Replan answers next(survivor). It returns Run's
-// error and fails the test if the survivor was declared dead.
-func runWithReplan(t *testing.T, deploy DeploySpec, next func(survivor int) []TaskAssignment) error {
+// after START and whose Replan answers next(survivor) (no Replan hook when
+// next is nil). It returns Run's error and fails the test if the survivor
+// was declared dead.
+func runWithReplan(t *testing.T, deploy DeploySpec, next func(survivor int) *dataflow.Plan) error {
 	t.Helper()
-	co, err := NewCoordinator("127.0.0.1:0", deploy, 2, CoordinatorOptions{
-		HeartbeatTimeout: 30 * time.Second,
-		StopTimeout:      10 * time.Second,
-		Replan: func(dead []int, attempt int) ([]TaskAssignment, error) {
+	opts := CoordinatorOptions{HeartbeatTimeout: 30 * time.Second, StopTimeout: 10 * time.Second}
+	if next != nil {
+		opts.Replan = func(dead []int, attempt int) (*dataflow.Plan, error) {
 			return next(1 - dead[0]), nil
-		},
-	})
+		}
+	}
+	co, err := NewCoordinator("127.0.0.1:0", deploy, 2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,21 +18,25 @@ type Snapshotter interface {
 	RestoreState([]byte) error
 }
 
-// taskSnapshot is one task's contribution to a checkpoint epoch. Besides
+// TaskSnapshot is one task's contribution to a checkpoint epoch. Besides
 // operator state it captures the task's progress counters and per-edge
 // round-robin positions: restoring those makes the *final* job counters
 // invariant to which epoch the restore happens from (the counters count the
 // whole stream exactly once, and rebalanced routing resumes mid-cycle
-// instead of resetting).
-type taskSnapshot struct {
-	epoch      int64
-	recordsIn  int64
-	recordsOut int64
-	bytesOut   int64
-	srcOffset  int64  // next record index for source tasks
-	rr         []int  // round-robin position per out-edge
-	opState    []byte // Snapshotter image, nil if the operator has none
-	nsState    []byte // statebackend namespace image, nil if stateless
+// instead of resetting). The same value crosses the control plane of a
+// distributed run — workers ship snapshots to the coordinator as they are
+// taken and receive the restore set back with a redeploy — so every field is
+// exported for gob.
+type TaskSnapshot struct {
+	Task       dataflow.TaskID
+	Epoch      int64
+	RecordsIn  int64
+	RecordsOut int64
+	BytesOut   int64
+	SrcOffset  int64  // next record index for source tasks
+	RR         []int  // round-robin position per out-edge
+	OpState    []byte // Snapshotter image, nil if the operator has none
+	NSState    []byte // statebackend namespace image, nil if stateless
 }
 
 // coordinator is the attempt's view of checkpoint coordination. In-process
@@ -41,9 +45,9 @@ type taskSnapshot struct {
 // serves restores from the deploy-shipped snapshot set (see distrun.go).
 type coordinator interface {
 	noteStarted(epoch int64) bool
-	record(t dataflow.TaskID, s *taskSnapshot) int64
+	record(s *TaskSnapshot) int64
 	lastCompleteEpoch() int64
-	snapshotFor(t dataflow.TaskID, epoch int64) *taskSnapshot
+	snapshotFor(t dataflow.TaskID, epoch int64) *TaskSnapshot
 	snapshotsTaken() int64
 }
 
@@ -56,7 +60,7 @@ type coordinator interface {
 type checkpointCoordinator struct {
 	mu           sync.Mutex
 	numTasks     int                                         // guarded by mu; changes only in repartition
-	snaps        map[dataflow.TaskID]map[int64]*taskSnapshot // guarded by mu
+	snaps        map[dataflow.TaskID]map[int64]*TaskSnapshot // guarded by mu
 	lastComplete int64                                       // guarded by mu
 	taken        int64                                       // guarded by mu
 	started      map[int64]bool                              // guarded by mu
@@ -65,7 +69,7 @@ type checkpointCoordinator struct {
 func newCheckpointCoordinator(numTasks int) *checkpointCoordinator {
 	return &checkpointCoordinator{
 		numTasks: numTasks,
-		snaps:    make(map[dataflow.TaskID]map[int64]*taskSnapshot),
+		snaps:    make(map[dataflow.TaskID]map[int64]*TaskSnapshot),
 		started:  make(map[int64]bool),
 	}
 }
@@ -87,26 +91,26 @@ func (c *checkpointCoordinator) noteStarted(epoch int64) bool {
 // one task's snapshot and advances the globally complete epoch when every
 // task has reported it. It returns the newly completed epoch, or 0 when this
 // snapshot did not complete one.
-func (c *checkpointCoordinator) record(t dataflow.TaskID, s *taskSnapshot) int64 {
+func (c *checkpointCoordinator) record(s *TaskSnapshot) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	byEpoch := c.snaps[t]
+	byEpoch := c.snaps[s.Task]
 	if byEpoch == nil {
-		byEpoch = make(map[int64]*taskSnapshot)
-		c.snaps[t] = byEpoch
+		byEpoch = make(map[int64]*TaskSnapshot)
+		c.snaps[s.Task] = byEpoch
 	}
-	if _, replay := byEpoch[s.epoch]; !replay {
+	if _, replay := byEpoch[s.Epoch]; !replay {
 		c.taken++
 	}
-	byEpoch[s.epoch] = s
+	byEpoch[s.Epoch] = s
 	count := 0
 	for _, m := range c.snaps {
-		if _, ok := m[s.epoch]; ok {
+		if _, ok := m[s.Epoch]; ok {
 			count++
 		}
 	}
-	if count == c.numTasks && s.epoch > c.lastComplete {
-		c.lastComplete = s.epoch
+	if count == c.numTasks && s.Epoch > c.lastComplete {
+		c.lastComplete = s.Epoch
 		for _, m := range c.snaps {
 			for e := range m {
 				if e < c.lastComplete {
@@ -114,7 +118,7 @@ func (c *checkpointCoordinator) record(t dataflow.TaskID, s *taskSnapshot) int64
 				}
 			}
 		}
-		return s.epoch
+		return s.Epoch
 	}
 	return 0
 }
@@ -128,7 +132,7 @@ func (c *checkpointCoordinator) record(t dataflow.TaskID, s *taskSnapshot) int64
 // completion quorum becomes the new task count. It returns the stored state
 // bytes whose owning task changed. No task may be running.
 func (c *checkpointCoordinator) repartition(op dataflow.OperatorID, oldP, newP, keyGroups int, epoch int64) (int64, error) {
-	old := make([]*taskSnapshot, oldP)
+	old := make([]*TaskSnapshot, oldP)
 	for i := range old {
 		old[i] = c.snapshotFor(dataflow.TaskID{Op: op, Index: i}, epoch)
 	}
@@ -149,11 +153,11 @@ func (c *checkpointCoordinator) repartition(op dataflow.OperatorID, oldP, newP, 
 		delete(c.snaps, dataflow.TaskID{Op: op, Index: i})
 	}
 	for i, s := range repartitioned {
-		t := dataflow.TaskID{Op: op, Index: i}
-		if c.snaps[t] == nil {
-			c.snaps[t] = make(map[int64]*taskSnapshot)
+		s.Task = dataflow.TaskID{Op: op, Index: i}
+		if c.snaps[s.Task] == nil {
+			c.snaps[s.Task] = make(map[int64]*TaskSnapshot)
 		}
-		c.snaps[t][epoch] = s
+		c.snaps[s.Task][epoch] = s
 	}
 	c.numTasks += newP - oldP
 	if epoch > c.lastComplete {
@@ -172,7 +176,7 @@ func (c *checkpointCoordinator) lastCompleteEpoch() int64 {
 
 // snapshotFor returns task t's snapshot at exactly the given epoch, or nil.
 // Epoch 0 is the empty initial state and always returns nil.
-func (c *checkpointCoordinator) snapshotFor(t dataflow.TaskID, epoch int64) *taskSnapshot {
+func (c *checkpointCoordinator) snapshotFor(t dataflow.TaskID, epoch int64) *TaskSnapshot {
 	if epoch <= 0 {
 		return nil
 	}

@@ -3,11 +3,11 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"capsys/internal/dataflow"
+	"capsys/internal/metrics"
 	"capsys/internal/telemetry"
 )
 
@@ -15,76 +15,9 @@ import (
 // controller process (see internal/controller) deploys one Job per worker
 // process, runs exactly that worker's tasks as an attempt over the network
 // transport, and collects snapshots and final reports over the control
-// plane. The types here are wire-safe mirrors of the engine's internal
-// state (taskSnapshot has unexported fields; WireSnapshot crosses gob).
-
-// WireTaskID is a task identity in wire-safe form.
-type WireTaskID struct {
-	Op    string
-	Index int
-}
-
-func (w WireTaskID) String() string { return fmt.Sprintf("%s[%d]", w.Op, w.Index) }
-
-// less is the canonical task order: by operator, then index.
-func (w WireTaskID) less(o WireTaskID) bool {
-	if w.Op != o.Op {
-		return w.Op < o.Op
-	}
-	return w.Index < o.Index
-}
-
-func (w WireTaskID) taskID() dataflow.TaskID {
-	return dataflow.TaskID{Op: dataflow.OperatorID(w.Op), Index: w.Index}
-}
-
-func wireTaskOf(t dataflow.TaskID) WireTaskID {
-	return WireTaskID{Op: string(t.Op), Index: t.Index}
-}
-
-// WireSnapshot is one task's checkpoint contribution in wire-safe form.
-// Workers ship these to the coordinator as they are taken — the
-// coordinator's Supervisor holds them as durable remote checkpoint storage, so
-// snapshots survive worker loss — and receive back the restore set for a
-// redeploy.
-type WireSnapshot struct {
-	Task       WireTaskID
-	Epoch      int64
-	RecordsIn  int64
-	RecordsOut int64
-	BytesOut   int64
-	SrcOffset  int64
-	RR         []int
-	OpState    []byte
-	NSState    []byte
-}
-
-func snapshotToWire(t dataflow.TaskID, s *taskSnapshot) WireSnapshot {
-	return WireSnapshot{
-		Task:       wireTaskOf(t),
-		Epoch:      s.epoch,
-		RecordsIn:  s.recordsIn,
-		RecordsOut: s.recordsOut,
-		BytesOut:   s.bytesOut,
-		SrcOffset:  s.srcOffset,
-		RR:         s.rr,
-		OpState:    s.opState,
-		NSState:    s.nsState,
-	}
-}
-
-func wireToSnapshot(w WireSnapshot) (dataflow.TaskID, *taskSnapshot) {
-	return w.Task.taskID(), &taskSnapshot{
-		epoch:      w.Epoch,
-		recordsIn:  w.RecordsIn,
-		recordsOut: w.RecordsOut,
-		bytesOut:   w.BytesOut,
-		srcOffset:  w.SrcOffset,
-		rr:         w.RR,
-		opState:    w.OpState,
-		nsState:    w.NSState,
-	}
-}
+// plane. What crosses that plane is the engine's own vocabulary —
+// dataflow.TaskID, TaskSnapshot, TaskStats, metrics.TypedValues — all of it
+// gob-safe as declared.
 
 // CoordClient is the worker's view of the coordinator's checkpoint
 // surface. The controller package implements it over control-plane frames.
@@ -92,8 +25,10 @@ type CoordClient interface {
 	// EpochStarted reports the first barrier injection of an epoch by a
 	// local source task.
 	EpochStarted(epoch int64)
-	// TaskSnapshot ships one task's checkpoint contribution.
-	TaskSnapshot(s WireSnapshot)
+	// TaskSnapshot ships one task's checkpoint contribution. The
+	// coordinator's Supervisor holds it as durable remote checkpoint
+	// storage, so snapshots survive worker loss.
+	TaskSnapshot(s *TaskSnapshot)
 }
 
 // WorkerNetConfig configures a worker-local attempt of a distributed run.
@@ -110,7 +45,7 @@ type WorkerNetConfig struct {
 	// Snapshots must hold every task's snapshot at RestoreEpoch (the
 	// coordinator filters to the tasks placed on this worker).
 	RestoreEpoch int64
-	Snapshots    []WireSnapshot
+	Snapshots    []*TaskSnapshot
 	// Coord receives epoch starts and snapshots (nil drops them — only
 	// sensible when SnapshotInterval is 0).
 	Coord CoordClient
@@ -125,7 +60,7 @@ type WorkerNetConfig struct {
 type remoteCoordinator struct {
 	client       CoordClient
 	restoreEpoch int64
-	snaps        map[dataflow.TaskID]*taskSnapshot
+	snaps        map[dataflow.TaskID]*TaskSnapshot
 
 	mu      sync.Mutex
 	started map[int64]bool
@@ -135,12 +70,11 @@ func newRemoteCoordinator(cfg WorkerNetConfig) *remoteCoordinator {
 	rc := &remoteCoordinator{
 		client:       cfg.Coord,
 		restoreEpoch: cfg.RestoreEpoch,
-		snaps:        make(map[dataflow.TaskID]*taskSnapshot, len(cfg.Snapshots)),
+		snaps:        make(map[dataflow.TaskID]*TaskSnapshot, len(cfg.Snapshots)),
 		started:      make(map[int64]bool),
 	}
-	for _, w := range cfg.Snapshots {
-		t, s := wireToSnapshot(w)
-		rc.snaps[t] = s
+	for _, s := range cfg.Snapshots {
+		rc.snaps[s.Task] = s
 	}
 	return rc
 }
@@ -156,16 +90,16 @@ func (c *remoteCoordinator) noteStarted(epoch int64) bool {
 	return first
 }
 
-func (c *remoteCoordinator) record(t dataflow.TaskID, s *taskSnapshot) int64 {
+func (c *remoteCoordinator) record(s *TaskSnapshot) int64 {
 	if c.client != nil {
-		c.client.TaskSnapshot(snapshotToWire(t, s))
+		c.client.TaskSnapshot(s)
 	}
 	return 0 // epoch completion is global knowledge; only the coordinator has it
 }
 
 func (c *remoteCoordinator) lastCompleteEpoch() int64 { return c.restoreEpoch }
 
-func (c *remoteCoordinator) snapshotFor(t dataflow.TaskID, epoch int64) *taskSnapshot {
+func (c *remoteCoordinator) snapshotFor(t dataflow.TaskID, epoch int64) *TaskSnapshot {
 	if epoch <= 0 || epoch != c.restoreEpoch {
 		return nil
 	}
@@ -173,20 +107,6 @@ func (c *remoteCoordinator) snapshotFor(t dataflow.TaskID, epoch int64) *taskSna
 }
 
 func (c *remoteCoordinator) snapshotsTaken() int64 { return 0 }
-
-// WireTaskStats is one task's final counters in wire-safe form.
-type WireTaskStats struct {
-	Task                WireTaskID
-	Worker              int
-	RecordsIn           int64
-	RecordsOut          int64
-	BytesOut            int64
-	BusySeconds         float64
-	BackpressureSeconds float64
-	IsSink              bool
-	IsSource            bool
-	Dead                bool
-}
 
 // WorkerReport is one worker's contribution to a distributed JobResult,
 // sent over the control plane when its attempt finishes (or is aborted —
@@ -196,29 +116,19 @@ type WorkerReport struct {
 	Worker    int
 	Attempt   int
 	Completed bool
-	Tasks     []WireTaskStats
 	Lost      int64
-
-	Batches            int64
-	BatchRecords       int64
-	CreditStalls       int64
-	CreditStallSeconds float64
-
-	NetFramesSent       int64
-	NetFramesRecv       int64
-	NetBytesSent        int64
-	NetBytesRecv        int64
-	NetCreditFrames     int64
-	NetDataBatches      int64
-	NetUnexpectedFrames int64
-	NetDials            int64
-	NetReconnects       int64
-	NetEncodeErrors     int64
-	// NetCreditWait is this attempt's wire-credit wait distribution (how
-	// long senders blocked on mirror-gate credit) — mergeable across
-	// workers, so the assembled result can report a cluster-wide p99.
-	NetCreditWait    telemetry.HistogramSnapshot
-	SnapshotsShipped int64
+	// Tasks holds the local tasks' counters; the fields derived from the
+	// run's elapsed time (UsefulFraction, Observed*Rate) are assembleResult's
+	// to fill.
+	Tasks map[dataflow.TaskID]TaskStats
+	// Metrics is this attempt's share of every exchange.* and net.* series —
+	// the cell's value minus its value when the attempt was built — and
+	// Hists the same for the wire-credit wait distribution (mergeable across
+	// workers, so the assembled result can report a cluster-wide p99). Both
+	// are the generic form heartbeats already ship; assembleResult merges
+	// them by name.
+	Metrics metrics.TypedValues
+	Hists   map[string]telemetry.HistogramSnapshot
 }
 
 // WorkerRun is one in-flight worker-local attempt.
@@ -332,41 +242,35 @@ func (a *attempt) report(completed bool) *WorkerReport {
 		Attempt:   a.no,
 		Completed: completed,
 		Lost:      a.lost.Load(),
+		Tasks:     make(map[dataflow.TaskID]TaskStats, len(a.tasks)),
+		Metrics:   a.reg.TypedSnapshot(),
 	}
 	if a.dist != nil {
 		rep.Worker = a.dist.Local
 	}
 	for _, rt := range a.tasks {
-		rep.Tasks = append(rep.Tasks, WireTaskStats{
-			Task:                wireTaskOf(rt.id),
-			Worker:              rt.worker,
-			RecordsIn:           rt.recordsIn,
-			RecordsOut:          rt.recordsOut,
-			BytesOut:            rt.bytesOut,
-			BusySeconds:         rt.busy.Seconds(),
-			BackpressureSeconds: rt.bp.Seconds(),
-			IsSink:              rt.isSink,
-			IsSource:            rt.numIn == 0,
-			Dead:                rt.dead,
-		})
-		rep.Batches += rt.batches
-		rep.BatchRecords += rt.batchRecords
-		rep.CreditStalls += rt.creditStalls
-		rep.CreditStallSeconds += rt.creditStallT.Seconds()
+		rep.Tasks[rt.id] = TaskStats{
+			Worker:        rt.worker,
+			RecordsIn:     rt.recordsIn,
+			RecordsOut:    rt.recordsOut,
+			BytesOut:      rt.bytesOut,
+			BusyTime:      rt.busy,
+			BackpressureT: rt.bp,
+			Sink:          rt.isSink,
+			Source:        rt.numIn == 0,
+			Dead:          rt.dead,
+		}
 	}
-	sort.Slice(rep.Tasks, func(i, k int) bool { return rep.Tasks[i].Task.less(rep.Tasks[k].Task) })
-	if na := a.net; na != nil {
-		rep.NetFramesSent = na.framesSent.Load()
-		rep.NetFramesRecv = na.framesRecv.Load()
-		rep.NetBytesSent = na.bytesSent.Load()
-		rep.NetBytesRecv = na.bytesRecv.Load()
-		rep.NetCreditFrames = na.creditFrames.Load()
-		rep.NetDataBatches = na.dataBatches.Load()
-		rep.NetUnexpectedFrames = na.unexpectedFrames.Load()
-		rep.NetDials = na.dials.Load()
-		rep.NetReconnects = na.reconnects.Load()
-		rep.NetEncodeErrors = na.encodeErrors.Load()
-		rep.NetCreditWait = na.creditWaitSnapshot()
+	// The cells are process-cumulative when they live in a hub; the base
+	// taken at construction scopes them to this attempt.
+	for n := range rep.Metrics.Counters {
+		rep.Metrics.Counters[n] -= a.base.Counters[n]
+	}
+	for n := range rep.Metrics.Times {
+		rep.Metrics.Times[n] -= a.base.Times[n]
+	}
+	if a.net != nil {
+		rep.Hists = map[string]telemetry.HistogramSnapshot{creditWaitSeries: a.net.creditWaitSnapshot()}
 	}
 	return rep
 }

@@ -10,11 +10,13 @@ import (
 )
 
 // This file is the engine's data-plane exchange layer: how records move
-// between task inboxes. A Transport decides the wire discipline on every
+// between task inboxes. A transport decides the wire discipline on every
 // edge; the task loop (task.go) and the job lifecycle (runtime.go) are
 // transport-agnostic.
 //
-// Two disciplines exist:
+// Two disciplines exist, under three names — "network" is the batched
+// discipline with cross-worker targets shipped as TCP frames
+// (netexchange.go):
 //
 //   - unary: one message per record, blocking on the receiver's bounded
 //     inbox. This is the reference semantics — backpressure is the channel
@@ -51,12 +53,10 @@ const (
 	DefaultBatchLinger = time.Millisecond
 )
 
-// Transport builds the per-edge exchange endpoints for one job. The
-// interface is deliberately small: a receiver-side gate (flow control) and
-// a sender-side endpoint per (task, out-edge).
-type Transport interface {
-	// Name is the identifier reported in options, flags and experiments.
-	Name() string
+// transport builds the per-edge exchange endpoints for one job: a
+// receiver-side gate (flow control) and a sender-side endpoint per
+// (task, out-edge).
+type transport interface {
 	// newGate builds the receiver-side flow-control state for one task, or
 	// nil when the transport's channel discipline alone bounds buffering.
 	newGate(capacity int) *creditGate
@@ -64,16 +64,14 @@ type Transport interface {
 	newSender(rt *taskRuntime, edge *downstreamEdge) edgeSender
 }
 
-// transportFor resolves JobOptions into a Transport instance. Batch
-// parameters must already be defaulted/clamped by NewJob.
-func transportFor(opts JobOptions) (Transport, error) {
+// transportFor resolves JobOptions into a transport. Batch parameters must
+// already be defaulted/clamped by NewJob.
+func transportFor(opts JobOptions) (transport, error) {
 	switch opts.Transport {
 	case TransportUnary:
 		return unaryTransport{}, nil
-	case TransportBatched:
-		return &batchedTransport{size: opts.BatchSize, linger: opts.BatchLinger}, nil
-	case TransportNetwork:
-		return &networkTransport{size: opts.BatchSize, linger: opts.BatchLinger}, nil
+	case TransportBatched, TransportNetwork:
+		return &batchedTransport{size: opts.BatchSize, linger: opts.BatchLinger, wire: opts.Transport == TransportNetwork}, nil
 	default:
 		return nil, fmt.Errorf("engine: unknown transport %q (have %v)", opts.Transport, TransportNames())
 	}
@@ -213,9 +211,11 @@ func recordSize(rec Record) int64 {
 // ---------------------------------------------------------------------------
 // unary transport: one bounded-channel send per record.
 
+// unaryTransport stays a separate implementation on purpose: it is the
+// reference every equivalence battery, the golden test and the benchmark's
+// reference run compare the batched and network transports against.
 type unaryTransport struct{}
 
-func (unaryTransport) Name() string            { return TransportUnary }
 func (unaryTransport) newGate(int) *creditGate { return nil }
 func (unaryTransport) newSender(rt *taskRuntime, edge *downstreamEdge) edgeSender {
 	return &unarySender{rt: rt, edge: edge}
@@ -285,9 +285,10 @@ func (s *unarySender) broadcast(tmpl message) {
 type batchedTransport struct {
 	size   int
 	linger time.Duration
+	// wire ships cross-worker targets as frames over the attempt's TCP data
+	// plane (TransportNetwork) instead of through in-memory inboxes.
+	wire bool
 }
-
-func (t *batchedTransport) Name() string { return TransportBatched }
 
 func (t *batchedTransport) newGate(capacity int) *creditGate {
 	return newCreditGate(int64(capacity))
@@ -295,7 +296,7 @@ func (t *batchedTransport) newGate(capacity int) *creditGate {
 
 func (t *batchedTransport) newSender(rt *taskRuntime, edge *downstreamEdge) edgeSender {
 	n := len(edge.inboxes)
-	return &batchedSender{
+	s := &batchedSender{
 		rt:      rt,
 		edge:    edge,
 		size:    t.size,
@@ -304,6 +305,10 @@ func (t *batchedTransport) newSender(rt *taskRuntime, edge *downstreamEdge) edge
 		netDue:  make([]int64, n),
 		firstAt: make([]time.Time, n),
 	}
+	if t.wire {
+		s.remote = rt.att.net.remoteTargets(rt, edge)
+	}
+	return s
 }
 
 type batchedSender struct {
@@ -323,23 +328,7 @@ type batchedSender struct {
 	// markers as frames instead of inbox sends. The credit discipline is
 	// unchanged — edge.gates[idx] then holds the sender-side mirror gate
 	// replenished by credit-grant frames from the receiver.
-	remote []remoteTarget
-}
-
-// remoteTarget is the wire endpoint for one (sending worker, receiving
-// task) pair under the network transport. All methods return false when
-// the attempt aborted while sending.
-type remoteTarget interface {
-	// request asks the receiver for n records of credit before the sender
-	// blocks on its mirror gate: the receiver acquires them from the task's
-	// real gate on the sender's behalf and grants them back on the wire.
-	// Demand-driven, exactly like a local sender's acquire — a remote
-	// sender can never hoard a receiver's gate.
-	request(rt *taskRuntime, n int) bool
-	// ship sends one flushed batch as a data frame.
-	ship(rt *taskRuntime, inIdx, ch int, entries []batchEntry) bool
-	// control sends a barrier or EOF marker as a frame.
-	control(rt *taskRuntime, inIdx, ch int, tmpl message) bool
+	remote []*netTarget
 }
 
 // send routes rec into its target's pending batch and flushes on size or
@@ -437,8 +426,8 @@ func (s *batchedSender) flushTarget(idx int) {
 	if gate := s.edge.gates[idx]; gate != nil {
 		ok, stalled := gate.acquire(int64(len(entries)), rt.att.abort)
 		if stalled {
-			rt.creditStalls++
-			rt.creditStallT += clk.Since(t0)
+			rt.att.creditStalls.Inc(1)
+			rt.att.creditStallT.Add(clk.Since(t0))
 		}
 		if !ok {
 			rt.aborted = true
@@ -465,8 +454,8 @@ func (s *batchedSender) flushTarget(idx int) {
 		}
 	}
 	rt.bp += clk.Since(t0)
-	rt.batches++
-	rt.batchRecords += int64(len(entries))
+	rt.att.batches.Inc(1)
+	rt.att.batchRecords.Inc(int64(len(entries)))
 	if rt.batchSizeH != nil {
 		rt.batchSizeH.Observe(float64(len(entries)))
 	}
@@ -497,7 +486,7 @@ func (s *batchedSender) broadcast(tmpl message) {
 
 // remoteAt returns the wire endpoint for target idx, or nil when the
 // target is local (in-memory inbox).
-func (s *batchedSender) remoteAt(idx int) remoteTarget {
+func (s *batchedSender) remoteAt(idx int) *netTarget {
 	if s.remote == nil {
 		return nil
 	}

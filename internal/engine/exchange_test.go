@@ -414,8 +414,8 @@ func TestTransportValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.transport.Name() != TransportUnary {
-		t.Errorf("default transport = %q, want unary", j.transport.Name())
+	if j.Transport() != TransportUnary {
+		t.Errorf("default transport = %q, want unary", j.Transport())
 	}
 	j, err = build(JobOptions{Transport: TransportBatched, ChannelCapacity: 8, BatchSize: 64})
 	if err != nil {

@@ -53,46 +53,27 @@ import (
 
 const netDialTimeout = 10 * time.Second
 
-type networkTransport struct {
-	size   int
-	linger time.Duration
-}
-
-func (t *networkTransport) Name() string { return TransportNetwork }
-
-func (t *networkTransport) newGate(capacity int) *creditGate {
-	return newCreditGate(int64(capacity))
-}
-
-// newSender builds a batched sender whose cross-worker targets ship frames:
-// the target's gate slot becomes the local node's mirror gate for that task
-// (replenished by credit grants), and its inbox slot is cleared — remote
-// batches never touch an in-memory channel.
-func (t *networkTransport) newSender(rt *taskRuntime, edge *downstreamEdge) edgeSender {
-	n := len(edge.workers)
-	s := &batchedSender{
-		rt:      rt,
-		edge:    edge,
-		size:    t.size,
-		linger:  t.linger,
-		pending: make([][]batchEntry, n),
-		netDue:  make([]int64, n),
-		firstAt: make([]time.Time, n),
-	}
-	node := rt.att.net.nodes[rt.worker]
+// remoteTargets builds the wire endpoints of one batched sender: every
+// cross-worker target gets a netTarget, its gate slot becomes the local
+// node's mirror gate for that task (replenished by credit grants), and its
+// inbox slot is cleared — remote batches never touch an in-memory channel.
+// It returns nil when every target is local.
+func (na *netAttempt) remoteTargets(rt *taskRuntime, edge *downstreamEdge) []*netTarget {
+	var remote []*netTarget
+	node := na.nodes[rt.worker]
 	for i, w := range edge.workers {
 		if w == rt.worker {
 			continue
 		}
-		if s.remote == nil {
-			s.remote = make([]remoteTarget, n)
+		if remote == nil {
+			remote = make([]*netTarget, len(edge.workers))
 		}
 		task := edge.tasks[i]
-		s.remote[i] = &netTarget{node: node, peer: w, task: task}
+		remote[i] = &netTarget{node: node, peer: w, task: task}
 		edge.gates[i] = node.mirrors[task]
 		edge.inboxes[i] = nil
 	}
-	return s
+	return remote
 }
 
 // crossChan is one cross-worker channel discovered at wiring time: a task
@@ -112,13 +93,13 @@ type (
 	// wireCredit carries a credit request (FrameCreditReq, sender ->
 	// receiver) or a credit grant (FrameCredit, receiver -> sender).
 	wireCredit struct {
-		Task WireTaskID
+		Task dataflow.TaskID
 		N    int64
 	}
 	// wireMark is a barrier (EOF=false) or end-of-stream (EOF=true) marker
 	// for one (task, channel).
 	wireMark struct {
-		Task  WireTaskID
+		Task  dataflow.TaskID
 		In    int
 		Ch    int
 		Epoch int64
@@ -132,7 +113,7 @@ type (
 		Ingest int64
 	}
 	wireBatch struct {
-		Task    WireTaskID
+		Task    dataflow.TaskID
 		In      int
 		Ch      int
 		Entries []wireEntry
@@ -164,27 +145,26 @@ type netAttempt struct {
 	fatalMu sync.Mutex
 	fatal   error
 
-	framesSent, framesRecv atomic.Int64
-	bytesSent, bytesRecv   atomic.Int64
-	creditFrames           atomic.Int64
-	dataBatches            atomic.Int64
+	// The wire counters. Each is the one cell its net.* series has for this
+	// attempt, declared on the attempt's registry scope: the hub's cell when
+	// a hub is attached (a scrape mid-run sees the wire moving), a private
+	// one otherwise; attempt.report subtracts the attempt's base either way.
+	framesSent, framesRecv *metrics.Counter
+	bytesSent, bytesRecv   *metrics.Counter
+	creditFrames           *metrics.Counter
+	dataBatches            *metrics.Counter
 	// unexpectedFrames counts stray frames tolerated by handleFrame
 	// (unknown task, stale key, non-positive credit count) — skipped, not
 	// connection-fatal, but counted so the condition is diagnosable.
-	unexpectedFrames atomic.Int64
-	dials            atomic.Int64 // outbound data connections established
+	unexpectedFrames *metrics.Counter
+	dials            *metrics.Counter // outbound data connections established
 	// reconnects counts inbound handshakes from a peer this node had
 	// already accepted a connection from within the attempt — a peer
 	// re-dialing mid-attempt, which the one-conn-per-pair discipline makes
 	// exceptional and worth surfacing.
-	reconnects   atomic.Int64
-	encodeErrors atomic.Int64 // local gob-encode failures in sendFrame
+	reconnects   *metrics.Counter
+	encodeErrors *metrics.Counter // local gob-encode failures in sendFrame
 
-	// live mirrors the counters above into the job's Telemetry registry as
-	// they happen, so a scrape mid-run sees the wire moving instead of
-	// zeros until the attempt's report folds the totals at teardown. All
-	// pointers are nil when the job runs without a hub.
-	live netLive
 	// peerStats tracks frames/bytes per (local node, peer) pair by
 	// direction and frame type, feeding the net_peer_frames/net_peer_bytes
 	// gauge families. Immutable after construction (built from the same
@@ -206,30 +186,14 @@ type netAttempt struct {
 	creditWaitBase telemetry.HistogramSnapshot
 }
 
+// creditWaitSeries names the wire-credit wait histogram: the one wire
+// distribution worker reports carry, from which assembleResult derives the
+// cluster-wide wait count and p99.
+const creditWaitSeries = "net.credit_wait_seconds"
+
 // creditWaitSnapshot returns this attempt's credit-wait distribution.
 func (na *netAttempt) creditWaitSnapshot() telemetry.HistogramSnapshot {
 	return na.creditWaitH.Snapshot().Sub(na.creditWaitBase)
-}
-
-// netLive holds the pre-resolved registry counters the wire hot paths
-// increment — resolved once at attempt construction so the per-frame cost
-// is one atomic add, no map lookups or locks.
-type netLive struct {
-	framesSent, framesRecv *metrics.Counter
-	bytesSent, bytesRecv   *metrics.Counter
-	creditFrames           *metrics.Counter
-	dataBatches            *metrics.Counter
-	unexpectedFrames       *metrics.Counter
-	dials                  *metrics.Counter
-	reconnects             *metrics.Counter
-	encodeErrors           *metrics.Counter
-}
-
-// liveInc increments a live counter that may be absent (no Telemetry hub).
-func liveInc(c *metrics.Counter, n int64) {
-	if c != nil {
-		c.Inc(n)
-	}
 }
 
 // peerKey identifies one direction-of-view pair: a local node and the
@@ -296,6 +260,17 @@ func newNetAttempt(a *attempt, byID map[dataflow.TaskID]*taskRuntime, cross []cr
 		addrs:   make(map[int]string),
 		started: make(chan struct{}),
 		stop:    make(chan struct{}),
+
+		framesSent:       a.reg.Counter("net.frames_sent"),
+		framesRecv:       a.reg.Counter("net.frames_received"),
+		bytesSent:        a.reg.Counter("net.bytes_sent"),
+		bytesRecv:        a.reg.Counter("net.bytes_received"),
+		creditFrames:     a.reg.Counter("net.credit_frames"),
+		dataBatches:      a.reg.Counter("net.data_batches"),
+		unexpectedFrames: a.reg.Counter("net.unexpected_frames"),
+		dials:            a.reg.Counter("net.dials"),
+		reconnects:       a.reg.Counter("net.reconnects"),
+		encodeErrors:     a.reg.Counter("net.encode_errors"),
 	}
 	bind := "127.0.0.1:0"
 	var locals []int
@@ -377,23 +352,9 @@ func newNetAttempt(a *attempt, byID map[dataflow.TaskID]*taskRuntime, cross []cr
 		}
 	}
 	tel := a.j.opts.Telemetry
-	na.creditWaitH = hubOrLocalHistogram(tel, "net.credit_wait_seconds")
+	na.creditWaitH = hubOrLocalHistogram(tel, creditWaitSeries)
 	na.grantWaitH = hubOrLocalHistogram(tel, "net.grant_wait_seconds")
 	na.creditWaitBase = na.creditWaitH.Snapshot()
-	if reg := tel.Registry(); reg != nil {
-		na.live = netLive{
-			framesSent:       reg.Counter("net.frames_sent"),
-			framesRecv:       reg.Counter("net.frames_received"),
-			bytesSent:        reg.Counter("net.bytes_sent"),
-			bytesRecv:        reg.Counter("net.bytes_received"),
-			creditFrames:     reg.Counter("net.credit_frames"),
-			dataBatches:      reg.Counter("net.data_batches"),
-			unexpectedFrames: reg.Counter("net.unexpected_frames"),
-			dials:            reg.Counter("net.dials"),
-			reconnects:       reg.Counter("net.reconnects"),
-			encodeErrors:     reg.Counter("net.encode_errors"),
-		}
-	}
 	for _, node := range na.nodes {
 		na.wg.Add(1)
 		go node.acceptLoop()
@@ -542,8 +503,21 @@ func (na *netAttempt) addrFor(w int) (string, error) {
 	return a, nil
 }
 
+// stopped reports whether teardown has begun.
+func (na *netAttempt) stopped() bool {
+	select {
+	case <-na.stop:
+		return true
+	default:
+		return false
+	}
+}
+
 // shutdown closes listeners and connections and waits for every wire
-// goroutine. Callers must ensure no task goroutine is still sending.
+// goroutine. Callers must ensure no task goroutine is still sending; a
+// grantor may be (granting into an attempt that aborted under the
+// requester), so a connection that finishes dialing or is accepted after the
+// sweep below closes itself — see dialLocked and acceptLoop.
 func (na *netAttempt) shutdown() {
 	na.stopOnce.Do(func() { close(na.stop) })
 	for _, node := range na.nodes {
@@ -571,10 +545,8 @@ func (na *netAttempt) shutdown() {
 // is noise; mid-run it means the peer died — a distributed worker reports
 // it to the coordinator (once per peer), which owns the recovery decision.
 func (na *netAttempt) noteSendFailure(peer int, err error) {
-	select {
-	case <-na.stop:
+	if na.stopped() {
 		return
-	default:
 	}
 	na.pdMu.Lock()
 	if na.peerDown == nil {
@@ -599,12 +571,6 @@ func (na *netAttempt) failFatal(err error) {
 	na.a.doAbort()
 }
 
-// noteUnexpected counts one tolerated stray frame.
-func (na *netAttempt) noteUnexpected() {
-	na.unexpectedFrames.Add(1)
-	liveInc(na.live.unexpectedFrames, 1)
-}
-
 // fatalErr returns the error recorded by failFatal, if any.
 func (na *netAttempt) fatalErr() error {
 	na.fatalMu.Lock()
@@ -617,11 +583,11 @@ func (na *netAttempt) fatalErr() error {
 // summary line and its parser deal in integers).
 func exportCreditWait(reg *metrics.Registry, snap telemetry.HistogramSnapshot) {
 	reg.Counter("net.credit_waits").Inc(snap.Count)
+	p99 := 0.0
 	if snap.Count > 0 {
-		reg.Gauge("net.credit_wait_p99_us").Set(float64(int64(snap.Quantile(0.99) * 1e6)))
-	} else {
-		reg.Gauge("net.credit_wait_p99_us").Set(0)
+		p99 = float64(int64(snap.Quantile(0.99) * 1e6))
 	}
+	reg.Gauge("net.credit_wait_p99_us").Set(p99)
 }
 
 // netNode is one worker's wire endpoint.
@@ -720,8 +686,14 @@ func (n *netNode) dialLocked(pc *peerConn, peer int) error {
 		return err
 	}
 	pc.conn.Store(tc)
-	n.na.dials.Add(1)
-	liveInc(n.na.live.dials, 1)
+	if n.na.stopped() {
+		// Teardown swept this peerConn while it was still dialing: nobody
+		// else will close the connection, and an in-process peer's reader
+		// would block on it (and shutdown on that reader) forever.
+		tc.Close()
+		return net.ErrClosed
+	}
+	n.na.dials.Inc(1)
 	n.na.peerStats[peerKey{local: n.worker, peer: peer}].
 		note(true, FrameDataHello, int64(frameHeaderLen+1+len(payload)+frameTrailerLen))
 	return nil
@@ -731,8 +703,7 @@ func (n *netNode) dialLocked(pc *peerConn, peer int) error {
 func (n *netNode) sendFrame(peer int, typ byte, body any) error {
 	payload, err := EncodePayload(body)
 	if err != nil {
-		n.na.encodeErrors.Add(1)
-		liveInc(n.na.live.encodeErrors, 1)
+		n.na.encodeErrors.Inc(1)
 		return err
 	}
 	pc, err := n.connTo(peer)
@@ -750,11 +721,9 @@ func (n *netNode) sendFrame(peer int, typ byte, body any) error {
 		c.Close()
 		return err
 	}
-	n.na.framesSent.Add(1)
 	sz := int64(frameHeaderLen + 1 + len(payload) + frameTrailerLen)
-	n.na.bytesSent.Add(sz)
-	liveInc(n.na.live.framesSent, 1)
-	liveInc(n.na.live.bytesSent, sz)
+	n.na.framesSent.Inc(1)
+	n.na.bytesSent.Inc(sz)
 	n.na.peerStats[peerKey{local: n.worker, peer: peer}].note(true, typ, sz)
 	return nil
 }
@@ -770,6 +739,9 @@ func (n *netNode) acceptLoop() {
 		n.mu.Lock()
 		n.inbound = append(n.inbound, c)
 		n.mu.Unlock()
+		if n.na.stopped() {
+			c.Close() // accepted after teardown copied n.inbound
+		}
 		n.na.wg.Add(1)
 		go n.serveConn(c)
 	}
@@ -796,8 +768,7 @@ func (n *netNode) serveConn(c net.Conn) {
 		n.seenFrom = make(map[int]bool)
 	}
 	if n.seenFrom[from] {
-		n.na.reconnects.Add(1)
-		liveInc(n.na.live.reconnects, 1)
+		n.na.reconnects.Inc(1)
 	}
 	n.seenFrom[from] = true
 	n.mu.Unlock()
@@ -811,11 +782,9 @@ func (n *netNode) serveConn(c net.Conn) {
 			// senders' PEERDOWN reports when their writes start failing.
 			return
 		}
-		n.na.framesRecv.Add(1)
 		sz := int64(frameHeaderLen + 1 + len(f.Payload) + frameTrailerLen)
-		n.na.bytesRecv.Add(sz)
-		liveInc(n.na.live.framesRecv, 1)
-		liveInc(n.na.live.bytesRecv, sz)
+		n.na.framesRecv.Inc(1)
+		n.na.bytesRecv.Inc(sz)
 		ps.note(false, f.Type, sz)
 		if !n.handleFrame(from, f) {
 			return
@@ -837,9 +806,9 @@ func (n *netNode) handleFrame(from int, f Frame) bool {
 		if err := DecodePayload(f.Payload, &cr); err != nil {
 			return false
 		}
-		mirror := n.mirrors[cr.Task.taskID()]
+		mirror := n.mirrors[cr.Task]
 		if mirror == nil || cr.N <= 0 {
-			n.na.noteUnexpected()
+			n.na.unexpectedFrames.Inc(1)
 			return true
 		}
 		mirror.release(cr.N)
@@ -849,9 +818,9 @@ func (n *netNode) handleFrame(from int, f Frame) bool {
 		if err := DecodePayload(f.Payload, &cr); err != nil {
 			return false
 		}
-		g := n.grants[grantKey{task: cr.Task.taskID(), from: from}]
+		g := n.grants[grantKey{task: cr.Task, from: from}]
 		if g == nil || cr.N <= 0 {
-			n.na.noteUnexpected()
+			n.na.unexpectedFrames.Inc(1)
 			return true
 		}
 		// Hand off to the grantor goroutine: its gate acquire may block, and
@@ -864,9 +833,9 @@ func (n *netNode) handleFrame(from int, f Frame) bool {
 		if err := DecodePayload(f.Payload, &wb); err != nil {
 			return false
 		}
-		task := wb.Task.taskID()
+		task := wb.Task
 		if n.tasks[task] == nil {
-			n.na.noteUnexpected()
+			n.na.unexpectedFrames.Inc(1)
 			return true
 		}
 		if g := n.grants[grantKey{task: task, from: from}]; g != nil {
@@ -886,9 +855,9 @@ func (n *netNode) handleFrame(from int, f Frame) bool {
 		if err := DecodePayload(f.Payload, &m); err != nil {
 			return false
 		}
-		task := m.Task.taskID()
+		task := m.Task
 		if n.tasks[task] == nil {
-			n.na.noteUnexpected()
+			n.na.unexpectedFrames.Inc(1)
 			return true
 		}
 		msg := message{in: m.In, ch: m.Ch}
@@ -912,7 +881,7 @@ func (n *netNode) handleFrame(from int, f Frame) bool {
 	default:
 		// A foreign frame type (e.g. a control-plane frame that strayed onto
 		// a data connection) passed the CRC, so framing is intact; skip it.
-		n.na.noteUnexpected()
+		n.na.unexpectedFrames.Inc(1)
 		return true
 	}
 }
@@ -1130,7 +1099,7 @@ func (g *grantor) run(n *netNode) {
 				return
 			}
 			g.outstanding.Add(chunk)
-			if err := n.sendFrame(g.from, FrameCredit, wireCredit{Task: wireTaskOf(g.task), N: chunk}); err != nil {
+			if err := n.sendFrame(g.from, FrameCredit, wireCredit{Task: g.task, N: chunk}); err != nil {
 				// Peer unreachable: return the grant and retire. If the peer is
 				// truly dead the coordinator aborts the attempt; if it already
 				// finished cleanly these credits were never needed.
@@ -1138,8 +1107,7 @@ func (g *grantor) run(n *netNode) {
 				g.gate.release(chunk)
 				return
 			}
-			na.creditFrames.Add(1)
-			liveInc(na.live.creditFrames, 1)
+			na.creditFrames.Inc(1)
 			want -= chunk
 		}
 	}
@@ -1155,7 +1123,7 @@ type netTarget struct {
 }
 
 func (t *netTarget) request(rt *taskRuntime, n int) bool {
-	cr := wireCredit{Task: wireTaskOf(t.task), N: int64(n)}
+	cr := wireCredit{Task: t.task, N: int64(n)}
 	if err := t.node.sendFrame(t.peer, FrameCreditReq, cr); err != nil {
 		return t.failSend(rt, err)
 	}
@@ -1163,7 +1131,7 @@ func (t *netTarget) request(rt *taskRuntime, n int) bool {
 }
 
 func (t *netTarget) ship(rt *taskRuntime, inIdx, ch int, entries []batchEntry) bool {
-	wb := wireBatch{Task: wireTaskOf(t.task), In: inIdx, Ch: ch, Entries: make([]wireEntry, len(entries))}
+	wb := wireBatch{Task: t.task, In: inIdx, Ch: ch, Entries: make([]wireEntry, len(entries))}
 	for i, e := range entries {
 		wb.Entries[i] = wireEntry{
 			Key:    e.rec.Key,
@@ -1176,13 +1144,12 @@ func (t *netTarget) ship(rt *taskRuntime, inIdx, ch int, entries []batchEntry) b
 	if err := t.node.sendFrame(t.peer, FrameData, wb); err != nil {
 		return t.failSend(rt, err)
 	}
-	t.node.na.dataBatches.Add(1)
-	liveInc(t.node.na.live.dataBatches, 1)
+	t.node.na.dataBatches.Inc(1)
 	return true
 }
 
 func (t *netTarget) control(rt *taskRuntime, inIdx, ch int, tmpl message) bool {
-	m := wireMark{Task: wireTaskOf(t.task), In: inIdx, Ch: ch, Epoch: tmpl.epoch, EOF: tmpl.eof}
+	m := wireMark{Task: t.task, In: inIdx, Ch: ch, Epoch: tmpl.epoch, EOF: tmpl.eof}
 	if err := t.node.sendFrame(t.peer, tmplFrameType(tmpl), m); err != nil {
 		return t.failSend(rt, err)
 	}

@@ -2,6 +2,9 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -95,14 +98,15 @@ func TestWorkerRunWireClean(t *testing.T) {
 	}
 	// Worker 0 hosts only src; worker 1 only snk. Every record crossed the
 	// wire exactly once.
-	res := assembleResult([]*WorkerReport{rep0, rep1}, runAgg{elapsed: time.Second}, true)
+	res := assembleResult([]*WorkerReport{rep0, rep1}, runAgg{elapsed: time.Second})
 	if res.SourceRecords != records || res.SinkRecords != records {
 		t.Fatalf("source/sink = %d/%d, want %d/%d", res.SourceRecords, res.SinkRecords, records, records)
 	}
-	if rep0.NetDataBatches == 0 {
+	c0, c1 := rep0.Metrics.Counters, rep1.Metrics.Counters
+	if c0["net.data_batches"] == 0 {
 		t.Error("sender shipped no data batches over the wire")
 	}
-	if rep0.NetCreditFrames == 0 && rep1.NetCreditFrames == 0 {
+	if c0["net.credit_frames"] == 0 && c1["net.credit_frames"] == 0 {
 		t.Error("no credit frames: wire flow control never engaged")
 	}
 	snap := res.Metrics.Snapshot()
@@ -113,8 +117,8 @@ func TestWorkerRunWireClean(t *testing.T) {
 	// A batch never exceeds the configured size, and the credit protocol
 	// never puts more than ChannelCapacity records in flight, so per-batch
 	// record counts are bounded by min(BatchSize, ChannelCapacity).
-	if rep0.Batches > 0 {
-		mean := float64(rep0.BatchRecords) / float64(rep0.Batches)
+	if c0["exchange.batches"] > 0 {
+		mean := float64(c0["exchange.batch_records"]) / float64(c0["exchange.batches"])
 		if mean > float64(opts.BatchSize) {
 			t.Errorf("mean batch size %.1f exceeds configured %d", mean, opts.BatchSize)
 		}
@@ -279,7 +283,7 @@ func TestWireCreditFanInExceedsCapacity(t *testing.T) {
 	if !rep0.Completed || !rep1.Completed {
 		t.Fatalf("fan-in run not completed: w0=%v w1=%v", rep0.Completed, rep1.Completed)
 	}
-	res := assembleResult([]*WorkerReport{rep0, rep1}, runAgg{elapsed: time.Second}, true)
+	res := assembleResult([]*WorkerReport{rep0, rep1}, runAgg{elapsed: time.Second})
 	if want := int64(2 * perSource); res.SinkRecords != want || res.SourceRecords != want {
 		t.Errorf("source/sink = %d/%d, want %d/%d", res.SourceRecords, res.SinkRecords, want, want)
 	}
@@ -355,8 +359,8 @@ func TestHandleFrameToleratesStrayFrames(t *testing.T) {
 		}
 		return p
 	}
-	ghost := WireTaskID{Op: "ghost", Index: 0}
-	snk := WireTaskID{Op: "snk", Index: 0}
+	ghost := dataflow.TaskID{Op: "ghost", Index: 0}
+	snk := dataflow.TaskID{Op: "snk", Index: 0}
 	strays := []Frame{
 		{Type: FrameCredit, Payload: enc(wireCredit{Task: ghost, N: 5})},    // unknown task
 		{Type: FrameCredit, Payload: enc(wireCredit{Task: snk, N: 5})},      // no mirror on the receiver side
@@ -371,13 +375,55 @@ func TestHandleFrameToleratesStrayFrames(t *testing.T) {
 			t.Errorf("stray frame %d severed the connection", i)
 		}
 	}
-	if got := r.att.net.unexpectedFrames.Load(); got != int64(len(strays)) {
+	if got := r.att.net.unexpectedFrames.Value(); got != int64(len(strays)) {
 		t.Errorf("unexpected_frames = %d, want %d", got, len(strays))
 	}
 	// An undecodable payload is stream corruption: still connection-fatal.
 	if node.handleFrame(0, Frame{Type: FrameCredit, Payload: []byte{0xff, 0x02, 0x03}}) {
 		t.Error("corrupt payload did not sever the connection")
 	}
+}
+
+// TestWireTeardownClosesLateConnections pins the teardown race fix: shutdown
+// sweeps the connections it can see, so one that finishes dialing, or is
+// accepted, after the sweep (a grantor granting into an attempt that aborted
+// under the requester) must close itself. Left open, the dialed end is never
+// closed by anyone and — in process — the accepted end's reader blocks on it
+// forever, and shutdown on that reader.
+func TestWireTeardownClosesLateConnections(t *testing.T) {
+	j := wireJob(t, nil, JobOptions{RecordsPerSource: 1})
+	r, err := j.PrepareWorkerAttempt(WorkerNetConfig{Local: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	na, node := r.att.net, r.att.net.nodes[1]
+	// Teardown has begun, but the sweep has not reached the listener yet.
+	na.stopOnce.Do(func() { close(na.stop) })
+
+	// Accept side: a handshake arriving now is closed, not served.
+	c, err := net.Dial("tcp", r.DataAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	hello, err := EncodePayload(wireHello{From: 0, Attempt: r.att.no})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFrame(c, Frame{Type: FrameDataHello, Payload: hello}); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := c.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("connection accepted after teardown began was left open (read: %v)", err)
+	}
+
+	// Dial side: the same listener stands in for the peer.
+	na.setPeers(map[int]string{0: r.DataAddr()})
+	if pc, err := node.connTo(0); err == nil {
+		t.Errorf("connTo after teardown began returned a live connection (%v)", pc.conn.Load().RemoteAddr())
+	}
+	r.Discard() // shutdown must find nothing left to wait for
 }
 
 // TestPrepareWorkerAttemptValidation pins the config guard rails.

@@ -152,7 +152,7 @@ func splitOpStates(states [][]byte, oldP, newP, numGroups int) ([][]byte, error)
 // job-level totals — sink records, reprocessing accounting — stay exact
 // across the rescale. Per-task round-robin cursors carry over for surviving
 // tasks and start fresh for new ones.
-func repartitionTaskSnapshots(snaps []*taskSnapshot, oldP, newP, numGroups int) ([]*taskSnapshot, int64, error) {
+func repartitionTaskSnapshots(snaps []*TaskSnapshot, oldP, newP, numGroups int) ([]*TaskSnapshot, int64, error) {
 	epoch := int64(0)
 	nsStates := make([][]byte, oldP)
 	opStates := make([][]byte, oldP)
@@ -162,13 +162,13 @@ func repartitionTaskSnapshots(snaps []*taskSnapshot, oldP, newP, numGroups int) 
 			return nil, 0, fmt.Errorf("engine: rescale: task %d has no snapshot at the drain epoch", i)
 		}
 		if i == 0 {
-			epoch = s.epoch
-		} else if s.epoch != epoch {
-			return nil, 0, fmt.Errorf("engine: rescale: task %d snapshot at epoch %d, want %d", i, s.epoch, epoch)
+			epoch = s.Epoch
+		} else if s.Epoch != epoch {
+			return nil, 0, fmt.Errorf("engine: rescale: task %d snapshot at epoch %d, want %d", i, s.Epoch, epoch)
 		}
-		nsStates[i] = s.nsState
-		opStates[i] = s.opState
-		if len(s.nsState) > 0 {
+		nsStates[i] = s.NSState
+		opStates[i] = s.OpState
+		if len(s.NSState) > 0 {
 			anyNS = true
 		}
 	}
@@ -187,23 +187,23 @@ func repartitionTaskSnapshots(snaps []*taskSnapshot, oldP, newP, numGroups int) 
 	if err != nil {
 		return nil, 0, fmt.Errorf("engine: rescale: %w", err)
 	}
-	out := make([]*taskSnapshot, newP)
+	out := make([]*TaskSnapshot, newP)
 	for i := range out {
-		ns := &taskSnapshot{epoch: epoch, nsState: newNS[i], opState: newOp[i]}
+		ns := &TaskSnapshot{Epoch: epoch, NSState: newNS[i], OpState: newOp[i]}
 		if i < oldP {
 			old := snaps[i]
-			ns.recordsIn = old.recordsIn
-			ns.recordsOut = old.recordsOut
-			ns.bytesOut = old.bytesOut
-			ns.srcOffset = old.srcOffset
-			ns.rr = append([]int(nil), old.rr...)
+			ns.RecordsIn = old.RecordsIn
+			ns.RecordsOut = old.RecordsOut
+			ns.BytesOut = old.BytesOut
+			ns.SrcOffset = old.SrcOffset
+			ns.RR = append([]int(nil), old.RR...)
 		}
 		out[i] = ns
 	}
 	for i := newP; i < oldP; i++ {
-		out[0].recordsIn += snaps[i].recordsIn
-		out[0].recordsOut += snaps[i].recordsOut
-		out[0].bytesOut += snaps[i].bytesOut
+		out[0].RecordsIn += snaps[i].RecordsIn
+		out[0].RecordsOut += snaps[i].RecordsOut
+		out[0].BytesOut += snaps[i].BytesOut
 	}
 	return out, moved, nil
 }

@@ -127,7 +127,8 @@ type JobOptions struct {
 	Now clock.Clock
 }
 
-// TaskStats is one task's runtime telemetry.
+// TaskStats is one task's runtime telemetry: what JobResult.Tasks exposes
+// and what worker reports carry (so it must stay gob-safe).
 type TaskStats struct {
 	Worker          int
 	RecordsIn       int64
@@ -138,6 +139,10 @@ type TaskStats struct {
 	UsefulFraction  float64
 	ObservedInRate  float64
 	ObservedOutRate float64
+	// Sink and Source mark tasks of operators without downstream or
+	// upstream edges; Dead marks a task that degraded in place (its worker
+	// was killed with no recovery configured).
+	Sink, Source, Dead bool
 }
 
 // JobResult is the outcome of one engine run.
@@ -154,8 +159,8 @@ type JobResult struct {
 	// ".busy_seconds", ".backpressure_seconds" and ".useful_fraction",
 	// plus job-level "job.recoveries", "job.downtime_seconds",
 	// "job.records_reprocessed", "job.lost_records" and "job.snapshots",
-	// and exchange-level "exchange.batches", "exchange.batch_records",
-	// "exchange.credit_stalls" and "exchange.credit_stall_seconds".
+	// plus the exchange.* family (declared in buildAttempt) and, under the
+	// network transport, the net.* family (declared in newNetAttempt).
 	Metrics *metrics.Registry
 
 	// Failed reports that at least one task died without recovery (the job
@@ -207,7 +212,7 @@ type Job struct {
 	spec      ClusterSpec
 	opts      JobOptions
 	factories map[dataflow.OperatorID]Factory
-	transport Transport
+	transport transport
 	clk       clock.Clock
 	// fuseNext maps each operator to the operator fused onto it when the
 	// plan co-locates their paired tasks (empty when fusion is disabled).
@@ -326,7 +331,7 @@ func NewJob(g *dataflow.LogicalGraph, plan *dataflow.Plan, spec ClusterSpec, fac
 		Workers:          spec.Workers,
 		KeyGroups:        opts.KeyGroups,
 		SnapshotInterval: opts.SnapshotInterval,
-		Transport:        transport.Name(),
+		Transport:        opts.Transport,
 		OnFault:          opts.OnFailure,
 		Emit:             opts.Telemetry.Tracer().Emit,
 		Now:              opts.Now,
@@ -350,7 +355,7 @@ func NewJob(g *dataflow.LogicalGraph, plan *dataflow.Plan, spec ClusterSpec, fac
 }
 
 // Transport reports the resolved data-plane transport the job runs under.
-func (j *Job) Transport() string { return j.transport.Name() }
+func (j *Job) Transport() string { return j.opts.Transport }
 
 // Run executes the job until all sources are exhausted and the pipeline has
 // drained, or ctx is canceled (sources stop early; the pipeline still
@@ -423,6 +428,18 @@ type attempt struct {
 	net  *netAttempt
 	dist *WorkerNetConfig
 
+	// reg names this attempt's exchange.* and net.* cells: a scope of the
+	// hub's registry when a hub is attached, a private registry otherwise.
+	// base is reg's snapshot once every cell is declared; report subtracts
+	// it, so the hub's process-cumulative cells yield per-attempt values
+	// (which assumes one attempt at a time per hub — the heartbeat
+	// sampler's assumption too). The four exchange cells: batches flushed,
+	// records they carried, and credit-gate stalls (count and time waited).
+	reg                                 *metrics.Registry
+	base                                metrics.TypedValues
+	batches, batchRecords, creditStalls *metrics.Counter
+	creditStallT                        *metrics.TimeAccumulator
+
 	// fusedChains/fusedTasks count the fusion this attempt performed:
 	// chains driven by one goroutine, and member tasks that got none.
 	fusedChains int64
@@ -452,6 +469,11 @@ func localTo(dist *WorkerNetConfig, w int) bool {
 
 func (j *Job) buildAttempt(no int, plan *dataflow.Plan, coord coordinator, faults *faultState, restoreEpoch int64, dist *WorkerNetConfig) (*attempt, error) {
 	a := &attempt{j: j, no: no, plan: plan, coord: coord, faults: faults, clk: j.clk, abort: make(chan struct{}), dist: dist}
+	a.reg = j.opts.Telemetry.Registry().Scope()
+	a.batches = a.reg.Counter("exchange.batches")
+	a.batchRecords = a.reg.Counter("exchange.batch_records")
+	a.creditStalls = a.reg.Counter("exchange.credit_stalls")
+	a.creditStallT = a.reg.Time("exchange.credit_stall_seconds")
 	workers := make([]*WorkerResources, len(j.spec.Workers))
 	stores := make([]*statebackend.Store, len(j.spec.Workers))
 	for i, ws := range j.spec.Workers {
@@ -556,7 +578,7 @@ func (j *Job) buildAttempt(no int, plan *dataflow.Plan, coord coordinator, fault
 				ioShard.Draw()
 			})
 			if snap != nil {
-				if err := tctx.State.Restore(snap.nsState); err != nil {
+				if err := tctx.State.Restore(snap.NSState); err != nil {
 					return nil, fmt.Errorf("engine: restore state of %v: %w", t, err)
 				}
 			}
@@ -580,14 +602,14 @@ func (j *Job) buildAttempt(no int, plan *dataflow.Plan, coord coordinator, fault
 		}
 		rt.op = inst
 		if snap != nil {
-			rt.recordsIn = snap.recordsIn
-			rt.recordsOut = snap.recordsOut
-			rt.bytesOut = snap.bytesOut
-			rt.srcOffset = snap.srcOffset
-			rt.epoch = snap.epoch
+			rt.recordsIn = snap.RecordsIn
+			rt.recordsOut = snap.RecordsOut
+			rt.bytesOut = snap.BytesOut
+			rt.srcOffset = snap.SrcOffset
+			rt.epoch = snap.Epoch
 			rt.restore = snap
-			if s, ok := inst.(Snapshotter); ok && len(snap.opState) > 0 {
-				if err := s.RestoreState(snap.opState); err != nil {
+			if s, ok := inst.(Snapshotter); ok && len(snap.OpState) > 0 {
+				if err := s.RestoreState(snap.OpState); err != nil {
 					return nil, fmt.Errorf("engine: restore operator state of %v: %w", t, err)
 				}
 			}
@@ -663,23 +685,24 @@ func (j *Job) buildAttempt(no int, plan *dataflow.Plan, coord coordinator, fault
 	}
 	// The network transport's wire state must exist before senders are
 	// built: senders capture their node and per-target mirror gates.
-	if _, ok := j.transport.(*networkTransport); ok {
+	if j.opts.Transport == TransportNetwork {
 		net, err := newNetAttempt(a, byID, cross)
 		if err != nil {
 			return nil, err
 		}
 		a.net = net
 	} else if dist != nil {
-		return nil, fmt.Errorf("engine: distributed attempts require the %s transport, have %s", TransportNetwork, j.transport.Name())
+		return nil, fmt.Errorf("engine: distributed attempts require the %s transport, have %s", TransportNetwork, j.opts.Transport)
 	}
+	a.base = a.reg.TypedSnapshot()
 	// Restore round-robin routing positions so rebalance partitioning
 	// resumes mid-cycle exactly where the checkpoint left it, then build
 	// the transport's sender endpoints over the wired edges.
 	for _, rt := range tasks {
 		if rt.restore != nil {
 			for i, e := range rt.outs {
-				if i < len(rt.restore.rr) {
-					e.rr = rt.restore.rr[i]
+				if i < len(rt.restore.RR) {
+					e.rr = rt.restore.RR[i]
 				}
 			}
 		}
@@ -814,17 +837,18 @@ func (a *attempt) doAbort() {
 
 // snapshotTask records one task's checkpoint contribution for an epoch.
 func (a *attempt) snapshotTask(rt *taskRuntime, epoch, srcOffset int64) error {
-	snap := &taskSnapshot{
-		epoch:      epoch,
-		recordsIn:  rt.recordsIn,
-		recordsOut: rt.recordsOut,
-		bytesOut:   rt.bytesOut,
-		srcOffset:  srcOffset,
+	snap := &TaskSnapshot{
+		Task:       rt.id,
+		Epoch:      epoch,
+		RecordsIn:  rt.recordsIn,
+		RecordsOut: rt.recordsOut,
+		BytesOut:   rt.bytesOut,
+		SrcOffset:  srcOffset,
 	}
 	if len(rt.outs) > 0 {
-		snap.rr = make([]int, len(rt.outs))
+		snap.RR = make([]int, len(rt.outs))
 		for i, e := range rt.outs {
-			snap.rr[i] = e.rr
+			snap.RR[i] = e.rr
 		}
 	}
 	if rt.ctx.State != nil {
@@ -832,16 +856,16 @@ func (a *attempt) snapshotTask(rt *taskRuntime, epoch, srcOffset int64) error {
 		if err != nil {
 			return err
 		}
-		snap.nsState = b
+		snap.NSState = b
 	}
 	if s, ok := rt.op.(Snapshotter); ok {
 		b, err := s.SnapshotState()
 		if err != nil {
 			return err
 		}
-		snap.opState = b
+		snap.OpState = b
 	}
-	if done := a.coord.record(rt.id, snap); done > 0 {
+	if done := a.coord.record(snap); done > 0 {
 		a.j.opts.Telemetry.Tracer().Emit(telemetry.Event{
 			Kind:  telemetry.EventCheckpointComplete,
 			Epoch: done,

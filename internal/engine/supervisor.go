@@ -88,8 +88,16 @@ type AttemptEnd struct {
 	Reports []*WorkerReport
 }
 
-// ErrInvalidPlan marks a placement the supervisor refused to deploy.
-var ErrInvalidPlan = errors.New("engine: invalid plan")
+// Failures the supervisor ends a run with, matchable with errors.Is.
+var (
+	// ErrInvalidPlan marks a placement the supervisor refused to deploy.
+	ErrInvalidPlan = errors.New("engine: invalid plan")
+	// ErrAllWorkersDead ends a run whose last live worker died.
+	ErrAllWorkersDead = errors.New("engine: all workers dead")
+	// ErrNoReplacementHook ends a run in which a worker died and no OnFault
+	// hook exists to re-place its tasks.
+	ErrNoReplacementHook = errors.New("no re-placement hook is configured")
+)
 
 // SupervisorConfig describes the job a Supervisor runs.
 type SupervisorConfig struct {
@@ -225,7 +233,7 @@ func (s *Supervisor) Run(ctx context.Context, exec AttemptExecutor) (*JobResult,
 		default:
 			s.agg.elapsed = s.clk.Since(start)
 			s.agg.snapshots = s.store.snapshotsTaken()
-			res := assembleResult(end.Reports, s.agg, s.cfg.Transport == TransportNetwork)
+			res := assembleResult(end.Reports, s.agg)
 			s.emit(telemetry.Event{Kind: telemetry.EventJobComplete, Attempt: no, Attrs: map[string]any{
 				"elapsed_ms":   res.Elapsed.Seconds() * 1e3,
 				"failed":       res.Failed,
@@ -281,9 +289,9 @@ func (s *Supervisor) recover(no int, end AttemptEnd) error {
 	died := len(end.NewDead) > 0
 	switch {
 	case len(s.dead) == len(s.cfg.Workers):
-		return fmt.Errorf("engine: all workers dead after attempt %d: %s", no, end.Cause)
+		return fmt.Errorf("%w after attempt %d: %s", ErrAllWorkersDead, no, end.Cause)
 	case died && s.cfg.OnFault == nil:
-		return fmt.Errorf("engine: worker %d died and no re-placement hook is configured: %s", end.NewDead[0], end.Cause)
+		return fmt.Errorf("engine: worker %d died and %w: %s", end.NewDead[0], ErrNoReplacementHook, end.Cause)
 	case s.cfg.OnFault != nil:
 		next, err := s.cfg.OnFault(ev)
 		if err != nil {
@@ -425,29 +433,24 @@ func (s *Supervisor) dueRescale(epoch int64) *RescalePlan {
 // remote executor. done is the epoch it completed (0 = none); drain reports
 // that a rescale is due at that epoch, so the executor must abort the
 // attempt and return DrainEpoch = done.
-func (s *Supervisor) RecordSnapshot(w WireSnapshot) (done int64, drain bool) {
-	t, snap := wireToSnapshot(w)
-	done = s.store.record(t, snap)
+func (s *Supervisor) RecordSnapshot(snap *TaskSnapshot) (done int64, drain bool) {
+	done = s.store.record(snap)
 	return done, done > 0 && s.dueRescale(done) != nil
 }
 
 // SnapshotsTaken counts distinct (task, epoch) snapshots recorded so far.
 func (s *Supervisor) SnapshotsTaken() int64 { return s.store.snapshotsTaken() }
 
-// EpochSnapshots returns every task's snapshot at the given epoch in
-// canonical task order (nil for epoch 0), for an executor to ship with a
-// deploy. Like RunAttempt, it runs on Run's goroutine.
-func (s *Supervisor) EpochSnapshots(epoch int64) []WireSnapshot {
-	if epoch <= 0 {
-		return nil
-	}
-	var out []WireSnapshot
+// EpochSnapshots returns every task's snapshot at the given epoch in task
+// order (nil for epoch 0), for an executor to ship with a deploy. Like
+// RunAttempt, it runs on Run's goroutine.
+func (s *Supervisor) EpochSnapshots(epoch int64) []*TaskSnapshot {
+	var out []*TaskSnapshot
 	for _, t := range s.tasks {
 		if snap := s.store.snapshotFor(t, epoch); snap != nil {
-			out = append(out, snapshotToWire(t, snap))
+			out = append(out, snap)
 		}
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i].Task.less(out[k].Task) })
 	return out
 }
 
@@ -460,15 +463,14 @@ func (s *Supervisor) EpochSnapshots(epoch int64) []WireSnapshot {
 func (s *Supervisor) reprocessedSince(reports []*WorkerReport, restore int64) int64 {
 	var total int64
 	for _, rep := range reports {
-		for _, ts := range rep.Tasks {
-			t := ts.Task.taskID()
+		for t, ts := range rep.Tasks {
 			snap := s.store.snapshotFor(t, restore)
 			if snap == nil {
 				snap = s.store.snapshotFor(t, s.agg.restoredEpoch)
 			}
 			base := int64(0)
 			if snap != nil {
-				base = snap.recordsIn
+				base = snap.RecordsIn
 			}
 			if d := ts.RecordsIn - base; d > 0 {
 				total += d
@@ -579,83 +581,63 @@ func keepSurvivorsPlan(prev *dataflow.Plan, tasks []dataflow.TaskID, workers []W
 	return plan, nil
 }
 
-// secondsToDuration inverts Duration.Seconds for the report wire format.
-func secondsToDuration(s float64) time.Duration {
-	return time.Duration(s*float64(time.Second) + 0.5)
-}
-
 // assembleResult folds the final attempt's worker reports and the run
-// aggregate into a JobResult. net selects the net.* wire series, which only
-// exist under the network transport.
-func assembleResult(reports []*WorkerReport, agg runAgg, net bool) *JobResult {
+// aggregate into a JobResult. The exchange.* and net.* series arrive named in
+// the reports and merge by name, so a transport exports exactly the families
+// its attempts declared.
+func assembleResult(reports []*WorkerReport, agg runAgg) *JobResult {
 	res := &JobResult{
 		Elapsed: agg.elapsed,
 		Tasks:   make(map[dataflow.TaskID]TaskStats),
 		Metrics: metrics.NewRegistry(),
 	}
-	var sum WorkerReport // exchange and wire totals across workers
+	hists := make(map[string]telemetry.HistogramSnapshot)
 	for _, rep := range reports {
-		sum.Batches += rep.Batches
-		sum.BatchRecords += rep.BatchRecords
-		sum.CreditStalls += rep.CreditStalls
-		sum.CreditStallSeconds += rep.CreditStallSeconds
-		sum.NetFramesSent += rep.NetFramesSent
-		sum.NetFramesRecv += rep.NetFramesRecv
-		sum.NetBytesSent += rep.NetBytesSent
-		sum.NetBytesRecv += rep.NetBytesRecv
-		sum.NetCreditFrames += rep.NetCreditFrames
-		sum.NetDataBatches += rep.NetDataBatches
-		sum.NetUnexpectedFrames += rep.NetUnexpectedFrames
-		sum.NetDials += rep.NetDials
-		sum.NetReconnects += rep.NetReconnects
-		sum.NetEncodeErrors += rep.NetEncodeErrors
-		// Merge failure only occurs across mismatched bucket layouts, which
-		// one binary's workers cannot produce; losing a histogram would
-		// still leave every scalar intact.
-		_ = sum.NetCreditWait.Merge(rep.NetCreditWait)
-		for _, ts := range rep.Tasks {
-			busy, bp := secondsToDuration(ts.BusySeconds), secondsToDuration(ts.BackpressureSeconds)
+		for n, v := range rep.Metrics.Counters {
+			res.Metrics.Counter(n).Inc(v) //capslint:allow metricnames relayed under the literal name the attempt declared the cell with
+		}
+		for n, d := range rep.Metrics.Times {
+			res.Metrics.Time(n).Add(d) //capslint:allow metricnames relayed under the literal name the attempt declared the cell with
+		}
+		for n, h := range rep.Hists {
+			// Merge failure only occurs across mismatched bucket layouts, which
+			// one binary's workers cannot produce; losing a histogram would
+			// still leave every scalar intact.
+			merged := hists[n]
+			_ = merged.Merge(h)
+			hists[n] = merged
+		}
+		for t, ts := range rep.Tasks {
 			// Rates and useful fractions are undefined for a zero elapsed
 			// time (possible only under an injected frozen clock).
-			useful, inRate, outRate := 0.0, 0.0, 0.0
-			if agg.elapsed > 0 {
-				useful = ts.BusySeconds / agg.elapsed.Seconds()
-				if useful > 1 {
-					useful = 1
-				}
-				inRate = float64(ts.RecordsIn) / agg.elapsed.Seconds()
-				outRate = float64(ts.RecordsOut) / agg.elapsed.Seconds()
+			if el := agg.elapsed.Seconds(); el > 0 {
+				ts.UsefulFraction = min(1, ts.BusyTime.Seconds()/el)
+				ts.ObservedInRate = float64(ts.RecordsIn) / el
+				ts.ObservedOutRate = float64(ts.RecordsOut) / el
 			}
-			res.Tasks[ts.Task.taskID()] = TaskStats{
-				Worker:          ts.Worker,
-				RecordsIn:       ts.RecordsIn,
-				RecordsOut:      ts.RecordsOut,
-				BytesOut:        ts.BytesOut,
-				BusyTime:        busy,
-				BackpressureT:   bp,
-				UsefulFraction:  useful,
-				ObservedInRate:  inRate,
-				ObservedOutRate: outRate,
-			}
+			res.Tasks[t] = ts
 			name := func(metric string) string {
-				return metrics.TaskMetricName(ts.Task.Op, ts.Task.Index, metric)
+				return metrics.TaskMetricName(string(t.Op), t.Index, metric)
 			}
-			res.Metrics.Counter(name("records_in")).Inc(ts.RecordsIn)   //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-			res.Metrics.Counter(name("records_out")).Inc(ts.RecordsOut) //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-			res.Metrics.Counter(name("bytes_out")).Inc(ts.BytesOut)     //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-			res.Metrics.Time(name("busy_seconds")).Add(busy)            //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-			res.Metrics.Time(name("backpressure_seconds")).Add(bp)      //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-			res.Metrics.Gauge(name("useful_fraction")).Set(useful)      //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-			if ts.IsSink {
+			res.Metrics.Counter(name("records_in")).Inc(ts.RecordsIn)            //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
+			res.Metrics.Counter(name("records_out")).Inc(ts.RecordsOut)          //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
+			res.Metrics.Counter(name("bytes_out")).Inc(ts.BytesOut)              //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
+			res.Metrics.Time(name("busy_seconds")).Add(ts.BusyTime)              //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
+			res.Metrics.Time(name("backpressure_seconds")).Add(ts.BackpressureT) //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
+			res.Metrics.Gauge(name("useful_fraction")).Set(ts.UsefulFraction)    //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
+			if ts.Sink {
 				res.SinkRecords += ts.RecordsIn
 			}
-			if ts.IsSource {
+			if ts.Source {
 				res.SourceRecords += ts.RecordsOut
 			}
 			if ts.Dead {
 				res.Failed = true
 			}
 		}
+	}
+	if wait, ok := hists[creditWaitSeries]; ok {
+		exportCreditWait(res.Metrics, wait)
 	}
 	res.Faults = agg.faults
 	res.Recoveries = agg.recoveries
@@ -690,23 +672,6 @@ func assembleResult(reports []*WorkerReport, agg runAgg, net bool) *JobResult {
 		res.Metrics.Counter("job.rescales").Inc(int64(res.Rescales))
 		res.Metrics.Gauge("job.rescale_downtime_seconds").Set(res.RescaleDowntime.Seconds())
 		res.Metrics.Counter("job.rescale_moved_bytes").Inc(res.RescaleMovedBytes)
-	}
-	res.Metrics.Counter("exchange.batches").Inc(sum.Batches)
-	res.Metrics.Counter("exchange.batch_records").Inc(sum.BatchRecords)
-	res.Metrics.Counter("exchange.credit_stalls").Inc(sum.CreditStalls)
-	res.Metrics.Time("exchange.credit_stall_seconds").Add(secondsToDuration(sum.CreditStallSeconds))
-	if net {
-		res.Metrics.Counter("net.frames_sent").Inc(sum.NetFramesSent)
-		res.Metrics.Counter("net.frames_received").Inc(sum.NetFramesRecv)
-		res.Metrics.Counter("net.bytes_sent").Inc(sum.NetBytesSent)
-		res.Metrics.Counter("net.bytes_received").Inc(sum.NetBytesRecv)
-		res.Metrics.Counter("net.credit_frames").Inc(sum.NetCreditFrames)
-		res.Metrics.Counter("net.data_batches").Inc(sum.NetDataBatches)
-		res.Metrics.Counter("net.unexpected_frames").Inc(sum.NetUnexpectedFrames)
-		res.Metrics.Counter("net.dials").Inc(sum.NetDials)
-		res.Metrics.Counter("net.reconnects").Inc(sum.NetReconnects)
-		res.Metrics.Counter("net.encode_errors").Inc(sum.NetEncodeErrors)
-		exportCreditWait(res.Metrics, sum.NetCreditWait)
 	}
 	return res
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -55,7 +56,7 @@ func (x *scriptedExecutor) RunAttempt(_ context.Context, at AttemptSpec) (Attemp
 	end := AttemptEnd{Fault: step.fault, NewDead: step.dead}
 	for _, e := range step.epochs {
 		for _, task := range at.Tasks {
-			done, drain := x.sup.RecordSnapshot(WireSnapshot{Task: wireTaskOf(task), Epoch: e, RecordsIn: e * 100})
+			done, drain := x.sup.RecordSnapshot(&TaskSnapshot{Task: task, Epoch: e, RecordsIn: e * 100})
 			if done > 0 {
 				x.lastEpoch = done
 			}
@@ -72,10 +73,10 @@ func (x *scriptedExecutor) RunAttempt(_ context.Context, at AttemptSpec) (Attemp
 	for _, w := range append(append([]int(nil), at.Dead...), step.dead...) {
 		gone[w] = true
 	}
-	rep := &WorkerReport{Attempt: at.No, Completed: step.fault == nil && end.DrainEpoch == 0}
+	rep := &WorkerReport{Attempt: at.No, Completed: step.fault == nil && end.DrainEpoch == 0, Tasks: make(map[dataflow.TaskID]TaskStats)}
 	for _, task := range at.Tasks {
 		if w := at.Plan.MustWorker(task); !gone[w] {
-			rep.Tasks = append(rep.Tasks, WireTaskStats{Task: wireTaskOf(task), Worker: w, RecordsIn: x.lastEpoch*100 + step.progress})
+			rep.Tasks[task] = TaskStats{Worker: w, RecordsIn: x.lastEpoch*100 + step.progress}
 		}
 	}
 	end.Reports = []*WorkerReport{rep}
@@ -111,6 +112,10 @@ func TestSupervisorLifecycle(t *testing.T) {
 		// wantReplaced is the number of attempts whose plan differs from its
 		// predecessor's.
 		wantReplaced int
+		// noHook runs without an OnFault hook; wantErr is the failure the run
+		// must end with (the other want* fields are then unused).
+		noHook  bool
+		wantErr error
 	}{
 		{
 			name: "kill then restore",
@@ -176,6 +181,17 @@ func TestSupervisorLifecycle(t *testing.T) {
 			wantRestore: []int64{0, 1}, wantTasks: []int{5, 5}, wantDead: []int{0, 1},
 			wantReprocessed: 7 * 1, wantRecoveries: 1, wantEvents: recovery, wantReplaced: 1,
 		},
+		{
+			name:    "last worker dies",
+			script:  []scriptedAttempt{{epochs: []int64{1}, fault: kill(0), dead: []int{0, 1, 2}}},
+			wantErr: ErrAllWorkersDead,
+		},
+		{
+			name:    "death without a re-placement hook",
+			script:  []scriptedAttempt{{epochs: []int64{1}, fault: kill(1), dead: []int{1}}},
+			noHook:  true,
+			wantErr: ErrNoReplacementHook,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -190,7 +206,7 @@ func TestSupervisorLifecycle(t *testing.T) {
 			workers := bigWorkers(3, 6).Workers
 			x := &scriptedExecutor{t: t, script: tc.script, now: time.Unix(1700000000, 0)}
 			var events []telemetry.Event
-			sup, err := NewSupervisor(SupervisorConfig{
+			cfg := SupervisorConfig{
 				Tasks: tasks, Plan: plan, Workers: workers,
 				KeyGroups: DefaultKeyGroups, SnapshotInterval: 100, Transport: TransportBatched,
 				// Deaths move the dead workers' tasks to the highest live
@@ -219,7 +235,11 @@ func TestSupervisorLifecycle(t *testing.T) {
 				},
 				Emit: func(ev telemetry.Event) { events = append(events, ev) },
 				Now:  func() time.Time { return x.now },
-			})
+			}
+			if tc.noHook {
+				cfg.OnFault = nil
+			}
+			sup, err := NewSupervisor(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -230,6 +250,12 @@ func TestSupervisorLifecycle(t *testing.T) {
 				}
 			}
 			res, err := sup.Run(context.Background(), x)
+			if tc.wantErr != nil {
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("Run error = %v, want %v", err, tc.wantErr)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}

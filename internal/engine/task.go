@@ -73,7 +73,7 @@ type taskRuntime struct {
 	// srcOffset is the restored source position (next record index).
 	srcOffset int64
 	// restore carries the snapshot to apply during wiring (rr positions).
-	restore *taskSnapshot
+	restore *TaskSnapshot
 
 	// dead marks a degraded task: it drains and discards its input.
 	dead bool
@@ -98,10 +98,6 @@ type taskRuntime struct {
 
 	recordsIn, recordsOut, bytesOut int64
 	busy, bp                        time.Duration
-	// Exchange counters (batched transport): batches flushed, records they
-	// carried, and credit-gate stalls (count and time waited).
-	batches, batchRecords, creditStalls int64
-	creditStallT                        time.Duration
 }
 
 const (

@@ -98,8 +98,11 @@ func (m *Meter) RateOver(elapsed time.Duration) float64 {
 
 // Registry is a named collection of metrics with consistent snapshots.
 type Registry struct {
-	mu       sync.Mutex
-	clk      clock.Clock
+	mu  sync.Mutex
+	clk clock.Clock
+	// parent is set on a Scope: cells come from the parent, so both
+	// registries name the same cell; only the listing is the scope's own.
+	parent   *Registry
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	meters   map[string]*Meter
@@ -121,13 +124,33 @@ func NewRegistryAt(clk clock.Clock) *Registry {
 	}
 }
 
+// Scope returns a registry that shares r's cells but lists only the names
+// asked for through it: Counter("x") on the scope and on r return the same
+// *Counter, while the scope's snapshots cover just the series its owner
+// declared. A component that reports its own share of a process-wide
+// registry — an engine attempt inside a telemetry hub — declares its cells
+// on a scope and subtracts the snapshot it took when it started. The scope
+// of a nil registry is a fresh private registry.
+func (r *Registry) Scope() *Registry {
+	if r == nil {
+		return NewRegistry()
+	}
+	s := NewRegistryAt(r.clk)
+	s.parent = r
+	return s
+}
+
 // Counter returns (creating if needed) the named counter.
 func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	if !ok {
-		c = &Counter{}
+		if r.parent != nil {
+			c = r.parent.Counter(name)
+		} else {
+			c = &Counter{}
+		}
 		r.counters[name] = c
 	}
 	return c
@@ -139,7 +162,11 @@ func (r *Registry) Gauge(name string) *Gauge {
 	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
 	if !ok {
-		g = &Gauge{}
+		if r.parent != nil {
+			g = r.parent.Gauge(name)
+		} else {
+			g = &Gauge{}
+		}
 		r.gauges[name] = g
 	}
 	return g
@@ -151,7 +178,11 @@ func (r *Registry) Meter(name string) *Meter {
 	defer r.mu.Unlock()
 	m, ok := r.meters[name]
 	if !ok {
-		m = NewMeterAt(r.clk)
+		if r.parent != nil {
+			m = r.parent.Meter(name)
+		} else {
+			m = NewMeterAt(r.clk)
+		}
 		r.meters[name] = m
 	}
 	return m
@@ -163,7 +194,11 @@ func (r *Registry) Time(name string) *TimeAccumulator {
 	defer r.mu.Unlock()
 	t, ok := r.times[name]
 	if !ok {
-		t = &TimeAccumulator{}
+		if r.parent != nil {
+			t = r.parent.Time(name)
+		} else {
+			t = &TimeAccumulator{}
+		}
 		r.times[name] = t
 	}
 	return t

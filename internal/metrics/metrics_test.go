@@ -131,6 +131,39 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestRegistryScope: a scope and its parent name the same cells, the scope
+// lists only what was asked for through it, and the scope of a nil registry
+// is a private registry.
+func TestRegistryScope(t *testing.T) {
+	hub := NewRegistry()
+	hub.Counter("other.series").Inc(9)
+	hub.Counter("net.frames_sent").Inc(5) // an earlier owner's count
+	scope := hub.Scope()
+	frames, stall := scope.Counter("net.frames_sent"), scope.Time("exchange.credit_stall_seconds")
+	if frames != hub.Counter("net.frames_sent") || stall != hub.Time("exchange.credit_stall_seconds") {
+		t.Fatal("scope and parent returned different cells for one name")
+	}
+	base := scope.TypedSnapshot()
+	frames.Inc(2)
+	stall.Add(time.Second)
+	got := scope.TypedSnapshot()
+	if len(got.Counters) != 1 || len(got.Times) != 1 {
+		t.Errorf("scope lists %v / %v, want only the two series it declared", got.Counters, got.Times)
+	}
+	if d := got.Counters["net.frames_sent"] - base.Counters["net.frames_sent"]; d != 2 {
+		t.Errorf("scoped delta = %d, want 2", d)
+	}
+	if hub.Snapshot()["net.frames_sent"] != 7 || hub.Snapshot()["exchange.credit_stall_seconds"] != 1 {
+		t.Errorf("parent does not see the scope's increments: %v", hub.Snapshot())
+	}
+
+	private := (*Registry)(nil).Scope()
+	private.Counter("x").Inc(1)
+	if private.Snapshot()["x"] != 1 {
+		t.Error("scope of a nil registry is not a working private registry")
+	}
+}
+
 func TestTaskMetricName(t *testing.T) {
 	if got := TaskMetricName("win", 3, "records_in"); got != "win[3].records_in" {
 		t.Errorf("TaskMetricName = %q", got)

@@ -132,25 +132,23 @@ func (d *decodedGroup) bytesHeld() int64 {
 	return n
 }
 
-// decodeImageGroups decodes one namespace image into its key-groups. Both
-// layouts are accepted: the grouped v2 layout is taken as-is, and legacy
-// flat entries are grouped by hashing their key prefixes.
+// decodeImageGroups decodes one namespace image into its key-groups — the
+// only decoder, for Restore and Repartition alike. Images come from outside
+// the process (a coordinator's snapshot store, another worker), so the
+// decode is strict: a field the grouped layout does not have (the flat
+// pre-key-group layout's "data"/"lists" among them), a group outside
+// [0,numGroups) or a group listed twice is an error, never a silently empty
+// or partial restore.
 func decodeImageGroups(buf []byte, numGroups int) (map[int]*decodedGroup, error) {
 	var img nsImage
 	if len(buf) > 0 {
-		if err := json.Unmarshal(buf, &img); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(buf))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&img); err != nil {
 			return nil, err
 		}
 	}
-	groups := make(map[int]*decodedGroup)
-	get := func(g int) *decodedGroup {
-		d := groups[g]
-		if d == nil {
-			d = &decodedGroup{g: g}
-			groups[g] = d
-		}
-		return d
-	}
+	groups := make(map[int]*decodedGroup, len(img.Groups))
 	for _, gi := range img.Groups {
 		if gi.G < 0 || gi.G >= numGroups {
 			return nil, fmt.Errorf("statebackend: image holds group %d outside [0,%d)", gi.G, numGroups)
@@ -158,17 +156,7 @@ func decodeImageGroups(buf []byte, numGroups int) (map[int]*decodedGroup, error)
 		if _, dup := groups[gi.G]; dup {
 			return nil, fmt.Errorf("statebackend: image holds group %d twice", gi.G)
 		}
-		d := get(gi.G)
-		d.data = gi.Data
-		d.lists = gi.Lists
-	}
-	for _, e := range img.Data {
-		d := get(storageKeyGroup(e.K, numGroups))
-		d.data = append(d.data, e)
-	}
-	for _, e := range img.Lists {
-		d := get(storageKeyGroup(e.K, numGroups))
-		d.lists = append(d.lists, e)
+		groups[gi.G] = &decodedGroup{g: gi.G, data: gi.Data, lists: gi.Lists}
 	}
 	return groups, nil
 }

@@ -162,28 +162,31 @@ func TestRepartitionOwnership(t *testing.T) {
 	}
 }
 
-// TestRestoreAcceptsLegacyFlatImage: images written before the key-group
-// layout (flat data/lists) still restore, and re-snapshotting them yields
-// the grouped layout.
-func TestRestoreAcceptsLegacyFlatImage(t *testing.T) {
-	legacy := []byte(`{"data":[{"k":"a2V5LTE=","v":"djE="}],"lists":[{"k":"bGs=","v":["eA=="]}]}`)
-	store := NewStore(nil, Options{})
-	ns := store.Namespace("t")
-	if err := ns.Restore(legacy); err != nil {
-		t.Fatal(err)
+// TestRestoreRejectsForeignImage: Restore goes through the one image
+// decoder, so the flat pre-key-group layout (nothing has produced it since
+// the grouped layout landed), an unknown field, an out-of-range group and a
+// repeated group are errors — never a namespace silently restored empty or
+// partial — and a rejected restore leaves the contents alone.
+func TestRestoreRejectsForeignImage(t *testing.T) {
+	ns := NewStore(nil, Options{NumKeyGroups: 8}).Namespace("t")
+	ns.Put("keep", []byte("v"))
+	for name, img := range map[string]string{
+		"flat layout":         `{"data":[{"k":"a2V5LTE=","v":"djE="}],"lists":[{"k":"bGs=","v":["eA=="]}]}`,
+		"unknown field":       `{"groups":[],"version":3}`,
+		"unknown group field": `{"groups":[{"g":1,"extra":true}]}`,
+		"group out of range":  `{"groups":[{"g":8}]}`,
+		"group twice":         `{"groups":[{"g":1},{"g":1}]}`,
+		"not json":            `groups`,
+	} {
+		if err := ns.Restore([]byte(img)); err == nil {
+			t.Errorf("%s: restored without error", name)
+		}
+		if v, ok := ns.Get("keep"); !ok || string(v) != "v" {
+			t.Fatalf("%s: rejected restore changed the namespace", name)
+		}
 	}
-	if v, ok := ns.Get("key-1"); !ok || string(v) != "v1" {
-		t.Fatalf("legacy data entry lost: %q %v", v, ok)
-	}
-	if l := ns.List("lk"); len(l) != 1 || string(l[0]) != "x" {
-		t.Fatalf("legacy list entry lost: %v", l)
-	}
-	img, err := ns.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(img, []byte(`"groups"`)) {
-		t.Fatalf("re-snapshot should be grouped, got %s", img)
+	if err := ns.Restore(nil); err != nil || ns.Keys() != 0 {
+		t.Errorf("empty image: err=%v keys=%d, want a cleared namespace", err, ns.Keys())
 	}
 }
 

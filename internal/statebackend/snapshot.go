@@ -1,9 +1,6 @@
 package statebackend
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // Namespace keys may contain arbitrary bytes (window keys embed big-endian
 // timestamps), and JSON map keys silently mangle invalid UTF-8. The image
@@ -29,13 +26,11 @@ type groupImage struct {
 	Lists []nsListEntry `json:"lists,omitempty"`
 }
 
-// nsImage is a namespace snapshot. Current snapshots populate Groups (the
-// key-group-partitioned layout that Repartition splits and merges exactly);
-// Restore also accepts the pre-key-group flat layout in Data/Lists.
+// nsImage is a namespace snapshot: the key-group-partitioned layout that
+// Repartition splits and merges exactly. decodeImageGroups is its one
+// decoder and rejects anything else.
 type nsImage struct {
-	Groups []groupImage  `json:"groups,omitempty"`
-	Data   []nsEntry     `json:"data,omitempty"`
-	Lists  []nsListEntry `json:"lists,omitempty"`
+	Groups []groupImage `json:"groups,omitempty"`
 }
 
 // Snapshot serializes the namespace's complete contents into a
@@ -83,37 +78,33 @@ func (ns *Namespace) Snapshot() ([]byte, error) {
 }
 
 // Restore replaces the namespace's contents with a previously taken
-// Snapshot image. A nil or empty image clears the namespace. The restore
-// write is charged to the accounting callback.
+// Snapshot image. A nil or empty image clears the namespace; an image that
+// is not in the grouped layout, or names a group outside the store's group
+// count, is an error and leaves the namespace unchanged. The restore write
+// is charged to the accounting callback.
 func (ns *Namespace) Restore(buf []byte) error {
-	var img nsImage
-	if len(buf) > 0 {
-		if err := json.Unmarshal(buf, &img); err != nil {
-			return fmt.Errorf("statebackend: restore %s: %w", ns.name, err)
-		}
+	groups, err := decodeImageGroups(buf, ns.store.opts.NumKeyGroups)
+	if err != nil {
+		return fmt.Errorf("statebackend: restore %s: %w", ns.name, err)
 	}
-	flatData := img.Data
-	flatLists := img.Lists
-	for _, gi := range img.Groups {
-		flatData = append(flatData, gi.Data...)
-		flatLists = append(flatLists, gi.Lists...)
-	}
-	data := make(map[string][]byte, len(flatData))
-	lists := make(map[string][][]byte, len(flatLists))
+	data := make(map[string][]byte)
+	lists := make(map[string][][]byte)
 	bytes := 0
-	for _, e := range flatData {
-		v := append([]byte(nil), e.V...)
-		data[string(e.K)] = v
-		bytes += len(e.K) + len(v)
-	}
-	for _, e := range flatLists {
-		cp := make([][]byte, len(e.V))
-		bytes += len(e.K)
-		for i, v := range e.V {
-			cp[i] = append([]byte(nil), v...)
-			bytes += len(v)
+	for _, d := range groups {
+		for _, e := range d.data {
+			v := append([]byte(nil), e.V...)
+			data[string(e.K)] = v
+			bytes += len(e.K) + len(v)
 		}
-		lists[string(e.K)] = cp
+		for _, e := range d.lists {
+			cp := make([][]byte, len(e.V))
+			bytes += len(e.K)
+			for i, v := range e.V {
+				cp[i] = append([]byte(nil), v...)
+				bytes += len(v)
+			}
+			lists[string(e.K)] = cp
+		}
 	}
 	ns.mu.Lock()
 	ns.data = data
