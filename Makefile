@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-dist test-rescale stress race bench bench-engine bench-paper bench-build benchmark cover lint loc verify
+.PHONY: build test test-dist test-rescale stress race fuzz bench bench-engine bench-paper bench-build benchmark cover lint loc verify
 
 build:
 	$(GO) build ./...
@@ -37,19 +37,28 @@ stress:
 race:
 	$(GO) test -race ./...
 
-# bench runs the CAPS search benchmarks (incremental vs scratch evaluation,
-# cold vs warm start) and rewrites the committed BENCH_caps.json baseline
-# with per-variant effort counters plus the derived ratios.
-bench:
-	BENCH_CAPS_OUT=$(CURDIR)/BENCH_caps.json $(GO) test -run '^$$' -bench 'BenchmarkSearch' -benchmem ./internal/caps
+# fuzz runs every Fuzz* target in the tree for ten seconds each (go test
+# takes one -fuzz target per invocation, so they are found by name): the
+# frame envelope and the data-plane batch codec, query specs, metric names
+# and key-group partitioning. A failing input is written under the
+# package's testdata/fuzz/ and fails the target.
+fuzz:
+	@set -e; grep -rEo --include='*_test.go' '^func Fuzz[A-Za-z0-9_]+' cmd internal | sort | \
+	while IFS=: read -r file fn; do \
+		echo "== ./$$(dirname $$file) $${fn#func }"; \
+		$(GO) test -run '^$$' -fuzz "^$${fn#func }\$$" -fuzztime=10s ./$$(dirname $$file); \
+	done
 
-# bench-engine runs the data-plane throughput suite (linear chain fused and
-# unfused, fan-out, join, the nexmark Q3-inf shape, and a keyed-window job
-# with a live mid-run rescale, each across all transports) and rewrites the
-# committed BENCH_engine.json baseline, including the batched-over-unary and
-# fused-over-unfused ratios and the rescale rows' measured downtime.
+# bench and bench-engine are plain `go test -bench` microbenchmarks for a
+# quick look while working on a layer: the CAPS search (incremental vs
+# scratch evaluation, cold vs warm start) and the data plane (the wire codec
+# alone, then short runs of a few query shapes per transport). They record
+# nothing; performance claims rest on `make benchmark`.
+bench:
+	$(GO) test -run '^$$' -bench 'BenchmarkSearch' -benchmem ./internal/caps
+
 bench-engine:
-	BENCH_ENGINE_OUT=$(CURDIR)/BENCH_engine.json $(GO) test -run '^$$' -bench 'BenchmarkEngineThroughput' -benchmem ./internal/engine
+	$(GO) test -run '^$$' -bench 'BenchmarkWireCodec|BenchmarkEngineThroughput' -benchmem ./internal/engine
 
 # bench-paper runs the original end-to-end paper benchmarks at the repo root.
 bench-paper:
@@ -57,9 +66,8 @@ bench-paper:
 
 # benchmark runs the repository's benchmark (bench/, contract in
 # BENCHMARK.json): every workload in a fresh child process, results in
-# bench/out/result.json. This — not BENCH_engine.json / BENCH_caps.json,
-# which are single overwritten snapshots of millisecond runs — is the basis
-# for any performance claim; see bench/README.md for compare and -trace.
+# bench/out/result.json. This is the basis for any performance claim; see
+# bench/README.md for compare and -trace.
 benchmark:
 	bash bench/run.sh run
 

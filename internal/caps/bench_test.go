@@ -2,12 +2,8 @@ package caps
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"sort"
-	"sync"
 	"testing"
 
 	"capsys/internal/cluster"
@@ -16,93 +12,11 @@ import (
 	"capsys/internal/nexmark"
 )
 
-// The search benchmarks double as the recorded performance baseline: running
-// them with BENCH_CAPS_OUT=<path> (see `make bench`) rewrites BENCH_caps.json
-// with per-variant effort counters and wall-clock, plus the derived
-// scratch-vs-incremental and cold-vs-warm ratios the incremental-evaluation
-// work is judged by.
-
-type benchRecord struct {
-	Query        string  `json:"query"`
-	Tasks        int     `json:"tasks"`
-	Workers      int     `json:"workers"`
-	Mode         string  `json:"mode"`
-	Variant      string  `json:"variant"`
-	NsPerOp      float64 `json:"ns_per_op"`
-	Nodes        int64   `json:"nodes"`
-	CostEvals    int64   `json:"cost_evals"`
-	MemoPrunes   int64   `json:"memo_prunes"`
-	BudgetPrunes int64   `json:"budget_prunes"`
-	Plans        int64   `json:"plans"`
-}
-
-var (
-	benchMu      sync.Mutex
-	benchResults = map[string]benchRecord{}
-)
-
-func recordBench(name string, rec benchRecord) {
-	benchMu.Lock()
-	benchResults[name] = rec
-	benchMu.Unlock()
-}
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if path := os.Getenv("BENCH_CAPS_OUT"); path != "" && len(benchResults) > 0 && code == 0 {
-		if err := writeBenchJSON(path); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", path, err)
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
-
-func writeBenchJSON(path string) error {
-	names := make([]string, 0, len(benchResults))
-	for n := range benchResults {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	type out struct {
-		Note    string             `json:"note"`
-		Records []benchRecord      `json:"records"`
-		Summary map[string]float64 `json:"summary"`
-	}
-	o := out{
-		Note:    "go test -bench BenchmarkSearch ./internal/caps (see make bench); counters are per-search, ns_per_op from the benchmark timer",
-		Summary: map[string]float64{},
-	}
-	for _, n := range names {
-		o.Records = append(o.Records, benchResults[n])
-	}
-	ratio := func(dst, numName, denName string) {
-		num, okN := benchResults[numName]
-		den, okD := benchResults[denName]
-		if okN && okD && den.CostEvals > 0 {
-			o.Summary[dst+"_cost_evals"] = float64(num.CostEvals) / float64(den.CostEvals)
-		}
-		if okN && okD && den.NsPerOp > 0 {
-			o.Summary[dst+"_time"] = num.NsPerOp / den.NsPerOp
-		}
-		if okN && okD && den.Nodes > 0 {
-			o.Summary[dst+"_nodes"] = float64(num.Nodes) / float64(den.Nodes)
-		}
-	}
-	// Headline ratios: scratch over incremental (>= 2 expected: the
-	// incremental evaluator does that many times less cost-model work on the
-	// fig7-scale exhaustive search), and cold over warm (> 1 expected: a
-	// warm-started online decision revisits a fraction of the nodes).
-	ratio("q3inf_x2_exhaustive_scratch_over_incremental", "q3inf-x2/exhaustive/scratch", "q3inf-x2/exhaustive/incremental")
-	ratio("q3inf_exhaustive_scratch_over_incremental", "q3inf/exhaustive/scratch", "q3inf/exhaustive/incremental")
-	ratio("q3inf_first_feasible_cold_over_warm", "q3inf/first-feasible/cold", "q3inf/first-feasible/warm")
-	ratio("q2join64_first_feasible_cold_over_warm", "q2join-64/first-feasible/cold", "q2join-64/first-feasible/warm")
-	buf, err := json.MarshalIndent(o, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
+// The search benchmarks are plain `go test -bench` microbenchmarks (`make
+// bench`): incremental against scratch evaluation, cold against warm start,
+// with the per-search node and cost-evaluation counts reported beside the
+// time. They record nothing; the placement figures any claim rests on come
+// from the `search-scale` workload of the repository's benchmark (bench/).
 
 type benchCase struct {
 	query string
@@ -220,7 +134,7 @@ func q2joinCase(b *testing.B, tasks int) benchCase {
 	}
 }
 
-func runSearchBench(b *testing.B, bc benchCase, name string, opts Options) {
+func runSearchBench(b *testing.B, bc benchCase, opts Options) {
 	b.Helper()
 	opts.Alpha = bc.alpha
 	opts.Reorder = true
@@ -237,25 +151,8 @@ func runSearchBench(b *testing.B, bc benchCase, name string, opts Options) {
 		last = res
 	}
 	b.StopTimer()
-	mode := "exhaustive"
-	if opts.Mode == FirstFeasible {
-		mode = "first-feasible"
-	}
 	b.ReportMetric(float64(last.Stats.Nodes), "nodes/op")
 	b.ReportMetric(float64(last.Stats.CostEvals), "evals/op")
-	recordBench(name, benchRecord{
-		Query:        bc.query,
-		Tasks:        bc.phys.NumTasks(),
-		Workers:      bc.c.NumWorkers(),
-		Mode:         mode,
-		Variant:      name[len(bc.query)+len(mode)+2:],
-		NsPerOp:      float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		Nodes:        last.Stats.Nodes,
-		CostEvals:    last.Stats.CostEvals,
-		MemoPrunes:   last.Stats.MemoPrunes,
-		BudgetPrunes: last.Stats.BudgetPrunes,
-		Plans:        last.Stats.Plans,
-	})
 }
 
 // warmPlanFor runs one untimed cold search to obtain the seed plan for the
@@ -275,48 +172,48 @@ func warmPlanFor(b *testing.B, bc benchCase, mode Mode) *dataflow.Plan {
 func BenchmarkSearch(b *testing.B) {
 	b.Run("q3inf/exhaustive/scratch", func(b *testing.B) {
 		bc := q3infCase(b)
-		runSearchBench(b, bc, "q3inf/exhaustive/scratch", Options{Mode: Exhaustive, ScratchEval: true})
+		runSearchBench(b, bc, Options{Mode: Exhaustive, ScratchEval: true})
 	})
 	b.Run("q3inf/exhaustive/no-memo", func(b *testing.B) {
 		bc := q3infCase(b)
-		runSearchBench(b, bc, "q3inf/exhaustive/no-memo", Options{Mode: Exhaustive, DisableMemo: true})
+		runSearchBench(b, bc, Options{Mode: Exhaustive, DisableMemo: true})
 	})
 	b.Run("q3inf/exhaustive/incremental", func(b *testing.B) {
 		bc := q3infCase(b)
-		runSearchBench(b, bc, "q3inf/exhaustive/incremental", Options{Mode: Exhaustive})
+		runSearchBench(b, bc, Options{Mode: Exhaustive})
 	})
 	b.Run("q3inf-x2/exhaustive/scratch", func(b *testing.B) {
 		bc := q3infScaledCase(b)
-		runSearchBench(b, bc, "q3inf-x2/exhaustive/scratch", Options{Mode: Exhaustive, ScratchEval: true})
+		runSearchBench(b, bc, Options{Mode: Exhaustive, ScratchEval: true})
 	})
 	b.Run("q3inf-x2/exhaustive/incremental", func(b *testing.B) {
 		bc := q3infScaledCase(b)
-		runSearchBench(b, bc, "q3inf-x2/exhaustive/incremental", Options{Mode: Exhaustive})
+		runSearchBench(b, bc, Options{Mode: Exhaustive})
 	})
 	b.Run("q3inf/first-feasible/cold", func(b *testing.B) {
 		bc := q3infCase(b)
-		runSearchBench(b, bc, "q3inf/first-feasible/cold", Options{Mode: FirstFeasible})
+		runSearchBench(b, bc, Options{Mode: FirstFeasible})
 	})
 	b.Run("q3inf/first-feasible/warm", func(b *testing.B) {
 		bc := q3infCase(b)
 		warm := warmPlanFor(b, bc, FirstFeasible)
-		runSearchBench(b, bc, "q3inf/first-feasible/warm", Options{Mode: FirstFeasible, Warm: warm})
+		runSearchBench(b, bc, Options{Mode: FirstFeasible, Warm: warm})
 	})
 	for _, tasks := range []int{32, 64} {
 		tasks := tasks
 		name := fmt.Sprintf("q2join-%d", tasks)
 		b.Run(name+"/first-feasible/cold", func(b *testing.B) {
 			bc := q2joinCase(b, tasks)
-			runSearchBench(b, bc, name+"/first-feasible/cold", Options{Mode: FirstFeasible})
+			runSearchBench(b, bc, Options{Mode: FirstFeasible})
 		})
 		b.Run(name+"/first-feasible/warm", func(b *testing.B) {
 			bc := q2joinCase(b, tasks)
 			warm := warmPlanFor(b, bc, FirstFeasible)
-			runSearchBench(b, bc, name+"/first-feasible/warm", Options{Mode: FirstFeasible, Warm: warm})
+			runSearchBench(b, bc, Options{Mode: FirstFeasible, Warm: warm})
 		})
 		b.Run(name+"/first-feasible/scratch", func(b *testing.B) {
 			bc := q2joinCase(b, tasks)
-			runSearchBench(b, bc, name+"/first-feasible/scratch", Options{Mode: FirstFeasible, ScratchEval: true})
+			runSearchBench(b, bc, Options{Mode: FirstFeasible, ScratchEval: true})
 		})
 	}
 }

@@ -106,8 +106,8 @@ type Options struct {
 	// ScratchEval disables incremental load maintenance and recomputes every
 	// per-worker load vector from the full assignment on each placement step
 	// (and each leaf). Results are identical; only the effort differs. It
-	// exists as the ablation baseline for the searchperf experiment and the
-	// BENCH_caps.json benchmarks, and implies DisableMemo.
+	// exists as the ablation baseline for the searchperf experiment and
+	// BenchmarkSearch, and implies DisableMemo.
 	ScratchEval bool
 	// DisableMemo turns off memoized dominated-state pruning (ablation).
 	DisableMemo bool

@@ -192,8 +192,11 @@ type (
 // version gates the join handshake. Version 4 dropped the wire-only mirror
 // types: frames carry dataflow.TaskID and engine.TaskSnapshot directly, and
 // worker reports carry per-task engine.TaskStats plus a named metric
-// snapshot instead of one scalar field per counter.
-const distProtoVersion = 4
+// snapshot instead of one scalar field per counter. Version 5 took gob off
+// the data plane (engine/wirecodec.go): a version-4 worker would join, deploy
+// and then fail every data-plane handshake against its peers, so it is
+// refused at the join instead.
+const distProtoVersion = 5
 
 // errEncodePayload marks a send that failed locally while gob-encoding the
 // body — the data was unencodable or too large (MaxFramePayload), which

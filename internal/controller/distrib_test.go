@@ -655,9 +655,10 @@ func TestWirePayloadRoundTrip(t *testing.T) {
 }
 
 // TestDistJoinVersionGate: report and restore payloads changed shape between
-// protocol 3 and 4, so a worker from the other side of that line must be
-// turned away at the handshake — not welcomed and then fed frames it would
-// misdecode. The coordinator drops it and keeps waiting for a real worker.
+// protocol 3 and 4 and the data plane's frames between 4 and 5, so a worker
+// from the other side of either line must be turned away at the handshake —
+// not welcomed and then fed frames it would misdecode. The coordinator drops
+// it and keeps waiting for a real worker.
 func TestDistJoinVersionGate(t *testing.T) {
 	fx := newDistFixture(t, "Q3-inf")
 	co, err := NewCoordinator("127.0.0.1:0", fx.deployOn(1, len(fx.deploy.Assign)), 1, CoordinatorOptions{})
@@ -672,7 +673,12 @@ func TestDistJoinVersionGate(t *testing.T) {
 	for _, tc := range []struct {
 		proto   int
 		welcome bool
-	}{{distProtoVersion - 1, false}, {distProtoVersion + 1, false}, {distProtoVersion, true}} {
+	}{
+		// Proto 4 spoke gob on the data plane: it would join, deploy, and then
+		// fail every data handshake against a proto-5 peer.
+		{4, false},
+		{distProtoVersion - 1, false}, {distProtoVersion + 1, false}, {distProtoVersion, true},
+	} {
 		c, err := net.DialTimeout("tcp", co.Addr(), 5*time.Second)
 		if err != nil {
 			t.Fatal(err)

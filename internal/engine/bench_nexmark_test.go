@@ -8,10 +8,10 @@ import (
 	"capsys/internal/nexmark"
 )
 
-// The Q3-inf shape of the committed throughput suite. It lives in an
-// external test package because nexmark imports engine: the in-package
-// suite (bench_test.go) cannot import it back, but it can expose
-// RunQueryBench for this file to land rows in the same BENCH_engine.json.
+// The Q3-inf shape of the throughput suite. It lives in an external test
+// package because nexmark imports engine: the in-package suite
+// (bench_test.go) cannot import it back, but it exposes RunQueryBench for
+// this file to measure the same way.
 
 // q3infJob deploys the paper's Q3-inf inference pipeline (src 2 -> decode 4
 // -> inference 8 -> sink 2, repartitioning edges) through the real nexmark
@@ -54,7 +54,7 @@ func BenchmarkEngineThroughputQ3Inf(b *testing.B) {
 			// Q3-inf's edges all repartition (2 -> 4 -> 8 -> 2), so fusion
 			// has nothing to do; the fuse-on default must measure identically
 			// to unfused, and the row records the shape's exchange cost.
-			engine.RunQueryBench(b, "q3inf", tr, true, false, 2*perSource, func(b *testing.B) *engine.Job {
+			engine.RunQueryBench(b, false, 2*perSource, func(b *testing.B) *engine.Job {
 				return q3infJob(b, tr, perSource)
 			})
 		})

@@ -2,156 +2,30 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"sort"
-	"sync"
 	"testing"
 	"time"
 
 	"capsys/internal/dataflow"
 )
 
-// The throughput suite doubles as the recorded data-plane baseline: running
-// it with BENCH_ENGINE_OUT=<path> (see `make bench-engine`) rewrites
-// BENCH_engine.json with a per-query-shape `queries` array — linear chain
-// (the operator-fusion headline), fan-out, join, and the nexmark Q3-inf
-// topology — each measured per transport and, where the shape is
-// fusion-eligible, fused versus unfused.
-
-// QueryBenchRow is one (query, transport, fusion) measurement. Exported so
-// the external benchmark file (package engine_test, which can import
-// nexmark without an import cycle) can record rows through RecordQueryBench.
-type QueryBenchRow struct {
-	Transport string  `json:"transport"`
-	Fused     bool    `json:"fused"`
-	Records   int64   `json:"records"`
-	NsPerOp   float64 `json:"ns_per_op"`
-	RecPerSec float64 `json:"rec_per_sec"`
-	Batches   int64   `json:"batches"`
-	BatchMean float64 `json:"batch_mean_records"`
-	// Rescale rows only: mean live-rescale downtime and state moved per run.
-	RescaleDowntimeMs float64 `json:"rescale_downtime_ms,omitempty"`
-	RescaleMovedBytes int64   `json:"rescale_moved_bytes,omitempty"`
-}
-
-var (
-	engineBenchMu      sync.Mutex
-	engineBenchResults = map[string]map[string]QueryBenchRow{}
-)
-
-// RecordQueryBench lands one row in the committed suite, keyed by query
-// shape and (transport, fused) within it.
-func RecordQueryBench(query string, row QueryBenchRow) {
-	engineBenchMu.Lock()
-	rows := engineBenchResults[query]
-	if rows == nil {
-		rows = map[string]QueryBenchRow{}
-		engineBenchResults[query] = rows
-	}
-	mode := "unfused"
-	if row.Fused {
-		mode = "fused"
-	}
-	rows[row.Transport+"/"+mode] = row
-	engineBenchMu.Unlock()
-}
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if path := os.Getenv("BENCH_ENGINE_OUT"); path != "" && len(engineBenchResults) > 0 && code == 0 {
-		if err := writeEngineBenchJSON(path); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", path, err)
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
-
-func writeEngineBenchJSON(path string) error {
-	type queryOut struct {
-		Query   string             `json:"query"`
-		Rows    []QueryBenchRow    `json:"rows"`
-		Summary map[string]float64 `json:"summary"`
-	}
-	type out struct {
-		Note    string             `json:"note"`
-		Queries []queryOut         `json:"queries"`
-		Summary map[string]float64 `json:"summary"`
-	}
-	o := out{
-		Note:    "go test -bench BenchmarkEngineThroughput ./internal/engine (see make bench-engine); rec_per_sec is end-to-end source records over job wall-clock, per query shape x transport x fusion mode",
-		Summary: map[string]float64{},
-	}
-	queries := make([]string, 0, len(engineBenchResults))
-	for q := range engineBenchResults {
-		queries = append(queries, q)
-	}
-	sort.Strings(queries)
-	rate := func(rows map[string]QueryBenchRow, key string) float64 {
-		return rows[key].RecPerSec
-	}
-	for _, q := range queries {
-		rows := engineBenchResults[q]
-		keys := make([]string, 0, len(rows))
-		for k := range rows {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		qo := queryOut{Query: q, Summary: map[string]float64{}}
-		for _, k := range keys {
-			qo.Rows = append(qo.Rows, rows[k])
-		}
-		// Per-shape ratios: the exchange refactor's batched-over-unary gain,
-		// and — where both modes ran — fusion's gain on the batched path.
-		// Unfused rows are preferred for the exchange ratio: a fully fused
-		// chain has no exchange left to compare. The repartitioning shapes
-		// only run at the fuse-on default (nothing to fuse), so their rows
-		// carry fused=true and the ratio reads the same either way.
-		uKey, bKey := TransportUnary+"/unfused", TransportBatched+"/unfused"
-		if _, ok := rows[uKey]; !ok {
-			uKey, bKey = TransportUnary+"/fused", TransportBatched+"/fused"
-		}
-		if u, b := rate(rows, uKey), rate(rows, bKey); u > 0 && b > 0 {
-			qo.Summary["batched_over_unary_throughput"] = b / u
-		}
-		if u, f := rate(rows, TransportBatched+"/unfused"), rate(rows, TransportBatched+"/fused"); u > 0 && f > 0 {
-			qo.Summary["fused_over_unfused_batched"] = f / u
-		}
-		o.Queries = append(o.Queries, qo)
-	}
-	// Headline numbers: the linear chain is the fusion showcase (ROADMAP's
-	// raw-speed target is quoted against it).
-	if rows, ok := engineBenchResults["linear"]; ok {
-		if r := rate(rows, TransportBatched+"/unfused"); r > 0 {
-			if u := rate(rows, TransportUnary+"/unfused"); u > 0 {
-				o.Summary["batched_over_unary_throughput"] = r / u
-			}
-		}
-		if f := rate(rows, TransportBatched+"/fused"); f > 0 {
-			o.Summary["linear_fused_batched_rec_per_sec"] = f
-			if u := rate(rows, TransportBatched+"/unfused"); u > 0 {
-				o.Summary["linear_fused_over_unfused_batched"] = f / u
-			}
-		}
-	}
-	buf, err := json.MarshalIndent(o, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
+// The throughput suite is a set of plain `go test -bench` microbenchmarks
+// (`make bench-engine`): short runs of a few query shapes per transport,
+// useful for a quick look while working on the data plane. It records
+// nothing — the numbers any performance claim rests on come from the
+// repository's benchmark under bench/ (BENCHMARK.json), which runs for
+// seconds, checks its output and keeps baselines.
 
 // RunQueryBench is the shared measurement loop: run build() b.N times,
-// require wantSink records at the sinks each run (-1 skips the check),
-// require the run to have fused iff wantFused, and record one row. The
-// recorded rec_per_sec uses the jobs' own wall-clock (summed over
-// iterations), so it composes across b.N.
-func RunQueryBench(b *testing.B, query, transport string, fused, wantFused bool, wantSink int64, build func(b *testing.B) *Job) {
+// require wantSink records at the sinks each run (-1 skips the check) and
+// the run to have fused iff wantFused, and report rec/s over the jobs' own
+// wall-clock (summed over iterations, so it composes across b.N). Exported
+// so the external benchmark file (package engine_test, which can import
+// nexmark without an import cycle) shares it.
+func RunQueryBench(b *testing.B, wantFused bool, wantSink int64, build func(b *testing.B) *Job) {
 	b.Helper()
 	b.ReportAllocs()
-	var sourced, batches, batchRecords int64
+	var sourced int64
 	var elapsed time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -164,32 +38,16 @@ func RunQueryBench(b *testing.B, query, transport string, fused, wantFused bool,
 		}
 		if i == 0 {
 			if _, ok := res.Metrics.Snapshot()["engine.fuse.tasks"]; ok != wantFused {
-				b.Fatalf("fused=%v run reports fusion=%v; the measured configuration is not the intended one", fused, ok)
+				b.Fatalf("run reports fusion=%v, want %v; the measured configuration is not the intended one", ok, wantFused)
 			}
 		}
 		sourced += res.SourceRecords
 		elapsed += res.Elapsed
-		batches += res.Metrics.Counter("exchange.batches").Value()
-		batchRecords += res.Metrics.Counter("exchange.batch_records").Value()
 	}
 	b.StopTimer()
-	if elapsed <= 0 {
-		return
+	if elapsed > 0 {
+		b.ReportMetric(float64(sourced)/elapsed.Seconds(), "rec/s")
 	}
-	recPerSec := float64(sourced) / elapsed.Seconds()
-	b.ReportMetric(recPerSec, "rec/s")
-	row := QueryBenchRow{
-		Transport: transport,
-		Fused:     fused,
-		Records:   sourced / int64(b.N),
-		NsPerOp:   float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		RecPerSec: recPerSec,
-		Batches:   batches / int64(b.N),
-	}
-	if batches > 0 {
-		row.BatchMean = float64(batchRecords) / float64(batches)
-	}
-	RecordQueryBench(query, row)
 }
 
 // linearJob: src(2) =fwd=> fwd(2) =fwd=> sink(2), index i co-located on
@@ -375,12 +233,11 @@ func rescaleBenchJob(b *testing.B, transport string, perSource int64) *Job {
 }
 
 // runRescaleBench mirrors RunQueryBench but additionally requires exactly one
-// applied, lossless rescale per run and records its mean downtime and moved
-// state bytes on the row.
+// applied, lossless rescale per run and reports its mean downtime.
 func runRescaleBench(b *testing.B, transport string, perSource int64) {
 	b.Helper()
 	b.ReportAllocs()
-	var sourced, batches, batchRecords, movedBytes int64
+	var sourced int64
 	var elapsed, downtime time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -397,34 +254,15 @@ func runRescaleBench(b *testing.B, transport string, perSource int64) {
 		sourced += res.SourceRecords
 		elapsed += res.Elapsed
 		downtime += res.RescaleDowntime
-		movedBytes += res.RescaleMovedBytes
-		batches += res.Metrics.Counter("exchange.batches").Value()
-		batchRecords += res.Metrics.Counter("exchange.batch_records").Value()
 	}
 	b.StopTimer()
-	if elapsed <= 0 {
-		return
+	if elapsed > 0 {
+		b.ReportMetric(float64(sourced)/elapsed.Seconds(), "rec/s")
+		b.ReportMetric(downtime.Seconds()*1e3/float64(b.N), "downtime-ms")
 	}
-	recPerSec := float64(sourced) / elapsed.Seconds()
-	b.ReportMetric(recPerSec, "rec/s")
-	b.ReportMetric(downtime.Seconds()*1e3/float64(b.N), "downtime-ms")
-	row := QueryBenchRow{
-		Transport:         transport,
-		Fused:             true, // fuse-on default; this shape has nothing to fuse
-		Records:           sourced / int64(b.N),
-		NsPerOp:           float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		RecPerSec:         recPerSec,
-		Batches:           batches / int64(b.N),
-		RescaleDowntimeMs: downtime.Seconds() * 1e3 / float64(b.N),
-		RescaleMovedBytes: movedBytes / int64(b.N),
-	}
-	if batches > 0 {
-		row.BatchMean = float64(batchRecords) / float64(batches)
-	}
-	RecordQueryBench("rescale", row)
 }
 
-// BenchmarkEngineThroughput is the committed multi-query suite (the
+// BenchmarkEngineThroughput is the multi-query suite (the
 // Q3-inf shape lives in bench_nexmark_test.go, outside this package, to
 // reach the nexmark bindings without an import cycle). The linear chain
 // runs fused and unfused; the repartitioning shapes have nothing to fuse
@@ -439,7 +277,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 					mode = "fused"
 				}
 				b.Run(tr+"/"+mode, func(b *testing.B) {
-					RunQueryBench(b, "linear", tr, fused, fused, 2*perSource, func(b *testing.B) *Job {
+					RunQueryBench(b, fused, 2*perSource, func(b *testing.B) *Job {
 						return linearJob(b, tr, fused, perSource)
 					})
 				})
@@ -450,7 +288,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		const perSource = 15000
 		for _, tr := range TransportNames() {
 			b.Run(tr, func(b *testing.B) {
-				RunQueryBench(b, "fanout", tr, true, false, 4*perSource, func(b *testing.B) *Job {
+				RunQueryBench(b, false, 4*perSource, func(b *testing.B) *Job {
 					return fanoutJob(b, tr, perSource)
 				})
 			})
@@ -460,7 +298,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		const perSource = 10000
 		for _, tr := range TransportNames() {
 			b.Run(tr, func(b *testing.B) {
-				RunQueryBench(b, "join", tr, true, false, perSource, func(b *testing.B) *Job {
+				RunQueryBench(b, false, perSource, func(b *testing.B) *Job {
 					return joinJob(b, tr, perSource)
 				})
 			})

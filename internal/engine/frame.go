@@ -16,7 +16,8 @@ import (
 //
 //	offset 0: uint32 big-endian N = 1 + len(payload)
 //	offset 4: frame type byte (never zero)
-//	offset 5: payload (N-1 bytes, gob-encoded message body)
+//	offset 5: payload (N-1 bytes: gob on control frames, the hand-rolled
+//	          layouts of wirecodec.go on the data-plane frames)
 //	offset 4+N: uint32 big-endian CRC32 (IEEE) over bytes [4, 4+N)
 //
 // The length covers the type byte so a zero length is unambiguously
@@ -69,8 +70,7 @@ const (
 	frameTypeEnd // sentinel: first invalid type value
 )
 
-// Frame is one unit on the wire: a type byte plus an opaque payload
-// (conventionally gob-encoded).
+// Frame is one unit on the wire: a type byte plus an opaque payload.
 type Frame struct {
 	Type    byte
 	Payload []byte
@@ -86,13 +86,25 @@ var (
 // AppendFrame appends the encoded frame to dst and returns the extended
 // slice.
 func AppendFrame(dst []byte, f Frame) []byte {
-	n := 1 + len(f.Payload)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
-	body := len(dst)
-	dst = append(dst, f.Type)
+	start := len(dst)
+	dst = beginFrame(dst, f.Type)
 	dst = append(dst, f.Payload...)
-	sum := crc32.ChecksumIEEE(dst[body:])
-	return binary.BigEndian.AppendUint32(dst, sum)
+	return sealFrame(dst, start)
+}
+
+// beginFrame opens a frame at the end of dst — the length prefix (filled in
+// by sealFrame) and the type byte — so a payload can be encoded straight
+// behind it instead of being built elsewhere and copied in.
+func beginFrame(dst []byte, typ byte) []byte {
+	return append(dst, 0, 0, 0, 0, typ)
+}
+
+// sealFrame closes the frame beginFrame opened at offset start: it writes
+// the length of everything appended since and appends the checksum.
+func sealFrame(dst []byte, start int) []byte {
+	body := dst[start+frameHeaderLen:]
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(body)))
+	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(body))
 }
 
 // DecodeFrame decodes one frame from the front of b, returning the frame
@@ -139,48 +151,69 @@ func WriteFrame(w io.Writer, f Frame) error {
 		return fmt.Errorf("frame: payload %d exceeds cap %d", len(f.Payload), MaxFramePayload)
 	}
 	bp := frameBufPool.Get().(*[]byte)
-	buf := AppendFrame((*bp)[:0], f)
-	_, err := w.Write(buf)
-	*bp = buf[:0]
-	frameBufPool.Put(bp)
+	*bp = AppendFrame((*bp)[:0], f)
+	_, err := w.Write(*bp)
+	putFrameBuf(bp)
 	return err
 }
 
 // ReadFrame reads one frame from r. The length prefix is validated
 // against MaxFramePayload before the body is allocated.
 func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, err
+	f, _, err := readFrameInto(r, nil)
+	return f, err
+}
+
+// readFrameInto is ReadFrame over a caller-kept buffer: the frame is read
+// into buf (grown when too small, and returned for the next call), so the
+// payload is valid only until then. A data connection reads every frame of
+// its life through one buffer.
+func readFrameInto(r io.Reader, buf []byte) (Frame, []byte, error) {
+	if cap(buf) < frameHeaderLen {
+		buf = make([]byte, frameHeaderLen)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	hdr := buf[:frameHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return Frame{}, buf, err
+	}
+	n := binary.BigEndian.Uint32(hdr)
 	if n == 0 {
-		return Frame{}, errors.New("frame: zero length")
+		return Frame{}, buf, errors.New("frame: zero length")
 	}
 	if n > MaxFramePayload+1 {
-		return Frame{}, fmt.Errorf("frame: length %d exceeds cap %d", n, MaxFramePayload+1)
+		return Frame{}, buf, fmt.Errorf("frame: length %d exceeds cap %d", n, MaxFramePayload+1)
 	}
-	rest := make([]byte, int(n)+frameTrailerLen)
+	need := int(n) + frameTrailerLen
+	if cap(buf) < need {
+		// Doubling keeps a kept buffer from being re-made for every frame a
+		// little larger than the last; from ReadFrame's nil it is exact.
+		buf = make([]byte, max(need, 2*cap(buf)))
+	}
+	rest := buf[:need]
 	if _, err := io.ReadFull(r, rest); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return Frame{}, err
+		return Frame{}, buf, err
 	}
 	body := rest[:n]
 	sum := binary.BigEndian.Uint32(rest[n:])
 	if crc32.ChecksumIEEE(body) != sum {
-		return Frame{}, ErrFrameChecksum
+		return Frame{}, buf, ErrFrameChecksum
 	}
 	typ := body[0]
 	if typ == frameInvalid || typ >= frameTypeEnd {
-		return Frame{}, fmt.Errorf("frame: unknown type %d", typ)
+		return Frame{}, buf, fmt.Errorf("frame: unknown type %d", typ)
 	}
-	return Frame{Type: typ, Payload: body[1:]}, nil
+	return Frame{Type: typ, Payload: body[1:]}, buf, nil
 }
 
-// EncodePayload gob-encodes v for use as a frame payload.
+// EncodePayload encodes v for use as a frame payload: gob for a control
+// frame's body, the data-frame batch layout (wirecodec.go) for a []Record.
 func EncodePayload(v any) ([]byte, error) {
+	if recs, ok := v.([]Record); ok {
+		return encodeRecords(recs)
+	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		return nil, err
@@ -191,26 +224,12 @@ func EncodePayload(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodePayload gob-decodes a frame payload into v.
+// DecodePayload decodes a frame payload into v, the inverse of
+// EncodePayload: v is a *[]Record for a batch, a pointer to the body's type
+// for a control frame.
 func DecodePayload(b []byte, v any) error {
+	if recs, ok := v.(*[]Record); ok {
+		return decodeRecords(b, recs)
+	}
 	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
-}
-
-func init() {
-	// Record.Value is an interface; gob needs every concrete type that can
-	// cross a process boundary registered under a stable name. The engine's
-	// own tests and pipelines use machine scalars and small composites;
-	// nexmark registers its event structs in its own package init.
-	gob.Register(int(0))
-	gob.Register(int32(0))
-	gob.Register(int64(0))
-	gob.Register(uint64(0))
-	gob.Register(float32(0))
-	gob.Register(float64(0))
-	gob.Register("")
-	gob.Register(false)
-	gob.Register([]byte(nil))
-	gob.Register([]any(nil))
-	gob.Register([2]any{})
-	gob.Register(map[string]any(nil))
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -51,7 +52,13 @@ import (
 // instantiates only the local worker's node and learns peer addresses at
 // start time (see distrun.go).
 
-const netDialTimeout = 10 * time.Second
+const (
+	netDialTimeout = 10 * time.Second
+	// connReadBuffer sizes a data connection's bufio.Reader: room for a few
+	// dozen default-sized batches of small records, so under load one read
+	// syscall drains many frames.
+	connReadBuffer = 32 << 10
+)
 
 // remoteTargets builds the wire endpoints of one batched sender: every
 // cross-worker target gets a netTarget, its gate slot becomes the local
@@ -84,47 +91,16 @@ type crossChan struct {
 	task     dataflow.TaskID
 }
 
-// Wire message bodies (gob-encoded frame payloads).
-type (
-	wireHello struct {
-		From    int
-		Attempt int
-	}
-	// wireCredit carries a credit request (FrameCreditReq, sender ->
-	// receiver) or a credit grant (FrameCredit, receiver -> sender).
-	wireCredit struct {
-		Task dataflow.TaskID
-		N    int64
-	}
-	// wireMark is a barrier (EOF=false) or end-of-stream (EOF=true) marker
-	// for one (task, channel).
-	wireMark struct {
-		Task  dataflow.TaskID
-		In    int
-		Ch    int
-		Epoch int64
-		EOF   bool
-	}
-	wireEntry struct {
-		Key    string
-		Value  any
-		Time   int64
-		Size   int
-		Ingest int64
-	}
-	wireBatch struct {
-		Task    dataflow.TaskID
-		In      int
-		Ch      int
-		Entries []wireEntry
-	}
-)
-
 // netAttempt is one attempt's wire state: the local node(s), peer
 // addresses, and lifecycle.
 type netAttempt struct {
 	a     *attempt
 	nodes map[int]*netNode
+	// ops resolves the operator name a frame carries, still aliasing the
+	// read buffer, to the graph's own OperatorID and its input count without
+	// allocating (a map index by string(bytes) does not copy). Immutable
+	// after construction.
+	ops map[string]wireOp
 
 	addrMu sync.RWMutex
 	addrs  map[int]string // worker -> data address
@@ -163,7 +139,7 @@ type netAttempt struct {
 	// re-dialing mid-attempt, which the one-conn-per-pair discipline makes
 	// exceptional and worth surfacing.
 	reconnects   *metrics.Counter
-	encodeErrors *metrics.Counter // local gob-encode failures in sendFrame
+	encodeErrors *metrics.Counter // local encode failures in sendFrame (a value type with no codec)
 
 	// peerStats tracks frames/bytes per (local node, peer) pair by
 	// direction and frame type, feeding the net_peer_frames/net_peer_bytes
@@ -260,6 +236,7 @@ func newNetAttempt(a *attempt, byID map[dataflow.TaskID]*taskRuntime, cross []cr
 		addrs:   make(map[int]string),
 		started: make(chan struct{}),
 		stop:    make(chan struct{}),
+		ops:     make(map[string]wireOp),
 
 		framesSent:       a.reg.Counter("net.frames_sent"),
 		framesRecv:       a.reg.Counter("net.frames_received"),
@@ -271,6 +248,9 @@ func newNetAttempt(a *attempt, byID map[dataflow.TaskID]*taskRuntime, cross []cr
 		dials:            a.reg.Counter("net.dials"),
 		reconnects:       a.reg.Counter("net.reconnects"),
 		encodeErrors:     a.reg.Counter("net.encode_errors"),
+	}
+	for _, op := range a.j.graph.Operators() {
+		na.ops[string(op.ID)] = wireOp{id: op.ID, inputs: len(a.j.graph.Upstream(op.ID))}
 	}
 	bind := "127.0.0.1:0"
 	var locals []int
@@ -676,12 +656,12 @@ func (n *netNode) dialLocked(pc *peerConn, peer int) error {
 		c.Close()
 		return fmt.Errorf("engine: dial %s: not a TCP connection", addr)
 	}
-	payload, err := EncodePayload(wireHello{From: n.worker, Attempt: n.na.a.no})
+	bp := newFrameBuf(FrameDataHello)
+	*bp = sealFrame(appendHello(*bp, n.worker, n.na.a.no), 0)
+	sz := int64(len(*bp))
+	_, err = tc.Write(*bp)
+	putFrameBuf(bp)
 	if err != nil {
-		tc.Close()
-		return err
-	}
-	if err := WriteFrame(tc, Frame{Type: FrameDataHello, Payload: payload}); err != nil {
 		tc.Close()
 		return err
 	}
@@ -694,18 +674,21 @@ func (n *netNode) dialLocked(pc *peerConn, peer int) error {
 		return net.ErrClosed
 	}
 	n.na.dials.Inc(1)
-	n.na.peerStats[peerKey{local: n.worker, peer: peer}].
-		note(true, FrameDataHello, int64(frameHeaderLen+1+len(payload)+frameTrailerLen))
+	n.na.peerStats[peerKey{local: n.worker, peer: peer}].note(true, FrameDataHello, sz)
 	return nil
 }
 
-// sendFrame encodes body and writes one frame to the peer.
-func (n *netNode) sendFrame(peer int, typ byte, body any) error {
-	payload, err := EncodePayload(body)
-	if err != nil {
+// sendFrame seals the frame encoded in bp (newFrameBuf plus the payload),
+// writes it to the peer in one Write and recycles the buffer: header,
+// payload and checksum are encoded once, in place, and copied nowhere.
+func (n *netNode) sendFrame(peer int, bp *[]byte) error {
+	defer putFrameBuf(bp)
+	typ := (*bp)[frameHeaderLen]
+	if payload := len(*bp) - frameHeaderLen - 1; payload > MaxFramePayload {
 		n.na.encodeErrors.Inc(1)
-		return err
+		return fmt.Errorf("frame: payload %d exceeds cap %d", payload, MaxFramePayload)
 	}
+	*bp = sealFrame(*bp, 0)
 	pc, err := n.connTo(peer)
 	if err != nil {
 		return err
@@ -716,16 +699,23 @@ func (n *netNode) sendFrame(peer int, typ byte, body any) error {
 		return pc.err
 	}
 	c := pc.conn.Load()
-	if err := WriteFrame(c, Frame{Type: typ, Payload: payload}); err != nil {
+	if _, err := c.Write(*bp); err != nil {
 		pc.err = err
 		c.Close()
 		return err
 	}
-	sz := int64(frameHeaderLen + 1 + len(payload) + frameTrailerLen)
+	sz := int64(len(*bp))
 	n.na.framesSent.Inc(1)
 	n.na.bytesSent.Inc(sz)
 	n.na.peerStats[peerKey{local: n.worker, peer: peer}].note(true, typ, sz)
 	return nil
+}
+
+// sendCredit ships a credit request or grant of cnt records for task.
+func (n *netNode) sendCredit(peer int, typ byte, task dataflow.TaskID, cnt int64) error {
+	bp := newFrameBuf(typ)
+	*bp = appendCredit(*bp, task, cnt)
+	return n.sendFrame(peer, bp)
 }
 
 // acceptLoop serves inbound connections until the listener closes.
@@ -754,15 +744,20 @@ func (n *netNode) acceptLoop() {
 func (n *netNode) serveConn(c net.Conn) {
 	defer n.na.wg.Done()
 	defer c.Close()
-	f, err := ReadFrame(c)
+	// One buffered reader and one body buffer for the connection's life: a
+	// read syscall fetches as many frames as the socket holds, and no frame
+	// allocates to be read. Each payload is fully decoded (keys and values
+	// copied out) before the next read overwrites it.
+	br := bufio.NewReaderSize(c, connReadBuffer)
+	f, body, err := readFrameInto(br, nil)
 	if err != nil || f.Type != FrameDataHello {
 		return
 	}
-	var hello wireHello
-	if err := DecodePayload(f.Payload, &hello); err != nil || hello.Attempt != n.na.a.no {
+	hello, err := decodeHello(f.Payload)
+	if err != nil || hello.attempt != n.na.a.no {
 		return
 	}
-	from := hello.From
+	from := hello.from
 	n.mu.Lock()
 	if n.seenFrom == nil {
 		n.seenFrom = make(map[int]bool)
@@ -775,8 +770,7 @@ func (n *netNode) serveConn(c net.Conn) {
 	ps := n.na.peerStats[peerKey{local: n.worker, peer: from}]
 	ps.note(false, FrameDataHello, int64(frameHeaderLen+1+len(f.Payload)+frameTrailerLen))
 	for {
-		f, err := ReadFrame(c)
-		if err != nil {
+		if f, body, err = readFrameInto(br, body); err != nil {
 			// Read errors are teardown or peer death; failure detection is
 			// the coordinator's job — control-plane liveness plus the
 			// senders' PEERDOWN reports when their writes start failing.
@@ -802,73 +796,71 @@ func (n *netNode) serveConn(c net.Conn) {
 func (n *netNode) handleFrame(from int, f Frame) bool {
 	switch f.Type {
 	case FrameCredit:
-		var cr wireCredit
-		if err := DecodePayload(f.Payload, &cr); err != nil {
+		cr, err := decodeCredit(f.Payload)
+		if err != nil {
 			return false
 		}
-		mirror := n.mirrors[cr.Task]
-		if mirror == nil || cr.N <= 0 {
+		task, _, _ := n.na.resolve(cr.task)
+		mirror := n.mirrors[task]
+		if mirror == nil || cr.n <= 0 {
 			n.na.unexpectedFrames.Inc(1)
 			return true
 		}
-		mirror.release(cr.N)
+		mirror.release(cr.n)
 		return true
 	case FrameCreditReq:
-		var cr wireCredit
-		if err := DecodePayload(f.Payload, &cr); err != nil {
+		cr, err := decodeCredit(f.Payload)
+		if err != nil {
 			return false
 		}
-		g := n.grants[grantKey{task: cr.Task, from: from}]
-		if g == nil || cr.N <= 0 {
+		task, _, _ := n.na.resolve(cr.task)
+		g := n.grants[grantKey{task: task, from: from}]
+		if g == nil || cr.n <= 0 {
 			n.na.unexpectedFrames.Inc(1)
 			return true
 		}
 		// Hand off to the grantor goroutine: its gate acquire may block, and
 		// this reader must keep draining data frames (the task consuming them
 		// is what returns credits to the gate).
-		g.requested(cr.N)
+		g.requested(cr.n)
 		return true
 	case FrameData:
-		var wb wireBatch
-		if err := DecodePayload(f.Payload, &wb); err != nil {
+		r := WireReader{b: f.Payload}
+		h := r.batchHeader()
+		if r.err != nil {
 			return false
 		}
-		task := wb.Task
-		if n.tasks[task] == nil {
-			n.na.unexpectedFrames.Inc(1)
+		task, ok := n.deliverable(h.task, h.in, h.ch)
+		if !ok {
 			return true
+		}
+		entries, err := r.batchEntries(h.count)
+		if err != nil {
+			return false
 		}
 		if g := n.grants[grantKey{task: task, from: from}]; g != nil {
-			g.consumed(int64(len(wb.Entries)))
+			g.consumed(int64(h.count))
 		}
-		entries := getBatch(len(wb.Entries))
-		for _, e := range wb.Entries {
-			entries = append(entries, batchEntry{
-				rec:    Record{Key: e.Key, Value: e.Value, Time: e.Time, Size: e.Size},
-				ingest: e.Ingest,
-			})
-		}
-		n.dispatch(task, message{in: wb.In, ch: wb.Ch, batch: entries})
+		n.dispatch(task, message{in: h.in, ch: h.ch, batch: entries})
 		return true
 	case FrameBarrier, FrameEOF:
-		var m wireMark
-		if err := DecodePayload(f.Payload, &m); err != nil {
+		m, err := decodeMark(f.Payload)
+		if err != nil {
 			return false
 		}
-		task := m.Task
-		if n.tasks[task] == nil {
-			n.na.unexpectedFrames.Inc(1)
+		task, ok := n.deliverable(m.task, m.in, m.ch)
+		if !ok {
 			return true
 		}
-		msg := message{in: m.In, ch: m.Ch}
-		if m.EOF {
+		msg := message{in: m.in, ch: m.ch}
+		if f.Type == FrameEOF {
 			msg.eof = true
 		} else {
 			msg.barrier = true
-			msg.epoch = m.Epoch
+			msg.epoch = m.epoch
 		}
 		n.dispatch(task, msg)
-		if m.EOF {
+		if msg.eof {
 			// All data from `from` on this channel has arrived (TCP FIFO,
 			// and the pump preserves arrival order); when every channel is
 			// done the grantor retires and returns its unconsumed grants
@@ -884,6 +876,22 @@ func (n *netNode) handleFrame(from int, f Frame) bool {
 		n.na.unexpectedFrames.Inc(1)
 		return true
 	}
+}
+
+// deliverable resolves the (task, input, channel) a data or marker frame
+// addresses and reports whether this node can dispatch it. A task that is
+// not here, or an input or channel the task does not have, makes the frame
+// a stray: counted and skipped. Delivered regardless, it would start a pump
+// for a channel that does not exist and the task loop would index its
+// per-channel watermark and barrier state out of range — one frame from a
+// stale or buggy peer would panic the worker process.
+func (n *netNode) deliverable(t wireTask, in, ch int) (dataflow.TaskID, bool) {
+	task, inputs, _ := n.na.resolve(t)
+	if rt := n.tasks[task]; rt == nil || in >= inputs || ch >= rt.numIn {
+		n.na.unexpectedFrames.Inc(1)
+		return task, false
+	}
+	return task, true
 }
 
 // dispatch hands one message to the per-channel pump, which delivers it
@@ -1099,7 +1107,7 @@ func (g *grantor) run(n *netNode) {
 				return
 			}
 			g.outstanding.Add(chunk)
-			if err := n.sendFrame(g.from, FrameCredit, wireCredit{Task: g.task, N: chunk}); err != nil {
+			if err := n.sendCredit(g.from, FrameCredit, g.task, chunk); err != nil {
 				// Peer unreachable: return the grant and retire. If the peer is
 				// truly dead the coordinator aborts the attempt; if it already
 				// finished cleanly these credits were never needed.
@@ -1123,25 +1131,21 @@ type netTarget struct {
 }
 
 func (t *netTarget) request(rt *taskRuntime, n int) bool {
-	cr := wireCredit{Task: t.task, N: int64(n)}
-	if err := t.node.sendFrame(t.peer, FrameCreditReq, cr); err != nil {
+	if err := t.node.sendCredit(t.peer, FrameCreditReq, t.task, int64(n)); err != nil {
 		return t.failSend(rt, err)
 	}
 	return true
 }
 
 func (t *netTarget) ship(rt *taskRuntime, inIdx, ch int, entries []batchEntry) bool {
-	wb := wireBatch{Task: t.task, In: inIdx, Ch: ch, Entries: make([]wireEntry, len(entries))}
-	for i, e := range entries {
-		wb.Entries[i] = wireEntry{
-			Key:    e.rec.Key,
-			Value:  e.rec.Value,
-			Time:   e.rec.Time,
-			Size:   e.rec.Size,
-			Ingest: e.ingest,
-		}
+	bp := newFrameBuf(FrameData)
+	var err error
+	if *bp, err = appendBatch(*bp, t.task, inIdx, ch, entries); err != nil {
+		putFrameBuf(bp)
+		t.node.na.encodeErrors.Inc(1)
+		return t.failSend(rt, err)
 	}
-	if err := t.node.sendFrame(t.peer, FrameData, wb); err != nil {
+	if err := t.node.sendFrame(t.peer, bp); err != nil {
 		return t.failSend(rt, err)
 	}
 	t.node.na.dataBatches.Inc(1)
@@ -1149,8 +1153,9 @@ func (t *netTarget) ship(rt *taskRuntime, inIdx, ch int, entries []batchEntry) b
 }
 
 func (t *netTarget) control(rt *taskRuntime, inIdx, ch int, tmpl message) bool {
-	m := wireMark{Task: t.task, In: inIdx, Ch: ch, Epoch: tmpl.epoch, EOF: tmpl.eof}
-	if err := t.node.sendFrame(t.peer, tmplFrameType(tmpl), m); err != nil {
+	bp := newFrameBuf(tmplFrameType(tmpl))
+	*bp = appendMark(*bp, t.task, inIdx, ch, tmpl.epoch)
+	if err := t.node.sendFrame(t.peer, bp); err != nil {
 		return t.failSend(rt, err)
 	}
 	return true

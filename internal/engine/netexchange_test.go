@@ -338,6 +338,41 @@ func TestWorkerRunDataPlaneSendFailureEscalates(t *testing.T) {
 	}
 }
 
+// TestWireUnregisteredValueIsEncodeError: a value type the codec table does
+// not know cannot be shipped. The flush counts it in net.encode_errors
+// without touching the peer, and the attempt fails visibly — naming the type
+// — instead of dropping the record or hanging.
+func TestWireUnregisteredValueIsEncodeError(t *testing.T) {
+	old := dataPlaneEscalation
+	dataPlaneEscalation = 300 * time.Millisecond
+	defer func() { dataPlaneEscalation = old }()
+
+	type unregistered struct{ A int }
+	j0 := wireJob(t, nil, JobOptions{RecordsPerSource: 4, BatchSize: 4})
+	j0.factories["src"] = func(*TaskContext) (any, error) {
+		return NewSource(func(_, i int64) (Record, bool) { return Record{Value: unregistered{A: int(i)}}, true }), nil
+	}
+	j1 := wireJob(t, nil, JobOptions{RecordsPerSource: 4, BatchSize: 4})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	r0, r1 := startWirePair(t, ctx, j0, j1)
+	defer func() { r1.Abort(); <-r1.Done() }()
+	select {
+	case <-r0.Done():
+	case <-time.After(30 * time.Second):
+		t.Fatal("attempt with an unencodable batch never finished")
+	}
+	if _, err := r0.Report(); err == nil || !strings.Contains(err.Error(), "unregistered") {
+		t.Errorf("report error = %v, want the unregistered value type named", err)
+	}
+	if got := r0.att.net.encodeErrors.Value(); got != 1 {
+		t.Errorf("net.encode_errors = %d, want 1", got)
+	}
+	if got := r0.att.net.dataBatches.Value(); got != 0 {
+		t.Errorf("net.data_batches = %d, want 0", got)
+	}
+}
+
 // TestHandleFrameToleratesStrayFrames pins the stray-frame discipline: a
 // decodable frame with an unexpected key (unknown task, no grantor/mirror,
 // non-positive credit count, foreign type) is counted and skipped — it must
@@ -351,24 +386,31 @@ func TestHandleFrameToleratesStrayFrames(t *testing.T) {
 	}
 	defer r.Discard()
 	node := r.att.net.nodes[1]
-	enc := func(v any) []byte {
-		t.Helper()
-		p, err := EncodePayload(v)
+	ghost := dataflow.TaskID{Op: "ghost", Index: 0}
+	snk := dataflow.TaskID{Op: "snk", Index: 0} // one input, one channel
+	one := []batchEntry{{rec: Record{Value: int64(1)}}}
+	data := func(task dataflow.TaskID, in, ch int) []byte {
+		p, err := appendBatch(nil, task, in, ch, one)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
-	ghost := dataflow.TaskID{Op: "ghost", Index: 0}
-	snk := dataflow.TaskID{Op: "snk", Index: 0}
 	strays := []Frame{
-		{Type: FrameCredit, Payload: enc(wireCredit{Task: ghost, N: 5})},    // unknown task
-		{Type: FrameCredit, Payload: enc(wireCredit{Task: snk, N: 5})},      // no mirror on the receiver side
-		{Type: FrameCreditReq, Payload: enc(wireCredit{Task: ghost, N: 5})}, // no grantor
-		{Type: FrameCreditReq, Payload: enc(wireCredit{Task: snk, N: 0})},   // non-positive count
-		{Type: FrameData, Payload: enc(wireBatch{Task: ghost, Entries: []wireEntry{{Value: int64(1)}}})},
-		{Type: FrameEOF, Payload: enc(wireMark{Task: ghost, EOF: true})},
+		{Type: FrameCredit, Payload: appendCredit(nil, ghost, 5)},    // unknown task
+		{Type: FrameCredit, Payload: appendCredit(nil, snk, 5)},      // no mirror on the receiver side
+		{Type: FrameCreditReq, Payload: appendCredit(nil, ghost, 5)}, // no grantor
+		{Type: FrameCreditReq, Payload: appendCredit(nil, snk, 0)},   // non-positive count
+		{Type: FrameData, Payload: data(ghost, 0, 0)},
+		{Type: FrameEOF, Payload: appendMark(nil, ghost, 0, 0, 0)},
 		{Type: FrameHeartbeat}, // control-plane type strayed onto a data conn
+		// A known task addressed on an input or channel it does not have:
+		// dispatched, each would start a pump for a channel that does not
+		// exist and the task loop would index chanWM/chanSeen out of range.
+		{Type: FrameData, Payload: data(snk, 1, 0)},
+		{Type: FrameData, Payload: data(snk, 0, 1)},
+		{Type: FrameBarrier, Payload: appendMark(nil, snk, 0, 7, 3)},
+		{Type: FrameEOF, Payload: appendMark(nil, snk, 3, 0, 0)},
 	}
 	for i, f := range strays {
 		if !node.handleFrame(0, f) {
@@ -378,9 +420,23 @@ func TestHandleFrameToleratesStrayFrames(t *testing.T) {
 	if got := r.att.net.unexpectedFrames.Value(); got != int64(len(strays)) {
 		t.Errorf("unexpected_frames = %d, want %d", got, len(strays))
 	}
-	// An undecodable payload is stream corruption: still connection-fatal.
-	if node.handleFrame(0, Frame{Type: FrameCredit, Payload: []byte{0xff, 0x02, 0x03}}) {
-		t.Error("corrupt payload did not sever the connection")
+	node.dmu.Lock()
+	pumps := len(node.pumps)
+	node.dmu.Unlock()
+	if pumps != 0 {
+		t.Errorf("stray frames started %d delivery pumps, want none", pumps)
+	}
+	// An undecodable payload is stream corruption: still connection-fatal —
+	// a truncated credit, and a data frame declaring more records than its
+	// bytes could hold.
+	for i, f := range []Frame{
+		{Type: FrameCredit, Payload: []byte{0xff, 0x02, 0x03}},
+		{Type: FrameData, Payload: append(appendTask(nil, snk), 0, 0, 200, 1)},
+		{Type: FrameBarrier, Payload: appendTask(nil, snk)},
+	} {
+		if node.handleFrame(0, f) {
+			t.Errorf("corrupt payload %d did not sever the connection", i)
+		}
 	}
 }
 
@@ -406,11 +462,7 @@ func TestWireTeardownClosesLateConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	hello, err := EncodePayload(wireHello{From: 0, Attempt: r.att.no})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(c, Frame{Type: FrameDataHello, Payload: hello}); err != nil {
+	if err := WriteFrame(c, Frame{Type: FrameDataHello, Payload: appendHello(nil, 0, r.att.no)}); err != nil {
 		t.Fatal(err)
 	}
 	c.SetReadDeadline(time.Now().Add(10 * time.Second))

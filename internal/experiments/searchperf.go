@@ -20,7 +20,7 @@ import (
 // with the previous plan, reporting effort counters and wall-clock.
 //
 // This is the `go test -bench BenchmarkSearch ./internal/caps` battery in
-// experiment form: the benchmark writes BENCH_caps.json, this prints the
+// experiment form: the benchmark reports per-variant times, this prints the
 // comparison as a table and also exercises the telemetry export path the
 // controller uses in production.
 func SearchPerf(ctx context.Context) (*Report, error) {

@@ -1,23 +1,12 @@
 package nexmark
 
 import (
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 
 	"capsys/internal/dataflow"
 	"capsys/internal/engine"
 )
-
-// Nexmark event structs travel as engine.Record values; under the network
-// transport records cross process boundaries gob-encoded, so the concrete
-// types behind the Value interface must be registered. Scalars, [2]any join
-// pairs and other built-ins are registered by the engine's frame codec.
-func init() {
-	gob.Register(Person{})
-	gob.Register(Auction{})
-	gob.Register(Bid{})
-}
 
 // EngineBinding carries everything needed to execute a benchmark query on
 // the live engine: operator factories, which operators need state, and the

@@ -14,8 +14,11 @@
 package nexmark
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+
+	"capsys/internal/engine"
 )
 
 // EventKind discriminates generated events.
@@ -73,6 +76,55 @@ type Bid struct {
 	Bidder    int64
 	Price     int64
 	Timestamp int64
+}
+
+// The three event structs travel as engine.Record values, so under the
+// network transport they cross process boundaries: each registers the codec
+// that lays its fields out in declaration order (integers as varints,
+// strings length-prefixed). A new field is appended to the struct's Append
+// and Decode together — both ends of a cluster run the same build.
+func init() {
+	engine.RegisterValueCodec(engine.WireTagUser+0, Person{}, engine.ValueCodec{
+		Append: func(dst []byte, v any) []byte {
+			p := v.(Person)
+			dst = binary.AppendVarint(dst, p.ID)
+			dst = engine.AppendWireString(dst, p.Name)
+			dst = engine.AppendWireString(dst, p.Email)
+			dst = engine.AppendWireString(dst, p.City)
+			dst = engine.AppendWireString(dst, p.State)
+			return binary.AppendVarint(dst, p.Timestamp)
+		},
+		Decode: func(r *engine.WireReader) any {
+			return Person{ID: r.Varint(), Name: r.Str(), Email: r.Str(), City: r.Str(), State: r.Str(), Timestamp: r.Varint()}
+		},
+	})
+	engine.RegisterValueCodec(engine.WireTagUser+1, Auction{}, engine.ValueCodec{
+		Append: func(dst []byte, v any) []byte {
+			a := v.(Auction)
+			dst = binary.AppendVarint(dst, a.ID)
+			dst = engine.AppendWireString(dst, a.ItemName)
+			for _, x := range [...]int64{a.InitialBid, a.Reserve, a.Seller, int64(a.Category), a.Timestamp, a.Expires} {
+				dst = binary.AppendVarint(dst, x)
+			}
+			return dst
+		},
+		Decode: func(r *engine.WireReader) any {
+			return Auction{ID: r.Varint(), ItemName: r.Str(), InitialBid: r.Varint(), Reserve: r.Varint(),
+				Seller: r.Varint(), Category: int(r.Varint()), Timestamp: r.Varint(), Expires: r.Varint()}
+		},
+	})
+	engine.RegisterValueCodec(engine.WireTagUser+2, Bid{}, engine.ValueCodec{
+		Append: func(dst []byte, v any) []byte {
+			b := v.(Bid)
+			for _, x := range [...]int64{b.Auction, b.Bidder, b.Price, b.Timestamp} {
+				dst = binary.AppendVarint(dst, x)
+			}
+			return dst
+		},
+		Decode: func(r *engine.WireReader) any {
+			return Bid{Auction: r.Varint(), Bidder: r.Varint(), Price: r.Varint(), Timestamp: r.Varint()}
+		},
+	})
 }
 
 // Event is one element of the generated stream; exactly one of the payload
