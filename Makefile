@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-dist test-rescale stress race fuzz bench bench-engine bench-paper bench-build benchmark cover lint loc verify
+.PHONY: build test test-dist test-rescale stress race fuzz bench bench-engine bench-paper bench-build benchmark examples cover lint loc verify
 
 build:
 	$(GO) build ./...
@@ -77,14 +77,26 @@ benchmark:
 bench-build:
 	cd bench && $(GO) vet ./... && $(GO) build -o /dev/null ./... && $(GO) test ./...
 
+# examples runs the four examples/* mains, each under a two-minute timeout:
+# they have no tests, so running them is what notices when a refactor of the
+# controller or engine surface breaks one (about 50 s in total on 2 vCPUs).
+examples:
+	@set -e; for d in examples/*/; do \
+		echo "== ./$$d"; \
+		timeout 120 $(GO) run ./$$d >/dev/null; \
+	done
+
 # loc prints the non-test, non-blank, non-comment Go line counts the
-# "one supervisor" simplification is judged on: the lifecycle packages, and
-# the three CLIs (with the flag package they share shown separately).
+# simplification PRs are judged on: the lifecycle packages, the three CLIs
+# (with the flag package they share shown separately), and the studies and
+# examples that call into them.
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | grep -v '^[[:space:]]*$$' | grep -cv '^[[:space:]]*//'; }; \
 	echo "internal/engine + internal/controller: $$(count internal/engine internal/controller)"; \
 	echo "cmd/{caplive,capsim,capsysctl}:          $$(count cmd/caplive cmd/capsim cmd/capsysctl)"; \
-	echo "cmd/internal/cliflags:                   $$(count cmd/internal/cliflags)"
+	echo "cmd/internal/cliflags:                   $$(count cmd/internal/cliflags)"; \
+	echo "internal/experiments:                    $$(count internal/experiments)"; \
+	echo "examples/:                               $$(count examples)"
 
 # cover writes an aggregate coverage profile and prints the per-function
 # summary; open with `go tool cover -html=cover.out`.
@@ -108,8 +120,8 @@ lint:
 # aggregation path and the key-group repartitioning under rescale), run the
 # entire test suite under the race detector (benchmarks skip themselves
 # under -race; see bench_race_on_test.go), finish with the live-rescale and
-# multi-process distributed batteries, and check that the separate bench/
-# module still builds and passes against the tree.
+# multi-process distributed batteries, check that the separate bench/
+# module still builds and passes against the tree, and run the examples.
 verify:
 	$(GO) vet ./...
 	$(GO) run ./cmd/capslint -strict ./...
@@ -119,3 +131,4 @@ verify:
 	$(MAKE) test-rescale
 	$(GO) test -timeout 5m -run 'TestProcessCluster' ./cmd/caplive
 	$(MAKE) bench-build
+	$(MAKE) examples

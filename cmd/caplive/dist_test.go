@@ -16,11 +16,7 @@ import (
 	"testing"
 	"time"
 
-	"capsys/internal/cluster"
-	"capsys/internal/controller"
-	"capsys/internal/dataflow"
 	"capsys/internal/engine"
-	"capsys/internal/nexmark"
 	"capsys/internal/telemetry"
 )
 
@@ -59,49 +55,28 @@ const (
 )
 
 // battReference runs the identical job in-process (batched transport) and
-// returns the expected sink/source counts. It reuses caplive's own
-// makePlan, so the plan matches the coordinator's exactly: same strategy,
-// same cluster, same seed.
+// returns the expected sink/source counts. It goes through caplive's own
+// launch, so the plan matches the coordinator's exactly: same strategy, same
+// cluster (the flag defaults for cores/io-bps/net-bps), same seed.
 func battReference(t *testing.T, query, strategy string) (sink, source int64) {
 	t.Helper()
-	spec, err := nexmark.ByName(query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mirrors the caplive flag defaults for cores/io-bps/net-bps.
-	c, err := cluster.Homogeneous(battWorkers, battSlots, 2, 50e6, 500e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	phys, err := dataflow.Expand(spec.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, _, _, err := makePlan(spec, c, phys, strategy, battSlots, battSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binding, err := nexmark.BindEngine(spec, battSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job, err := engine.NewJob(spec.Graph, plan, controller.EngineCluster(c), binding.Factories, engine.JobOptions{
-		RecordsPerSource: battRecords,
-		SnapshotInterval: battCkpt,
-		Transport:        engine.TransportBatched,
-		Stateful:         binding.Stateful,
-		PerRecordCPU:     binding.PerRecordCPU,
-	})
+	f, o := parseFlags(t, "-query", query, "-strategy", strategy, "-seed", fmt.Sprint(battSeed),
+		"-workers", fmt.Sprint(battWorkers), "-slots", fmt.Sprint(battSlots))
+	d, err := launch(f, o, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	res, err := job.Run(ctx)
+	out, err := d.Run(ctx, engine.JobOptions{
+		RecordsPerSource: battRecords,
+		SnapshotInterval: battCkpt,
+		Transport:        engine.TransportBatched,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.SinkRecords, res.SourceRecords
+	return out.Result.SinkRecords, out.Result.SourceRecords
 }
 
 // distLine is the parsed "dist: k=v ..." summary the coordinator prints.

@@ -32,9 +32,7 @@ import (
 	"time"
 
 	"capsys/cmd/internal/cliflags"
-	"capsys/internal/cluster"
 	"capsys/internal/controller"
-	"capsys/internal/costmodel"
 	"capsys/internal/dataflow"
 	"capsys/internal/engine"
 	"capsys/internal/metrics"
@@ -99,8 +97,9 @@ func main() {
 }
 
 func dispatch(f *cliflags.Common, o *liveFlags) error {
-	// Flag syntax is checked before any mode starts listening or joining.
-	if _, err := f.EngineOptions(); err != nil {
+	// Flags are checked before any mode starts listening or joining.
+	eo, err := validate(f, o)
+	if err != nil {
 		return err
 	}
 	if o.pprofAddr != "" {
@@ -111,39 +110,68 @@ func dispatch(f *cliflags.Common, o *liveFlags) error {
 		defer stop()
 	}
 	switch {
-	case o.listenAddr != "" && o.joinAddr != "":
-		return fmt.Errorf("-listen and -join are mutually exclusive")
 	case o.joinAddr != "":
 		return runJoin(f, o)
 	case o.listenAddr != "":
-		return runCoordinator(f, o)
+		return runCoordinator(f, o, eo)
 	default:
-		return run(f, o)
+		return run(f, o, eo)
 	}
 }
 
-// makePlan builds the initial placement. The strategy and usage model are
-// returned so the coordinator can re-place after worker deaths ("worst" is
-// plan-only: it has no live strategy, so deaths are fatal under it).
-func makePlan(spec nexmark.QuerySpec, c *cluster.Cluster, phys *dataflow.PhysicalGraph,
-	strategy string, slots int, seed int64) (*dataflow.Plan, placement.Strategy, *costmodel.Usage, error) {
-	if strategy == "worst" {
-		return nexmark.FlinkWorstCase(phys, slots), nil, nil, nil
-	}
-	strat, err := placement.ByName(strategy)
+// validate checks the flag combination for every mode and returns the
+// engine options the flags determine.
+func validate(f *cliflags.Common, o *liveFlags) (engine.JobOptions, error) {
+	eo, err := f.EngineOptions()
 	if err != nil {
-		return nil, nil, nil, err
+		return eo, err
 	}
-	rates, err := dataflow.PropagateRates(spec.Graph, spec.SourceRates)
+	eo.SnapshotInterval = o.ckptEvery
+	switch {
+	case o.costScale <= 0:
+		return eo, fmt.Errorf("-cost-scale must be > 0 (got %v)", o.costScale)
+	case o.listenAddr != "" && o.joinAddr != "":
+		return eo, fmt.Errorf("-listen and -join are mutually exclusive")
+	case o.joinAddr != "":
+		return eo, nil // the job's flags are the coordinator's to check
+	case len(eo.Rescales) > 0 && o.ckptEvery <= 0:
+		return eo, fmt.Errorf("-rescale requires -checkpoint-every > 0 (rescales are epoch-aligned)")
+	case o.killWorker >= 0 && o.ckptEvery <= 0:
+		return eo, fmt.Errorf("-kill-worker requires -checkpoint-every > 0 (kills are epoch-aligned)")
+	case o.killWorker >= f.Workers:
+		return eo, fmt.Errorf("-kill-worker %d out of range (workers: %d)", o.killWorker, f.Workers)
+	}
+	return eo, nil
+}
+
+// launch places and binds the query the flags name and prints the plan.
+// "worst" is plan-only: it has no live strategy, so nothing re-places it.
+func launch(f *cliflags.Common, o *liveFlags, noRecovery bool) (*controller.Deployment, error) {
+	spec, err := nexmark.ByName(f.Query)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	u := costmodel.FromRates(spec.Graph, rates)
-	plan, err := strat.Place(context.Background(), phys, c, u, seed)
+	c, err := f.Cluster()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	return plan, strat, u, nil
+	lo := controller.LaunchOptions{Seed: f.Seed, CPUCostScale: o.costScale, NoRecovery: noRecovery}
+	var strat placement.Strategy
+	if f.Strategy == "worst" {
+		phys, err := dataflow.Expand(spec.Graph)
+		if err != nil {
+			return nil, err
+		}
+		lo.Plan = nexmark.FlinkWorstCase(phys, f.Slots)
+	} else if strat, err = placement.ByName(f.Strategy); err != nil {
+		return nil, err
+	}
+	d, err := controller.Launch(context.Background(), spec, c, strat, lo)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Printf("plan (%s):\n%s\n", f.Strategy, d.Plan)
+	return d, nil
 }
 
 // servePprof exposes net/http/pprof's default-mux handlers on addr — live
@@ -183,47 +211,14 @@ func runJoin(f *cliflags.Common, o *liveFlags) error {
 	})
 }
 
-// runCoordinator is coordinator mode: compute the placement exactly as a
-// local run would, then deploy it across joined worker processes over the
-// network transport and supervise to completion (recovering from worker
-// deaths by re-running the placement strategy over the survivors).
-func runCoordinator(f *cliflags.Common, o *liveFlags) error {
-	spec, err := nexmark.ByName(f.Query)
+// runCoordinator is coordinator mode: launch exactly as a local run would,
+// then deploy across joined worker processes over the network transport and
+// supervise to completion; worker deaths and rescales are re-placed by the
+// strategy over the survivors.
+func runCoordinator(f *cliflags.Common, o *liveFlags, eo engine.JobOptions) error {
+	d, err := launch(f, o, false)
 	if err != nil {
 		return err
-	}
-	c, err := f.Cluster()
-	if err != nil {
-		return err
-	}
-	phys, err := dataflow.Expand(spec.Graph)
-	if err != nil {
-		return err
-	}
-	plan, strat, u, err := makePlan(spec, c, phys, f.Strategy, f.Slots, f.Seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("plan (%s):\n%s\n", f.Strategy, plan)
-	assign, err := controller.AssignmentsOf(phys, plan)
-	if err != nil {
-		return err
-	}
-	eo, err := f.EngineOptions()
-	if err != nil {
-		return err
-	}
-	deploy := controller.DeploySpec{
-		Query:            f.Query,
-		Seed:             f.Seed,
-		RecordsPerSource: f.Records,
-		SnapshotInterval: o.ckptEvery,
-		BatchSize:        f.BatchSize,
-		BatchLinger:      f.BatchLinger,
-		DisableFusion:    eo.DisableFusion,
-		CPUCostScale:     o.costScale,
-		Workers:          controller.EngineCluster(c).Workers,
-		Assign:           assign,
 	}
 	// The coordinator's hub is the cluster aggregation point: worker
 	// heartbeat deltas and trace batches merge into it (DESIGN.md §9).
@@ -234,27 +229,12 @@ func runCoordinator(f *cliflags.Common, o *liveFlags) error {
 		return err
 	}
 	defer stop()
-	opts := controller.CoordinatorOptions{
+	co, err := d.Coordinator(o.listenAddr, f.Workers, eo, controller.CoordinatorOptions{
 		Logf: func(format string, args ...any) {
 			fmt.Printf("coordinator: "+format+"\n", args...)
 		},
 		Telemetry: tel,
-		Rescales:  eo.Rescales,
-	}
-	if strat != nil {
-		prev := plan
-		opts.Replan = func(dead []int, attempt int) (*dataflow.Plan, error) {
-			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-			defer cancel()
-			next, err := controller.Replace(ctx, phys, c, strat, u, dead, f.Seed+int64(attempt), prev)
-			if err != nil {
-				return nil, err
-			}
-			prev = next
-			return next, nil
-		}
-	}
-	co, err := controller.NewCoordinator(o.listenAddr, deploy, f.Workers, opts)
+	})
 	if err != nil {
 		return err
 	}
@@ -279,19 +259,13 @@ func runCoordinator(f *cliflags.Common, o *liveFlags) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("finished in %v: %d source records (%.0f rec/s), %d sink records\n",
-		res.Elapsed.Round(time.Millisecond), res.SourceRecords,
-		float64(res.SourceRecords)/res.Elapsed.Seconds(), res.SinkRecords)
+	fmt.Print(cliflags.ResultLines("finished", res))
 	snap := res.Metrics.Snapshot()
 	fmt.Printf("network: %.0f data batches, %.0f credit frames, %.0f frames sent, %.0f bytes sent\n",
 		snap["net.data_batches"], snap["net.credit_frames"], snap["net.frames_sent"], snap["net.bytes_sent"])
 	// One machine-parseable line for the process-level test battery. Every
 	// value must render as an integer (the battery parses all pairs as
 	// int64).
-	if res.Rescales > 0 {
-		fmt.Printf("rescale: %d applied, downtime %v, moved %d state bytes, reprocessed %d records\n",
-			res.Rescales, res.RescaleDowntime.Round(time.Millisecond), res.RescaleMovedBytes, res.RecordsReprocessed)
-	}
 	fmt.Printf("dist: sink_records=%d source_records=%d lost_records=%d recoveries=%d restored_epoch=%d snapshots=%d reprocessed=%d net_frames=%d net_bytes=%d credit_wait_p99_us=%d unexpected_frames=%d rescales=%d rescale_moved_bytes=%d\n",
 		res.SinkRecords, res.SourceRecords, res.LostRecords, res.Recoveries,
 		res.RestoredEpoch, res.SnapshotsTaken, res.RecordsReprocessed,
@@ -304,92 +278,43 @@ func runCoordinator(f *cliflags.Common, o *liveFlags) error {
 	return nil
 }
 
-func run(f *cliflags.Common, o *liveFlags) error {
-	spec, err := nexmark.ByName(f.Query)
+// run is local mode: the whole job in this process. A -kill-worker is not
+// recovered from — the run degrades, exposing the lost throughput.
+func run(f *cliflags.Common, o *liveFlags, eo engine.JobOptions) error {
+	d, err := launch(f, o, true)
 	if err != nil {
 		return err
 	}
-	c, err := f.Cluster()
-	if err != nil {
-		return err
-	}
-	phys, err := dataflow.Expand(spec.Graph)
-	if err != nil {
-		return err
-	}
-
-	plan, _, _, err := makePlan(spec, c, phys, f.Strategy, f.Slots, f.Seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("plan (%s):\n%s\n", f.Strategy, plan)
-
 	tel := telemetry.New()
 	stop, err := cliflags.Observe(tel, f.TraceOut, o.metricsAddr, os.Stdout)
 	if err != nil {
 		return err
 	}
 	defer stop()
-
-	binding, err := nexmark.BindEngine(spec, f.Seed)
-	if err != nil {
-		return err
-	}
-	if o.costScale != 1 {
-		for op := range binding.PerRecordCPU {
-			binding.PerRecordCPU[op] *= o.costScale
-		}
-	}
-	espec := controller.EngineCluster(c)
-	jobOpts, err := f.EngineOptions()
-	if err != nil {
-		return err
-	}
-	jobOpts.Stateful = binding.Stateful
-	jobOpts.PerRecordCPU = binding.PerRecordCPU
-	jobOpts.SnapshotInterval = o.ckptEvery
-	jobOpts.Telemetry = tel
-	if len(jobOpts.Rescales) > 0 && o.ckptEvery <= 0 {
-		return fmt.Errorf("-rescale requires -checkpoint-every > 0 (rescales are epoch-aligned)")
-	}
+	eo.Telemetry = tel
 	if o.killWorker >= 0 {
-		if o.ckptEvery <= 0 {
-			return fmt.Errorf("-kill-worker requires -checkpoint-every > 0 (kills are epoch-aligned)")
-		}
-		if o.killWorker >= f.Workers {
-			return fmt.Errorf("-kill-worker %d out of range (workers: %d)", o.killWorker, f.Workers)
-		}
-		jobOpts.FaultPlan.KillWorkers = []engine.WorkerKill{{Worker: o.killWorker, AtEpoch: o.killEpoch}}
-	}
-	job, err := engine.NewJob(spec.Graph, plan, espec, binding.Factories, jobOpts)
-	if err != nil {
-		return err
+		eo.FaultPlan.KillWorkers = []engine.WorkerKill{{Worker: o.killWorker, AtEpoch: o.killEpoch}}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), o.timeout)
 	defer cancel()
-	res, err := job.Run(ctx)
+	out, err := d.Run(ctx, eo)
 	if err != nil {
 		return err
 	}
+	res := out.Result
 	status := "finished"
 	if res.Failed {
 		status = "finished DEGRADED (worker killed, no recovery)"
 	}
-	fmt.Printf("%s in %v: %d source records (%.0f rec/s), %d sink records\n",
-		status, res.Elapsed.Round(time.Millisecond), res.SourceRecords,
-		float64(res.SourceRecords)/res.Elapsed.Seconds(), res.SinkRecords)
-	if res.Rescales > 0 {
-		fmt.Printf("rescale: %d applied, downtime %v, moved %d state bytes, reprocessed %d records\n",
-			res.Rescales, res.RescaleDowntime.Round(time.Millisecond), res.RescaleMovedBytes, res.RecordsReprocessed)
-	}
-	if job.Transport() != engine.TransportUnary {
+	fmt.Print(cliflags.ResultLines(status, res))
+	if out.Transport != engine.TransportUnary {
 		snap := res.Metrics.Snapshot()
 		mean := 0.0
 		if b := snap["exchange.batches"]; b > 0 {
 			mean = snap["exchange.batch_records"] / b
 		}
 		fmt.Printf("exchange: %s transport, %.0f batches (mean %.1f records), %.0f credit stalls (%.3fs waiting)\n",
-			job.Transport(), snap["exchange.batches"], mean,
+			out.Transport, snap["exchange.batches"], mean,
 			snap["exchange.credit_stalls"], snap["exchange.credit_stall_seconds"])
 	}
 	if err := tel.Tracer().SinkErr(); err != nil {

@@ -132,7 +132,7 @@ func run(f *cliflags.Common, o *simFlags) error {
 	}
 	if o.live {
 		live.SnapshotInterval = o.snapEvery
-		return runLive(context.Background(), deps, c, f.Seed, live)
+		return runLive(context.Background(), deps, c, strat, f.Seed, live)
 	}
 	return nil
 }
@@ -140,31 +140,27 @@ func run(f *cliflags.Common, o *simFlags) error {
 // runLive replays the simulated deployments on the live engine, one query at
 // a time, under the configured exchange transport — the measured rec/s
 // column is the ground truth the simulator's steady-state throughput
-// approximates.
-func runLive(ctx context.Context, deps []controller.Deployment, c *cluster.Cluster, seed int64, opts engine.JobOptions) error {
+// approximates. Each query keeps its simulated plan; a -rescale is re-placed
+// by the strategy.
+func runLive(ctx context.Context, deps []controller.Deployment, c *cluster.Cluster, strat placement.Strategy, seed int64, opts engine.JobOptions) error {
 	if opts.RecordsPerSource <= 0 {
 		return fmt.Errorf("-live requires -records > 0")
 	}
 	if len(opts.Rescales) > 0 && opts.SnapshotInterval <= 0 {
 		return fmt.Errorf("-rescale requires -snapshot-every > 0 (rescales are epoch-aligned)")
 	}
-	espec := controller.EngineCluster(c)
 	fmt.Printf("\nlive engine (%s transport, %d records/source):\n", opts.Transport, opts.RecordsPerSource)
 	fmt.Printf("%-14s %12s %12s %12s %10s %10s\n", "query", "sourced", "elapsed", "rec/s", "sink", "batches")
 	for _, dep := range deps {
-		binding, err := nexmark.BindEngine(dep.Spec, seed)
+		d, err := controller.Launch(ctx, dep.Spec, c, strat, controller.LaunchOptions{Seed: seed, Plan: dep.Plan})
 		if err != nil {
 			return err
 		}
-		opts.Stateful, opts.PerRecordCPU = binding.Stateful, binding.PerRecordCPU
-		job, err := engine.NewJob(dep.Spec.Graph, dep.Plan, espec, binding.Factories, opts)
+		out, err := d.Run(ctx, opts)
 		if err != nil {
 			return err
 		}
-		res, err := job.Run(ctx)
-		if err != nil {
-			return err
-		}
+		res := out.Result
 		rate := 0.0
 		if res.Elapsed > 0 {
 			rate = float64(res.SourceRecords) / res.Elapsed.Seconds()
@@ -172,9 +168,8 @@ func runLive(ctx context.Context, deps []controller.Deployment, c *cluster.Clust
 		fmt.Printf("%-14s %12d %12s %12.0f %10d %10.0f\n",
 			dep.Spec.Name, res.SourceRecords, res.Elapsed.Round(time.Millisecond),
 			rate, res.SinkRecords, res.Metrics.Snapshot()["exchange.batches"])
-		if res.Rescales > 0 {
-			fmt.Printf("%-14s rescale: %d applied, downtime %v, moved %d state bytes, reprocessed %d records\n",
-				"", res.Rescales, res.RescaleDowntime.Round(time.Millisecond), res.RescaleMovedBytes, res.RecordsReprocessed)
+		if line := cliflags.RescaleLine(res); line != "" {
+			fmt.Printf("%-14s %s", "", line)
 		}
 	}
 	return nil

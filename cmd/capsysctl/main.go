@@ -168,20 +168,15 @@ func runRecovery(w *os.File, f *cliflags.Common, o *ctlFlags) error {
 		return err
 	}
 	defer stop()
+	eo.SnapshotInterval, eo.Telemetry = o.snapEvery, tel
+	eo.Rescales = nil // -recovery is the kill study; -rescale runs on its own
 	var outcomes []*controller.RecoveryOutcome
 	for _, strat := range experiments.RecoveryStrategies(spec, 200_000) {
-		out, err := controller.RunRecovery(context.Background(), spec, c, strat, controller.RecoveryOptions{
-			Seed:             f.Seed,
-			RecordsPerSource: f.Records,
-			SnapshotInterval: o.snapEvery,
-			KillWorker:       o.killWorker,
-			KillAtEpoch:      o.killEpoch,
-			Transport:        f.Transport,
-			BatchSize:        f.BatchSize,
-			BatchLinger:      f.BatchLinger,
-			DisableFusion:    eo.DisableFusion,
-			Telemetry:        tel,
-		})
+		d, err := controller.Launch(context.Background(), spec, c, strat, controller.LaunchOptions{Seed: f.Seed})
+		if err != nil {
+			return fmt.Errorf("recovery under %s: %w", strat.Name(), err)
+		}
+		out, err := d.RunRecovery(context.Background(), engine.WorkerKill{Worker: o.killWorker, AtEpoch: o.killEpoch}, eo)
 		if err != nil {
 			return fmt.Errorf("recovery under %s: %w", strat.Name(), err)
 		}
@@ -228,7 +223,15 @@ func renderRecoveryReport(outcomes []*controller.RecoveryOutcome) string {
 			fmt.Sprintf("%.3f", o.Backpressure),
 		})
 	}
-	widths := make([]int, len(header))
+	b.WriteString(alignTable(rows))
+	return b.String()
+}
+
+// alignTable renders rows as left-aligned columns two spaces apart, each as
+// wide as its widest cell, with no padding after the last.
+func alignTable(rows [][]string) string {
+	var b strings.Builder
+	widths := make([]int, len(rows[0]))
 	for _, row := range rows {
 		for i, cell := range row {
 			if len(cell) > widths[i] {
@@ -242,7 +245,7 @@ func renderRecoveryReport(outcomes []*controller.RecoveryOutcome) string {
 				b.WriteString("  ")
 			}
 			if i == len(row)-1 {
-				b.WriteString(cell) // no trailing padding
+				b.WriteString(cell)
 			} else {
 				fmt.Fprintf(&b, "%-*s", widths[i], cell)
 			}
@@ -296,26 +299,18 @@ func runRescale(w *os.File, f *cliflags.Common, o *ctlFlags) error {
 		return err
 	}
 	defer stop()
-	opts := controller.RescaleOptions{
-		Seed:             f.Seed,
-		RecordsPerSource: f.Records,
-		SnapshotInterval: o.snapEvery,
-		Rescales:         eo.Rescales,
-		Transport:        f.Transport,
-		BatchSize:        f.BatchSize,
-		BatchLinger:      f.BatchLinger,
-		DisableFusion:    eo.DisableFusion,
-		Telemetry:        tel,
-	}
+	eo.SnapshotInterval, eo.Telemetry = o.snapEvery, tel
 	if o.sourceRate > 0 {
-		opts.SourceRate = map[dataflow.OperatorID]float64{}
-		for _, op := range spec.Graph.Operators() {
-			if len(spec.Graph.Upstream(op.ID)) == 0 {
-				opts.SourceRate[op.ID] = o.sourceRate
-			}
+		eo.SourceRate = map[dataflow.OperatorID]float64{}
+		for _, src := range spec.Graph.Sources() {
+			eo.SourceRate[src.ID] = o.sourceRate
 		}
 	}
-	out, err := controller.RunRescale(context.Background(), spec, c, strat, opts)
+	d, err := controller.Launch(context.Background(), spec, c, strat, controller.LaunchOptions{Seed: f.Seed})
+	if err != nil {
+		return err
+	}
+	out, err := d.Run(context.Background(), eo)
 	if err != nil {
 		return err
 	}
@@ -329,7 +324,7 @@ func runRescale(w *os.File, f *cliflags.Common, o *ctlFlags) error {
 // renderRescaleReport formats one rescale outcome as aligned text. Like
 // renderRecoveryReport it is a pure function of its input, so fixed outcomes
 // render to fixed bytes.
-func renderRescaleReport(o *controller.RescaleOutcome, plans []engine.RescalePlan) string {
+func renderRescaleReport(o *controller.Outcome, plans []engine.RescalePlan) string {
 	var b strings.Builder
 	if o == nil {
 		return "rescale report: no outcome\n"
@@ -354,27 +349,7 @@ func renderRescaleReport(o *controller.RescaleOutcome, plans []engine.RescalePla
 		fmt.Sprintf("%d", o.MovedTasks),
 		fmt.Sprintf("%d", o.Result.RescaleMovedBytes),
 	}}
-	widths := make([]int, len(header))
-	for _, row := range rows {
-		for i, cell := range row {
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	for _, row := range rows {
-		for i, cell := range row {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			if i == len(row)-1 {
-				b.WriteString(cell)
-			} else {
-				fmt.Fprintf(&b, "%-*s", widths[i], cell)
-			}
-		}
-		b.WriteByte('\n')
-	}
+	b.WriteString(alignTable(rows))
 	return b.String()
 }
 
@@ -432,11 +407,10 @@ func run(f *cliflags.Common, o *ctlFlags) error {
 	if err != nil {
 		return err
 	}
-	placeRates, err := dataflow.PropagateRates(placementSpec.Graph, placementSpec.SourceRates)
+	placeUsage, err := controller.UsageOf(placementSpec.Graph, placementSpec.SourceRates)
 	if err != nil {
 		return err
 	}
-	placeUsage := costmodel.FromRates(placementSpec.Graph, placeRates)
 
 	start := time.Now()
 	plan, err := strat.Place(context.Background(), placePhys, c, placeUsage, f.Seed)
@@ -455,11 +429,10 @@ func run(f *cliflags.Common, o *ctlFlags) error {
 	if err != nil {
 		return err
 	}
-	rates, err := dataflow.PropagateRates(spec.Graph, spec.SourceRates)
+	u, err := controller.UsageOf(spec.Graph, spec.SourceRates)
 	if err != nil {
 		return err
 	}
-	u := costmodel.FromRates(spec.Graph, rates)
 
 	slotsPerWorker, err := c.SlotsPerWorker()
 	if err != nil {

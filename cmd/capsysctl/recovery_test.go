@@ -15,56 +15,68 @@ import (
 func syntheticOutcomes() []*controller.RecoveryOutcome {
 	return []*controller.RecoveryOutcome{
 		{
-			Query: "Q1-sliding", Strategy: "caps", Transport: "unary",
-			KilledWorker: 1, TasksOnKilled: 5,
-			PlacementTime: 42 * time.Millisecond,
-			ReplaceTime:   18500 * time.Microsecond,
-			MovedTasks:    5, Recovered: true, Backpressure: 0.0825,
-			Result: &engine.JobResult{
-				Downtime:           21300 * time.Microsecond,
-				RecordsReprocessed: 800,
-				LostRecords:        0,
-				SinkRecords:        1234,
+			Outcome: controller.Outcome{
+				Query: "Q1-sliding", Strategy: "caps", Transport: "unary",
+				PlacementTime: 42 * time.Millisecond,
+				ReplaceTime:   18500 * time.Microsecond,
+				MovedTasks:    5,
+				Result: &engine.JobResult{
+					Downtime:           21300 * time.Microsecond,
+					RecordsReprocessed: 800,
+					LostRecords:        0,
+					SinkRecords:        1234,
+				},
 			},
+			KilledWorker: 1, TasksOnKilled: 5,
+			Recovered: true, Backpressure: 0.0825,
 		},
 		{
-			Query: "Q1-sliding", Strategy: "default", Transport: "batched",
+			Outcome: controller.Outcome{
+				Query: "Q1-sliding", Strategy: "default", Transport: "batched",
+				PlacementTime: 300 * time.Microsecond,
+				ReplaceTime:   200 * time.Microsecond,
+				MovedTasks:    9,
+				Result: &engine.JobResult{
+					Downtime:           12100 * time.Microsecond,
+					RecordsReprocessed: 1100,
+					LostRecords:        0,
+					SinkRecords:        1234,
+				},
+			},
 			KilledWorker: 0, TasksOnKilled: 6,
-			PlacementTime: 300 * time.Microsecond,
-			ReplaceTime:   200 * time.Microsecond,
-			MovedTasks:    9, Recovered: true, Backpressure: 0.4017,
-			Result: &engine.JobResult{
-				Downtime:           12100 * time.Microsecond,
-				RecordsReprocessed: 1100,
-				LostRecords:        0,
-				SinkRecords:        1234,
-			},
+			Recovered: true, Backpressure: 0.4017,
 		},
 		{
-			Query: "Q1-sliding", Strategy: "evenly", Transport: "unary",
+			Outcome: controller.Outcome{
+				Query: "Q1-sliding", Strategy: "evenly", Transport: "unary",
+				PlacementTime: 250 * time.Microsecond,
+				ReplaceTime:   180 * time.Microsecond,
+				MovedTasks:    4,
+				Result: &engine.JobResult{
+					Downtime:           250 * time.Millisecond,
+					RecordsReprocessed: 0,
+					LostRecords:        412,
+					SinkRecords:        1020,
+				},
+			},
 			KilledWorker: 2, TasksOnKilled: 4,
-			PlacementTime: 250 * time.Microsecond,
-			ReplaceTime:   180 * time.Microsecond,
-			MovedTasks:    4, Recovered: false, Backpressure: 0.2558,
-			Result: &engine.JobResult{
-				Downtime:           250 * time.Millisecond,
-				RecordsReprocessed: 0,
-				LostRecords:        412,
-				SinkRecords:        1020,
-			},
+			Recovered: false, Backpressure: 0.2558,
 		},
 		{
-			Query: "Q1-sliding", Strategy: "odrp", Transport: "batched",
-			KilledWorker: 1, TasksOnKilled: 5,
-			PlacementTime: 1800 * time.Millisecond,
-			ReplaceTime:   950 * time.Millisecond,
-			MovedTasks:    11, Recovered: true, Backpressure: 0.1912,
-			Result: &engine.JobResult{
-				Downtime:           963400 * time.Microsecond,
-				RecordsReprocessed: 800,
-				LostRecords:        0,
-				SinkRecords:        1234,
+			Outcome: controller.Outcome{
+				Query: "Q1-sliding", Strategy: "odrp", Transport: "batched",
+				PlacementTime: 1800 * time.Millisecond,
+				ReplaceTime:   950 * time.Millisecond,
+				MovedTasks:    11,
+				Result: &engine.JobResult{
+					Downtime:           963400 * time.Microsecond,
+					RecordsReprocessed: 800,
+					LostRecords:        0,
+					SinkRecords:        1234,
+				},
 			},
+			KilledWorker: 1, TasksOnKilled: 5,
+			Recovered: true, Backpressure: 0.1912,
 		},
 	}
 }

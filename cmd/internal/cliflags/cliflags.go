@@ -1,7 +1,8 @@
 // Package cliflags declares, once, the sixteen flags caplive, capsim and
 // capsysctl share, and the small amount of plumbing every binary did by hand
-// around them: parsing -fuse and -rescale, building the cluster, and wiring
-// -trace-out / -metrics-addr onto a telemetry hub. Each binary passes its
+// around them: parsing -fuse and -rescale, building the cluster, wiring
+// -trace-out / -metrics-addr onto a telemetry hub, and printing how a live
+// run ended. Each binary passes its
 // own defaults and, where its wording differs, its own help text, so names,
 // defaults and -h output stay per-binary.
 package cliflags
@@ -142,6 +143,23 @@ func (c *Common) EngineOptions() (engine.JobOptions, error) {
 		DisableFusion:    noFuse,
 		Rescales:         rescales,
 	}, nil
+}
+
+// ResultLines renders how a live run ended: "<status> in <elapsed>: ..." and,
+// when any was applied, the RescaleLine.
+func ResultLines(status string, res *engine.JobResult) string {
+	return fmt.Sprintf("%s in %v: %d source records (%.0f rec/s), %d sink records\n%s",
+		status, res.Elapsed.Round(time.Millisecond), res.SourceRecords,
+		float64(res.SourceRecords)/res.Elapsed.Seconds(), res.SinkRecords, RescaleLine(res))
+}
+
+// RescaleLine reports what the run's live rescales cost ("" when none ran).
+func RescaleLine(res *engine.JobResult) string {
+	if res.Rescales == 0 {
+		return ""
+	}
+	return fmt.Sprintf("rescale: %d applied, downtime %v, moved %d state bytes, reprocessed %d records\n",
+		res.Rescales, res.RescaleDowntime.Round(time.Millisecond), res.RescaleMovedBytes, res.RecordsReprocessed)
 }
 
 // Observe wires a hub to the outside: trace events append to traceOut as

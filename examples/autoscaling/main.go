@@ -19,7 +19,6 @@ import (
 
 	"capsys/internal/cluster"
 	"capsys/internal/controller"
-	"capsys/internal/costmodel"
 	"capsys/internal/dataflow"
 	"capsys/internal/ds2"
 	"capsys/internal/engine"
@@ -61,15 +60,27 @@ func run(ctx context.Context) error {
 	perTask := spec.SourceRates["src"] / float64(small.Operator("src").Parallelism)
 	sourceRate := map[dataflow.OperatorID]float64{"src": perTask}
 
-	// Phase 1 — profile: run the small topology live and collect per-task
-	// observed rates and useful fractions.
-	fmt.Println("phase 1: profiling the under-provisioned topology on the live engine")
-	profile, err := profileRun(ctx, spec, pool, sourceRate)
+	// One launch for both live runs: CAPS places the small topology, and
+	// re-places whatever a later run rescales.
+	d, err := controller.Launch(ctx, spec, pool, placement.CAPS{}, controller.LaunchOptions{Seed: seed})
 	if err != nil {
 		return err
 	}
-	obs := make(map[dataflow.TaskID]ds2.TaskRates, len(profile.Tasks))
-	for id, st := range profile.Tasks {
+	opts := engine.JobOptions{
+		RecordsPerSource: recordsPerSource,
+		SnapshotInterval: snapshotInterval,
+		SourceRate:       sourceRate,
+	}
+
+	// Phase 1 — profile: run the small topology live and collect per-task
+	// observed rates and useful fractions.
+	fmt.Println("phase 1: profiling the under-provisioned topology on the live engine")
+	profile, err := d.Run(ctx, opts)
+	if err != nil {
+		return err
+	}
+	obs := make(map[dataflow.TaskID]ds2.TaskRates, len(profile.Result.Tasks))
+	for id, st := range profile.Result.Tasks {
 		obs[id] = ds2.TaskRates{
 			ObservedIn:     st.ObservedInRate,
 			ObservedOut:    st.ObservedOutRate,
@@ -109,14 +120,8 @@ func run(ctx context.Context) error {
 	// rescaled graph. No restart, no lost records.
 	fmt.Printf("\nphase 3: applying %d decision(s) live (drain -> repartition key-groups -> CAPS re-place -> resume)\n", len(plans))
 	tel := telemetry.New()
-	out, err := controller.RunRescale(ctx, spec, pool, placement.CAPS{}, controller.RescaleOptions{
-		Seed:             seed,
-		RecordsPerSource: recordsPerSource,
-		SnapshotInterval: snapshotInterval,
-		SourceRate:       sourceRate,
-		Rescales:         plans,
-		Telemetry:        tel,
-	})
+	opts.Rescales, opts.Telemetry = plans, tel
+	out, err := d.Run(ctx, opts)
 	if err != nil {
 		return err
 	}
@@ -154,37 +159,4 @@ func attrFloat(v any) float64 {
 		return float64(n)
 	}
 	return 0
-}
-
-// profileRun executes the spec once on the live engine and returns the job
-// result whose per-task stats feed DS2.
-func profileRun(ctx context.Context, spec nexmark.QuerySpec, pool *cluster.Cluster, sourceRate map[dataflow.OperatorID]float64) (*engine.JobResult, error) {
-	phys, err := dataflow.Expand(spec.Graph)
-	if err != nil {
-		return nil, err
-	}
-	rates, err := dataflow.PropagateRates(spec.Graph, spec.SourceRates)
-	if err != nil {
-		return nil, err
-	}
-	u := costmodel.FromRates(spec.Graph, rates)
-	plan, err := placement.CAPS{}.Place(ctx, phys, pool, u, seed)
-	if err != nil {
-		return nil, err
-	}
-	binding, err := nexmark.BindEngine(spec, seed)
-	if err != nil {
-		return nil, err
-	}
-	job, err := engine.NewJob(spec.Graph, plan, controller.EngineCluster(pool), binding.Factories, engine.JobOptions{
-		RecordsPerSource: recordsPerSource,
-		SourceRate:       sourceRate,
-		PerRecordCPU:     binding.PerRecordCPU,
-		Stateful:         binding.Stateful,
-		SnapshotInterval: snapshotInterval,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return job.Run(ctx)
 }

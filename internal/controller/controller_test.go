@@ -172,15 +172,6 @@ func TestDeployAllEmpty(t *testing.T) {
 	}
 }
 
-func TestQueryNameOf(t *testing.T) {
-	if QueryNameOf(qualify("Q1", "src")) != "Q1" {
-		t.Error("QueryNameOf failed on namespaced ID")
-	}
-	if QueryNameOf("plain") != "" {
-		t.Error("QueryNameOf nonempty for plain ID")
-	}
-}
-
 func TestRunTimelineConvergesWithCAPS(t *testing.T) {
 	spec := nexmark.Q3Inf()
 	// Generous pool so DS2 has room to scale.

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strings"
+	"time"
 
 	"capsys/internal/cluster"
 	"capsys/internal/costmodel"
@@ -15,11 +15,24 @@ import (
 	"capsys/internal/simulator"
 )
 
-// Deployment is a fully prepared query deployment.
+// Deployment is a fully prepared query deployment: the query, its physical
+// graph and the plan placing it. DeploySingle and DeployAll prepare them for
+// the simulator; Launch prepares one that also runs live (Run, RunRecovery,
+// Coordinator).
 type Deployment struct {
 	Spec nexmark.QuerySpec
 	Phys *dataflow.PhysicalGraph
 	Plan *dataflow.Plan
+	// PlacementTime is how long the strategy took to decide Plan (zero for a
+	// plan that was given).
+	PlacementTime time.Duration
+
+	// The live half, filled by Launch.
+	cluster *cluster.Cluster
+	strat   placement.Strategy // nil = plan-only
+	usage   *costmodel.Usage
+	binding *nexmark.EngineBinding
+	launch  LaunchOptions
 }
 
 // EngineCluster converts the controller's cluster view into the live
@@ -36,9 +49,10 @@ func EngineCluster(c *cluster.Cluster) engine.ClusterSpec {
 	return spec
 }
 
-// usageFor derives the task usage vectors from a query's (profiled) graph
-// and target rates.
-func usageFor(g *dataflow.LogicalGraph, sourceRates map[dataflow.OperatorID]float64) (*costmodel.Usage, error) {
+// UsageOf derives the task usage vectors from a query's (profiled) graph
+// and target source rates — the one PropagateRates → FromRates derivation
+// placement callers share.
+func UsageOf(g *dataflow.LogicalGraph, sourceRates map[dataflow.OperatorID]float64) (*costmodel.Usage, error) {
 	rates, err := dataflow.PropagateRates(g, sourceRates)
 	if err != nil {
 		return nil, err
@@ -54,7 +68,7 @@ func DeploySingle(ctx context.Context, spec nexmark.QuerySpec, c *cluster.Cluste
 	if err != nil {
 		return nil, nil, err
 	}
-	u, err := usageFor(spec.Graph, spec.SourceRates)
+	u, err := UsageOf(spec.Graph, spec.SourceRates)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -143,7 +157,7 @@ func placeJointly(ctx context.Context, specs []nexmark.QuerySpec, c *cluster.Clu
 	if err != nil {
 		return nil, err
 	}
-	u, err := usageFor(merged, mergedRates)
+	u, err := UsageOf(merged, mergedRates)
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +197,7 @@ func placeSequentially(ctx context.Context, specs []nexmark.QuerySpec, c *cluste
 		if err != nil {
 			return nil, err
 		}
-		u, err := usageFor(spec.Graph, spec.SourceRates)
+		u, err := UsageOf(spec.Graph, spec.SourceRates)
 		if err != nil {
 			return nil, err
 		}
@@ -221,13 +235,4 @@ func placeSequentially(ctx context.Context, specs []nexmark.QuerySpec, c *cluste
 		out[qi] = Deployment{Spec: spec, Phys: phys, Plan: real}
 	}
 	return out, nil
-}
-
-// QueryNameOf recovers the query name from a namespaced operator ID, or ""
-// if the ID is not namespaced.
-func QueryNameOf(id dataflow.OperatorID) string {
-	if i := strings.IndexByte(string(id), '/'); i >= 0 {
-		return string(id)[:i]
-	}
-	return ""
 }

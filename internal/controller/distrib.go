@@ -12,7 +12,6 @@ import (
 	"capsys/internal/clock"
 	"capsys/internal/dataflow"
 	"capsys/internal/engine"
-	"capsys/internal/nexmark"
 	"capsys/internal/telemetry"
 )
 
@@ -113,50 +112,6 @@ func (d DeploySpec) Plan() *dataflow.Plan {
 // identical wiring from it.
 type JobBuilder func(spec DeploySpec) (*engine.Job, error)
 
-// NexmarkBuilder resolves DeploySpec.Query against the built-in benchmark
-// queries — the standard builder for caplive worker processes.
-func NexmarkBuilder() JobBuilder {
-	return NexmarkBuilderWith(nil)
-}
-
-// NexmarkBuilderWith is NexmarkBuilder with the worker's telemetry hub
-// wired into every built job, so each attempt's engine instrumentation
-// (wire counters, latency histograms, saturation gauges, tracer events)
-// lands in the hub the heartbeat sampler and trace feed read from.
-func NexmarkBuilderWith(tel *telemetry.Telemetry) JobBuilder {
-	return func(spec DeploySpec) (*engine.Job, error) {
-		q, err := nexmark.ByName(spec.Query)
-		if err != nil {
-			return nil, err
-		}
-		binding, err := bindScaled(q, spec.Seed, spec.CPUCostScale)
-		if err != nil {
-			return nil, err
-		}
-		graph := q.Graph
-		if len(spec.Rescaled) > 0 {
-			graph, err = graph.Rescale(spec.Rescaled)
-			if err != nil {
-				return nil, fmt.Errorf("controller: applying rescale overrides: %w", err)
-			}
-		}
-		opts := engine.JobOptions{
-			RecordsPerSource: spec.RecordsPerSource,
-			SnapshotInterval: spec.SnapshotInterval,
-			ChannelCapacity:  spec.ChannelCapacity,
-			Transport:        engine.TransportNetwork,
-			BatchSize:        spec.BatchSize,
-			BatchLinger:      spec.BatchLinger,
-			DisableFusion:    spec.DisableFusion,
-			Stateful:         binding.Stateful,
-			PerRecordCPU:     binding.PerRecordCPU,
-			KeyGroups:        spec.KeyGroups,
-			Telemetry:        tel,
-		}
-		return engine.NewJob(graph, spec.Plan(), engine.ClusterSpec{Workers: spec.Workers}, binding.Factories, opts)
-	}
-}
-
 // Control-plane frame payloads.
 type (
 	wireJoin    struct{ Proto int }
@@ -239,9 +194,11 @@ type CoordinatorOptions struct {
 	// StopTimeout bounds how long recovery waits for an aborted worker's
 	// STOPPED report before giving up on it (default 10s).
 	StopTimeout time.Duration
-	// Replan re-places the dead workers' tasks onto survivors. Nil means
-	// worker loss is fatal.
-	Replan func(dead []int, attempt int) (*dataflow.Plan, error)
+	// Replan re-places after a fault, under engine.JobOptions.OnFailure's
+	// contract: the plan it returns must avoid every worker in the event's
+	// DeadWorkers, and for a fault in which nobody died a nil plan restarts
+	// the attempt in place. Nil means worker loss is fatal.
+	Replan func(engine.FailureEvent) (*dataflow.Plan, error)
 	// Rescales schedules live parallelism changes: each plan triggers at the
 	// first globally complete checkpoint epoch >= its AtEpoch, draining the
 	// cluster to that epoch, repartitioning the operator's key-groups in the
@@ -252,6 +209,7 @@ type CoordinatorOptions struct {
 	// plan still names the old task set; the returned one must cover the
 	// rescaled one). Nil keeps surviving tasks where they are and packs new
 	// tasks onto the lowest-index live workers with free slots.
+	// Deployment.Coordinator sets both hooks to its one re-placement closure.
 	RescaleAssign func(ev engine.RescaleEvent, prev *dataflow.Plan) (*dataflow.Plan, error)
 	// Logf, when set, receives progress lines ("checkpoint: epoch 3
 	// complete", "worker 1 dead: ...").
@@ -277,6 +235,10 @@ type Coordinator struct {
 	sup  *engine.Supervisor
 	clk  clock.Clock
 	agg  clusterAgg
+	// replacer is the launching Deployment's re-placement closure (nil for a
+	// coordinator built directly from a DeploySpec); Run hands it the run's
+	// context and exports its tallies on the result.
+	replacer *replacer
 
 	// connMu orders WaitJoined's appends to conns against connSnapshot
 	// reads from HTTP handlers; once the cluster is complete the slice is
@@ -360,6 +322,7 @@ func NewCoordinator(listen string, spec DeploySpec, workers int, opts Coordinato
 		KeyGroups:        spec.KeyGroups,
 		SnapshotInterval: spec.SnapshotInterval,
 		Transport:        engine.TransportNetwork,
+		OnFault:          opts.Replan,
 		OnRescale:        opts.RescaleAssign,
 		Emit:             co.trace,
 		Logf:             opts.Logf,
@@ -367,14 +330,6 @@ func NewCoordinator(listen string, spec DeploySpec, workers int, opts Coordinato
 	}
 	for _, a := range spec.Assign {
 		cfg.Tasks = append(cfg.Tasks, a.Task)
-	}
-	if opts.Replan != nil {
-		cfg.OnFault = func(ev engine.FailureEvent) (*dataflow.Plan, error) {
-			if ev.Kind != engine.FaultKillWorker {
-				return nil, nil // nobody died: restart in place
-			}
-			return opts.Replan(ev.DeadWorkers, ev.Attempt+1)
-		}
 	}
 	var err error
 	if co.sup, err = engine.NewSupervisor(cfg); err != nil {
@@ -557,7 +512,14 @@ func (co *Coordinator) Run(ctx context.Context) (*engine.JobResult, error) {
 		return nil, fmt.Errorf("controller: Run before WaitJoined completed (%d of %d workers)", len(co.conns), co.n)
 	}
 	co.start = co.clk()
-	return co.sup.Run(ctx, remoteExecutor{co})
+	if co.replacer != nil {
+		co.replacer.ctx = ctx
+	}
+	res, err := co.sup.Run(ctx, remoteExecutor{co})
+	if err == nil && co.replacer != nil {
+		co.replacer.export(res)
+	}
+	return res, err
 }
 
 // remoteExecutor is the Coordinator as the supervisor's AttemptExecutor.

@@ -138,14 +138,21 @@ func startDistCluster(t *testing.T, ctx context.Context, fx *distFixture, opts C
 	if err != nil {
 		t.Fatal(err)
 	}
+	return joinDistWorkers(t, ctx, co, distWorkers)
+}
+
+// joinDistWorkers joins n in-process workers to co and waits for the
+// cluster to be complete.
+func joinDistWorkers(t *testing.T, ctx context.Context, co *Coordinator, n int) *distCluster {
+	t.Helper()
 	dc := &distCluster{co: co}
-	for w := 0; w < distWorkers; w++ {
+	for w := 0; w < n; w++ {
 		wctx, cancel := context.WithCancel(ctx)
 		dc.cancel = append(dc.cancel, cancel)
 		errc := make(chan error, 1)
 		dc.errs = append(dc.errs, errc)
 		go func() {
-			errc <- JoinCluster(wctx, co.Addr(), NexmarkBuilder(), JoinOptions{
+			errc <- JoinCluster(wctx, co.Addr(), NexmarkBuilderWith(nil), JoinOptions{
 				HeartbeatEvery: 50 * time.Millisecond,
 			})
 		}()
@@ -261,9 +268,9 @@ func TestDistClusterKillRecovery(t *testing.T) {
 		// its context watcher, but keep the heartbeat net tight anyway.
 		HeartbeatTimeout: 2 * time.Second,
 		StopTimeout:      30 * time.Second,
-		Replan: func(dead []int, attempt int) (*dataflow.Plan, error) {
-			deadSet := make(map[int]bool, len(dead))
-			for _, w := range dead {
+		Replan: func(ev engine.FailureEvent) (*dataflow.Plan, error) {
+			deadSet := make(map[int]bool, len(ev.DeadWorkers))
+			for _, w := range ev.DeadWorkers {
 				deadSet[w] = true
 			}
 			var survivors []int
@@ -520,13 +527,13 @@ func TestDistPeerDownEscalatesAfterBudget(t *testing.T) {
 	co, err := NewCoordinator("127.0.0.1:0", deploy, 2, CoordinatorOptions{
 		HeartbeatTimeout: 30 * time.Second,
 		StopTimeout:      10 * time.Second,
-		Replan: func(dead []int, attempt int) (*dataflow.Plan, error) {
+		Replan: func(ev engine.FailureEvent) (*dataflow.Plan, error) {
 			replanMu.Lock()
-			replanDead = append([]int(nil), dead...)
+			replanDead = append([]int(nil), ev.DeadWorkers...)
 			replanMu.Unlock()
 			next := dataflow.NewPlan()
 			for _, a := range deploy.Assign {
-				next.Assign(a.Task, 1-dead[0]) // two-process cluster
+				next.Assign(a.Task, 1-ev.DeadWorkers[0]) // two-process cluster
 			}
 			return next, nil
 		},
@@ -902,8 +909,8 @@ func runWithReplan(t *testing.T, deploy DeploySpec, next func(survivor int) *dat
 	t.Helper()
 	opts := CoordinatorOptions{HeartbeatTimeout: 30 * time.Second, StopTimeout: 10 * time.Second}
 	if next != nil {
-		opts.Replan = func(dead []int, attempt int) (*dataflow.Plan, error) {
-			return next(1 - dead[0]), nil
+		opts.Replan = func(ev engine.FailureEvent) (*dataflow.Plan, error) {
+			return next(1 - ev.DeadWorkers[0]), nil
 		}
 	}
 	co, err := NewCoordinator("127.0.0.1:0", deploy, 2, opts)

@@ -7,6 +7,7 @@ import (
 
 	"capsys/internal/cluster"
 	"capsys/internal/dataflow"
+	"capsys/internal/engine"
 	"capsys/internal/nexmark"
 	"capsys/internal/placement"
 )
@@ -24,6 +25,16 @@ func recoveryCluster(t *testing.T, spec nexmark.QuerySpec, workers int) *cluster
 	return c
 }
 
+// mustLaunch places and binds spec for a live run.
+func mustLaunch(t *testing.T, spec nexmark.QuerySpec, c *cluster.Cluster, strat placement.Strategy, lo LaunchOptions) *Deployment {
+	t.Helper()
+	d, err := Launch(context.Background(), spec, c, strat, lo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestRunRecoveryReconciles(t *testing.T) {
 	spec, err := nexmark.ByName("Q1-sliding")
 	if err != nil {
@@ -33,13 +44,9 @@ func TestRunRecoveryReconciles(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
-	out, err := RunRecovery(ctx, spec, c, placement.FlinkEvenly{}, RecoveryOptions{
-		Seed:             7,
-		RecordsPerSource: 600,
-		SnapshotInterval: 100,
-		KillWorker:       -1,
-		KillAtEpoch:      2,
-	})
+	out, err := mustLaunch(t, spec, c, placement.FlinkEvenly{}, LaunchOptions{Seed: 7}).RunRecovery(ctx,
+		engine.WorkerKill{Worker: -1, AtEpoch: 2},
+		engine.JobOptions{RecordsPerSource: 600, SnapshotInterval: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,13 +97,9 @@ func TestRunRecoveryDeterministicOutcome(t *testing.T) {
 	run := func() *RecoveryOutcome {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
-		out, err := RunRecovery(ctx, spec, c, placement.FlinkDefault{}, RecoveryOptions{
-			Seed:             3,
-			RecordsPerSource: 400,
-			SnapshotInterval: 100,
-			KillWorker:       -1,
-			KillAtEpoch:      1,
-		})
+		out, err := mustLaunch(t, spec, c, placement.FlinkDefault{}, LaunchOptions{Seed: 3}).RunRecovery(ctx,
+			engine.WorkerKill{Worker: -1, AtEpoch: 1},
+			engine.JobOptions{RecordsPerSource: 400, SnapshotInterval: 100})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,14 +125,9 @@ func TestRunRecoveryDegraded(t *testing.T) {
 	c := recoveryCluster(t, spec, 4)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	out, err := RunRecovery(ctx, spec, c, placement.FlinkEvenly{}, RecoveryOptions{
-		Seed:             7,
-		RecordsPerSource: 600,
-		SnapshotInterval: 100,
-		KillWorker:       -1,
-		KillAtEpoch:      2,
-		NoRecovery:       true,
-	})
+	out, err := mustLaunch(t, spec, c, placement.FlinkEvenly{}, LaunchOptions{Seed: 7, NoRecovery: true}).RunRecovery(ctx,
+		engine.WorkerKill{Worker: -1, AtEpoch: 2},
+		engine.JobOptions{RecordsPerSource: 600, SnapshotInterval: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +151,7 @@ func TestReplaceInfeasibleIsExplicit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := usageFor(spec.Graph, spec.SourceRates)
+	u, err := UsageOf(spec.Graph, spec.SourceRates)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,8 +23,7 @@ func TestRunRescaleLive(t *testing.T) {
 
 	for _, strat := range []placement.Strategy{placement.FlinkEvenly{}, placement.CAPS{}} {
 		t.Run(strat.Name(), func(t *testing.T) {
-			out, err := RunRescale(ctx, spec, c, strat, RescaleOptions{
-				Seed:             7,
+			out, err := mustLaunch(t, spec, c, strat, LaunchOptions{Seed: 7}).Run(ctx, engine.JobOptions{
 				RecordsPerSource: 600,
 				SnapshotInterval: 100,
 				SourceRate:       map[dataflow.OperatorID]float64{"src": 20000},
@@ -81,15 +80,10 @@ func TestRunRescaleValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := recoveryCluster(t, spec, 4)
-	ctx := context.Background()
-	if _, err := RunRescale(ctx, spec, c, placement.FlinkEvenly{}, RescaleOptions{
-		Seed: 1, RecordsPerSource: 100, SnapshotInterval: 50,
-	}); err == nil {
-		t.Error("empty rescale schedule accepted")
-	}
-	if _, err := RunRescale(ctx, spec, c, placement.FlinkEvenly{}, RescaleOptions{
-		Seed: 1, RecordsPerSource: 100,
-		Rescales: []engine.RescalePlan{{Op: "slide-win", Parallelism: 4}},
+	// An empty schedule is simply a run; a schedule still needs checkpoints.
+	if _, err := mustLaunch(t, spec, c, placement.FlinkEvenly{}, LaunchOptions{Seed: 1}).Run(context.Background(), engine.JobOptions{
+		RecordsPerSource: 100,
+		Rescales:         []engine.RescalePlan{{Op: "slide-win", Parallelism: 4}},
 	}); err == nil {
 		t.Error("rescale without SnapshotInterval accepted")
 	}

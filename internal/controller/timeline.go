@@ -103,7 +103,7 @@ func RunTimeline(ctx context.Context, spec nexmark.QuerySpec, c *cluster.Cluster
 		if err != nil {
 			return nil, nil, err
 		}
-		u, err := usageFor(g, rates)
+		u, err := UsageOf(g, rates)
 		if err != nil {
 			return nil, nil, err
 		}

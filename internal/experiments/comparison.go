@@ -141,7 +141,7 @@ func Tab3(ctx context.Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	u, err := usageOf(spec)
+	u, err := controller.UsageOf(spec.Graph, spec.SourceRates)
 	if err != nil {
 		return nil, err
 	}

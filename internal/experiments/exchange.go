@@ -57,14 +57,6 @@ func exchangeStudy(ctx context.Context, cfg exchangeConfig) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	phys, err := dataflow.Expand(spec.Graph)
-	if err != nil {
-		return nil, err
-	}
-	u, err := usageOf(spec)
-	if err != nil {
-		return nil, err
-	}
 	slots := spec.Graph.TotalTasks()/cfg.Workers + 1
 	// Worker meters are provisioned well above the pipeline's data rate for
 	// the same reason operator CPU is zeroed: a bandwidth-bound run paces
@@ -77,12 +69,7 @@ func exchangeStudy(ctx context.Context, cfg exchangeConfig) (*Report, error) {
 	}
 	// The plan is fixed across rows: placement is held constant so the
 	// transport is the only variable.
-	strat := placement.FlinkEvenly{}
-	plan, err := strat.Place(ctx, phys, c, u, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	binding, err := nexmark.BindEngine(spec, cfg.Seed)
+	d, err := controller.Launch(ctx, spec, c, placement.FlinkEvenly{}, controller.LaunchOptions{Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -110,19 +97,16 @@ func exchangeStudy(ctx context.Context, cfg exchangeConfig) (*Report, error) {
 	var unarySinks int64
 	bestRate, bestSize := 0.0, 0
 	for _, r := range runs {
-		job, err := engine.NewJob(spec.Graph, plan, controller.EngineCluster(c), binding.Factories, engine.JobOptions{
+		out, err := d.Run(ctx, engine.JobOptions{
 			RecordsPerSource: cfg.Records,
-			Stateful:         binding.Stateful,
+			PerRecordCPU:     map[dataflow.OperatorID]float64{}, // zeroed, not defaulted
 			Transport:        r.transport,
 			BatchSize:        r.batchSize,
 		})
 		if err != nil {
-			return nil, err
-		}
-		res, err := job.Run(ctx)
-		if err != nil {
 			return nil, fmt.Errorf("experiments: exchange under %s: %w", r.transport, err)
 		}
+		res := out.Result
 		rate := 0.0
 		if res.Elapsed > 0 {
 			rate = float64(res.SourceRecords) / res.Elapsed.Seconds()

@@ -8,7 +8,7 @@ import (
 
 	"capsys/internal/caps"
 	"capsys/internal/cluster"
-	"capsys/internal/costmodel"
+	"capsys/internal/controller"
 	"capsys/internal/dataflow"
 	"capsys/internal/nexmark"
 	"capsys/internal/placement"
@@ -42,7 +42,7 @@ func ExtSkew(ctx context.Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	splitUsage, err := usageOf(splitSpec)
+	splitUsage, err := controller.UsageOf(splitSpec.Graph, splitSpec.SourceRates)
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +71,7 @@ func ExtSkew(ctx context.Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	u, err := usageOf(spec)
+	u, err := controller.UsageOf(spec.Graph, spec.SourceRates)
 	if err != nil {
 		return nil, err
 	}
@@ -186,11 +186,10 @@ func ExtChain(ctx context.Context) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		rp, err := dataflow.PropagateRates(graph, sourceRatesFor(graph, rates))
+		u, err := controller.UsageOf(graph, sourceRatesFor(graph, rates))
 		if err != nil {
 			return nil, err
 		}
-		u := costmodel.FromRates(graph, rp)
 		res, err := caps.Search(ctx, phys, big, u, caps.Options{Alpha: caps.Unbounded, Mode: caps.Exhaustive})
 		if err != nil {
 			return nil, err

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"capsys/internal/cluster"
-	"capsys/internal/costmodel"
 	"capsys/internal/dataflow"
 	"capsys/internal/nexmark"
 	"capsys/internal/simulator"
@@ -45,15 +44,6 @@ func evalPlan(spec nexmark.QuerySpec, phys *dataflow.PhysicalGraph, plan *datafl
 		return simulator.QueryMetrics{}, err
 	}
 	return res.Queries[spec.Name], nil
-}
-
-// usageOf derives the cost-model usage for a query spec.
-func usageOf(spec nexmark.QuerySpec) (*costmodel.Usage, error) {
-	rates, err := dataflow.PropagateRates(spec.Graph, spec.SourceRates)
-	if err != nil {
-		return nil, err
-	}
-	return costmodel.FromRates(spec.Graph, rates), nil
 }
 
 // summarize computes min/mean/max of a sample.

@@ -7,6 +7,7 @@ import (
 
 	"capsys/internal/caps"
 	"capsys/internal/cluster"
+	"capsys/internal/controller"
 	"capsys/internal/costmodel"
 	"capsys/internal/dataflow"
 	"capsys/internal/nexmark"
@@ -26,7 +27,7 @@ func Tab2(ctx context.Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	u, err := usageOf(spec)
+	u, err := controller.UsageOf(spec.Graph, spec.SourceRates)
 	if err != nil {
 		return nil, err
 	}

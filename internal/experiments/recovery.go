@@ -96,16 +96,17 @@ func recoveryStudy(ctx context.Context, cfg recoveryConfig) (*Report, error) {
 		// records may not: a divergence would be an exactly-once violation
 		// in one of the transports.
 		baseSink := int64(-1)
+		d, err := controller.Launch(ctx, spec, c, strat, controller.LaunchOptions{Seed: cfg.Seed})
+		if err != nil {
+			return nil, fmt.Errorf("experiments: recovery under %s: %w", strat.Name(), err)
+		}
 		for _, transport := range engine.TransportNames() {
 			// One hub per run keeps latency histograms and trace events
 			// attributable to a single strategy/transport pair.
 			tel := telemetry.New()
-			out, err := controller.RunRecovery(ctx, spec, c, strat, controller.RecoveryOptions{
-				Seed:             cfg.Seed,
+			out, err := d.RunRecovery(ctx, engine.WorkerKill{Worker: -1, AtEpoch: cfg.KillAtEpoch}, engine.JobOptions{
 				RecordsPerSource: cfg.Records,
 				SnapshotInterval: cfg.SnapshotInterval,
-				KillWorker:       -1,
-				KillAtEpoch:      cfg.KillAtEpoch,
 				Transport:        transport,
 				Telemetry:        tel,
 			})

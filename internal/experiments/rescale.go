@@ -10,7 +10,6 @@ import (
 	"capsys/internal/dataflow"
 	"capsys/internal/engine"
 	"capsys/internal/nexmark"
-	"capsys/internal/placement"
 	"capsys/internal/telemetry"
 )
 
@@ -138,7 +137,12 @@ func rescaleStudy(ctx context.Context, cfg rescaleConfig) (*Report, error) {
 		return nil, err
 	}
 	srcTasks := int64(spec.Graph.Operator("src").Parallelism)
-	strat := chainEven{}
+	// One placement for every row: chain-even is deterministic, and the
+	// re-placements go through it again on the rescaled graph.
+	d, err := controller.Launch(ctx, spec, c, chainEven{}, controller.LaunchOptions{Seed: cfg.Seed})
+	if err != nil {
+		return nil, err
+	}
 
 	rep := &Report{
 		ID: "RESCALE",
@@ -158,28 +162,29 @@ func rescaleStudy(ctx context.Context, cfg rescaleConfig) (*Report, error) {
 			label = "unfused"
 		}
 		for _, transport := range engine.TransportNames() {
+			opts := engine.JobOptions{
+				RecordsPerSource: cfg.Records,
+				SnapshotInterval: cfg.SnapshotInterval,
+				SourceRate:       map[dataflow.OperatorID]float64{"src": cfg.SourceRate},
+				Transport:        transport,
+				DisableFusion:    !fused,
+			}
 			// No-rescale baseline anchors the p99 the drain disturbs.
 			baseTel := telemetry.New()
-			base, err := rescaleBaseline(ctx, spec, c, strat, cfg, transport, fused, baseTel)
+			opts.Telemetry = baseTel
+			base, err := d.Run(ctx, opts)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: rescale baseline %s/%s: %w", label, transport, err)
 			}
 			baseP99 := mergedLatencyQuantile(baseTel, 0.99) * 1e3
-			if fused && base.Metrics.Snapshot()["engine.fuse.chains"] <= 0 {
+			if fused && base.Result.Metrics.Snapshot()["engine.fuse.chains"] <= 0 {
 				return nil, fmt.Errorf("experiments: rescale %s/%s: chain-even placement fused no chains", label, transport)
 			}
 			for _, to := range directions {
 				tel := telemetry.New()
-				out, err := controller.RunRescale(ctx, spec, c, strat, controller.RescaleOptions{
-					Seed:             cfg.Seed,
-					RecordsPerSource: cfg.Records,
-					SnapshotInterval: cfg.SnapshotInterval,
-					SourceRate:       map[dataflow.OperatorID]float64{"src": cfg.SourceRate},
-					Rescales:         []engine.RescalePlan{{Op: "slide-win", Parallelism: to, AtEpoch: cfg.AtEpoch}},
-					Transport:        transport,
-					DisableFusion:    !fused,
-					Telemetry:        tel,
-				})
+				opts.Telemetry = tel
+				opts.Rescales = []engine.RescalePlan{{Op: "slide-win", Parallelism: to, AtEpoch: cfg.AtEpoch}}
+				out, err := d.Run(ctx, opts)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: rescale %s/%s→%d: %w", label, transport, to, err)
 				}
@@ -225,40 +230,4 @@ func rescaleStudy(ctx context.Context, cfg rescaleConfig) (*Report, error) {
 		"re-placement decision time (replace_ms) sits inside the measured downtime: the scheduler is on the rescale's critical path, as it is on recovery's",
 		"the p99 dip against base_p99_ms is the latency cost of the drain; fused and unfused rows pay it alike under all three transports")
 	return rep, nil
-}
-
-// rescaleBaseline runs the same job with no rescale scheduled, for the
-// latency comparison rows.
-func rescaleBaseline(ctx context.Context, spec nexmark.QuerySpec, c *cluster.Cluster, strat placement.Strategy, cfg rescaleConfig, transport string, fused bool, tel *telemetry.Telemetry) (*engine.JobResult, error) {
-	phys, err := dataflow.Expand(spec.Graph)
-	if err != nil {
-		return nil, err
-	}
-	rates, err := dataflow.PropagateRates(spec.Graph, spec.SourceRates)
-	if err != nil {
-		return nil, err
-	}
-	u := costmodel.FromRates(spec.Graph, rates)
-	plan, err := strat.Place(ctx, phys, c, u, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	binding, err := nexmark.BindEngine(spec, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	job, err := engine.NewJob(spec.Graph, plan, controller.EngineCluster(c), binding.Factories, engine.JobOptions{
-		Transport:        transport,
-		DisableFusion:    !fused,
-		RecordsPerSource: cfg.Records,
-		SourceRate:       map[dataflow.OperatorID]float64{"src": cfg.SourceRate},
-		PerRecordCPU:     binding.PerRecordCPU,
-		Stateful:         binding.Stateful,
-		SnapshotInterval: cfg.SnapshotInterval,
-		Telemetry:        tel,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return job.Run(ctx)
 }

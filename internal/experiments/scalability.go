@@ -7,6 +7,7 @@ import (
 
 	"capsys/internal/caps"
 	"capsys/internal/cluster"
+	"capsys/internal/controller"
 	"capsys/internal/costmodel"
 	"capsys/internal/dataflow"
 	"capsys/internal/nexmark"
@@ -59,7 +60,7 @@ func Fig10a(ctx context.Context) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		u, err := usageOf(spec)
+		u, err := controller.UsageOf(spec.Graph, spec.SourceRates)
 		if err != nil {
 			return nil, err
 		}
@@ -107,7 +108,7 @@ func Fig10b(ctx context.Context) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			u, err := usageOf(spec)
+			u, err := controller.UsageOf(spec.Graph, spec.SourceRates)
 			if err != nil {
 				return nil, err
 			}

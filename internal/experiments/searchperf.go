@@ -7,6 +7,7 @@ import (
 
 	"capsys/internal/caps"
 	"capsys/internal/cluster"
+	"capsys/internal/controller"
 	"capsys/internal/costmodel"
 	"capsys/internal/dataflow"
 	"capsys/internal/nexmark"
@@ -48,7 +49,7 @@ func SearchPerf(ctx context.Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	q3u, err := usageOf(q3)
+	q3u, err := controller.UsageOf(q3.Graph, q3.SourceRates)
 	if err != nil {
 		return nil, err
 	}
@@ -74,11 +75,11 @@ func SearchPerf(ctx context.Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	x2rates, err := dataflow.PropagateRates(x2g, x2.SourceRates)
+	x2u, err := controller.UsageOf(x2g, x2.SourceRates)
 	if err != nil {
 		return nil, err
 	}
-	cases = append(cases, searchCase{"q3inf-x2", x2phys, x2c, costmodel.FromRates(x2g, x2rates)})
+	cases = append(cases, searchCase{"q3inf-x2", x2phys, x2c, x2u})
 
 	base := nexmark.Q2Join()
 	for _, tasks := range []int{32, 64} {
@@ -96,7 +97,7 @@ func SearchPerf(ctx context.Context) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		u, err := usageOf(spec)
+		u, err := controller.UsageOf(spec.Graph, spec.SourceRates)
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ import (
 
 	"capsys/internal/caps"
 	"capsys/internal/cluster"
+	"capsys/internal/controller"
 	"capsys/internal/costmodel"
 	"capsys/internal/dataflow"
 	"capsys/internal/nexmark"
@@ -28,7 +29,7 @@ func enumerateOutcomes(ctx context.Context, spec nexmark.QuerySpec, c *cluster.C
 	if err != nil {
 		return nil, err
 	}
-	u, err := usageOf(spec)
+	u, err := controller.UsageOf(spec.Graph, spec.SourceRates)
 	if err != nil {
 		return nil, err
 	}

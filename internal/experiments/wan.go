@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"capsys/internal/caps"
+	"capsys/internal/controller"
 	"capsys/internal/dataflow"
 	"capsys/internal/nexmark"
 	"capsys/internal/wan"
@@ -31,7 +32,7 @@ func ExtWAN(ctx context.Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	u, err := usageOf(spec)
+	u, err := controller.UsageOf(spec.Graph, spec.SourceRates)
 	if err != nil {
 		return nil, err
 	}
