@@ -18,18 +18,19 @@ test-dist:
 # test-rescale runs the live-rescaling battery race-checked end to end: the
 # key-group partitioning invariants (incl. the fuzz seed corpus) in
 # statebackend, the engine's drain→repartition→resume protocol (identity,
-# validation, fault-interleaving, all transports), the in-process and
-# distributed controller paths, and the fused/unfused × transport study.
+# validation, fault-interleaving, all transports) and its per-operator
+# restore/rescale matrix (TestKeyedStateRestoreAndRescale), the in-process
+# and distributed controller paths, and the fused/unfused × transport study.
 test-rescale:
 	$(GO) test -race -timeout 5m ./internal/statebackend
-	$(GO) test -race -timeout 5m -run 'Rescale|SplitOpStates|RouteMatchesStateAssignment' ./internal/engine ./internal/controller ./internal/experiments
+	$(GO) test -race -timeout 5m -run 'Rescale|KeyedState|RouteMatchesStateAssignment' ./internal/engine ./internal/controller ./internal/experiments
 
 # stress repeats the schedule-sensitive batteries — the distributed control
-# plane, worker attempts over the wire, wire payloads, rescale and fusion —
-# five times each at GOMAXPROCS 1 and 4, once plain and once under the race
-# detector: a flake that needs a particular interleaving gets twenty chances
-# to show instead of one.
-STRESS_RUN = TestDist|TestWorkerRun|TestWire|TestPrepareWorkerAttempt|Rescale|Fus
+# plane, worker attempts over the wire, wire payloads, rescale (the keyed-
+# state restore matrix included) and fusion — five times each at GOMAXPROCS 1
+# and 4, once plain and once under the race detector: a flake that needs a
+# particular interleaving gets twenty chances to show instead of one.
+STRESS_RUN = TestDist|TestWorkerRun|TestWire|TestPrepareWorkerAttempt|Rescale|KeyedState|Fus
 stress:
 	$(GO) test -timeout 20m -count=5 -cpu 1,4 -run '$(STRESS_RUN)' ./internal/engine ./internal/controller
 	$(GO) test -race -timeout 30m -count=5 -cpu 1,4 -run '$(STRESS_RUN)' ./internal/engine ./internal/controller
@@ -39,8 +40,8 @@ race:
 
 # fuzz runs every Fuzz* target in the tree for ten seconds each (go test
 # takes one -fuzz target per invocation, so they are found by name): the
-# frame envelope and the data-plane batch codec, query specs, metric names
-# and key-group partitioning. A failing input is written under the
+# frame envelope, the data-plane batch codec and the join state record,
+# query specs, metric names, key-group partitioning and namespace images. A failing input is written under the
 # package's testdata/fuzz/ and fails the target.
 fuzz:
 	@set -e; grep -rEo --include='*_test.go' '^func Fuzz[A-Za-z0-9_]+' cmd internal | sort | \

@@ -150,8 +150,11 @@ type (
 // snapshot instead of one scalar field per counter. Version 5 took gob off
 // the data plane (engine/wirecodec.go): a version-4 worker would join, deploy
 // and then fail every data-plane handshake against its peers, so it is
-// refused at the join instead.
-const distProtoVersion = 5
+// refused at the join instead. Version 6 changed what a shipped snapshot
+// means (keyed operator state is the namespace image alone, join buffers are
+// wire state records, sessions carry their bounds): a version-5 worker would
+// restore one as if it were its own and silently lose windows.
+const distProtoVersion = 6
 
 // errEncodePayload marks a send that failed locally while gob-encoding the
 // body — the data was unencodable or too large (MaxFramePayload), which

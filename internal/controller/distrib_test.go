@@ -682,8 +682,9 @@ func TestDistJoinVersionGate(t *testing.T) {
 		welcome bool
 	}{
 		// Proto 4 spoke gob on the data plane: it would join, deploy, and then
-		// fail every data handshake against a proto-5 peer.
-		{4, false},
+		// fail every data handshake against a proto-5 peer. Proto 5 kept
+		// operator aux images and JSON join buffers in its snapshots.
+		{4, false}, {5, false},
 		{distProtoVersion - 1, false}, {distProtoVersion + 1, false}, {distProtoVersion, true},
 	} {
 		c, err := net.DialTimeout("tcp", co.Addr(), 5*time.Second)

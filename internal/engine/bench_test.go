@@ -160,9 +160,7 @@ func joinJob(b *testing.B, transport string, perSource int64) *Job {
 	keyed := func(base int64) Factory {
 		return func(*TaskContext) (any, error) {
 			return NewSource(func(task, i int64) (Record, bool) {
-				// float64 from the start: the network transport's JSON
-				// round-trip decodes numbers as float64 either way.
-				return Record{Key: fmt.Sprintf("k%d", i), Value: float64(base + i), Time: i}, true
+				return Record{Key: fmt.Sprintf("k%d", i), Value: base + i, Time: i}, true
 			}), nil
 		}
 	}
@@ -171,7 +169,7 @@ func joinJob(b *testing.B, transport string, perSource int64) *Job {
 		"right": keyed(1 << 30),
 		"join": func(*TaskContext) (any, error) {
 			return NewIncrementalJoin(func(l, r Record) (Record, bool) {
-				return Record{Key: l.Key, Value: l.Value.(float64) + r.Value.(float64), Time: l.Time}, true
+				return Record{Key: l.Key, Value: l.Value.(int64) + r.Value.(int64), Time: l.Time}, true
 			}, 0), nil
 		},
 		"sink": func(*TaskContext) (any, error) { return NewSink(nil), nil },

@@ -7,12 +7,15 @@ import (
 	"capsys/internal/dataflow"
 )
 
-// Snapshotter is implemented by operators (or sources) that keep auxiliary
-// in-memory state outside their statebackend namespace — window end indexes,
-// session bounds, watermark high-water marks. SnapshotState must return a
-// deterministic byte image (same logical state → same bytes) so recovered
-// runs stay byte-identical; RestoreState replaces the operator's state with
-// a previously snapshotted image.
+// Snapshotter is implemented by sources, sinks and user operators that keep
+// state outside a statebackend namespace — a generator's position, a sink's
+// exactly-once fingerprint. SnapshotState must return a deterministic byte
+// image (same logical state → same bytes) so recovered runs stay
+// byte-identical; RestoreState replaces the operator's state with a
+// previously snapshotted image. The image is opaque to the engine: it
+// restores with its task but cannot be split by key-group, so an operator
+// carrying one cannot be rescaled (repartitionTaskSnapshots). Keyed state
+// belongs in the namespace; no built-in operator implements Snapshotter.
 type Snapshotter interface {
 	SnapshotState() ([]byte, error)
 	RestoreState([]byte) error

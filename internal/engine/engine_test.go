@@ -275,7 +275,7 @@ func TestTumblingWindowJoin(t *testing.T) {
 		"right": mkSrc,
 		"join": func(*TaskContext) (any, error) {
 			return NewTumblingWindowJoin(100, func(l, r Record) (Record, bool) {
-				if l.Value.(float64) == r.Value.(float64) { // JSON round-trip makes float64
+				if l.Value.(int64) == r.Value.(int64) { // state keeps the stored type
 					return Record{Key: l.Key, Value: l.Value, Time: l.Time}, true
 				}
 				return Record{}, false

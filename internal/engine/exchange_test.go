@@ -244,7 +244,7 @@ func TestJoinUnderBatchedTransport(t *testing.T) {
 				"right": mkSrc,
 				"join": func(*TaskContext) (any, error) {
 					return NewTumblingWindowJoin(100, func(l, r Record) (Record, bool) {
-						if l.Value.(float64) == r.Value.(float64) {
+						if l.Value.(int64) == r.Value.(int64) {
 							return Record{Key: l.Key, Value: l.Value, Time: l.Time}, true
 						}
 						return Record{}, false

@@ -129,3 +129,86 @@ func TestCrossTransportValueTypes(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinStateKeepsValueTypes is the same row for keyed state: every value
+// shape — int64, the nexmark structs and nested [2]any pairs among them — is
+// sent down both inputs of each join under the same key, and the join
+// function must be handed both sides with the dynamic type and value they
+// were emitted with, whichever side waited in list state (one of them in the
+// incremental join, both in the tumbling join). The JSON buffers this
+// replaces gave float64 and map[string]any back.
+func TestJoinStateKeepsValueTypes(t *testing.T) {
+	values := wireValues()
+	show := func(v any) string { return fmt.Sprintf("%T %#v", v, v) }
+	joins := map[string]func(engine.JoinFunc) engine.Operator{
+		"incremental": func(fn engine.JoinFunc) engine.Operator { return engine.NewIncrementalJoin(fn, 0) },
+		"tumbling":    func(fn engine.JoinFunc) engine.Operator { return engine.NewTumblingWindowJoin(10, fn) },
+	}
+	for name, newJoin := range joins {
+		t.Run(name, func(t *testing.T) {
+			g := dataflow.NewLogicalGraph()
+			for _, op := range []dataflow.Operator{
+				{ID: "left", Kind: dataflow.KindSource, Parallelism: 1, Selectivity: 1},
+				{ID: "right", Kind: dataflow.KindSource, Parallelism: 1, Selectivity: 1},
+				{ID: "join", Kind: dataflow.KindJoin, Parallelism: 2, Selectivity: 1},
+				{ID: "snk", Kind: dataflow.KindSink, Parallelism: 1},
+			} {
+				if err := g.AddOperator(op); err != nil {
+					t.Fatal(err)
+				}
+			}
+			plan := dataflow.NewPlan()
+			for _, e := range []dataflow.Edge{{From: "left", To: "join"}, {From: "right", To: "join"}, {From: "join", To: "snk"}} {
+				if err := g.AddEdge(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, task := range []dataflow.TaskID{{Op: "left"}, {Op: "right"}, {Op: "join"}, {Op: "join", Index: 1}, {Op: "snk"}} {
+				plan.Assign(task, 0)
+			}
+			src := func(*engine.TaskContext) (any, error) {
+				return engine.NewSource(func(_, i int64) (engine.Record, bool) {
+					return engine.Record{Key: fmt.Sprintf("k%d", i), Value: values[i], Time: i, Size: int(i)}, true
+				}), nil
+			}
+			var mu sync.Mutex
+			var wrong []string
+			pairs := 0
+			factories := map[dataflow.OperatorID]engine.Factory{
+				"left": src, "right": src,
+				"join": func(*engine.TaskContext) (any, error) {
+					return newJoin(func(l, r engine.Record) (engine.Record, bool) {
+						mu.Lock()
+						defer mu.Unlock()
+						pairs++
+						want := engine.Record{Key: l.Key, Value: values[l.Time], Time: l.Time, Size: int(l.Time)}
+						for _, got := range []engine.Record{l, r} {
+							if got.Key != want.Key || got.Time != want.Time || got.Size != want.Size || show(got.Value) != show(want.Value) {
+								wrong = append(wrong, fmt.Sprintf("%+v (%s), want %+v (%s)", got, show(got.Value), want, show(want.Value)))
+							}
+						}
+						return l, true
+					}), nil
+				},
+				"snk": func(*engine.TaskContext) (any, error) { return engine.NewSink(nil), nil },
+			}
+			workers := engine.ClusterSpec{Workers: []engine.WorkerSpec{{ID: "w0", Slots: 8, Cores: 1e6, IOBps: 1e12, NetBps: 1e12}}}
+			job, err := engine.NewJob(g, plan, workers, factories, engine.JobOptions{
+				RecordsPerSource: int64(len(values)),
+				Stateful:         map[dataflow.OperatorID]bool{"join": true},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := job.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if pairs != len(values) {
+				t.Errorf("joined %d pairs, want %d", pairs, len(values))
+			}
+			for _, w := range wrong {
+				t.Errorf("join function was handed %s", w)
+			}
+		})
+	}
+}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -146,6 +145,83 @@ type AggFunc func(acc []byte, rec Record) []byte
 // record.
 type WindowResultFunc func(key string, windowStart, windowEnd int64, acc []byte) Record
 
+// winKey is the storage key of one (record key, window start) pair. The NUL
+// keeps every window of a record key in that key's key-group (statebackend
+// partitions a storage key on the prefix before its first NUL).
+func winKey(key string, start int64) string {
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], uint64(start))
+	return key + "\x00" + string(b[:])
+}
+
+// splitWinKey is winKey's inverse. It reads the start from the last 8 bytes,
+// so it does not depend on what the record key contains.
+func splitWinKey(sk string) (key string, start int64, ok bool) {
+	n := len(sk) - 9
+	if n < 0 || sk[n] != 0 {
+		return "", 0, false
+	}
+	return sk[:n], int64(binary.BigEndian.Uint64([]byte(sk[n+1:]))), true
+}
+
+// windowIndex is the firing index of a windowed operator: the open window
+// ends and, per end, the record keys holding state in that window. It is
+// derived state — an (end, key) entry exists exactly when winKey(key,
+// end-size) is stored — so a task rebuilds it from its namespace in Open
+// (the runtime restores the namespace first) and it is never snapshotted or
+// repartitioned on its own.
+type windowIndex map[int64]map[string]bool
+
+func (x windowIndex) add(end int64, key string) {
+	if x[end] == nil {
+		x[end] = make(map[string]bool)
+	}
+	x[end][key] = true
+}
+
+// rebuild indexes every window the namespace holds; size is the window
+// length. A storage key that is not a window key fails the task.
+func (x windowIndex) rebuild(ns *statebackend.Namespace, size int64) error {
+	var err error
+	ns.Scan(func(sk string, _ []byte) {
+		if key, start, ok := splitWinKey(sk); ok {
+			x.add(start+size, key)
+		} else if err == nil {
+			err = fmt.Errorf("engine: state key %q is not a window key", sk)
+		}
+	})
+	return err
+}
+
+// fire calls each, in (end, key) order, for every indexed window the
+// watermark has passed, and drops those windows from the index.
+func (x windowIndex) fire(watermark int64, each func(end int64, key string) error) error {
+	var fired []int64
+	for end := range x {
+		if end <= watermark {
+			fired = append(fired, end)
+		}
+	}
+	sort.Slice(fired, func(i, j int) bool { return fired[i] < fired[j] })
+	for _, end := range fired {
+		keys := make([]string, 0, len(x[end]))
+		for k := range x[end] {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, key := range keys {
+			if err := each(end, key); err != nil {
+				return err
+			}
+		}
+		delete(x, end)
+	}
+	return nil
+}
+
+// endOfInput is the watermark Close fires with: past every window.
+const endOfInput = 1 << 62
+
 // slidingWindowOp implements a keyed event-time sliding window aggregate.
 // Accumulators live in the state backend, one per (key, window-start).
 type slidingWindowOp struct {
@@ -153,21 +229,7 @@ type slidingWindowOp struct {
 	agg         AggFunc
 	result      WindowResultFunc
 	ctx         *TaskContext
-	maxTime     int64 // fallback watermark when the runtime provides none
-	// ends tracks open window end timestamps so Close can flush in order.
-	ends map[int64]map[string]bool
-}
-
-// watermarkFor returns the firing watermark: the runtime's per-channel
-// minimum when available, otherwise the max record time seen so far.
-func watermarkFor(ctx *TaskContext, maxTime *int64, recTime int64) int64 {
-	if recTime > *maxTime {
-		*maxTime = recTime
-	}
-	if ctx != nil && ctx.Watermark != nil {
-		return ctx.Watermark()
-	}
-	return *maxTime
+	ends        windowIndex
 }
 
 // NewSlidingWindow creates a keyed sliding window aggregate (sizeMS window
@@ -185,14 +247,8 @@ func (o *slidingWindowOp) Open(ctx *TaskContext) error {
 		return fmt.Errorf("engine: invalid window size=%d slide=%d", o.size, o.slide)
 	}
 	o.ctx = ctx
-	o.ends = make(map[int64]map[string]bool)
-	return nil
-}
-
-func winKey(key string, start int64) string {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(start))
-	return key + "\x00" + string(b[:])
+	o.ends = make(windowIndex)
+	return o.ends.rebuild(ctx.State, o.size)
 }
 
 func (o *slidingWindowOp) Process(rec Record, _ int, emit Emit) error {
@@ -205,59 +261,44 @@ func (o *slidingWindowOp) Process(rec Record, _ int, emit Emit) error {
 		sk := winKey(rec.Key, start)
 		acc, _ := o.ctx.State.Get(sk)
 		o.ctx.State.Put(sk, o.agg(acc, rec))
-		end := start + o.size
-		if o.ends[end] == nil {
-			o.ends[end] = make(map[string]bool)
-		}
-		o.ends[end][rec.Key] = true
+		o.ends.add(start+o.size, rec.Key)
 	}
-	// Fire windows the watermark has passed.
-	o.fire(watermarkFor(o.ctx, &o.maxTime, rec.Time), emit)
-	return nil
+	return o.fire(o.ctx.Watermark(), emit)
 }
 
-func (o *slidingWindowOp) fire(watermark int64, emit Emit) {
-	var fired []int64
-	for end := range o.ends {
-		if end <= watermark {
-			fired = append(fired, end)
+func (o *slidingWindowOp) fire(watermark int64, emit Emit) error {
+	return o.ends.fire(watermark, func(end int64, key string) error {
+		start := end - o.size
+		sk := winKey(key, start)
+		if acc, ok := o.ctx.State.Get(sk); ok {
+			emit(o.result(key, start, end, acc))
+			o.ctx.State.Delete(sk)
 		}
-	}
-	sort.Slice(fired, func(i, j int) bool { return fired[i] < fired[j] })
-	for _, end := range fired {
-		keys := make([]string, 0, len(o.ends[end]))
-		for k := range o.ends[end] {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			start := end - o.size
-			sk := winKey(key, start)
-			if acc, ok := o.ctx.State.Get(sk); ok {
-				emit(o.result(key, start, end, acc))
-				o.ctx.State.Delete(sk)
-			}
-		}
-		delete(o.ends, end)
-	}
+		return nil
+	})
 }
 
-func (o *slidingWindowOp) Close(emit Emit) error {
-	o.fire(1<<62, emit)
-	return nil
-}
+func (o *slidingWindowOp) Close(emit Emit) error { return o.fire(endOfInput, emit) }
 
 // sessionWindowOp implements keyed event-time session windows with a gap
 // timeout: a session closes when no record for its key arrives within gap.
+// A session's namespace entry, under the record key, is its bounds followed
+// by the accumulator — start(8) last(8) acc, big-endian — so the bounds move
+// with the key's key-group and `open` is only an index over the namespace,
+// rebuilt in Open.
 type sessionWindowOp struct {
 	gap    int64
 	agg    AggFunc
 	result WindowResultFunc
 	ctx    *TaskContext
 	// open sessions: key -> [start, lastSeen]
-	open    map[string][2]int64
-	maxTime int64
+	open map[string][2]int64
+	buf  []byte // entry scratch; Put copies
 }
+
+// sessionBounds is the length of the bounds in front of a session's
+// accumulator.
+const sessionBounds = 16
 
 // NewSessionWindow creates a keyed session window aggregate with the given
 // inactivity gap in milliseconds.
@@ -274,6 +315,26 @@ func (o *sessionWindowOp) Open(ctx *TaskContext) error {
 	}
 	o.ctx = ctx
 	o.open = make(map[string][2]int64)
+	var err error
+	ctx.State.Scan(func(key string, entry []byte) {
+		if len(entry) >= sessionBounds {
+			o.open[key] = [2]int64{
+				int64(binary.BigEndian.Uint64(entry)),
+				int64(binary.BigEndian.Uint64(entry[8:])),
+			}
+		} else if err == nil {
+			err = fmt.Errorf("engine: state entry %q is not a session (%d bytes)", key, len(entry))
+		}
+	})
+	return err
+}
+
+// acc returns the accumulator of key's stored session; nil if there is none
+// or it is empty, which is what an AggFunc takes for "no accumulator yet".
+func (o *sessionWindowOp) acc(key string) []byte {
+	if entry, _ := o.ctx.State.Get(key); len(entry) > sessionBounds {
+		return entry[sessionBounds:]
+	}
 	return nil
 }
 
@@ -290,11 +351,14 @@ func (o *sessionWindowOp) Process(rec Record, _ int, emit Emit) error {
 		sess[1] = rec.Time
 	}
 	o.open[rec.Key] = sess
-	acc, _ := o.ctx.State.Get(rec.Key)
-	o.ctx.State.Put(rec.Key, o.agg(acc, rec))
+	acc := o.agg(o.acc(rec.Key), rec)
+	o.buf = binary.BigEndian.AppendUint64(o.buf[:0], uint64(sess[0]))
+	o.buf = binary.BigEndian.AppendUint64(o.buf, uint64(sess[1]))
+	o.buf = append(o.buf, acc...)
+	o.ctx.State.Put(rec.Key, o.buf)
 
 	// Expire idle sessions as the watermark advances.
-	wm := watermarkFor(o.ctx, &o.maxTime, rec.Time)
+	wm := o.ctx.Watermark()
 	for k, s := range o.open {
 		if k != rec.Key && wm-s[1] > o.gap {
 			o.close(k, s, emit)
@@ -304,10 +368,8 @@ func (o *sessionWindowOp) Process(rec Record, _ int, emit Emit) error {
 }
 
 func (o *sessionWindowOp) close(key string, sess [2]int64, emit Emit) {
-	if acc, ok := o.ctx.State.Get(key); ok {
-		emit(o.result(key, sess[0], sess[1], acc))
-		o.ctx.State.Delete(key)
-	}
+	emit(o.result(key, sess[0], sess[1], o.acc(key)))
+	o.ctx.State.Delete(key)
 	delete(o.open, key)
 }
 
@@ -320,115 +382,6 @@ func (o *sessionWindowOp) Close(emit Emit) error {
 	for _, k := range keys {
 		o.close(k, o.open[k], emit)
 	}
-	return nil
-}
-
-// JoinFunc combines a left and right record that share a key and window.
-type JoinFunc func(left, right Record) (Record, bool)
-
-// tumblingJoinOp implements a keyed tumbling-window two-input join: records
-// from inputs 0 and 1 are buffered in list state per (key, window); when a
-// window closes, the cross product of matching pairs is emitted.
-type tumblingJoinOp struct {
-	size    int64
-	fn      JoinFunc
-	ctx     *TaskContext
-	ends    map[int64]map[string]bool
-	maxTime int64
-}
-
-// NewTumblingWindowJoin creates a keyed tumbling-window join with the given
-// window size in milliseconds.
-func NewTumblingWindowJoin(sizeMS int64, fn JoinFunc) Operator {
-	return &tumblingJoinOp{size: sizeMS, fn: fn}
-}
-
-func (o *tumblingJoinOp) Open(ctx *TaskContext) error {
-	if ctx.State == nil {
-		return fmt.Errorf("engine: window join requires state")
-	}
-	if o.size <= 0 {
-		return fmt.Errorf("engine: invalid join window %d", o.size)
-	}
-	o.ctx = ctx
-	o.ends = make(map[int64]map[string]bool)
-	return nil
-}
-
-type joinEntry struct {
-	Side int `json:"s"`
-	Rec  struct {
-		Key  string `json:"k"`
-		Val  any    `json:"v"`
-		Time int64  `json:"t"`
-		Size int    `json:"z"`
-	} `json:"r"`
-}
-
-func (o *tumblingJoinOp) Process(rec Record, in int, emit Emit) error {
-	start := rec.Time - rec.Time%o.size
-	sk := winKey(rec.Key, start)
-	var e joinEntry
-	e.Side = in
-	e.Rec.Key, e.Rec.Val, e.Rec.Time, e.Rec.Size = rec.Key, rec.Value, rec.Time, rec.Size
-	buf, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("engine: join marshal: %w", err)
-	}
-	o.ctx.State.Append(sk, buf)
-	end := start + o.size
-	if o.ends[end] == nil {
-		o.ends[end] = make(map[string]bool)
-	}
-	o.ends[end][rec.Key] = true
-	o.fire(watermarkFor(o.ctx, &o.maxTime, rec.Time), emit)
-	return nil
-}
-
-func (o *tumblingJoinOp) fire(watermark int64, emit Emit) {
-	var fired []int64
-	for end := range o.ends {
-		if end <= watermark {
-			fired = append(fired, end)
-		}
-	}
-	sort.Slice(fired, func(i, j int) bool { return fired[i] < fired[j] })
-	for _, end := range fired {
-		keys := make([]string, 0, len(o.ends[end]))
-		for k := range o.ends[end] {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			sk := winKey(key, end-o.size)
-			var lefts, rights []Record
-			for _, buf := range o.ctx.State.List(sk) {
-				var e joinEntry
-				if json.Unmarshal(buf, &e) != nil {
-					continue
-				}
-				r := Record{Key: e.Rec.Key, Value: e.Rec.Val, Time: e.Rec.Time, Size: e.Rec.Size}
-				if e.Side == 0 {
-					lefts = append(lefts, r)
-				} else {
-					rights = append(rights, r)
-				}
-			}
-			for _, l := range lefts {
-				for _, r := range rights {
-					if out, ok := o.fn(l, r); ok {
-						emit(out)
-					}
-				}
-			}
-			o.ctx.State.ClearList(sk)
-		}
-		delete(o.ends, end)
-	}
-}
-
-func (o *tumblingJoinOp) Close(emit Emit) error {
-	o.fire(1<<62, emit)
 	return nil
 }
 

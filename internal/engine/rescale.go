@@ -1,10 +1,7 @@
 package engine
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"sort"
 
 	"capsys/internal/dataflow"
 	"capsys/internal/statebackend"
@@ -56,98 +53,12 @@ type RescaleEvent struct {
 	Attempt int
 }
 
-// rescaleAux is the combined JSON envelope of the engine's built-in
-// Snapshotter images (windowAux and sessionAux in opsnapshot.go): it
-// marshals byte-identically to either, so operator aux state can be split
-// and merged generically. Decoding rejects unknown fields, so an operator
-// with a custom Snapshotter image fails the rescale loudly instead of
-// silently dropping state.
-type rescaleAux struct {
-	Max  int64               `json:"max"`
-	Ends map[int64][]string  `json:"ends,omitempty"`
-	Open map[string][2]int64 `json:"open,omitempty"`
-}
-
-func decodeRescaleAux(buf []byte) (*rescaleAux, error) {
-	aux := &rescaleAux{}
-	if len(buf) == 0 {
-		return aux, nil
-	}
-	dec := json.NewDecoder(bytes.NewReader(buf))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(aux); err != nil {
-		return nil, fmt.Errorf("operator snapshot is not splittable (custom Snapshotter image?): %w", err)
-	}
-	return aux, nil
-}
-
-// splitOpStates repartitions the per-task Snapshotter images of one
-// operator. Entries move with their key's key-group; the watermark fallback
-// Max of a new task is the max over the old tasks whose key-group ranges
-// overlap its own, which reproduces the old image exactly when the
-// parallelism does not change.
-func splitOpStates(states [][]byte, oldP, newP, numGroups int) ([][]byte, error) {
-	any := false
-	for _, s := range states {
-		if len(s) > 0 {
-			any = true
-		}
-	}
-	if !any {
-		return make([][]byte, newP), nil
-	}
-	auxes := make([]*rescaleAux, oldP)
-	for i, s := range states {
-		aux, err := decodeRescaleAux(s)
-		if err != nil {
-			return nil, fmt.Errorf("task %d: %w", i, err)
-		}
-		auxes[i] = aux
-	}
-	out := make([][]byte, newP)
-	for i := 0; i < newP; i++ {
-		r := statebackend.RangeFor(i, newP, numGroups)
-		merged := rescaleAux{}
-		for j, aux := range auxes {
-			if statebackend.RangeFor(j, oldP, numGroups).End > r.Start &&
-				statebackend.RangeFor(j, oldP, numGroups).Start < r.End &&
-				aux.Max > merged.Max {
-				merged.Max = aux.Max
-			}
-			for end, keys := range aux.Ends {
-				for _, k := range keys {
-					if r.Contains(statebackend.KeyGroupOf(k, numGroups)) {
-						if merged.Ends == nil {
-							merged.Ends = make(map[int64][]string)
-						}
-						merged.Ends[end] = append(merged.Ends[end], k)
-					}
-				}
-			}
-			for k, bounds := range aux.Open {
-				if r.Contains(statebackend.KeyGroupOf(k, numGroups)) {
-					if merged.Open == nil {
-						merged.Open = make(map[string][2]int64)
-					}
-					merged.Open[k] = bounds
-				}
-			}
-		}
-		for end := range merged.Ends {
-			sort.Strings(merged.Ends[end])
-		}
-		buf, err := json.Marshal(merged)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = buf
-	}
-	return out, nil
-}
-
 // repartitionTaskSnapshots converts one operator's oldP snapshots at a
-// completed epoch into newP snapshots for the rescaled operator. State moves
-// along key-group boundaries; progress counters are preserved in aggregate
+// completed epoch into newP snapshots for the rescaled operator. Keyed state
+// lives in the namespace images and moves along key-group boundaries
+// (statebackend.Repartition) — nothing else moves. A Snapshotter image is
+// opaque bytes with no key-groups to move it by, so an operator whose tasks
+// carry one is refused. Progress counters are preserved in aggregate
 // (survivor tasks keep theirs, removed tasks' counters fold onto task 0) so
 // job-level totals — sink records, reprocessing accounting — stay exact
 // across the rescale. Per-task round-robin cursors carry over for surviving
@@ -155,8 +66,6 @@ func splitOpStates(states [][]byte, oldP, newP, numGroups int) ([][]byte, error)
 func repartitionTaskSnapshots(snaps []*TaskSnapshot, oldP, newP, numGroups int) ([]*TaskSnapshot, int64, error) {
 	epoch := int64(0)
 	nsStates := make([][]byte, oldP)
-	opStates := make([][]byte, oldP)
-	anyNS := false
 	for i, s := range snaps {
 		if s == nil {
 			return nil, 0, fmt.Errorf("engine: rescale: task %d has no snapshot at the drain epoch", i)
@@ -166,30 +75,18 @@ func repartitionTaskSnapshots(snaps []*TaskSnapshot, oldP, newP, numGroups int) 
 		} else if s.Epoch != epoch {
 			return nil, 0, fmt.Errorf("engine: rescale: task %d snapshot at epoch %d, want %d", i, s.Epoch, epoch)
 		}
+		if len(s.OpState) > 0 {
+			return nil, 0, fmt.Errorf("engine: rescale: operator %q keeps a Snapshotter image (task %d), which cannot be repartitioned; keyed state belongs in the namespace", s.Task.Op, i)
+		}
 		nsStates[i] = s.NSState
-		opStates[i] = s.OpState
-		if len(s.NSState) > 0 {
-			anyNS = true
-		}
 	}
-	var newNS [][]byte
-	var moved int64
-	if anyNS {
-		var err error
-		newNS, moved, err = statebackend.Repartition(nsStates, oldP, newP, numGroups)
-		if err != nil {
-			return nil, 0, fmt.Errorf("engine: rescale: %w", err)
-		}
-	} else {
-		newNS = make([][]byte, newP)
-	}
-	newOp, err := splitOpStates(opStates, oldP, newP, numGroups)
+	newNS, moved, err := statebackend.Repartition(nsStates, oldP, newP, numGroups)
 	if err != nil {
 		return nil, 0, fmt.Errorf("engine: rescale: %w", err)
 	}
 	out := make([]*TaskSnapshot, newP)
 	for i := range out {
-		ns := &TaskSnapshot{Epoch: epoch, NSState: newNS[i], OpState: newOp[i]}
+		ns := &TaskSnapshot{Epoch: epoch, NSState: newNS[i]}
 		if i < oldP {
 			old := snaps[i]
 			ns.RecordsIn = old.RecordsIn

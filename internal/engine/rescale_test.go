@@ -2,9 +2,7 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"sort"
 	"testing"
 
 	"capsys/internal/dataflow"
@@ -27,85 +25,6 @@ func TestRouteMatchesStateAssignment(t *testing.T) {
 				t.Fatalf("n=%d key %q routed to %d, state lives on %d", n, key, got, want)
 			}
 		}
-	}
-}
-
-// TestSplitOpStatesIdentity: repartitioning operator aux images at unchanged
-// parallelism must reproduce them byte-for-byte, for both the window (ends)
-// and session (open) layouts. Per-task inputs are built by splitting one
-// image, so each task holds exactly the keys it owns — the invariant keyed
-// routing maintains on a live job.
-func TestSplitOpStatesIdentity(t *testing.T) {
-	window := []byte(`{"max":450,"ends":{"100":["k1","k3"],"200":["k2"]}}`)
-	session := []byte(`{"max":90,"open":{"k1":[10,40],"k2":[55,80]}}`)
-	plain := []byte(`{"max":7}`)
-	for name, img := range map[string][]byte{"window": window, "session": session, "plain": plain} {
-		for _, p := range []int{1, 2, 3} {
-			in, err := splitOpStates([][]byte{img}, 1, p, statebackend.DefaultKeyGroups)
-			if err != nil {
-				t.Fatalf("%s partition to p=%d: %v", name, p, err)
-			}
-			out, err := splitOpStates(in, p, p, statebackend.DefaultKeyGroups)
-			if err != nil {
-				t.Fatalf("%s p=%d: %v", name, p, err)
-			}
-			for i := range out {
-				if string(out[i]) != string(in[i]) {
-					t.Errorf("%s p=%d task %d: identity split changed bytes\n got %s\nwant %s", name, p, i, out[i], in[i])
-				}
-			}
-		}
-	}
-}
-
-// TestSplitOpStatesRejectsCustomImage: an operator with a Snapshotter image
-// the generic splitter does not understand must fail the rescale loudly.
-func TestSplitOpStatesRejectsCustomImage(t *testing.T) {
-	if _, err := splitOpStates([][]byte{[]byte(`{"mine":1}`)}, 1, 2, 64); err == nil {
-		t.Fatal("unknown aux fields should reject the split")
-	}
-}
-
-// TestSplitOpStatesMovesKeys: window end indexes follow their keys'
-// key-groups when parallelism changes, and merging back restores them.
-func TestSplitOpStatesMovesKeys(t *testing.T) {
-	const G = statebackend.DefaultKeyGroups
-	keys := make([]string, 12)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("k%d", i)
-	}
-	// The engine's snapshotEnds emits keys in lexical order; match it so the
-	// merged image can be compared byte-for-byte.
-	sort.Strings(keys)
-	aux := rescaleAux{Max: 300, Ends: map[int64][]string{100: keys}}
-	img, _ := json.Marshal(aux)
-	split, err := splitOpStates([][]byte{img}, 1, 3, G)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for i, s := range split {
-		var got rescaleAux
-		if err := json.Unmarshal(s, &got); err != nil {
-			t.Fatal(err)
-		}
-		r := statebackend.RangeFor(i, 3, G)
-		for _, k := range got.Ends[100] {
-			if !r.Contains(statebackend.KeyGroupOf(k, G)) {
-				t.Errorf("task %d holds key %q outside its range %v", i, k, r)
-			}
-			total++
-		}
-	}
-	if total != len(keys) {
-		t.Fatalf("split kept %d keys, want %d", total, len(keys))
-	}
-	merged, err := splitOpStates(split, 3, 1, G)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(merged[0]) != string(img) {
-		t.Fatalf("merge did not restore the original image\n got %s\nwant %s", merged[0], img)
 	}
 }
 

@@ -518,7 +518,7 @@ func (a *attempt) runOperator(rt *taskRuntime) error {
 		return nil
 	}
 	rt.finish(opr)
-	return nil
+	return rt.failure
 }
 
 // finish flushes the operator (if any), then flushes pending batches and
@@ -528,7 +528,11 @@ func (rt *taskRuntime) finish(opr Operator) {
 	if opr != nil {
 		clk := rt.att.clk
 		t0 := clk()
-		_ = opr.Close(rt.emitFn)
+		// A flush that fails (a join's buffered record that does not decode)
+		// fails the task like a Process error would.
+		if err := opr.Close(rt.emitFn); err != nil && rt.failure == nil {
+			rt.failure = err
+		}
 		rt.busy += clk.Since(t0)
 	}
 	for _, s := range rt.senders {

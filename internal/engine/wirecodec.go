@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sort"
 
 	"capsys/internal/dataflow"
 )
@@ -257,10 +258,15 @@ func appendComposite(dst []byte, v any, depth int) ([]byte, error) {
 		}
 	case map[string]any:
 		dst = appendLen(append(dst, tagMap), len(x), x == nil)
-		for k, e := range x {
-			if dst, err = appendValue(AppendWireString(dst, k), e, depth); err != nil {
-				break
-			}
+		// In key order: a value buffered in keyed state must encode to the
+		// same bytes every time, or snapshots stop being deterministic.
+		keys := make([]string, 0, len(x))
+		for k := range x {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for i := 0; i < len(keys) && err == nil; i++ {
+			dst, err = appendValue(AppendWireString(dst, keys[i]), x[keys[i]], depth)
 		}
 	}
 	return dst, err
@@ -614,4 +620,36 @@ func decodeRecords(payload []byte, out *[]Record) error {
 	*out = recs
 	putBatch(entries)
 	return nil
+}
+
+// --- state records --------------------------------------------------------------
+
+// A join buffers a record in list state as one state record — the same
+// primitives and the same value codec as a data frame, one record at a time:
+//
+//	staterec = uvarint(side) str(key) varint(event time) varint(size) value
+//
+// so keyed state holds records in the one encoding the wire uses, and a value
+// read back from state has the Go type it was stored with. side is the join
+// input the record arrived on, 0 or 1.
+
+// appendStateRecord fails only on a value appendValue has no codec for.
+func appendStateRecord(dst []byte, side int, rec Record) ([]byte, error) {
+	dst = appendUvarint(dst, uint64(side))
+	dst = AppendWireString(dst, rec.Key)
+	dst = appendVarint(dst, rec.Time)
+	dst = appendVarint(dst, int64(rec.Size))
+	return appendValue(dst, rec.Value, 0)
+}
+
+// decodeStateRecord returns an error wrapping ErrWirePayload for anything
+// appendStateRecord could not have written.
+func decodeStateRecord(buf []byte) (side int, rec Record, err error) {
+	r := WireReader{b: buf}
+	if side = r.index(); side > 1 {
+		r.fail("join side out of range")
+	}
+	rec = Record{Key: r.Str(), Time: r.Varint(), Size: int(r.Varint())}
+	rec.Value = r.value(0)
+	return side, rec, r.done()
 }

@@ -247,11 +247,7 @@ func bindQ5(b *EngineBinding, spec QuerySpec, seed int64) {
 	}
 	b.Factories["join"] = func(*engine.TaskContext) (any, error) {
 		return engine.NewIncrementalJoin(func(l, r engine.Record) (engine.Record, bool) {
-			a, okA := decodeAuction(l.Value)
-			bid, okB := decodeBid(r.Value)
-			if !okA || !okB {
-				return engine.Record{}, false
-			}
+			a, bid := l.Value.(Auction), r.Value.(Bid)
 			// Winning-price proxy: bids above the reserve count as sales.
 			if bid.Price < a.Reserve {
 				return engine.Record{}, false
@@ -322,37 +318,4 @@ func maxI64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// decodeAuction recovers an Auction from either a native value or the
-// generic map produced by a JSON round trip through join state.
-func decodeAuction(v any) (Auction, bool) {
-	if a, ok := v.(Auction); ok {
-		return a, true
-	}
-	var a Auction
-	buf, err := json.Marshal(v)
-	if err != nil {
-		return Auction{}, false
-	}
-	if json.Unmarshal(buf, &a) != nil {
-		return Auction{}, false
-	}
-	return a, true
-}
-
-// decodeBid recovers a Bid from either a native value or a JSON-decoded map.
-func decodeBid(v any) (Bid, bool) {
-	if b, ok := v.(Bid); ok {
-		return b, true
-	}
-	var b Bid
-	buf, err := json.Marshal(v)
-	if err != nil {
-		return Bid{}, false
-	}
-	if json.Unmarshal(buf, &b) != nil {
-		return Bid{}, false
-	}
-	return b, true
 }

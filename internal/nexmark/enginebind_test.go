@@ -3,6 +3,7 @@ package nexmark
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"capsys/internal/dataflow"
@@ -167,5 +168,44 @@ func TestEngineSimulatorCrossValidation(t *testing.T) {
 	packedTput := run(packed)
 	if spreadTput <= packedTput {
 		t.Errorf("engine: spread %v rec/s <= packed %v rec/s (disagrees with simulator)", spreadTput, packedTput)
+	}
+}
+
+// TestQ4JoinEmitsTypedPairs: inc-join's output is the typed pair of its two
+// inputs in graph order — [2]any{Auction, Person}: src-auction is input 0,
+// the person filter input 1 — whichever side arrived first. The side that
+// waited in join state comes back as the struct it was stored as, not as the
+// generic map a JSON round trip used to make of it.
+func TestQ4JoinEmitsTypedPairs(t *testing.T) {
+	spec := Q4Join()
+	binding, err := BindEngine(spec, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	pairs, wrong := 0, ""
+	binding.Factories["sink"] = sinkFactory(func(r engine.Record) {
+		mu.Lock()
+		defer mu.Unlock()
+		pairs++
+		pair, _ := r.Value.([2]any)
+		_, okA := pair[0].(Auction)
+		_, okP := pair[1].(Person)
+		if (!okA || !okP) && wrong == "" {
+			wrong = fmt.Sprintf("%#v", r.Value)
+		}
+	})
+	job, err := engine.NewJob(spec.Graph, spreadEnginePlan(t, spec.Graph, 4), bigEngineCluster(4, 6), binding.Factories, engine.JobOptions{
+		RecordsPerSource: 1500,
+		Stateful:         binding.Stateful,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := job.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if pairs == 0 || wrong != "" {
+		t.Errorf("%d joined pairs; first that is not [2]any{Auction, Person}: %s", pairs, wrong)
 	}
 }

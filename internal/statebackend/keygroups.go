@@ -137,8 +137,8 @@ func (d *decodedGroup) bytesHeld() int64 {
 // the process (a coordinator's snapshot store, another worker), so the
 // decode is strict: a field the grouped layout does not have (the flat
 // pre-key-group layout's "data"/"lists" among them), a group outside
-// [0,numGroups) or a group listed twice is an error, never a silently empty
-// or partial restore.
+// [0,numGroups), a group listed twice or a key out of place is an error,
+// never a silently empty, partial or misrouted restore.
 func decodeImageGroups(buf []byte, numGroups int) (map[int]*decodedGroup, error) {
 	var img nsImage
 	if len(buf) > 0 {
@@ -155,6 +155,19 @@ func decodeImageGroups(buf []byte, numGroups int) (map[int]*decodedGroup, error)
 		}
 		if _, dup := groups[gi.G]; dup {
 			return nil, fmt.Errorf("statebackend: image holds group %d twice", gi.G)
+		}
+		// Keys sit where encodeGroups puts them: in the group they hash to (a
+		// rescale would hand a misfiled key to the wrong task) and strictly
+		// ascending (a repeated key would restore over its twin).
+		for i, e := range gi.Data {
+			if storageKeyGroup(e.K, numGroups) != gi.G || i > 0 && bytes.Compare(gi.Data[i-1].K, e.K) >= 0 {
+				return nil, fmt.Errorf("statebackend: image holds key %q out of place in group %d", e.K, gi.G)
+			}
+		}
+		for i, e := range gi.Lists {
+			if storageKeyGroup(e.K, numGroups) != gi.G || i > 0 && bytes.Compare(gi.Lists[i-1].K, e.K) >= 0 {
+				return nil, fmt.Errorf("statebackend: image holds list key %q out of place in group %d", e.K, gi.G)
+			}
 		}
 		groups[gi.G] = &decodedGroup{g: gi.G, data: gi.Data, lists: gi.Lists}
 	}

@@ -177,6 +177,11 @@ func TestRestoreRejectsForeignImage(t *testing.T) {
 		"group out of range":  `{"groups":[{"g":8}]}`,
 		"group twice":         `{"groups":[{"g":1},{"g":1}]}`,
 		"not json":            `groups`,
+		// "a" hashes to group 4 of 8.
+		"key twice":       `{"groups":[{"g":4,"data":[{"k":"YQ==","v":"MQ=="},{"k":"YQ==","v":"Mg=="}]}]}`,
+		"list key twice":  `{"groups":[{"g":4,"lists":[{"k":"YQ==","v":["MQ=="]},{"k":"YQ==","v":["Mg=="]}]}]}`,
+		"key misfiled":    `{"groups":[{"g":5,"data":[{"k":"YQ==","v":"MQ=="}]}]}`,
+		"keys descending": `{"groups":[{"g":4,"data":[{"k":"YQBi","v":""},{"k":"YQBh","v":""}]}]}`,
 	} {
 		if err := ns.Restore([]byte(img)); err == nil {
 			t.Errorf("%s: restored without error", name)

@@ -94,3 +94,74 @@ func TestSnapshotChargesAccounting(t *testing.T) {
 		t.Errorf("restore charged writes=%d, want > 0", writes)
 	}
 }
+
+// FuzzNamespaceRestore feeds Restore whatever bytes a coordinator's snapshot
+// store or another worker might hand it. A rejected image leaves the
+// namespace exactly as it was. An accepted one is a complete description of
+// the namespace: its own Snapshot restores into a second namespace with the
+// same image, the same stored-byte and key accounting, and splits 1→2→1
+// through Repartition back to the same bytes. Never a panic.
+func FuzzNamespaceRestore(f *testing.F) {
+	real := NewStore(nil, Options{NumKeyGroups: 8}).Namespace("seed")
+	real.Put("k1\x00\x00\x00\x00\x00\x00\x00\x00\x64", []byte("3"))
+	real.Put("session", append(make([]byte, 16), '7'))
+	real.Append("k2\x00s0", []byte{0, 2, 'k', '2', 2, 0, 5, 14})
+	img, err := real.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	// The hostile seeds (a key twice, a key filed under two groups, the flat
+	// pre-key-group layout, groups out of range or repeated, bad base64) are
+	// the committed corpus under testdata/fuzz/FuzzNamespaceRestore.
+	f.Add(img, uint8(7))
+	f.Fuzz(func(t *testing.T, image []byte, rawG uint8) {
+		G := int(rawG)%64 + 1
+		snapshot := func(ns *Namespace) []byte {
+			img, err := ns.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return img
+		}
+		store := NewStore(nil, Options{NumKeyGroups: G})
+		ns := store.Namespace("a")
+		ns.Put("kept", []byte("v"))
+		ns.Append("kept-list", []byte("e"))
+		before := snapshot(ns)
+		if err := ns.Restore(image); err != nil {
+			if after := snapshot(ns); !bytes.Equal(after, before) {
+				t.Fatalf("rejected image changed the namespace:\n%s\n%s", before, after)
+			}
+			return
+		}
+		img1 := snapshot(ns)
+		ns2 := store.Namespace("b")
+		if err := ns2.Restore(img1); err != nil {
+			t.Fatalf("a namespace's own snapshot does not restore: %v\n%s", err, img1)
+		}
+		if img2 := snapshot(ns2); !bytes.Equal(img1, img2) {
+			t.Fatalf("snapshot is not a fixed point of restore:\n%s\n%s", img1, img2)
+		}
+		if ns.StoredBytes() != ns2.StoredBytes() || ns.Keys() != ns2.Keys() {
+			t.Fatalf("accounting after restoring the fuzzed image: %d bytes %d keys; after its own snapshot: %d bytes %d keys",
+				ns.StoredBytes(), ns.Keys(), ns2.StoredBytes(), ns2.Keys())
+		}
+		if G < 2 {
+			return
+		}
+		split, _, err := Repartition([][]byte{image}, 1, 2, G)
+		if err != nil {
+			t.Fatalf("Restore accepted an image Repartition refuses: %v", err)
+		}
+		merged, _, err := Repartition(split, 2, 1, G)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ns2.Restore(merged[0]); err != nil {
+			t.Fatal(err)
+		}
+		if img3 := snapshot(ns2); !bytes.Equal(img1, img3) {
+			t.Fatalf("1→2→1 repartition of the accepted image lost or moved state:\n%s\n%s", img1, img3)
+		}
+	})
+}

@@ -256,16 +256,25 @@ func (ns *Namespace) ClearList(key string) int {
 	return n
 }
 
-// ListKeys returns the keys that currently hold lists. The result order is
-// unspecified.
-func (ns *Namespace) ListKeys() []string {
+// Scan calls fn for every storage key the namespace holds, in unspecified
+// order: with the stored (non-nil) value for a KV key and a nil value for a
+// key that holds a list. Operators use it in Open to rebuild their in-memory
+// firing index over restored state, so the index never needs an image of its
+// own. It is uncharged — the restore that filled the namespace already paid
+// for the bytes — and fn runs under the namespace lock: it must not call
+// back into the namespace, nor modify or retain value.
+func (ns *Namespace) Scan(fn func(key string, value []byte)) {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	out := make([]string, 0, len(ns.lists))
-	for k := range ns.lists {
-		out = append(out, k)
+	for k, v := range ns.data {
+		if v == nil {
+			v = []byte{}
+		}
+		fn(k, v)
 	}
-	return out
+	for k := range ns.lists {
+		fn(k, nil)
+	}
 }
 
 // Stats reports accumulated accounting for the namespace.

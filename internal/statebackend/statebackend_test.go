@@ -3,6 +3,7 @@ package statebackend
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -57,8 +58,22 @@ func TestListState(t *testing.T) {
 	if len(vals) != 3 || string(vals[0]) != "a" || string(vals[2]) != "c" {
 		t.Errorf("List = %v", vals)
 	}
-	if keys := ns.ListKeys(); len(keys) != 1 || keys[0] != "w" {
-		t.Errorf("ListKeys = %v", keys)
+	ns.Put("empty", nil)
+	ns.Put("kv", []byte("v"))
+	before := ns.Stats()
+	scanned := map[string]string{}
+	ns.Scan(func(k string, v []byte) {
+		if v == nil {
+			scanned[k] = "list"
+		} else {
+			scanned[k] = "kv:" + string(v)
+		}
+	})
+	if want := map[string]string{"w": "list", "empty": "kv:", "kv": "kv:v"}; !reflect.DeepEqual(scanned, want) {
+		t.Errorf("Scan = %v, want %v", scanned, want)
+	}
+	if ns.Stats() != before {
+		t.Errorf("Scan was charged: %+v -> %+v", before, ns.Stats())
 	}
 	if n := ns.ClearList("w"); n != 3 {
 		t.Errorf("ClearList = %d", n)
