@@ -260,6 +260,67 @@ func runRescaleBench(b *testing.B, transport string, perSource int64) {
 	}
 }
 
+// BenchmarkBatchedSend times the batched sender alone: one record through
+// send, and every 32nd through flushTarget's credit acquire and inbox send,
+// on an in-memory edge with a consumer that only returns the credits. ns/op
+// is per record; the default linger is on, so the cached-clock check is in it.
+func BenchmarkBatchedSend(b *testing.B) {
+	g := chainGraph(b, []dataflow.Operator{
+		{ID: "src", Kind: dataflow.KindSource, Parallelism: 1, Selectivity: 1},
+		{ID: "snk", Kind: dataflow.KindSink, Parallelism: 1},
+	})
+	factories := map[dataflow.OperatorID]Factory{
+		"src": func(*TaskContext) (any, error) {
+			return NewSource(func(_, i int64) (Record, bool) { return Record{}, false }), nil
+		},
+		"snk": func(*TaskContext) (any, error) { return NewSink(nil), nil },
+	}
+	job, err := NewJob(g, roundRobinPlan(b, g, 1), bigWorkers(1, 2), factories,
+		JobOptions{RecordsPerSource: 1, Transport: TransportBatched, DisableFusion: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	att, err := job.buildAttempt(1, job.plan, job.sup.store, newFaultState(FaultPlan{}, job.clk(), job.clk, nil), 0, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var src, snk *taskRuntime
+	for _, rt := range att.tasks {
+		if rt.numIn == 0 {
+			src = rt
+		} else {
+			snk = rt
+		}
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case msg := <-snk.inbox:
+				snk.gate.release(int64(len(msg.batch)))
+				putBatch(msg.batch)
+			case <-stop:
+				return
+			}
+		}
+	}()
+	s := src.senders[0]
+	rec := Record{Value: int64(1), Time: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.send(rec)
+	}
+	s.flush()
+	b.StopTimer()
+	close(stop)
+	<-done
+	if src.aborted || src.recordsOut != int64(b.N) {
+		b.Fatalf("sender routed %d of %d records (aborted=%v)", src.recordsOut, b.N, src.aborted)
+	}
+}
+
 // BenchmarkEngineThroughput is the multi-query suite (the
 // Q3-inf shape lives in bench_nexmark_test.go, outside this package, to
 // reach the nexmark bindings without an import cycle). The linear chain

@@ -303,7 +303,7 @@ func (t *batchedTransport) newSender(rt *taskRuntime, edge *downstreamEdge) edge
 		linger:  t.linger,
 		pending: make([][]batchEntry, n),
 		netDue:  make([]int64, n),
-		firstAt: make([]time.Time, n),
+		firstAt: make([]time.Duration, n),
 	}
 	if t.wire {
 		s.remote = rt.att.net.remoteTargets(rt, edge)
@@ -318,16 +318,19 @@ type batchedSender struct {
 	linger time.Duration
 	// pending accumulates routed records per target until a flush; netDue
 	// is the cross-worker byte count awaiting one coalesced Net draw, and
-	// firstAt is the wall-clock arrival of each target's oldest pending
-	// record (the linger reference point).
+	// firstAt is the arrival, on the task's linger clock, of each target's
+	// oldest pending record (the linger reference point).
 	pending [][]batchEntry
 	netDue  []int64
-	firstAt []time.Time
+	firstAt []time.Duration
+	// routed counts records sent, for the linger clock's every-8th refresh.
+	routed uint
 	// remote, when non-nil, holds per-target wire endpoints (network
 	// transport): a non-nil entry ships that target's batches and control
 	// markers as frames instead of inbox sends. The credit discipline is
-	// unchanged — edge.gates[idx] then holds the sender-side mirror gate
-	// replenished by credit-grant frames from the receiver.
+	// unchanged, but the wait moves: the batch is sealed and parked behind a
+	// credit request (netTarget.ship) and only the next flush to the same
+	// target waits for it.
 	remote []*netTarget
 }
 
@@ -335,6 +338,14 @@ type batchedSender struct {
 // linger expiry. Output counters advance at routing time — not flush time —
 // so a barrier snapshot taken just before the pre-barrier flush still
 // agrees with the unary transport's counters.
+//
+// The linger check reads the task's cached clock (taskRuntime.clock), not
+// the clock itself: the task refreshes it wherever it has just waited or
+// dequeued — which is before every send at low rates, where linger is what
+// flushes — and send itself on every 8th record, the backstop for a
+// CPU-bound task that never waits, whose batches fill in microseconds and
+// flush by size. A batch's reference point is the cached reading: at most
+// those 8 records early.
 func (s *batchedSender) send(rec Record) {
 	rt := s.rt
 	if rt.aborted {
@@ -347,7 +358,7 @@ func (s *batchedSender) send(rec Record) {
 			s.pending[idx] = getBatch(s.size)
 		}
 		if s.linger >= 0 {
-			s.firstAt[idx] = time.Now()
+			s.firstAt[idx] = *rt.clock
 		}
 	}
 	s.pending[idx] = append(s.pending[idx], batchEntry{rec: rec, ingest: rt.ingestNS})
@@ -363,9 +374,12 @@ func (s *batchedSender) send(rec Record) {
 		}
 	}
 	if s.linger >= 0 {
-		now := time.Now()
+		if s.routed++; s.routed%8 == 0 {
+			rt.readClock()
+		}
+		now := *rt.clock
 		for i := range s.pending {
-			if len(s.pending[i]) > 0 && now.Sub(s.firstAt[i]) >= s.linger {
+			if len(s.pending[i]) > 0 && now-s.firstAt[i] >= s.linger {
 				s.flushTarget(i)
 				if rt.aborted {
 					return
@@ -403,7 +417,9 @@ func (s *batchedSender) eof() {
 }
 
 // flushTarget ships one target's pending batch: a single coalesced Net
-// charge, one credit acquisition for the whole batch, one channel send.
+// charge, then one credit acquisition for the whole batch and one channel
+// send — or, for a remote target, one sealed frame parked behind its credit
+// request.
 func (s *batchedSender) flushTarget(idx int) {
 	entries := s.pending[idx]
 	if len(entries) == 0 {
@@ -416,44 +432,35 @@ func (s *batchedSender) flushTarget(idx int) {
 		s.rt.netShard.Draw()
 	}
 	rt := s.rt
-	clk := rt.att.clk
-	rem := s.remoteAt(idx)
-	if rem != nil && !rem.request(rt, len(entries)) {
-		rt.aborted = true
-		return
-	}
-	t0 := clk()
-	if gate := s.edge.gates[idx]; gate != nil {
-		ok, stalled := gate.acquire(int64(len(entries)), rt.att.abort)
-		if stalled {
-			rt.att.creditStalls.Inc(1)
-			rt.att.creditStallT.Add(clk.Since(t0))
-		}
-		if !ok {
-			rt.aborted = true
-			return
-		}
-		if rem != nil {
-			// Remote target: the wait above was for wire credits from the
-			// mirror gate — the network transport's backpressure signal.
-			rt.att.net.creditWaitH.Observe(clk.Since(t0).Seconds())
-		}
-	}
-	if rem != nil {
+	if rem := s.remoteAt(idx); rem != nil {
 		if !rem.ship(rt, s.edge.inIdx, s.edge.chans[idx], entries) {
 			rt.aborted = true
 			return
 		}
 		putBatch(entries)
 	} else {
+		clk := rt.att.clk
+		t0 := clk()
+		if gate := s.edge.gates[idx]; gate != nil {
+			ok, stalled := gate.acquire(int64(len(entries)), rt.att.abort)
+			if stalled {
+				rt.att.creditStalls.Inc(1)
+				rt.att.creditStallT.Add(clk.Since(t0))
+				rt.readClock()
+			}
+			if !ok {
+				rt.aborted = true
+				return
+			}
+		}
 		select {
 		case s.edge.inboxes[idx] <- message{in: s.edge.inIdx, ch: s.edge.chans[idx], batch: entries}:
 		case <-rt.att.abort:
 			rt.aborted = true
 			return
 		}
+		rt.bp += clk.Since(t0)
 	}
-	rt.bp += clk.Since(t0)
 	rt.att.batches.Inc(1)
 	rt.att.batchRecords.Inc(int64(len(entries)))
 	if rt.batchSizeH != nil {
@@ -508,8 +515,7 @@ type creditGate struct {
 	// capacity is the gate's initial credit count — the most that can ever
 	// be available at once, so any single acquire larger than it can never
 	// be satisfied. The network transport's grantors chunk their grants by
-	// it. (Sender-side mirror gates start at 0 and are replenished by
-	// grants; their capacity field stays 0 and is never consulted.)
+	// it.
 	capacity int64
 	avail    atomic.Int64
 	// notify is a capacity-1 wakeup token. A successful acquirer re-signals

@@ -136,11 +136,11 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 	return Frame{Type: typ, Payload: body[1:]}, total, nil
 }
 
-// frameBufPool recycles encode buffers across WriteFrame calls — the same
-// steady-state discipline the exchange layer applies to batch-entry slices,
-// extended to the wire so a data batch's frame encoding allocates nothing
-// once the pool is warm. Buffers are pooled as *[]byte to keep the
-// pool-interface box allocation-free.
+// frameBufPool recycles encode buffers across WriteFrame calls (control
+// frames; a data-plane target owns its one frame buffer, see netTarget) — the
+// same steady-state discipline the exchange layer applies to batch-entry
+// slices. Buffers are pooled as *[]byte to keep the pool-interface box
+// allocation-free.
 var frameBufPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 4096); return &b },
 }

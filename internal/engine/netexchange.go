@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -25,20 +26,26 @@ import (
 //   - Same-worker edges stay in-memory batched; only cross-worker targets
 //     become netTargets.
 //   - For each (receiving task, sending worker) pair the receiver runs a
-//     grantor. Credits are demand-driven: before a sender blocks on its
-//     mirror gate it sends a FrameCreditReq sized to the pending batch; the
-//     grantor acquires that much from the task's real gate on the sender's
-//     behalf — serving requests strictly one at a time in FIFO order, never
-//     coalescing them (summed concurrent requests can exceed the gate's
-//     capacity, an acquire that could never complete) — and grants it back
-//     as a FrameCredit, which the sending worker pools in a per-task mirror
-//     gate that flushTarget acquires from. The discipline is exactly a
-//     local sender's blocking
-//     acquire — a remote sender can never hoard a receiver's gate by
-//     holding pre-granted credits it isn't using (with multiple senders
-//     sharing one gate, proactive window grants deadlock) — and the global
-//     bound, at most ChannelCapacity records in flight toward any task,
-//     wire included, is exactly the in-memory batched transport's bound.
+//     grantor. Credits are demand-driven: a flush seals its batch into a DATA
+//     frame, queues a FrameCreditReq for its record count and parks the frame
+//     in the sending worker's mirror of the task's gate; the grantor acquires
+//     that much from the task's real gate on the sender's behalf — serving
+//     requests strictly one at a time in FIFO order, never coalescing them
+//     (summed concurrent requests can exceed the gate's capacity, an acquire
+//     that could never complete) — and grants it back as a FrameCredit. The
+//     sending worker's connection reader adds the grant to the mirror and
+//     moves every parked frame the credits now cover to the peer's write
+//     queue, in request order. The discipline is a local sender's blocking
+//     acquire with the round trip taken off the task goroutine: a parked
+//     frame holds no credit and has not been sent, a granted credit is spent
+//     the moment it arrives — a remote sender can never hoard a receiver's
+//     gate by holding credits it isn't using (with multiple senders sharing
+//     one gate, proactive window grants deadlock) — and the global bound, at
+//     most ChannelCapacity records in flight toward any task, wire included,
+//     is exactly the in-memory batched transport's bound.
+//   - Nothing but a peerConn's writer goroutine touches its socket: tasks,
+//     grantors and readers append sealed frames to the peer's queue, and the
+//     writer issues one Write for everything queued since its last.
 //   - Connection readers never block on delivery: each receiver channel
 //     has a pump goroutine that blocks on the task inbox in the reader's
 //     stead (see dispatch). A reader stuck on one full inbox would stall
@@ -61,10 +68,10 @@ const (
 )
 
 // remoteTargets builds the wire endpoints of one batched sender: every
-// cross-worker target gets a netTarget, its gate slot becomes the local
-// node's mirror gate for that task (replenished by credit grants), and its
-// inbox slot is cleared — remote batches never touch an in-memory channel.
-// It returns nil when every target is local.
+// cross-worker target gets a netTarget, and its gate and inbox slots are
+// cleared — remote batches wait for credits in the local node's mirror of
+// the task's gate and never touch an in-memory channel. It returns nil when
+// every target is local.
 func (na *netAttempt) remoteTargets(rt *taskRuntime, edge *downstreamEdge) []*netTarget {
 	var remote []*netTarget
 	node := na.nodes[rt.worker]
@@ -76,8 +83,13 @@ func (na *netAttempt) remoteTargets(rt *taskRuntime, edge *downstreamEdge) []*ne
 			remote = make([]*netTarget, len(edge.workers))
 		}
 		task := edge.tasks[i]
-		remote[i] = &netTarget{node: node, peer: w, task: task}
-		edge.gates[i] = node.mirrors[task]
+		remote[i] = &netTarget{
+			pc:      node.conns[w],
+			mirror:  node.mirrors[task],
+			task:    task,
+			shipped: make(chan struct{}, 1),
+		}
+		edge.gates[i] = nil
 		edge.inboxes[i] = nil
 	}
 	return remote
@@ -109,6 +121,7 @@ type netAttempt struct {
 	startOnce sync.Once
 	stop      chan struct{} // closed at teardown
 	stopOnce  sync.Once
+	draining  chan struct{} // closed by drain: writers exit once their queues are empty
 	wg        sync.WaitGroup
 
 	pdMu     sync.Mutex
@@ -127,6 +140,7 @@ type netAttempt struct {
 	// one otherwise; attempt.report subtracts the attempt's base either way.
 	framesSent, framesRecv *metrics.Counter
 	bytesSent, bytesRecv   *metrics.Counter
+	writes                 *metrics.Counter // socket writes; framesSent/writes is the coalescing factor
 	creditFrames           *metrics.Counter
 	dataBatches            *metrics.Counter
 	// unexpectedFrames counts stray frames tolerated by handleFrame
@@ -139,16 +153,17 @@ type netAttempt struct {
 	// re-dialing mid-attempt, which the one-conn-per-pair discipline makes
 	// exceptional and worth surfacing.
 	reconnects   *metrics.Counter
-	encodeErrors *metrics.Counter // local encode failures in sendFrame (a value type with no codec)
+	encodeErrors *metrics.Counter // local encode failures in ship (a value type with no codec)
 
 	// peerStats tracks frames/bytes per (local node, peer) pair by
 	// direction and frame type, feeding the net_peer_frames/net_peer_bytes
 	// gauge families. Immutable after construction (built from the same
 	// cross census as the grantors); per-cell updates are atomic.
 	peerStats map[peerKey]*peerWireStats
-	// creditWaitH observes how long remote senders block acquiring wire
-	// credits from their mirror gates (the network transport's
-	// backpressure signal); grantWaitH observes the receiver-side dual —
+	// creditWaitH observes, per remote flush, how long the sender waited for
+	// its previous frame to that target to be covered by wire credits (the
+	// network transport's backpressure signal; zero when it had already
+	// shipped); grantWaitH observes the receiver-side dual —
 	// how long grantors block acquiring from the task's real gate. Both
 	// are non-nil: they land in the hub when one is attached (live
 	// /metrics) and in a standalone histogram otherwise (worker reports
@@ -231,17 +246,19 @@ func frameTypeName(t byte) string {
 
 func newNetAttempt(a *attempt, byID map[dataflow.TaskID]*taskRuntime, cross []crossChan) (*netAttempt, error) {
 	na := &netAttempt{
-		a:       a,
-		nodes:   make(map[int]*netNode),
-		addrs:   make(map[int]string),
-		started: make(chan struct{}),
-		stop:    make(chan struct{}),
-		ops:     make(map[string]wireOp),
+		a:        a,
+		nodes:    make(map[int]*netNode),
+		addrs:    make(map[int]string),
+		started:  make(chan struct{}),
+		stop:     make(chan struct{}),
+		draining: make(chan struct{}),
+		ops:      make(map[string]wireOp),
 
 		framesSent:       a.reg.Counter("net.frames_sent"),
 		framesRecv:       a.reg.Counter("net.frames_received"),
 		bytesSent:        a.reg.Counter("net.bytes_sent"),
 		bytesRecv:        a.reg.Counter("net.bytes_received"),
+		writes:           a.reg.Counter("net.writes"),
 		creditFrames:     a.reg.Counter("net.credit_frames"),
 		dataBatches:      a.reg.Counter("net.data_batches"),
 		unexpectedFrames: a.reg.Counter("net.unexpected_frames"),
@@ -276,7 +293,7 @@ func newNetAttempt(a *attempt, byID map[dataflow.TaskID]*taskRuntime, cross []cr
 			ln:      ln,
 			conns:   make(map[int]*peerConn),
 			tasks:   make(map[dataflow.TaskID]*taskRuntime),
-			mirrors: make(map[dataflow.TaskID]*creditGate),
+			mirrors: make(map[dataflow.TaskID]*creditMirror),
 			grants:  make(map[grantKey]*grantor),
 		}
 		for t, rt := range byID {
@@ -290,9 +307,9 @@ func newNetAttempt(a *attempt, byID map[dataflow.TaskID]*taskRuntime, cross []cr
 		}
 	}
 	// Census: receiver-side grantors (one per sending worker per task) and
-	// sender-side mirror gates (one per remote task fed from this worker).
-	// Mirrors start empty — every credit a sender spends was granted by the
-	// receiver, so the in-flight bound is the receiver's gate capacity.
+	// sender-side mirrors (one per remote task fed from this worker). Mirrors
+	// start empty — every credit a frame spends was granted by the receiver,
+	// so the in-flight bound is the receiver's gate capacity.
 	for _, cc := range cross {
 		if node := na.nodes[cc.to]; node != nil {
 			k := grantKey{task: cc.task, from: cc.from}
@@ -317,17 +334,26 @@ func newNetAttempt(a *attempt, byID map[dataflow.TaskID]*taskRuntime, cross []cr
 		}
 		if node := na.nodes[cc.from]; node != nil {
 			if node.mirrors[cc.task] == nil {
-				node.mirrors[cc.task] = newCreditGate(0)
+				node.mirrors[cc.task] = &creditMirror{}
 			}
 		}
 	}
-	// Per-peer traffic cells, from the same census: each local node gets
-	// one cell per peer it exchanges frames with, in either direction.
+	// Per-peer traffic cells and outbound connections, from the same census:
+	// each local node gets one of each per peer it exchanges frames with —
+	// data one way means credits the other, so every pair is bidirectional.
 	na.peerStats = make(map[peerKey]*peerWireStats)
 	for _, cc := range cross {
 		for _, pk := range []peerKey{{local: cc.from, peer: cc.to}, {local: cc.to, peer: cc.from}} {
-			if pk.local != pk.peer && na.nodes[pk.local] != nil && na.peerStats[pk] == nil {
+			if node := na.nodes[pk.local]; pk.local != pk.peer && node != nil && na.peerStats[pk] == nil {
 				na.peerStats[pk] = &peerWireStats{}
+				node.conns[pk.peer] = &peerConn{
+					node:   node,
+					peer:   pk.peer,
+					stats:  na.peerStats[pk],
+					sig:    make(chan struct{}, 1),
+					failed: make(chan struct{}),
+					done:   make(chan struct{}),
+				}
 			}
 		}
 	}
@@ -338,6 +364,10 @@ func newNetAttempt(a *attempt, byID map[dataflow.TaskID]*taskRuntime, cross []cr
 	for _, node := range na.nodes {
 		na.wg.Add(1)
 		go node.acceptLoop()
+		for _, pc := range node.conns {
+			na.wg.Add(1)
+			go pc.run()
+		}
 		for _, g := range node.grants {
 			na.wg.Add(2)
 			go g.watch(na)
@@ -438,8 +468,9 @@ func (na *netAttempt) registerGauges() {
 				return float64(n)
 			})
 		// Receiver-side credit gates (capacity left for local tasks fed
-		// over the wire) and sender-side mirror gates (granted credit
-		// pooled toward each remote task).
+		// over the wire) and sender-side mirrors (credit granted toward each
+		// remote task that no parked frame has spent yet — a partial grant —
+		// and the frames parked for more).
 		for t, rt := range node.tasks {
 			if rt.gate == nil {
 				continue
@@ -451,9 +482,15 @@ func (na *netAttempt) registerGauges() {
 		}
 		for t, m := range node.mirrors {
 			m := m
-			tel.SetGaugeFunc("net_mirror_credit_avail",
-				map[string]string{"task": t.String(), "worker": workerID(node.worker)},
-				func() float64 { return float64(m.avail.Load()) })
+			labels := map[string]string{"task": t.String(), "worker": workerID(node.worker)}
+			tel.SetGaugeFunc("net_mirror_credit_avail", labels, func() float64 {
+				avail, _ := m.depth()
+				return float64(avail)
+			})
+			tel.SetGaugeFunc("net_mirror_parked_frames", labels, func() float64 {
+				_, parked := m.depth()
+				return float64(parked)
+			})
 		}
 	}
 }
@@ -493,27 +530,47 @@ func (na *netAttempt) stopped() bool {
 	}
 }
 
+// drain ends a clean attempt's wire: once the tasks have finished, what they
+// sent last — final DATA frames, EOF markers — may still be queued behind a
+// writer, and tearing the sockets down under it would lose them. Every
+// writer writes out its queue and exits. A queue that failed instead is a
+// send failure nobody was left to notice, and is handled as one. Only a clean
+// attempt drains: an aborted one's writer may be blocked on a dead peer
+// until shutdown closes the socket.
+func (na *netAttempt) drain() {
+	close(na.draining)
+	for _, node := range na.nodes {
+		for _, pc := range node.conns {
+			select {
+			case <-pc.done:
+			case <-na.a.abort:
+				return
+			}
+			if err := pc.sendErr(); err != nil {
+				na.failSend(pc.peer, err)
+				return
+			}
+		}
+	}
+}
+
 // shutdown closes listeners and connections and waits for every wire
 // goroutine. Callers must ensure no task goroutine is still sending; a
-// grantor may be (granting into an attempt that aborted under the
+// writer may be (a grant queued into an attempt that aborted under the
 // requester), so a connection that finishes dialing or is accepted after the
-// sweep below closes itself — see dialLocked and acceptLoop.
+// sweep below closes itself — see dial and acceptLoop.
 func (na *netAttempt) shutdown() {
 	na.stopOnce.Do(func() { close(na.stop) })
 	for _, node := range na.nodes {
 		if node.ln != nil {
 			node.ln.Close()
 		}
-		node.mu.Lock()
-		conns := make([]*peerConn, 0, len(node.conns))
 		for _, pc := range node.conns {
-			conns = append(conns, pc)
-		}
-		inbound := node.inbound
-		node.mu.Unlock()
-		for _, pc := range conns {
 			pc.closeNow()
 		}
+		node.mu.Lock()
+		inbound := node.inbound
+		node.mu.Unlock()
 		for _, c := range inbound {
 			c.Close()
 		}
@@ -521,7 +578,7 @@ func (na *netAttempt) shutdown() {
 	na.wg.Wait()
 }
 
-// noteSendFailure records a write failure toward a peer. During teardown it
+// noteSendFailure records a dial or write failure toward a peer. During teardown it
 // is noise; mid-run it means the peer died — a distributed worker reports
 // it to the coordinator (once per peer), which owns the recovery decision.
 func (na *netAttempt) noteSendFailure(peer int, err error) {
@@ -577,13 +634,13 @@ type netNode struct {
 	ln     net.Listener
 
 	mu       sync.Mutex
-	conns    map[int]*peerConn // outbound, by peer worker
 	inbound  []net.Conn
 	seenFrom map[int]bool // peers that completed an inbound handshake; guarded by mu
 
 	// Immutable after construction; read by reader goroutines.
+	conns   map[int]*peerConn // outbound, by peer worker
 	tasks   map[dataflow.TaskID]*taskRuntime
-	mirrors map[dataflow.TaskID]*creditGate
+	mirrors map[dataflow.TaskID]*creditMirror
 	grants  map[grantKey]*grantor
 
 	// Per-channel delivery pumps, created lazily by connection readers.
@@ -604,13 +661,32 @@ type grantKey struct {
 	from int
 }
 
-// peerConn is one outbound connection: lazily dialed, writes serialized.
-// The conn pointer is separately synchronized so teardown can close it
-// (unblocking a stuck writer) without taking the write lock.
+// peerConn is one outbound connection and the writer goroutine that owns its
+// socket. Everyone else — tasks, grantors, connection readers — appends
+// sealed frames to out and returns; the writer dials on the first frame,
+// swaps the queue out and issues one Write for everything in it. An idle
+// writer therefore ships a lone frame at once (nothing waits at low rates),
+// and a busy one finds the frames queued during its last Write and ships
+// them together. The queue is bounded the way the pump queues are: a DATA
+// frame reaches it only once credits cover it, and every credit frame
+// answers or announces one of those.
 type peerConn struct {
-	wmu  sync.Mutex // serializes dial + write; guards err
-	err  error
+	node  *netNode
+	peer  int
+	stats *peerWireStats
+	// sig is the writer's wakeup token: out became non-empty.
+	sig chan struct{}
+	// failed closes when the connection fails (err is set first): senders
+	// blocked on a frame parked for this peer stop waiting for credits that
+	// can no longer be spent. done closes when the writer exits.
+	failed, done chan struct{}
+	// conn is published separately so teardown can close it (unblocking a
+	// stuck Write) without the queue lock.
 	conn atomic.Pointer[net.TCPConn]
+
+	mu  sync.Mutex
+	out []byte // sealed frames, back to back, oldest first; guarded by mu
+	err error  // first dial or write failure; guarded by mu
 }
 
 func (pc *peerConn) closeNow() {
@@ -619,51 +695,137 @@ func (pc *peerConn) closeNow() {
 	}
 }
 
-// connTo returns the (dialing if needed) connection to a peer worker.
-func (n *netNode) connTo(peer int) (*peerConn, error) {
-	n.mu.Lock()
-	pc := n.conns[peer]
-	if pc == nil {
-		pc = &peerConn{}
-		n.conns[peer] = pc
-	}
-	n.mu.Unlock()
-	pc.wmu.Lock()
-	defer pc.wmu.Unlock()
+// enqueue has add append one sealed frame to the write queue, behind
+// everything already queued for the peer. It never blocks and never touches
+// the socket; the error is the connection's failure, after which nothing
+// more is accepted. (Small frames are encoded in place: sealFrame's checksum
+// call makes a stack buffer escape, and the queue is on the heap already.)
+func (pc *peerConn) enqueue(add func(out []byte) []byte) error {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
 	if pc.err != nil {
-		return nil, pc.err
+		return pc.err
 	}
-	if pc.conn.Load() == nil {
-		if err := n.dialLocked(pc, peer); err != nil {
-			pc.err = err
-			return nil, err
-		}
+	pc.out = add(pc.out)
+	select {
+	case pc.sig <- struct{}{}:
+	default:
 	}
-	return pc, nil
+	return nil
 }
 
-func (n *netNode) dialLocked(pc *peerConn, peer int) error {
-	addr, err := n.na.addrFor(peer)
-	if err != nil {
+// sendCredit queues a credit request or grant of cnt records for task.
+func (pc *peerConn) sendCredit(typ byte, task dataflow.TaskID, cnt int64) error {
+	return pc.enqueue(func(out []byte) []byte {
+		return sealFrame(appendCredit(beginFrame(out, typ), task, cnt), len(out))
+	})
+}
+
+func (pc *peerConn) sendErr() error {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	return pc.err
+}
+
+// run is the writer: the only goroutine that dials, writes and fails the
+// connection.
+func (pc *peerConn) run() {
+	na := pc.node.na
+	defer na.wg.Done()
+	defer close(pc.done)
+	var buf []byte // the queue's other half: written out while out refills
+	draining := false
+	for {
+		pc.mu.Lock()
+		buf, pc.out = pc.out, buf[:0]
+		pc.mu.Unlock()
+		switch {
+		case len(buf) > 0:
+			if err := pc.write(buf); err != nil {
+				pc.fail(err)
+				return
+			}
+		case draining:
+			// No task is left to queue anything: empty now is empty for good.
+			return
+		default:
+			select {
+			case <-pc.sig:
+			case <-na.draining:
+				draining = true
+			case <-na.stop:
+				return
+			}
+		}
+	}
+}
+
+// write ships buf — one or more whole frames — in a single Write, dialing
+// first if this is the connection's first traffic, and accounts what went
+// out frame by frame.
+func (pc *peerConn) write(buf []byte) error {
+	c := pc.conn.Load()
+	if c == nil {
+		var err error
+		if c, err = pc.dial(); err != nil {
+			return err
+		}
+	}
+	if _, err := c.Write(buf); err != nil {
 		return err
+	}
+	na := pc.node.na
+	na.writes.Inc(1)
+	na.bytesSent.Inc(int64(len(buf)))
+	frames := int64(0)
+	for len(buf) > 0 {
+		sz := frameHeaderLen + int(binary.BigEndian.Uint32(buf)) + frameTrailerLen
+		pc.stats.note(true, buf[frameHeaderLen], int64(sz))
+		buf = buf[sz:]
+		frames++
+	}
+	na.framesSent.Inc(frames)
+	return nil
+}
+
+// fail marks the connection dead, once: queued and future frames are
+// dropped, senders blocked behind it are released (into failSend), and the
+// peer is reported down.
+func (pc *peerConn) fail(err error) {
+	pc.mu.Lock()
+	first := pc.err == nil
+	if first {
+		pc.err = err
+		pc.out = nil
+	}
+	pc.mu.Unlock()
+	if !first {
+		return
+	}
+	close(pc.failed)
+	pc.closeNow()
+	pc.node.na.noteSendFailure(pc.peer, err)
+}
+
+func (pc *peerConn) dial() (*net.TCPConn, error) {
+	n := pc.node
+	addr, err := n.na.addrFor(pc.peer)
+	if err != nil {
+		return nil, err
 	}
 	c, err := net.DialTimeout("tcp", addr, netDialTimeout)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	tc, ok := c.(*net.TCPConn)
 	if !ok {
 		c.Close()
-		return fmt.Errorf("engine: dial %s: not a TCP connection", addr)
+		return nil, fmt.Errorf("engine: dial %s: not a TCP connection", addr)
 	}
-	bp := newFrameBuf(FrameDataHello)
-	*bp = sealFrame(appendHello(*bp, n.worker, n.na.a.no), 0)
-	sz := int64(len(*bp))
-	_, err = tc.Write(*bp)
-	putFrameBuf(bp)
-	if err != nil {
+	hello := sealFrame(appendHello(beginFrame(nil, FrameDataHello), n.worker, n.na.a.no), 0)
+	if _, err = tc.Write(hello); err != nil {
 		tc.Close()
-		return err
+		return nil, err
 	}
 	pc.conn.Store(tc)
 	if n.na.stopped() {
@@ -671,51 +833,11 @@ func (n *netNode) dialLocked(pc *peerConn, peer int) error {
 		// else will close the connection, and an in-process peer's reader
 		// would block on it (and shutdown on that reader) forever.
 		tc.Close()
-		return net.ErrClosed
+		return nil, net.ErrClosed
 	}
 	n.na.dials.Inc(1)
-	n.na.peerStats[peerKey{local: n.worker, peer: peer}].note(true, FrameDataHello, sz)
-	return nil
-}
-
-// sendFrame seals the frame encoded in bp (newFrameBuf plus the payload),
-// writes it to the peer in one Write and recycles the buffer: header,
-// payload and checksum are encoded once, in place, and copied nowhere.
-func (n *netNode) sendFrame(peer int, bp *[]byte) error {
-	defer putFrameBuf(bp)
-	typ := (*bp)[frameHeaderLen]
-	if payload := len(*bp) - frameHeaderLen - 1; payload > MaxFramePayload {
-		n.na.encodeErrors.Inc(1)
-		return fmt.Errorf("frame: payload %d exceeds cap %d", payload, MaxFramePayload)
-	}
-	*bp = sealFrame(*bp, 0)
-	pc, err := n.connTo(peer)
-	if err != nil {
-		return err
-	}
-	pc.wmu.Lock()
-	defer pc.wmu.Unlock()
-	if pc.err != nil {
-		return pc.err
-	}
-	c := pc.conn.Load()
-	if _, err := c.Write(*bp); err != nil {
-		pc.err = err
-		c.Close()
-		return err
-	}
-	sz := int64(len(*bp))
-	n.na.framesSent.Inc(1)
-	n.na.bytesSent.Inc(sz)
-	n.na.peerStats[peerKey{local: n.worker, peer: peer}].note(true, typ, sz)
-	return nil
-}
-
-// sendCredit ships a credit request or grant of cnt records for task.
-func (n *netNode) sendCredit(peer int, typ byte, task dataflow.TaskID, cnt int64) error {
-	bp := newFrameBuf(typ)
-	*bp = appendCredit(*bp, task, cnt)
-	return n.sendFrame(peer, bp)
+	pc.stats.note(true, FrameDataHello, int64(len(hello)))
+	return tc, nil
 }
 
 // acceptLoop serves inbound connections until the listener closes.
@@ -806,7 +928,7 @@ func (n *netNode) handleFrame(from int, f Frame) bool {
 			n.na.unexpectedFrames.Inc(1)
 			return true
 		}
-		mirror.release(cr.n)
+		mirror.grant(cr.n)
 		return true
 	case FrameCreditReq:
 		cr, err := decodeCredit(f.Payload)
@@ -990,7 +1112,7 @@ type grantor struct {
 	// reqs is a FIFO of credit-request sizes, one entry per FrameCreditReq.
 	// Requests are granted strictly one at a time, in arrival order — NOT
 	// coalesced into a single acquire. Several of the sending worker's tasks
-	// can feed this task through one shared mirror gate, and their
+	// can feed this task through one shared mirror, and their
 	// concurrent requests can sum past the gate's capacity; a merged
 	// acquire for that sum could never be satisfied and would deadlock the
 	// cluster. Individually each request is at most BatchSize <= capacity,
@@ -1084,8 +1206,8 @@ func (g *grantor) run(n *netNode) {
 		}
 		// Grant this one request, chunked to the gate's capacity so no
 		// single acquire can exceed what the gate could ever hold. Partial
-		// grants are safe: the sender's mirror gate pools them until the
-		// whole batch's worth has arrived.
+		// grants are safe: the sender's mirror pools them until the whole
+		// frame's worth has arrived.
 		for want > 0 {
 			chunk := want
 			if g.gate.capacity > 0 && chunk > g.gate.capacity {
@@ -1107,8 +1229,8 @@ func (g *grantor) run(n *netNode) {
 				return
 			}
 			g.outstanding.Add(chunk)
-			if err := n.sendCredit(g.from, FrameCredit, g.task, chunk); err != nil {
-				// Peer unreachable: return the grant and retire. If the peer is
+			if err := n.conns[g.from].sendCredit(FrameCredit, g.task, chunk); err != nil {
+				// Connection failed: return the grant and retire. If the peer is
 				// truly dead the coordinator aborts the attempt; if it already
 				// finished cleanly these credits were never needed.
 				g.outstanding.Add(-chunk)
@@ -1121,48 +1243,161 @@ func (g *grantor) run(n *netNode) {
 	}
 }
 
+// creditMirror is the sending worker's half of one remote task's gate: the
+// credits the task's grantor has granted this worker, and the sealed DATA
+// frames of this worker's senders waiting for them, oldest request first. A
+// grant is spent the moment the connection reader delivers it — grant moves
+// every frame the credits now cover to the peer's write queue — so credits
+// are never held by a goroutine that could be blocked on something else.
+// That is the whole deadlock argument: acquiring on the task goroutine
+// instead ("request early, acquire later") lets a task hold one target's
+// credits while it waits on another's, which cycles at ChannelCapacity ==
+// BatchSize across three workers. Lock order: mirror.mu, then peerConn.mu.
+type creditMirror struct {
+	mu     sync.Mutex
+	avail  int64        // granted and not yet spent: a partial grant; guarded by mu
+	parked []*netTarget // guarded by mu
+}
+
+// grant adds n credits and ships what they cover, in request order. Called
+// by the connection reader, it never blocks: peerConn.enqueue only appends.
+func (m *creditMirror) grant(n int64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.avail += n
+	k := 0
+	for ; k < len(m.parked) && m.parked[k].need <= m.avail; k++ {
+		t := m.parked[k]
+		m.avail -= t.need
+		// A failed connection drops the frame; its sender is released through
+		// pc.failed or its next send's error, not from here.
+		frame := t.frame
+		if t.pc.enqueue(func(out []byte) []byte { return append(out, frame...) }) == nil {
+			t.pc.node.na.dataBatches.Inc(1)
+		}
+		t.parked.Store(false)
+		select {
+		case t.shipped <- struct{}{}:
+		default:
+		}
+	}
+	if k > 0 {
+		m.parked = m.parked[:copy(m.parked, m.parked[k:])]
+	}
+}
+
+// depth reports the unspent credits and the parked frame count.
+func (m *creditMirror) depth() (avail int64, parked int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.avail, len(m.parked)
+}
+
 // netTarget ships one sender's batches and markers to a task on a peer
-// worker. Credits were already acquired from the mirror gate by
-// flushTarget before ship is called.
+// worker. It owns one frame buffer: a flush seals its batch into it and
+// parks it in the mirror behind its own credit request, and the task goes
+// back to filling the next batch while the round trip runs. The task blocks
+// only when it needs the buffer — or the channel's place in the write queue,
+// for a marker — before that frame has shipped: one parked and one filling
+// per sender-target pair.
 type netTarget struct {
-	node *netNode
-	peer int
-	task dataflow.TaskID
+	pc     *peerConn
+	mirror *creditMirror
+	task   dataflow.TaskID
+
+	// frame is the sealed DATA frame of the last batch flushed here and need
+	// its record count. While parked is set they belong to the mirror (read by
+	// the connection reader under mirror.mu); the task may rewrite them only
+	// after awaitShipped. shipped is the reader's wakeup token.
+	frame   []byte
+	need    int64
+	parked  atomic.Bool
+	shipped chan struct{}
 }
 
-func (t *netTarget) request(rt *taskRuntime, n int) bool {
-	if err := t.node.sendCredit(t.peer, FrameCreditReq, t.task, int64(n)); err != nil {
-		return t.failSend(rt, err)
+// awaitShipped blocks until the frame last parked here has moved to the
+// write queue — the network transport's credit stall, accounted like the
+// in-memory gate's — and returns how long that took (zero, without a clock
+// read, when it already had). ok is false when the attempt aborts or the
+// connection fails first.
+func (t *netTarget) awaitShipped(rt *taskRuntime) (waited time.Duration, ok bool) {
+	if !t.parked.Load() {
+		return 0, true
 	}
-	return true
+	att := rt.att
+	att.creditStalls.Inc(1)
+	t0 := att.clk()
+	for t.parked.Load() {
+		select {
+		case <-t.shipped:
+		case <-t.pc.failed:
+			return 0, t.pc.node.na.failSend(t.pc.peer, t.pc.sendErr())
+		case <-att.abort:
+			return 0, false
+		}
+	}
+	waited = att.clk.Since(t0)
+	att.creditStallT.Add(waited)
+	rt.bp += waited
+	rt.readClock()
+	return waited, true
 }
 
+// ship seals one batch into the target's frame and parks it behind a credit
+// request for its records. Request and park happen under the mirror lock, so
+// request order is park order even across co-located senders sharing the
+// mirror — grants come back in request order and must find the frames in it.
 func (t *netTarget) ship(rt *taskRuntime, inIdx, ch int, entries []batchEntry) bool {
-	bp := newFrameBuf(FrameData)
-	var err error
-	if *bp, err = appendBatch(*bp, t.task, inIdx, ch, entries); err != nil {
-		putFrameBuf(bp)
-		t.node.na.encodeErrors.Inc(1)
-		return t.failSend(rt, err)
+	waited, ok := t.awaitShipped(rt)
+	if !ok {
+		return false
 	}
-	if err := t.node.sendFrame(t.peer, bp); err != nil {
-		return t.failSend(rt, err)
+	na := t.pc.node.na
+	na.creditWaitH.Observe(waited.Seconds())
+	frame, err := appendBatch(beginFrame(t.frame[:0], FrameData), t.task, inIdx, ch, entries)
+	if payload := len(frame) - frameHeaderLen - 1; err == nil && payload > MaxFramePayload {
+		err = fmt.Errorf("frame: payload %d exceeds cap %d", payload, MaxFramePayload)
 	}
-	t.node.na.dataBatches.Inc(1)
+	if err != nil {
+		na.encodeErrors.Inc(1)
+		return na.failSend(t.pc.peer, err)
+	}
+	t.frame, t.need = sealFrame(frame, 0), int64(len(entries))
+	if err := t.park(); err != nil {
+		return na.failSend(t.pc.peer, err)
+	}
 	return true
 }
 
+func (t *netTarget) park() error {
+	m := t.mirror
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := t.pc.sendCredit(FrameCreditReq, t.task, t.need); err != nil {
+		return err
+	}
+	t.parked.Store(true)
+	m.parked = append(m.parked, t)
+	return nil
+}
+
+// control queues a barrier or EOF marker once the channel's parked frame has
+// shipped, so the marker follows the channel's data in the writer's FIFO.
 func (t *netTarget) control(rt *taskRuntime, inIdx, ch int, tmpl message) bool {
-	bp := newFrameBuf(tmplFrameType(tmpl))
-	*bp = appendMark(*bp, t.task, inIdx, ch, tmpl.epoch)
-	if err := t.node.sendFrame(t.peer, bp); err != nil {
-		return t.failSend(rt, err)
+	if _, ok := t.awaitShipped(rt); !ok {
+		return false
+	}
+	err := t.pc.enqueue(func(out []byte) []byte {
+		return sealFrame(appendMark(beginFrame(out, tmplFrameType(tmpl)), t.task, inIdx, ch, tmpl.epoch), len(out))
+	})
+	if err != nil {
+		return t.pc.node.na.failSend(t.pc.peer, err)
 	}
 	return true
 }
 
 // dataPlaneEscalation bounds how long a sender blocked on a failed peer
-// send waits for coordinator-driven recovery before failing the attempt
+// connection waits for coordinator-driven recovery before failing the attempt
 // itself. In a supervised cluster the coordinator acts on the PEERDOWN
 // report (or on the peer's own control-plane death) well inside this
 // window; the timeout is the backstop for the cases nobody else can see —
@@ -1171,20 +1406,20 @@ func (t *netTarget) control(rt *taskRuntime, inIdx, ch int, tmpl message) bool {
 // it.
 var dataPlaneEscalation = 30 * time.Second
 
-// failSend handles a dead peer: report it, then wait for the attempt to be
-// torn down. Completing the task as if the send had happened would be
-// silent data loss; recovery is the coordinator's decision, not the
+// failSend handles a dead peer connection: report it, then wait for the
+// attempt to be torn down. Completing the task as if the send had happened
+// would be silent data loss; recovery is the coordinator's decision, not the
 // sender's. If no abort arrives within dataPlaneEscalation the attempt is
-// failed with a visible error instead of hanging forever.
-func (t *netTarget) failSend(rt *taskRuntime, err error) bool {
-	na := t.node.na
-	na.noteSendFailure(t.peer, err)
+// failed with a visible error instead of hanging forever. It returns false,
+// the senders' "did not send" result.
+func (na *netAttempt) failSend(peer int, err error) bool {
+	na.noteSendFailure(peer, err)
 	select {
-	case <-rt.att.abort:
+	case <-na.a.abort:
 	case <-na.stop:
 	case <-time.After(dataPlaneEscalation):
 		na.failFatal(fmt.Errorf("engine: data-plane send to worker %d failed and no recovery arrived within %v: %w",
-			t.peer, dataPlaneEscalation, err))
+			peer, dataPlaneEscalation, err))
 	}
 	return false
 }

@@ -695,6 +695,15 @@ func (j *Job) buildAttempt(no int, plan *dataflow.Plan, coord coordinator, fault
 		return nil, fmt.Errorf("engine: distributed attempts require the %s transport, have %s", TransportNetwork, j.opts.Transport)
 	}
 	a.base = a.reg.TypedSnapshot()
+	// One cached linger clock per task goroutine (a fused chain is one).
+	if j.opts.Transport != TransportUnary && j.opts.BatchLinger >= 0 {
+		for _, rt := range tasks {
+			if !rt.fusedIn {
+				rt.shareClock(new(time.Duration))
+				rt.readClock()
+			}
+		}
+	}
 	// Restore round-robin routing positions so rebalance partitioning
 	// resumes mid-cycle exactly where the checkpoint left it, then build
 	// the transport's sender endpoints over the wired edges.
@@ -778,6 +787,11 @@ func (a *attempt) run(ctx context.Context) error {
 	default:
 	}
 	if a.net != nil {
+		if !a.abortFlag.Load() {
+			// The tasks finished, but their last frames may still be queued:
+			// see them onto the wire before close tears the sockets down.
+			a.net.drain()
+		}
 		// A data-plane send failure that nobody recovered self-aborted the
 		// attempt (see failSend); surface it as a run error so the attempt
 		// cannot masquerade as a clean completion with dropped records.

@@ -95,6 +95,12 @@ type taskRuntime struct {
 	// batchSizeH observes flushed batch sizes (nil when telemetry is off or
 	// the transport is unary).
 	batchSizeH *telemetry.Histogram
+	// clock is the time (since lingerEpoch) this task's goroutine last read,
+	// which batched senders check linger against instead of reading the clock
+	// per record (see batchedSender.send). Fused members share their chain
+	// head's — one goroutine, one clock. Nil when nothing lingers: the unary
+	// transport, or a negative BatchLinger.
+	clock *time.Duration
 
 	recordsIn, recordsOut, bytesOut int64
 	busy, bp                        time.Duration
@@ -104,6 +110,28 @@ const (
 	minInt64 = -1 << 63
 	maxInt64 = 1<<63 - 1
 )
+
+// lingerEpoch is the zero of the tasks' cached linger clocks. Linger is an
+// interval, so the cache keeps a monotonic reading — time.Since reads one
+// clock where time.Now reads two.
+var lingerEpoch = time.Now()
+
+// readClock refreshes the cached linger clock. The task loops call it
+// wherever the goroutine has just waited or dequeued — time has passed, and
+// a clock read is cheap next to the wait; a no-op without lingering senders.
+func (rt *taskRuntime) readClock() {
+	if rt.clock != nil {
+		*rt.clock = time.Since(lingerEpoch)
+	}
+}
+
+// shareClock gives rt and every member fused behind it the same cached clock.
+func (rt *taskRuntime) shareClock(clock *time.Duration) {
+	rt.clock = clock
+	for _, m := range rt.fused {
+		m.shareClock(clock)
+	}
+}
 
 // observe updates the per-channel watermark state for an arriving message.
 func (rt *taskRuntime) observe(msg message) {
@@ -250,6 +278,7 @@ func (rt *taskRuntime) chargeCPU(cost float64) {
 		rt.serviceDebt = 0
 		rt.cpuShard.Draw()
 		time.Sleep(d)
+		rt.readClock()
 	}
 }
 
@@ -303,6 +332,7 @@ func (a *attempt) runSource(ctx context.Context, rt *taskRuntime, src Source) er
 				case <-rt.att.abort:
 					rt.aborted = true
 				}
+				rt.readClock()
 			}
 		}
 		if rt.aborted {
@@ -448,6 +478,7 @@ func (a *attempt) runOperator(rt *taskRuntime) error {
 			if rt.gate != nil && len(msg.batch) > 0 {
 				rt.gate.release(int64(len(msg.batch)))
 			}
+			rt.readClock()
 		}
 		if rt.aligning && rt.chanSeen[msg.ch] {
 			// This channel already delivered the in-flight barrier:

@@ -110,15 +110,6 @@ func RegisterValueCodec(tag byte, sample any, c ValueCodec) {
 
 // --- encode -------------------------------------------------------------------
 
-// newFrameBuf takes an encode buffer from the pool with a frame of the
-// given type opened in it; the caller appends the payload and hands the
-// buffer to sendFrame (or seals it itself and returns it with putFrameBuf).
-func newFrameBuf(typ byte) *[]byte {
-	bp := frameBufPool.Get().(*[]byte)
-	*bp = beginFrame((*bp)[:0], typ)
-	return bp
-}
-
 func putFrameBuf(bp *[]byte) {
 	*bp = (*bp)[:0]
 	frameBufPool.Put(bp)
