@@ -61,7 +61,7 @@ func main() {
 	usage := costmodel.FromRates(g, rates)
 	tuned, err := caps.AutoTune(context.Background(), phys, c, usage, caps.DefaultAutoTuneOptions())
 	must(err)
-	fmt.Printf("auto-tuned thresholds: %v (after %d probes)\n", tuned.Alpha, tuned.Probes)
+	fmt.Printf("auto-tuned thresholds: %v (after %d probes, %d searches)\n", tuned.Alpha, tuned.Probes, tuned.Searches)
 
 	res, err := caps.Search(context.Background(), phys, c, usage, caps.Options{
 		Alpha: tuned.Alpha, Mode: caps.Exhaustive, Reorder: true,

@@ -68,8 +68,11 @@ type AutoTuneResult struct {
 	// PerDimension is the phase-1 outcome: the minimum feasible threshold
 	// for each dimension with the other two dimensions unbounded.
 	PerDimension costmodel.Vector
-	// Probes is the number of feasibility searches executed.
+	// Probes is the number of schedule steps probed for feasibility.
 	Probes int
+	// Searches is the number of probes that ran a search; the others were
+	// known to repeat the previous infeasible probe's tree (see AutoTune).
+	Searches int
 	// Elapsed is the total auto-tuning duration.
 	Elapsed time.Duration
 }
@@ -96,6 +99,13 @@ type AutoTuneResult struct {
 //   - Additive relaxation kicker: joint relaxation grows each dimension by
 //     at least +0.01 per step, so a near-zero phase-1 minimum cannot stall
 //     the multiplicative schedule.
+//
+// Worker loads are sums of a few discrete per-task usages, so most relaxation
+// steps move the budget across none of them. An infeasible probe reports the
+// smallest load it rejected per dimension (Stats.RejectFloor); while the
+// relaxing budget stays below that floor, a probe would make the same
+// comparisons, walk the same tree, hit the same ProbeMaxNodes cap and return
+// the same verdict, so the step is counted in Probes without searching.
 func AutoTune(ctx context.Context, p *dataflow.PhysicalGraph, c *cluster.Cluster, u *costmodel.Usage, opts AutoTuneOptions) (*AutoTuneResult, error) {
 	if opts.RelaxPhase1 <= 1 || opts.RelaxPhase2 <= 1 {
 		return nil, fmt.Errorf("caps: relaxation factors must exceed 1 (got %v, %v)", opts.RelaxPhase1, opts.RelaxPhase2)
@@ -157,8 +167,20 @@ func AutoTune(ctx context.Context, p *dataflow.PhysicalGraph, c *cluster.Cluster
 		Net: floor(minCap.Net, bounds.Min.Net, bounds.Max.Net),
 	}
 
+	// reject is the reject floor of the last probe searched, if it was
+	// infeasible. Both relaxation loops below only loosen the budget until
+	// the first feasible probe, which clears it.
+	reject, repeatable := Unbounded, false
+	below := func(limit, floor float64) bool { return limit < floor || math.IsInf(floor, 1) }
 	feasible := func(alpha costmodel.Vector) (bool, error) {
 		res.Probes++
+		if repeatable {
+			l := budgetLimit(bounds, alpha)
+			if below(l.CPU, reject.CPU) && below(l.IO, reject.IO) && below(l.Net, reject.Net) {
+				return false, nil
+			}
+		}
+		res.Searches++
 		r, err := Search(ctx, p, c, u, Options{
 			Alpha:       alpha,
 			Mode:        FirstFeasible,
@@ -170,6 +192,7 @@ func AutoTune(ctx context.Context, p *dataflow.PhysicalGraph, c *cluster.Cluster
 		if err != nil {
 			return false, err
 		}
+		reject, repeatable = r.Stats.RejectFloor, !r.Feasible
 		return r.Feasible, nil
 	}
 
@@ -183,14 +206,9 @@ func AutoTune(ctx context.Context, p *dataflow.PhysicalGraph, c *cluster.Cluster
 		{"io", floors.IO, func(v *costmodel.Vector, a float64) { v.IO = a }},
 		{"net", floors.Net, func(v *costmodel.Vector, a float64) { v.Net = a }},
 	}
-	for _, d := range dims {
+	for i, d := range dims {
 		a := d.start
 		for {
-			if ctx.Err() != nil {
-				res.Alpha = res.PerDimension
-				res.Elapsed = now.Since(start)
-				return res, ErrAutoTuneTimeout
-			}
 			probe := Unbounded
 			d.set(&probe, a)
 			ok, err := feasible(probe)
@@ -201,11 +219,17 @@ func AutoTune(ctx context.Context, p *dataflow.PhysicalGraph, c *cluster.Cluster
 				d.set(&res.PerDimension, a)
 				break
 			}
-			if a >= 1 {
-				// Cost is bounded by 1, so alpha = 1 is always feasible for
-				// a single dimension; reaching this point means the probe
-				// was cut short by the context.
+			// Cost is bounded by 1, so alpha = 1 is always feasible for a
+			// single dimension; an infeasible probe there was cut short by
+			// the context.
+			if a >= 1 || ctx.Err() != nil {
+				// Most relaxed vector probed so far: the minima found, the
+				// step just probed, and no bound on dimensions not reached.
 				res.Alpha = res.PerDimension
+				d.set(&res.Alpha, a)
+				for _, rest := range dims[i+1:] {
+					rest.set(&res.Alpha, 1)
+				}
 				res.Elapsed = now.Since(start)
 				return res, ErrAutoTuneTimeout
 			}

@@ -92,8 +92,16 @@ func TestAutoTuneTimeout(t *testing.T) {
 	p, c, u := paperExample(t)
 	opts := DefaultAutoTuneOptions()
 	opts.Timeout = time.Nanosecond
-	_, err := AutoTune(context.Background(), p, c, u, opts)
+	res, err := AutoTune(context.Background(), p, c, u, opts)
 	if err != ErrAutoTuneTimeout {
-		t.Errorf("err = %v, want ErrAutoTuneTimeout", err)
+		t.Fatalf("err = %v, want ErrAutoTuneTimeout", err)
+	}
+	// The fallback vector is the most relaxed one probed — the step in
+	// progress, 1 for dimensions not reached — never the tightest possible.
+	if res.Alpha.CPU == 0 || res.Alpha.IO == 0 || res.Alpha.Net == 0 {
+		t.Errorf("alpha on timeout %v has a zero component", res.Alpha)
+	}
+	if res.Alpha.Net != 1 {
+		t.Errorf("alpha on timeout %v bounds the network dimension, which a 1ns budget never reaches", res.Alpha)
 	}
 }

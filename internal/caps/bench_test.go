@@ -15,7 +15,8 @@ import (
 // The search benchmarks are plain `go test -bench` microbenchmarks (`make
 // bench`): incremental against scratch evaluation, cold against warm start,
 // with the per-search node and cost-evaluation counts reported beside the
-// time. They record nothing; the placement figures any claim rests on come
+// time, and threshold auto-tuning with its probe and search counts. They
+// record nothing; the placement figures any claim rests on come
 // from the `search-scale` workload of the repository's benchmark (bench/).
 
 type benchCase struct {
@@ -82,7 +83,7 @@ func q3infScaledCase(b *testing.B) benchCase {
 
 // q2joinCase scales Q2-join to the given task count on a tasks==slots
 // cluster, mirroring the Figure 10a growth series.
-func q2joinCase(b *testing.B, tasks int) benchCase {
+func q2joinCase(b testing.TB, tasks int) benchCase {
 	b.Helper()
 	base := nexmark.Q2Join()
 	workers := tasks / 8
@@ -216,4 +217,26 @@ func BenchmarkSearch(b *testing.B) {
 			runSearchBench(b, bc, Options{Mode: FirstFeasible, ScratchEval: true})
 		})
 	}
+}
+
+// BenchmarkAutoTune is the decision every placement without a given α pays
+// first: the search-scale shape of the repository's benchmark (Q2-join, 256
+// tasks, 32 × 8 slots), where most schedule steps repeat the previous
+// probe's tree and are stepped past (searches/op against probes/op).
+func BenchmarkAutoTune(b *testing.B) {
+	b.Run("q2join-256", func(b *testing.B) {
+		bc := q2joinCase(b, 256)
+		var last *AutoTuneResult
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := AutoTune(context.Background(), bc.phys, bc.c, bc.u, DefaultAutoTuneOptions())
+			if err != nil {
+				b.Fatal(err)
+			}
+			last = res
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(last.Searches), "searches/op")
+		b.ReportMetric(float64(last.Probes), "probes/op")
+	})
 }

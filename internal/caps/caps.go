@@ -43,6 +43,7 @@ package caps
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -145,6 +146,13 @@ type Stats struct {
 	// BudgetPrunes is the number of placements rejected by threshold-based
 	// pruning.
 	BudgetPrunes int64
+	// RejectFloor is, per dimension, the smallest load the threshold check
+	// rejected on that dimension (+Inf where it rejected none). A budget
+	// whose slack-adjusted value stays below the floor in every such
+	// dimension — and is no tighter than this search's — accepts and rejects
+	// exactly the same placements, so the search would walk the same tree
+	// (AutoTune steps its schedule past such budgets without searching).
+	RejectFloor costmodel.Vector
 	// WarmStarted reports whether a warm-start seed was applied.
 	WarmStarted bool
 	// Elapsed is the wall-clock search duration.
@@ -198,7 +206,7 @@ type searcher struct {
 	ops        []opInfo
 	numWorkers int
 	slots      int
-	budget     costmodel.Vector
+	limit      costmodel.Vector // load budget plus slack (see budgetLimit)
 	bounds     costmodel.Bounds
 	mode       Mode
 	frontCap   int
@@ -318,7 +326,7 @@ func newSearcher(ctx context.Context, p *dataflow.PhysicalGraph, c *cluster.Clus
 		ops:        ops,
 		numWorkers: c.NumWorkers(),
 		slots:      slots,
-		budget:     costmodel.LoadBudget(bounds, opts.Alpha),
+		limit:      budgetLimit(bounds, opts.Alpha),
 		bounds:     bounds,
 		mode:       opts.Mode,
 		frontCap:   frontCap,
@@ -370,6 +378,7 @@ func Search(ctx context.Context, p *dataflow.PhysicalGraph, c *cluster.Cluster, 
 			CostEvals:    s.costEvals.Load(),
 			MemoPrunes:   s.memoPrunes.Load(),
 			BudgetPrunes: s.budgetPrunes.Load(),
+			RejectFloor:  merged.rejectFloor,
 			WarmStarted:  s.warm != nil,
 			Elapsed:      now.Since(start),
 		},
@@ -419,6 +428,8 @@ type collector struct {
 	// atomic.
 	plansLocal int64
 	memo       *memoTable
+	// rejectFloor is this goroutine's share of Stats.RejectFloor.
+	rejectFloor costmodel.Vector
 }
 
 type frontEntry struct {
@@ -428,7 +439,7 @@ type frontEntry struct {
 }
 
 func newCollector(s *searcher) *collector {
-	c := &collector{s: s}
+	c := &collector{s: s, rejectFloor: Unbounded}
 	if s.memoOn {
 		c.memo = newMemoTable()
 	}
@@ -443,13 +454,22 @@ func snapshotCounts(counts [][]int) [][]int {
 	return out
 }
 
+// appendCount appends a task count to a binary key: one byte, with 255
+// escaping to a varint of the excess. The encoding is self-delimiting, so keys
+// built from the same number of counts are equal only if every count is.
+func appendCount(b []byte, v int) []byte {
+	if v < 255 {
+		return append(b, byte(v))
+	}
+	return binary.AppendUvarint(append(b, 255), uint64(v-255))
+}
+
 func countsKey(counts [][]int) string {
 	b := make([]byte, 0, len(counts)*len(counts[0]))
 	for _, row := range counts {
 		for _, v := range row {
-			b = append(b, byte(v), ',')
+			b = appendCount(b, v)
 		}
-		b = append(b, ';')
 	}
 	return string(b)
 }
@@ -517,6 +537,9 @@ func (c *collector) merge(other *collector) {
 		c.offer(fe.counts, fe.cost)
 	}
 	c.plansLocal += other.plansLocal
+	c.rejectFloor.CPU = math.Min(c.rejectFloor.CPU, other.rejectFloor.CPU)
+	c.rejectFloor.IO = math.Min(c.rejectFloor.IO, other.rejectFloor.IO)
+	c.rejectFloor.Net = math.Min(c.rejectFloor.Net, other.rejectFloor.Net)
 }
 
 func (c *collector) offerBest(counts [][]int, key string, cost costmodel.Vector) {
@@ -555,9 +578,41 @@ func (s *searcher) shouldStop() bool {
 
 const budgetEps = 1e-9
 
-// withinBudget checks one worker's load against the pruning budget.
-func (s *searcher) withinBudget(l costmodel.Vector) bool {
-	return l.LeqAllEps(s.budget, budgetEps)
+// budgetLimit is the largest load the threshold check accepts under alpha:
+// the load budget of Eq. 10 plus, per dimension, the relative slack that
+// tolerates the rounding drift incremental load maintenance accumulates
+// against a from-scratch evaluation (it scales with 1+|budget| so it behaves
+// sensibly around zero bounds).
+func budgetLimit(b costmodel.Bounds, alpha costmodel.Vector) costmodel.Vector {
+	l := costmodel.LoadBudget(b, alpha)
+	l.CPU += budgetEps * (1 + math.Abs(l.CPU))
+	l.IO += budgetEps * (1 + math.Abs(l.IO))
+	l.Net += budgetEps * (1 + math.Abs(l.Net))
+	return l
+}
+
+// overBudget checks one worker's load against the pruning budget. A rejected
+// load lowers col's reject floor in the first dimension that violates.
+func (s *searcher) overBudget(l *costmodel.Vector, col *collector) bool {
+	f := &col.rejectFloor
+	switch {
+	case l.CPU > s.limit.CPU:
+		if l.CPU < f.CPU {
+			f.CPU = l.CPU
+		}
+	case l.IO > s.limit.IO:
+		if l.IO < f.IO {
+			f.IO = l.IO
+		}
+	case l.Net > s.limit.Net:
+		if l.Net < f.Net {
+			f.Net = l.Net
+		}
+	default:
+		return false
+	}
+	s.budgetPrunes.Add(1)
+	return true
 }
 
 // searchLayer runs the outer search: distribute the tasks of layer k, then
@@ -620,10 +675,33 @@ func (s *searcher) innerSearch(st *state, layer, w, remaining, prevCount, capAft
 	if prevCount >= 0 && s.equivalent(st, layer, w) && prevCount < hi {
 		hi = prevCount
 	}
+	// Warm start: the seeded count is tried first, so a still-feasible
+	// previous plan is rediscovered without backtracking. The seed only
+	// permutes the child order — every count in [lo, hi] is still explored
+	// exactly once.
+	warm, first := -1, hi
+	if s.warm != nil {
+		if d := s.warm[layer][w]; d >= lo && d <= hi {
+			warm, first = d, hi+1 // one leading iteration for the seed
+		}
+	}
+	// The other counts are explored in descending order: the greedy (packed)
+	// prefix either reaches a leaf in O(layers x workers) steps or violates
+	// the load budget immediately and is pruned in O(1), steering the search
+	// toward the most balanced counts that still fit. Ascending order would
+	// walk enormous futile subtrees on large clusters, where small counts
+	// early make the capacity lower bound unsatisfiable only dozens of
+	// workers later.
 	complete := true
-	try := func(c int) bool {
+	for i := first; i >= lo; i-- {
+		c := i
+		if i > hi {
+			c = warm
+		} else if c == warm {
+			continue
+		}
 		s.nodes.Add(1)
-		rec, ok := s.place(st, layer, w, c)
+		rec, ok := s.place(st, layer, w, c, col)
 		if ok {
 			next := 0
 			if w+1 < s.numWorkers {
@@ -635,36 +713,7 @@ func (s *searcher) innerSearch(st *state, layer, w, remaining, prevCount, capAft
 		}
 		s.unplace(st, rec)
 		if s.shouldStop() {
-			complete = false
 			return false
-		}
-		return true
-	}
-	// Warm start: try the seeded count first so a still-feasible previous
-	// plan is rediscovered without backtracking. The seed only permutes the
-	// child order — every count in [lo, hi] is still explored exactly once.
-	warm := -1
-	if s.warm != nil {
-		if d := s.warm[layer][w]; d >= lo && d <= hi {
-			warm = d
-			if !try(d) {
-				return complete
-			}
-		}
-	}
-	// Counts are explored in descending order: the greedy (packed) prefix
-	// either reaches a leaf in O(layers x workers) steps or violates the
-	// load budget immediately and is pruned in O(1), steering the search
-	// toward the most balanced counts that still fit. Ascending order
-	// would walk enormous futile subtrees on large clusters, where small
-	// counts early make the capacity lower bound unsatisfiable only dozens
-	// of workers later.
-	for c := hi; c >= lo; c-- {
-		if c == warm {
-			continue
-		}
-		if !try(c) {
-			break
 		}
 	}
 	return complete
@@ -712,13 +761,13 @@ type placeRec struct {
 // snapshot-restore keeps every state bitwise reproducible, which the
 // determinism property tests pin). Under ScratchEval the loads of every
 // worker are instead recomputed from the full counts matrix.
-func (s *searcher) place(st *state, layer, w, c int) (placeRec, bool) {
+func (s *searcher) place(st *state, layer, w, c int, col *collector) (placeRec, bool) {
 	r := placeRec{layer: layer, w: w, c: c}
 	if c == 0 {
 		return r, true
 	}
 	if s.scratch {
-		return r, s.placeScratch(st, layer, w, c)
+		return r, s.placeScratch(st, layer, w, c, col)
 	}
 	r.base = len(st.undoW)
 	r.prevMax = st.max
@@ -770,18 +819,26 @@ func (s *searcher) place(st *state, layer, w, c int) (placeRec, bool) {
 		}
 	}
 
-	// Track the bottleneck load: deltas are non-negative, so the maximum
-	// only grows and the previous value can be restored on unplace.
+	// Track the bottleneck load — deltas are non-negative, so the maximum
+	// only grows and the previous value is restored on unplace; loads are
+	// finite and non-negative, so plain compares give math.Max's bits — and
+	// prune on monotonicity: check every touched worker. A rejected placement
+	// is undone at once, so the maximum may skip the workers after the
+	// violating one.
 	touched := st.undoW[r.base:]
-	for _, tw := range touched {
-		st.max = st.max.Max(st.loads[tw])
-	}
-
-	// Monotonicity-based pruning: check every touched worker.
 	s.costEvals.Add(int64(len(touched)))
 	for _, tw := range touched {
-		if !s.withinBudget(st.loads[tw]) {
-			s.budgetPrunes.Add(1)
+		l := &st.loads[tw]
+		if l.CPU > st.max.CPU {
+			st.max.CPU = l.CPU
+		}
+		if l.IO > st.max.IO {
+			st.max.IO = l.IO
+		}
+		if l.Net > st.max.Net {
+			st.max.Net = l.Net
+		}
+		if s.overBudget(l, col) {
 			return r, false
 		}
 	}
@@ -815,7 +872,7 @@ func (s *searcher) unplace(st *state, r placeRec) {
 // then rebuilds every worker's load vector from scratch before checking the
 // budget. Its unplace restores only the counts — any later consumer of loads
 // (the next placement or a leaf) recomputes them first.
-func (s *searcher) placeScratch(st *state, layer, w, c int) bool {
+func (s *searcher) placeScratch(st *state, layer, w, c int, col *collector) bool {
 	st.free[w] -= c
 	st.freeTotal -= c
 	st.counts[layer][w] += c
@@ -823,8 +880,7 @@ func (s *searcher) placeScratch(st *state, layer, w, c int) bool {
 	s.recomputeLoads(st, st.loads)
 	s.costEvals.Add(int64(s.numWorkers))
 	for i := range st.loads {
-		if !s.withinBudget(st.loads[i]) {
-			s.budgetPrunes.Add(1)
+		if s.overBudget(&st.loads[i], col) {
 			return false
 		}
 	}
@@ -860,12 +916,13 @@ func (s *searcher) searchParallel(par int) *collector {
 	queue := make(chan workItem, par*2)
 
 	// Producer: enumerate layer-0 assignments and ship each completed
-	// layer-0 state as a subtree root.
+	// layer-0 state as a subtree root. Its collector never sees a plan; it
+	// holds the reject floor of the layer-0 placements.
+	prod := newCollector(s)
 	go func() {
 		defer close(queue)
 		st := newState(len(s.ops), s.numWorkers, s.slots)
-		col := newCollector(s) // unused sink for the degenerate 0-layer case
-		s.innerSearch(st, 0, 0, s.ops[0].par, -1, st.freeTotal-st.free[0], col, func() bool {
+		s.innerSearch(st, 0, 0, s.ops[0].par, -1, st.freeTotal-st.free[0], prod, func() bool {
 			if s.shouldStop() {
 				return false
 			}
@@ -896,7 +953,9 @@ func (s *searcher) searchParallel(par int) *collector {
 	}
 	wg.Wait()
 
-	merged := newCollector(s)
+	// The consumers return once the producer has closed the queue, so its
+	// collector is quiescent here too.
+	merged := prod
 	for _, col := range collectors {
 		merged.merge(col)
 	}

@@ -356,3 +356,61 @@ func TestFirstFeasibleParallel(t *testing.T) {
 		t.Errorf("returned plan violates alpha: %v", res.Cost)
 	}
 }
+
+// An infeasible search reports how far its budget must move before anything
+// can change: the reject floor lies above the budget, and any budget between
+// the two walks the same tree — exhausted or cut by MaxNodes — to the same
+// counters.
+func TestRejectFloorBoundsIdenticalSearches(t *testing.T) {
+	bc := q2joinCase(t, 64)
+	pp, pc, pu := paperExample(t)
+	for _, tc := range []struct {
+		name     string
+		p        *dataflow.PhysicalGraph
+		c        *cluster.Cluster
+		u        *costmodel.Usage
+		maxNodes int64
+	}{
+		{"exhausted", pp, pc, pu, 0},
+		{"capped", bc.phys, bc.c, bc.u, 20_000},
+	} {
+		search := func(cpu float64) *Result {
+			res, err := Search(context.Background(), tc.p, tc.c, tc.u, Options{
+				Alpha: costmodel.Vector{CPU: cpu, IO: Unbounded.IO, Net: Unbounded.Net},
+				Mode:  FirstFeasible, Reorder: true, MaxNodes: tc.maxNodes, Now: goldenClock,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		const tight = 0.001
+		base := search(tight)
+		span := base.Bounds.Max.CPU - base.Bounds.Min.CPU
+		budget := base.Bounds.Min.CPU + tight*span
+		floor := base.Stats.RejectFloor
+		if base.Feasible || !(floor.CPU > budget) || !math.IsInf(floor.IO, 1) || !math.IsInf(floor.Net, 1) {
+			t.Fatalf("%s: feasible=%v, reject floor %v, want an infeasible search with a finite CPU floor above the budget %v",
+				tc.name, base.Feasible, floor, budget)
+		}
+		for _, frac := range []float64{0.5, 0.999} {
+			alpha := tight + frac*(floor.CPU-budget)/span
+			if l := budgetLimit(base.Bounds, costmodel.Vector{CPU: alpha}); !(l.CPU < floor.CPU) {
+				t.Fatalf("%s: alpha %v is not below the reject floor", tc.name, alpha)
+			}
+			if got := search(alpha); got.Stats != base.Stats {
+				t.Errorf("%s: alpha %v below the reject floor: stats %+v, want %+v", tc.name, alpha, got.Stats, base.Stats)
+			}
+		}
+		if tc.maxNodes > 0 && base.Stats.Nodes < tc.maxNodes {
+			t.Errorf("%s: search stopped at %d nodes, want the %d cap", tc.name, base.Stats.Nodes, tc.maxNodes)
+		}
+	}
+}
+
+// Counts that differ by a multiple of 256 must not alias in the tie-break key.
+func TestCountsKeyWideWorker(t *testing.T) {
+	if a, b := countsKey([][]int{{300, 0}}), countsKey([][]int{{44, 0}}); a == b {
+		t.Errorf("countsKey aliases 300 and 44 tasks on one worker: %q", a)
+	}
+}

@@ -51,10 +51,9 @@ type state struct {
 	undoW    []int
 	undoPrev []costmodel.Vector
 
-	// keyBufs[layer] and classRep are scratch buffers for memoKey, reused
-	// across boundary visits so key construction allocates nothing.
-	keyBufs  [][]byte
-	classRep []int
+	// keyBufs[layer] are scratch buffers for memoKey, reused across boundary
+	// visits so key construction allocates nothing.
+	keyBufs [][]byte
 }
 
 func newState(numLayers, numWorkers, slots int) *state {

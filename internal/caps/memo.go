@@ -1,10 +1,6 @@
 package caps
 
-import (
-	"strconv"
-
-	"capsys/internal/costmodel"
-)
+import "capsys/internal/costmodel"
 
 // Transposition-style memoization of dominated partial states (the prune the
 // search applies at layer boundaries).
@@ -93,9 +89,13 @@ func (m *memoTable) record(key []byte, loads []costmodel.Vector) {
 
 // memoKey renders the interface state entering layer: the counts of prefix
 // layers still adjacent to the suffix, the free-slot vector, and the
-// canonical worker-partition signature over full prefix histories. Layers
-// whose prefix is fully interface-relevant never produce repeat keys, so the
-// searcher precomputes memoAt to skip them (see buildMemoPlan).
+// worker-partition signature over full prefix histories. Layers whose prefix
+// is fully interface-relevant never produce repeat keys, so the searcher
+// precomputes memoAt to skip them (see buildMemoPlan).
+//
+// The key is binary and exact — appendCount per field, the field count fixed
+// by the layer — never a hash: two states that collided would share prunes
+// that are sound for only one of them.
 //
 // The key is built into a per-layer buffer owned by the state, so boundary
 // visits allocate nothing; the returned slice stays valid across the layer's
@@ -104,48 +104,27 @@ func (s *searcher) memoKey(st *state, layer int) []byte {
 	if st.keyBufs == nil {
 		st.keyBufs = make([][]byte, len(s.ops))
 	}
-	b := st.keyBufs[layer][:0]
-	b = strconv.AppendInt(b, int64(layer), 10)
-	b = append(b, '|')
+	b := appendCount(st.keyBufs[layer][:0], layer)
 	for _, l := range s.relevant[layer] {
-		for w := 0; w < s.numWorkers; w++ {
-			b = strconv.AppendInt(b, int64(st.counts[l][w]), 10)
-			b = append(b, ',')
+		for _, c := range st.counts[l] {
+			b = appendCount(b, c)
 		}
-		b = append(b, ';')
 	}
-	b = append(b, '|')
 	for _, f := range st.free {
-		b = strconv.AppendInt(b, int64(f), 10)
-		b = append(b, ',')
+		b = appendCount(b, f)
 	}
-	b = append(b, '|')
-	// Partition signature: workers with identical prefix history columns get
-	// the same class id, ids assigned in worker order. Duplicate elimination
-	// constrains the suffix identically for prefixes with equal signatures.
+	// Partition signature: one byte per worker, set when its history equals
+	// its left neighbour's — at a boundary that is the prefix history, later
+	// layers being empty. That is all duplicate elimination reads, and it
+	// names the same partition as class ids would: canonical non-increasing
+	// counts keep workers with identical histories contiguous.
 	if !s.noDupElim {
-		st.classRep = st.classRep[:0]
-		for w := 0; w < s.numWorkers; w++ {
-			id := -1
-			for ci, rw := range st.classRep {
-				same := true
-				for l := 0; l < layer; l++ {
-					if st.counts[l][w] != st.counts[l][rw] {
-						same = false
-						break
-					}
-				}
-				if same {
-					id = ci
-					break
-				}
+		for w := 1; w < s.numWorkers; w++ {
+			same := byte(0)
+			if s.equivalent(st, layer, w) {
+				same = 1
 			}
-			if id < 0 {
-				id = len(st.classRep)
-				st.classRep = append(st.classRep, w)
-			}
-			b = strconv.AppendInt(b, int64(id), 10)
-			b = append(b, '.')
+			b = append(b, same)
 		}
 	}
 	st.keyBufs[layer] = b

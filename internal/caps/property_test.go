@@ -175,6 +175,7 @@ func TestIncrementalEvalMatchesScratchProperty(t *testing.T) {
 			return false
 		}
 		st := newState(len(s.ops), s.numWorkers, s.slots)
+		col := newCollector(s)
 		ref := make([]costmodel.Vector, s.numWorkers)
 		check := func() bool {
 			s.recomputeLoads(st, ref)
@@ -220,7 +221,7 @@ func TestIncrementalEvalMatchesScratchProperty(t *testing.T) {
 				if room == 0 {
 					continue
 				}
-				rec, ok := s.place(st, layer, w, 1+rng.Intn(room))
+				rec, ok := s.place(st, layer, w, 1+rng.Intn(room), col)
 				if !ok { // unbounded alpha: placements never go over budget
 					s.unplace(st, rec)
 					t.Logf("seed %d: place rejected under unbounded alpha", seed)
@@ -512,4 +513,113 @@ func TestReorderingInvarianceProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// autoTuneEveryStep is the reference AutoTune the skip-ahead is checked
+// against: the same capacity floor, the same two relaxation schedules (stepped
+// with the same multiplications), and a search at every single step.
+func autoTuneEveryStep(t *testing.T, p *dataflow.PhysicalGraph, c *cluster.Cluster, u *costmodel.Usage, opts AutoTuneOptions) *AutoTuneResult {
+	t.Helper()
+	res := &AutoTuneResult{}
+	feasible := func(alpha costmodel.Vector) bool {
+		res.Probes++
+		r, err := Search(context.Background(), p, c, u, Options{
+			Alpha: alpha, Mode: FirstFeasible, Reorder: opts.Reorder, MaxNodes: 200_000, Now: goldenClock,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Feasible
+	}
+	slots, err := c.SlotsPerWorker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := costmodel.ComputeBounds(p, u, c.NumWorkers(), slots)
+	netStart := opts.InitialAlpha
+	if span := bounds.Max.Net - bounds.Min.Net; span > 1e-12 {
+		netCap := math.Inf(1)
+		for i := 0; i < c.NumWorkers(); i++ {
+			netCap = math.Min(netCap, c.Worker(i).NetBandwidth)
+		}
+		netStart = math.Min(1, math.Max(opts.InitialAlpha, (netCap-bounds.Min.Net)/span))
+	}
+	phase1 := func(start float64, probe func(a float64) costmodel.Vector) float64 {
+		for a := start; ; a = math.Min(1, a*opts.RelaxPhase1) {
+			if feasible(probe(a)) {
+				return a
+			}
+			if a >= 1 {
+				t.Fatalf("reference: dimension infeasible at alpha 1 (%v)", probe(a))
+			}
+		}
+	}
+	res.PerDimension = costmodel.Vector{
+		CPU: phase1(opts.InitialAlpha, func(a float64) costmodel.Vector { v := Unbounded; v.CPU = a; return v }),
+		IO:  phase1(opts.InitialAlpha, func(a float64) costmodel.Vector { v := Unbounded; v.IO = a; return v }),
+		Net: phase1(netStart, func(a float64) costmodel.Vector { v := Unbounded; v.Net = a; return v }),
+	}
+	relax := func(a float64) float64 { return math.Min(1, math.Max(a*opts.RelaxPhase2, a+0.01)) }
+	for res.Alpha = res.PerDimension; !feasible(res.Alpha); {
+		if res.Alpha.CPU >= 1 && res.Alpha.IO >= 1 && res.Alpha.Net >= 1 {
+			t.Fatal("reference: infeasible at alpha 1 everywhere")
+		}
+		res.Alpha = costmodel.Vector{CPU: relax(res.Alpha.CPU), IO: relax(res.Alpha.IO), Net: relax(res.Alpha.Net)}
+	}
+	return res
+}
+
+// sameTuning compares what AutoTune promises to keep bit-identical to the
+// every-step reference.
+func sameTuning(t *testing.T, label string, got, want *AutoTuneResult) bool {
+	t.Helper()
+	if got.Alpha != want.Alpha || got.PerDimension != want.PerDimension || got.Probes != want.Probes || got.Searches > got.Probes {
+		t.Errorf("%s: AutoTune alpha %v per-dim %v probes %d searches %d; every-step reference alpha %v per-dim %v probes %d",
+			label, got.Alpha, got.PerDimension, got.Probes, got.Searches, want.Alpha, want.PerDimension, want.Probes)
+		return false
+	}
+	return true
+}
+
+// Property: stepping the schedule past probes that would repeat the previous
+// infeasible probe's tree changes nothing but the number of searches — on
+// random instances, serial and with parallel probes (whose per-collector
+// reject floors are merged; the race job covers that), and on the
+// search-scale shape, where it is the difference between 66 capped searches
+// and a handful.
+func TestAutoTuneSkipEquivalenceProperty(t *testing.T) {
+	opts := DefaultAutoTuneOptions()
+	opts.Now = goldenClock
+	t.Run("random", func(t *testing.T) {
+		f := func(seed int64) bool {
+			phys, c, u, err := randomInstance(rand.New(rand.NewSource(seed)))
+			if err != nil {
+				return false
+			}
+			want := autoTuneEveryStep(t, phys, c, u, opts)
+			for _, par := range []int{1, 4} {
+				o := opts
+				o.SearchParallelism = par
+				got, err := AutoTune(context.Background(), phys, c, u, o)
+				if err != nil || !sameTuning(t, fmt.Sprintf("seed %d par %d", seed, par), got, want) {
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+			t.Error(err)
+		}
+	})
+	t.Run("q2join-256", func(t *testing.T) {
+		bc := q2joinCase(t, 256)
+		got, err := AutoTune(context.Background(), bc.phys, bc.c, bc.u, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameTuning(t, bc.query, got, autoTuneEveryStep(t, bc.phys, bc.c, bc.u, opts))
+		if got.Probes != 66 || got.Searches > 8 {
+			t.Errorf("%d searches for %d probes, want at most 8 of 66", got.Searches, got.Probes)
+		}
+	})
 }

@@ -55,16 +55,6 @@ func (v Vector) LeqAll(o Vector) bool {
 	return v.CPU <= o.CPU && v.IO <= o.IO && v.Net <= o.Net
 }
 
-// LeqAllEps is LeqAll with per-dimension relative slack eps, tolerating the
-// rounding drift that incremental load maintenance accumulates relative to a
-// from-scratch evaluation. The slack scales with 1+|o| so it behaves sensibly
-// around zero bounds.
-func (v Vector) LeqAllEps(o Vector, eps float64) bool {
-	return v.CPU <= o.CPU+eps*(1+math.Abs(o.CPU)) &&
-		v.IO <= o.IO+eps*(1+math.Abs(o.IO)) &&
-		v.Net <= o.Net+eps*(1+math.Abs(o.Net))
-}
-
 func (v Vector) String() string {
 	return fmt.Sprintf("[cpu=%.4g io=%.4g net=%.4g]", v.CPU, v.IO, v.Net)
 }
