@@ -53,11 +53,14 @@ fuzz:
 # bench and bench-engine are plain `go test -bench` microbenchmarks for a
 # quick look while working on a layer: the CAPS search (incremental vs
 # scratch evaluation, cold vs warm start) with threshold auto-tuning
-# (searches against probes), and the data plane (the wire codec
-# alone, the batched sender alone, then short runs of a few query shapes per
-# transport). They record nothing; performance claims rest on `make benchmark`.
+# (searches against probes) and namespace images (snapshot, restore and
+# repartition of a join-shaped and a window-shaped state), and the data plane
+# (the wire codec alone, the batched sender alone, then short runs of a few
+# query shapes per transport). They record nothing; performance claims rest on
+# `make benchmark`.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSearch|BenchmarkAutoTune' -benchmem ./internal/caps
+	$(GO) test -run '^$$' -bench 'BenchmarkSnapshot|BenchmarkRestore|BenchmarkRepartition' -benchmem ./internal/statebackend
 
 bench-engine:
 	$(GO) test -run '^$$' -bench 'BenchmarkWireCodec|BenchmarkBatchedSend|BenchmarkEngineThroughput' -benchmem ./internal/engine

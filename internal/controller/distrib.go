@@ -153,8 +153,12 @@ type (
 // refused at the join instead. Version 6 changed what a shipped snapshot
 // means (keyed operator state is the namespace image alone, join buffers are
 // wire state records, sessions carry their bounds): a version-5 worker would
-// restore one as if it were its own and silently lose windows.
-const distProtoVersion = 6
+// restore one as if it were its own and silently lose windows. Version 7
+// made the namespace image binary (statebackend/snapshot.go) and stopped the
+// routing hash at a key's first NUL: a version-6 worker would fail every
+// restore of a shipped snapshot, and route a NUL-holding key to another task
+// than its peers do.
+const distProtoVersion = 7
 
 // errEncodePayload marks a send that failed locally while gob-encoding the
 // body — the data was unencodable or too large (MaxFramePayload), which

@@ -683,7 +683,9 @@ func TestDistJoinVersionGate(t *testing.T) {
 	}{
 		// Proto 4 spoke gob on the data plane: it would join, deploy, and then
 		// fail every data handshake against a proto-5 peer. Proto 5 kept
-		// operator aux images and JSON join buffers in its snapshots.
+		// operator aux images and JSON join buffers in its snapshots. Proto 6
+		// shipped the namespace image as JSON, which a proto-7 restore refuses,
+		// and hashed a record key past its first NUL.
 		{4, false}, {5, false},
 		{distProtoVersion - 1, false}, {distProtoVersion + 1, false}, {distProtoVersion, true},
 	} {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"capsys/internal/dataflow"
+	"capsys/internal/statebackend"
 )
 
 // This file is the engine's data-plane exchange layer: how records move
@@ -170,30 +171,20 @@ type downstreamEdge struct {
 	fuseTo *taskRuntime
 }
 
-// hashKey is FNV-1a over the key, byte-identical to hash/fnv.New32a +
-// Write, inlined so keyed routing allocates nothing.
-func hashKey(key string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return h
-}
-
 // route picks the target index for one record: key-group partitioning for
-// keyed records (hash → key-group → the task owning that group, matching
-// statebackend.TaskForGroup so routing and state partitioning can never
-// disagree), round-robin otherwise. The rr cursor lives on the edge so
-// checkpoints can snapshot and restore it mid-cycle.
+// keyed records (statebackend.KeyHash → key-group → the task owning that
+// group, the hash and the formula of statebackend.KeyGroupOf and TaskForGroup,
+// so routing and state partitioning can never disagree), round-robin
+// otherwise. The rr cursor lives on the edge so checkpoints can snapshot and
+// restore it mid-cycle.
 func (e *downstreamEdge) route(rec Record) int {
 	n := len(e.inboxes)
 	if rec.Key != "" {
 		if e.groups > 0 {
-			g := int(hashKey(rec.Key) % uint32(e.groups))
+			g := int(statebackend.KeyHash(rec.Key) % uint32(e.groups))
 			return g * n / e.groups
 		}
-		return int(hashKey(rec.Key) % uint32(n))
+		return int(statebackend.KeyHash(rec.Key) % uint32(n))
 	}
 	idx := e.rr % n
 	e.rr++

@@ -453,16 +453,22 @@ func TestFusionRequiresColocation(t *testing.T) {
 	}
 }
 
-// TestHashKeyMatchesFNV pins the inlined routing hash to hash/fnv: keyed
-// partitioning decides which task owns which key's state, so the inline
-// rewrite must be byte-identical or checkpoint images stop lining up.
+// TestHashKeyMatchesFNV pins the routing hash to hash/fnv over the logical
+// key (the key up to its first NUL, statebackend.KeyHash): keyed partitioning
+// decides which task owns which key's state, so the two must agree byte for
+// byte or checkpoint images stop lining up.
 func TestHashKeyMatchesFNV(t *testing.T) {
-	keys := []string{"", "a", "k0", "k123456", "the quick brown fox", "\x00\xff"}
-	for _, k := range keys {
+	for k, logical := range map[string]string{
+		"": "", "a": "a", "k0": "k0", "k123456": "k123456", "the quick brown fox": "the quick brown fox",
+		"\xff\x01": "\xff\x01", "\x00\xff": "", "k\x007": "k",
+	} {
 		h := fnv.New32a()
-		h.Write([]byte(k))
-		if got, want := hashKey(k), h.Sum32(); got != want {
-			t.Errorf("hashKey(%q) = %d, want %d", k, got, want)
+		h.Write([]byte(logical))
+		for _, n := range []int{1, 3, 7} {
+			hashed := &downstreamEdge{inboxes: make([]chan message, n)}
+			if got, want := hashed.route(Record{Key: k}), int(h.Sum32()%uint32(n)); k != "" && got != want {
+				t.Errorf("route(%q) over %d tasks = %d, fnv of %q says %d", k, n, got, logical, want)
+			}
 		}
 	}
 }

@@ -63,7 +63,11 @@ type keyedStateCase struct {
 	op      func() Operator
 }
 
-func keyedStateCases() []keyedStateCase {
+// keyedStateCases are the four built-in stateful operators. Every record key
+// ends in keyTail: with a NUL in it the key's own bytes run into the storage
+// keys the operators derive (winKey, sideKey), which must not part a record
+// from its state.
+func keyedStateCases(keyTail string) []keyedStateCase {
 	pair := func(l, r Record) (Record, bool) {
 		t := l.Time
 		if r.Time > t {
@@ -75,7 +79,7 @@ func keyedStateCases() []keyedStateCase {
 	// key meets several records of the other side.
 	sides := func(keys int64) func(int, int64) Record {
 		return func(src int, i int64) Record {
-			return Record{Key: fmt.Sprintf("k%d", i%keys), Value: int64(src)<<32 | i, Time: i}
+			return Record{Key: fmt.Sprintf("k%d", i%keys) + keyTail, Value: int64(src)<<32 | i, Time: i}
 		}
 	}
 	return []keyedStateCase{
@@ -83,8 +87,10 @@ func keyedStateCases() []keyedStateCase {
 			// slide < size: four windows are open per key at any time.
 			name:    "sliding-window",
 			sources: []dataflow.OperatorID{"src"},
-			gen:     func(_ int, i int64) Record { return Record{Key: fmt.Sprintf("k%d", i%20), Value: i, Time: i} },
-			op:      func() Operator { return NewSlidingWindow(100, 25, countAgg, countResult) },
+			gen: func(_ int, i int64) Record {
+				return Record{Key: fmt.Sprintf("k%d", i%20) + keyTail, Value: i, Time: i}
+			},
+			op: func() Operator { return NewSlidingWindow(100, 25, countAgg, countResult) },
 		},
 		{
 			// Bursts of 40 records, 100 ms apart: within a burst each key is
@@ -93,7 +99,7 @@ func keyedStateCases() []keyedStateCase {
 			name:    "session-window",
 			sources: []dataflow.OperatorID{"src"},
 			gen: func(_ int, i int64) Record {
-				return Record{Key: fmt.Sprintf("u%d", i%20), Value: i, Time: i/40*100 + i%40}
+				return Record{Key: fmt.Sprintf("u%d", i%20) + keyTail, Value: i, Time: i/40*100 + i%40}
 			},
 			// The result carries the session's start, which only the stored
 			// bounds know once the session has moved to another task.
@@ -190,7 +196,8 @@ func keyedStateJob(t *testing.T, c keyedStateCase, p int, sink *multisetSink, mu
 
 // TestKeyedStateRestoreAndRescale is the per-operator restore matrix: every
 // built-in stateful operator × {a worker kill with recovery, rescale 2→3,
-// rescale 3→2} × {batched, network}. The operator's whole keyed state —
+// rescale 3→2} × {batched, network}, with plain record keys and again with
+// keys that hold a NUL. The operator's whole keyed state —
 // accumulators, join buffers, session bounds — is in its namespace and its
 // firing index is rebuilt from there, so the sink must see exactly the
 // multiset of an undisturbed run, nothing may be lost, and no task of the
@@ -214,7 +221,12 @@ func TestKeyedStateRestoreAndRescale(t *testing.T) {
 			func(o *JobOptions) { o.Rescales = []RescalePlan{{Op: "op", Parallelism: 2, AtEpoch: 3}} },
 			func(r *JobResult) bool { return r.Rescales == 1 && r.RescaleMovedBytes > 0 }},
 	}
-	for _, c := range keyedStateCases() {
+	cases := keyedStateCases("")
+	for _, c := range keyedStateCases("\x00z") {
+		c.name += "-nul-key"
+		cases = append(cases, c)
+	}
+	for _, c := range cases {
 		var ref multisetSink
 		if _, err := keyedStateJob(t, c, 2, &ref, func(*JobOptions) {}).Run(context.Background()); err != nil {
 			t.Fatal(err)
@@ -290,7 +302,7 @@ func firstDifference(got, want map[string]int) string {
 // image.
 func TestRescaleRefusesSnapshotterImage(t *testing.T) {
 	var sink multisetSink
-	job := keyedStateJob(t, keyedStateCases()[0], 2, &sink, func(o *JobOptions) {
+	job := keyedStateJob(t, keyedStateCases("")[0], 2, &sink, func(o *JobOptions) {
 		o.Rescales = []RescalePlan{{Op: "sink", Parallelism: 2, AtEpoch: 2}}
 	})
 	_, err := job.Run(context.Background())

@@ -19,10 +19,15 @@ func TestRouteMatchesStateAssignment(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 8} {
 		e := &downstreamEdge{inboxes: make([]chan message, n), groups: G}
 		for i := 0; i < 200; i++ {
-			key := fmt.Sprintf("key-%d", i)
-			want := statebackend.TaskForGroup(statebackend.KeyGroupOf(key, G), n, G)
-			if got := e.route(Record{Key: key}); got != want {
-				t.Fatalf("n=%d key %q routed to %d, state lives on %d", n, key, got, want)
+			// A record key may hold a NUL of its own: its records still go
+			// where every storage key derived from it is kept.
+			for _, key := range []string{fmt.Sprintf("key-%d", i), fmt.Sprintf("key\x00%d", i), fmt.Sprintf("\x00%d", i)} {
+				got := e.route(Record{Key: key})
+				for _, sk := range []string{key, winKey(key, int64(i)*100), sideKey(key, i%2)} {
+					if want := statebackend.TaskForGroup(statebackend.KeyGroupOf(sk, G), n, G); got != want {
+						t.Fatalf("n=%d key %q routed to %d, its state under %q lives on %d", n, key, got, sk, want)
+					}
+				}
 			}
 		}
 	}

@@ -1,10 +1,8 @@
 package statebackend
 
 import (
-	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
-	"sort"
 )
 
 // Key-range-partitioned keyed state (Flink's key groups): every record key
@@ -23,28 +21,28 @@ import (
 // way Flink's maxParallelism does.
 const DefaultKeyGroups = 128
 
-// KeyGroupOf maps a record key to its key-group: FNV-1a over the key bytes,
-// modulo the group count. The hash is byte-identical to hash/fnv.New32a so
-// the engine's inlined routing hash and this function can never disagree.
-func KeyGroupOf(key string, numGroups int) int {
+// KeyHash is the hash keyed routing and key-group partitioning share: FNV-1a
+// (as hash/fnv.New32a) over the logical key, which is the key up to its first
+// NUL byte. Operators derive storage keys from a record key by appending a
+// NUL and binary metadata (the engine's winKey and sideKey conventions), so
+// stopping there keeps every storage key of one record key in the group its
+// records are routed by. The price is skew, not correctness: record keys that
+// differ only after a NUL of their own share a key-group and a task.
+func KeyHash(key string) uint32 { return keyHash(key) }
+
+func keyHash[K string | []byte](key K) uint32 {
 	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
+	for i := 0; i < len(key) && key[i] != 0; i++ {
 		h ^= uint32(key[i])
 		h *= 16777619
 	}
-	return int(h % uint32(numGroups))
+	return h
 }
 
-// storageKeyGroup maps a storage key to its key-group. Operators derive
-// storage keys from the record key by appending a NUL byte and binary
-// window metadata (the engine's winKey convention); a key without a NUL is
-// its own logical key. Partitioning on the prefix keeps every storage key of
-// one record key in one group.
-func storageKeyGroup(k []byte, numGroups int) int {
-	if i := bytes.IndexByte(k, 0); i >= 0 {
-		k = k[:i]
-	}
-	return KeyGroupOf(string(k), numGroups)
+// KeyGroupOf maps a record key, or a storage key derived from it, to its
+// key-group: KeyHash modulo the group count.
+func KeyGroupOf(key string, numGroups int) int {
+	return int(keyHash(key) % uint32(numGroups))
 }
 
 // KeyRange is a half-open range [Start, End) of key-groups.
@@ -109,85 +107,6 @@ func (s *Store) AssignGroups(parallelism int) ([]KeyRange, error) {
 	return AssignGroups(parallelism, s.opts.NumKeyGroups)
 }
 
-// decodedGroup is one key-group's contents during repartitioning.
-type decodedGroup struct {
-	g     int
-	data  []nsEntry
-	lists []nsListEntry
-}
-
-// bytesHeld is the group's stored-byte accounting, matching the Namespace
-// bookkeeping (len(key)+len(value) per entry; len(key)+sum(values) per list).
-func (d *decodedGroup) bytesHeld() int64 {
-	var n int64
-	for _, e := range d.data {
-		n += int64(len(e.K) + len(e.V))
-	}
-	for _, e := range d.lists {
-		n += int64(len(e.K))
-		for _, v := range e.V {
-			n += int64(len(v))
-		}
-	}
-	return n
-}
-
-// decodeImageGroups decodes one namespace image into its key-groups — the
-// only decoder, for Restore and Repartition alike. Images come from outside
-// the process (a coordinator's snapshot store, another worker), so the
-// decode is strict: a field the grouped layout does not have (the flat
-// pre-key-group layout's "data"/"lists" among them), a group outside
-// [0,numGroups), a group listed twice or a key out of place is an error,
-// never a silently empty, partial or misrouted restore.
-func decodeImageGroups(buf []byte, numGroups int) (map[int]*decodedGroup, error) {
-	var img nsImage
-	if len(buf) > 0 {
-		dec := json.NewDecoder(bytes.NewReader(buf))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&img); err != nil {
-			return nil, err
-		}
-	}
-	groups := make(map[int]*decodedGroup, len(img.Groups))
-	for _, gi := range img.Groups {
-		if gi.G < 0 || gi.G >= numGroups {
-			return nil, fmt.Errorf("statebackend: image holds group %d outside [0,%d)", gi.G, numGroups)
-		}
-		if _, dup := groups[gi.G]; dup {
-			return nil, fmt.Errorf("statebackend: image holds group %d twice", gi.G)
-		}
-		// Keys sit where encodeGroups puts them: in the group they hash to (a
-		// rescale would hand a misfiled key to the wrong task) and strictly
-		// ascending (a repeated key would restore over its twin).
-		for i, e := range gi.Data {
-			if storageKeyGroup(e.K, numGroups) != gi.G || i > 0 && bytes.Compare(gi.Data[i-1].K, e.K) >= 0 {
-				return nil, fmt.Errorf("statebackend: image holds key %q out of place in group %d", e.K, gi.G)
-			}
-		}
-		for i, e := range gi.Lists {
-			if storageKeyGroup(e.K, numGroups) != gi.G || i > 0 && bytes.Compare(gi.Lists[i-1].K, e.K) >= 0 {
-				return nil, fmt.Errorf("statebackend: image holds list key %q out of place in group %d", e.K, gi.G)
-			}
-		}
-		groups[gi.G] = &decodedGroup{g: gi.G, data: gi.Data, lists: gi.Lists}
-	}
-	return groups, nil
-}
-
-// encodeGroups marshals a set of key-groups into the canonical grouped
-// image: groups in ascending order, entries sorted by key within each.
-func encodeGroups(groups []*decodedGroup) ([]byte, error) {
-	sort.Slice(groups, func(i, j int) bool { return groups[i].g < groups[j].g })
-	var img nsImage
-	for _, d := range groups {
-		gi := groupImage{G: d.g, Data: d.data, Lists: d.lists}
-		sort.Slice(gi.Data, func(i, j int) bool { return string(gi.Data[i].K) < string(gi.Data[j].K) })
-		sort.Slice(gi.Lists, func(i, j int) bool { return string(gi.Lists[i].K) < string(gi.Lists[j].K) })
-		img.Groups = append(img.Groups, gi)
-	}
-	return json.Marshal(img)
-}
-
 // Repartition re-splits per-task namespace images for a parallelism change.
 // images[i] is old task i's Snapshot image (nil for an empty namespace). It
 // returns newParallelism images — new task i's image holds exactly the
@@ -206,31 +125,41 @@ func Repartition(images [][]byte, oldParallelism, newParallelism, numGroups int)
 	if len(images) != oldParallelism {
 		return nil, 0, fmt.Errorf("statebackend: repartition of %d images at old parallelism %d", len(images), oldParallelism)
 	}
-	perTask := make([][]*decodedGroup, newParallelism)
-	seen := make(map[int]int) // group -> old task it came from
+	// Groups move as the byte spans they occupy in the old images: a group's
+	// encoding does not depend on which image holds it.
+	bodies := make([][]byte, numGroups)
+	from := make([]int, numGroups)
 	var moved int64
 	for oldIdx, buf := range images {
-		groups, err := decodeImageGroups(buf, numGroups)
+		groups, err := decodeImageGroups(buf, numGroups, nil)
 		if err != nil {
 			return nil, 0, fmt.Errorf("statebackend: repartition image %d: %w", oldIdx, err)
 		}
-		for g, d := range groups {
-			if prev, dup := seen[g]; dup {
-				return nil, 0, fmt.Errorf("statebackend: group %d held by old tasks %d and %d", g, prev, oldIdx)
+		for _, d := range groups {
+			if bodies[d.g] != nil {
+				return nil, 0, fmt.Errorf("statebackend: group %d held by old tasks %d and %d", d.g, from[d.g], oldIdx)
 			}
-			seen[g] = oldIdx
-			newIdx := TaskForGroup(g, newParallelism, numGroups)
-			perTask[newIdx] = append(perTask[newIdx], d)
-			if newIdx != oldIdx {
-				moved += d.bytesHeld()
+			bodies[d.g], from[d.g] = d.body, oldIdx
+			if TaskForGroup(d.g, newParallelism, numGroups) != oldIdx {
+				moved += d.held
 			}
 		}
 	}
 	out := make([][]byte, newParallelism)
-	for i, groups := range perTask {
-		buf, err := encodeGroups(groups)
-		if err != nil {
-			return nil, 0, fmt.Errorf("statebackend: repartition encode task %d: %w", i, err)
+	for i := range out {
+		r := RangeFor(i, newParallelism, numGroups)
+		count, size := 0, 0
+		for g := r.Start; g < r.End; g++ {
+			if bodies[g] != nil {
+				count++
+				size += uvarintLen(g) + len(bodies[g])
+			}
+		}
+		buf := appendImageHeader(make([]byte, 0, imageHeaderLen(count)+size), count)
+		for g := r.Start; g < r.End; g++ {
+			if bodies[g] != nil {
+				buf = append(binary.AppendUvarint(buf, uint64(g)), bodies[g]...)
+			}
 		}
 		out[i] = buf
 	}

@@ -5,19 +5,27 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"runtime"
+	"strings"
 	"testing"
 )
 
 // TestKeyGroupOfMatchesFNV pins the inlined hash against the standard
-// library: the engine's router and the statebackend partitioner must agree
-// on every key.
+// library over the logical key — the key up to its first NUL — for record
+// keys and for the storage keys operators derive from them.
 func TestKeyGroupOfMatchesFNV(t *testing.T) {
-	for _, key := range []string{"", "a", "key-7", "auction|1234", "\x00\xff\x10binary"} {
+	for key, logical := range map[string]string{
+		"": "", "a": "a", "key-7": "key-7", "auction|1234": "auction|1234", "\xff\x10binary": "\xff\x10binary",
+		"\x00\xff\x10binary": "", "k\x007": "k", testWinKey("k\x007", 300): "k", "k\x007\x00s1": "k",
+	} {
 		h := fnv.New32a()
-		h.Write([]byte(key))
+		h.Write([]byte(logical))
+		if got := KeyHash(key); got != h.Sum32() {
+			t.Errorf("KeyHash(%q) = %d, fnv of %q is %d", key, got, logical, h.Sum32())
+		}
 		want := int(h.Sum32() % uint32(DefaultKeyGroups))
 		if got := KeyGroupOf(key, DefaultKeyGroups); got != want {
-			t.Errorf("KeyGroupOf(%q) = %d, fnv says %d", key, got, want)
+			t.Errorf("KeyGroupOf(%q) = %d, fnv of %q says %d", key, got, logical, want)
 		}
 	}
 }
@@ -141,14 +149,14 @@ func TestRepartitionOwnership(t *testing.T) {
 	total := 0
 	restoreStore := NewStore(nil, Options{NumKeyGroups: G})
 	for i, img := range split {
-		groups, err := decodeImageGroups(img, G)
+		groups, err := decodeImageGroups(img, G, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := RangeFor(i, q, G)
-		for g := range groups {
-			if !r.Contains(g) {
-				t.Errorf("new task %d (range %v) holds group %d", i, r, g)
+		for _, d := range groups {
+			if !r.Contains(d.g) {
+				t.Errorf("new task %d (range %v) holds group %d", i, r, d.g)
 			}
 		}
 		ns := restoreStore.Namespace(fmt.Sprintf("t%d", i))
@@ -162,32 +170,92 @@ func TestRepartitionOwnership(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsForeignImage: Restore goes through the one image
-// decoder, so the flat pre-key-group layout (nothing has produced it since
-// the grouped layout landed), an unknown field, an out-of-range group and a
-// repeated group are errors — never a namespace silently restored empty or
-// partial — and a rejected restore leaves the contents alone.
-func TestRestoreRejectsForeignImage(t *testing.T) {
-	ns := NewStore(nil, Options{NumKeyGroups: 8}).Namespace("t")
-	ns.Put("keep", []byte("v"))
-	for name, img := range map[string]string{
-		"flat layout":         `{"data":[{"k":"a2V5LTE=","v":"djE="}],"lists":[{"k":"bGs=","v":["eA=="]}]}`,
-		"unknown field":       `{"groups":[],"version":3}`,
-		"unknown group field": `{"groups":[{"g":1,"extra":true}]}`,
-		"group out of range":  `{"groups":[{"g":8}]}`,
-		"group twice":         `{"groups":[{"g":1},{"g":1}]}`,
-		"not json":            `groups`,
-		// "a" hashes to group 4 of 8.
-		"key twice":       `{"groups":[{"g":4,"data":[{"k":"YQ==","v":"MQ=="},{"k":"YQ==","v":"Mg=="}]}]}`,
-		"list key twice":  `{"groups":[{"g":4,"lists":[{"k":"YQ==","v":["MQ=="]},{"k":"YQ==","v":["Mg=="]}]}]}`,
-		"key misfiled":    `{"groups":[{"g":5,"data":[{"k":"YQ==","v":"MQ=="}]}]}`,
-		"keys descending": `{"groups":[{"g":4,"data":[{"k":"YQBi","v":""},{"k":"YQBh","v":""}]}]}`,
-	} {
-		if err := ns.Restore([]byte(img)); err == nil {
-			t.Errorf("%s: restored without error", name)
+// imageOf assembles an image by hand: an int is a uvarint, a string a field
+// (its length, then its bytes), a []byte goes in as it is.
+func imageOf(parts ...any) []byte {
+	buf := []byte(imageMagic)
+	for _, p := range parts {
+		switch p := p.(type) {
+		case int:
+			buf = binary.AppendUvarint(buf, uint64(p))
+		case string:
+			buf = appendField(buf, p)
+		case []byte:
+			buf = append(buf, p...)
 		}
-		if v, ok := ns.Get("keep"); !ok || string(v) != "v" {
-			t.Fatalf("%s: rejected restore changed the namespace", name)
+	}
+	return buf
+}
+
+// TestRestoreRejectsForeignImage: Restore goes through the one image
+// decoder, so anything that is not a whole image in the binary layout — the
+// JSON image of protocol 6 among them — a group out of range or repeated, a
+// key repeated, misfiled or out of order and a count or length the bytes
+// cannot back are errors that say what is wrong, never a namespace silently
+// restored empty or partial; a rejected restore leaves the contents alone and
+// allocates nothing sized by what the image claims.
+func TestRestoreRejectsForeignImage(t *testing.T) {
+	const G = 8 // "a", and any "a\x00…", hashes to group 4 of 8
+	ns := NewStore(nil, Options{NumKeyGroups: G}).Namespace("t")
+	ns.Put("keep", []byte("v"))
+	valid := imageOf(1, 4, 1, "a", "1", 1, "a\x00s0", 2, "x", "yz")
+	if err := NewStore(nil, Options{NumKeyGroups: G}).Namespace("v").Restore(valid); err != nil {
+		t.Fatalf("the image the rows below are cut from does not restore: %v", err)
+	}
+	const huge = 1 << 40
+	rows := []struct {
+		name, why string
+		img       []byte
+	}{
+		{"group out of range", "group 8 outside [0,8)", imageOf(1, 8, 0, 0)},
+		{"group twice", "group 1 twice", imageOf(2, 1, 0, 0, 1, 0, 0)},
+		{"groups descending", "group 1 after group 2", imageOf(2, 2, 0, 0, 1, 0, 0)},
+		{"key twice", `key "a" out of place`, imageOf(1, 4, 2, "a", "1", "a", "2", 0)},
+		{"list key twice", `list key "a" out of place`, imageOf(1, 4, 0, 2, "a", 1, "1", "a", 1, "2")},
+		{"key misfiled", `key "a" out of place in group 5`, imageOf(1, 5, 1, "a", "1", 0)},
+		{"keys descending", `key "a\x00a" out of place`, imageOf(1, 4, 2, "a\x00b", "", "a\x00a", "", 0)},
+		{"the old JSON image", "JSON layout", []byte(`{"groups":[{"g":4,"data":[{"k":"YQ==","v":"MQ=="}]}]}`)},
+		{"the old empty JSON image", "JSON layout", []byte(`{}`)},
+		{"bad magic", "magic", append([]byte("CKG\x02"), valid[len(imageMagic):]...)},
+		{"shorter than the magic", "magic", []byte("CK")},
+		{"one trailing byte", "1 bytes after its last group", append(append([]byte(nil), valid...), 0)},
+		{"group count beyond the image", "group count", imageOf(huge)},
+		{"entry count beyond the image", "entry count", imageOf(1, 4, huge)},
+		{"key length beyond the image", "key 1099511627776 with", imageOf(1, 4, 1, huge)},
+		{"value length beyond the image", "value length", imageOf(1, 4, 1, "a", huge)},
+		{"list count beyond the image", "list count", imageOf(1, 4, 0, huge)},
+		{"list size beyond the image", "list size", imageOf(1, 4, 0, 1, "a", huge)},
+		{"list value length beyond the image", "list value length", imageOf(1, 4, 0, 1, "a", 1, huge)},
+		{"unterminated uvarint", "truncated or corrupt", imageOf([]byte{0x80})},
+		{"overlong uvarint", "truncated or corrupt", imageOf(bytes.Repeat([]byte{0x80}, 11))},
+		// The run holds two values: with n one more the reader runs off the end,
+		// with n one less the second value is left over.
+		{"list longer than its run", "truncated or corrupt", imageOf(1, 4, 0, 1, "a", 3, "x", "yz")},
+		{"list shorter than its run", "after its last group", imageOf(1, 4, 0, 1, "a", 1, "x", "yz")},
+	}
+	for i := 1; i < len(valid); i++ {
+		rows = append(rows, struct {
+			name, why string
+			img       []byte
+		}{fmt.Sprintf("truncated to %d of %d bytes", i, len(valid)), "", valid[:i]})
+	}
+	for _, tc := range rows {
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		err := ns.Restore(tc.img)
+		_, _, rerr := Repartition([][]byte{tc.img}, 1, 2, G)
+		runtime.ReadMemStats(&ms1)
+		if err == nil || !strings.Contains(err.Error(), tc.why) {
+			t.Errorf("%s: Restore error %v, want one naming %q", tc.name, err, tc.why)
+		}
+		if rerr == nil || !strings.Contains(rerr.Error(), tc.why) {
+			t.Errorf("%s: Repartition error %v, want one naming %q", tc.name, rerr, tc.why)
+		}
+		if got := ms1.TotalAlloc - ms0.TotalAlloc; got > 16<<10 {
+			t.Errorf("%s: refusing a %d-byte image allocated %d bytes", tc.name, len(tc.img), got)
+		}
+		if v, ok := ns.Get("keep"); !ok || string(v) != "v" || ns.Keys() != 1 {
+			t.Fatalf("%s: rejected restore changed the namespace", tc.name)
 		}
 	}
 	if err := ns.Restore(nil); err != nil || ns.Keys() != 0 {
@@ -258,30 +326,30 @@ func FuzzKeyGroupPartition(f *testing.F) {
 		}
 		seen := map[int]bool{}
 		for i, img := range split {
-			groups, err := decodeImageGroups(img, G)
+			groups, err := decodeImageGroups(img, G, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			r := RangeFor(i, q, G)
-			for g := range groups {
-				if seen[g] {
-					t.Fatalf("group %d appears in two new images", g)
+			for _, d := range groups {
+				if seen[d.g] {
+					t.Fatalf("group %d appears in two new images", d.g)
 				}
-				seen[g] = true
-				if !r.Contains(g) {
-					t.Fatalf("new task %d (range %v) holds group %d", i, r, g)
+				seen[d.g] = true
+				if !r.Contains(d.g) {
+					t.Fatalf("new task %d (range %v) holds group %d", i, r, d.g)
 				}
 			}
 		}
 		// No group orphaned: every group present before is present after.
 		for _, img := range images {
-			groups, err := decodeImageGroups(img, G)
+			groups, err := decodeImageGroups(img, G, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for g := range groups {
-				if !seen[g] {
-					t.Fatalf("group %d orphaned by split", g)
+			for _, d := range groups {
+				if !seen[d.g] {
+					t.Fatalf("group %d orphaned by split", d.g)
 				}
 			}
 		}

@@ -10,6 +10,7 @@
 package statebackend
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 )
@@ -72,12 +73,7 @@ func (s *Store) Namespace(name string) *Namespace {
 	defer s.mu.Unlock()
 	ns, ok := s.spaces[name]
 	if !ok {
-		ns = &Namespace{
-			store: s,
-			name:  name,
-			data:  make(map[string][]byte),
-			lists: make(map[string][][]byte),
-		}
+		ns = &Namespace{store: s, name: name, contents: newContents()}
 		s.spaces[name] = ns
 	}
 	return ns
@@ -112,18 +108,39 @@ func (s *Store) TotalBytes() int {
 
 // Namespace is one task's keyspace.
 type Namespace struct {
-	store   *Store
-	name    string
-	mu      sync.Mutex
-	data    map[string][]byte
-	lists   map[string][][]byte
-	bytes   int
+	store *Store
+	name  string
+	mu    sync.Mutex
+	contents
 	account AccountFunc // overrides store.account when non-nil; guarded by mu
 
 	readBytes  int
 	writeBytes int
 	reads      int
 	writes     int
+}
+
+// contents is what a namespace holds and what a snapshot image describes.
+// Stored bytes are never written again: Put and Append store fresh bytes, a
+// run only grows past its end or is dropped whole. That is what lets Snapshot
+// encode, and List hand out, slices of them without copying.
+type contents struct {
+	data  map[string][]byte
+	lists map[string]listRun
+	bytes int // len(key)+len(value) per KV entry, len(key)+sum(len(value)) per list
+}
+
+// listRun is one key's list state: its values back to back, each behind its
+// uvarint length — byte for byte the body of the key's list entry in a
+// snapshot image, so a snapshot or a restore moves a list with one copy.
+type listRun struct {
+	run   []byte
+	n     int // values in run
+	bytes int // sum of their lengths, without the length prefixes
+}
+
+func newContents() contents {
+	return contents{data: make(map[string][]byte), lists: make(map[string]listRun)}
 }
 
 // SetAccount overrides the store-level accounting callback for this
@@ -137,64 +154,58 @@ func (ns *Namespace) SetAccount(f AccountFunc) {
 	ns.mu.Unlock()
 }
 
-// chargeRead updates counters under ns.mu (caller must NOT hold it) and then
-// invokes the accounting callback outside any lock, since it may block on a
-// bandwidth meter.
-func (ns *Namespace) chargeRead(n int) {
+// noteReadLocked counts one read of n bytes. The caller holds ns.mu, and once
+// it has unlocked calls the returned callback with the returned amount: the
+// callback may block on a bandwidth meter, so it never runs under the lock.
+func (ns *Namespace) noteReadLocked(n int) (AccountFunc, int) {
 	amp := int(float64(n) * ns.store.opts.ReadAmplification)
-	ns.mu.Lock()
 	ns.reads++
 	ns.readBytes += amp
-	account := ns.account
-	ns.mu.Unlock()
-	if account == nil {
-		account = ns.store.account
-	}
-	account(amp, 0)
+	return ns.accountLocked(), amp
 }
 
-func (ns *Namespace) chargeWrite(n int) {
+// noteWriteLocked is noteReadLocked for a write.
+func (ns *Namespace) noteWriteLocked(n int) (AccountFunc, int) {
 	amp := int(float64(n) * ns.store.opts.WriteAmplification)
-	ns.mu.Lock()
 	ns.writes++
 	ns.writeBytes += amp
-	account := ns.account
-	ns.mu.Unlock()
-	if account == nil {
-		account = ns.store.account
+	return ns.accountLocked(), amp
+}
+
+func (ns *Namespace) accountLocked() AccountFunc {
+	if ns.account != nil {
+		return ns.account
 	}
-	account(0, amp)
+	return ns.store.account
 }
 
 // Put stores value under key.
 func (ns *Namespace) Put(key string, value []byte) {
+	cp := append([]byte(nil), value...)
 	ns.mu.Lock()
 	old, existed := ns.data[key]
-	cp := append([]byte(nil), value...)
 	ns.data[key] = cp
 	if existed {
 		ns.bytes += len(cp) - len(old)
 	} else {
 		ns.bytes += len(key) + len(cp)
 	}
+	account, n := ns.noteWriteLocked(len(key) + len(value))
 	ns.mu.Unlock()
-	ns.chargeWrite(len(key) + len(value))
+	account(0, n)
 }
 
 // Get retrieves the value stored under key.
 func (ns *Namespace) Get(key string) ([]byte, bool) {
 	ns.mu.Lock()
 	v, ok := ns.data[key]
-	var cp []byte
-	if ok {
-		cp = append([]byte(nil), v...)
-	}
+	account, n := ns.noteReadLocked(len(key) + len(v))
 	ns.mu.Unlock()
-	ns.chargeRead(len(key) + len(cp))
+	account(n, 0)
 	if !ok {
 		return nil, false
 	}
-	return cp, true
+	return append([]byte(nil), v...), true
 }
 
 // Delete removes key and reports whether it existed.
@@ -205,36 +216,47 @@ func (ns *Namespace) Delete(key string) bool {
 		delete(ns.data, key)
 		ns.bytes -= len(key) + len(v)
 	}
+	account, n := ns.noteWriteLocked(len(key))
 	ns.mu.Unlock()
-	ns.chargeWrite(len(key))
+	account(0, n)
 	return ok
 }
 
 // Append adds value to the list stored under key (Flink's ListState.add).
 func (ns *Namespace) Append(key string, value []byte) {
-	cp := append([]byte(nil), value...)
 	ns.mu.Lock()
-	if _, ok := ns.lists[key]; !ok {
+	l, ok := ns.lists[key]
+	if !ok {
 		ns.bytes += len(key)
 	}
-	ns.lists[key] = append(ns.lists[key], cp)
-	ns.bytes += len(cp)
+	l.run = append(binary.AppendUvarint(l.run, uint64(len(value))), value...)
+	l.n++
+	l.bytes += len(value)
+	ns.lists[key] = l
+	ns.bytes += len(value)
+	account, n := ns.noteWriteLocked(len(key) + len(value))
 	ns.mu.Unlock()
-	ns.chargeWrite(len(key) + len(value))
+	account(0, n)
 }
 
-// List returns all values appended under key, in insertion order.
+// List returns all values appended under key, in insertion order. The values
+// are views into the namespace's own bytes: read them, do not write them.
+// They stay valid, and unchanged, across any later operation on the
+// namespace (see contents).
 func (ns *Namespace) List(key string) [][]byte {
 	ns.mu.Lock()
-	vals := ns.lists[key]
-	out := make([][]byte, len(vals))
-	total := len(key)
-	for i, v := range vals {
-		out[i] = append([]byte(nil), v...)
-		total += len(v)
-	}
+	l := ns.lists[key]
+	account, n := ns.noteReadLocked(len(key) + l.bytes)
 	ns.mu.Unlock()
-	ns.chargeRead(total)
+	account(n, 0)
+	out := make([][]byte, l.n)
+	run := l.run
+	for i := range out {
+		size, w := binary.Uvarint(run)
+		end := w + int(size)
+		out[i] = run[w:end:end]
+		run = run[end:]
+	}
 	return out
 }
 
@@ -242,18 +264,15 @@ func (ns *Namespace) List(key string) [][]byte {
 // it held.
 func (ns *Namespace) ClearList(key string) int {
 	ns.mu.Lock()
-	vals, ok := ns.lists[key]
-	n := len(vals)
+	l, ok := ns.lists[key]
 	if ok {
 		delete(ns.lists, key)
-		ns.bytes -= len(key)
-		for _, v := range vals {
-			ns.bytes -= len(v)
-		}
+		ns.bytes -= len(key) + l.bytes
 	}
+	account, n := ns.noteWriteLocked(len(key))
 	ns.mu.Unlock()
-	ns.chargeWrite(len(key))
-	return n
+	account(0, n)
+	return l.n
 }
 
 // Scan calls fn for every storage key the namespace holds, in unspecified

@@ -102,6 +102,33 @@ func TestAccounting(t *testing.T) {
 	if st.Reads != 1 || st.Writes != 1 || st.ReadBytes != 8 || st.WriteBytes != 8 {
 		t.Errorf("stats = %+v", st)
 	}
+	// Every operation is charged key + value bytes, never a length prefix,
+	// once to the callback and once to the counters.
+	for _, op := range []struct {
+		name          string
+		do            func()
+		reads, writes int
+	}{
+		{"Get of a missing key", func() { ns.Get("nope") }, 4, 0},
+		{"Delete", func() { ns.Delete("key") }, 0, 3},
+		{"Append", func() { ns.Append("list", make([]byte, 200)) }, 0, 204},
+		{"second Append", func() { ns.Append("list", []byte("xy")) }, 0, 6},
+		{"List", func() { ns.List("list") }, 206, 0},
+		{"List of a missing key", func() { ns.List("none") }, 4, 0},
+		{"ClearList", func() { ns.ClearList("list") }, 0, 4},
+	} {
+		reads, writes = 0, 0
+		before := ns.Stats()
+		op.do()
+		after := ns.Stats()
+		if reads != op.reads || writes != op.writes {
+			t.Errorf("%s charged reads=%d writes=%d, want %d and %d", op.name, reads, writes, op.reads, op.writes)
+		}
+		if after.ReadBytes-before.ReadBytes != op.reads || after.WriteBytes-before.WriteBytes != op.writes ||
+			after.Reads+after.Writes != before.Reads+before.Writes+1 {
+			t.Errorf("%s moved the counters from %+v to %+v", op.name, before, after)
+		}
+	}
 }
 
 func TestAmplification(t *testing.T) {
