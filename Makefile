@@ -55,15 +55,15 @@ fuzz:
 # scratch evaluation, cold vs warm start) with threshold auto-tuning
 # (searches against probes) and namespace images (snapshot, restore and
 # repartition of a join-shaped and a window-shaped state), and the data plane
-# (the wire codec alone, the batched sender alone, then short runs of a few
-# query shapes per transport). They record nothing; performance claims rest on
-# `make benchmark`.
+# (the wire codec alone, the batched sender alone, the window operator alone,
+# then short runs of a few query shapes per transport). They record nothing;
+# performance claims rest on `make benchmark`.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSearch|BenchmarkAutoTune' -benchmem ./internal/caps
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshot|BenchmarkRestore|BenchmarkRepartition' -benchmem ./internal/statebackend
 
 bench-engine:
-	$(GO) test -run '^$$' -bench 'BenchmarkWireCodec|BenchmarkBatchedSend|BenchmarkEngineThroughput' -benchmem ./internal/engine
+	$(GO) test -run '^$$' -bench 'BenchmarkWireCodec|BenchmarkBatchedSend|BenchmarkSlidingWindowProcess|BenchmarkEngineThroughput' -benchmem ./internal/engine
 
 # bench-paper runs the original end-to-end paper benchmarks at the repo root.
 bench-paper:

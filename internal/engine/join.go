@@ -16,13 +16,12 @@ type joinBuffer struct {
 	buf []byte // encode scratch; Append copies
 }
 
-func (b *joinBuffer) add(sk string, side int, rec Record) error {
-	var err error
+// add buffers rec under sk and reports whether sk's list is new.
+func (b *joinBuffer) add(sk string, side int, rec Record) (fresh bool, err error) {
 	if b.buf, err = appendStateRecord(b.buf[:0], side, rec); err != nil {
-		return fmt.Errorf("engine: join state for key %q: %w", rec.Key, err)
+		return false, fmt.Errorf("engine: join state for key %q: %w", rec.Key, err)
 	}
-	b.ctx.State.Append(sk, b.buf)
-	return nil
+	return b.ctx.State.Append(sk, b.buf), nil
 }
 
 // each decodes the records buffered under sk, in insertion order.
@@ -70,16 +69,19 @@ func (o *tumblingJoinOp) Process(rec Record, in int, emit Emit) error {
 		return fmt.Errorf("engine: window join input %d out of range", in)
 	}
 	start := rec.Time - rec.Time%o.size
-	if err := o.add(winKey(rec.Key, start), in, rec); err != nil {
+	sk := winKey(rec.Key, start)
+	fresh, err := o.add(sk, in, rec)
+	if err != nil {
 		return err
 	}
-	o.ends.add(start+o.size, rec.Key)
+	if fresh {
+		o.ends.add(start+o.size, sk)
+	}
 	return o.fire(o.ctx.Watermark(), emit)
 }
 
 func (o *tumblingJoinOp) fire(watermark int64, emit Emit) error {
-	return o.ends.fire(watermark, func(end int64, key string) error {
-		sk := winKey(key, end-o.size)
+	return o.ends.fire(watermark, func(_ int64, sk string) error {
 		var sides [2][]Record
 		if err := o.each(sk, func(side int, rec Record) {
 			sides[side] = append(sides[side], rec)
@@ -154,7 +156,8 @@ func (o *incrementalJoinOp) Process(rec Record, in int, emit Emit) error {
 	if o.perKeyCap > 0 && len(o.ctx.State.List(mine)) >= o.perKeyCap {
 		return nil // bounded state: drop the oldest semantics simplified to drop-new
 	}
-	return o.add(mine, in, rec)
+	_, err := o.add(mine, in, rec)
+	return err
 }
 
 func (o *incrementalJoinOp) Close(Emit) error { return nil }

@@ -3,7 +3,7 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"capsys/internal/statebackend"
 )
@@ -138,11 +138,15 @@ func NewSink(fn SinkFunc) Operator { return &sinkOp{fn: fn} }
 
 // --- Windows ----------------------------------------------------------------
 
-// AggFunc folds a record into an accumulator (JSON-encoded in state).
+// AggFunc folds a record into an accumulator (JSON-encoded in state). acc is
+// nil for a new accumulator, and otherwise a view of the stored bytes
+// (statebackend.Namespace.Get): read it, do not write it. The operator stores
+// a copy of the result.
 type AggFunc func(acc []byte, rec Record) []byte
 
 // WindowResultFunc turns a closed window's accumulator into an output
-// record.
+// record. acc is a view of the stored bytes, as an AggFunc's is: read it, do
+// not write it.
 type WindowResultFunc func(key string, windowStart, windowEnd int64, acc []byte) Record
 
 // winKey is the storage key of one (record key, window start) pair. The NUL
@@ -155,7 +159,8 @@ func winKey(key string, start int64) string {
 }
 
 // splitWinKey is winKey's inverse. It reads the start from the last 8 bytes,
-// so it does not depend on what the record key contains.
+// so it does not depend on what the record key contains: the record key is
+// all but the last 9 bytes.
 func splitWinKey(sk string) (key string, start int64, ok bool) {
 	n := len(sk) - 9
 	if n < 0 || sk[n] != 0 {
@@ -165,52 +170,52 @@ func splitWinKey(sk string) (key string, start int64, ok bool) {
 }
 
 // windowIndex is the firing index of a windowed operator: the open window
-// ends and, per end, the record keys holding state in that window. It is
-// derived state — an (end, key) entry exists exactly when winKey(key,
-// end-size) is stored — so a task rebuilds it from its namespace in Open
-// (the runtime restores the namespace first) and it is never snapshotted or
-// repartitioned on its own.
-type windowIndex map[int64]map[string]bool
+// ends and, per end, the storage keys (winKey) of the windows ending there,
+// in the order they were first touched. It is derived state — an end lists a
+// storage key exactly once, exactly while the namespace holds it — so a task
+// rebuilds it from its namespace in Open (the runtime restores the namespace
+// first) and it is never snapshotted or repartitioned on its own. Operators
+// add a key only when its state is new, which keeps it listed once.
+type windowIndex map[int64][]string
 
-func (x windowIndex) add(end int64, key string) {
-	if x[end] == nil {
-		x[end] = make(map[string]bool)
-	}
-	x[end][key] = true
-}
+func (x windowIndex) add(end int64, sk string) { x[end] = append(x[end], sk) }
 
 // rebuild indexes every window the namespace holds; size is the window
-// length. A storage key that is not a window key fails the task.
+// length. A restored end fires its keys in key order: the namespace has no
+// first-touch order to offer. A storage key that is not a window key fails
+// the task.
 func (x windowIndex) rebuild(ns *statebackend.Namespace, size int64) error {
 	var err error
 	ns.Scan(func(sk string, _ []byte) {
-		if key, start, ok := splitWinKey(sk); ok {
-			x.add(start+size, key)
+		if _, start, ok := splitWinKey(sk); ok {
+			x.add(start+size, sk)
 		} else if err == nil {
 			err = fmt.Errorf("engine: state key %q is not a window key", sk)
 		}
 	})
+	for _, sks := range x {
+		slices.Sort(sks)
+	}
 	return err
 }
 
-// fire calls each, in (end, key) order, for every indexed window the
-// watermark has passed, and drops those windows from the index.
-func (x windowIndex) fire(watermark int64, each func(end int64, key string) error) error {
+// fire calls each for every indexed window the watermark has passed — ends in
+// ascending order, an end's storage keys in index order — and drops those
+// windows from the index.
+func (x windowIndex) fire(watermark int64, each func(end int64, sk string) error) error {
 	var fired []int64
 	for end := range x {
 		if end <= watermark {
 			fired = append(fired, end)
 		}
 	}
-	sort.Slice(fired, func(i, j int) bool { return fired[i] < fired[j] })
+	if len(fired) == 0 {
+		return nil
+	}
+	slices.Sort(fired)
 	for _, end := range fired {
-		keys := make([]string, 0, len(x[end]))
-		for k := range x[end] {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			if err := each(end, key); err != nil {
+		for _, sk := range x[end] {
+			if err := each(end, sk); err != nil {
 				return err
 			}
 		}
@@ -259,21 +264,20 @@ func (o *slidingWindowOp) Process(rec Record, _ int, emit Emit) error {
 			break
 		}
 		sk := winKey(rec.Key, start)
-		acc, _ := o.ctx.State.Get(sk)
+		acc, ok := o.ctx.State.Get(sk)
 		o.ctx.State.Put(sk, o.agg(acc, rec))
-		o.ends.add(start+o.size, rec.Key)
+		if !ok {
+			o.ends.add(start+o.size, sk)
+		}
 	}
 	return o.fire(o.ctx.Watermark(), emit)
 }
 
 func (o *slidingWindowOp) fire(watermark int64, emit Emit) error {
-	return o.ends.fire(watermark, func(end int64, key string) error {
-		start := end - o.size
-		sk := winKey(key, start)
-		if acc, ok := o.ctx.State.Get(sk); ok {
-			emit(o.result(key, start, end, acc))
-			o.ctx.State.Delete(sk)
-		}
+	return o.ends.fire(watermark, func(end int64, sk string) error {
+		acc, _ := o.ctx.State.Get(sk) // stored: the index lists only stored keys
+		emit(o.result(sk[:len(sk)-9], end-o.size, end, acc))
+		o.ctx.State.Delete(sk)
 		return nil
 	})
 }
@@ -378,7 +382,7 @@ func (o *sessionWindowOp) Close(emit Emit) error {
 	for k := range o.open {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	for _, k := range keys {
 		o.close(k, o.open[k], emit)
 	}

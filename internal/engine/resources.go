@@ -170,8 +170,10 @@ func (m *Meter) Utilization() float64 {
 // snapshot readers never contend with the hot path and no update can be
 // lost. Struck tokens also pool locally until Draw pays them into the
 // token bucket in one coalesced deduction — the "one draw per batch or
-// fused-chain pass" discipline. The trailing pad keeps two shards from
-// sharing a cache line, so one task's stores never invalidate another's.
+// fused-chain pass" discipline. Callbacks that run inside a record's
+// processing (the state backend's IO accounting) may therefore only Strike;
+// the task loop draws. The trailing pad keeps two shards from sharing a
+// cache line, so one task's stores never invalidate another's.
 type MeterShard struct {
 	m *Meter
 	// bits publishes the shard's cumulative struck tokens (float64 bits).
@@ -214,14 +216,14 @@ func (s *MeterShard) Strike(n float64) {
 
 // Draw pays every token struck since the last Draw into the meter's bucket
 // as one coalesced deduction, sleeping off any deficit. Owner goroutine
-// only.
+// only. It stays small enough to inline, so a draw with nothing struck — a
+// source paying for stateless members — is one compare at the call site.
 func (s *MeterShard) Draw() {
 	if s == nil || s.pending <= 0 {
 		return
 	}
-	n := s.pending
+	s.m.draw(s.pending)
 	s.pending = 0
-	s.m.draw(n)
 }
 
 // WorkerResources is one worker's shared resource domain.

@@ -1,10 +1,15 @@
 package engine
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
 	"time"
+
+	"capsys/internal/dataflow"
+	"capsys/internal/telemetry"
 )
 
 // TestMeterShardConcurrentExactness: many goroutines striking their own
@@ -122,6 +127,153 @@ func TestMeterUtilizationSeesShards(t *testing.T) {
 	sh.Strike(1000)
 	if u := m.Utilization(); u <= 0 {
 		t.Errorf("Utilization = %v after striking 1000 tokens, want > 0", u)
+	}
+}
+
+// runKeepAttempt is Job.Run, handing back also the attempt that finished the
+// job, whose meters and namespaces a test can then read.
+func runKeepAttempt(t *testing.T, job *Job) (*JobResult, *attempt) {
+	t.Helper()
+	x := &localExecutor{j: job, faults: newFaultState(job.opts.FaultPlan, job.clk(), job.clk, nil)}
+	res, err := job.sup.Run(context.Background(), x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x.last.exportLocal(res.Metrics)
+	return res, x.last
+}
+
+// TestStateIOPaces: a namespace's callback only strikes its task's IO shard,
+// and the task loop pays the shard into the worker's bucket — once per batch,
+// per record on the unary path, per source record for members fused behind a
+// source. So a stateful window on a worker with a small IOBps still runs at
+// the meter's pace; the meter counts exactly the bytes the namespace was
+// charged; and the strikes of a window fused behind another task are paid
+// while it runs, not all at its finish — which would let every result out at
+// full speed and then sleep.
+func TestStateIOPaces(t *testing.T) {
+	edge := func(from, to dataflow.OperatorID, fwd bool) dataflow.Edge {
+		e := dataflow.Edge{From: from, To: to}
+		if fwd {
+			e.Mode = dataflow.Forward
+		}
+		return e
+	}
+	for _, c := range []struct {
+		name      string
+		transport string
+		edges     []dataflow.Edge
+		fused     bool
+		// head is the operator whose goroutine runs the window: the task
+		// that pays, and waits on, the window's state I/O.
+		head dataflow.OperatorID
+		// stamped attaches telemetry, which makes a source clock each record
+		// on its own instead of over runs of records.
+		stamped bool
+	}{
+		{"fused-behind-operator", TransportBatched,
+			[]dataflow.Edge{edge("src", "map", false), edge("map", "win", true), edge("win", "sink", false)}, true, "map", false},
+		{"fused-behind-source", TransportBatched,
+			[]dataflow.Edge{edge("src", "win", true), edge("win", "sink", false)}, true, "src", false},
+		{"fused-behind-stamped-source", TransportBatched,
+			[]dataflow.Edge{edge("src", "win", true), edge("win", "sink", false)}, true, "src", true},
+		{"unary", TransportUnary,
+			[]dataflow.Edge{edge("src", "map", false), edge("map", "win", false), edge("win", "sink", false)}, false, "win", false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var arrivals []time.Duration
+			var start time.Time
+			run := func(ioBps float64) (*JobResult, *attempt) {
+				g := dataflow.NewLogicalGraph()
+				kinds := map[dataflow.OperatorID]dataflow.OperatorKind{"src": dataflow.KindSource, "map": dataflow.KindMap, "win": dataflow.KindWindow}
+				for _, e := range c.edges {
+					if err := g.AddOperator(dataflow.Operator{ID: e.From, Kind: kinds[e.From], Parallelism: 1, Selectivity: 1}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := g.AddOperator(dataflow.Operator{ID: "sink", Kind: dataflow.KindSink, Parallelism: 1}); err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range c.edges {
+					if err := g.AddEdge(e); err != nil {
+						t.Fatal(err)
+					}
+				}
+				factories := map[dataflow.OperatorID]Factory{
+					"src": func(*TaskContext) (any, error) {
+						return NewSource(func(_, i int64) (Record, bool) {
+							return Record{Key: fmt.Sprintf("k%d", i%40), Value: i, Time: i}, true
+						}), nil
+					},
+					"map": func(*TaskContext) (any, error) { return NewMap(func(r Record) Record { return r }), nil },
+					"win": func(*TaskContext) (any, error) { return NewSlidingWindow(50, 50, countAgg, countResult), nil },
+					"sink": func(*TaskContext) (any, error) {
+						return NewSink(func(Record) { arrivals = append(arrivals, time.Since(start)) }), nil
+					},
+				}
+				spec := ClusterSpec{Workers: []WorkerSpec{{ID: "w0", Slots: 4, Cores: 1e6, IOBps: ioBps, NetBps: 1e12}}}
+				var tel *telemetry.Telemetry
+				if c.stamped {
+					tel = telemetry.New()
+				}
+				job, err := NewJob(g, roundRobinPlan(t, g, 1), spec, factories, JobOptions{
+					RecordsPerSource: 3000,
+					Transport:        c.transport,
+					Stateful:         map[dataflow.OperatorID]bool{"win": true},
+					Telemetry:        tel,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				arrivals, start = nil, time.Now()
+				return runKeepAttempt(t, job)
+			}
+			charged := func(att *attempt) float64 {
+				total := 0
+				for _, rt := range att.tasks {
+					if rt.ctx.State != nil {
+						st := rt.ctx.State.Stats()
+						total += st.ReadBytes + st.WriteBytes
+					}
+				}
+				return float64(total)
+			}
+
+			// The bytes charged are a function of the stream alone, so an
+			// unmetered run sizes the meter: 250 ms of state I/O, the first
+			// 50 ms of it covered by the bucket's burst.
+			res, att := run(1e12)
+			if _, ok := res.Metrics.Snapshot()["engine.fuse.tasks"]; ok != c.fused {
+				t.Fatalf("run reports fusion=%v, want %v", ok, c.fused)
+			}
+			rate := charged(att) / 0.25
+			res, att = run(rate)
+			elapsed := time.Since(start)
+			io := att.workers[0].IO
+			if got, want := io.Consumed(), charged(att); got != want {
+				t.Errorf("IO meter consumed %v tokens, the namespace was charged %v bytes", got, want)
+			}
+			for _, sh := range *io.shards.Load() {
+				if sh.pending != 0 {
+					t.Errorf("a shard ended the run with %v tokens struck and not drawn", sh.pending)
+				}
+			}
+			if floor := time.Duration(0.8 * 0.2 * float64(time.Second)); res.Elapsed < floor {
+				t.Errorf("job took %v at %.0f B/s; 200 ms of metered state I/O must take at least %v", res.Elapsed, rate, floor)
+			}
+			// Waiting on the IO bucket is part of processing: the task paying
+			// the window's state I/O is saturated and must look busy, or DS2
+			// would read its capacity as far above what it can do.
+			if uf := res.Tasks[dataflow.TaskID{Op: c.head}].UsefulFraction; uf < 0.7 {
+				t.Errorf("%s's useful fraction is %.2f while state I/O paces it; waiting on the IO meter must count as busy", c.head, uf)
+			}
+			if len(arrivals) == 0 {
+				t.Fatal("the sink saw no results")
+			}
+			if mid := arrivals[len(arrivals)/2]; mid < elapsed/4 {
+				t.Errorf("half the results reached the sink %v into a %v run: the window's state I/O was not paced while it ran", mid, elapsed)
+			}
+		})
 	}
 }
 

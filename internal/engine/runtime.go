@@ -478,8 +478,8 @@ func (j *Job) buildAttempt(no int, plan *dataflow.Plan, coord coordinator, fault
 	stores := make([]*statebackend.Store, len(j.spec.Workers))
 	for i, ws := range j.spec.Workers {
 		workers[i] = NewWorkerResources(ws.ID, ws.Cores, ws.IOBps, ws.NetBps)
-		// Every namespace charges its own IO-meter shard (SetAccount below),
-		// so the store itself accounts nothing.
+		// Every namespace charges its task goroutine's IO-meter shard
+		// (SetAccount below), so the store itself accounts nothing.
 		stores[i] = statebackend.NewStore(nil, j.opts.StateOptions)
 	}
 	a.workers = workers
@@ -551,6 +551,7 @@ func (j *Job) buildAttempt(no int, plan *dataflow.Plan, coord coordinator, fault
 		// Consumed()/Utilization() still see every token.
 		rt.cpuShard = workers[w].CPU.NewShard()
 		rt.netShard = workers[w].Net.NewShard()
+		rt.ioShard = workers[w].IO.NewShard()
 		rt.chanWM = make([]int64, rt.numIn)
 		for i := range rt.chanWM {
 			rt.chanWM[i] = minInt64
@@ -568,15 +569,11 @@ func (j *Job) buildAttempt(no int, plan *dataflow.Plan, coord coordinator, fault
 		snap := coord.snapshotFor(t, restoreEpoch)
 		if j.opts.Stateful[t.Op] {
 			tctx.State = stores[w].Namespace(t.String())
-			// State I/O goes through the task's own shard of the worker's IO
-			// meter. A namespace belongs to exactly one task — fused members
-			// included, since a fused chain runs on one goroutine — so the
-			// single-writer shard contract holds.
-			ioShard := workers[w].IO.NewShard()
-			tctx.State.SetAccount(func(r, w int) {
-				ioShard.Strike(float64(r + w))
-				ioShard.Draw()
-			})
+			// State I/O is only struck on the IO shard of the goroutine that
+			// runs the task — a fused member's is its chain head's
+			// (shareChain) — and the task loop pays the shard into the bucket
+			// once per batch, like CPU.
+			tctx.State.SetAccount(func(r, w int) { rt.ioShard.Strike(float64(r + w)) })
 			if snap != nil {
 				if err := tctx.State.Restore(snap.NSState); err != nil {
 					return nil, fmt.Errorf("engine: restore state of %v: %w", t, err)
@@ -601,6 +598,8 @@ func (j *Job) buildAttempt(no int, plan *dataflow.Plan, coord coordinator, fault
 			return nil, err
 		}
 		rt.op = inst
+		// State I/O struck while building (a restore) is paid at deployment.
+		rt.ioShard.Draw()
 		if snap != nil {
 			rt.recordsIn = snap.RecordsIn
 			rt.recordsOut = snap.RecordsOut
@@ -695,13 +694,17 @@ func (j *Job) buildAttempt(no int, plan *dataflow.Plan, coord coordinator, fault
 		return nil, fmt.Errorf("engine: distributed attempts require the %s transport, have %s", TransportNetwork, j.opts.Transport)
 	}
 	a.base = a.reg.TypedSnapshot()
-	// One cached linger clock per task goroutine (a fused chain is one).
-	if j.opts.Transport != TransportUnary && j.opts.BatchLinger >= 0 {
-		for _, rt := range tasks {
-			if !rt.fusedIn {
-				rt.shareClock(new(time.Duration))
-				rt.readClock()
+	// One cached linger clock and one IO shard per task goroutine (a fused
+	// chain is one).
+	lingers := j.opts.Transport != TransportUnary && j.opts.BatchLinger >= 0
+	for _, rt := range tasks {
+		if !rt.fusedIn {
+			var clock *time.Duration
+			if lingers {
+				clock = new(time.Duration)
 			}
+			rt.shareChain(clock, rt.ioShard)
+			rt.readClock()
 		}
 	}
 	// Restore round-robin routing positions so rebalance partitioning

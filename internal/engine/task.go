@@ -33,12 +33,14 @@ type taskRuntime struct {
 	cpuCost float64
 	isSink  bool
 
-	// cpuShard/netShard are this task's private shards of the worker's CPU
-	// and network meters. Only this task's goroutine strikes them (a fused
-	// member is driven by its chain head's goroutine, preserving the
-	// single-writer contract).
+	// cpuShard/netShard/ioShard are this task's private shards of the
+	// worker's CPU, network and IO meters. Only this task's goroutine strikes
+	// them (a fused member is driven by its chain head's goroutine, preserving
+	// the single-writer contract). A fused member shares its chain head's
+	// ioShard (shareChain), so one draw pays the whole chain's state I/O.
 	cpuShard *MeterShard
 	netShard *MeterShard
+	ioShard  *MeterShard
 
 	// fusedIn marks a task that runs inline on its chain head's goroutine
 	// (it gets no goroutine of its own); fused lists this task's directly
@@ -125,11 +127,13 @@ func (rt *taskRuntime) readClock() {
 	}
 }
 
-// shareClock gives rt and every member fused behind it the same cached clock.
-func (rt *taskRuntime) shareClock(clock *time.Duration) {
-	rt.clock = clock
+// shareChain gives rt and every member fused behind it the same cached clock
+// and the same IO shard: one goroutine, one clock, one writer. The members'
+// namespaces then strike the shard their chain head's loop draws.
+func (rt *taskRuntime) shareChain(clock *time.Duration, io *MeterShard) {
+	rt.clock, rt.ioShard = clock, io
 	for _, m := range rt.fused {
-		m.shareClock(clock)
+		m.shareChain(clock, io)
 	}
 }
 
@@ -203,6 +207,10 @@ func (a *attempt) processBatch(rt *taskRuntime, opr Operator, msg message) {
 			return
 		}
 	}
+	// One coalesced draw pays the batch's state I/O, the fused members'
+	// included. Waiting on the IO bucket is part of processing the batch, so
+	// it falls inside the busy time.
+	rt.ioShard.Draw()
 	rt.busy += a.clk.Since(t0) - (rt.bp - bpBefore)
 	// One coalesced draw pays the whole batch's striked CPU cost.
 	rt.cpuShard.Draw()
@@ -234,6 +242,8 @@ func (a *attempt) processRecord(rt *taskRuntime, opr Operator, rec Record, in in
 		return
 	}
 	if timed {
+		// A record processed on its own is its own batch for state I/O.
+		rt.ioShard.Draw()
 		// Useful time excludes downstream backpressure accumulated inside
 		// emit, matching how Flink separates busy from backpressured time.
 		rt.busy += a.clk.Since(t0) - (rt.bp - bpBefore)
@@ -346,12 +356,16 @@ func (a *attempt) runSource(ctx context.Context, rt *taskRuntime, src Source) er
 			closeRun()
 			time.Sleep(d)
 		}
+		// A source holds no state, but members fused behind it strike its IO
+		// shard: for them each source record is a batch, paid inside the
+		// record's busy time.
 		if stamped {
 			t0 := a.clk()
 			rt.ingestNS = t0.UnixNano()
 			rt.chargeCPU(rt.cpuCost)
 			bpBefore := rt.bp
 			rt.emit(rec)
+			rt.ioShard.Draw()
 			rt.busy += a.clk.Since(t0) - (rt.bp - bpBefore)
 		} else {
 			if runT0.IsZero() {
@@ -360,6 +374,7 @@ func (a *attempt) runSource(ctx context.Context, rt *taskRuntime, src Source) er
 			}
 			rt.chargeCPU(rt.cpuCost)
 			rt.emit(rec)
+			rt.ioShard.Draw()
 		}
 		if rt.aborted {
 			return nil
@@ -564,6 +579,7 @@ func (rt *taskRuntime) finish(opr Operator) {
 		if err := opr.Close(rt.emitFn); err != nil && rt.failure == nil {
 			rt.failure = err
 		}
+		rt.ioShard.Draw() // the Close-time flush's state I/O
 		rt.busy += clk.Since(t0)
 	}
 	for _, s := range rt.senders {

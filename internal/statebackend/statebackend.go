@@ -16,7 +16,11 @@ import (
 )
 
 // AccountFunc receives the number of bytes read or written by an operation.
-// It may block (e.g. on a token bucket) to enforce bandwidth limits.
+// It runs on the goroutine that made the call, after the namespace lock is
+// released. A store-level callback may block (e.g. on a token bucket) to
+// enforce bandwidth limits; the engine's per-task callback only strikes the
+// task's IO-meter shard, and the task pays the shard into the bucket once per
+// batch (engine.MeterShard).
 type AccountFunc func(readBytes, writeBytes int)
 
 // Options tunes the backend.
@@ -123,7 +127,7 @@ type Namespace struct {
 // contents is what a namespace holds and what a snapshot image describes.
 // Stored bytes are never written again: Put and Append store fresh bytes, a
 // run only grows past its end or is dropped whole. That is what lets Snapshot
-// encode, and List hand out, slices of them without copying.
+// encode, and Get and List hand out, slices of them without copying.
 type contents struct {
 	data  map[string][]byte
 	lists map[string]listRun
@@ -195,7 +199,10 @@ func (ns *Namespace) Put(key string, value []byte) {
 	account(0, n)
 }
 
-// Get retrieves the value stored under key.
+// Get retrieves the value stored under key. The value is a view of the
+// namespace's own bytes, as List's are: read it, do not write it. It stays
+// valid, and unchanged, across any later operation on the namespace (see
+// contents), and its capacity ends where it does, so an append to it copies.
 func (ns *Namespace) Get(key string) ([]byte, bool) {
 	ns.mu.Lock()
 	v, ok := ns.data[key]
@@ -205,7 +212,7 @@ func (ns *Namespace) Get(key string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return append([]byte(nil), v...), true
+	return v[:len(v):len(v)], true
 }
 
 // Delete removes key and reports whether it existed.
@@ -222,8 +229,9 @@ func (ns *Namespace) Delete(key string) bool {
 	return ok
 }
 
-// Append adds value to the list stored under key (Flink's ListState.add).
-func (ns *Namespace) Append(key string, value []byte) {
+// Append adds value to the list stored under key (Flink's ListState.add) and
+// reports whether the list is new: key held no list before this call.
+func (ns *Namespace) Append(key string, value []byte) (fresh bool) {
 	ns.mu.Lock()
 	l, ok := ns.lists[key]
 	if !ok {
@@ -237,6 +245,7 @@ func (ns *Namespace) Append(key string, value []byte) {
 	account, n := ns.noteWriteLocked(len(key) + len(value))
 	ns.mu.Unlock()
 	account(0, n)
+	return !ok
 }
 
 // List returns all values appended under key, in insertion order. The values

@@ -1,6 +1,7 @@
 package statebackend
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -36,24 +37,85 @@ func TestPutGetDelete(t *testing.T) {
 	}
 }
 
-func TestGetReturnsCopy(t *testing.T) {
-	s := NewStore(nil, Options{})
-	ns := s.Namespace("t")
-	ns.Put("k", []byte("abc"))
-	v, _ := ns.Get("k")
-	v[0] = 'X'
-	v2, _ := ns.Get("k")
-	if string(v2) != "abc" {
-		t.Error("Get exposed internal buffer")
+// TestGetViewsStayValid: Get hands out a view of the namespace's own bytes,
+// and nothing the namespace does later to the same key changes what it shows
+// — not a Put over it, not a Delete, not a Restore — nor does a Snapshot
+// encoding the same bytes from another goroutine race with it. A view of a
+// restored value shares its backing array with its neighbours in the image,
+// so an append to it must copy rather than write past its end.
+func TestGetViewsStayValid(t *testing.T) {
+	ns := NewStore(nil, Options{}).Namespace("t")
+	want := []byte("accumulator")
+	ns.Put("k", want)
+	ns.Put("l", []byte("neighbour"))
+	img, err := ns.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, ok := ns.Get("k")
+	check := func(when string) {
+		t.Helper()
+		if !ok || !bytes.Equal(view, want) {
+			t.Fatalf("%s: view is %q (ok=%v), want %q", when, view, ok, want)
+		}
+	}
+	check("at first")
+	if cap(view) != len(view) {
+		t.Errorf("view of a Put value: %d bytes with capacity %d", len(view), cap(view))
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			if _, err := ns.Snapshot(); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		ns.Put("k", bytes.Repeat([]byte{byte(i)}, len(want)))
+		if v, _ := ns.Get("k"); v[0] != byte(i) {
+			t.Fatalf("Put %d: Get shows %q", i, v)
+		}
+	}
+	<-done
+	check("after Puts over the key")
+	ns.Delete("k")
+	check("after Delete")
+	if err := ns.Restore(img); err != nil {
+		t.Fatal(err)
+	}
+	check("after Restore")
+
+	view, ok = ns.Get("k")
+	check("restored")
+	// Both restored values are slices of one buffer, so at least one of them
+	// has the other's bytes behind its end.
+	for _, k := range []string{"k", "l"} {
+		v, _ := ns.Get(k)
+		if cap(v) != len(v) {
+			t.Errorf("view of restored %q: %d bytes with capacity %d", k, len(v), cap(v))
+		}
+		_ = append(v, "!!!!!!!!!!"...)
+	}
+	check("after appends to the views")
+	if l, _ := ns.Get("l"); string(l) != "neighbour" {
+		t.Errorf("appending to views changed a stored value to %q", l)
+	}
+	if got, _ := ns.Snapshot(); !bytes.Equal(got, img) {
+		t.Error("appending to a view wrote into the namespace")
 	}
 }
 
 func TestListState(t *testing.T) {
 	s := NewStore(nil, Options{})
 	ns := s.Namespace("t")
-	ns.Append("w", []byte("a"))
-	ns.Append("w", []byte("b"))
-	ns.Append("w", []byte("c"))
+	for i, v := range []string{"a", "b", "c"} {
+		if fresh := ns.Append("w", []byte(v)); fresh != (i == 0) {
+			t.Errorf("Append %d reported a new list: %v", i, fresh)
+		}
+	}
 	vals := ns.List("w")
 	if len(vals) != 3 || string(vals[0]) != "a" || string(vals[2]) != "c" {
 		t.Errorf("List = %v", vals)
@@ -83,6 +145,9 @@ func TestListState(t *testing.T) {
 	}
 	if n := ns.ClearList("nope"); n != 0 {
 		t.Errorf("ClearList(missing) = %d", n)
+	}
+	if !ns.Append("w", []byte("d")) {
+		t.Error("Append after ClearList did not report a new list")
 	}
 }
 
