@@ -27,10 +27,11 @@ test-rescale:
 
 # stress repeats the schedule-sensitive batteries — the distributed control
 # plane, worker attempts over the wire, wire payloads, rescale (the keyed-
-# state restore matrix included) and fusion — five times each at GOMAXPROCS 1
+# state restore matrix included), fusion, the checkpoint timeline in both
+# modes and close-time backpressure — five times each at GOMAXPROCS 1
 # and 4, once plain and once under the race detector: a flake that needs a
 # particular interleaving gets twenty chances to show instead of one.
-STRESS_RUN = TestDist|TestWorkerRun|TestWire|TestPrepareWorkerAttempt|Rescale|KeyedState|Fus
+STRESS_RUN = TestDist|TestWorkerRun|TestWire|TestPrepareWorkerAttempt|Rescale|KeyedState|Fus|TestCheckpointTimeline|TestCloseBackpressure
 stress:
 	$(GO) test -timeout 20m -count=5 -cpu 1,4 -run '$(STRESS_RUN)' ./internal/engine ./internal/controller
 	$(GO) test -race -timeout 30m -count=5 -cpu 1,4 -run '$(STRESS_RUN)' ./internal/engine ./internal/controller

@@ -26,9 +26,8 @@ import (
 // wireStats is one worker's metric delta since its previous heartbeat, in
 // the same named form worker reports use (engine.WorkerReport).
 type wireStats struct {
-	// Counters and Times are deltas of monotone series (counter values,
-	// meter counts under "<name>.count", time accumulators); Gauges are
-	// point-in-time absolutes.
+	// Counters and Times are deltas of monotone series (counter values, time
+	// accumulators); Gauges are point-in-time absolutes.
 	metrics.TypedValues
 	// FnGauges are the worker's callback gauges evaluated at sample time
 	// (per-task saturation, queue depths, credit-gate levels).

@@ -17,9 +17,9 @@ import (
 )
 
 // TestDistHBSamplerDeltas pins the heartbeat sampler's encoding rules:
-// monotone series (counters, meter counts, time accumulators, histogram
-// buckets) travel as deltas since the previous tick, gauges as absolutes,
-// and empty deltas are omitted.
+// monotone series (counters, time accumulators, histogram buckets) travel as
+// deltas since the previous tick, gauges as absolutes, and empty deltas are
+// omitted.
 func TestDistHBSamplerDeltas(t *testing.T) {
 	tel := telemetry.New()
 	reg := tel.Registry()
@@ -261,9 +261,17 @@ func startTelemetryCluster(t *testing.T, ctx context.Context, fx *distFixture, c
 	if err != nil {
 		t.Fatal(err)
 	}
+	joinTelemetryWorkers(t, ctx, co, distWorkers, hbEvery)
+	return co
+}
+
+// joinTelemetryWorkers joins n in-process workers to co, each with its own
+// hub shipped on its heartbeats, and waits for the cluster to be complete.
+func joinTelemetryWorkers(t *testing.T, ctx context.Context, co *Coordinator, n int, hbEvery time.Duration) {
+	t.Helper()
 	var cancels []context.CancelFunc
 	var errs []chan error
-	for w := 0; w < distWorkers; w++ {
+	for w := 0; w < n; w++ {
 		wctx, cancel := context.WithCancel(ctx)
 		cancels = append(cancels, cancel)
 		errc := make(chan error, 1)
@@ -288,7 +296,6 @@ func startTelemetryCluster(t *testing.T, ctx context.Context, fx *distFixture, c
 			<-errc
 		}
 	})
-	return co
 }
 
 // TestDistFlushBeforeDone is the regression test for the lost telemetry

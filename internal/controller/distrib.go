@@ -634,33 +634,14 @@ func (a *distAttempt) run(ctx context.Context) (engine.AttemptEnd, error) {
 					return a.sendFailed(ctx, w, "start", err)
 				}
 			}
-		case engine.FrameSnapshot:
-			var s wireSnap
-			if err := engine.DecodePayload(ev.frame.Payload, &s); err != nil || s.Attempt != no || s.Snap == nil {
-				continue
-			}
-			done, drain := co.sup.RecordSnapshot(s.Snap)
-			if done == 0 {
-				continue
-			}
-			taken := co.sup.SnapshotsTaken()
-			co.logf("checkpoint: epoch %d complete (%d snapshots)", done, taken)
-			co.trace(telemetry.Event{Kind: telemetry.EventCheckpointComplete, Epoch: done, Attempt: no,
-				Attrs: map[string]any{"snapshots": taken}})
-			if drain {
+		case engine.FrameEpochStart, engine.FrameSnapshot:
+			if done, drain := a.checkpoint(ev); drain {
 				// The abort is the drain: every task's state as of the epoch
 				// is already in the store.
 				co.logf("rescale: draining at epoch %d (attempt %d)", done, no)
 				a.end.DrainEpoch = done
 				a.end.At = co.clk()
 				return a.abort(ctx)
-			}
-		case engine.FrameEpochStart:
-			var e wireEpoch
-			if err := engine.DecodePayload(ev.frame.Payload, &e); err == nil && e.Attempt == no {
-				co.conns[ev.worker].lastEpoch.Store(e.Epoch)
-				co.logf("epoch %d started", e.Epoch)
-				co.trace(telemetry.Event{Kind: telemetry.EventCheckpointStart, Epoch: e.Epoch, Attempt: no})
 			}
 		case engine.FramePeerDown:
 			var p wirePeer
@@ -717,6 +698,27 @@ func (a *distAttempt) sendFailed(ctx context.Context, w int, what string, err er
 	}
 	a.died(w, err)
 	return a.abort(ctx)
+}
+
+// checkpoint hands a worker's EPOCH_START or SNAPSHOT frame of this attempt
+// to the supervisor, as localCoord does in process; drain reports that the
+// epoch it completed made a rescale due. Every EPOCH_START also moves the
+// worker's /healthz epoch.
+func (a *distAttempt) checkpoint(ev coordEvent) (done int64, drain bool) {
+	no := a.at.No
+	if ev.frame.Type == engine.FrameEpochStart {
+		var e wireEpoch
+		if err := engine.DecodePayload(ev.frame.Payload, &e); err == nil && e.Attempt == no {
+			a.co.conns[ev.worker].lastEpoch.Store(e.Epoch)
+			a.co.sup.EpochStarted(no, e.Epoch)
+		}
+		return 0, false
+	}
+	var s wireSnap
+	if err := engine.DecodePayload(ev.frame.Payload, &s); err != nil || s.Attempt != no || s.Snap == nil {
+		return 0, false
+	}
+	return a.co.sup.RecordSnapshot(no, s.Snap)
 }
 
 // maxDataPlaneRestarts bounds how many data-plane-only restarts a run may
@@ -777,12 +779,9 @@ func (a *distAttempt) abort(ctx context.Context) (engine.AttemptEnd, error) {
 					stopped[ev.worker] = true
 					a.end.Reports = append(a.end.Reports, r.Report)
 				}
-			case engine.FrameSnapshot:
-				// Snapshots raced the abort; they are still valid state.
-				var s wireSnap
-				if err := engine.DecodePayload(ev.frame.Payload, &s); err == nil && s.Attempt == no && s.Snap != nil {
-					co.sup.RecordSnapshot(s.Snap)
-				}
+			case engine.FrameEpochStart, engine.FrameSnapshot:
+				// Checkpoint traffic that raced the abort is still valid state.
+				a.checkpoint(ev)
 			}
 		case <-deadline:
 			return a.end, nil
@@ -927,20 +926,14 @@ func JoinCluster(ctx context.Context, addr string, build JobBuilder, opts JoinOp
 
 	var run *engine.WorkerRun
 	var attempt int
-	var started bool
 	runDone := make(chan *engine.WorkerRun, 1)
 	// A live attempt must not outlive the control loop (the process may be
 	// long-lived: tests join many clusters from one process).
 	defer func() {
-		if run == nil {
-			return
+		if run != nil {
+			run.Abort()
+			<-run.Done()
 		}
-		if !started {
-			run.Discard()
-			return
-		}
-		run.Abort()
-		<-run.Done()
 	}()
 	for {
 		select {
@@ -957,8 +950,9 @@ func JoinCluster(ctx context.Context, addr string, build JobBuilder, opts JoinOp
 				if err := engine.DecodePayload(fe.frame.Payload, &spec); err != nil {
 					return fmt.Errorf("controller: bad DEPLOY: %w", err)
 				}
-				if run != nil && !started {
-					run.Discard()
+				if run != nil {
+					run.Abort()
+					<-run.Done()
 				}
 				job, err := build(spec)
 				if err != nil {
@@ -978,7 +972,6 @@ func JoinCluster(ctx context.Context, addr string, build JobBuilder, opts JoinOp
 				if err != nil {
 					return fmt.Errorf("controller: preparing attempt %d: %w", spec.Attempt, err)
 				}
-				started = false
 				logf("attempt %d prepared (restore epoch %d), data plane on %s", spec.Attempt, spec.RestoreEpoch, run.DataAddr())
 				if err := w.send(engine.FrameReady, wireReady{Attempt: spec.Attempt, Addr: run.DataAddr()}); err != nil {
 					return err
@@ -992,7 +985,6 @@ func JoinCluster(ctx context.Context, addr string, build JobBuilder, opts JoinOp
 					continue
 				}
 				run.Start(ctx, st.Peers)
-				started = true
 				go func(r *engine.WorkerRun) {
 					<-r.Done()
 					runDone <- r
@@ -1002,17 +994,11 @@ func JoinCluster(ctx context.Context, addr string, build JobBuilder, opts JoinOp
 				if run == nil {
 					continue
 				}
-				var rep *engine.WorkerReport
-				if !started {
-					rep = run.Discard()
-				} else {
-					run.Abort()
-					<-run.Done()
-					var err error
-					rep, err = run.Report()
-					if err != nil {
-						return fmt.Errorf("controller: aborted attempt %d: %w", attempt, err)
-					}
+				run.Abort()
+				<-run.Done()
+				rep, err := run.Report()
+				if err != nil {
+					return fmt.Errorf("controller: aborted attempt %d: %w", attempt, err)
 				}
 				run = nil
 				logf("attempt %d aborted", attempt)

@@ -963,3 +963,107 @@ func runWithReplan(t *testing.T, deploy DeploySpec, next func(survivor int) *dat
 	}
 	return err
 }
+
+// TestCheckpointTimelineBothModes runs one checkpointed job with a live
+// rescale in process and on a two-worker cluster, and requires one
+// checkpoint story from both: every completed epoch has exactly one
+// checkpoint.start and one checkpoint.complete, each naming its attempt and
+// carrying the same attributes in both modes. On the cluster both are the
+// coordinator's, however many workers inject or snapshot the epoch.
+func TestCheckpointTimelineBothModes(t *testing.T) {
+	fx := newDistFixture(t, "Q1-sliding")
+	rescale := engine.RescalePlan{Op: "slide-win", Parallelism: 5, AtEpoch: 2}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	binding, err := nexmark.BindEngine(fx.spec, distSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := telemetry.New()
+	job, err := engine.NewJob(fx.spec.Graph, fx.plan, fx.espec, binding.Factories, engine.JobOptions{
+		RecordsPerSource: distRecords,
+		SnapshotInterval: distSnapshot,
+		Transport:        engine.TransportBatched,
+		Stateful:         binding.Stateful,
+		PerRecordCPU:     binding.PerRecordCPU,
+		Rescales:         []engine.RescalePlan{rescale},
+		Telemetry:        local,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := job.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rescales != 1 {
+		t.Fatalf("in process: Rescales = %d, want 1", res.Rescales)
+	}
+	localAttrs := checkpointStory(t, "in process", local.Tracer().Events(), "")
+
+	coTel := telemetry.New()
+	co, err := NewCoordinator("127.0.0.1:0", fx.deployOn(2, len(fx.deploy.Assign)), 2, CoordinatorOptions{
+		HeartbeatTimeout: 5 * time.Second,
+		Rescales:         []engine.RescalePlan{rescale},
+		Telemetry:        coTel,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	joinTelemetryWorkers(t, ctx, co, 2, 25*time.Millisecond)
+	if res, err = co.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if res.Rescales != 1 {
+		t.Fatalf("cluster: Rescales = %d, want 1", res.Rescales)
+	}
+	clusterAttrs := checkpointStory(t, "cluster", coTel.Tracer().Events(), "coord")
+	if !reflect.DeepEqual(localAttrs, clusterAttrs) {
+		t.Errorf("checkpoint attributes differ: in process %v, cluster %v", localAttrs, clusterAttrs)
+	}
+}
+
+// checkpointStory checks a timeline's checkpoint.* events — one start and
+// one complete per completed epoch, each with its attempt, and every one
+// from src when src is set — and returns each kind's attribute keys.
+func checkpointStory(t *testing.T, mode string, evs []telemetry.Event, src string) map[string][]string {
+	t.Helper()
+	counts := map[string]map[int64]int{
+		telemetry.EventCheckpointStart:    {},
+		telemetry.EventCheckpointComplete: {},
+	}
+	attrs := map[string][]string{}
+	for _, ev := range evs {
+		byEpoch, ok := counts[ev.Kind]
+		if !ok {
+			continue
+		}
+		byEpoch[ev.Epoch]++
+		if ev.Attempt <= 0 {
+			t.Errorf("%s: %s of epoch %d names no attempt", mode, ev.Kind, ev.Epoch)
+		}
+		if src != "" && ev.Src != src {
+			t.Errorf("%s: %s of epoch %d comes from %q, want %q", mode, ev.Kind, ev.Epoch, ev.Src, src)
+		}
+		keys := []string{}
+		for k := range ev.Attrs {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if prev, seen := attrs[ev.Kind]; seen && !reflect.DeepEqual(prev, keys) {
+			t.Errorf("%s: %s attributes %v, earlier %v", mode, ev.Kind, keys, prev)
+		}
+		attrs[ev.Kind] = keys
+	}
+	completed := counts[telemetry.EventCheckpointComplete]
+	if len(completed) < 3 {
+		t.Fatalf("%s: %d epochs completed, want the ones before and after the rescale", mode, len(completed))
+	}
+	for epoch, n := range completed {
+		if starts := counts[telemetry.EventCheckpointStart][epoch]; n != 1 || starts != 1 {
+			t.Errorf("%s: epoch %d has %d checkpoint.start and %d checkpoint.complete, want one each", mode, epoch, starts, n)
+		}
+	}
+	return attrs
+}

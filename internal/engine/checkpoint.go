@@ -42,18 +42,6 @@ type TaskSnapshot struct {
 	NSState    []byte // statebackend namespace image, nil if stateless
 }
 
-// coordinator is the attempt's view of checkpoint coordination. In-process
-// runs use checkpointCoordinator directly; distributed workers use a
-// remoteCoordinator that forwards snapshots to the controller as frames and
-// serves restores from the deploy-shipped snapshot set (see distrun.go).
-type coordinator interface {
-	noteStarted(epoch int64) bool
-	record(s *TaskSnapshot) int64
-	lastCompleteEpoch() int64
-	snapshotFor(t dataflow.TaskID, epoch int64) *TaskSnapshot
-	snapshotsTaken() int64
-}
-
 // checkpointCoordinator collects per-task snapshots into global checkpoint
 // epochs, mirroring Flink's JobManager-side checkpoint coordinator. It
 // models durable remote storage: snapshots survive worker loss, so a task
@@ -78,8 +66,8 @@ func newCheckpointCoordinator(numTasks int) *checkpointCoordinator {
 }
 
 // noteStarted marks an epoch's barrier as injected and reports whether this
-// was the first injection (replayed barriers after a restart return false),
-// so the epoch-start trace event fires exactly once.
+// was the first injection in the run (replayed barriers after a restart
+// return false), so the epoch-start trace event fires exactly once.
 func (c *checkpointCoordinator) noteStarted(epoch int64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -93,8 +81,8 @@ func (c *checkpointCoordinator) noteStarted(epoch int64) bool {
 // record stores (or overwrites — replayed epochs after a restart re-snapshot)
 // one task's snapshot and advances the globally complete epoch when every
 // task has reported it. It returns the newly completed epoch, or 0 when this
-// snapshot did not complete one.
-func (c *checkpointCoordinator) record(s *TaskSnapshot) int64 {
+// snapshot did not complete one, and the distinct snapshots taken so far.
+func (c *checkpointCoordinator) record(s *TaskSnapshot) (done, taken int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	byEpoch := c.snaps[s.Task]
@@ -121,9 +109,9 @@ func (c *checkpointCoordinator) record(s *TaskSnapshot) int64 {
 				}
 			}
 		}
-		return s.Epoch
+		return s.Epoch, c.taken
 	}
-	return 0
+	return 0, c.taken
 }
 
 // repartition rewrites the durable snapshot set for a parallelism change of

@@ -3,8 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"capsys/internal/dataflow"
 	"capsys/internal/metrics"
@@ -19,15 +17,18 @@ import (
 // dataflow.TaskID, TaskSnapshot, TaskStats, metrics.TypedValues — all of it
 // gob-safe as declared.
 
-// CoordClient is the worker's view of the coordinator's checkpoint
-// surface. The controller package implements it over control-plane frames.
+// CoordClient is an attempt's view of the Supervisor's checkpoint surface,
+// the same in both executors: in process it calls Supervisor.EpochStarted
+// and RecordSnapshot directly (localCoord), on a worker the controller
+// package ships both as control-plane frames to the coordinator, which makes
+// the same two calls.
 type CoordClient interface {
-	// EpochStarted reports the first barrier injection of an epoch by a
-	// local source task.
+	// EpochStarted reports an epoch's first barrier injection in this
+	// attempt, once however many of the attempt's sources inject it.
 	EpochStarted(epoch int64)
-	// TaskSnapshot ships one task's checkpoint contribution. The
-	// coordinator's Supervisor holds it as durable remote checkpoint
-	// storage, so snapshots survive worker loss.
+	// TaskSnapshot ships one task's checkpoint contribution. The Supervisor
+	// holds it as durable checkpoint storage, so snapshots survive worker
+	// loss.
 	TaskSnapshot(s *TaskSnapshot)
 }
 
@@ -54,60 +55,6 @@ type WorkerNetConfig struct {
 	OnPeerDown func(worker int, err error)
 }
 
-// remoteCoordinator adapts CoordClient to the attempt's coordinator
-// interface: snapshots stream out as frames; restores are served from the
-// deploy-shipped snapshot set.
-type remoteCoordinator struct {
-	client       CoordClient
-	restoreEpoch int64
-	snaps        map[dataflow.TaskID]*TaskSnapshot
-
-	mu      sync.Mutex
-	started map[int64]bool
-}
-
-func newRemoteCoordinator(cfg WorkerNetConfig) *remoteCoordinator {
-	rc := &remoteCoordinator{
-		client:       cfg.Coord,
-		restoreEpoch: cfg.RestoreEpoch,
-		snaps:        make(map[dataflow.TaskID]*TaskSnapshot, len(cfg.Snapshots)),
-		started:      make(map[int64]bool),
-	}
-	for _, s := range cfg.Snapshots {
-		rc.snaps[s.Task] = s
-	}
-	return rc
-}
-
-func (c *remoteCoordinator) noteStarted(epoch int64) bool {
-	c.mu.Lock()
-	first := !c.started[epoch]
-	c.started[epoch] = true
-	c.mu.Unlock()
-	if first && c.client != nil {
-		c.client.EpochStarted(epoch)
-	}
-	return first
-}
-
-func (c *remoteCoordinator) record(s *TaskSnapshot) int64 {
-	if c.client != nil {
-		c.client.TaskSnapshot(s)
-	}
-	return 0 // epoch completion is global knowledge; only the coordinator has it
-}
-
-func (c *remoteCoordinator) lastCompleteEpoch() int64 { return c.restoreEpoch }
-
-func (c *remoteCoordinator) snapshotFor(t dataflow.TaskID, epoch int64) *TaskSnapshot {
-	if epoch <= 0 || epoch != c.restoreEpoch {
-		return nil
-	}
-	return c.snaps[t]
-}
-
-func (c *remoteCoordinator) snapshotsTaken() int64 { return 0 }
-
 // WorkerReport is one worker's contribution to a distributed JobResult,
 // sent over the control plane when its attempt finishes (or is aborted —
 // Completed distinguishes the two; aborted reports carry the progress
@@ -131,14 +78,15 @@ type WorkerReport struct {
 	Hists   map[string]telemetry.HistogramSnapshot
 }
 
-// WorkerRun is one in-flight worker-local attempt.
+// WorkerRun is one in-flight worker-local attempt. Start and Abort are
+// called from one goroutine (the worker's control loop).
 type WorkerRun struct {
 	att     *attempt
 	done    chan struct{}
-	aborted atomic.Bool
-	once    sync.Once
+	started bool
 
-	// Written by the run goroutine before done closes.
+	// Written before done closes: by the run goroutine, or by Abort for a
+	// run that never started.
 	report *WorkerReport
 	err    error
 }
@@ -155,9 +103,8 @@ func (j *Job) PrepareWorkerAttempt(cfg WorkerNetConfig) (*WorkerRun, error) {
 	if cfg.AttemptNo <= 0 {
 		cfg.AttemptNo = 1
 	}
-	rc := newRemoteCoordinator(cfg)
 	faults := newFaultState(FaultPlan{}, j.clk(), j.clk, j.opts.Telemetry.Tracer())
-	att, err := j.buildAttempt(cfg.AttemptNo, j.plan, rc, faults, cfg.RestoreEpoch, &cfg)
+	att, err := j.buildAttempt(cfg.AttemptNo, j.plan, faults, cfg.Snapshots, &cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -172,6 +119,7 @@ func (r *WorkerRun) DataAddr() string {
 // Start launches the attempt. peers maps every other worker index to its
 // data address.
 func (r *WorkerRun) Start(ctx context.Context, peers map[int]string) {
+	r.started = true
 	r.att.net.setPeers(peers)
 	a := r.att
 	tr := a.j.opts.Telemetry.Tracer()
@@ -197,29 +145,28 @@ func (r *WorkerRun) Start(ctx context.Context, peers map[int]string) {
 			tr.Emit(done)
 			return
 		}
-		r.report = a.report(!r.aborted.Load())
+		r.report = a.report()
 		done.Attrs = map[string]any{"completed": r.report.Completed}
 		tr.Emit(done)
 	}()
 }
 
-// Abort tears the attempt down (recovery: the coordinator will redeploy).
+// Abort tears the attempt down (recovery: the coordinator will redeploy);
+// Done closes once it has stopped. A run that was never started (the
+// coordinator aborted between deploy and start) stops here, reporting zero
+// progress. Abort may be repeated; Start after Abort may not.
 func (r *WorkerRun) Abort() {
-	r.aborted.Store(true)
-	r.once.Do(r.att.doAbort)
-}
-
-// Discard tears down a prepared attempt that was never started (the
-// coordinator aborted between deploy and start) and returns its
-// zero-progress report. Must not be combined with Start.
-func (r *WorkerRun) Discard() *WorkerReport {
-	r.aborted.Store(true)
-	r.once.Do(r.att.doAbort)
-	r.att.close()
-	rep := r.att.report(false)
-	r.report = rep
-	close(r.done)
-	return rep
+	r.att.doAbort()
+	if r.started {
+		return
+	}
+	select {
+	case <-r.done:
+	default:
+		r.att.close()
+		r.report = r.att.report()
+		close(r.done)
+	}
 }
 
 // Done closes when the attempt has fully stopped.
@@ -235,12 +182,13 @@ func (r *WorkerRun) Report() (*WorkerReport, error) {
 
 // report assembles the attempt's counters once no task goroutine remains:
 // this worker's share in a distributed attempt, every task (Worker -1) in an
-// in-process one.
-func (a *attempt) report(completed bool) *WorkerReport {
+// in-process one. An attempt completed unless something aborted it — a
+// fault, a drain or the coordinator.
+func (a *attempt) report() *WorkerReport {
 	rep := &WorkerReport{
 		Worker:    -1,
 		Attempt:   a.no,
-		Completed: completed,
+		Completed: !a.abortFlag.Load(),
 		Lost:      a.lost.Load(),
 		Tasks:     make(map[dataflow.TaskID]TaskStats, len(a.tasks)),
 		Metrics:   a.reg.TypedSnapshot(),

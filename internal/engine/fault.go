@@ -81,11 +81,6 @@ type FaultPlan struct {
 	StallTasks  []TaskStall
 }
 
-// Empty reports whether the plan injects no faults at all.
-func (p FaultPlan) Empty() bool {
-	return len(p.KillWorkers) == 0 && len(p.CrashTasks) == 0 && len(p.StallTasks) == 0
-}
-
 // FaultRecord describes one fault that actually fired during a run.
 type FaultRecord struct {
 	Kind      FaultKind

@@ -409,7 +409,6 @@ func (na *netAttempt) registerGauges() {
 			byFrom[k.from] = append(byFrom[k.from], g)
 		}
 		for from, gs := range byFrom {
-			gs := gs
 			tel.SetGaugeFunc("net_peer_inflight_records",
 				map[string]string{"from": workerID(from), "to": workerID(node.worker)},
 				func() float64 {
@@ -424,12 +423,9 @@ func (na *netAttempt) registerGauges() {
 	// Per-peer traffic by direction and frame type. Gauge funcs read the
 	// same atomic cells the hot paths bump, so the exposition is live.
 	for pk, ps := range na.peerStats {
-		pk, ps := pk, ps
 		labels := map[string]string{"local": workerID(pk.local), "peer": workerID(pk.peer)}
 		for _, typ := range dataFrameTypes {
-			typ := typ
 			for _, dir := range []string{"sent", "received"} {
-				dir := dir
 				l := map[string]string{"local": labels["local"], "peer": labels["peer"], "dir": dir, "type": frameTypeName(typ)}
 				tel.SetGaugeFunc("net_peer_frames", l, func() float64 {
 					if dir == "sent" {
@@ -447,7 +443,6 @@ func (na *netAttempt) registerGauges() {
 		}
 	}
 	for _, node := range na.nodes {
-		node := node
 		// Total records/markers parked in this node's delivery pumps —
 		// wire-side inbox depth, the receiver half of backpressure.
 		tel.SetGaugeFunc("net_pump_queue_depth",
@@ -481,7 +476,6 @@ func (na *netAttempt) registerGauges() {
 				func() float64 { return float64(gate.avail.Load()) })
 		}
 		for t, m := range node.mirrors {
-			m := m
 			labels := map[string]string{"task": t.String(), "worker": workerID(node.worker)}
 			tel.SetGaugeFunc("net_mirror_credit_avail", labels, func() float64 {
 				avail, _ := m.depth()

@@ -197,21 +197,29 @@ func TestWorkerRunAbortUnblocksWireSend(t *testing.T) {
 }
 
 // TestWorkerRunDiscard covers the abort-before-start path the coordinator
-// uses when a peer dies between deploy and start.
+// uses when a peer dies between deploy and start: Abort alone discards the
+// prepared run, which reports zero progress, and may be repeated.
 func TestWorkerRunDiscard(t *testing.T) {
 	j := wireJob(t, nil, JobOptions{RecordsPerSource: 100})
 	r, err := j.PrepareWorkerAttempt(WorkerNetConfig{Local: 0, AttemptNo: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := r.Discard()
-	if rep == nil || rep.Attempt != 3 || rep.Completed {
-		t.Fatalf("discard report = %+v, want attempt 3, not completed", rep)
-	}
+	r.Abort()
 	select {
 	case <-r.Done():
 	default:
-		t.Error("Done not closed after Discard")
+		t.Fatal("Done not closed after aborting an unstarted run")
+	}
+	r.Abort()
+	rep, err := r.Report()
+	if err != nil || rep == nil || rep.Attempt != 3 || rep.Completed {
+		t.Fatalf("report = %+v, %v; want attempt 3, not completed", rep, err)
+	}
+	for id, ts := range rep.Tasks {
+		if ts.RecordsIn != 0 || ts.RecordsOut != 0 {
+			t.Errorf("%v reports progress %d/%d from a run that never started", id, ts.RecordsIn, ts.RecordsOut)
+		}
 	}
 }
 
@@ -415,7 +423,7 @@ func TestHandleFrameToleratesStrayFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Discard()
+	defer r.Abort()
 	node := r.att.net.nodes[1]
 	ghost := dataflow.TaskID{Op: "ghost", Index: 0}
 	snk := dataflow.TaskID{Op: "snk", Index: 0} // one input, one channel
@@ -508,7 +516,7 @@ func TestWireTeardownClosesLateConnections(t *testing.T) {
 	if c, err := node.conns[0].dial(); err == nil {
 		t.Errorf("dial after teardown began returned a live connection (%v)", c.RemoteAddr())
 	}
-	r.Discard() // shutdown must find nothing left to wait for
+	r.Abort() // shutdown must find nothing left to wait for
 }
 
 // wirePeer stands in for a peer worker's data listener: it accepts the one
@@ -611,7 +619,7 @@ func wireSenders(t *testing.T, job *Job, peer *wirePeer) (*WorkerRun, []*taskRun
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { r.Discard() })
+	t.Cleanup(r.Abort)
 	r.att.net.setPeers(map[int]string{1: peer.addr()})
 	tasks := append([]*taskRuntime(nil), r.att.tasks...)
 	sort.Slice(tasks, func(i, j int) bool { return tasks[i].id.Index < tasks[j].id.Index })

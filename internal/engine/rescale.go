@@ -172,16 +172,10 @@ func fusionMap(g *dataflow.LogicalGraph, disabled bool) map[dataflow.OperatorID]
 	return fuseNext
 }
 
-// maybeTriggerRescale aborts the attempt for a pending rescale once epoch
-// completes. Called from snapshotTask on task goroutines; the failure event,
-// if any, wins the race (the rescale stays pending and re-arms).
-func (a *attempt) maybeTriggerRescale(epoch int64) {
-	// Distributed workers drain under coordinator control (the store lives
-	// coordinator-side and remote record() never completes epochs), so this
-	// path is in-process only.
-	if a.dist != nil || a.j.sup.dueRescale(epoch) == nil {
-		return
-	}
+// drain aborts an in-process attempt for a rescale due at the completed
+// epoch (localCoord, on a task goroutine). A fault that already aborted it
+// wins the race: the rescale stays pending and re-arms.
+func (a *attempt) drain(epoch int64) {
 	a.mu.Lock()
 	if a.failEv == nil && a.rescaleEpoch == 0 {
 		a.rescaleEpoch = epoch

@@ -293,3 +293,52 @@ func BenchmarkMeterShardStrike(b *testing.B) {
 		sh.Draw()
 	})
 }
+
+// TestCloseBackpressureNotBusy: a window that holds its results until Close
+// and flushes them into a stalled downstream spends that flush waiting, and
+// waiting is backpressure, not busy time — counted once, as everywhere else a
+// task clocks itself. Otherwise the stall is booked twice and inflates the
+// useful fraction DS2 divides by.
+func TestCloseBackpressureNotBusy(t *testing.T) {
+	const records = 100
+	g := chainGraph(t, []dataflow.Operator{
+		{ID: "src", Kind: dataflow.KindSource, Parallelism: 1, Selectivity: 1},
+		{ID: "win", Kind: dataflow.KindWindow, Parallelism: 1, Selectivity: 1},
+		{ID: "sink", Kind: dataflow.KindSink, Parallelism: 1},
+	})
+	factories := map[dataflow.OperatorID]Factory{
+		"src": func(*TaskContext) (any, error) {
+			return NewSource(func(_, i int64) (Record, bool) {
+				return Record{Key: fmt.Sprintf("k%d", i), Value: i, Time: i}, true
+			}), nil
+		},
+		// One window spans the whole stream: every result waits for Close.
+		"win": func(*TaskContext) (any, error) { return NewSlidingWindow(1e9, 1e9, countAgg, countResult), nil },
+		"sink": func(*TaskContext) (any, error) {
+			return NewSink(func(Record) { time.Sleep(2 * time.Millisecond) }), nil
+		},
+	}
+	job, err := NewJob(g, roundRobinPlan(t, g, 1), bigWorkers(1, 3), factories, JobOptions{
+		RecordsPerSource: records,
+		ChannelCapacity:  1,
+		Transport:        TransportUnary,
+		Stateful:         map[dataflow.OperatorID]bool{"win": true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := job.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	win := res.Tasks[dataflow.TaskID{Op: "win", Index: 0}]
+	if win.RecordsOut != records {
+		t.Fatalf("window emitted %d results, want %d", win.RecordsOut, records)
+	}
+	if win.BusyTime+win.BackpressureT > res.Elapsed {
+		t.Errorf("window busy %v + backpressure %v exceeds the run's %v", win.BusyTime, win.BackpressureT, res.Elapsed)
+	}
+	if win.BusyTime >= win.BackpressureT {
+		t.Errorf("window busy %v, backpressure %v: the Close-time stall was booked as busy", win.BusyTime, win.BackpressureT)
+	}
+}

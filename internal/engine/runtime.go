@@ -373,17 +373,30 @@ func (j *Job) Run(ctx context.Context) (*JobResult, error) {
 }
 
 // localExecutor is the in-process AttemptExecutor: an attempt is a set of
-// goroutines over in-memory (or loopback) exchanges, sharing the
-// supervisor's checkpoint store directly.
+// goroutines over in-memory (or loopback) exchanges, checkpointing through
+// localCoord.
 type localExecutor struct {
 	j      *Job
 	faults *faultState
 	last   *attempt
 }
 
+// localCoord is an in-process attempt's CoordClient: the two supervisor
+// calls a coordinator makes for a worker's frames, with the drain answer
+// draining this attempt.
+type localCoord struct{ a *attempt }
+
+func (c localCoord) EpochStarted(epoch int64) { c.a.j.sup.EpochStarted(c.a.no, epoch) }
+
+func (c localCoord) TaskSnapshot(s *TaskSnapshot) {
+	if done, drain := c.a.j.sup.RecordSnapshot(c.a.no, s); drain {
+		c.a.drain(done)
+	}
+}
+
 // RunAttempt builds, restores and runs one in-process attempt.
 func (x *localExecutor) RunAttempt(ctx context.Context, at AttemptSpec) (AttemptEnd, error) {
-	att, err := x.j.buildAttempt(at.No, at.Plan, x.j.sup.store, x.faults, at.RestoreEpoch, nil)
+	att, err := x.j.buildAttempt(at.No, at.Plan, x.faults, x.j.sup.EpochSnapshots(at.RestoreEpoch), nil)
 	if err != nil {
 		return AttemptEnd{}, err
 	}
@@ -407,7 +420,7 @@ func (x *localExecutor) RunAttempt(ctx context.Context, at AttemptSpec) (Attempt
 			end.NewDead = []int{ev.Worker}
 		}
 	}
-	end.Reports = []*WorkerReport{att.report(end.Fault == nil && end.DrainEpoch == 0)}
+	end.Reports = []*WorkerReport{att.report()}
 	return end, nil
 }
 
@@ -417,7 +430,7 @@ type attempt struct {
 	j       *Job
 	no      int
 	plan    *dataflow.Plan
-	coord   coordinator
+	coord   CoordClient // nil drops checkpoint traffic
 	faults  *faultState
 	clk     clock.Clock
 	tasks   []*taskRuntime
@@ -458,6 +471,10 @@ type attempt struct {
 	// rather than a fault (guarded by mu; failEv wins a race).
 	rescaleEpoch int64
 	rescaleAt    time.Time
+	// startedEpoch is the newest epoch a source of this attempt has injected;
+	// sources inject epochs in order, so an epoch above it is a first
+	// injection.
+	startedEpoch int64 // guarded by mu
 	lost         atomic.Int64
 }
 
@@ -467,8 +484,20 @@ func localTo(dist *WorkerNetConfig, w int) bool {
 	return dist == nil || w == dist.Local
 }
 
-func (j *Job) buildAttempt(no int, plan *dataflow.Plan, coord coordinator, faults *faultState, restoreEpoch int64, dist *WorkerNetConfig) (*attempt, error) {
-	a := &attempt{j: j, no: no, plan: plan, coord: coord, faults: faults, clk: j.clk, abort: make(chan struct{}), dist: dist}
+// buildAttempt builds attempt no of plan, its tasks restored from the
+// restore set (one snapshot per task, all at one epoch; empty = start
+// fresh). A worker-local attempt (dist set) checkpoints through dist.Coord,
+// an in-process one through localCoord.
+func (j *Job) buildAttempt(no int, plan *dataflow.Plan, faults *faultState, restore []*TaskSnapshot, dist *WorkerNetConfig) (*attempt, error) {
+	a := &attempt{j: j, no: no, plan: plan, faults: faults, clk: j.clk, abort: make(chan struct{}), dist: dist}
+	a.coord = localCoord{a}
+	if dist != nil {
+		a.coord = dist.Coord
+	}
+	snaps := make(map[dataflow.TaskID]*TaskSnapshot, len(restore))
+	for _, s := range restore {
+		snaps[s.Task] = s
+	}
 	a.reg = j.opts.Telemetry.Registry().Scope()
 	a.batches = a.reg.Counter("exchange.batches")
 	a.batchRecords = a.reg.Counter("exchange.batch_records")
@@ -566,7 +595,7 @@ func (j *Job) buildAttempt(no int, plan *dataflow.Plan, coord coordinator, fault
 			Parallelism: op.Parallelism,
 			Watermark:   func() int64 { return rt.watermark },
 		}
-		snap := coord.snapshotFor(t, restoreEpoch)
+		snap := snaps[t]
 		if j.opts.Stateful[t.Op] {
 			tctx.State = stores[w].Namespace(t.String())
 			// State I/O is only struck on the IO shard of the goroutine that
@@ -882,15 +911,24 @@ func (a *attempt) snapshotTask(rt *taskRuntime, epoch, srcOffset int64) error {
 		}
 		snap.OpState = b
 	}
-	if done := a.coord.record(snap); done > 0 {
-		a.j.opts.Telemetry.Tracer().Emit(telemetry.Event{
-			Kind:  telemetry.EventCheckpointComplete,
-			Epoch: done,
-			Attrs: map[string]any{"last_task": rt.id.String()},
-		})
-		a.maybeTriggerRescale(done)
+	if a.coord != nil {
+		a.coord.TaskSnapshot(snap)
 	}
 	return nil
+}
+
+// epochStarted reports a source's barrier injection to the coordinator if
+// it is the epoch's first in this attempt.
+func (a *attempt) epochStarted(epoch int64) {
+	a.mu.Lock()
+	first := epoch > a.startedEpoch
+	if first {
+		a.startedEpoch = epoch
+	}
+	a.mu.Unlock()
+	if first && a.coord != nil {
+		a.coord.EpochStarted(epoch)
+	}
 }
 
 // exportLocal adds what only the process that ran the tasks can see to an

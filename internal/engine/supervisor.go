@@ -24,10 +24,11 @@ import (
 // dead set, the pending-rescale queue, "faults win over rescales",
 // restore-epoch selection, reprocessed accounting, the two downtime clocks,
 // snapshot repartition, plan validation, the default rescale placement, the
-// run aggregate, job/recovery/rescale trace events and result assembly. An
-// AttemptExecutor owns everything that is mechanism: how tasks are deployed
-// (goroutines here, a two-phase TCP deploy in internal/controller), how a
-// fault is detected, and how the topology is represented.
+// run aggregate, job/checkpoint/recovery/rescale trace events and result
+// assembly. An AttemptExecutor owns everything that is mechanism: how tasks
+// are deployed (goroutines here, a two-phase TCP deploy in
+// internal/controller), how a fault is detected, and how the topology is
+// represented.
 
 // AttemptExecutor deploys and runs single attempts of a job on behalf of a
 // Supervisor. Both methods are called from Supervisor.Run's goroutine only.
@@ -118,7 +119,9 @@ type SupervisorConfig struct {
 	// nil keeps surviving tasks in place and packs new ones onto free slots.
 	OnRescale func(RescaleEvent, *dataflow.Plan) (*dataflow.Plan, error)
 	// Emit receives lifecycle trace events, Logf progress lines (both may
-	// be nil); Now is the clock (nil = system).
+	// be nil, and both must be safe for concurrent use: checkpoint progress
+	// arrives from task goroutines in process); Now is the clock (nil =
+	// system).
 	Emit func(telemetry.Event)
 	Logf func(format string, args ...any)
 	Now  clock.Clock
@@ -429,21 +432,36 @@ func (s *Supervisor) dueRescale(epoch int64) *RescalePlan {
 	return nil
 }
 
-// RecordSnapshot stores one task's checkpoint contribution on behalf of a
-// remote executor. done is the epoch it completed (0 = none); drain reports
-// that a rescale is due at that epoch, so the executor must abort the
-// attempt and return DrainEpoch = done.
-func (s *Supervisor) RecordSnapshot(snap *TaskSnapshot) (done int64, drain bool) {
-	done = s.store.record(snap)
-	return done, done > 0 && s.dueRescale(done) != nil
+// EpochStarted notes that attempt no injected an epoch's first barrier. The
+// first injection in the run is the epoch's checkpoint.start; replays after
+// a restore and the other sources' injections are not.
+func (s *Supervisor) EpochStarted(no int, epoch int64) {
+	if !s.store.noteStarted(epoch) {
+		return
+	}
+	s.logf("epoch %d started", epoch)
+	s.emit(telemetry.Event{Kind: telemetry.EventCheckpointStart, Epoch: epoch, Attempt: no})
 }
 
-// SnapshotsTaken counts distinct (task, epoch) snapshots recorded so far.
-func (s *Supervisor) SnapshotsTaken() int64 { return s.store.snapshotsTaken() }
+// RecordSnapshot stores one task's checkpoint contribution from attempt no.
+// done is the epoch it completed (0 = none), which is that epoch's
+// checkpoint.complete; drain reports that a rescale is due at that epoch, so
+// the executor must abort the attempt and return DrainEpoch = done. Both
+// executors call it, the local one from task goroutines.
+func (s *Supervisor) RecordSnapshot(no int, snap *TaskSnapshot) (done int64, drain bool) {
+	done, taken := s.store.record(snap)
+	if done == 0 {
+		return 0, false
+	}
+	s.logf("checkpoint: epoch %d complete (%d snapshots)", done, taken)
+	s.emit(telemetry.Event{Kind: telemetry.EventCheckpointComplete, Epoch: done, Attempt: no,
+		Attrs: map[string]any{"snapshots": taken}})
+	return done, s.dueRescale(done) != nil
+}
 
 // EpochSnapshots returns every task's snapshot at the given epoch in task
-// order (nil for epoch 0), for an executor to ship with a deploy. Like
-// RunAttempt, it runs on Run's goroutine.
+// order (nil for epoch 0): the restore set an executor deploys an attempt
+// with. Like RunAttempt, it runs on Run's goroutine.
 func (s *Supervisor) EpochSnapshots(epoch int64) []*TaskSnapshot {
 	var out []*TaskSnapshot
 	for _, t := range s.tasks {

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -56,7 +57,7 @@ func (x *scriptedExecutor) RunAttempt(_ context.Context, at AttemptSpec) (Attemp
 	end := AttemptEnd{Fault: step.fault, NewDead: step.dead}
 	for _, e := range step.epochs {
 		for _, task := range at.Tasks {
-			done, drain := x.sup.RecordSnapshot(&TaskSnapshot{Task: task, Epoch: e, RecordsIn: e * 100})
+			done, drain := x.sup.RecordSnapshot(at.No, &TaskSnapshot{Task: task, Epoch: e, RecordsIn: e * 100})
 			if done > 0 {
 				x.lastEpoch = done
 			}
@@ -333,9 +334,22 @@ func TestSupervisorLifecycle(t *testing.T) {
 
 			// job.start and job.complete bracket the timeline exactly once;
 			// in between every outage is a start → restart/complete pair.
-			var kinds []string
+			// Each scripted epoch completes once, in the attempt that ran it.
+			var kinds, ckpts, wantCkpts []string
 			for _, ev := range events {
+				if ev.Kind == telemetry.EventCheckpointComplete {
+					ckpts = append(ckpts, fmt.Sprintf("%d@%d", ev.Epoch, ev.Attempt))
+					continue
+				}
 				kinds = append(kinds, ev.Kind)
+			}
+			for i, step := range tc.script {
+				for _, e := range step.epochs {
+					wantCkpts = append(wantCkpts, fmt.Sprintf("%d@%d", e, i+1))
+				}
+			}
+			if !reflect.DeepEqual(ckpts, wantCkpts) {
+				t.Errorf("checkpoint.complete epoch@attempt = %v, want %v", ckpts, wantCkpts)
 			}
 			want := strings.TrimSpace("job.start " + tc.wantEvents + " job.complete")
 			if got := strings.Join(kinds, " "); got != strings.Join(strings.Fields(want), " ") {

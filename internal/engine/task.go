@@ -382,13 +382,7 @@ func (a *attempt) runSource(ctx context.Context, rt *taskRuntime, src Source) er
 		if interval > 0 && (i+1)%interval == 0 {
 			closeRun()
 			epoch := (i + 1) / interval
-			if a.coord.noteStarted(epoch) {
-				a.j.opts.Telemetry.Tracer().Emit(telemetry.Event{
-					Kind:  telemetry.EventCheckpointStart,
-					Epoch: epoch,
-					Op:    string(rt.id.Op),
-				})
-			}
+			a.epochStarted(epoch)
 			if err := a.snapshotTask(rt, epoch, i+1); err != nil {
 				return err
 			}
@@ -574,13 +568,15 @@ func (rt *taskRuntime) finish(opr Operator) {
 	if opr != nil {
 		clk := rt.att.clk
 		t0 := clk()
+		bpBefore := rt.bp
 		// A flush that fails (a join's buffered record that does not decode)
 		// fails the task like a Process error would.
 		if err := opr.Close(rt.emitFn); err != nil && rt.failure == nil {
 			rt.failure = err
 		}
 		rt.ioShard.Draw() // the Close-time flush's state I/O
-		rt.busy += clk.Since(t0)
+		// A flush into a stalled downstream is backpressure, not busy time.
+		rt.busy += clk.Since(t0) - (rt.bp - bpBefore)
 	}
 	for _, s := range rt.senders {
 		if rt.aborted {

@@ -35,7 +35,7 @@ var metricNameRE = regexp.MustCompile(`^[a-z0-9_.]+$`)
 // namedCallTargets maps (type package suffix, type name) to the method
 // names whose first argument is a metric family name.
 var namedCallTargets = map[string]map[string]bool{
-	"internal/metrics.Registry":    {"Counter": true, "Gauge": true, "Meter": true, "Time": true},
+	"internal/metrics.Registry":    {"Counter": true, "Gauge": true, "Time": true},
 	"internal/telemetry.Telemetry": {"Histogram": true, "Window": true, "SetGaugeFunc": true},
 }
 

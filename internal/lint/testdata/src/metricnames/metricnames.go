@@ -15,8 +15,8 @@ import (
 func Register(reg *metrics.Registry, tel *telemetry.Telemetry, task string) {
 	reg.Counter("records_total").Inc(1)
 	reg.Gauge("Worker-CPU%").Set(0.5)
-	reg.Meter("rate." + task).Mark(1)
-	reg.Meter("rate/" + task).Mark(1)
+	reg.Time("rate." + task).Add(1)
+	reg.Time("rate/" + task).Add(1)
 	tel.Histogram("latency.sink").Observe(0.001)
 }
 

@@ -1,6 +1,6 @@
 // Package metrics provides the lightweight instrumentation primitives used
 // by the engine and the CAPSys metrics collector: atomic counters, gauges,
-// elapsed-time meters and a named registry with consistent snapshots.
+// time accumulators and a named registry with consistent snapshots.
 //
 // The design mirrors what the paper's metrics collector scrapes from Flink
 // Task Managers: monotonic record counters, busy/idle time accumulators (the
@@ -17,8 +17,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"capsys/internal/clock"
 )
 
 // Counter is a monotonically increasing atomic counter.
@@ -54,72 +52,22 @@ func (t *TimeAccumulator) Add(d time.Duration) { t.ns.Add(int64(d)) }
 // Total returns the accumulated duration.
 func (t *TimeAccumulator) Total() time.Duration { return time.Duration(t.ns.Load()) }
 
-// Meter tracks a count over clock time and reports an average rate.
-type Meter struct {
-	count atomic.Int64
-	start time.Time
-	clk   clock.Clock
-}
-
-// NewMeter creates a meter on the system clock with its epoch set to now.
-func NewMeter() *Meter { return NewMeterAt(nil) }
-
-// NewMeterAt creates a meter on the given clock (nil = system) with its
-// epoch set to the clock's current reading. Injecting clock.Fixed or
-// clock.Step makes Rate deterministic for tests and replayers.
-func NewMeterAt(clk clock.Clock) *Meter {
-	clk = clk.OrSystem()
-	return &Meter{start: clk(), clk: clk}
-}
-
-// Mark records n events.
-func (m *Meter) Mark(n int64) { m.count.Add(n) }
-
-// Count returns the number of events marked.
-func (m *Meter) Count() int64 { return m.count.Load() }
-
-// Rate returns events per second since the meter's epoch.
-func (m *Meter) Rate() float64 {
-	el := m.clk.Since(m.start).Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return float64(m.count.Load()) / el
-}
-
-// RateOver returns events per second over an externally supplied elapsed
-// duration (used when the caller controls the measurement window).
-func (m *Meter) RateOver(elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(m.count.Load()) / elapsed.Seconds()
-}
-
 // Registry is a named collection of metrics with consistent snapshots.
 type Registry struct {
-	mu  sync.Mutex
-	clk clock.Clock
+	mu sync.Mutex
 	// parent is set on a Scope: cells come from the parent, so both
 	// registries name the same cell; only the listing is the scope's own.
 	parent   *Registry
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	meters   map[string]*Meter
 	times    map[string]*TimeAccumulator
 }
 
-// NewRegistry creates an empty registry on the system clock.
-func NewRegistry() *Registry { return NewRegistryAt(nil) }
-
-// NewRegistryAt creates an empty registry whose meters read the given clock
-// (nil = system).
-func NewRegistryAt(clk clock.Clock) *Registry {
+// NewRegistry creates an empty registry.
+func NewRegistry() *Registry {
 	return &Registry{
-		clk:      clk.OrSystem(),
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		meters:   make(map[string]*Meter),
 		times:    make(map[string]*TimeAccumulator),
 	}
 }
@@ -135,7 +83,7 @@ func (r *Registry) Scope() *Registry {
 	if r == nil {
 		return NewRegistry()
 	}
-	s := NewRegistryAt(r.clk)
+	s := NewRegistry()
 	s.parent = r
 	return s
 }
@@ -172,22 +120,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Meter returns (creating if needed) the named meter.
-func (r *Registry) Meter(name string) *Meter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m, ok := r.meters[name]
-	if !ok {
-		if r.parent != nil {
-			m = r.parent.Meter(name)
-		} else {
-			m = NewMeterAt(r.clk)
-		}
-		r.meters[name] = m
-	}
-	return m
-}
-
 // Time returns (creating if needed) the named time accumulator.
 func (r *Registry) Time(name string) *TimeAccumulator {
 	r.mu.Lock()
@@ -205,24 +137,16 @@ func (r *Registry) Time(name string) *TimeAccumulator {
 }
 
 // Snapshot returns all metric values keyed by name. Counters export their
-// counts; gauges their value; time accumulators their seconds. Meters export
-// two keys — "<name>.count" (events marked) and "<name>.rate" (events per
-// second since the meter's epoch) — so consumers can tell counts from rates
-// without re-deriving either.
+// counts; gauges their value; time accumulators their seconds.
 func (r *Registry) Snapshot() map[string]float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]float64, len(r.counters)+len(r.gauges)+2*len(r.meters)+len(r.times))
+	out := make(map[string]float64, len(r.counters)+len(r.gauges)+len(r.times))
 	for n, c := range r.counters {
 		out[n] = float64(c.Value())
 	}
 	for n, g := range r.gauges {
 		out[n] = g.Value()
-	}
-	//capslint:allow determinism injective rebuild: every map key derives two distinct output keys, so order cannot leak
-	for n, m := range r.meters {
-		out[n+".count"] = float64(m.Count())
-		out[n+".rate"] = m.Rate()
 	}
 	for n, t := range r.times {
 		out[n] = t.Total().Seconds()
@@ -234,9 +158,7 @@ func (r *Registry) Snapshot() map[string]float64 {
 // flattens everything to float64 for reporting; consumers that must
 // re-apply values into another registry with the right semantics — the
 // cluster aggregation plane delta-encodes counters and time accumulators
-// but ships gauges as absolutes — need the taxonomy preserved. Meter
-// counts appear under "<name>.count" beside plain counters (rates are
-// derived, never shipped).
+// but ships gauges as absolutes — need the taxonomy preserved.
 type TypedValues struct {
 	Counters map[string]int64
 	Gauges   map[string]float64
@@ -248,16 +170,12 @@ func (r *Registry) TypedSnapshot() TypedValues {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := TypedValues{
-		Counters: make(map[string]int64, len(r.counters)+len(r.meters)),
+		Counters: make(map[string]int64, len(r.counters)),
 		Gauges:   make(map[string]float64, len(r.gauges)),
 		Times:    make(map[string]time.Duration, len(r.times)),
 	}
 	for n, c := range r.counters {
 		out.Counters[n] = c.Value()
-	}
-	//capslint:allow determinism injective rebuild keyed by the derived "<name>.count", so order cannot leak
-	for n, m := range r.meters {
-		out.Counters[n+".count"] = m.Count()
 	}
 	for n, g := range r.gauges {
 		out.Gauges[n] = g.Value()
@@ -273,10 +191,10 @@ func (r *Registry) TypedSnapshot() TypedValues {
 type Kind int
 
 const (
-	// KindCounter marks monotonically increasing values (counters, meter
-	// counts and time accumulators).
+	// KindCounter marks monotonically increasing values (counters and time
+	// accumulators).
 	KindCounter Kind = iota
-	// KindGauge marks point-in-time values (gauges and meter rates).
+	// KindGauge marks point-in-time values (gauges).
 	KindGauge
 )
 
@@ -285,17 +203,12 @@ const (
 func (r *Registry) Kinds() map[string]Kind {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]Kind, len(r.counters)+len(r.gauges)+2*len(r.meters)+len(r.times))
+	out := make(map[string]Kind, len(r.counters)+len(r.gauges)+len(r.times))
 	for n := range r.counters {
 		out[n] = KindCounter
 	}
 	for n := range r.gauges {
 		out[n] = KindGauge
-	}
-	//capslint:allow determinism injective rebuild: every map key derives two distinct output keys, so order cannot leak
-	for n := range r.meters {
-		out[n+".count"] = KindCounter
-		out[n+".rate"] = KindGauge
 	}
 	for n := range r.times {
 		out[n] = KindCounter

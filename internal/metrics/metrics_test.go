@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"capsys/internal/clock"
 )
 
 func TestCounter(t *testing.T) {
@@ -60,53 +58,24 @@ func TestTimeAccumulator(t *testing.T) {
 	}
 }
 
-func TestMeter(t *testing.T) {
-	m := NewMeter()
-	m.Mark(10)
-	m.Mark(5)
-	if m.Count() != 15 {
-		t.Errorf("Count = %d", m.Count())
-	}
-	if r := m.RateOver(3 * time.Second); r != 5 {
-		t.Errorf("RateOver = %v, want 5", r)
-	}
-	if r := m.RateOver(0); r != 0 {
-		t.Errorf("RateOver(0) = %v", r)
-	}
-	if m.Rate() < 0 {
-		t.Error("negative rate")
-	}
-}
-
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a").Inc(2)
 	r.Gauge("b").Set(1.5)
-	r.Meter("c").Mark(7)
 	r.Time("d").Add(2 * time.Second)
 
 	if r.Counter("a") != r.Counter("a") {
 		t.Error("Counter not idempotent")
 	}
-	if r.Gauge("b") != r.Gauge("b") || r.Meter("c") != r.Meter("c") || r.Time("d") != r.Time("d") {
+	if r.Gauge("b") != r.Gauge("b") || r.Time("d") != r.Time("d") {
 		t.Error("registry getters not idempotent")
 	}
 	snap := r.Snapshot()
 	if snap["a"] != 2 || snap["b"] != 1.5 || snap["d"] != 2 {
 		t.Errorf("Snapshot = %v", snap)
 	}
-	// Meters export distinguishable count and rate keys, never a bare count.
-	if _, ok := snap["c"]; ok {
-		t.Error("meter exported under its bare name")
-	}
-	if snap["c.count"] != 7 {
-		t.Errorf("c.count = %v, want 7", snap["c.count"])
-	}
-	if rate, ok := snap["c.rate"]; !ok || rate < 0 {
-		t.Errorf("c.rate = %v, %v", rate, ok)
-	}
 	names := r.Names()
-	want := []string{"a", "b", "c.count", "c.rate", "d"}
+	want := []string{"a", "b", "d"}
 	if len(names) != len(want) {
 		t.Fatalf("Names = %v", names)
 	}
@@ -117,9 +86,7 @@ func TestRegistry(t *testing.T) {
 	}
 	kinds := r.Kinds()
 	wantKinds := map[string]Kind{
-		"a": KindCounter, "b": KindGauge,
-		"c.count": KindCounter, "c.rate": KindGauge,
-		"d": KindCounter,
+		"a": KindCounter, "b": KindGauge, "d": KindCounter,
 	}
 	for n, k := range wantKinds {
 		if kinds[n] != k {
@@ -209,7 +176,7 @@ func TestRegistryConcurrent(t *testing.T) {
 		prev := map[string]float64{}
 		for {
 			snap := r.Snapshot()
-			for _, key := range []string{"hits", "m.count", "busy"} {
+			for _, key := range []string{"hits", "busy"} {
 				if snap[key] < prev[key] {
 					snapErr = fmt.Errorf("%s went backwards: %v -> %v", key, prev[key], snap[key])
 					return
@@ -230,7 +197,6 @@ func TestRegistryConcurrent(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < perWorker; j++ {
 				r.Counter("hits").Inc(1)
-				r.Meter("m").Mark(2)
 				r.Gauge("level").Set(float64(j))
 				r.Time("busy").Add(time.Microsecond)
 			}
@@ -245,40 +211,5 @@ func TestRegistryConcurrent(t *testing.T) {
 	snap := r.Snapshot()
 	if snap["hits"] != workers*perWorker {
 		t.Errorf("hits = %v, want %d", snap["hits"], workers*perWorker)
-	}
-	if snap["m.count"] != 2*workers*perWorker {
-		t.Errorf("m.count = %v, want %d", snap["m.count"], 2*workers*perWorker)
-	}
-}
-
-func TestMeterInjectedClock(t *testing.T) {
-	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	// Step clock: construction reads once (epoch = base), Rate reads again
-	// (base + 2s), so 10 events over exactly 2 seconds.
-	m := NewMeterAt(clock.Step(base, 2*time.Second))
-	m.Mark(10)
-	if got := m.Rate(); got != 5 {
-		t.Errorf("Rate = %v, want 5 (10 events / 2s step)", got)
-	}
-	// A frozen clock yields zero elapsed: Rate reports 0, not +Inf.
-	f := NewMeterAt(clock.Fixed(base))
-	f.Mark(100)
-	if got := f.Rate(); got != 0 {
-		t.Errorf("Rate under frozen clock = %v, want 0", got)
-	}
-}
-
-func TestRegistryInjectedClock(t *testing.T) {
-	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	r := NewRegistryAt(clock.Step(base, time.Second))
-	r.Meter("events").Mark(3)
-	snap := r.Snapshot()
-	if snap["events.count"] != 3 {
-		t.Errorf("events.count = %v", snap["events.count"])
-	}
-	// The meter consumed one clock tick at creation; Snapshot's Rate call is
-	// the second read, one second later — a deterministic 3 events/sec.
-	if snap["events.rate"] != 3 {
-		t.Errorf("events.rate = %v, want deterministic 3", snap["events.rate"])
 	}
 }

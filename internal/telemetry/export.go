@@ -73,8 +73,7 @@ func (d *promDoc) write(w io.Writer) error {
 //
 // Conventions:
 //   - registry counters/time accumulators become "capsys_<name>_total"
-//     counters; gauges become "capsys_<name>" gauges; meter-derived
-//     ".count"/".rate" keys become "<base>_total" / "<base>_per_second".
+//     counters; gauges become "capsys_<name>" gauges.
 //   - per-task registry names ("op[3].records_in") become one family per
 //     metric ("capsys_task_records_in_total") with op/index labels.
 //   - a histogram named "latency.<op>" joins the "capsys_latency_seconds"
@@ -144,20 +143,10 @@ func (t *Telemetry) renderRegistry(doc *promDoc, reg *metrics.Registry) {
 			}, v)
 			continue
 		}
-		base, fam, typ := name, "", "gauge"
-		switch {
-		case strings.HasSuffix(name, ".count") && kind == metrics.KindCounter:
-			base = strings.TrimSuffix(name, ".count")
-			fam = "capsys_" + sanitizeName(base) + "_total"
+		fam, typ := "capsys_"+sanitizeName(name), "gauge"
+		if kind == metrics.KindCounter {
+			fam += "_total"
 			typ = "counter"
-		case strings.HasSuffix(name, ".rate") && kind == metrics.KindGauge:
-			base = strings.TrimSuffix(name, ".rate")
-			fam = "capsys_" + sanitizeName(base) + "_per_second"
-		case kind == metrics.KindCounter:
-			fam = "capsys_" + sanitizeName(base) + "_total"
-			typ = "counter"
-		default:
-			fam = "capsys_" + sanitizeName(base)
 		}
 		doc.family(fam, typ).add(fam, nil, v)
 	}

@@ -81,25 +81,6 @@ func TestWritePrometheusGolden(t *testing.T) {
 	}
 }
 
-// TestWritePrometheusMeters covers the meter-derived series separately from
-// the golden: meter rates depend on wall-clock elapsed time, so only the
-// series names and the count value are asserted.
-func TestWritePrometheusMeters(t *testing.T) {
-	tel := New()
-	tel.Registry().Meter("records").Mark(50)
-	var buf bytes.Buffer
-	if err := tel.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "# TYPE capsys_records_total counter\ncapsys_records_total 50\n") {
-		t.Errorf("meter count series missing or wrong:\n%s", out)
-	}
-	if !strings.Contains(out, "# TYPE capsys_records_per_second gauge\n") {
-		t.Errorf("meter rate series missing:\n%s", out)
-	}
-}
-
 func TestWritePrometheusNil(t *testing.T) {
 	var tel *Telemetry
 	var buf bytes.Buffer
