@@ -154,6 +154,39 @@ func runSearchBench(b *testing.B, bc benchCase, opts Options) {
 	b.StopTimer()
 	b.ReportMetric(float64(last.Stats.Nodes), "nodes/op")
 	b.ReportMetric(float64(last.Stats.CostEvals), "evals/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(last.Stats.Nodes), "ns/node")
+}
+
+// tightCase is the tight decision of the search-scale workload: Q2-join at
+// 256 tasks on 32 × 8 slots under Figure 10a's vector a1, a first-feasible
+// search of 481 854 nodes.
+func tightCase(b testing.TB) benchCase {
+	bc := q2joinCase(b, 256)
+	bc.alpha = costmodel.Vector{CPU: 0.08, IO: 0.15, Net: 0.6}
+	return bc
+}
+
+// The tight search allocates per memo key and per arena chunk, not per node
+// or per boundary visit: about 3 500 objects, where a copy per recorded
+// snapshot would add several thousand.
+func TestTightSearchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	bc := tightCase(t)
+	var res *Result
+	allocs := testing.AllocsPerRun(2, func() {
+		var err error
+		if res, err = Search(context.Background(), bc.phys, bc.c, bc.u, Options{Alpha: bc.alpha, Mode: FirstFeasible, Reorder: true}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !res.Feasible || res.Stats.Nodes != 481_854 {
+		t.Fatalf("feasible=%v after %d nodes, want a plan after 481854", res.Feasible, res.Stats.Nodes)
+	}
+	if allocs > 5000 {
+		t.Errorf("tight search allocated %.0f objects, want at most 5000", allocs)
+	}
 }
 
 // warmPlanFor runs one untimed cold search to obtain the seed plan for the
@@ -217,6 +250,9 @@ func BenchmarkSearch(b *testing.B) {
 			runSearchBench(b, bc, Options{Mode: FirstFeasible, ScratchEval: true})
 		})
 	}
+	b.Run("q2join-256/first-feasible/tight", func(b *testing.B) {
+		runSearchBench(b, tightCase(b), Options{Mode: FirstFeasible})
+	})
 }
 
 // BenchmarkAutoTune is the decision every placement without a given α pays

@@ -221,13 +221,13 @@ type searcher struct {
 	relevant [][]int
 	memoAt   []bool
 
-	nodes        atomic.Int64
-	plans        atomic.Int64
-	costEvals    atomic.Int64
-	memoPrunes   atomic.Int64
-	budgetPrunes atomic.Int64
-	stopFlag     atomic.Bool // set when FirstFeasible found or limits hit
-	ctx          context.Context
+	// nodes is the MaxNodes budget the goroutines of a parallel search share:
+	// each of their collectors adds every node to it (see innerSearch). A
+	// serial search counts, and cuts, on its own collector and never touches
+	// it.
+	nodes    atomic.Int64
+	stopFlag atomic.Bool // set when FirstFeasible found or limits hit
+	ctx      context.Context
 }
 
 // buildOps computes the exploration order and per-operator info.
@@ -373,11 +373,11 @@ func Search(ctx context.Context, p *dataflow.PhysicalGraph, c *cluster.Cluster, 
 
 	res := &Result{
 		Stats: Stats{
-			Nodes:        s.nodes.Load(),
-			Plans:        s.plans.Load(),
-			CostEvals:    s.costEvals.Load(),
-			MemoPrunes:   s.memoPrunes.Load(),
-			BudgetPrunes: s.budgetPrunes.Load(),
+			Nodes:        merged.nodes,
+			Plans:        merged.plans,
+			CostEvals:    merged.costEvals,
+			MemoPrunes:   merged.memoPrunes,
+			BudgetPrunes: merged.budgetPrunes,
 			RejectFloor:  merged.rejectFloor,
 			WarmStarted:  s.warm != nil,
 			Elapsed:      now.Since(start),
@@ -416,20 +416,22 @@ func exportStats(t *telemetry.Telemetry, st Stats) {
 	reg.Gauge("caps.search.seconds").Set(st.Elapsed.Seconds())
 }
 
-// collector accumulates satisfactory plans found by one search goroutine.
+// collector accumulates the satisfactory plans and the effort counters of one
+// search goroutine; merge sums the counters into Stats.
 type collector struct {
 	s        *searcher
 	best     [][]int // counts snapshot of the plan with minimum scalar cost
 	bestCost costmodel.Vector
 	bestKey  string // canonical tie-break key
 	front    []frontEntry
-	// plansLocal counts satisfying plans found by this goroutine; the memo
-	// uses it to detect plan-free subtrees without touching the shared
-	// atomic.
-	plansLocal int64
-	memo       *memoTable
+	memo     *memoTable
 	// rejectFloor is this goroutine's share of Stats.RejectFloor.
 	rejectFloor costmodel.Vector
+
+	nodes, plans, costEvals, memoPrunes, budgetPrunes int64
+	// shared: every node also goes to the searcher's MaxNodes budget, and the
+	// cut is made on that (false = the collector cuts on its own count).
+	shared bool
 }
 
 type frontEntry struct {
@@ -536,7 +538,11 @@ func (c *collector) merge(other *collector) {
 	for _, fe := range other.front {
 		c.offer(fe.counts, fe.cost)
 	}
-	c.plansLocal += other.plansLocal
+	c.nodes += other.nodes
+	c.plans += other.plans
+	c.costEvals += other.costEvals
+	c.memoPrunes += other.memoPrunes
+	c.budgetPrunes += other.budgetPrunes
 	c.rejectFloor.CPU = math.Min(c.rejectFloor.CPU, other.rejectFloor.CPU)
 	c.rejectFloor.IO = math.Min(c.rejectFloor.IO, other.rejectFloor.IO)
 	c.rejectFloor.Net = math.Min(c.rejectFloor.Net, other.rejectFloor.Net)
@@ -554,18 +560,21 @@ func (c *collector) offerBest(counts [][]int, key string, cost costmodel.Vector)
 
 // shouldStop polls termination conditions. It is cheap enough to call per
 // node expansion.
-func (s *searcher) shouldStop() bool {
+func (s *searcher) shouldStop(col *collector) bool {
 	if s.stopFlag.Load() {
 		return true
 	}
-	n := s.nodes.Load()
+	n := col.nodes
+	if col.shared {
+		n = s.nodes.Load()
+	}
 	if s.maxNodes > 0 && n >= s.maxNodes {
 		s.stopFlag.Store(true)
 		return true
 	}
 	// Sample the context only periodically: a channel select per node would
 	// dominate the cost of expanding millions of nodes.
-	if n&0xFFF == 0 {
+	if col.nodes&0xFFF == 0 {
 		select {
 		case <-s.ctx.Done():
 			s.stopFlag.Store(true)
@@ -611,7 +620,7 @@ func (s *searcher) overBudget(l *costmodel.Vector, col *collector) bool {
 	default:
 		return false
 	}
-	s.budgetPrunes.Add(1)
+	col.budgetPrunes++
 	return true
 }
 
@@ -630,15 +639,15 @@ func (s *searcher) searchLayer(st *state, layer int, col *collector) bool {
 	if col.memo != nil && s.memoAt[layer] {
 		key = s.memoKey(st, layer)
 		if col.memo.hit(key, st.loads) {
-			s.memoPrunes.Add(1)
+			col.memoPrunes++
 			return true
 		}
 	}
-	plansBefore := col.plansLocal
+	plansBefore := col.plans
 	complete := s.innerSearch(st, layer, 0, s.ops[layer].par, -1, st.freeTotal-st.free[0], col, func() bool {
 		return s.searchLayer(st, layer+1, col)
 	})
-	if key != nil && complete && col.plansLocal == plansBefore {
+	if key != nil && complete && col.plans == plansBefore {
 		col.memo.record(key, st.loads)
 	}
 	return complete
@@ -657,7 +666,7 @@ func (s *searcher) innerSearch(st *state, layer, w, remaining, prevCount, capAft
 	if w == s.numWorkers {
 		return true // dead end: tasks left but no workers
 	}
-	if s.shouldStop() {
+	if s.shouldStop(col) {
 		return false
 	}
 	// Capacity-based lower bound: workers after w must be able to absorb
@@ -700,7 +709,10 @@ func (s *searcher) innerSearch(st *state, layer, w, remaining, prevCount, capAft
 		} else if c == warm {
 			continue
 		}
-		s.nodes.Add(1)
+		col.nodes++
+		if col.shared {
+			s.nodes.Add(1)
+		}
 		rec, ok := s.place(st, layer, w, c, col)
 		if ok {
 			next := 0
@@ -712,7 +724,7 @@ func (s *searcher) innerSearch(st *state, layer, w, remaining, prevCount, capAft
 			}
 		}
 		s.unplace(st, rec)
-		if s.shouldStop() {
+		if s.shouldStop(col) {
 			return false
 		}
 	}
@@ -826,7 +838,7 @@ func (s *searcher) place(st *state, layer, w, c int, col *collector) (placeRec, 
 	// is undone at once, so the maximum may skip the workers after the
 	// violating one.
 	touched := st.undoW[r.base:]
-	s.costEvals.Add(int64(len(touched)))
+	col.costEvals += int64(len(touched))
 	for _, tw := range touched {
 		l := &st.loads[tw]
 		if l.CPU > st.max.CPU {
@@ -878,7 +890,7 @@ func (s *searcher) placeScratch(st *state, layer, w, c int, col *collector) bool
 	st.counts[layer][w] += c
 	st.placed[layer] += c
 	s.recomputeLoads(st, st.loads)
-	s.costEvals.Add(int64(s.numWorkers))
+	col.costEvals += int64(s.numWorkers)
 	for i := range st.loads {
 		if s.overBudget(&st.loads[i], col) {
 			return false
@@ -889,14 +901,13 @@ func (s *searcher) placeScratch(st *state, layer, w, c int, col *collector) bool
 
 // leaf handles a complete assignment.
 func (s *searcher) leaf(st *state, col *collector) {
-	s.plans.Add(1)
-	col.plansLocal++
+	col.plans++
 	var bottleneck costmodel.Vector
 	if s.scratch {
 		// Loads can be stale here when the final placements were zero-count;
 		// the naive path recomputes from the full assignment.
 		s.recomputeLoads(st, st.loads)
-		s.costEvals.Add(int64(s.numWorkers))
+		col.costEvals += int64(s.numWorkers)
 		bottleneck = costmodel.MaxLoad(st.loads)
 	} else {
 		bottleneck = st.max
@@ -909,21 +920,26 @@ func (s *searcher) leaf(st *state, col *collector) {
 }
 
 // searchParallel distributes first-layer subtrees to a pool of workers via a
-// shared queue. Each worker keeps a local collector; fronts are merged after
-// the space is exhausted.
+// shared queue. Each worker keeps a local collector; fronts and counters are
+// merged after the space is exhausted.
+//
+// Under MaxNodes the goroutines cut on the shared budget, which every node
+// is added to; each may expand one node past the limit before it sees it.
 func (s *searcher) searchParallel(par int) *collector {
 	type workItem struct{ st *state }
 	queue := make(chan workItem, par*2)
+	shared := s.maxNodes > 0
 
 	// Producer: enumerate layer-0 assignments and ship each completed
 	// layer-0 state as a subtree root. Its collector never sees a plan; it
-	// holds the reject floor of the layer-0 placements.
+	// holds the reject floor and the effort of the layer-0 placements.
 	prod := newCollector(s)
+	prod.shared = shared
 	go func() {
 		defer close(queue)
 		st := newState(len(s.ops), s.numWorkers, s.slots)
 		s.innerSearch(st, 0, 0, s.ops[0].par, -1, st.freeTotal-st.free[0], prod, func() bool {
-			if s.shouldStop() {
+			if s.shouldStop(prod) {
 				return false
 			}
 			select {
@@ -939,12 +955,13 @@ func (s *searcher) searchParallel(par int) *collector {
 	var wg sync.WaitGroup
 	for i := 0; i < par; i++ {
 		col := newCollector(s)
+		col.shared = shared
 		collectors[i] = col
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for item := range queue {
-				if s.shouldStop() && s.mode == FirstFeasible {
+				if s.shouldStop(col) && s.mode == FirstFeasible {
 					continue // drain
 				}
 				s.searchLayer(item.st, 1, col)

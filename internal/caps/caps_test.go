@@ -298,6 +298,25 @@ func TestMaxNodesLimit(t *testing.T) {
 	}
 }
 
+// A parallel search cuts on a shared node budget, so each search goroutine
+// but the one that reaches MaxNodes may expand one node past it.
+func TestMaxNodesParallel(t *testing.T) {
+	bc := q2joinCase(t, 64)
+	const maxNodes, par = 20_000, 4
+	res, err := Search(context.Background(), bc.phys, bc.c, bc.u, Options{
+		Alpha: costmodel.Vector{CPU: 0.001, IO: Unbounded.IO, Net: Unbounded.Net},
+		Mode:  FirstFeasible, Reorder: true, Parallelism: par, MaxNodes: maxNodes,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// par consumers and the producer: all but one may overshoot by a node.
+	if res.Feasible || res.Stats.Nodes < maxNodes || res.Stats.Nodes > maxNodes+par {
+		t.Errorf("feasible=%v after %d nodes, want an infeasible search cut within [%d, %d]",
+			res.Feasible, res.Stats.Nodes, maxNodes, maxNodes+par)
+	}
+}
+
 func TestDuplicateEliminationCanonical(t *testing.T) {
 	// Two identical workers, one operator with 2 tasks: without duplicate
 	// elimination there are 3 distributions ((2,0),(1,1),(0,2)); the

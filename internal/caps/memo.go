@@ -29,18 +29,41 @@ import "capsys/internal/costmodel"
 // The table is per-search-goroutine (no synchronization) and bounded: at
 // most memoMaxKeys interface keys, each retaining the memoMaxPerKey least
 // restrictive load snapshots.
+//
+// Boundaries are visited far more often than they prune, so recording is
+// kept cheap: entries sit behind pointers and are updated in place, and both
+// entries and snapshots are carved from chunks (a dropped snapshot's slot is
+// reused by the one replacing it). Recording under a known key allocates
+// nothing; a new key allocates its string once.
 
 const (
 	memoMaxKeys   = 1 << 16
 	memoMaxPerKey = 4
+	memoChunk     = 256 // most entries, or snapshots, per chunk
 )
 
 type memoTable struct {
-	entries map[string][][]costmodel.Vector
+	entries map[string]*memoEntry
+	// arena and slab are the unused tails of the current snapshot and entry
+	// chunks.
+	arena []costmodel.Vector
+	slab  []memoEntry
+}
+
+type memoEntry struct {
+	snaps [memoMaxPerKey][]costmodel.Vector
+	n     int
 }
 
 func newMemoTable() *memoTable {
-	return &memoTable{entries: make(map[string][][]costmodel.Vector)}
+	return &memoTable{entries: make(map[string]*memoEntry)}
+}
+
+// grow is the size of a new chunk, in entries or in snapshots: as many as the
+// table has keys, from 16 up to memoChunk, so a small search allocates little
+// and the chunks grow with the table.
+func (m *memoTable) grow() int {
+	return min(max(len(m.entries), 16), memoChunk)
 }
 
 // loadsLeq reports whether a <= b element-wise in every dimension of every
@@ -58,9 +81,11 @@ func loadsLeq(a, b []costmodel.Vector) bool {
 // The []byte key avoids a string allocation: Go elides the conversion in a
 // direct map index expression.
 func (m *memoTable) hit(key []byte, loads []costmodel.Vector) bool {
-	for _, snap := range m.entries[string(key)] {
-		if loadsLeq(snap, loads) {
-			return true
+	if e := m.entries[string(key)]; e != nil {
+		for _, snap := range e.snaps[:e.n] {
+			if loadsLeq(snap, loads) {
+				return true
+			}
 		}
 	}
 	return false
@@ -70,21 +95,40 @@ func (m *memoTable) hit(key []byte, loads []costmodel.Vector) bool {
 // stored entries the new one renders redundant (a smaller snapshot prunes a
 // superset of states).
 func (m *memoTable) record(key []byte, loads []costmodel.Vector) {
-	list, ok := m.entries[string(key)]
-	if !ok && len(m.entries) >= memoMaxKeys {
-		return
+	e := m.entries[string(key)]
+	if e == nil {
+		if len(m.entries) >= memoMaxKeys {
+			return
+		}
+		if len(m.slab) == 0 {
+			m.slab = make([]memoEntry, m.grow())
+		}
+		e, m.slab = &m.slab[0], m.slab[1:]
+		m.entries[string(key)] = e
 	}
-	kept := list[:0]
-	for _, snap := range list {
-		if !loadsLeq(loads, snap) {
-			kept = append(kept, snap)
+	var slot []costmodel.Vector // storage of a dropped snapshot
+	kept := 0
+	for _, snap := range e.snaps[:e.n] {
+		if loadsLeq(loads, snap) {
+			slot = snap
+		} else {
+			e.snaps[kept] = snap
+			kept++
 		}
 	}
-	if len(kept) >= memoMaxPerKey {
-		m.entries[string(key)] = kept
-		return
+	e.n = kept
+	if slot == nil {
+		if kept >= memoMaxPerKey {
+			return
+		}
+		if len(m.arena) < len(loads) {
+			m.arena = make([]costmodel.Vector, m.grow()*len(loads))
+		}
+		slot, m.arena = m.arena[:len(loads):len(loads)], m.arena[len(loads):]
 	}
-	m.entries[string(key)] = append(kept, append([]costmodel.Vector(nil), loads...))
+	copy(slot, loads)
+	e.snaps[e.n] = slot
+	e.n++
 }
 
 // memoKey renders the interface state entering layer: the counts of prefix

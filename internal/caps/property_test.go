@@ -407,7 +407,10 @@ func TestWarmStartFrontierEquivalenceProperty(t *testing.T) {
 
 // Property: parallel and serial exhaustive searches select the same argmin
 // plan and the same front — the deterministic countsKey tie-breaking makes
-// the merged result independent of goroutine interleaving.
+// the merged result independent of goroutine interleaving. Without the memo
+// (whose per-goroutine tables prune different subtrees) they also walk the
+// same tree, so the per-goroutine effort counters must sum to the serial
+// ones: a lost or doubled count shows here.
 func TestParallelDeterminismProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -437,6 +440,22 @@ func TestParallelDeterminismProperty(t *testing.T) {
 			}
 			if !frontsEquivalent(res.Front, serial.Front) {
 				t.Logf("seed %d par %d: parallel front differs from serial", seed, par)
+				return false
+			}
+		}
+		effort := func(st Stats) [4]int64 { return [4]int64{st.Nodes, st.CostEvals, st.BudgetPrunes, st.Plans} }
+		var want [4]int64
+		for _, par := range []int{1, 2, 4} {
+			opts := base
+			opts.DisableMemo, opts.Parallelism = true, par
+			res, err := Search(context.Background(), phys, c, u, opts)
+			if err != nil {
+				return false
+			}
+			if got := effort(res.Stats); par == 1 {
+				want = got
+			} else if got != want {
+				t.Logf("seed %d par %d: nodes, cost evals, budget prunes, plans %v; serial %v", seed, par, got, want)
 				return false
 			}
 		}

@@ -376,6 +376,8 @@ func TestColocationContention(t *testing.T) {
 		RecordsPerSource: 150,
 		PerRecordCPU:     map[dataflow.OperatorID]float64{"heavy": 1e-3},
 	}
+	// run returns the fastest of three runs: load on the machine only ever
+	// slows a run down, so the minimum is the least disturbed one.
 	run := func(heavyWorkers [2]int) time.Duration {
 		pl := dataflow.NewPlan()
 		for _, task := range phys.TasksOf("heavy") {
@@ -386,15 +388,21 @@ func TestColocationContention(t *testing.T) {
 				pl.Assign(task, i%2)
 			}
 		}
-		job, err := NewJob(g, pl, spec, factories, opts)
-		if err != nil {
-			t.Fatal(err)
+		var fastest time.Duration
+		for i := 0; i < 3; i++ {
+			job, err := NewJob(g, pl, spec, factories, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := job.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 || res.Elapsed < fastest {
+				fastest = res.Elapsed
+			}
 		}
-		res, err := job.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Elapsed
+		return fastest
 	}
 	spread := run([2]int{0, 1})
 	packed := run([2]int{0, 0})
