@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-dist test-rescale stress race fuzz bench bench-engine bench-paper bench-build benchmark examples cover lint loc verify
+.PHONY: build test test-dist test-rescale stress race fuzz bench bench-engine bench-build benchmark examples cover lint loc verify
 
 build:
 	$(GO) build ./...
@@ -66,10 +66,6 @@ bench:
 bench-engine:
 	$(GO) test -run '^$$' -bench 'BenchmarkWireCodec|BenchmarkBatchedSend|BenchmarkSlidingWindowProcess|BenchmarkEngineThroughput' -benchmem ./internal/engine
 
-# bench-paper runs the original end-to-end paper benchmarks at the repo root.
-bench-paper:
-	$(GO) test -bench=. -benchmem .
-
 # benchmark runs the repository's benchmark (bench/, contract in
 # BENCHMARK.json): every workload in a fresh child process, results in
 # bench/out/result.json. This is the basis for any performance claim; see
@@ -124,8 +120,7 @@ lint:
 # race-check the search, engine, controller and state-backend packages (the
 # concurrency-heavy cores, including the heartbeat-piggyback metric
 # aggregation path and the key-group repartitioning under rescale), run the
-# entire test suite under the race detector (benchmarks skip themselves
-# under -race; see bench_race_on_test.go), finish with the live-rescale and
+# entire test suite under the race detector, finish with the live-rescale and
 # multi-process distributed batteries, check that the separate bench/
 # module still builds and passes against the tree, and run the examples.
 verify:

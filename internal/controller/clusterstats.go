@@ -37,9 +37,12 @@ type wireStats struct {
 	Hists map[string]telemetry.HistogramSnapshot
 }
 
-// wireHeartbeat is the HEARTBEAT payload. Stats is nil when the worker
-// runs without a telemetry hub; the coordinator treats the frame as pure
-// liveness then.
+// wireHeartbeat is the HEARTBEAT payload, JSON-encoded: the JSON decoder
+// allocates no more than the payload holds, where gob pre-sizes every map
+// from an element count the sender declares, so one hostile beat could make
+// the coordinator allocate without bound. Stats is nil when the worker runs
+// without a telemetry hub (or its stats cannot be encoded); the coordinator
+// treats the frame as pure liveness then.
 type wireHeartbeat struct {
 	Stats *wireStats
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -67,6 +68,51 @@ func TestDistHBSamplerDeltas(t *testing.T) {
 	}
 	var agg clusterAgg
 	agg.applyStats("w0", nil) // must not panic
+}
+
+// FuzzHeartbeatPayload feeds arbitrary bytes to the coordinator's HEARTBEAT
+// path — decode, fold into a hub, render the hub — which must never panic:
+// a payload that does not decode is pure liveness, and stats that do are
+// applied whatever they hold. The seeds are a real heartbeat and the two
+// malformed histogram shapes that used to crash the coordinator: counts past
+// the overflow bucket (Absorb) and counts short of the bounds (the report
+// merge).
+func FuzzHeartbeatPayload(f *testing.F) {
+	tel := telemetry.New()
+	tel.Registry().Counter("net.frames_sent").Inc(5)
+	tel.Registry().Gauge("queue.depth").Set(2)
+	tel.Registry().Time("exchange.credit_stall_seconds").Add(time.Millisecond)
+	tel.Histogram("net.credit_wait_seconds").Observe(0.002)
+	tel.SetGaugeFunc("worker_saturation", map[string]string{"resource": "cpu"}, func() float64 { return 0.25 })
+	beat := newHBSampler(tel).sample()
+	seed := func(st *wireStats) {
+		b, err := json.Marshal(wireHeartbeat{Stats: st})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	seed(beat)
+	wait := beat.Hists["net.credit_wait_seconds"]
+	for _, counts := range [][]int64{make([]int64, len(wait.Counts)+1), {0, 1}} {
+		bad := wait
+		bad.Counts = counts
+		bad.Counts[1] = bad.Count
+		seed(&wireStats{Hists: map[string]telemetry.HistogramSnapshot{"net.credit_wait_seconds": bad}})
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var hb wireHeartbeat
+		if json.Unmarshal(payload, &hb) != nil {
+			return
+		}
+		agg := clusterAgg{tel: telemetry.New()}
+		// A second beat folds into the cells and histograms the first made.
+		agg.applyStats("w0", hb.Stats)
+		agg.applyStats("w0", hb.Stats)
+		if err := agg.tel.WritePrometheus(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestDistClusterMetricsGolden pins the coordinator's merged Prometheus

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -157,8 +158,14 @@ type (
 // made the namespace image binary (statebackend/snapshot.go) and stopped the
 // routing hash at a key's first NUL: a version-6 worker would fail every
 // restore of a shipped snapshot, and route a NUL-holding key to another task
-// than its peers do.
-const distProtoVersion = 7
+// than its peers do. Version 8 made the worker report the result's only
+// source: per-task keyed-state sizes ride in engine.TaskStats, and fusion
+// counts and worker saturation in its named metrics, each counted in cells
+// the attempt owns. A version-7 worker's report would silently lack the
+// state fields, and its counters would include its hub peers' work. Version
+// 8 also sends HEARTBEAT stats as JSON (see wireHeartbeat), which a version-7
+// coordinator would drop as undecodable.
+const distProtoVersion = 8
 
 // errEncodePayload marks a send that failed locally while gob-encoding the
 // body — the data was unencodable or too large (MaxFramePayload), which
@@ -184,6 +191,11 @@ func (w *connWriter) send(typ byte, body any) error {
 			return fmt.Errorf("%w: %v", errEncodePayload, err)
 		}
 	}
+	return w.sendRaw(typ, payload)
+}
+
+// sendRaw sends an already encoded payload.
+func (w *connWriter) sendRaw(typ byte, payload []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return engine.WriteFrame(w.c, engine.Frame{Type: typ, Payload: payload})
@@ -453,7 +465,7 @@ func (co *Coordinator) readLoop(w int, cc *coordConn) {
 			if co.agg.enabled() && len(f.Payload) > 0 {
 				var hb wireHeartbeat
 				// Undecodable stats degrade the frame to pure liveness.
-				if err := engine.DecodePayload(f.Payload, &hb); err == nil {
+				if err := json.Unmarshal(f.Payload, &hb); err == nil {
 					co.agg.applyStats(worker, hb.Stats)
 				}
 			}
@@ -898,7 +910,12 @@ func JoinCluster(ctx context.Context, addr string, build JobBuilder, opts JoinOp
 			}
 			_ = w.send(engine.FrameTrace, wireTrace{Events: evs, Dropped: feed.Dropped()})
 		}
-		return w.send(engine.FrameHeartbeat, wireHeartbeat{Stats: sampler.sample()})
+		hb, err := json.Marshal(wireHeartbeat{Stats: sampler.sample()})
+		if err != nil {
+			// Stats JSON cannot carry (a NaN gauge) must not cost liveness.
+			hb, _ = json.Marshal(wireHeartbeat{})
+		}
+		return w.sendRaw(engine.FrameHeartbeat, hb)
 	}
 	stopHB := make(chan struct{})
 	defer close(stopHB)

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -138,12 +139,12 @@ func startDistCluster(t *testing.T, ctx context.Context, fx *distFixture, opts C
 	if err != nil {
 		t.Fatal(err)
 	}
-	return joinDistWorkers(t, ctx, co, distWorkers)
+	return joinDistWorkers(t, ctx, co, distWorkers, nil)
 }
 
 // joinDistWorkers joins n in-process workers to co and waits for the
-// cluster to be complete.
-func joinDistWorkers(t *testing.T, ctx context.Context, co *Coordinator, n int) *distCluster {
+// cluster to be complete. Every worker's jobs attach hub (nil: none).
+func joinDistWorkers(t *testing.T, ctx context.Context, co *Coordinator, n int, hub *telemetry.Telemetry) *distCluster {
 	t.Helper()
 	dc := &distCluster{co: co}
 	for w := 0; w < n; w++ {
@@ -152,7 +153,7 @@ func joinDistWorkers(t *testing.T, ctx context.Context, co *Coordinator, n int) 
 		errc := make(chan error, 1)
 		dc.errs = append(dc.errs, errc)
 		go func() {
-			errc <- JoinCluster(wctx, co.Addr(), NexmarkBuilderWith(nil), JoinOptions{
+			errc <- JoinCluster(wctx, co.Addr(), NexmarkBuilderWith(hub), JoinOptions{
 				HeartbeatEvery: 50 * time.Millisecond,
 			})
 		}()
@@ -246,6 +247,82 @@ func TestDistClusterMatchesInMemory(t *testing.T) {
 				t.Errorf("exchange.batch_records = %v, in-process network run = %v", got, want)
 			}
 		})
+	}
+}
+
+// TestDistResultSeriesMatchInProcess: a JobResult is assembled from worker
+// reports alone in both executors, so an in-process run on the network
+// transport and a coordinator with three joined workers export the same set
+// of series — keyed-state sizes, their totals and worker saturation
+// included — and agree on every task's final keyed-state size.
+func TestDistResultSeriesMatchInProcess(t *testing.T) {
+	for _, c := range []struct {
+		query    string
+		stateful bool
+	}{{"Q1-sliding", true}, {"Q2-join", true}, {"Q3-inf", false}} {
+		t.Run(c.query, func(t *testing.T) {
+			fx := newDistFixture(t, c.query)
+			local := fx.referenceResult(t, engine.TransportNetwork)
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer cancel()
+			dc := startDistCluster(t, ctx, fx, CoordinatorOptions{HeartbeatTimeout: 5 * time.Second})
+			res, err := dc.co.Run(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := res.Metrics.Names(), local.Metrics.Names(); !reflect.DeepEqual(got, want) {
+				t.Errorf("coordinator run exports %d series, in-process run %d:\ncoordinator: %v\nin-process:  %v", len(got), len(want), got, want)
+			}
+			snap, lsnap := res.Metrics.Snapshot(), local.Metrics.Snapshot()
+			stateful := 0
+			for id, want := range local.Tasks {
+				got := res.Tasks[id]
+				if got.Stateful != want.Stateful || got.StateBytes != want.StateBytes || got.StateKeys != want.StateKeys {
+					t.Errorf("task %v state: coordinator %v/%d B/%d keys, in-process %v/%d B/%d keys",
+						id, got.Stateful, got.StateBytes, got.StateKeys, want.Stateful, want.StateBytes, want.StateKeys)
+				}
+				if !want.Stateful {
+					continue
+				}
+				stateful++
+				for _, m := range []string{"state_keys", "state_bytes"} {
+					name := metrics.TaskMetricName(string(id.Op), id.Index, m)
+					if snap[name] != lsnap[name] {
+						t.Errorf("%s: coordinator %v, in-process %v", name, snap[name], lsnap[name])
+					}
+				}
+			}
+			if (stateful > 0) != c.stateful {
+				t.Errorf("%d stateful tasks reported, want stateful=%v", stateful, c.stateful)
+			}
+		})
+	}
+}
+
+// TestDistSharedHubCountsOnce joins three in-process workers whose jobs share
+// one telemetry hub: each attempt counts in cells it owns, so the result
+// counts every batched record once, as a run without a hub does, while the
+// shared hub still sees every worker's records.
+func TestDistSharedHubCountsOnce(t *testing.T) {
+	fx := newDistFixture(t, "Q3-inf")
+	want := fx.referenceResult(t, engine.TransportNetwork).Metrics.Snapshot()["exchange.batch_records"]
+	hub := telemetry.New()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	co, err := NewCoordinator("127.0.0.1:0", fx.deploy, distWorkers, CoordinatorOptions{HeartbeatTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := joinDistWorkers(t, ctx, co, distWorkers, hub).co.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := res.Metrics.Snapshot()["exchange.batch_records"]
+	if got != want || got <= 0 {
+		t.Errorf("exchange.batch_records = %v with a shared hub, %v without a hub", got, want)
+	}
+	if h := hub.Registry().Snapshot()["exchange.batch_records"]; h != got {
+		t.Errorf("the shared hub's exchange.batch_records = %v, the result's %v", h, got)
 	}
 }
 
@@ -599,9 +676,10 @@ func TestDistPeerDownEscalatesAfterBudget(t *testing.T) {
 }
 
 // TestWirePayloadRoundTrip pins that every control-plane payload carrying
-// engine types survives gob unchanged: the frames speak dataflow.TaskID,
-// engine.TaskSnapshot, engine.TaskStats and named metric snapshots directly,
-// with no wire-only mirror in between to drift.
+// engine types survives its encoding unchanged — gob, and JSON for the
+// heartbeat: the frames speak dataflow.TaskID, engine.TaskSnapshot,
+// engine.TaskStats and named metric snapshots directly, with no wire-only
+// mirror in between to drift.
 func TestWirePayloadRoundTrip(t *testing.T) {
 	win0, win1 := dataflow.TaskID{Op: "win", Index: 0}, dataflow.TaskID{Op: "win", Index: 1}
 	snap := &engine.TaskSnapshot{
@@ -628,24 +706,26 @@ func TestWirePayloadRoundTrip(t *testing.T) {
 			Worker: 1, Attempt: 2, Completed: true, Lost: 4,
 			Tasks: map[dataflow.TaskID]engine.TaskStats{
 				win1: {Worker: 1, RecordsIn: 300, RecordsOut: 120, BytesOut: 9600,
-					BusyTime: 3 * time.Millisecond, BackpressureT: time.Millisecond, Sink: true, Dead: true},
+					BusyTime: 3 * time.Millisecond, BackpressureT: time.Millisecond, Sink: true, Dead: true,
+					Stateful: true, StateBytes: 4096, StateKeys: 17},
 			},
 			Metrics: metrics.TypedValues{
 				Counters: map[string]int64{"net.frames_sent": 40, "exchange.batches": 12},
+				Gauges:   map[string]float64{"worker.w1.io_saturation": 0.5},
 				Times:    map[string]time.Duration{"exchange.credit_stall_seconds": 5 * time.Millisecond},
 			},
 			Hists: map[string]telemetry.HistogramSnapshot{"net.credit_wait_seconds": wait.Snapshot()},
 		}},
-		&wireHeartbeat{Stats: &wireStats{
-			TypedValues: metrics.TypedValues{
-				Counters: map[string]int64{"net.frames_sent": 3},
-				Gauges:   map[string]float64{"queue.depth": 4},
-				Times:    map[string]time.Duration{"exchange.credit_stall_seconds": time.Millisecond},
-			},
-			FnGauges: []telemetry.GaugeSample{{Family: "worker_saturation", Labels: map[string]string{"resource": "cpu"}, Value: 0.25}},
-			Hists:    map[string]telemetry.HistogramSnapshot{"net.credit_wait_seconds": wait.Snapshot()},
-		}},
 	}
+	hb := &wireHeartbeat{Stats: &wireStats{
+		TypedValues: metrics.TypedValues{
+			Counters: map[string]int64{"net.frames_sent": 3},
+			Gauges:   map[string]float64{"queue.depth": 4},
+			Times:    map[string]time.Duration{"exchange.credit_stall_seconds": time.Millisecond},
+		},
+		FnGauges: []telemetry.GaugeSample{{Family: "worker_saturation", Labels: map[string]string{"resource": "cpu"}, Value: 0.25}},
+		Hists:    map[string]telemetry.HistogramSnapshot{"net.credit_wait_seconds": wait.Snapshot()},
+	}}
 	for _, in := range payloads {
 		buf, err := engine.EncodePayload(in)
 		if err != nil {
@@ -658,6 +738,14 @@ func TestWirePayloadRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(in, out) {
 			t.Errorf("%T changed in transit:\n sent %+v\n got  %+v", in, in, out)
 		}
+	}
+	buf, err := json.Marshal(hb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out wireHeartbeat
+	if err := json.Unmarshal(buf, &out); err != nil || !reflect.DeepEqual(hb, &out) {
+		t.Errorf("heartbeat changed in transit (%v):\n sent %+v\n got  %+v", err, hb.Stats, out.Stats)
 	}
 }
 

@@ -200,7 +200,7 @@ func TestLiveRescaleIsReplacedByStrategy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := joinDistWorkers(t, ctx, co, distWorkers).co.Run(ctx)
+		res, err := joinDistWorkers(t, ctx, co, distWorkers, nil).co.Run(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}

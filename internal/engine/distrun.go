@@ -64,16 +64,17 @@ type WorkerReport struct {
 	Attempt   int
 	Completed bool
 	Lost      int64
-	// Tasks holds the local tasks' counters; the fields derived from the
-	// run's elapsed time (UsefulFraction, Observed*Rate) are assembleResult's
-	// to fill.
+	// Tasks holds the local tasks' counters and keyed-state sizes; the
+	// fields derived from the run's elapsed time (UsefulFraction,
+	// Observed*Rate) are assembleResult's to fill.
 	Tasks map[dataflow.TaskID]TaskStats
-	// Metrics is this attempt's share of every exchange.* and net.* series —
-	// the cell's value minus its value when the attempt was built — and
-	// Hists the same for the wire-credit wait distribution (mergeable across
-	// workers, so the assembled result can report a cluster-wide p99). Both
-	// are the generic form heartbeats already ship; assembleResult merges
-	// them by name.
+	// Metrics holds the attempt's own exchange.* and net.* cells as they
+	// read when it reported, its fusion counts (engine.fuse.*, only when it
+	// fused) and the token-bucket saturation of its local workers
+	// ("worker.<id>.<resource>_saturation" gauges). Hists holds the attempt's
+	// own wire-credit wait distribution (mergeable across workers, so the
+	// assembled result can report a cluster-wide p99). Both are the generic
+	// form heartbeats already ship; assembleResult merges them by name.
 	Metrics metrics.TypedValues
 	Hists   map[string]telemetry.HistogramSnapshot
 }
@@ -183,7 +184,8 @@ func (r *WorkerRun) Report() (*WorkerReport, error) {
 // report assembles the attempt's counters once no task goroutine remains:
 // this worker's share in a distributed attempt, every task (Worker -1) in an
 // in-process one. An attempt completed unless something aborted it — a
-// fault, a drain or the coordinator.
+// fault, a drain or the coordinator. Every figure is read, as it stands,
+// from cells, meters and namespaces the attempt owns.
 func (a *attempt) report() *WorkerReport {
 	rep := &WorkerReport{
 		Worker:    -1,
@@ -196,8 +198,9 @@ func (a *attempt) report() *WorkerReport {
 	if a.dist != nil {
 		rep.Worker = a.dist.Local
 	}
+	var fusedRecords int64
 	for _, rt := range a.tasks {
-		rep.Tasks[rt.id] = TaskStats{
+		ts := TaskStats{
 			Worker:        rt.worker,
 			RecordsIn:     rt.recordsIn,
 			RecordsOut:    rt.recordsOut,
@@ -208,17 +211,31 @@ func (a *attempt) report() *WorkerReport {
 			Source:        rt.numIn == 0,
 			Dead:          rt.dead,
 		}
+		if ns := rt.ctx.State; ns != nil {
+			ts.Stateful = true
+			ts.StateBytes, ts.StateKeys = int64(ns.StoredBytes()), int64(ns.Keys())
+		}
+		rep.Tasks[rt.id] = ts
+		fusedRecords += rt.fusedOut
 	}
-	// The cells are process-cumulative when they live in a hub; the base
-	// taken at construction scopes them to this attempt.
-	for n := range rep.Metrics.Counters {
-		rep.Metrics.Counters[n] -= a.base.Counters[n]
+	// Fusion counts appear only when the attempt actually fused, so unfused
+	// jobs — every golden fixture among them — keep an unchanged surface.
+	if a.fusedTasks > 0 {
+		rep.Metrics.Counters["engine.fuse.chains"] = a.fusedChains
+		rep.Metrics.Counters["engine.fuse.tasks"] = a.fusedTasks
+		rep.Metrics.Counters["engine.fuse.records"] = fusedRecords
 	}
-	for n := range rep.Metrics.Times {
-		rep.Metrics.Times[n] -= a.base.Times[n]
+	for i, wr := range a.workers {
+		if !localTo(a.dist, i) {
+			continue
+		}
+		id := a.j.spec.Workers[i].ID
+		rep.Metrics.Gauges[metrics.WorkerMetricName(id, "cpu_saturation")] = wr.CPU.Utilization()
+		rep.Metrics.Gauges[metrics.WorkerMetricName(id, "io_saturation")] = wr.IO.Utilization()
+		rep.Metrics.Gauges[metrics.WorkerMetricName(id, "net_saturation")] = wr.Net.Utilization()
 	}
 	if a.net != nil {
-		rep.Hists = map[string]telemetry.HistogramSnapshot{creditWaitSeries: a.net.creditWaitSnapshot()}
+		rep.Hists = map[string]telemetry.HistogramSnapshot{creditWaitSeries: a.net.creditWaitH.Snapshot()}
 	}
 	return rep
 }

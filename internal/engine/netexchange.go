@@ -135,9 +135,9 @@ type netAttempt struct {
 	fatal   error
 
 	// The wire counters. Each is the one cell its net.* series has for this
-	// attempt, declared on the attempt's registry scope: the hub's cell when
-	// a hub is attached (a scrape mid-run sees the wire moving), a private
-	// one otherwise; attempt.report subtracts the attempt's base either way.
+	// attempt, declared on the attempt's registry scope: the attempt's own,
+	// forwarding every count to the hub's cell when a hub is attached (a
+	// scrape mid-run sees the wire moving).
 	framesSent, framesRecv *metrics.Counter
 	bytesSent, bytesRecv   *metrics.Counter
 	writes                 *metrics.Counter // socket writes; framesSent/writes is the coalescing factor
@@ -163,29 +163,19 @@ type netAttempt struct {
 	// creditWaitH observes, per remote flush, how long the sender waited for
 	// its previous frame to that target to be covered by wire credits (the
 	// network transport's backpressure signal; zero when it had already
-	// shipped); grantWaitH observes the receiver-side dual —
-	// how long grantors block acquiring from the task's real gate. Both
-	// are non-nil: they land in the hub when one is attached (live
-	// /metrics) and in a standalone histogram otherwise (worker reports
-	// still carry the snapshot).
+	// shipped). It is the attempt's own — worker reports carry its snapshot
+	// — and a scope of the hub's histogram when a hub is attached (live
+	// /metrics). grantWaitH observes the receiver-side dual — how long
+	// grantors block acquiring from the task's real gate — straight into the
+	// hub, and is nil without one.
 	creditWaitH *telemetry.Histogram
 	grantWaitH  *telemetry.Histogram
-	// creditWaitBase is creditWaitH's state at attempt construction. The
-	// hub histogram is process-cumulative across attempts; subtracting the
-	// base keeps per-attempt exports (result registry, worker reports)
-	// scoped to this attempt.
-	creditWaitBase telemetry.HistogramSnapshot
 }
 
 // creditWaitSeries names the wire-credit wait histogram: the one wire
 // distribution worker reports carry, from which assembleResult derives the
 // cluster-wide wait count and p99.
 const creditWaitSeries = "net.credit_wait_seconds"
-
-// creditWaitSnapshot returns this attempt's credit-wait distribution.
-func (na *netAttempt) creditWaitSnapshot() telemetry.HistogramSnapshot {
-	return na.creditWaitH.Snapshot().Sub(na.creditWaitBase)
-}
 
 // peerKey identifies one direction-of-view pair: a local node and the
 // remote peer it exchanges frames with.
@@ -358,9 +348,8 @@ func newNetAttempt(a *attempt, byID map[dataflow.TaskID]*taskRuntime, cross []cr
 		}
 	}
 	tel := a.j.opts.Telemetry
-	na.creditWaitH = hubOrLocalHistogram(tel, creditWaitSeries)
-	na.grantWaitH = hubOrLocalHistogram(tel, "net.grant_wait_seconds")
-	na.creditWaitBase = na.creditWaitH.Snapshot()
+	na.creditWaitH = tel.Histogram(creditWaitSeries).Scope()
+	na.grantWaitH = tel.Histogram("net.grant_wait_seconds")
 	for _, node := range na.nodes {
 		na.wg.Add(1)
 		go node.acceptLoop()
@@ -376,23 +365,6 @@ func newNetAttempt(a *attempt, byID map[dataflow.TaskID]*taskRuntime, cross []cr
 	}
 	na.registerGauges()
 	return na, nil
-}
-
-// hubOrLocalHistogram returns the hub's named histogram, or a standalone
-// default-layout histogram when the job runs without Telemetry — the wire
-// always measures its waits (worker reports ship the snapshot) even when
-// nothing serves them live.
-func hubOrLocalHistogram(tel *telemetry.Telemetry, name string) *telemetry.Histogram {
-	//capslint:allow metricnames names are literal at every hubOrLocalHistogram call site
-	if h := tel.Histogram(name); h != nil {
-		return h
-	}
-	h, err := telemetry.NewHistogram(telemetry.DefaultLatencyOptions())
-	if err != nil {
-		// DefaultLatencyOptions always validates; guard anyway.
-		panic(err)
-	}
-	return h
 }
 
 // registerGauges exports per-peer wire gauges: records granted to a sending

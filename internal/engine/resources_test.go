@@ -130,16 +130,34 @@ func TestMeterUtilizationSeesShards(t *testing.T) {
 	}
 }
 
-// runKeepAttempt is Job.Run, handing back also the attempt that finished the
-// job, whose meters and namespaces a test can then read.
+// keepLast is the in-process executor for a fault-free job that keeps the
+// attempt it ran, whose meters and namespaces a test can then read.
+type keepLast struct {
+	*localExecutor
+	last *attempt
+}
+
+func (x *keepLast) RunAttempt(ctx context.Context, at AttemptSpec) (AttemptEnd, error) {
+	att, err := x.j.buildAttempt(at.No, at.Plan, x.faults, nil, nil)
+	if err != nil {
+		return AttemptEnd{}, err
+	}
+	at.Up()
+	err = att.run(ctx)
+	att.close()
+	x.last = att
+	return AttemptEnd{Reports: []*WorkerReport{att.report()}}, err
+}
+
+// runKeepAttempt is Job.Run for a fault-free job, handing back also the
+// attempt that ran it.
 func runKeepAttempt(t *testing.T, job *Job) (*JobResult, *attempt) {
 	t.Helper()
-	x := &localExecutor{j: job, faults: newFaultState(job.opts.FaultPlan, job.clk(), job.clk, nil)}
+	x := &keepLast{localExecutor: &localExecutor{j: job, faults: newFaultState(job.opts.FaultPlan, job.clk(), job.clk, nil)}}
 	res, err := job.sup.Run(context.Background(), x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x.last.exportLocal(res.Metrics)
 	return res, x.last
 }
 
@@ -274,6 +292,87 @@ func TestStateIOPaces(t *testing.T) {
 				t.Errorf("half the results reached the sink %v into a %v run: the window's state I/O was not paced while it ran", mid, elapsed)
 			}
 		})
+	}
+}
+
+// TestStateIORestorePaidInDowntime: the state I/O a restore strikes while
+// its attempt is built is paid before the attempt comes up, so it lands in
+// the job's recovery downtime. Paid by the first batch instead, the end
+// totals would be the same but the cost would hide in the window's busy time.
+// The window runs on an unmetered worker until the kill and is restored onto
+// a metered one, so no I/O debt from before the kill delays the abort.
+func TestStateIORestorePaidInDowntime(t *testing.T) {
+	const restoreCost = 150 * time.Millisecond
+	run := func(ioBps float64) (*JobResult, int) {
+		g := chainGraph(t, []dataflow.Operator{
+			{ID: "src", Kind: dataflow.KindSource, Parallelism: 1, Selectivity: 1},
+			{ID: "win", Kind: dataflow.KindWindow, Parallelism: 1, Selectivity: 1},
+			{ID: "sink", Kind: dataflow.KindSink, Parallelism: 1},
+		})
+		plan := dataflow.NewPlan()
+		plan.Assign(dataflow.TaskID{Op: "src"}, 0)
+		plan.Assign(dataflow.TaskID{Op: "win"}, 0)
+		plan.Assign(dataflow.TaskID{Op: "sink"}, 1)
+		// restored is the write the restore charged the window's namespace:
+		// all it holds when the restored attempt's factory sees it.
+		restored := 0
+		factories := map[dataflow.OperatorID]Factory{
+			"src": func(*TaskContext) (any, error) {
+				return NewSource(func(_, i int64) (Record, bool) {
+					return Record{Key: fmt.Sprintf("k%05d", i), Value: i, Time: i}, true
+				}), nil
+			},
+			// One window spans the stream and every key is new, so the epoch-1
+			// image holds one entry per record before it.
+			"win": func(tctx *TaskContext) (any, error) {
+				if w := tctx.State.Stats().WriteBytes; w > 0 {
+					restored = w
+				}
+				return NewSlidingWindow(1e9, 1e9, countAgg, countResult), nil
+			},
+			"sink": func(*TaskContext) (any, error) { return NewSink(nil), nil },
+		}
+		spec := ClusterSpec{Workers: []WorkerSpec{
+			{ID: "w0", Slots: 3, Cores: 1e6, IOBps: 1e12, NetBps: 1e12},
+			{ID: "w1", Slots: 3, Cores: 1e6, IOBps: 1e12, NetBps: 1e12},
+			{ID: "w2", Slots: 3, Cores: 1e6, IOBps: ioBps, NetBps: 1e12},
+		}}
+		job, err := NewJob(g, plan, spec, factories, JobOptions{
+			RecordsPerSource: 600,
+			SnapshotInterval: 500,
+			Transport:        TransportBatched,
+			Stateful:         map[dataflow.OperatorID]bool{"win": true},
+			FaultPlan:        FaultPlan{KillWorkers: []WorkerKill{{Worker: 1, AtEpoch: 1}}},
+			OnFailure: func(FailureEvent) (*dataflow.Plan, error) {
+				next := dataflow.NewPlan()
+				next.Assign(dataflow.TaskID{Op: "src"}, 0)
+				next.Assign(dataflow.TaskID{Op: "win"}, 2)
+				next.Assign(dataflow.TaskID{Op: "sink"}, 0)
+				return next, nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := job.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Recoveries != 1 || res.RestoredEpoch != 1 || restored == 0 {
+			t.Fatalf("recoveries %d from epoch %d restoring %d bytes, want one restore of epoch 1's image", res.Recoveries, res.RestoredEpoch, restored)
+		}
+		return res, restored
+	}
+	// The image is a function of the stream alone, so an unmetered run sizes
+	// the meter: restoring it costs restoreCost, the first 50 ms of it
+	// covered by the fresh bucket's burst.
+	_, image := run(1e12)
+	rate := float64(image) / restoreCost.Seconds()
+	res, image := run(rate)
+	cost := time.Duration(float64(image) / rate * float64(time.Second))
+	if burst := 50 * time.Millisecond; res.Downtime < cost-burst {
+		t.Errorf("recovery downtime %v; restoring a %d-byte image at %.0f B/s takes %v, %v of it past the burst",
+			res.Downtime, image, rate, cost, cost-burst)
 	}
 }
 

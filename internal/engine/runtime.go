@@ -143,6 +143,11 @@ type TaskStats struct {
 	// upstream edges; Dead marks a task that degraded in place (its worker
 	// was killed with no recovery configured).
 	Sink, Source, Dead bool
+	// Stateful marks a task with a keyed-state namespace; StateBytes and
+	// StateKeys are that namespace's stored bytes and keys when the task's
+	// attempt reported.
+	Stateful              bool
+	StateBytes, StateKeys int64
 }
 
 // JobResult is the outcome of one engine run.
@@ -154,13 +159,16 @@ type JobResult struct {
 	// SourceRecords counts records produced by sources.
 	SourceRecords int64
 	// Metrics exports the run's telemetry as a named registry (the form
-	// the CAPSys metrics collector scrapes): per task,
+	// the CAPSys metrics collector scrapes), assembled from the final
+	// attempt's worker reports alone (see assembleResult): per task,
 	// "<op>[<idx>].records_in", ".records_out", ".bytes_out",
-	// ".busy_seconds", ".backpressure_seconds" and ".useful_fraction",
-	// plus job-level "job.recoveries", "job.downtime_seconds",
-	// "job.records_reprocessed", "job.lost_records" and "job.snapshots",
-	// plus the exchange.* family (declared in buildAttempt) and, under the
-	// network transport, the net.* family (declared in newNetAttempt).
+	// ".busy_seconds", ".backpressure_seconds" and ".useful_fraction", and
+	// for stateful tasks ".state_bytes" and ".state_keys" with the
+	// "state.total_bytes", "state.total_keys" and "state.namespaces" totals;
+	// job-level "job.*" series; the exchange.* family (declared in
+	// buildAttempt) and, under the network transport, the net.* family
+	// (declared in newNetAttempt); "worker.<id>.{cpu,io,net}_saturation";
+	// and, when the attempt fused, "engine.fuse.{chains,tasks,records}".
 	Metrics *metrics.Registry
 
 	// Failed reports that at least one task died without recovery (the job
@@ -364,12 +372,7 @@ func (j *Job) Transport() string { return j.opts.Transport }
 // rescales drain, repartition and resume it (see Supervisor).
 func (j *Job) Run(ctx context.Context) (*JobResult, error) {
 	x := &localExecutor{j: j, faults: newFaultState(j.opts.FaultPlan, j.clk(), j.clk, j.opts.Telemetry.Tracer())}
-	res, err := j.sup.Run(ctx, x)
-	if err != nil {
-		return nil, err
-	}
-	x.last.exportLocal(res.Metrics)
-	return res, nil
+	return j.sup.Run(ctx, x)
 }
 
 // localExecutor is the in-process AttemptExecutor: an attempt is a set of
@@ -378,7 +381,6 @@ func (j *Job) Run(ctx context.Context) (*JobResult, error) {
 type localExecutor struct {
 	j      *Job
 	faults *faultState
-	last   *attempt
 }
 
 // localCoord is an in-process attempt's CoordClient: the two supervisor
@@ -406,7 +408,6 @@ func (x *localExecutor) RunAttempt(ctx context.Context, at AttemptSpec) (Attempt
 	if err != nil {
 		return AttemptEnd{}, err
 	}
-	x.last = att
 	att.mu.Lock()
 	end := AttemptEnd{Fault: att.failEv, DrainEpoch: att.rescaleEpoch, At: att.rescaleAt}
 	if end.Fault != nil {
@@ -441,15 +442,12 @@ type attempt struct {
 	net  *netAttempt
 	dist *WorkerNetConfig
 
-	// reg names this attempt's exchange.* and net.* cells: a scope of the
-	// hub's registry when a hub is attached, a private registry otherwise.
-	// base is reg's snapshot once every cell is declared; report subtracts
-	// it, so the hub's process-cumulative cells yield per-attempt values
-	// (which assumes one attempt at a time per hub — the heartbeat
-	// sampler's assumption too). The four exchange cells: batches flushed,
+	// reg owns this attempt's exchange.* and net.* cells: a scope of the
+	// hub's registry, so every update also lands on the hub's cell, or a
+	// private registry without a hub. It counts this attempt alone, however
+	// many attempts share the hub. The four exchange cells: batches flushed,
 	// records they carried, and credit-gate stalls (count and time waited).
 	reg                                 *metrics.Registry
-	base                                metrics.TypedValues
 	batches, batchRecords, creditStalls *metrics.Counter
 	creditStallT                        *metrics.TimeAccumulator
 
@@ -722,7 +720,6 @@ func (j *Job) buildAttempt(no int, plan *dataflow.Plan, faults *faultState, rest
 	} else if dist != nil {
 		return nil, fmt.Errorf("engine: distributed attempts require the %s transport, have %s", TransportNetwork, j.opts.Transport)
 	}
-	a.base = a.reg.TypedSnapshot()
 	// One cached linger clock and one IO shard per task goroutine (a fused
 	// chain is one).
 	lingers := j.opts.Transport != TransportUnary && j.opts.BatchLinger >= 0
@@ -928,52 +925,6 @@ func (a *attempt) epochStarted(epoch int64) {
 	a.mu.Unlock()
 	if first && a.coord != nil {
 		a.coord.EpochStarted(epoch)
-	}
-}
-
-// exportLocal adds what only the process that ran the tasks can see to an
-// assembled result: final keyed-state sizes, fusion counts, and the
-// workers' token-bucket saturation.
-func (a *attempt) exportLocal(reg *metrics.Registry) {
-	var fusedRecords int64
-	var stateBytes, stateKeys, stateNamespaces int
-	for _, rt := range a.tasks {
-		fusedRecords += rt.fusedOut
-		if rt.ctx.State == nil {
-			continue
-		}
-		name := func(metric string) string {
-			return metrics.TaskMetricName(string(rt.id.Op), rt.id.Index, metric)
-		}
-		sb, sk := rt.ctx.State.StoredBytes(), rt.ctx.State.Keys()
-		reg.Gauge(name("state_bytes")).Set(float64(sb)) //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-		reg.Gauge(name("state_keys")).Set(float64(sk))  //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-		stateBytes += sb
-		stateKeys += sk
-		stateNamespaces++
-	}
-	// Fusion telemetry appears only when the attempt actually fused, so
-	// unfused jobs — every golden fixture among them — keep an unchanged
-	// metric surface.
-	if a.fusedTasks > 0 {
-		reg.Counter("engine.fuse.chains").Inc(a.fusedChains)
-		reg.Counter("engine.fuse.tasks").Inc(a.fusedTasks)
-		reg.Counter("engine.fuse.records").Inc(fusedRecords)
-	}
-	// Keyed-state totals appear only for stateful jobs, mirroring the live
-	// state.* gauges (final values at drain time).
-	if stateNamespaces > 0 {
-		reg.Gauge("state.total_bytes").Set(float64(stateBytes))
-		reg.Gauge("state.total_keys").Set(float64(stateKeys))
-		reg.Gauge("state.namespaces").Set(float64(stateNamespaces))
-	}
-	// Final token-bucket saturation per worker resource, in the same form
-	// the live exporter serves ("worker.<id>.<resource>_saturation").
-	for i, wr := range a.workers {
-		id := a.j.spec.Workers[i].ID
-		reg.Gauge("worker." + id + ".cpu_saturation").Set(wr.CPU.Utilization())
-		reg.Gauge("worker." + id + ".io_saturation").Set(wr.IO.Utilization())
-		reg.Gauge("worker." + id + ".net_saturation").Set(wr.Net.Utilization())
 	}
 }
 

@@ -600,9 +600,11 @@ func keepSurvivorsPlan(prev *dataflow.Plan, tasks []dataflow.TaskID, workers []W
 }
 
 // assembleResult folds the final attempt's worker reports and the run
-// aggregate into a JobResult. The exchange.* and net.* series arrive named in
-// the reports and merge by name, so a transport exports exactly the families
-// its attempts declared.
+// aggregate into a JobResult — the only way a figure reaches one, in both
+// executors. The exchange.*, net.*, engine.fuse.* and saturation series
+// arrive named in the reports and merge by name, so a transport exports
+// exactly the families its attempts declared; per-task series, keyed-state
+// sizes included, derive from each report's TaskStats.
 func assembleResult(reports []*WorkerReport, agg runAgg) *JobResult {
 	res := &JobResult{
 		Elapsed: agg.elapsed,
@@ -610,6 +612,7 @@ func assembleResult(reports []*WorkerReport, agg runAgg) *JobResult {
 		Metrics: metrics.NewRegistry(),
 	}
 	hists := make(map[string]telemetry.HistogramSnapshot)
+	var stateBytes, stateKeys, stateNamespaces int64
 	for _, rep := range reports {
 		for n, v := range rep.Metrics.Counters {
 			res.Metrics.Counter(n).Inc(v) //capslint:allow metricnames relayed under the literal name the attempt declared the cell with
@@ -617,10 +620,12 @@ func assembleResult(reports []*WorkerReport, agg runAgg) *JobResult {
 		for n, d := range rep.Metrics.Times {
 			res.Metrics.Time(n).Add(d) //capslint:allow metricnames relayed under the literal name the attempt declared the cell with
 		}
+		for n, v := range rep.Metrics.Gauges {
+			res.Metrics.Gauge(n).Set(v) //capslint:allow metricnames relayed under the name the attempt reported it with
+		}
 		for n, h := range rep.Hists {
-			// Merge failure only occurs across mismatched bucket layouts, which
-			// one binary's workers cannot produce; losing a histogram would
-			// still leave every scalar intact.
+			// A snapshot that does not fit the layout (ErrHistogramLayout) is
+			// dropped; losing a histogram still leaves every scalar intact.
 			merged := hists[n]
 			_ = merged.Merge(h)
 			hists[n] = merged
@@ -643,6 +648,13 @@ func assembleResult(reports []*WorkerReport, agg runAgg) *JobResult {
 			res.Metrics.Time(name("busy_seconds")).Add(ts.BusyTime)              //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
 			res.Metrics.Time(name("backpressure_seconds")).Add(ts.BackpressureT) //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
 			res.Metrics.Gauge(name("useful_fraction")).Set(ts.UsefulFraction)    //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
+			if ts.Stateful {
+				res.Metrics.Gauge(name("state_bytes")).Set(float64(ts.StateBytes)) //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
+				res.Metrics.Gauge(name("state_keys")).Set(float64(ts.StateKeys))   //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
+				stateBytes += ts.StateBytes
+				stateKeys += ts.StateKeys
+				stateNamespaces++
+			}
 			if ts.Sink {
 				res.SinkRecords += ts.RecordsIn
 			}
@@ -656,6 +668,13 @@ func assembleResult(reports []*WorkerReport, agg runAgg) *JobResult {
 	}
 	if wait, ok := hists[creditWaitSeries]; ok {
 		exportCreditWait(res.Metrics, wait)
+	}
+	// Keyed-state totals appear only for stateful jobs, mirroring the live
+	// state.* gauges (final values when the attempt reported).
+	if stateNamespaces > 0 {
+		res.Metrics.Gauge("state.total_bytes").Set(float64(stateBytes))
+		res.Metrics.Gauge("state.total_keys").Set(float64(stateKeys))
+		res.Metrics.Gauge("state.namespaces").Set(float64(stateNamespaces))
 	}
 	res.Faults = agg.faults
 	res.Recoveries = agg.recoveries

@@ -19,35 +19,58 @@ import (
 	"time"
 )
 
-// Counter is a monotonically increasing atomic counter.
+// Counter is a monotonically increasing atomic counter. A counter a scope
+// declared also adds every increment to its parent's same-named counter.
 type Counter struct {
-	v atomic.Int64
+	v  atomic.Int64
+	up *Counter
 }
 
-// Inc adds n (n may be any non-negative value).
-func (c *Counter) Inc(n int64) { c.v.Add(n) }
+// Inc adds n (n may be any non-negative value). It loops up the scope chain
+// rather than recursing so that it stays small enough to inline.
+func (c *Counter) Inc(n int64) {
+	c.v.Add(n)
+	for up := c.up; up != nil; up = up.up {
+		up.v.Add(n)
+	}
+}
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is an atomically updated float64 value.
+// Gauge is an atomically updated float64 value. A gauge a scope declared
+// also sets its parent's same-named gauge.
 type Gauge struct {
 	bits atomic.Uint64
+	up   *Gauge
 }
 
 // Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) {
+	g.bits.Store(math.Float64bits(v))
+	for up := g.up; up != nil; up = up.up {
+		up.bits.Store(math.Float64bits(v))
+	}
+}
 
 // Value returns the stored value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// TimeAccumulator accumulates durations (e.g. busy time) atomically.
+// TimeAccumulator accumulates durations (e.g. busy time) atomically. An
+// accumulator a scope declared also adds every duration to its parent's
+// same-named accumulator.
 type TimeAccumulator struct {
 	ns atomic.Int64
+	up *TimeAccumulator
 }
 
 // Add accumulates d.
-func (t *TimeAccumulator) Add(d time.Duration) { t.ns.Add(int64(d)) }
+func (t *TimeAccumulator) Add(d time.Duration) {
+	t.ns.Add(int64(d))
+	for up := t.up; up != nil; up = up.up {
+		up.ns.Add(int64(d))
+	}
+}
 
 // Total returns the accumulated duration.
 func (t *TimeAccumulator) Total() time.Duration { return time.Duration(t.ns.Load()) }
@@ -55,8 +78,8 @@ func (t *TimeAccumulator) Total() time.Duration { return time.Duration(t.ns.Load
 // Registry is a named collection of metrics with consistent snapshots.
 type Registry struct {
 	mu sync.Mutex
-	// parent is set on a Scope: cells come from the parent, so both
-	// registries name the same cell; only the listing is the scope's own.
+	// parent is set on a Scope: every cell the scope declares forwards its
+	// updates to the parent's same-named cell.
 	parent   *Registry
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
@@ -72,17 +95,13 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Scope returns a registry that shares r's cells but lists only the names
-// asked for through it: Counter("x") on the scope and on r return the same
-// *Counter, while the scope's snapshots cover just the series its owner
-// declared. A component that reports its own share of a process-wide
-// registry — an engine attempt inside a telemetry hub — declares its cells
-// on a scope and subtracts the snapshot it took when it started. The scope
-// of a nil registry is a fresh private registry.
+// Scope returns a registry of cells it owns, each forwarding its updates to
+// r's same-named cell: the scope's snapshots count only what went through
+// it, while r keeps counting everything. A component that reports its own
+// share of a process-wide registry — an engine attempt inside a telemetry
+// hub — declares its cells on a scope and reads the scope as it is. The
+// scope of a nil registry is a fresh private registry.
 func (r *Registry) Scope() *Registry {
-	if r == nil {
-		return NewRegistry()
-	}
 	s := NewRegistry()
 	s.parent = r
 	return s
@@ -94,10 +113,9 @@ func (r *Registry) Counter(name string) *Counter {
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	if !ok {
+		c = &Counter{}
 		if r.parent != nil {
-			c = r.parent.Counter(name)
-		} else {
-			c = &Counter{}
+			c.up = r.parent.Counter(name)
 		}
 		r.counters[name] = c
 	}
@@ -110,10 +128,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
 	if !ok {
+		g = &Gauge{}
 		if r.parent != nil {
-			g = r.parent.Gauge(name)
-		} else {
-			g = &Gauge{}
+			g.up = r.parent.Gauge(name)
 		}
 		r.gauges[name] = g
 	}
@@ -126,10 +143,9 @@ func (r *Registry) Time(name string) *TimeAccumulator {
 	defer r.mu.Unlock()
 	t, ok := r.times[name]
 	if !ok {
+		t = &TimeAccumulator{}
 		if r.parent != nil {
-			t = r.parent.Time(name)
-		} else {
-			t = &TimeAccumulator{}
+			t.up = r.parent.Time(name)
 		}
 		r.times[name] = t
 	}
@@ -182,36 +198,6 @@ func (r *Registry) TypedSnapshot() TypedValues {
 	}
 	for n, t := range r.times {
 		out.Times[n] = t.Total()
-	}
-	return out
-}
-
-// Kind classifies a snapshot entry for exporters that must distinguish
-// monotone series from point-in-time values.
-type Kind int
-
-const (
-	// KindCounter marks monotonically increasing values (counters and time
-	// accumulators).
-	KindCounter Kind = iota
-	// KindGauge marks point-in-time values (gauges).
-	KindGauge
-)
-
-// Kinds returns, for every key Snapshot would emit, whether it is a monotone
-// counter-like series or a point-in-time gauge.
-func (r *Registry) Kinds() map[string]Kind {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]Kind, len(r.counters)+len(r.gauges)+len(r.times))
-	for n := range r.counters {
-		out[n] = KindCounter
-	}
-	for n := range r.gauges {
-		out[n] = KindGauge
-	}
-	for n := range r.times {
-		out[n] = KindCounter
 	}
 	return out
 }

@@ -84,44 +84,44 @@ func TestRegistry(t *testing.T) {
 			t.Fatalf("Names = %v, want %v", names, want)
 		}
 	}
-	kinds := r.Kinds()
-	wantKinds := map[string]Kind{
-		"a": KindCounter, "b": KindGauge, "d": KindCounter,
-	}
-	for n, k := range wantKinds {
-		if kinds[n] != k {
-			t.Errorf("Kinds[%q] = %v, want %v", n, kinds[n], k)
-		}
-	}
-	if len(kinds) != len(wantKinds) {
-		t.Errorf("Kinds = %v", kinds)
-	}
 }
 
-// TestRegistryScope: a scope and its parent name the same cells, the scope
-// lists only what was asked for through it, and the scope of a nil registry
-// is a private registry.
+// TestRegistryScope: a scope owns its cells and counts only what went
+// through it, every update also lands on the parent's same-named cell (so
+// two scopes of one parent each count their own share while the parent
+// counts both), and the scope of a nil registry is a private registry.
 func TestRegistryScope(t *testing.T) {
 	hub := NewRegistry()
 	hub.Counter("other.series").Inc(9)
 	hub.Counter("net.frames_sent").Inc(5) // an earlier owner's count
-	scope := hub.Scope()
-	frames, stall := scope.Counter("net.frames_sent"), scope.Time("exchange.credit_stall_seconds")
-	if frames != hub.Counter("net.frames_sent") || stall != hub.Time("exchange.credit_stall_seconds") {
-		t.Fatal("scope and parent returned different cells for one name")
+	a, b := hub.Scope(), hub.Scope()
+	frames, stall := a.Counter("net.frames_sent"), a.Time("exchange.credit_stall_seconds")
+	if frames == hub.Counter("net.frames_sent") || frames != a.Counter("net.frames_sent") {
+		t.Fatal("a scope must own one cell per name, not share its parent's")
 	}
-	base := scope.TypedSnapshot()
 	frames.Inc(2)
 	stall.Add(time.Second)
-	got := scope.TypedSnapshot()
-	if len(got.Counters) != 1 || len(got.Times) != 1 {
-		t.Errorf("scope lists %v / %v, want only the two series it declared", got.Counters, got.Times)
+	a.Gauge("level").Set(3)
+	b.Counter("net.frames_sent").Inc(4)
+	got := a.TypedSnapshot()
+	if len(got.Counters) != 1 || len(got.Times) != 1 || len(got.Gauges) != 1 {
+		t.Errorf("scope lists %v / %v / %v, want only the three series it declared", got.Counters, got.Times, got.Gauges)
 	}
-	if d := got.Counters["net.frames_sent"] - base.Counters["net.frames_sent"]; d != 2 {
-		t.Errorf("scoped delta = %d, want 2", d)
+	if got.Counters["net.frames_sent"] != 2 || got.Times["exchange.credit_stall_seconds"] != time.Second {
+		t.Errorf("scope counts %v / %v, want its own 2 frames and 1s", got.Counters, got.Times)
 	}
-	if hub.Snapshot()["net.frames_sent"] != 7 || hub.Snapshot()["exchange.credit_stall_seconds"] != 1 {
-		t.Errorf("parent does not see the scope's increments: %v", hub.Snapshot())
+	if n := b.Snapshot()["net.frames_sent"]; n != 4 {
+		t.Errorf("second scope counts %v frames, want its own 4", n)
+	}
+	snap := hub.Snapshot()
+	if snap["net.frames_sent"] != 11 || snap["exchange.credit_stall_seconds"] != 1 || snap["level"] != 3 {
+		t.Errorf("parent does not see both scopes' updates on top of its own: %v", snap)
+	}
+
+	nested := a.Scope()
+	nested.Counter("net.frames_sent").Inc(1)
+	if a.Counter("net.frames_sent").Value() != 3 || hub.Counter("net.frames_sent").Value() != 12 {
+		t.Error("a scope of a scope does not forward through both parents")
 	}
 
 	private := (*Registry)(nil).Scope()

@@ -95,60 +95,54 @@ func (t *Telemetry) WritePrometheus(w io.Writer) error {
 	return doc.write(w)
 }
 
-// renderRegistry folds one metrics registry into the document.
+// renderRegistry folds one metrics registry into the document. Counters and
+// time accumulators are monotone series ("_total" counters), gauges are
+// gauges. A per-task name ("op[3].records_in") joins its metric's task family
+// with op/index labels, and a cluster-aggregated per-worker name
+// ("worker.w1.<metric>") carries the worker as a label — in the task family
+// when its metric is per-task, in a worker family otherwise.
 func (t *Telemetry) renderRegistry(doc *promDoc, reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
-	snap := reg.Snapshot()
-	kinds := reg.Kinds()
-	names := make([]string, 0, len(snap))
-	for n := range snap {
+	snap := reg.TypedSnapshot()
+	values := make(map[string]float64, len(snap.Counters)+len(snap.Gauges)+len(snap.Times))
+	monotone := make(map[string]bool, len(snap.Counters)+len(snap.Times))
+	for n, v := range snap.Counters {
+		values[n], monotone[n] = float64(v), true
+	}
+	for n, v := range snap.Gauges {
+		values[n], monotone[n] = v, false
+	}
+	for n, d := range snap.Times {
+		values[n], monotone[n] = d.Seconds(), true
+	}
+	names := make([]string, 0, len(values))
+	for n := range values {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		v := snap[name]
-		kind := kinds[name]
-		// Cluster-aggregated per-worker series ("worker.w1.<metric>") carry
-		// the worker as a label; a worker-prefixed per-task metric keeps the
-		// task family and gains the worker label alongside op/index.
+		prefix, metric := "capsys_", name
+		var labels map[string]string
 		if wm, ok := metrics.ParseWorkerMetricName(name); ok {
-			labels := map[string]string{"worker": wm.Worker}
-			base, fam, typ := wm.Metric, "", "gauge"
-			if tm, ok := metrics.ParseTaskMetricName(wm.Metric); ok {
-				base = tm.Metric
-				labels["op"] = tm.Op
-				labels["index"] = strconv.Itoa(tm.Index)
-				fam = "capsys_task_" + sanitizeName(base)
-			} else {
-				fam = "capsys_worker_" + sanitizeName(base)
-			}
-			if kind == metrics.KindCounter {
-				fam += "_total"
-				typ = "counter"
-			}
-			doc.family(fam, typ).add(fam, labels, v)
-			continue
+			prefix, metric = "capsys_worker_", wm.Metric
+			labels = map[string]string{"worker": wm.Worker}
 		}
-		if tm, ok := metrics.ParseTaskMetricName(name); ok {
-			fam := "capsys_task_" + sanitizeName(tm.Metric)
-			typ := "gauge"
-			if kind == metrics.KindCounter {
-				fam += "_total"
-				typ = "counter"
+		if tm, ok := metrics.ParseTaskMetricName(metric); ok {
+			prefix, metric = "capsys_task_", tm.Metric
+			if labels == nil {
+				labels = make(map[string]string, 2)
 			}
-			doc.family(fam, typ).add(fam, map[string]string{
-				"op": tm.Op, "index": strconv.Itoa(tm.Index),
-			}, v)
-			continue
+			labels["op"] = tm.Op
+			labels["index"] = strconv.Itoa(tm.Index)
 		}
-		fam, typ := "capsys_"+sanitizeName(name), "gauge"
-		if kind == metrics.KindCounter {
+		fam, typ := prefix+sanitizeName(metric), "gauge"
+		if monotone[name] {
 			fam += "_total"
 			typ = "counter"
 		}
-		doc.family(fam, typ).add(fam, nil, v)
+		doc.family(fam, typ).add(fam, labels, values[name])
 	}
 }
 

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -45,6 +46,11 @@ func (o HistogramOptions) bounds() []float64 {
 	return b
 }
 
+// ErrHistogramLayout marks a snapshot whose buckets do not fit: its counts
+// are not one per bound plus the overflow bucket, or its bounds differ from
+// the histogram or snapshot it is folded into.
+var ErrHistogramLayout = errors.New("telemetry: histogram bucket layout mismatch")
+
 // Histogram is a fixed-bucket log-scale histogram safe for concurrent use.
 // Observations are lock-free atomic increments; snapshots are consistent
 // enough for monitoring (bucket counts never move backwards) without
@@ -56,6 +62,8 @@ type Histogram struct {
 	sum    atomicFloat
 	min    atomicFloat
 	max    atomicFloat
+	// up is the parent of a Scope: every observation lands there too.
+	up *Histogram
 }
 
 // NewHistogram creates a histogram with the given layout.
@@ -69,6 +77,25 @@ func NewHistogram(opts HistogramOptions) (*Histogram, error) {
 	return h, nil
 }
 
+// Scope returns a histogram of its own with h's bucket layout; every
+// Observe on it also observes h, as a metrics.Registry scope's cells forward
+// to the parent's, so the scope's snapshot holds only what was observed
+// through it. The scope of a nil histogram is a private histogram with the
+// default latency layout.
+func (h *Histogram) Scope() *Histogram {
+	opts := DefaultLatencyOptions()
+	if h != nil {
+		opts = h.opts
+	}
+	s, err := NewHistogram(opts)
+	if err != nil {
+		// A live histogram's options validated when it was built.
+		panic(err)
+	}
+	s.up = h
+	return s
+}
+
 // Options returns the histogram's bucket layout.
 func (h *Histogram) Options() HistogramOptions { return h.opts }
 
@@ -80,11 +107,14 @@ func (h *Histogram) Observe(v float64) {
 	}
 	// SearchFloat64s finds the first bound >= v, i.e. the tightest bucket
 	// whose upper bound covers v; values above every bound land in overflow.
+	// A scope and its parents share one layout, so the index is theirs too.
 	idx := sort.SearchFloat64s(h.bounds, v)
-	h.counts[idx].Add(1)
-	h.sum.add(v)
-	h.min.storeMin(v)
-	h.max.storeMax(v)
+	for ; h != nil; h = h.up {
+		h.counts[idx].Add(1)
+		h.sum.add(v)
+		h.min.storeMin(v)
+		h.max.storeMax(v)
+	}
 }
 
 // Count returns the total number of observations.
@@ -128,14 +158,15 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // Absorb folds a snapshot's observations into the live histogram — the
 // write-side counterpart of Merge, used by the coordinator to accumulate
 // interval snapshots shipped from workers into its own cluster-level
-// histograms. The snapshot must share the histogram's bucket layout; empty
+// histograms. A snapshot with another bucket layout, or with counts that do
+// not match its own bounds, is refused with ErrHistogramLayout; empty
 // snapshots (and nil histograms) are a no-op.
 func (h *Histogram) Absorb(s HistogramSnapshot) error {
 	if h == nil || s.Count == 0 {
 		return nil
 	}
-	if !sameBounds(h.bounds, s.Bounds) {
-		return fmt.Errorf("telemetry: absorbing a snapshot with a different bucket layout")
+	if err := s.fits(h.bounds); err != nil {
+		return fmt.Errorf("telemetry: absorbing a snapshot: %w", err)
 	}
 	for i, c := range s.Counts {
 		if c > 0 {
@@ -160,17 +191,19 @@ type HistogramSnapshot struct {
 	Max    float64
 }
 
-// Merge folds other into s. The two snapshots must share a bucket layout.
+// Merge folds other into s. The two snapshots must share a bucket layout,
+// and other's counts must match its bounds; otherwise s is left unchanged
+// and the error wraps ErrHistogramLayout.
 func (s *HistogramSnapshot) Merge(other HistogramSnapshot) error {
 	if other.Count == 0 {
 		return nil
 	}
+	if err := other.fits(s.Bounds); err != nil {
+		return fmt.Errorf("telemetry: merging histograms: %w", err)
+	}
 	if s.Count == 0 && s.Bounds == nil {
 		*s = other.clone()
 		return nil
-	}
-	if !sameBounds(s.Bounds, other.Bounds) {
-		return fmt.Errorf("telemetry: merging histograms with different bucket layouts")
 	}
 	for i := range s.Counts {
 		s.Counts[i] += other.Counts[i]
@@ -287,6 +320,19 @@ func (s HistogramSnapshot) Quantile(p float64) float64 {
 		cum = next
 	}
 	return s.Max
+}
+
+// fits checks that s is laid out as a histogram with the given bounds
+// would snapshot it: one count per bound plus the overflow bucket. nil
+// bounds accept any well-formed snapshot.
+func (s HistogramSnapshot) fits(bounds []float64) error {
+	if len(s.Counts) != len(s.Bounds)+1 {
+		return fmt.Errorf("%w: %d counts for %d bounds", ErrHistogramLayout, len(s.Counts), len(s.Bounds))
+	}
+	if bounds != nil && !sameBounds(bounds, s.Bounds) {
+		return fmt.Errorf("%w: different bucket bounds", ErrHistogramLayout)
+	}
+	return nil
 }
 
 func sameBounds(a, b []float64) bool {

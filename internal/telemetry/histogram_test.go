@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -104,6 +105,85 @@ func TestSnapshotMerge(t *testing.T) {
 	sc := c.Snapshot()
 	if err := sa.Merge(sc); err == nil {
 		t.Error("bounds mismatch accepted")
+	}
+}
+
+// TestSnapshotLayoutRefused: a snapshot whose counts do not fit its bounds,
+// or whose bounds are not the target's, is refused by Absorb and Merge with
+// ErrHistogramLayout and leaves the target untouched — such snapshots arrive
+// from other processes, and indexing by the wrong length used to panic.
+func TestSnapshotLayoutRefused(t *testing.T) {
+	opts := HistogramOptions{Start: 1, Growth: 2, Buckets: 3}
+	good, _ := NewHistogram(opts)
+	good.Observe(3)
+	other, _ := NewHistogram(HistogramOptions{Start: 2, Growth: 2, Buckets: 3})
+	other.Observe(1)
+	withCounts := func(s HistogramSnapshot, counts ...int64) HistogramSnapshot {
+		s.Counts = counts
+		return s
+	}
+	for _, c := range []struct {
+		name string
+		snap HistogramSnapshot
+	}{
+		{"counts past the overflow bucket", withCounts(good.Snapshot(), 0, 0, 1, 0, 5)},
+		{"counts short of the bounds", withCounts(good.Snapshot(), 0, 1)},
+		{"no counts", withCounts(good.Snapshot())},
+		{"other bounds", other.Snapshot()},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			h, _ := NewHistogram(opts)
+			h.Observe(0.5)
+			if err := h.Absorb(c.snap); !errors.Is(err, ErrHistogramLayout) {
+				t.Errorf("Absorb = %v, want ErrHistogramLayout", err)
+			}
+			if n := h.Count(); n != 1 {
+				t.Errorf("Absorb changed the histogram: count %d, want 1", n)
+			}
+			into := h.Snapshot()
+			if err := into.Merge(c.snap); !errors.Is(err, ErrHistogramLayout) {
+				t.Errorf("Merge = %v, want ErrHistogramLayout", err)
+			}
+			if into.Count != 1 {
+				t.Errorf("Merge changed the snapshot: count %d, want 1", into.Count)
+			}
+			if c.name == "other bounds" {
+				return // well-formed on its own: an empty target adopts it
+			}
+			var empty HistogramSnapshot
+			if err := empty.Merge(c.snap); !errors.Is(err, ErrHistogramLayout) {
+				t.Errorf("Merge into an empty snapshot = %v, want ErrHistogramLayout", err)
+			}
+			if empty.Count != 0 || empty.Counts != nil {
+				t.Errorf("empty snapshot adopted a malformed one: %+v", empty)
+			}
+		})
+	}
+}
+
+// TestHistogramScope: a scope observes into its own buckets and its
+// parent's, so two scopes of one hub histogram each hold their own share
+// while the hub holds both; the scope of a nil histogram is private.
+func TestHistogramScope(t *testing.T) {
+	hub, _ := NewHistogram(HistogramOptions{Start: 1, Growth: 2, Buckets: 3})
+	hub.Observe(0.5) // an earlier owner's observation
+	a, b := hub.Scope(), hub.Scope()
+	a.Observe(3)
+	a.Observe(3)
+	b.Observe(7)
+	if sa := a.Snapshot(); sa.Count != 2 || sa.Min != 3 || sa.Max != 3 || !sameBounds(sa.Bounds, hub.Snapshot().Bounds) {
+		t.Errorf("scope snapshot = %+v, want its own two observations in the hub's layout", sa)
+	}
+	if n := b.Count(); n != 1 {
+		t.Errorf("second scope count = %d, want its own 1", n)
+	}
+	if sh := hub.Snapshot(); sh.Count != 4 || sh.Max != 7 {
+		t.Errorf("hub snapshot = %+v, want its own and both scopes' observations", sh)
+	}
+	private := (*Histogram)(nil).Scope()
+	private.Observe(0.001)
+	if private.Count() != 1 || private.Options() != DefaultLatencyOptions() {
+		t.Error("scope of a nil histogram is not a private default-layout histogram")
 	}
 }
 
