@@ -40,9 +40,10 @@ race:
 	$(GO) test -race ./...
 
 # fuzz runs every Fuzz* target in the tree for ten seconds each (go test
-# takes one -fuzz target per invocation, so they are found by name): the
-# frame envelope, the data-plane batch codec and the join state record,
-# query specs, metric names, key-group partitioning and namespace images. A failing input is written under the
+# takes one -fuzz target per invocation, so they are found by name): nine
+# today — the frame envelope, the data-plane batch codec, the join state
+# record, namespace images, query specs, key-group partitioning, metric names
+# (two) and the heartbeat payload. A failing input is written under the
 # package's testdata/fuzz/ and fails the target.
 fuzz:
 	@set -e; grep -rEo --include='*_test.go' '^func Fuzz[A-Za-z0-9_]+' cmd internal | sort | \

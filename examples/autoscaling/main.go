@@ -72,28 +72,17 @@ func run(ctx context.Context) error {
 		SourceRate:       sourceRate,
 	}
 
-	// Phase 1 — profile: run the small topology live and collect per-task
-	// observed rates and useful fractions.
+	// Phase 1 — profile: run the small topology live; its result holds every
+	// task's observed rates and useful fraction.
 	fmt.Println("phase 1: profiling the under-provisioned topology on the live engine")
 	profile, err := d.Run(ctx, opts)
 	if err != nil {
 		return err
 	}
-	obs := make(map[dataflow.TaskID]ds2.TaskRates, len(profile.Result.Tasks))
-	for id, st := range profile.Result.Tasks {
-		obs[id] = ds2.TaskRates{
-			ObservedIn:     st.ObservedInRate,
-			ObservedOut:    st.ObservedOutRate,
-			UsefulFraction: st.UsefulFraction,
-		}
-	}
-	m, err := ds2.MetricsFromObservation(small, obs)
-	if err != nil {
-		return err
-	}
 
-	// Phase 2 — decide: DS2 computes the parallelism the target rate needs.
-	dec, err := ds2.Scale(small, m, spec.SourceRates, ds2.Options{MaxParallelism: 8, Headroom: 1.1})
+	// Phase 2 — decide: DS2 computes, from the run's observation, the
+	// parallelism the target rate needs.
+	dec, err := controller.ObserveRun(profile.Result).Scale(small, spec.SourceRates, ds2.Options{MaxParallelism: 8, Headroom: 1.1})
 	if err != nil {
 		return err
 	}

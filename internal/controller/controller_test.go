@@ -4,64 +4,114 @@ import (
 	"context"
 	"math"
 	"testing"
+	"time"
 
 	"capsys/internal/cluster"
 	"capsys/internal/dataflow"
+	"capsys/internal/ds2"
+	"capsys/internal/engine"
 	"capsys/internal/nexmark"
 	"capsys/internal/placement"
 	"capsys/internal/simulator"
 )
 
-func TestProfileRecoversUnitCosts(t *testing.T) {
-	spec := nexmark.Q1Sliding()
-	pr, err := Profile(context.Background(), spec, 0.1, simulator.DefaultConfig())
+// profileSim profiles spec on the simulator: Profile's dedicated layout,
+// evaluated at the probe rates and observed once.
+func profileSim(t *testing.T, spec nexmark.QuerySpec) *OnlineProfiler {
+	t.Helper()
+	c, plan, probe, err := Profile(spec, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	phys, err := dataflow.Expand(spec.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := simulator.Evaluate([]simulator.QueryDeployment{{
+		Name: spec.Name, Phys: phys, Plan: plan, SourceRates: probe,
+	}}, c, simulator.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewOnlineProfiler(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Observe(ObserveSim(res, spec.Name))
+	return p
+}
+
+// TestProfileRecoversUnitCosts profiles Q1-sliding on the live engine's
+// dedicated layout. The engine charges every record its operator's declared
+// CPU cost, so the profiled CPU per record is that cost; the window's state
+// I/O and every forwarding operator's emitted bytes are measured too.
+func TestProfileRecoversUnitCosts(t *testing.T) {
+	spec := nexmark.Q1Sliding()
+	c, plan, probe, err := Profile(spec, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Launch(context.Background(), spec, c, nil, LaunchOptions{Plan: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := d.Run(context.Background(), engine.JobOptions{RecordsPerSource: 300, SourceRate: probe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewOnlineProfiler(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Observe(ObserveRun(out.Result))
 	for _, op := range spec.Graph.Operators() {
-		got, ok := pr.Costs[op.ID]
+		got, ok := p.Cost(op.ID)
 		if !ok {
 			t.Fatalf("no profiled cost for %s", op.ID)
 		}
-		want := op.Cost
-		closeEnough := func(a, b float64) bool {
-			if b == 0 {
-				return a < 1e-12
-			}
-			return math.Abs(a-b)/b < 0.05
+		if want := op.Cost.CPU; math.Abs(got.CPU-want)/want > 0.01 {
+			t.Errorf("%s: profiled CPU %v per record, declared %v", op.ID, got.CPU, want)
 		}
-		if !closeEnough(got.CPU, want.CPU) || !closeEnough(got.IO, want.IO) || !closeEnough(got.Net, want.Net) {
-			t.Errorf("%s: profiled %+v, truth %+v", op.ID, got, want)
+		if len(spec.Graph.Downstream(op.ID)) > 0 && got.Net <= 0 {
+			t.Errorf("%s: profiled Net %v, but it emits downstream", op.ID, got.Net)
 		}
+	}
+	if win, _ := p.Cost("slide-win"); win.IO <= 0 {
+		t.Errorf("slide-win: profiled IO %v, but it keeps keyed state", win.IO)
 	}
 }
 
+// TestProfileApply: a profile's estimates are installed on a clone of the
+// graph; an operator the profile never observed keeps its declared cost.
 func TestProfileApply(t *testing.T) {
 	spec := nexmark.Q1Sliding()
-	pr, err := Profile(context.Background(), spec, 0.1, simulator.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := pr.Apply(spec.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := profileSim(t, spec)
+	g := p.Apply(spec.Graph)
 	if g == spec.Graph {
 		t.Error("Apply must clone")
 	}
-	// Missing cost -> error.
-	delete(pr.Costs, "map")
-	if _, err := pr.Apply(spec.Graph); err == nil {
-		t.Error("missing cost accepted")
+	for _, op := range g.Operators() {
+		if est, _ := p.Cost(op.ID); op.Cost != est {
+			t.Errorf("%s: installed %+v, profiled %+v", op.ID, op.Cost, est)
+		}
+	}
+	unseen, _ := NewOnlineProfiler(1)
+	unseen.Observe(Observation{{Op: "map"}: {In: 100, CPU: 1}})
+	g = unseen.Apply(spec.Graph)
+	if got := g.Operator("map").Cost.CPU; got != 0.01 {
+		t.Errorf("map: installed CPU %v, observed 0.01", got)
+	}
+	if got, want := g.Operator("src").Cost, spec.Graph.Operator("src").Cost; got != want {
+		t.Errorf("src was never observed but its cost changed from %+v to %+v", want, got)
 	}
 }
 
 func TestProfileValidation(t *testing.T) {
 	spec := nexmark.Q1Sliding()
-	if _, err := Profile(context.Background(), spec, 0, simulator.DefaultConfig()); err == nil {
+	if _, _, _, err := Profile(spec, 0); err == nil {
 		t.Error("zero probe fraction accepted")
 	}
-	if _, err := Profile(context.Background(), spec, 1.5, simulator.DefaultConfig()); err == nil {
+	if _, _, _, err := Profile(spec, 1.5); err == nil {
 		t.Error("probe fraction > 1 accepted")
 	}
 }
@@ -305,12 +355,12 @@ func TestProfileAllQueries(t *testing.T) {
 	for _, spec := range nexmark.AllQueries() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			pr, err := Profile(context.Background(), spec, 0.1, simulator.DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := profileSim(t, spec)
 			for _, op := range spec.Graph.Operators() {
-				got := pr.Costs[op.ID]
+				got, ok := p.Cost(op.ID)
+				if !ok {
+					t.Fatalf("no profiled cost for %s", op.ID)
+				}
 				want := op.Cost
 				within := func(a, b float64) bool {
 					if b == 0 {
@@ -323,5 +373,28 @@ func TestProfileAllQueries(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestScaleIdleLiveTask: a live task that sat idle for the whole run reports
+// a useful fraction of 0, which DS2 itself rejects; the observation's one
+// conversion clamps it, so the run still yields a decision.
+func TestScaleIdleLiveTask(t *testing.T) {
+	spec := nexmark.Q1Sliding()
+	phys, err := dataflow.Expand(spec.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &engine.JobResult{Elapsed: time.Second, Tasks: make(map[dataflow.TaskID]engine.TaskStats)}
+	for _, id := range phys.Tasks() {
+		res.Tasks[id] = engine.TaskStats{ObservedInRate: 1000, ObservedOutRate: 1000, UsefulFraction: 0.5}
+	}
+	res.Tasks[dataflow.TaskID{Op: "slide-win", Index: 3}] = engine.TaskStats{}
+	dec, err := ObserveRun(res).Scale(spec.Graph, spec.SourceRates, ds2.Options{})
+	if err != nil {
+		t.Fatalf("an idle task stopped the DS2 decision: %v", err)
+	}
+	if dec.Parallelism["slide-win"] < 1 {
+		t.Errorf("slide-win parallelism %d", dec.Parallelism["slide-win"])
 	}
 }

@@ -60,6 +60,66 @@ func UsageOf(g *dataflow.LogicalGraph, sourceRates map[dataflow.OperatorID]float
 	return costmodel.FromRates(g, rates), nil
 }
 
+// placeOn is the controller's one placement step. It places phys with strat
+// on the workers of c that have free slots — free[w] of worker w's, all of
+// them when free is nil — warm-starting from prev when the strategy can, and
+// returns the plan in c's worker indices. prev may name tasks phys no longer
+// has; only assignments of phys's tasks to workers in the view seed the
+// search. It fails explicitly when the free slots cannot host phys, never
+// returning a partial plan.
+func placeOn(ctx context.Context, phys *dataflow.PhysicalGraph, c *cluster.Cluster, free []int, strat placement.Strategy, u *costmodel.Usage, seed int64, prev *dataflow.Plan) (*dataflow.Plan, error) {
+	var viewWorkers []cluster.Worker
+	var backing []int
+	viewOf := make(map[int]int, c.NumWorkers())
+	slots := 0
+	for w := 0; w < c.NumWorkers(); w++ {
+		vw := c.Worker(w)
+		if free != nil {
+			vw.Slots = free[w]
+		}
+		if vw.Slots <= 0 {
+			continue
+		}
+		viewOf[w] = len(viewWorkers)
+		viewWorkers = append(viewWorkers, vw)
+		backing = append(backing, w)
+		slots += vw.Slots
+	}
+	if slots < phys.NumTasks() {
+		return nil, fmt.Errorf("controller: %d free slots for %d tasks", slots, phys.NumTasks())
+	}
+	view, err := cluster.New(viewWorkers)
+	if err != nil {
+		return nil, err
+	}
+	var vplan *dataflow.Plan
+	if wp, ok := strat.(placement.WarmPlacer); ok && prev != nil {
+		vprev := dataflow.NewPlan()
+		for _, t := range phys.Tasks() {
+			if w, ok := prev.Worker(t); ok {
+				if vw, in := viewOf[w]; in {
+					vprev.Assign(t, vw)
+				}
+			}
+		}
+		vplan, err = wp.PlaceWarm(ctx, phys, view, u, seed, vprev)
+	} else {
+		vplan, err = strat.Place(ctx, phys, view, u, seed)
+	}
+	if err != nil {
+		return nil, err
+	}
+	plan := dataflow.NewPlan()
+	for _, t := range phys.Tasks() {
+		vw, ok := vplan.Worker(t)
+		if !ok {
+			return nil, fmt.Errorf("controller: placement left task %v unassigned", t)
+		}
+		plan.Assign(t, backing[vw])
+	}
+	return plan, nil
+}
+
 // DeploySingle prepares one query on the cluster with the given strategy
 // and evaluates it on the simulator. It is the workflow behind the paper's
 // single-query experiments (§6.2.1).
@@ -189,7 +249,10 @@ func placeJointly(ctx context.Context, specs []nexmark.QuerySpec, c *cluster.Clu
 // exposing to each query only the slots its predecessors left free.
 func placeSequentially(ctx context.Context, specs []nexmark.QuerySpec, c *cluster.Cluster, strat placement.Strategy, seed int64) ([]Deployment, error) {
 	order := rand.New(rand.NewSource(seed)).Perm(len(specs))
-	used := make([]int, c.NumWorkers())
+	free := make([]int, c.NumWorkers())
+	for w := range free {
+		free[w] = c.Worker(w).Slots
+	}
 	out := make([]Deployment, len(specs))
 	for submitIdx, qi := range order {
 		spec := specs[qi]
@@ -201,38 +264,14 @@ func placeSequentially(ctx context.Context, specs []nexmark.QuerySpec, c *cluste
 		if err != nil {
 			return nil, err
 		}
-		// Build a view of the cluster restricted to free slots, keeping a
-		// mapping from view worker index back to the real index.
-		var viewWorkers []cluster.Worker
-		var backing []int
-		for w := 0; w < c.NumWorkers(); w++ {
-			free := c.Worker(w).Slots - used[w]
-			if free <= 0 {
-				continue
-			}
-			vw := c.Worker(w)
-			vw.Slots = free
-			viewWorkers = append(viewWorkers, vw)
-			backing = append(backing, w)
-		}
-		if len(viewWorkers) == 0 {
-			return nil, fmt.Errorf("controller: no free slots for query %s", spec.Name)
-		}
-		view, err := cluster.New(viewWorkers)
-		if err != nil {
-			return nil, err
-		}
-		plan, err := strat.Place(ctx, phys, view, u, seed+int64(submitIdx)+1)
+		plan, err := placeOn(ctx, phys, c, free, strat, u, seed+int64(submitIdx)+1, nil)
 		if err != nil {
 			return nil, fmt.Errorf("controller: placing %s: %w", spec.Name, err)
 		}
-		real := dataflow.NewPlan()
 		for _, t := range phys.Tasks() {
-			vw := plan.MustWorker(t)
-			real.Assign(t, backing[vw])
-			used[backing[vw]]++
+			free[plan.MustWorker(t)]--
 		}
-		out[qi] = Deployment{Spec: spec, Phys: phys, Plan: real}
+		out[qi] = Deployment{Spec: spec, Phys: phys, Plan: plan}
 	}
 	return out, nil
 }

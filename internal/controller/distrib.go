@@ -164,8 +164,11 @@ type (
 // the attempt owns. A version-7 worker's report would silently lack the
 // state fields, and its counters would include its hub peers' work. Version
 // 8 also sends HEARTBEAT stats as JSON (see wireHeartbeat), which a version-7
-// coordinator would drop as undecodable.
-const distProtoVersion = 8
+// coordinator would drop as undecodable. Version 9 reports each task's
+// CPU/IO/Net meter draws in engine.TaskStats: a version-8 worker's report
+// would decode with every draw zero, and the controller would profile its
+// tasks as free.
+const distProtoVersion = 9
 
 // errEncodePayload marks a send that failed locally while gob-encoding the
 // body — the data was unencodable or too large (MaxFramePayload), which

@@ -254,7 +254,8 @@ func TestDistClusterMatchesInMemory(t *testing.T) {
 // reports alone in both executors, so an in-process run on the network
 // transport and a coordinator with three joined workers export the same set
 // of series — keyed-state sizes, their totals and worker saturation
-// included — and agree on every task's final keyed-state size.
+// included — and agree on every task's final keyed-state size and on its
+// CPU, IO and Net meter draws (token counts, not timings).
 func TestDistResultSeriesMatchInProcess(t *testing.T) {
 	for _, c := range []struct {
 		query    string
@@ -274,12 +275,17 @@ func TestDistResultSeriesMatchInProcess(t *testing.T) {
 				t.Errorf("coordinator run exports %d series, in-process run %d:\ncoordinator: %v\nin-process:  %v", len(got), len(want), got, want)
 			}
 			snap, lsnap := res.Metrics.Snapshot(), local.Metrics.Snapshot()
-			stateful := 0
+			stateful, drawn := 0, 0.0
 			for id, want := range local.Tasks {
 				got := res.Tasks[id]
+				drawn += want.CPUDraw * want.NetDraw
 				if got.Stateful != want.Stateful || got.StateBytes != want.StateBytes || got.StateKeys != want.StateKeys {
 					t.Errorf("task %v state: coordinator %v/%d B/%d keys, in-process %v/%d B/%d keys",
 						id, got.Stateful, got.StateBytes, got.StateKeys, want.Stateful, want.StateBytes, want.StateKeys)
+				}
+				if got.CPUDraw != want.CPUDraw || got.IODraw != want.IODraw || got.NetDraw != want.NetDraw {
+					t.Errorf("task %v draws cpu/io/net: coordinator %v/%v/%v, in-process %v/%v/%v",
+						id, got.CPUDraw, got.IODraw, got.NetDraw, want.CPUDraw, want.IODraw, want.NetDraw)
 				}
 				if !want.Stateful {
 					continue
@@ -294,6 +300,9 @@ func TestDistResultSeriesMatchInProcess(t *testing.T) {
 			}
 			if (stateful > 0) != c.stateful {
 				t.Errorf("%d stateful tasks reported, want stateful=%v", stateful, c.stateful)
+			}
+			if drawn == 0 {
+				t.Error("no task drew both CPU and Net tokens: the draw comparison is vacuous")
 			}
 		})
 	}

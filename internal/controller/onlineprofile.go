@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"capsys/internal/dataflow"
-	"capsys/internal/simulator"
 )
 
 // OnlineProfiler maintains exponentially weighted moving averages of each
@@ -13,17 +12,20 @@ import (
 // could use our current infrastructure to have the Metrics Collector
 // periodically feed metrics to DS2 and CAPS, to support online profiling").
 //
-// Estimates are derived the same way the offline profiling phase derives
-// them: the operator's measured resource rate divided by its observed input
-// rate. The CPU estimate therefore inflates under contention exactly as a
-// real measurement would; placing with online-profiled costs remains sound
-// because the inflation disappears once CAPS spreads the hot tasks.
+// It is the controller's one unit-cost estimator: an offline profile (one
+// observation of Profile's dedicated layout) and periodic snapshots of a
+// running job both reach it through Observe, from either executor. An
+// estimate is the operator's measured resource use divided by its observed
+// rate. On the simulator the CPU estimate inflates under contention exactly
+// as a timed measurement would; placing with online-profiled costs remains
+// sound because the inflation disappears once CAPS spreads the hot tasks. The
+// live engine's CPU draw is the per-record cost it charges, so there the
+// estimate does not inflate.
 type OnlineProfiler struct {
 	// Alpha is the EWMA smoothing factor in (0,1]; higher weights the
 	// latest snapshot more.
 	alpha float64
 	costs map[dataflow.OperatorID]dataflow.UnitCost
-	seen  map[dataflow.OperatorID]bool
 }
 
 // NewOnlineProfiler creates a profiler with the given EWMA factor.
@@ -31,49 +33,42 @@ func NewOnlineProfiler(alpha float64) (*OnlineProfiler, error) {
 	if alpha <= 0 || alpha > 1 {
 		return nil, fmt.Errorf("controller: EWMA alpha %v outside (0,1]", alpha)
 	}
-	return &OnlineProfiler{
-		alpha: alpha,
-		costs: make(map[dataflow.OperatorID]dataflow.UnitCost),
-		seen:  make(map[dataflow.OperatorID]bool),
-	}, nil
+	return &OnlineProfiler{alpha: alpha, costs: make(map[dataflow.OperatorID]dataflow.UnitCost)}, nil
 }
 
-// Observe folds one simulator snapshot for the named query into the
-// estimates. Tasks with (near) zero observed rate are skipped: a starved
-// task carries no per-record cost signal.
-func (p *OnlineProfiler) Observe(res *simulator.Result, query string) {
-	type agg struct {
-		in, cpuTime, ioBytes, netBytes float64
-		n                              int
-	}
+// Observe folds one observation into the estimates: per operator, the
+// tasks' summed resource use divided by their summed rate. A task's rate is
+// the records it consumed, or for a generator source (which consumes
+// nothing on the live engine) the records it emitted. Tasks with (near) zero
+// rate are skipped: a starved task carries no per-record cost signal.
+func (p *OnlineProfiler) Observe(obs Observation) {
+	type agg struct{ rate, cpu, io, net float64 }
 	perOp := make(map[dataflow.OperatorID]*agg)
-	for k, tm := range res.Tasks {
-		if k.Query != query || tm.ObservedInRate < 1e-9 {
+	for id, o := range obs {
+		rate := o.In
+		if rate < 1e-9 {
+			rate = o.Out
+		}
+		if rate < 1e-9 {
 			continue
 		}
-		a := perOp[k.Task.Op]
+		a := perOp[id.Op]
 		if a == nil {
 			a = &agg{}
-			perOp[k.Task.Op] = a
+			perOp[id.Op] = a
 		}
-		a.in += tm.ObservedInRate
-		a.cpuTime += tm.ApparentCPUPerRecord * tm.ObservedInRate
-		a.ioBytes += tm.StateBytesRate
-		a.netBytes += tm.EmittedBytesRate
-		a.n++
+		a.rate += rate
+		a.cpu += o.CPU
+		a.io += o.IO
+		a.net += o.Net
 	}
 	for op, a := range perOp {
-		sample := dataflow.UnitCost{
-			CPU: a.cpuTime / a.in,
-			IO:  a.ioBytes / a.in,
-			Net: a.netBytes / a.in,
-		}
-		if !p.seen[op] {
+		sample := dataflow.UnitCost{CPU: a.cpu / a.rate, IO: a.io / a.rate, Net: a.net / a.rate}
+		prev, ok := p.costs[op]
+		if !ok {
 			p.costs[op] = sample
-			p.seen[op] = true
 			continue
 		}
-		prev := p.costs[op]
 		p.costs[op] = dataflow.UnitCost{
 			CPU: p.alpha*sample.CPU + (1-p.alpha)*prev.CPU,
 			IO:  p.alpha*sample.IO + (1-p.alpha)*prev.IO,

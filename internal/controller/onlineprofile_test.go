@@ -36,7 +36,7 @@ func TestOnlineProfilerRecoversTruth(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		p.Observe(res, spec.Name)
+		p.Observe(ObserveSim(res, spec.Name))
 	}
 	for _, op := range spec.Graph.Operators() {
 		got, ok := p.Cost(op.ID)
@@ -83,7 +83,7 @@ func TestOnlineProfilerSeesContention(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, _ := NewOnlineProfiler(1.0)
-	p.Observe(res, spec.Name)
+	p.Observe(ObserveSim(res, spec.Name))
 	got, ok := p.Cost("slide-win")
 	if !ok {
 		t.Fatal("no estimate")
@@ -99,12 +99,7 @@ func TestOnlineProfilerSeesContention(t *testing.T) {
 func TestOnlineProfilerEWMAConvergence(t *testing.T) {
 	spec := nexmark.Q1Sliding().Scaled(0.3)
 	c := nexmark.ReferenceCluster()
-	phys, err := dataflow.Expand(spec.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
 	slots, _ := c.SlotsPerWorker()
-	worst := nexmark.FlinkWorstCase(phys, slots)
 	fullRate := nexmark.Q1Sliding()
 	physFull, _ := dataflow.Expand(fullRate.Graph)
 	contended, err := simulator.Evaluate([]simulator.QueryDeployment{{
@@ -118,10 +113,10 @@ func TestOnlineProfilerEWMAConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, _ := NewOnlineProfiler(0.5)
-	p.Observe(contended, spec.Name)
+	p.Observe(ObserveSim(contended, spec.Name))
 	inflated, _ := p.Cost("slide-win")
 	for i := 0; i < 10; i++ {
-		p.Observe(clean, spec.Name)
+		p.Observe(ObserveSim(clean, spec.Name))
 	}
 	settled, _ := p.Cost("slide-win")
 	truth := spec.Graph.Operator("slide-win").Cost.CPU
@@ -131,5 +126,4 @@ func TestOnlineProfilerEWMAConvergence(t *testing.T) {
 	if inflated.CPU <= settled.CPU {
 		t.Errorf("contended estimate %v should exceed settled %v", inflated.CPU, settled.CPU)
 	}
-	_ = worst
 }

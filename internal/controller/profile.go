@@ -2,8 +2,10 @@
 // (paper §5, Figure 6): it profiles operator resource costs by deploying
 // each operator on a dedicated worker, derives per-operator parallelism with
 // the DS2 scaling model, computes a task placement with a pluggable
-// placement strategy (CAPS by default), and deploys the result — here onto
-// the contention simulator that stands in for a Flink cluster.
+// placement strategy (CAPS by default), and deploys the result onto either
+// executor — the contention simulator that stands in for a Flink cluster, or
+// the live engine (Launch). Both executors report to it in one shape
+// (Observation), so every decision reads the same measurements whichever ran.
 //
 // The controller also provides the multi-tenant joint deployment used in the
 // paper's §6.2.2 (CAPSys views the whole workload as a single dataflow and
@@ -12,45 +14,36 @@
 package controller
 
 import (
-	"context"
 	"fmt"
 
 	"capsys/internal/cluster"
 	"capsys/internal/dataflow"
 	"capsys/internal/nexmark"
-	"capsys/internal/simulator"
 )
 
-// ProfileResult holds the profiled per-record unit costs per operator.
-type ProfileResult struct {
-	Costs map[dataflow.OperatorID]dataflow.UnitCost
-}
-
-// Profile estimates each operator's per-record unit resource costs following
-// the paper's methodology (§5.1): every operator's tasks are deployed on a
-// dedicated worker, the deployment runs at a fraction of the target rate so
-// that nothing saturates, and each dimension's cost-per-record is the
-// worker's measured load divided by the operator's observed rate.
+// Profile lays out the paper's profiling deployment (§5.1): every operator's
+// tasks on a dedicated, generously provisioned worker, so co-location never
+// distorts a measurement, and the source rates scaled by probeFraction, so
+// nothing saturates. It returns the cluster, the plan and the probe rates.
+// Run the layout on either executor — simulator.Evaluate, or Launch with
+// LaunchOptions.Plan and Run with SourceRate set to the probe rates — and
+// fold its observation into an OnlineProfiler, which divides each operator's
+// measured resource use by its rate.
 //
 // Profiling runs once per query; reconfigurations reuse the stored unit
 // costs by multiplying them with the new target rates.
-func Profile(ctx context.Context, spec nexmark.QuerySpec, probeFraction float64, cfg simulator.Config) (*ProfileResult, error) {
+func Profile(spec nexmark.QuerySpec, probeFraction float64) (*cluster.Cluster, *dataflow.Plan, map[dataflow.OperatorID]float64, error) {
 	if probeFraction <= 0 || probeFraction > 1 {
-		return nil, fmt.Errorf("controller: probe fraction %v outside (0,1]", probeFraction)
+		return nil, nil, nil, fmt.Errorf("controller: probe fraction %v outside (0,1]", probeFraction)
 	}
-	g := spec.Graph
-	ops := g.Operators()
-
-	// One generously-provisioned worker per operator, so co-location never
-	// distorts the measurement.
+	ops := spec.Graph.Operators()
 	maxPar := 0
 	for _, op := range ops {
-		if op.Parallelism > maxPar {
-			maxPar = op.Parallelism
-		}
+		maxPar = max(maxPar, op.Parallelism)
 	}
 	workers := make([]cluster.Worker, len(ops))
-	for i := range workers {
+	plan := dataflow.NewPlan()
+	for i, op := range ops {
 		workers[i] = cluster.Worker{
 			ID:           fmt.Sprintf("profiler-%d", i),
 			Slots:        maxPar,
@@ -58,67 +51,13 @@ func Profile(ctx context.Context, spec nexmark.QuerySpec, probeFraction float64,
 			IOBandwidth:  1e15,
 			NetBandwidth: 1e15,
 		}
-	}
-	profCluster, err := cluster.New(workers)
-	if err != nil {
-		return nil, err
-	}
-	phys, err := dataflow.Expand(g)
-	if err != nil {
-		return nil, err
-	}
-	plan := dataflow.NewPlan()
-	for i, op := range ops {
-		for _, t := range phys.TasksOf(op.ID) {
-			plan.Assign(t, i)
+		for j := 0; j < op.Parallelism; j++ {
+			plan.Assign(dataflow.TaskID{Op: op.ID, Index: j}, i)
 		}
 	}
-	probeRates := make(map[dataflow.OperatorID]float64, len(spec.SourceRates))
-	for k, v := range spec.SourceRates {
-		probeRates[k] = v * probeFraction
-	}
-	res, err := simulator.Evaluate([]simulator.QueryDeployment{{
-		Name: spec.Name, Phys: phys, Plan: plan, SourceRates: probeRates,
-	}}, profCluster, cfg)
+	c, err := cluster.New(workers)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-
-	rates, err := dataflow.PropagateRates(g, probeRates)
-	if err != nil {
-		return nil, err
-	}
-	out := &ProfileResult{Costs: make(map[dataflow.OperatorID]dataflow.UnitCost, len(ops))}
-	for i, op := range ops {
-		load := res.WorkerUtilization[i]
-		capv := res.EffectiveCapacity[i]
-		in := rates.In[op.ID]
-		if in <= 0 {
-			out.Costs[op.ID] = dataflow.UnitCost{}
-			continue
-		}
-		// All of the operator's downstream links are remote under the
-		// profiling placement, so the worker's network load is the full
-		// emitted byte rate.
-		out.Costs[op.ID] = dataflow.UnitCost{
-			CPU: load.CPU * capv.CPU / in,
-			IO:  load.IO * capv.IO / in,
-			Net: load.Net * capv.Net / in,
-		}
-	}
-	return out, nil
-}
-
-// Apply returns a clone of g with the profiled unit costs installed, which
-// downstream components (cost model, CAPS) then treat as ground truth.
-func (pr *ProfileResult) Apply(g *dataflow.LogicalGraph) (*dataflow.LogicalGraph, error) {
-	c := g.Clone()
-	for _, op := range c.Operators() {
-		cost, ok := pr.Costs[op.ID]
-		if !ok {
-			return nil, fmt.Errorf("controller: no profiled cost for operator %q", op.ID)
-		}
-		op.Cost = cost
-	}
-	return c, nil
+	return c, plan, scaleRates(spec.SourceRates, probeFraction), nil
 }

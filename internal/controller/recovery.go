@@ -73,75 +73,33 @@ func (d *Deployment) RunRecovery(ctx context.Context, kill engine.WorkerKill, op
 	return out, nil
 }
 
-// Replace is the reconciliation step, for failures and rescales alike: given
-// the dead workers (none for a rescale on a healthy cluster), it restricts
-// the cluster view to the survivors (keeping a mapping back to real worker
-// indices), re-runs the placement strategy over that view, and remaps the
-// resulting plan onto the original cluster. It fails explicitly when the
-// survivors cannot host the graph — never returning a silent partial plan.
+// Replace is the reconciliation step, for failures and rescales alike: it
+// runs the placement step (placeOn) over the workers that survive
+// deadWorkers (none for a rescale on a healthy cluster) and returns the plan
+// in the original cluster's indices. It fails explicitly when the survivors
+// cannot host the graph — never returning a silent partial plan.
 //
 // prev, when non-nil, is the plan that was running when the failure or
 // rescale hit; it may name tasks phys no longer has. Its surviving
-// assignments are translated onto the restricted view and passed to
-// warm-capable strategies, so the re-placement search starts from the layout
-// the event left mostly intact (assignments on dead workers are dropped) — a
-// reconfiguration should disturb the placement as little as the strategy
-// allows, not reshuffle the whole job.
+// assignments seed warm-capable strategies, so the re-placement search starts
+// from the layout the event left mostly intact (assignments on dead workers
+// are dropped) — a reconfiguration should disturb the placement as little as
+// the strategy allows, not reshuffle the whole job.
 func Replace(ctx context.Context, phys *dataflow.PhysicalGraph, c *cluster.Cluster, strat placement.Strategy, u *costmodel.Usage, deadWorkers []int, seed int64, prev *dataflow.Plan) (*dataflow.Plan, error) {
-	dead := make(map[int]bool, len(deadWorkers))
+	free := make([]int, c.NumWorkers())
+	for w := range free {
+		free[w] = c.Worker(w).Slots
+	}
 	for _, w := range deadWorkers {
-		dead[w] = true
-	}
-	var viewWorkers []cluster.Worker
-	var backing []int
-	free := 0
-	viewOf := make(map[int]int, c.NumWorkers())
-	for w := 0; w < c.NumWorkers(); w++ {
-		if dead[w] {
-			continue
+		if w >= 0 && w < len(free) {
+			free[w] = 0
 		}
-		viewOf[w] = len(viewWorkers)
-		viewWorkers = append(viewWorkers, c.Worker(w))
-		backing = append(backing, w)
-		free += c.Worker(w).Slots
 	}
-	if len(viewWorkers) == 0 {
-		return nil, fmt.Errorf("controller: no surviving workers")
-	}
-	if free < phys.NumTasks() {
-		return nil, fmt.Errorf("controller: survivors have %d slots for %d tasks", free, phys.NumTasks())
-	}
-	view, err := cluster.New(viewWorkers)
-	if err != nil {
-		return nil, err
-	}
-	var vplan *dataflow.Plan
-	wp, warmable := strat.(placement.WarmPlacer)
-	if warmable && prev != nil {
-		vprev := dataflow.NewPlan()
-		for _, t := range phys.Tasks() {
-			if w, ok := prev.Worker(t); ok {
-				if vw, alive := viewOf[w]; alive {
-					vprev.Assign(t, vw)
-				}
-			}
-		}
-		vplan, err = wp.PlaceWarm(ctx, phys, view, u, seed, vprev)
-	} else {
-		vplan, err = strat.Place(ctx, phys, view, u, seed)
-	}
+	plan, err := placeOn(ctx, phys, c, free, strat, u, seed, prev)
 	if err != nil {
 		return nil, fmt.Errorf("controller: re-placement on survivors: %w", err)
 	}
-	real := dataflow.NewPlan()
-	for _, t := range phys.Tasks() {
-		vw, ok := vplan.Worker(t)
-		if !ok {
-			return nil, fmt.Errorf("controller: re-placement left task %v unassigned", t)
-		}
-		real.Assign(t, backing[vw])
-	}
-	return real, nil
+	return plan, nil
 }
 
 // busiestWorker returns the worker hosting the most tasks (ties to the

@@ -43,8 +43,8 @@ type TimelineOptions struct {
 	// SimConfig is the contention model.
 	SimConfig simulator.Config
 	// Tracer, when set, records one controller.decision event per control
-	// interval: the observed metrics snapshot and whether the
-	// profile -> DS2 -> placement pipeline reconfigured the job.
+	// interval: the observed metrics snapshot and whether the DS2 ->
+	// placement step reconfigured the job.
 	Tracer *telemetry.Tracer
 }
 
@@ -93,8 +93,8 @@ func RunTimeline(ctx context.Context, spec nexmark.QuerySpec, c *cluster.Cluster
 	seed := opts.Seed
 	deployErrBudget := 0
 
-	// Warm-capable strategies are seeded with the outgoing plan on every
-	// redeploy: steady-state reconfigurations (rescaling one operator, or
+	// Every redeploy warm-starts from the outgoing plan where the strategy
+	// can: steady-state reconfigurations (rescaling one operator, or
 	// re-placing after a rate change) mostly keep the previous assignment
 	// feasible, so the search rediscovers it without backtracking.
 	var prevPlan *dataflow.Plan
@@ -107,12 +107,7 @@ func RunTimeline(ctx context.Context, spec nexmark.QuerySpec, c *cluster.Cluster
 		if err != nil {
 			return nil, nil, err
 		}
-		var plan *dataflow.Plan
-		if wp, ok := strat.(placement.WarmPlacer); ok {
-			plan, err = wp.PlaceWarm(ctx, phys, c, u, seed, prevPlan)
-		} else {
-			plan, err = strat.Place(ctx, phys, c, u, seed)
-		}
+		plan, err := placeOn(ctx, phys, c, nil, strat, u, seed, prevPlan)
 		seed++
 		if err != nil {
 			return nil, nil, err
@@ -152,7 +147,10 @@ func RunTimeline(ctx context.Context, spec nexmark.QuerySpec, c *cluster.Cluster
 
 			acted := false
 			if tick-lastAction >= opts.ActivationTicks {
-				dec, derr := scaleFromSim(g, sim, spec.Name, rates, opts)
+				dec, derr := ObserveSim(sim, spec.Name).Scale(g, rates, ds2.Options{
+					MaxParallelism: opts.MaxParallelism,
+					Headroom:       opts.Headroom,
+				})
 				if derr == nil && dec.Changed {
 					ng, rerr := g.Rescale(dec.Parallelism)
 					if rerr == nil {
@@ -190,37 +188,6 @@ func RunTimeline(ctx context.Context, spec nexmark.QuerySpec, c *cluster.Cluster
 		}
 	}
 	return res, nil
-}
-
-// scaleFromSim converts the simulator's task telemetry into DS2 metrics and
-// runs the scaling model.
-func scaleFromSim(g *dataflow.LogicalGraph, sim *simulator.Result, query string, rates map[dataflow.OperatorID]float64, opts TimelineOptions) (*ds2.Decision, error) {
-	obs := make(map[dataflow.TaskID]ds2.TaskRates)
-	for k, tm := range sim.Tasks {
-		if k.Query != query {
-			continue
-		}
-		useful := tm.UsefulFraction
-		if useful <= 0 {
-			useful = 1e-9
-		}
-		if useful > 1 {
-			useful = 1
-		}
-		obs[k.Task] = ds2.TaskRates{
-			ObservedIn:     tm.ObservedInRate,
-			ObservedOut:    tm.ObservedOutRate,
-			UsefulFraction: useful,
-		}
-	}
-	m, err := ds2.MetricsFromObservation(g, obs)
-	if err != nil {
-		return nil, err
-	}
-	return ds2.Scale(g, m, rates, ds2.Options{
-		MaxParallelism: opts.MaxParallelism,
-		Headroom:       opts.Headroom,
-	})
 }
 
 // scaleRates multiplies every source rate by f.

@@ -64,8 +64,8 @@ type WorkerReport struct {
 	Attempt   int
 	Completed bool
 	Lost      int64
-	// Tasks holds the local tasks' counters and keyed-state sizes; the
-	// fields derived from the run's elapsed time (UsefulFraction,
+	// Tasks holds the local tasks' counters, meter draws and keyed-state
+	// sizes; the fields derived from the run's elapsed time (UsefulFraction,
 	// Observed*Rate) are assembleResult's to fill.
 	Tasks map[dataflow.TaskID]TaskStats
 	// Metrics holds the attempt's own exchange.* and net.* cells as they
@@ -210,6 +210,11 @@ func (a *attempt) report() *WorkerReport {
 			Sink:          rt.isSink,
 			Source:        rt.numIn == 0,
 			Dead:          rt.dead,
+			CPUDraw:       rt.cpuShard.total,
+			NetDraw:       rt.netShard.total,
+		}
+		if !rt.fusedIn {
+			ts.IODraw = rt.ioShard.total
 		}
 		if ns := rt.ctx.State; ns != nil {
 			ts.Stateful = true

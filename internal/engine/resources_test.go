@@ -295,6 +295,101 @@ func TestStateIOPaces(t *testing.T) {
 	}
 }
 
+// TestTaskDrawsSumToMeters: every token a worker's meters took is on
+// exactly one task's report. Two metered src → map → window chains, each
+// fused on its own worker, feed one sink: per worker, the tasks' CPU, IO and
+// Net draws sum to the meters' Consumed. The chain's state I/O is struck on
+// its head's IO shard, so the head (the source) carries the window's bytes
+// and the fused members report none.
+func TestTaskDrawsSumToMeters(t *testing.T) {
+	g := dataflow.NewLogicalGraph()
+	for _, op := range []dataflow.Operator{
+		{ID: "src", Kind: dataflow.KindSource, Parallelism: 2, Selectivity: 1},
+		{ID: "map", Kind: dataflow.KindMap, Parallelism: 2, Selectivity: 1},
+		{ID: "win", Kind: dataflow.KindWindow, Parallelism: 2, Selectivity: 1},
+		{ID: "sink", Kind: dataflow.KindSink, Parallelism: 1},
+	} {
+		if err := g.AddOperator(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range []dataflow.Edge{
+		{From: "src", To: "map", Mode: dataflow.Forward},
+		{From: "map", To: "win", Mode: dataflow.Forward},
+		{From: "win", To: "sink"},
+	} {
+		if err := g.AddEdge(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan := dataflow.NewPlan()
+	for i := 0; i < 2; i++ {
+		for _, op := range []dataflow.OperatorID{"src", "map", "win"} {
+			plan.Assign(dataflow.TaskID{Op: op, Index: i}, i)
+		}
+	}
+	plan.Assign(dataflow.TaskID{Op: "sink"}, 0)
+	factories := map[dataflow.OperatorID]Factory{
+		"src": func(*TaskContext) (any, error) {
+			return NewSource(func(_, i int64) (Record, bool) {
+				return Record{Key: fmt.Sprintf("k%d", i%40), Value: i, Time: i}, true
+			}), nil
+		},
+		"map":  func(*TaskContext) (any, error) { return NewMap(func(r Record) Record { return r }), nil },
+		"win":  func(*TaskContext) (any, error) { return NewSlidingWindow(50, 50, countAgg, countResult), nil },
+		"sink": func(*TaskContext) (any, error) { return NewSink(nil), nil },
+	}
+	job, err := NewJob(g, plan, bigWorkers(2, 4), factories, JobOptions{
+		RecordsPerSource: 2000,
+		Transport:        TransportBatched,
+		Stateful:         map[dataflow.OperatorID]bool{"win": true},
+		PerRecordCPU:     map[dataflow.OperatorID]float64{"src": 1e-6, "map": 2e-6, "win": 3e-6, "sink": 1e-6},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, att := runKeepAttempt(t, job)
+	if res.Metrics.Snapshot()["engine.fuse.tasks"] != 4 {
+		t.Fatalf("engine.fuse.tasks = %v, want both chains' map and window fused", res.Metrics.Snapshot()["engine.fuse.tasks"])
+	}
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(b)) }
+	for w, wr := range att.workers {
+		var cpu, io, net float64
+		for id, ts := range res.Tasks {
+			if plan.MustWorker(id) == w {
+				cpu, io, net = cpu+ts.CPUDraw, io+ts.IODraw, net+ts.NetDraw
+			}
+		}
+		for _, c := range []struct {
+			res        string
+			tasks, got float64
+		}{{"cpu", cpu, wr.CPU.Consumed()}, {"io", io, wr.IO.Consumed()}, {"net", net, wr.Net.Consumed()}} {
+			if !near(c.tasks, c.got) {
+				t.Errorf("worker %d: tasks drew %v %s tokens, the meter consumed %v", w, c.tasks, c.res, c.got)
+			}
+		}
+	}
+	for _, rt := range att.tasks {
+		if rt.id.Op != "win" {
+			continue
+		}
+		st := rt.ctx.State.Stats()
+		charged := float64(st.ReadBytes + st.WriteBytes)
+		head := res.Tasks[dataflow.TaskID{Op: "src", Index: rt.id.Index}]
+		if charged == 0 || head.IODraw != charged {
+			t.Errorf("chain %d: head drew %v IO tokens, the window's namespace was charged %v bytes", rt.id.Index, head.IODraw, charged)
+		}
+		for _, op := range []dataflow.OperatorID{"map", "win"} {
+			if io := res.Tasks[dataflow.TaskID{Op: op, Index: rt.id.Index}].IODraw; io != 0 {
+				t.Errorf("fused member %s[%d] reports %v IO tokens, want 0", op, rt.id.Index, io)
+			}
+		}
+	}
+	if res.Tasks[dataflow.TaskID{Op: "win", Index: 1}].NetDraw == 0 {
+		t.Error("win[1] sends to the sink on another worker but drew no Net tokens")
+	}
+}
+
 // TestStateIORestorePaidInDowntime: the state I/O a restore strikes while
 // its attempt is built is paid before the attempt comes up, so it lands in
 // the job's recovery downtime. Paid by the first batch instead, the end

@@ -148,6 +148,13 @@ type TaskStats struct {
 	// attempt reported.
 	Stateful              bool
 	StateBytes, StateKeys int64
+	// CPUDraw, IODraw and NetDraw are the tokens the task struck on its
+	// worker's CPU, IO and network meters during the reporting attempt
+	// (unlike the record counters, they do not resume from a snapshot):
+	// core-seconds, state-access bytes and cross-worker bytes. A fused
+	// member's state I/O is struck on its chain head's IO shard, so the head
+	// carries the chain's IODraw and the member reports none.
+	CPUDraw, IODraw, NetDraw float64
 }
 
 // JobResult is the outcome of one engine run.
