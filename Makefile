@@ -30,11 +30,15 @@ test-rescale:
 # state restore matrix included), fusion, the checkpoint timeline in both
 # modes and close-time backpressure — five times each at GOMAXPROCS 1
 # and 4, once plain and once under the race detector: a flake that needs a
-# particular interleaving gets twenty chances to show instead of one.
+# particular interleaving gets twenty chances to show instead of one. The
+# CAPS search's quick.Check properties draw fresh random instances on every
+# run, and the soundness of its prunes (the capacity lookahead's included)
+# rests on them, so they run ten more times over.
 STRESS_RUN = TestDist|TestWorkerRun|TestWire|TestPrepareWorkerAttempt|Rescale|KeyedState|Fus|TestCheckpointTimeline|TestCloseBackpressure
 stress:
 	$(GO) test -timeout 20m -count=5 -cpu 1,4 -run '$(STRESS_RUN)' ./internal/engine ./internal/controller
 	$(GO) test -race -timeout 30m -count=5 -cpu 1,4 -run '$(STRESS_RUN)' ./internal/engine ./internal/controller
+	$(GO) test -timeout 10m -count=5 -cpu 1,4 -run Property ./internal/caps
 
 race:
 	$(GO) test -race ./...

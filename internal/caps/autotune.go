@@ -101,11 +101,13 @@ type AutoTuneResult struct {
 //     the multiplicative schedule.
 //
 // Worker loads are sums of a few discrete per-task usages, so most relaxation
-// steps move the budget across none of them. An infeasible probe reports the
-// smallest load it rejected per dimension (Stats.RejectFloor); while the
-// relaxing budget stays below that floor, a probe would make the same
-// comparisons, walk the same tree, hit the same ProbeMaxNodes cap and return
-// the same verdict, so the step is counted in Probes without searching.
+// steps move the budget across none of them. An infeasible probe reports,
+// per dimension, the smallest load it rejected or the smallest budget under
+// which a layer its capacity lookahead refused could fit (Stats.RejectFloor);
+// while the relaxing budget stays below that floor, a probe would make the
+// same comparisons, walk the same tree, hit the same ProbeMaxNodes cap and
+// return the same verdict, so the step is counted in Probes without
+// searching.
 func AutoTune(ctx context.Context, p *dataflow.PhysicalGraph, c *cluster.Cluster, u *costmodel.Usage, opts AutoTuneOptions) (*AutoTuneResult, error) {
 	if opts.RelaxPhase1 <= 1 || opts.RelaxPhase2 <= 1 {
 		return nil, fmt.Errorf("caps: relaxation factors must exceed 1 (got %v, %v)", opts.RelaxPhase1, opts.RelaxPhase2)

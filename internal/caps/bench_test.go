@@ -159,16 +159,17 @@ func runSearchBench(b *testing.B, bc benchCase, opts Options) {
 
 // tightCase is the tight decision of the search-scale workload: Q2-join at
 // 256 tasks on 32 × 8 slots under Figure 10a's vector a1, a first-feasible
-// search of 481 854 nodes.
+// search of 68 809 nodes (481 854 without the capacity lookahead, which
+// refuses 3 216 src-auction layers that cannot fit).
 func tightCase(b testing.TB) benchCase {
 	bc := q2joinCase(b, 256)
 	bc.alpha = costmodel.Vector{CPU: 0.08, IO: 0.15, Net: 0.6}
 	return bc
 }
 
-// The tight search allocates per memo key and per arena chunk, not per node
-// or per boundary visit: about 3 500 objects, where a copy per recorded
-// snapshot would add several thousand.
+// The tight search allocates per memo key and per arena chunk, not per node,
+// per boundary visit or per refused layer: about 170 objects, where a copy
+// per recorded snapshot would add thousands.
 func TestTightSearchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -181,8 +182,9 @@ func TestTightSearchAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if !res.Feasible || res.Stats.Nodes != 481_854 {
-		t.Fatalf("feasible=%v after %d nodes, want a plan after 481854", res.Feasible, res.Stats.Nodes)
+	if !res.Feasible || res.Stats.Nodes != 68_809 || res.Stats.LayerPrunes != 3_216 {
+		t.Fatalf("feasible=%v after %d nodes and %d refused layers, want a plan after 68809 and 3216",
+			res.Feasible, res.Stats.Nodes, res.Stats.LayerPrunes)
 	}
 	if allocs > 5000 {
 		t.Errorf("tight search allocated %.0f objects, want at most 5000", allocs)

@@ -17,6 +17,10 @@
 //   - Exploration reordering (§4.4.2): operators with higher resource cost
 //     are explored near the root so that over-threshold branches are pruned
 //     early.
+//   - Capacity lookahead: before a layer is expanded, the tasks each worker
+//     can still take under its free slots and budget are summed, and a
+//     layer they cannot hold is skipped without expanding a node (see
+//     lookahead.go).
 //   - Incremental evaluation: per-worker load vectors, the bottleneck load
 //     and the remaining-capacity bound are maintained in O(1) per place/undo
 //     instead of being recomputed from the full assignment (see eval.go; the
@@ -119,8 +123,8 @@ type Options struct {
 	DisableDuplicateElimination bool
 	// Telemetry, when set, accumulates search effort counters on the hub's
 	// registry (caps.search.runs, .nodes, .cost_evals, .memo_prunes,
-	// .budget_prunes, .warm_runs, .plans) and sets the caps.search.seconds
-	// gauge to the latest search duration.
+	// .budget_prunes, .layer_prunes, .warm_runs, .plans) and sets the
+	// caps.search.seconds gauge to the latest search duration.
 	Telemetry *telemetry.Telemetry
 	// Now is the time source used for the Elapsed stat (nil = system clock).
 	// The search itself never reads the wall clock — plans, fronts and
@@ -138,7 +142,7 @@ type Stats struct {
 	Plans int64
 	// CostEvals is the number of per-worker load-vector evaluations: one per
 	// incrementally updated worker in the default mode, numWorkers per
-	// placement step (and per leaf) under ScratchEval.
+	// placement step (and per leaf and layer entry) under ScratchEval.
 	CostEvals int64
 	// MemoPrunes is the number of subtrees skipped by dominated-state
 	// memoization.
@@ -146,11 +150,16 @@ type Stats struct {
 	// BudgetPrunes is the number of placements rejected by threshold-based
 	// pruning.
 	BudgetPrunes int64
+	// LayerPrunes is the number of layer entries refused by the capacity
+	// lookahead: the workers' free slots and budgets could not take the
+	// layer's tasks, so its subtree was skipped without expanding a node.
+	LayerPrunes int64
 	// RejectFloor is, per dimension, the smallest load the threshold check
-	// rejected on that dimension (+Inf where it rejected none). A budget
-	// whose slack-adjusted value stays below the floor in every such
-	// dimension — and is no tighter than this search's — accepts and rejects
-	// exactly the same placements, so the search would walk the same tree
+	// rejected on that dimension, or the smallest budget a refused layer
+	// would need to fit (+Inf where nothing was rejected). A budget whose
+	// slack-adjusted value stays below the floor in every such dimension —
+	// and is no tighter than this search's — accepts and rejects exactly the
+	// same placements and layers, so the search would walk the same tree
 	// (AutoTune steps its schedule past such budgets without searching).
 	RejectFloor costmodel.Vector
 	// WarmStarted reports whether a warm-start seed was applied.
@@ -207,6 +216,7 @@ type searcher struct {
 	numWorkers int
 	slots      int
 	limit      costmodel.Vector // load budget plus slack (see budgetLimit)
+	bounded    []int            // dimensions (0 CPU, 1 IO, 2 Net) with a finite limit
 	bounds     costmodel.Bounds
 	mode       Mode
 	frontCap   int
@@ -337,6 +347,7 @@ func newSearcher(ctx context.Context, p *dataflow.PhysicalGraph, c *cluster.Clus
 		warm:       warmCounts(opts.Warm, ops, c.NumWorkers()),
 		ctx:        ctx,
 	}
+	s.bounded = boundedDims(s.limit)
 	if s.memoOn {
 		s.buildMemoPlan()
 	}
@@ -378,6 +389,7 @@ func Search(ctx context.Context, p *dataflow.PhysicalGraph, c *cluster.Cluster, 
 			CostEvals:    merged.costEvals,
 			MemoPrunes:   merged.memoPrunes,
 			BudgetPrunes: merged.budgetPrunes,
+			LayerPrunes:  merged.layerPrunes,
 			RejectFloor:  merged.rejectFloor,
 			WarmStarted:  s.warm != nil,
 			Elapsed:      now.Since(start),
@@ -410,6 +422,7 @@ func exportStats(t *telemetry.Telemetry, st Stats) {
 	reg.Counter("caps.search.cost_evals").Inc(st.CostEvals)
 	reg.Counter("caps.search.memo_prunes").Inc(st.MemoPrunes)
 	reg.Counter("caps.search.budget_prunes").Inc(st.BudgetPrunes)
+	reg.Counter("caps.search.layer_prunes").Inc(st.LayerPrunes)
 	if st.WarmStarted {
 		reg.Counter("caps.search.warm_runs").Inc(1)
 	}
@@ -427,8 +440,14 @@ type collector struct {
 	memo     *memoTable
 	// rejectFloor is this goroutine's share of Stats.RejectFloor.
 	rejectFloor costmodel.Vector
+	// fits caches the lookahead's per-layer fits for the workers of state
+	// fitsOf, and nextLoads is refuseFloor's buffer (see lookahead.go): the
+	// goroutine's scratch space, reused by every layer entry.
+	fits      []layerFit
+	fitsOf    *state
+	nextLoads []float64
 
-	nodes, plans, costEvals, memoPrunes, budgetPrunes int64
+	nodes, plans, costEvals, memoPrunes, budgetPrunes, layerPrunes int64
 	// shared: every node also goes to the searcher's MaxNodes budget, and the
 	// cut is made on that (false = the collector cuts on its own count).
 	shared bool
@@ -543,6 +562,7 @@ func (c *collector) merge(other *collector) {
 	c.costEvals += other.costEvals
 	c.memoPrunes += other.memoPrunes
 	c.budgetPrunes += other.budgetPrunes
+	c.layerPrunes += other.layerPrunes
 	c.rejectFloor.CPU = math.Min(c.rejectFloor.CPU, other.rejectFloor.CPU)
 	c.rejectFloor.IO = math.Min(c.rejectFloor.IO, other.rejectFloor.IO)
 	c.rejectFloor.Net = math.Min(c.rejectFloor.Net, other.rejectFloor.Net)
@@ -633,6 +653,12 @@ func (s *searcher) overBudget(l *costmodel.Vector, col *collector) bool {
 func (s *searcher) searchLayer(st *state, layer int, col *collector) bool {
 	if layer == len(s.ops) {
 		s.leaf(st, col)
+		return true
+	}
+	// A refused layer is not recorded in the memo: a later state with its
+	// key and loads at least its own is refused by the lookahead just as
+	// cheaply as by a memo hit.
+	if !s.layerFits(st, layer, col) {
 		return true
 	}
 	var key []byte
@@ -794,23 +820,11 @@ func (s *searcher) place(st *state, layer, w, c int, col *collector) (placeRec, 
 	st.placed[layer] += c
 
 	fc := float64(c)
-	// Worker w's own delta combines compute, state access and the network
-	// charge for the new tasks' links to already-placed downstream tasks on
-	// other workers (Eq. 8) — one evaluation for the placement target.
-	self := costmodel.Vector{CPU: op.usage.CPU * fc, IO: op.usage.IO * fc}
-	if op.usage.Net > 0 && op.outDeg > 0 {
-		perLink := op.usage.Net / float64(op.outDeg)
-		remote := 0
-		for _, dl := range op.downstream {
-			remote += st.placed[dl] - st.counts[dl][w]
-		}
-		if remote > 0 {
-			self.Net = perLink * float64(remote) * fc
-		}
-	}
+	// Worker w's own delta — one evaluation for the placement target.
 	st.undoW = append(st.undoW, w)
 	st.undoPrev = append(st.undoPrev, st.loads[w])
-	st.loads[w] = st.loads[w].Add(self)
+	st.loads[w] = st.loads[w].Add(s.perTask(st, op, w).Scale(fc))
+	st.touch(w)
 
 	// Network: upstream tasks already placed gain c new downstream links;
 	// links from workers other than w are remote (Eq. 8). Only workers that
@@ -828,6 +842,7 @@ func (s *searcher) place(st *state, layer, w, c int, col *collector) (placeRec, 
 			st.undoW = append(st.undoW, uw)
 			st.undoPrev = append(st.undoPrev, st.loads[uw])
 			st.loads[uw] = st.loads[uw].Add(costmodel.Vector{Net: perLink * float64(st.counts[ul][uw]) * fc})
+			st.touch(uw)
 		}
 	}
 
@@ -857,6 +872,26 @@ func (s *searcher) place(st *state, layer, w, c int, col *collector) (placeRec, 
 	return r, true
 }
 
+// perTask is the load one task of op adds to worker w itself: compute, state
+// access, and the network charge for its links to already-placed downstream
+// tasks on other workers (Eq. 8). Tasks of the layer being placed add no
+// downstream links to each other, so within a layer it depends on w alone.
+func (s *searcher) perTask(st *state, op *opInfo, w int) costmodel.Vector {
+	return costmodel.Vector{CPU: op.usage.CPU, IO: op.usage.IO, Net: s.netPerTask(st, op, w)}
+}
+
+// netPerTask is perTask's network charge.
+func (s *searcher) netPerTask(st *state, op *opInfo, w int) float64 {
+	if op.usage.Net == 0 || op.outDeg == 0 {
+		return 0
+	}
+	remote := 0
+	for _, dl := range op.downstream {
+		remote += st.placed[dl] - st.counts[dl][w]
+	}
+	return op.usage.Net / float64(op.outDeg) * float64(remote)
+}
+
 // unplace reverts a place call. Records must be unplaced in LIFO order.
 func (s *searcher) unplace(st *state, r placeRec) {
 	if r.c == 0 {
@@ -874,6 +909,7 @@ func (s *searcher) unplace(st *state, r placeRec) {
 	}
 	for i := len(st.undoW) - 1; i >= r.base; i-- {
 		st.loads[st.undoW[i]] = st.undoPrev[i]
+		st.touch(st.undoW[i])
 	}
 	st.undoW = st.undoW[:r.base]
 	st.undoPrev = st.undoPrev[:r.base]
@@ -938,6 +974,9 @@ func (s *searcher) searchParallel(par int) *collector {
 	go func() {
 		defer close(queue)
 		st := newState(len(s.ops), s.numWorkers, s.slots)
+		if !s.layerFits(st, 0, prod) {
+			return
+		}
 		s.innerSearch(st, 0, 0, s.ops[0].par, -1, st.freeTotal-st.free[0], prod, func() bool {
 			if s.shouldStop(prod) {
 				return false

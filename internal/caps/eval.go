@@ -54,6 +54,18 @@ type state struct {
 	// keyBufs[layer] are scratch buffers for memoKey, reused across boundary
 	// visits so key construction allocates nothing.
 	keyBufs [][]byte
+
+	// ver[w] is renewed whenever place or unplace changes worker w's load or
+	// free slots (tick numbers the changes), so the lookahead's fit cache can
+	// tell which workers changed since it last looked.
+	ver  []uint64
+	tick uint64
+}
+
+// touch records that worker w's load or free slots changed.
+func (st *state) touch(w int) {
+	st.tick++
+	st.ver[w] = st.tick
 }
 
 func newState(numLayers, numWorkers, slots int) *state {
@@ -63,6 +75,7 @@ func newState(numLayers, numWorkers, slots int) *state {
 		loads:  make([]costmodel.Vector, numWorkers),
 		placed: make([]int, numLayers),
 		active: make([][]int, numLayers),
+		ver:    make([]uint64, numWorkers),
 	}
 	for i := range st.counts {
 		st.counts[i] = make([]int, numWorkers)
@@ -83,6 +96,7 @@ func (st *state) clone() *state {
 		freeTotal: st.freeTotal,
 		max:       st.max,
 		active:    make([][]int, len(st.active)),
+		ver:       make([]uint64, len(st.ver)),
 	}
 	for i := range st.counts {
 		c.counts[i] = append([]int(nil), st.counts[i]...)
@@ -90,10 +104,11 @@ func (st *state) clone() *state {
 	for i := range st.active {
 		c.active[i] = append([]int(nil), st.active[i]...)
 	}
-	// The undo log and memo-key buffers are deliberately not copied: pending
-	// undo entries belong to the cloner's own placements, which the clone
-	// never unwinds (parallel consumers only search below the shipped
-	// prefix), and the key buffers are pure scratch space.
+	// The undo log, memo-key buffers and versions are deliberately not
+	// copied: pending undo entries belong to the cloner's own placements,
+	// which the clone never unwinds (parallel consumers only search below the
+	// shipped prefix), the key buffers are pure scratch space, and versions
+	// only compare within one state.
 	return c
 }
 
@@ -110,29 +125,8 @@ func (s *searcher) recomputeLoads(st *state, out []costmodel.Vector) {
 	for l := range s.ops {
 		op := &s.ops[l]
 		for w := 0; w < s.numWorkers; w++ {
-			cnt := st.counts[l][w]
-			if cnt == 0 {
-				continue
-			}
-			fc := float64(cnt)
-			out[w].CPU += op.usage.CPU * fc
-			out[w].IO += op.usage.IO * fc
-		}
-		if op.usage.Net == 0 || op.outDeg == 0 {
-			continue
-		}
-		perLink := op.usage.Net / float64(op.outDeg)
-		for w := 0; w < s.numWorkers; w++ {
-			cnt := st.counts[l][w]
-			if cnt == 0 {
-				continue
-			}
-			remote := 0
-			for _, dl := range op.downstream {
-				remote += st.placed[dl] - st.counts[dl][w]
-			}
-			if remote > 0 {
-				out[w].Net += perLink * float64(cnt) * float64(remote)
+			if cnt := st.counts[l][w]; cnt > 0 {
+				out[w] = out[w].Add(s.perTask(st, op, w).Scale(float64(cnt)))
 			}
 		}
 	}

@@ -73,10 +73,38 @@ func randomInstance(rng *rand.Rand) (*dataflow.PhysicalGraph, *cluster.Cluster, 
 	return phys, c, costmodel.FromRates(g, rates), nil
 }
 
+// edgeAlpha is a budget at the edge of the instance's feasibility: each
+// dimension of its own AutoTune α, relaxed or tightened by one ×1.1 step or
+// kept — where threshold pruning and the capacity lookahead decide the most.
+func edgeAlpha(t *testing.T, rng *rand.Rand, phys *dataflow.PhysicalGraph, c *cluster.Cluster, u *costmodel.Usage) costmodel.Vector {
+	t.Helper()
+	opts := DefaultAutoTuneOptions()
+	opts.Now = goldenClock
+	tuned, err := AutoTune(context.Background(), phys, c, u, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(a float64) float64 { return a * [3]float64{1 / 1.1, 1, 1.1}[rng.Intn(3)] }
+	return costmodel.Vector{CPU: step(tuned.Alpha.CPU), IO: step(tuned.Alpha.IO), Net: step(tuned.Alpha.Net)}
+}
+
+// lookaheadShare asserts that the capacity lookahead refused a layer on at
+// least min of the checked instances, so a property over edge budgets is not
+// vacuous for it.
+func lookaheadShare(t *testing.T, fired, checked int, min float64) {
+	t.Helper()
+	t.Logf("the lookahead refused a layer on %d of %d edge-budget instances", fired, checked)
+	if checked == 0 || float64(fired) < min*float64(checked) {
+		t.Errorf("the lookahead refused a layer on %d of %d edge-budget instances, want at least %.0f%%", fired, checked, 100*min)
+	}
+}
+
 // Property: on random small instances, the exhaustive search returns a plan
 // whose scalar cost equals the brute-force minimum, the plan validates, and
-// plan counts agree.
+// plan counts agree — unbounded, and under a budget at the edge of
+// feasibility, where the minimum is over the plans the budget admits.
 func TestSearchOptimalityProperty(t *testing.T) {
+	fired, checked := 0, 0
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		phys, c, u, err := randomInstance(rng)
@@ -102,53 +130,82 @@ func TestSearchOptimalityProperty(t *testing.T) {
 		if res.Plan.Validate(phys, c.NumWorkers(), slots) != nil {
 			return false
 		}
-		if res.Stats.Plans != int64(len(all)) {
+		if res.Stats.Plans != int64(len(all)) || math.Abs(costmodel.ScalarCost(res.Cost)-best) >= 1e-9 {
 			return false
 		}
-		return math.Abs(costmodel.ScalarCost(res.Cost)-best) < 1e-9
+		alpha := edgeAlpha(t, rng, phys, c, u)
+		want, edgeBest := int64(0), math.Inf(1)
+		for _, fe := range all {
+			if fe.Cost.LeqAll(alpha) {
+				want++
+				edgeBest = math.Min(edgeBest, costmodel.ScalarCost(fe.Cost))
+			}
+		}
+		edge, err := Search(context.Background(), phys, c, u, Options{Alpha: alpha, Mode: Exhaustive, Now: goldenClock})
+		if err != nil {
+			return false
+		}
+		if checked++; edge.Stats.LayerPrunes > 0 {
+			fired++
+		}
+		if edge.Stats.Plans != want || edge.Feasible != (want > 0) {
+			t.Logf("seed %d: alpha %v: search found %d plans, brute force %d", seed, alpha, edge.Stats.Plans, want)
+			return false
+		}
+		return !edge.Feasible || math.Abs(costmodel.ScalarCost(edge.Cost)-edgeBest) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+	lookaheadShare(t, fired, checked, 0.4)
 }
 
-// Property: threshold pruning is sound on random instances — the number of
-// satisfying plans found under a random alpha equals the brute-force count.
+// Property: threshold pruning and the capacity lookahead are sound on random
+// instances — the number of satisfying plans found, serially and in
+// parallel, equals the brute-force count, under a random alpha and under a
+// budget at the edge of feasibility.
 func TestPruningSoundnessProperty(t *testing.T) {
+	fired, checked := 0, 0
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		phys, c, u, err := randomInstance(rng)
 		if err != nil {
 			return false
 		}
-		alpha := costmodel.Vector{
-			CPU: rng.Float64(),
-			IO:  rng.Float64(),
-			Net: rng.Float64(),
-		}
 		all, err := EnumeratePlans(context.Background(), phys, c, u)
 		if err != nil {
 			return false
 		}
-		want := int64(0)
-		for _, fe := range all {
-			if fe.Cost.LeqAll(alpha) {
-				want++
+		random := costmodel.Vector{CPU: rng.Float64(), IO: rng.Float64(), Net: rng.Float64()}
+		for i, alpha := range []costmodel.Vector{random, edgeAlpha(t, rng, phys, c, u)} {
+			want := int64(0)
+			for _, fe := range all {
+				if fe.Cost.LeqAll(alpha) {
+					want++
+				}
 			}
-		}
-		res, err := Search(context.Background(), phys, c, u, Options{Alpha: alpha, Mode: Exhaustive, Now: goldenClock})
-		if err != nil {
-			return false
-		}
-		if res.Stats.Plans != want {
-			t.Logf("seed %d: pruned found %d, brute force %d (alpha %v)", seed, res.Stats.Plans, want, alpha)
-			return false
+			for _, par := range []int{1, 3} {
+				res, err := Search(context.Background(), phys, c, u, Options{Alpha: alpha, Mode: Exhaustive, Parallelism: par, Now: goldenClock})
+				if err != nil {
+					return false
+				}
+				if res.Stats.Plans != want {
+					t.Logf("seed %d par %d: pruned found %d, brute force %d (alpha %v)", seed, par, res.Stats.Plans, want, alpha)
+					return false
+				}
+				if i == 1 && par == 1 {
+					if checked++; res.Stats.LayerPrunes > 0 {
+						fired++
+					}
+				}
+			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+	lookaheadShare(t, fired, checked, 0.4)
 }
 
 // vecClose compares two vectors with relative tolerance: the incremental
@@ -443,8 +500,10 @@ func TestParallelDeterminismProperty(t *testing.T) {
 				return false
 			}
 		}
-		effort := func(st Stats) [4]int64 { return [4]int64{st.Nodes, st.CostEvals, st.BudgetPrunes, st.Plans} }
-		var want [4]int64
+		effort := func(st Stats) [5]int64 {
+			return [5]int64{st.Nodes, st.CostEvals, st.BudgetPrunes, st.LayerPrunes, st.Plans}
+		}
+		var want [5]int64
 		for _, par := range []int{1, 2, 4} {
 			opts := base
 			opts.DisableMemo, opts.Parallelism = true, par
@@ -455,7 +514,7 @@ func TestParallelDeterminismProperty(t *testing.T) {
 			if got := effort(res.Stats); par == 1 {
 				want = got
 			} else if got != want {
-				t.Logf("seed %d par %d: nodes, cost evals, budget prunes, plans %v; serial %v", seed, par, got, want)
+				t.Logf("seed %d par %d: nodes, cost evals, budget prunes, layer prunes, plans %v; serial %v", seed, par, got, want)
 				return false
 			}
 		}
@@ -637,8 +696,10 @@ func TestAutoTuneSkipEquivalenceProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameTuning(t, bc.query, got, autoTuneEveryStep(t, bc.phys, bc.c, bc.u, opts))
-		if got.Probes != 66 || got.Searches > 8 {
-			t.Errorf("%d searches for %d probes, want at most 8 of 66", got.Searches, got.Probes)
+		// A capacity lookahead that refuses a layer must tell the reject
+		// floor how far it stands from fitting, or the skip stops here.
+		if got.Probes != 66 || got.Searches > 6 {
+			t.Errorf("%d searches for %d probes, want at most 6 of 66", got.Searches, got.Probes)
 		}
 	})
 }

@@ -28,7 +28,7 @@ func SearchPerf(ctx context.Context) (*Report, error) {
 	r := &Report{
 		ID:     "SEARCHPERF",
 		Title:  "CAPS search effort: scratch vs incremental evaluation, cold vs warm start",
-		Header: []string{"query", "tasks", "workers", "mode", "variant", "time(ms)", "nodes", "cost_evals", "memo_prunes", "budget_prunes", "plans"},
+		Header: []string{"query", "tasks", "workers", "mode", "variant", "time(ms)", "nodes", "cost_evals", "memo_prunes", "budget_prunes", "layer_prunes", "plans"},
 	}
 	hub := telemetry.New()
 
@@ -121,7 +121,7 @@ func SearchPerf(ctx context.Context) (*Report, error) {
 		}
 		r.AddRow(sc.query, sc.phys.NumTasks(), sc.c.NumWorkers(), modeName, variant,
 			float64(time.Since(start).Microseconds())/1000, //capslint:allow determinism wall-clock effort measurement for the report, not part of plan selection
-			res.Stats.Nodes, res.Stats.CostEvals, res.Stats.MemoPrunes, res.Stats.BudgetPrunes, res.Stats.Plans)
+			res.Stats.Nodes, res.Stats.CostEvals, res.Stats.MemoPrunes, res.Stats.BudgetPrunes, res.Stats.LayerPrunes, res.Stats.Plans)
 		return res, nil
 	}
 
@@ -166,9 +166,9 @@ func SearchPerf(ctx context.Context) (*Report, error) {
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("scratch/incremental cost evaluations on q3inf-x2 exhaustive: %.2fx (>=2x expected)", evalRatio),
 		fmt.Sprintf("cold/warm nodes on q3inf first-feasible: %.2fx (>1x expected: warm replays the still-feasible previous plan)", warmRatio),
-		fmt.Sprintf("telemetry totals across all runs: runs=%.0f nodes=%.0f cost_evals=%.0f memo_prunes=%.0f budget_prunes=%.0f warm_runs=%.0f",
+		fmt.Sprintf("telemetry totals across all runs: runs=%.0f nodes=%.0f cost_evals=%.0f memo_prunes=%.0f budget_prunes=%.0f layer_prunes=%.0f warm_runs=%.0f",
 			snap["caps.search.runs"], snap["caps.search.nodes"], snap["caps.search.cost_evals"],
-			snap["caps.search.memo_prunes"], snap["caps.search.budget_prunes"], snap["caps.search.warm_runs"]),
+			snap["caps.search.memo_prunes"], snap["caps.search.budget_prunes"], snap["caps.search.layer_prunes"], snap["caps.search.warm_runs"]),
 	)
 	return r, nil
 }
