@@ -33,12 +33,16 @@ test-rescale:
 # particular interleaving gets twenty chances to show instead of one. The
 # CAPS search's quick.Check properties draw fresh random instances on every
 # run, and the soundness of its prunes (the capacity lookahead's included)
-# rests on them, so they run ten more times over.
+# rests on them, so they run ten more times over. Last, the parallel search's
+# exactness battery, its MaxNodes and cancellation cases run under the race
+# detector at GOMAXPROCS 1, 2 and 4, five times each: whether a helper's
+# subtree is adopted, raced or redone depends on the interleaving.
 STRESS_RUN = TestDist|TestWorkerRun|TestWire|TestPrepareWorkerAttempt|Rescale|KeyedState|Fus|TestCheckpointTimeline|TestCloseBackpressure
 stress:
 	$(GO) test -timeout 20m -count=5 -cpu 1,4 -run '$(STRESS_RUN)' ./internal/engine ./internal/controller
 	$(GO) test -race -timeout 30m -count=5 -cpu 1,4 -run '$(STRESS_RUN)' ./internal/engine ./internal/controller
 	$(GO) test -timeout 10m -count=5 -cpu 1,4 -run Property ./internal/caps
+	$(GO) test -race -timeout 10m -count=5 -cpu 1,2,4 -run 'Parallel|Exact|MaxNodes' ./internal/caps
 
 race:
 	$(GO) test -race ./...

@@ -32,10 +32,13 @@
 //     steady-state re-placements whose old plan is still feasible descend
 //     straight to it (Options.Warm).
 //
-// The search runs on a configurable pool of goroutines that consume
-// first-layer subtrees from a shared work queue (a simple form of the
-// paper's dynamic work offloading), cache satisfactory plans locally, and
-// merge their Pareto fronts when the space is exhausted.
+// The calling goroutine always runs the serial DFS (the committer). Once it
+// has expanded about two thousand nodes, helper goroutines search ahead of it
+// the subtrees it will enter next at a split layer chosen from the subtree
+// sizes it has seen (the paper's dynamic work offloading), and the committer
+// adopts a helper's result only where the serial walk would have produced
+// the same one (see speculate.go). The Result — plan, front and every Stats
+// counter — is therefore bit-identical at any Parallelism.
 //
 // Network cost note: the cost model charges a task's output rate to its
 // worker in proportion to the fraction of its downstream physical links that
@@ -52,7 +55,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -90,7 +92,10 @@ type Options struct {
 	// Reorder enables search-tree exploration reordering (§4.4.2). When
 	// false, operators are explored in topological order.
 	Reorder bool
-	// Parallelism is the number of search goroutines. Values < 1 mean 1.
+	// Parallelism is the number of search goroutines: the calling one and
+	// up to Parallelism-1 speculative helpers, never more than GOMAXPROCS in
+	// all. Values < 1 mean GOMAXPROCS. The Result, Elapsed aside, is
+	// bit-identical at every value, so 1 only saves the helpers' CPU.
 	Parallelism int
 	// MaxNodes aborts the search after expanding this many tree nodes
 	// (0 = unlimited). The best result found so far is returned.
@@ -123,7 +128,8 @@ type Options struct {
 	DisableDuplicateElimination bool
 	// Telemetry, when set, accumulates search effort counters on the hub's
 	// registry (caps.search.runs, .nodes, .cost_evals, .memo_prunes,
-	// .budget_prunes, .layer_prunes, .warm_runs, .plans) and sets the
+	// .budget_prunes, .layer_prunes, .warm_runs, .plans, and the helpers'
+	// .helper_adopted, .helper_redone and .helper_wasted_nodes) and sets the
 	// caps.search.seconds gauge to the latest search duration.
 	Telemetry *telemetry.Telemetry
 	// Now is the time source used for the Elapsed stat (nil = system clock).
@@ -231,13 +237,7 @@ type searcher struct {
 	relevant [][]int
 	memoAt   []bool
 
-	// nodes is the MaxNodes budget the goroutines of a parallel search share:
-	// each of their collectors adds every node to it (see innerSearch). A
-	// serial search counts, and cuts, on its own collector and never touches
-	// it.
-	nodes    atomic.Int64
-	stopFlag atomic.Bool // set when FirstFeasible found or limits hit
-	ctx      context.Context
+	ctx context.Context
 }
 
 // buildOps computes the exploration order and per-operator info.
@@ -356,6 +356,12 @@ func newSearcher(ctx context.Context, p *dataflow.PhysicalGraph, c *cluster.Clus
 
 // Search runs CAPS over physical graph p on cluster c with task usage u.
 func Search(ctx context.Context, p *dataflow.PhysicalGraph, c *cluster.Cluster, u *costmodel.Usage, opts Options) (*Result, error) {
+	res, _, err := search(ctx, p, c, u, opts)
+	return res, err
+}
+
+// search is Search, also reporting what the helpers did.
+func search(ctx context.Context, p *dataflow.PhysicalGraph, c *cluster.Cluster, u *costmodel.Usage, opts Options) (*Result, specStats, error) {
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
@@ -363,55 +369,52 @@ func Search(ctx context.Context, p *dataflow.PhysicalGraph, c *cluster.Cluster, 
 	}
 	s, err := newSearcher(ctx, p, c, u, opts)
 	if err != nil {
-		return nil, err
+		return nil, specStats{}, err
 	}
 
 	now := opts.Now.OrSystem()
 	start := now()
-	par := opts.Parallelism
-	if par < 1 {
-		par = 1
+	col := newCollector(s)
+	st := newState(len(s.ops), s.numWorkers, s.slots)
+	if h := helperCount(opts.Parallelism); h > 0 {
+		col.spec = newSpeculation(s, h)
 	}
-	var merged *collector
-	if par == 1 {
-		col := newCollector(s)
-		st := newState(len(s.ops), s.numWorkers, s.slots)
-		s.searchLayer(st, 0, col)
-		merged = col
-	} else {
-		merged = s.searchParallel(par)
+	s.searchLayer(st, 0, col)
+	var spec specStats
+	if col.spec != nil {
+		spec = col.spec.finish()
 	}
 
 	res := &Result{
 		Stats: Stats{
-			Nodes:        merged.nodes,
-			Plans:        merged.plans,
-			CostEvals:    merged.costEvals,
-			MemoPrunes:   merged.memoPrunes,
-			BudgetPrunes: merged.budgetPrunes,
-			LayerPrunes:  merged.layerPrunes,
-			RejectFloor:  merged.rejectFloor,
+			Nodes:        col.nodes,
+			Plans:        col.plans,
+			CostEvals:    col.costEvals,
+			MemoPrunes:   col.memoPrunes,
+			BudgetPrunes: col.budgetPrunes,
+			LayerPrunes:  col.layerPrunes,
+			RejectFloor:  col.rejectFloor,
 			WarmStarted:  s.warm != nil,
 			Elapsed:      now.Since(start),
 		},
 		Bounds: s.bounds,
 	}
-	if merged.best != nil {
+	if col.best != nil {
 		res.Feasible = true
-		res.Plan = s.materialize(merged.best)
-		res.Cost = merged.bestCost
+		res.Plan = s.materialize(col.best)
+		res.Cost = col.bestCost
 		if opts.Mode == Exhaustive {
-			for _, fe := range merged.front {
+			for _, fe := range col.front {
 				res.Front = append(res.Front, FrontEntry{Plan: s.materialize(fe.counts), Cost: fe.cost})
 			}
 		}
 	}
-	exportStats(opts.Telemetry, res.Stats)
-	return res, nil
+	exportStats(opts.Telemetry, res.Stats, spec)
+	return res, spec, nil
 }
 
 // exportStats accumulates one search's effort counters on the telemetry hub.
-func exportStats(t *telemetry.Telemetry, st Stats) {
+func exportStats(t *telemetry.Telemetry, st Stats, spec specStats) {
 	if t == nil {
 		return
 	}
@@ -426,11 +429,14 @@ func exportStats(t *telemetry.Telemetry, st Stats) {
 	if st.WarmStarted {
 		reg.Counter("caps.search.warm_runs").Inc(1)
 	}
+	reg.Counter("caps.search.helper_adopted").Inc(spec.adopted)
+	reg.Counter("caps.search.helper_redone").Inc(spec.redone())
+	reg.Counter("caps.search.helper_wasted_nodes").Inc(spec.wasted)
 	reg.Gauge("caps.search.seconds").Set(st.Elapsed.Seconds())
 }
 
-// collector accumulates the satisfactory plans and the effort counters of one
-// search goroutine; merge sums the counters into Stats.
+// collector accumulates the satisfactory plans, the effort counters and the
+// stop conditions of one search goroutine.
 type collector struct {
 	s        *searcher
 	best     [][]int // counts snapshot of the plan with minimum scalar cost
@@ -438,8 +444,6 @@ type collector struct {
 	bestKey  string // canonical tie-break key
 	front    []frontEntry
 	memo     *memoTable
-	// rejectFloor is this goroutine's share of Stats.RejectFloor.
-	rejectFloor costmodel.Vector
 	// fits caches the lookahead's per-layer fits for the workers of state
 	// fitsOf, and nextLoads is refuseFloor's buffer (see lookahead.go): the
 	// goroutine's scratch space, reused by every layer entry.
@@ -447,10 +451,48 @@ type collector struct {
 	fitsOf    *state
 	nextLoads []float64
 
+	effort
+	// records counts the memo records made (see speculation.race).
+	records int64
+
+	// stopped is set once the walk must end: a first-feasible plan, an
+	// expired context, or (for a helper) the end of the commit or an
+	// abandoned subtree. The walk also ends when nodes reaches nodeCap
+	// (MaxNodes, or MaxInt64 when unlimited), and poll runs whenever
+	// nodes&pollMask is 0.
+	stopped  bool
+	nodeCap  int64
+	pollMask int64
+
+	// spec is the committer's speculation (nil for a serial search and for
+	// helpers), and race the helper subtree it is racing, if any. halt is a
+	// helper's stop signal, and sub is set while the helper searches one
+	// subtree.
+	spec *speculation
+	race *subtree
+	halt *atomic.Bool
+	sub  *subtree
+}
+
+// effort is a walk's effort counters and reject floor: what Stats reports.
+type effort struct {
 	nodes, plans, costEvals, memoPrunes, budgetPrunes, layerPrunes int64
-	// shared: every node also goes to the searcher's MaxNodes budget, and the
-	// cut is made on that (false = the collector cuts on its own count).
-	shared bool
+	// rejectFloor is the walk's share of Stats.RejectFloor.
+	rejectFloor costmodel.Vector
+}
+
+// add folds another walk's effort into e: counters sum, floors take the
+// minimum.
+func (e *effort) add(o *effort) {
+	e.nodes += o.nodes
+	e.plans += o.plans
+	e.costEvals += o.costEvals
+	e.memoPrunes += o.memoPrunes
+	e.budgetPrunes += o.budgetPrunes
+	e.layerPrunes += o.layerPrunes
+	e.rejectFloor.CPU = math.Min(e.rejectFloor.CPU, o.rejectFloor.CPU)
+	e.rejectFloor.IO = math.Min(e.rejectFloor.IO, o.rejectFloor.IO)
+	e.rejectFloor.Net = math.Min(e.rejectFloor.Net, o.rejectFloor.Net)
 }
 
 type frontEntry struct {
@@ -460,7 +502,10 @@ type frontEntry struct {
 }
 
 func newCollector(s *searcher) *collector {
-	c := &collector{s: s, rejectFloor: Unbounded}
+	c := &collector{s: s, effort: effort{rejectFloor: Unbounded}, nodeCap: math.MaxInt64, pollMask: committerPoll}
+	if s.maxNodes > 0 {
+		c.nodeCap = s.maxNodes
+	}
 	if s.memoOn {
 		c.memo = newMemoTable()
 	}
@@ -496,11 +541,14 @@ func countsKey(counts [][]int) string {
 }
 
 // offer records a satisfactory complete plan. All tie-breaking is
-// lexicographic on the canonical counts key, so the retained best plan and
-// Pareto front are a deterministic function of the set of offered plans —
-// independent of discovery order, and therefore identical between serial and
-// parallel searches.
+// lexicographic on the canonical counts key; the front's cap makes the
+// result depend on the order of the offers too, so a helper only logs its
+// plans and the committer offers them in the serial order (see adopt).
 func (c *collector) offer(counts [][]int, cost costmodel.Vector) {
+	if c.sub != nil {
+		c.sub.logOffer(c, counts, cost)
+		return
+	}
 	key := countsKey(counts)
 	sc := costmodel.ScalarCost(cost)
 	if c.best == nil || sc < costmodel.ScalarCost(c.bestCost) ||
@@ -549,60 +597,26 @@ func (c *collector) offer(counts [][]int, cost costmodel.Vector) {
 	}
 }
 
-// merge folds other into c deterministically.
-func (c *collector) merge(other *collector) {
-	if other.best != nil {
-		c.offerBest(other.best, other.bestKey, other.bestCost)
-	}
-	for _, fe := range other.front {
-		c.offer(fe.counts, fe.cost)
-	}
-	c.nodes += other.nodes
-	c.plans += other.plans
-	c.costEvals += other.costEvals
-	c.memoPrunes += other.memoPrunes
-	c.budgetPrunes += other.budgetPrunes
-	c.layerPrunes += other.layerPrunes
-	c.rejectFloor.CPU = math.Min(c.rejectFloor.CPU, other.rejectFloor.CPU)
-	c.rejectFloor.IO = math.Min(c.rejectFloor.IO, other.rejectFloor.IO)
-	c.rejectFloor.Net = math.Min(c.rejectFloor.Net, other.rejectFloor.Net)
+// shouldStop polls the termination conditions. It runs once per node, so it
+// is a local count check and a flag; everything else waits for poll.
+func (c *collector) shouldStop() bool {
+	return c.stopped || c.nodes >= c.nodeCap || c.nodes&c.pollMask == 0 && c.poll()
 }
 
-func (c *collector) offerBest(counts [][]int, key string, cost costmodel.Vector) {
-	sc := costmodel.ScalarCost(cost)
-	if c.best == nil || sc < costmodel.ScalarCost(c.bestCost) ||
-		(sc == costmodel.ScalarCost(c.bestCost) && key < c.bestKey) {
-		c.best = counts
-		c.bestCost = cost
-		c.bestKey = key
+// poll samples the context — a channel select per node would dominate the
+// cost of expanding millions of nodes — and, in a helper, whether its
+// subtree is still wanted, or in the committer whether the helper it races
+// has won.
+func (c *collector) poll() bool {
+	select {
+	case <-c.s.ctx.Done():
+		c.stopped = true
+	default:
 	}
-}
-
-// shouldStop polls termination conditions. It is cheap enough to call per
-// node expansion.
-func (s *searcher) shouldStop(col *collector) bool {
-	if s.stopFlag.Load() {
-		return true
+	if c.halt != nil && c.halt.Load() || c.sub != nil && c.sub.halted(c.nodes) || c.race != nil && c.spec.lost(c) {
+		c.stopped = true
 	}
-	n := col.nodes
-	if col.shared {
-		n = s.nodes.Load()
-	}
-	if s.maxNodes > 0 && n >= s.maxNodes {
-		s.stopFlag.Store(true)
-		return true
-	}
-	// Sample the context only periodically: a channel select per node would
-	// dominate the cost of expanding millions of nodes.
-	if col.nodes&0xFFF == 0 {
-		select {
-		case <-s.ctx.Done():
-			s.stopFlag.Store(true)
-			return true
-		default:
-		}
-	}
-	return false
+	return c.stopped
 }
 
 const budgetEps = 1e-9
@@ -661,20 +675,40 @@ func (s *searcher) searchLayer(st *state, layer int, col *collector) bool {
 	if !s.layerFits(st, layer, col) {
 		return true
 	}
+	if col.spec != nil && layer == col.spec.split {
+		return col.spec.commit(st, col)
+	}
+	return s.expandLayer(st, layer, col)
+}
+
+// expandLayer is searchLayer past the lookahead: the memo check, the inner
+// search and the memo record. Helpers run it on the subtree roots they take.
+func (s *searcher) expandLayer(st *state, layer int, col *collector) bool {
 	var key []byte
 	if col.memo != nil && s.memoAt[layer] {
 		key = s.memoKey(st, layer)
-		if col.memo.hit(key, st.loads) {
+		hit := col.memo.hit(key, st.loads)
+		if col.sub != nil {
+			col.sub.logMemo(col, key, st.loads, hit, false)
+		}
+		if hit {
 			col.memoPrunes++
 			return true
 		}
 	}
-	plansBefore := col.plans
+	plansBefore, nodesBefore := col.plans, col.nodes
 	complete := s.innerSearch(st, layer, 0, s.ops[layer].par, -1, st.freeTotal-st.free[0], col, func() bool {
 		return s.searchLayer(st, layer+1, col)
 	})
 	if key != nil && complete && col.plans == plansBefore {
 		col.memo.record(key, st.loads)
+		col.records++
+		if col.sub != nil {
+			col.sub.logMemo(col, key, st.loads, false, true)
+		}
+	}
+	if col.spec != nil && col.spec.split < 0 {
+		col.spec.observe(st, layer, col.nodes-nodesBefore, col)
 	}
 	return complete
 }
@@ -692,7 +726,7 @@ func (s *searcher) innerSearch(st *state, layer, w, remaining, prevCount, capAft
 	if w == s.numWorkers {
 		return true // dead end: tasks left but no workers
 	}
-	if s.shouldStop(col) {
+	if col.shouldStop() {
 		return false
 	}
 	// Capacity-based lower bound: workers after w must be able to absorb
@@ -736,9 +770,6 @@ func (s *searcher) innerSearch(st *state, layer, w, remaining, prevCount, capAft
 			continue
 		}
 		col.nodes++
-		if col.shared {
-			s.nodes.Add(1)
-		}
 		rec, ok := s.place(st, layer, w, c, col)
 		if ok {
 			next := 0
@@ -750,7 +781,7 @@ func (s *searcher) innerSearch(st *state, layer, w, remaining, prevCount, capAft
 			}
 		}
 		s.unplace(st, rec)
-		if s.shouldStop(col) {
+		if col.shouldStop() {
 			return false
 		}
 	}
@@ -951,71 +982,8 @@ func (s *searcher) leaf(st *state, col *collector) {
 	cost := costmodel.CostFromLoad(bottleneck, s.bounds)
 	col.offer(st.counts, cost)
 	if s.mode == FirstFeasible {
-		s.stopFlag.Store(true)
+		col.stopped = true
 	}
-}
-
-// searchParallel distributes first-layer subtrees to a pool of workers via a
-// shared queue. Each worker keeps a local collector; fronts and counters are
-// merged after the space is exhausted.
-//
-// Under MaxNodes the goroutines cut on the shared budget, which every node
-// is added to; each may expand one node past the limit before it sees it.
-func (s *searcher) searchParallel(par int) *collector {
-	type workItem struct{ st *state }
-	queue := make(chan workItem, par*2)
-	shared := s.maxNodes > 0
-
-	// Producer: enumerate layer-0 assignments and ship each completed
-	// layer-0 state as a subtree root. Its collector never sees a plan; it
-	// holds the reject floor and the effort of the layer-0 placements.
-	prod := newCollector(s)
-	prod.shared = shared
-	go func() {
-		defer close(queue)
-		st := newState(len(s.ops), s.numWorkers, s.slots)
-		if !s.layerFits(st, 0, prod) {
-			return
-		}
-		s.innerSearch(st, 0, 0, s.ops[0].par, -1, st.freeTotal-st.free[0], prod, func() bool {
-			if s.shouldStop(prod) {
-				return false
-			}
-			select {
-			case queue <- workItem{st: st.clone()}:
-				return true
-			case <-s.ctx.Done():
-				return false
-			}
-		})
-	}()
-
-	collectors := make([]*collector, par)
-	var wg sync.WaitGroup
-	for i := 0; i < par; i++ {
-		col := newCollector(s)
-		col.shared = shared
-		collectors[i] = col
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for item := range queue {
-				if s.shouldStop(col) && s.mode == FirstFeasible {
-					continue // drain
-				}
-				s.searchLayer(item.st, 1, col)
-			}
-		}()
-	}
-	wg.Wait()
-
-	// The consumers return once the producer has closed the queue, so its
-	// collector is quiescent here too.
-	merged := prod
-	for _, col := range collectors {
-		merged.merge(col)
-	}
-	return merged
 }
 
 // materialize converts a counts matrix into a concrete Plan, assigning task

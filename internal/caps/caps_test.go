@@ -3,6 +3,7 @@ package caps
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -298,22 +299,31 @@ func TestMaxNodesLimit(t *testing.T) {
 	}
 }
 
-// A parallel search cuts on a shared node budget, so each search goroutine
-// but the one that reaches MaxNodes may expand one node past it.
+// A parallel search under MaxNodes cuts on the same node as the serial one
+// and returns the same Result: a helper's subtree that would straddle the
+// budget is searched again by the committer from its own count.
 func TestMaxNodesParallel(t *testing.T) {
 	bc := q2joinCase(t, 64)
-	const maxNodes, par = 20_000, 4
-	res, err := Search(context.Background(), bc.phys, bc.c, bc.u, Options{
+	opts := Options{
 		Alpha: costmodel.Vector{CPU: 0.001, IO: Unbounded.IO, Net: Unbounded.Net},
-		Mode:  FirstFeasible, Reorder: true, Parallelism: par, MaxNodes: maxNodes,
-	})
+		Mode:  FirstFeasible, Reorder: true, MaxNodes: 20_000, Now: goldenClock, Parallelism: 1,
+	}
+	want, err := Search(context.Background(), bc.phys, bc.c, bc.u, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// par consumers and the producer: all but one may overshoot by a node.
-	if res.Feasible || res.Stats.Nodes < maxNodes || res.Stats.Nodes > maxNodes+par {
-		t.Errorf("feasible=%v after %d nodes, want an infeasible search cut within [%d, %d]",
-			res.Feasible, res.Stats.Nodes, maxNodes, maxNodes+par)
+	if want.Feasible || want.Stats.Nodes != opts.MaxNodes {
+		t.Fatalf("serial search: feasible=%v after %d nodes, want an infeasible search cut at %d", want.Feasible, want.Stats.Nodes, opts.MaxNodes)
+	}
+	for _, par := range []int{2, 4} {
+		opts.Parallelism = par
+		got, err := Search(context.Background(), bc.phys, bc.c, bc.u, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("par %d: %+v, want the serial %+v", par, got.Stats, want.Stats)
+		}
 	}
 }
 

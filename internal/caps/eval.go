@@ -87,31 +87,6 @@ func newState(numLayers, numWorkers, slots int) *state {
 	return st
 }
 
-func (st *state) clone() *state {
-	c := &state{
-		counts:    make([][]int, len(st.counts)),
-		free:      append([]int(nil), st.free...),
-		loads:     append([]costmodel.Vector(nil), st.loads...),
-		placed:    append([]int(nil), st.placed...),
-		freeTotal: st.freeTotal,
-		max:       st.max,
-		active:    make([][]int, len(st.active)),
-		ver:       make([]uint64, len(st.ver)),
-	}
-	for i := range st.counts {
-		c.counts[i] = append([]int(nil), st.counts[i]...)
-	}
-	for i := range st.active {
-		c.active[i] = append([]int(nil), st.active[i]...)
-	}
-	// The undo log, memo-key buffers and versions are deliberately not
-	// copied: pending undo entries belong to the cloner's own placements,
-	// which the clone never unwinds (parallel consumers only search below the
-	// shipped prefix), the key buffers are pure scratch space, and versions
-	// only compare within one state.
-	return c
-}
-
 // recomputeLoads rebuilds every worker's load vector from the counts matrix
 // alone, charging — exactly like the incremental path — CPU and state access
 // per placed task and network per cross-worker pair of placed adjacent tasks.

@@ -26,9 +26,10 @@ import "capsys/internal/costmodel"
 // Pareto front and the selected plan bit-identical with and without the memo
 // (see TestMemoEquivalenceProperty).
 //
-// The table is per-search-goroutine (no synchronization) and bounded: at
-// most memoMaxKeys interface keys, each retaining the memoMaxPerKey least
-// restrictive load snapshots.
+// The table is per search goroutine (no synchronization): a helper's
+// records reach the committer's table only through replay (speculate.go).
+// It is bounded: at most memoMaxKeys interface keys, each retaining the
+// memoMaxPerKey least restrictive load snapshots.
 //
 // Boundaries are visited far more often than they prune, so recording is
 // kept cheap: entries sit behind pointers and are updated in place, and both
@@ -66,6 +67,12 @@ func (m *memoTable) grow() int {
 	return min(max(len(m.entries), 16), memoChunk)
 }
 
+// reset empties the table for a new subtree; its chunks' unused tails are
+// kept.
+func (m *memoTable) reset() {
+	clear(m.entries)
+}
+
 // loadsLeq reports whether a <= b element-wise in every dimension of every
 // worker.
 func loadsLeq(a, b []costmodel.Vector) bool {
@@ -82,18 +89,41 @@ func loadsLeq(a, b []costmodel.Vector) bool {
 // direct map index expression.
 func (m *memoTable) hit(key []byte, loads []costmodel.Vector) bool {
 	if e := m.entries[string(key)]; e != nil {
-		for _, snap := range e.snaps[:e.n] {
-			if loadsLeq(snap, loads) {
-				return true
-			}
+		return e.hits(loads)
+	}
+	return false
+}
+
+// hits reports whether a snapshot of e dominates loads.
+func (e *memoEntry) hits(loads []costmodel.Vector) bool {
+	for _, snap := range e.snaps[:e.n] {
+		if loadsLeq(snap, loads) {
+			return true
 		}
 	}
 	return false
 }
 
+// drop removes the snapshots of e that loads renders redundant (a smaller
+// snapshot prunes a superset of states) and returns the storage of one of
+// them, or nil if none was dropped.
+func (e *memoEntry) drop(loads []costmodel.Vector) []costmodel.Vector {
+	var slot []costmodel.Vector
+	kept := 0
+	for _, snap := range e.snaps[:e.n] {
+		if loadsLeq(loads, snap) {
+			slot = snap
+		} else {
+			e.snaps[kept] = snap
+			kept++
+		}
+	}
+	e.n = kept
+	return slot
+}
+
 // record stores loads as a fully-explored no-plan state for key, dropping
-// stored entries the new one renders redundant (a smaller snapshot prunes a
-// superset of states).
+// stored entries the new one renders redundant.
 func (m *memoTable) record(key []byte, loads []costmodel.Vector) {
 	e := m.entries[string(key)]
 	if e == nil {
@@ -106,19 +136,9 @@ func (m *memoTable) record(key []byte, loads []costmodel.Vector) {
 		e, m.slab = &m.slab[0], m.slab[1:]
 		m.entries[string(key)] = e
 	}
-	var slot []costmodel.Vector // storage of a dropped snapshot
-	kept := 0
-	for _, snap := range e.snaps[:e.n] {
-		if loadsLeq(loads, snap) {
-			slot = snap
-		} else {
-			e.snaps[kept] = snap
-			kept++
-		}
-	}
-	e.n = kept
+	slot := e.drop(loads)
 	if slot == nil {
-		if kept >= memoMaxPerKey {
+		if e.n >= memoMaxPerKey {
 			return
 		}
 		if len(m.arena) < len(loads) {

@@ -463,11 +463,10 @@ func TestWarmStartFrontierEquivalenceProperty(t *testing.T) {
 }
 
 // Property: parallel and serial exhaustive searches select the same argmin
-// plan and the same front — the deterministic countsKey tie-breaking makes
-// the merged result independent of goroutine interleaving. Without the memo
-// (whose per-goroutine tables prune different subtrees) they also walk the
-// same tree, so the per-goroutine effort counters must sum to the serial
-// ones: a lost or doubled count shows here.
+// plan and the same front, and with the memo off their effort counters
+// agree too. These trees are below the size at which helpers join;
+// TestParallelExactProperty lowers that threshold and compares whole
+// Results.
 func TestParallelDeterminismProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -661,10 +660,9 @@ func sameTuning(t *testing.T, label string, got, want *AutoTuneResult) bool {
 
 // Property: stepping the schedule past probes that would repeat the previous
 // infeasible probe's tree changes nothing but the number of searches — on
-// random instances, serial and with parallel probes (whose per-collector
-// reject floors are merged; the race job covers that), and on the
-// search-scale shape, where it is the difference between 66 capped searches
-// and a handful.
+// random instances, serial and with parallel probes (which return the
+// serial Result, capped or not), and on the search-scale shape, where it is
+// the difference between 66 capped searches and a handful.
 func TestAutoTuneSkipEquivalenceProperty(t *testing.T) {
 	opts := DefaultAutoTuneOptions()
 	opts.Now = goldenClock

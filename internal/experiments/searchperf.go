@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"time"
 
 	"capsys/internal/caps"
@@ -18,7 +19,10 @@ import (
 // their ablations. For each query/mode it runs the same search with the
 // evaluator variants (scratch recomputation, incremental without memo,
 // incremental with memo) and — in first-feasible mode — cold versus seeded
-// with the previous plan, reporting effort counters and wall-clock.
+// with the previous plan, reporting effort counters and wall-clock. Each
+// search runs serially and then at the default Parallelism (GOMAXPROCS
+// goroutines); the two must report identical counters, and the par column is
+// the parallel wall time.
 //
 // This is the `go test -bench BenchmarkSearch ./internal/caps` battery in
 // experiment form: the benchmark reports per-variant times, this prints the
@@ -28,7 +32,7 @@ func SearchPerf(ctx context.Context) (*Report, error) {
 	r := &Report{
 		ID:     "SEARCHPERF",
 		Title:  "CAPS search effort: scratch vs incremental evaluation, cold vs warm start",
-		Header: []string{"query", "tasks", "workers", "mode", "variant", "time(ms)", "nodes", "cost_evals", "memo_prunes", "budget_prunes", "layer_prunes", "plans"},
+		Header: []string{"query", "tasks", "workers", "mode", "variant", "time(ms)", "par(ms)", "nodes", "cost_evals", "memo_prunes", "budget_prunes", "layer_prunes", "plans"},
 	}
 	hub := telemetry.New()
 
@@ -110,19 +114,29 @@ func SearchPerf(ctx context.Context) (*Report, error) {
 		opts.Reorder = true
 		opts.Timeout = 30 * time.Second
 		opts.Telemetry = hub
-		start := time.Now() //capslint:allow determinism wall-clock effort measurement for the report, not part of plan selection
-		res, err := caps.Search(ctx, sc.phys, sc.c, sc.u, opts)
-		if err != nil {
-			return nil, err
+		var ms [2]float64
+		var res [2]*caps.Result
+		for i, par := range []int{1, 0} {
+			opts.Parallelism = par
+			start := time.Now() //capslint:allow determinism wall-clock effort measurement for the report, not part of plan selection
+			var err error
+			if res[i], err = caps.Search(ctx, sc.phys, sc.c, sc.u, opts); err != nil {
+				return nil, err
+			}
+			ms[i] = float64(time.Since(start).Microseconds()) / 1000 //capslint:allow determinism wall-clock effort measurement for the report, not part of plan selection
+		}
+		st, pst := res[0].Stats, res[1].Stats
+		st.Elapsed, pst.Elapsed = 0, 0
+		if st != pst {
+			return nil, fmt.Errorf("searchperf: %s %s: parallel search counters %+v differ from serial %+v", sc.query, variant, pst, st)
 		}
 		modeName := "exhaustive"
 		if mode == caps.FirstFeasible {
 			modeName = "first-feasible"
 		}
-		r.AddRow(sc.query, sc.phys.NumTasks(), sc.c.NumWorkers(), modeName, variant,
-			float64(time.Since(start).Microseconds())/1000, //capslint:allow determinism wall-clock effort measurement for the report, not part of plan selection
-			res.Stats.Nodes, res.Stats.CostEvals, res.Stats.MemoPrunes, res.Stats.BudgetPrunes, res.Stats.LayerPrunes, res.Stats.Plans)
-		return res, nil
+		r.AddRow(sc.query, sc.phys.NumTasks(), sc.c.NumWorkers(), modeName, variant, ms[0], ms[1],
+			st.Nodes, st.CostEvals, st.MemoPrunes, st.BudgetPrunes, st.LayerPrunes, st.Plans)
+		return res[0], nil
 	}
 
 	var evalRatio, warmRatio float64
@@ -169,6 +183,8 @@ func SearchPerf(ctx context.Context) (*Report, error) {
 		fmt.Sprintf("telemetry totals across all runs: runs=%.0f nodes=%.0f cost_evals=%.0f memo_prunes=%.0f budget_prunes=%.0f layer_prunes=%.0f warm_runs=%.0f",
 			snap["caps.search.runs"], snap["caps.search.nodes"], snap["caps.search.cost_evals"],
 			snap["caps.search.memo_prunes"], snap["caps.search.budget_prunes"], snap["caps.search.layer_prunes"], snap["caps.search.warm_runs"]),
+		fmt.Sprintf("parallel helpers (GOMAXPROCS=%d): subtrees adopted=%.0f redone=%.0f wasted_nodes=%.0f",
+			runtime.GOMAXPROCS(0), snap["caps.search.helper_adopted"], snap["caps.search.helper_redone"], snap["caps.search.helper_wasted_nodes"]),
 	)
 	return r, nil
 }
