@@ -48,11 +48,11 @@ race:
 	$(GO) test -race ./...
 
 # fuzz runs every Fuzz* target in the tree for ten seconds each (go test
-# takes one -fuzz target per invocation, so they are found by name): nine
+# takes one -fuzz target per invocation, so they are found by name): ten
 # today — the frame envelope, the data-plane batch codec, the join state
-# record, namespace images, query specs, key-group partitioning, metric names
-# (two) and the heartbeat payload. A failing input is written under the
-# package's testdata/fuzz/ and fails the target.
+# record, the SNAPSHOT payload, namespace images, query specs, key-group
+# partitioning, metric names (two) and the heartbeat payload. A failing input
+# is written under the package's testdata/fuzz/ and fails the target.
 fuzz:
 	@set -e; grep -rEo --include='*_test.go' '^func Fuzz[A-Za-z0-9_]+' cmd internal | sort | \
 	while IFS=: read -r file fn; do \
@@ -65,15 +65,15 @@ fuzz:
 # scratch evaluation, cold vs warm start) with threshold auto-tuning
 # (searches against probes) and namespace images (snapshot, restore and
 # repartition of a join-shaped and a window-shaped state), and the data plane
-# (the wire codec alone, the batched sender alone, the window operator alone,
-# then short runs of a few query shapes per transport). They record nothing;
-# performance claims rest on `make benchmark`.
+# (the wire codec alone, the batched sender alone, the window operator and the
+# incremental join alone, then short runs of a few query shapes per
+# transport). They record nothing; performance claims rest on `make benchmark`.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSearch|BenchmarkAutoTune' -benchmem ./internal/caps
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshot|BenchmarkRestore|BenchmarkRepartition' -benchmem ./internal/statebackend
 
 bench-engine:
-	$(GO) test -run '^$$' -bench 'BenchmarkWireCodec|BenchmarkBatchedSend|BenchmarkSlidingWindowProcess|BenchmarkEngineThroughput' -benchmem ./internal/engine
+	$(GO) test -run '^$$' -bench 'BenchmarkWireCodec|BenchmarkBatchedSend|BenchmarkSlidingWindowProcess|BenchmarkIncrementalJoinProcess|BenchmarkEngineThroughput' -benchmem ./internal/engine
 
 # benchmark runs the repository's benchmark (bench/, contract in
 # BENCHMARK.json): every workload in a fresh child process, results in

@@ -129,10 +129,6 @@ type (
 		Attempt int
 		Epoch   int64
 	}
-	wireSnap struct {
-		Attempt int
-		Snap    *engine.TaskSnapshot
-	}
 	wireReport struct{ Report *engine.WorkerReport }
 	wirePeer   struct {
 		Attempt int
@@ -167,8 +163,12 @@ type (
 // coordinator would drop as undecodable. Version 9 reports each task's
 // CPU/IO/Net meter draws in engine.TaskStats: a version-8 worker's report
 // would decode with every draw zero, and the controller would profile its
-// tasks as free.
-const distProtoVersion = 9
+// tasks as free. Version 10 keeps both sides of an incremental join in one
+// list under the record key and ships SNAPSHOT in its own hand-laid layout
+// instead of gob (engine.WriteSnapshotFrame): a version-9 worker would
+// restore a version-10 join image as empty side buffers, and a version-9
+// coordinator would drop every SNAPSHOT as undecodable.
+const distProtoVersion = 10
 
 // errEncodePayload marks a send that failed locally while gob-encoding the
 // body — the data was unencodable or too large (MaxFramePayload), which
@@ -729,11 +729,15 @@ func (a *distAttempt) checkpoint(ev coordEvent) (done int64, drain bool) {
 		}
 		return 0, false
 	}
-	var s wireSnap
-	if err := engine.DecodePayload(ev.frame.Payload, &s); err != nil || s.Attempt != no || s.Snap == nil {
+	attempt, snap, err := engine.DecodeSnapshot(ev.frame.Payload)
+	if err != nil {
+		a.co.logf("worker %d: dropping a SNAPSHOT frame of %d bytes: %v", ev.worker, len(ev.frame.Payload), err)
 		return 0, false
 	}
-	return a.co.sup.RecordSnapshot(no, s.Snap)
+	if attempt != no {
+		return 0, false
+	}
+	return a.co.sup.RecordSnapshot(no, snap)
 }
 
 // maxDataPlaneRestarts bounds how many data-plane-only restarts a run may
@@ -824,8 +828,9 @@ type JoinOptions struct {
 }
 
 // coordClient forwards a worker attempt's checkpoint traffic to the
-// coordinator. Send errors are swallowed: a dead coordinator surfaces as a
-// read error on the control connection, which ends the join loop.
+// coordinator. An EPOCH_START send error is swallowed: a dead coordinator
+// surfaces as a read error on the control connection, which ends the join
+// loop. A SNAPSHOT error fails the task (engine.CoordClient).
 type coordClient struct {
 	w       *connWriter
 	attempt int
@@ -835,8 +840,13 @@ func (c *coordClient) EpochStarted(epoch int64) {
 	c.w.send(engine.FrameEpochStart, wireEpoch{Attempt: c.attempt, Epoch: epoch})
 }
 
-func (c *coordClient) TaskSnapshot(s *engine.TaskSnapshot) {
-	c.w.send(engine.FrameSnapshot, wireSnap{Attempt: c.attempt, Snap: s})
+// TaskSnapshot writes the frame straight to the connection: the namespace
+// image is sent from where the snapshot put it, never copied into a frame
+// buffer (nor one of snapshot size kept in the frame buffer pool).
+func (c *coordClient) TaskSnapshot(s *engine.TaskSnapshot) error {
+	c.w.mu.Lock()
+	defer c.w.mu.Unlock()
+	return engine.WriteSnapshotFrame(c.w.c, c.attempt, s)
 }
 
 // JoinCluster runs one worker process's control loop: join the coordinator

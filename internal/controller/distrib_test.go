@@ -1,14 +1,18 @@
 package controller
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"reflect"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -685,10 +689,10 @@ func TestDistPeerDownEscalatesAfterBudget(t *testing.T) {
 }
 
 // TestWirePayloadRoundTrip pins that every control-plane payload carrying
-// engine types survives its encoding unchanged — gob, and JSON for the
-// heartbeat: the frames speak dataflow.TaskID, engine.TaskSnapshot,
-// engine.TaskStats and named metric snapshots directly, with no wire-only
-// mirror in between to drift.
+// engine types survives its encoding unchanged — gob, JSON for the
+// heartbeat and the hand-laid SNAPSHOT codec: the frames speak
+// dataflow.TaskID, engine.TaskSnapshot, engine.TaskStats and named metric
+// snapshots directly, with no wire-only mirror in between to drift.
 func TestWirePayloadRoundTrip(t *testing.T) {
 	win0, win1 := dataflow.TaskID{Op: "win", Index: 0}, dataflow.TaskID{Op: "win", Index: 1}
 	snap := &engine.TaskSnapshot{
@@ -710,7 +714,6 @@ func TestWirePayloadRoundTrip(t *testing.T) {
 			Attempt:  2, Local: 1, RestoreEpoch: 3,
 			Snapshots: []*engine.TaskSnapshot{snap},
 		},
-		&wireSnap{Attempt: 2, Snap: snap},
 		&wireReport{Report: &engine.WorkerReport{
 			Worker: 1, Attempt: 2, Completed: true, Lost: 4,
 			Tasks: map[dataflow.TaskID]engine.TaskStats{
@@ -748,6 +751,40 @@ func TestWirePayloadRoundTrip(t *testing.T) {
 			t.Errorf("%T changed in transit:\n sent %+v\n got  %+v", in, in, out)
 		}
 	}
+	// SNAPSHOT keeps nil and empty slices apart, and an image just under
+	// the frame cap still ships.
+	near := make([]byte, engine.MaxFramePayload-64)
+	for i := range near {
+		near[i] = byte(i * 7)
+	}
+	for i, s := range []*engine.TaskSnapshot{
+		snap,
+		{Task: win0},
+		{Task: win0, RR: []int{}, OpState: []byte{}, NSState: []byte{}},
+		{Task: win1, Epoch: -1, RecordsIn: math.MaxInt64, SrcOffset: math.MinInt64, RR: []int{-1, math.MaxInt}, NSState: near},
+	} {
+		var buf bytes.Buffer
+		if err := engine.WriteSnapshotFrame(&buf, 2, s); err != nil {
+			t.Fatalf("snapshot %d: %v", i, err)
+		}
+		frame := buf.Bytes()
+		f, n, err := engine.DecodeFrame(frame)
+		if err != nil || n != len(frame) || f.Type != engine.FrameSnapshot {
+			t.Fatalf("snapshot %d: frame of %d bytes decoded as type %d over %d bytes: %v", i, len(frame), f.Type, n, err)
+		}
+		attempt, got, err := engine.DecodeSnapshot(f.Payload)
+		if err != nil || attempt != 2 {
+			t.Fatalf("snapshot %d: attempt %d, %v", i, attempt, err)
+		}
+		if !reflect.DeepEqual(got, s) {
+			t.Errorf("snapshot %d changed in transit: got %+v RR %v OpState %v NSState %d bytes, sent %+v RR %v OpState %v NSState %d bytes",
+				i, got.Task, got.RR, got.OpState, len(got.NSState), s.Task, s.RR, s.OpState, len(s.NSState))
+		}
+	}
+	var over bytes.Buffer
+	if err := engine.WriteSnapshotFrame(&over, 2, &engine.TaskSnapshot{Task: win0, NSState: make([]byte, engine.MaxFramePayload)}); err == nil || over.Len() > 0 {
+		t.Errorf("a SNAPSHOT over the frame cap: %v, %d bytes written", err, over.Len())
+	}
 	buf, err := json.Marshal(hb)
 	if err != nil {
 		t.Fatal(err)
@@ -755,6 +792,103 @@ func TestWirePayloadRoundTrip(t *testing.T) {
 	var out wireHeartbeat
 	if err := json.Unmarshal(buf, &out); err != nil || !reflect.DeepEqual(hb, &out) {
 		t.Errorf("heartbeat changed in transit (%v):\n sent %+v\n got  %+v", err, hb.Stats, out.Stats)
+	}
+}
+
+// bigImageOp passes records through and snapshots an operator image one
+// byte over the frame cap.
+type bigImageOp struct{}
+
+func (bigImageOp) Open(*engine.TaskContext) error { return nil }
+func (bigImageOp) Process(r engine.Record, _ int, emit engine.Emit) error {
+	emit(r)
+	return nil
+}
+func (bigImageOp) Close(engine.Emit) error        { return nil }
+func (bigImageOp) SnapshotState() ([]byte, error) { return make([]byte, engine.MaxFramePayload+1), nil }
+func (bigImageOp) RestoreState([]byte) error      { return nil }
+
+// TestDistOversizedSnapshotFailsTask: a task image too large for a SNAPSHOT
+// frame cannot reach the coordinator, and no epoch would ever complete
+// without it. The task fails with an error naming it and the payload size,
+// as an operator error fails it, and the run fails instead of running on
+// without checkpoints.
+func TestDistOversizedSnapshotFailsTask(t *testing.T) {
+	g := dataflow.NewLogicalGraph()
+	for _, op := range []dataflow.Operator{
+		{ID: "src", Kind: dataflow.KindSource, Parallelism: 1, Selectivity: 1},
+		{ID: "big", Kind: dataflow.KindMap, Parallelism: 1, Selectivity: 1},
+		{ID: "sink", Kind: dataflow.KindSink, Parallelism: 1},
+	} {
+		if err := g.AddOperator(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range []dataflow.Edge{{From: "src", To: "big"}, {From: "big", To: "sink"}} {
+		if err := g.AddEdge(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	phys, err := dataflow.Expand(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := dataflow.NewPlan()
+	plan.Assign(dataflow.TaskID{Op: "src", Index: 0}, 0)
+	plan.Assign(dataflow.TaskID{Op: "big", Index: 0}, 1)
+	plan.Assign(dataflow.TaskID{Op: "sink", Index: 0}, 0)
+	assign, err := AssignmentsOf(phys, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker := engine.WorkerSpec{Slots: 4, Cores: 4, IOBps: 1e9, NetBps: 1e9}
+	w0, w1 := worker, worker
+	w0.ID, w1.ID = "w0", "w1"
+	deploy := DeploySpec{Query: "big-image", RecordsPerSource: 50, SnapshotInterval: 10, Workers: []engine.WorkerSpec{w0, w1}, Assign: assign}
+	build := func(spec DeploySpec) (*engine.Job, error) {
+		factories := map[dataflow.OperatorID]engine.Factory{
+			"src": func(*engine.TaskContext) (any, error) {
+				return engine.NewSource(func(_, i int64) (engine.Record, bool) {
+					return engine.Record{Key: fmt.Sprint(i), Value: i, Time: i}, true
+				}), nil
+			},
+			"big":  func(*engine.TaskContext) (any, error) { return bigImageOp{}, nil },
+			"sink": func(*engine.TaskContext) (any, error) { return engine.NewSink(nil), nil },
+		}
+		return engine.NewJob(g, spec.Plan(), engine.ClusterSpec{Workers: spec.Workers}, factories, spec.jobOptions())
+	}
+
+	co, err := NewCoordinator("127.0.0.1:0", deploy, 2, CoordinatorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() { errs <- JoinCluster(ctx, co.Addr(), build, JoinOptions{HeartbeatEvery: 50 * time.Millisecond}) }()
+	}
+	if err := co.WaitJoined(ctx); err != nil {
+		t.Fatal(err)
+	}
+	_, runErr := co.Run(ctx)
+	co.Shutdown()
+	cancel()
+	if runErr == nil {
+		t.Fatal("a run whose task cannot ship its snapshot succeeded")
+	}
+	size := regexp.MustCompile(`engine: task big\[0\]: checkpoint epoch 1: engine: SNAPSHOT payload of (\d+) bytes exceeds`)
+	var taskErr error
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil && size.MatchString(err.Error()) {
+			taskErr = err
+		}
+	}
+	if taskErr == nil {
+		t.Fatalf("no worker failed naming the task and its snapshot size (run: %v)", runErr)
+	}
+	if n, _ := strconv.Atoi(size.FindStringSubmatch(taskErr.Error())[1]); n <= engine.MaxFramePayload {
+		t.Errorf("refused a %d-byte SNAPSHOT payload, under the %d-byte cap: %v", n, engine.MaxFramePayload, taskErr)
 	}
 }
 
@@ -782,7 +916,8 @@ func TestDistJoinVersionGate(t *testing.T) {
 		// fail every data handshake against a proto-5 peer. Proto 5 kept
 		// operator aux images and JSON join buffers in its snapshots. Proto 6
 		// shipped the namespace image as JSON, which a proto-7 restore refuses,
-		// and hashed a record key past its first NUL.
+		// and hashed a record key past its first NUL. Proto 9 kept an
+		// incremental join's sides under two keys and gob-encoded SNAPSHOT.
 		{4, false}, {5, false},
 		{distProtoVersion - 1, false}, {distProtoVersion + 1, false}, {distProtoVersion, true},
 	} {

@@ -1,11 +1,14 @@
 package engine_test
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"capsys/internal/dataflow"
 	"capsys/internal/engine"
 	"capsys/internal/nexmark"
+	"capsys/internal/statebackend"
 )
 
 // The Q3-inf shape of the throughput suite. It lives in an external test
@@ -58,5 +61,52 @@ func BenchmarkEngineThroughputQ3Inf(b *testing.B) {
 				return q3infJob(b, tr, perSource)
 			})
 		})
+	}
+}
+
+// BenchmarkIncrementalJoinProcess times the incremental join alone on the
+// shape of the nexjoin-dist benchmark workload's join tasks: nexmark Person
+// records on input 0 keyed by their ID, and Auction records on input 1 keyed
+// by a random seller among them, interleaved. The join grows from empty over
+// 2 × 20 000 records — about one task's share of a nexjoin-dist run — and
+// then starts again from an empty namespace, outside the timer. ns/op is one
+// record's list read, decode of the other side, join and append.
+func BenchmarkIncrementalJoinProcess(b *testing.B) {
+	const perSide = 20_000
+	gp, ga := nexmark.NewGenerator(1, 1), nexmark.NewGenerator(2, 1)
+	sellers := rand.New(rand.NewSource(3))
+	recs := make([]engine.Record, 0, 2*perSide)
+	for i := 0; i < perSide; i++ {
+		p := gp.NextPerson()
+		recs = append(recs, engine.Record{Key: fmt.Sprintf("p%d", p.ID), Value: *p, Time: p.Timestamp, Size: 150})
+		a := ga.NextAuction()
+		a.Seller = sellers.Int63n(perSide)
+		recs = append(recs, engine.Record{Key: fmt.Sprintf("p%d", a.Seller), Value: *a, Time: a.Timestamp, Size: 180})
+	}
+	join := func(l, r engine.Record) (engine.Record, bool) {
+		return engine.Record{Key: l.Key, Value: r.Value.(nexmark.Auction).ID, Time: max(l.Time, r.Time), Size: 100}, true
+	}
+	var op engine.Operator
+	fresh := func() {
+		op = engine.NewIncrementalJoin(join, 0)
+		ns := statebackend.NewStore(nil, statebackend.Options{}).Namespace("join")
+		if err := op.Open(&engine.TaskContext{Op: "join", Parallelism: 1, State: ns}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	fresh()
+	emit := func(engine.Record) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(recs)
+		if j == 0 && i > 0 {
+			b.StopTimer()
+			fresh()
+			b.StartTimer()
+		}
+		if err := op.Process(recs[j], j%2, emit); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

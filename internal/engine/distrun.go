@@ -28,8 +28,9 @@ type CoordClient interface {
 	EpochStarted(epoch int64)
 	// TaskSnapshot ships one task's checkpoint contribution. The Supervisor
 	// holds it as durable checkpoint storage, so snapshots survive worker
-	// loss.
-	TaskSnapshot(s *TaskSnapshot)
+	// loss. An error — a snapshot too large to ship, a failed send — fails
+	// the task: an epoch missing its contribution would never complete.
+	TaskSnapshot(s *TaskSnapshot) error
 }
 
 // WorkerNetConfig configures a worker-local attempt of a distributed run.

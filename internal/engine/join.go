@@ -6,11 +6,13 @@ import "fmt"
 // tumbling join, a window).
 type JoinFunc func(left, right Record) (Record, bool)
 
-// joinBuffer is how both joins keep records in list state: one state record
-// (wirecodec.go: appendStateRecord) per buffered record, so a value comes
-// back from state — after a restore or a rescale too — with the Go type it
-// went in with. A value with no wire codec cannot be buffered and a stored
-// entry that does not decode cannot be joined; both fail the task.
+// joinBuffer is how both joins keep records in list state: both inputs'
+// records of one key (and window) in one list, one state record
+// (wirecodec.go: appendStateRecord) per buffered record, opening with the
+// input side it arrived on. A value comes back from state — after a restore
+// or a rescale too — with the Go type it went in with. A value with no wire
+// codec cannot be buffered and a stored entry that does not decode cannot be
+// joined; both fail the task.
 type joinBuffer struct {
 	ctx *TaskContext
 	buf []byte // encode scratch; Append copies
@@ -103,10 +105,10 @@ func (o *tumblingJoinOp) fire(watermark int64, emit Emit) error {
 func (o *tumblingJoinOp) Close(emit Emit) error { return o.fire(endOfInput, emit) }
 
 // incrementalJoinOp is a two-input streaming hash join: records from both
-// inputs are kept in per-key list state, and each arriving record
-// immediately joins against all buffered records of the opposite side (the
-// "incremental join" of Nexmark Q3 / the paper's Q4-join). State grows with
-// the stream; an optional per-key cap bounds it like a TTL would.
+// inputs are kept in one list under the record key itself, and each arriving
+// record immediately joins against all buffered records of the opposite side
+// (the "incremental join" of Nexmark Q3 / the paper's Q4-join). State grows
+// with the stream; an optional per-key cap bounds it like a TTL would.
 type incrementalJoinOp struct {
 	joinBuffer
 	fn        JoinFunc
@@ -127,20 +129,24 @@ func (o *incrementalJoinOp) Open(ctx *TaskContext) error {
 	return nil
 }
 
-// sideKey is the storage key of one (record key, input side) buffer.
-func sideKey(key string, side int) string {
-	if side == 0 {
-		return key + "\x00s0"
-	}
-	return key + "\x00s1"
-}
-
+// Process reads the key's list once. A state record's first byte is its
+// side, so entries of the arriving record's own side are only counted, for
+// perKeyCap, and the opposite side's are decoded and joined in the order
+// they were buffered.
 func (o *incrementalJoinOp) Process(rec Record, in int, emit Emit) error {
 	if in != 0 && in != 1 {
 		return fmt.Errorf("engine: incremental join input %d out of range", in)
 	}
-	// Join against the opposite side's buffer.
-	if err := o.each(sideKey(rec.Key, 1-in), func(_ int, peer Record) {
+	mine := 0
+	for i, buf := range o.ctx.State.List(rec.Key) {
+		if len(buf) > 0 && int(buf[0]) == in {
+			mine++
+			continue
+		}
+		_, peer, err := decodeStateRecord(buf)
+		if err != nil {
+			return fmt.Errorf("engine: join state %q entry %d: %w", rec.Key, i, err)
+		}
 		l, r := rec, peer
 		if in == 1 {
 			l, r = peer, rec
@@ -148,15 +154,11 @@ func (o *incrementalJoinOp) Process(rec Record, in int, emit Emit) error {
 		if out, ok := o.fn(l, r); ok {
 			emit(out)
 		}
-	}); err != nil {
-		return err
 	}
-	// Buffer this record for future matches.
-	mine := sideKey(rec.Key, in)
-	if o.perKeyCap > 0 && len(o.ctx.State.List(mine)) >= o.perKeyCap {
+	if o.perKeyCap > 0 && mine >= o.perKeyCap {
 		return nil // bounded state: drop the oldest semantics simplified to drop-new
 	}
-	_, err := o.add(mine, in, rec)
+	_, err := o.add(rec.Key, in, rec)
 	return err
 }
 

@@ -65,8 +65,8 @@ type keyedStateCase struct {
 
 // keyedStateCases are the four built-in stateful operators. Every record key
 // ends in keyTail: with a NUL in it the key's own bytes run into the storage
-// keys the operators derive (winKey, sideKey), which must not part a record
-// from its state.
+// keys the windows derive (winKey), which must not part a record from its
+// state.
 func keyedStateCases(keyTail string) []keyedStateCase {
 	pair := func(l, r Record) (Record, bool) {
 		t := l.Time
@@ -314,7 +314,9 @@ func TestRescaleRefusesSnapshotterImage(t *testing.T) {
 // TestJoinCorruptStateFailsRun: a buffered join entry that does not decode
 // fails the task with ErrWirePayload. The corrupt entry sits beside a good
 // one under a key the stream will hit; skipping it (what the JSON buffers
-// did) would finish the run one pair short.
+// did) would finish the run one pair short. The incremental join keeps both
+// sides in one list under the record key, so its entries are right-side
+// records planted opposite the left records that arrive.
 func TestJoinCorruptStateFailsRun(t *testing.T) {
 	good, err := appendStateRecord(nil, 1, Record{Key: "k0", Value: int64(7), Time: 1})
 	if err != nil {
@@ -327,13 +329,14 @@ func TestJoinCorruptStateFailsRun(t *testing.T) {
 		"side 2":        append([]byte{2}, good[1:]...),
 		"json":          []byte(`{"k":"k0","v":7,"t":1,"z":0}`),
 	}
+	incremental := func() Operator {
+		return NewIncrementalJoin(func(l, r Record) (Record, bool) { return l, true }, 0)
+	}
 	joins := map[string]struct {
 		storageKey string
 		op         func() Operator
 	}{
-		"incremental": {sideKey("k0", 1), func() Operator {
-			return NewIncrementalJoin(func(l, r Record) (Record, bool) { return l, true }, 0)
-		}},
+		"incremental": {"k0", incremental},
 		"tumbling": {winKey("k0", 0), func() Operator {
 			return NewTumblingWindowJoin(100, func(l, r Record) (Record, bool) { return l, true })
 		}},
@@ -341,38 +344,135 @@ func TestJoinCorruptStateFailsRun(t *testing.T) {
 	for jname, j := range joins {
 		for cname, entry := range corrupt {
 			t.Run(jname+"/"+cname, func(t *testing.T) {
-				scratch := statebackend.NewStore(nil, statebackend.Options{}).Namespace("scratch")
-				scratch.Append(j.storageKey, good)
-				scratch.Append(j.storageKey, entry)
-				image, err := scratch.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				g := joinGraph(t, 1)
-				src := func(*TaskContext) (any, error) {
-					return NewSource(func(_, i int64) (Record, bool) {
-						return Record{Key: "k0", Value: i, Time: i}, i < 3
-					}), nil
-				}
-				factories := map[dataflow.OperatorID]Factory{
-					"left": src, "right": src,
-					"join": func(ctx *TaskContext) (any, error) {
-						return j.op(), ctx.State.Restore(image)
-					},
-					"sink": func(*TaskContext) (any, error) { return NewSink(nil), nil },
-				}
-				job, err := NewJob(g, roundRobinPlan(t, g, 1), bigWorkers(1, 4), factories, JobOptions{
-					RecordsPerSource: 3,
-					Stateful:         map[dataflow.OperatorID]bool{"join": true},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := job.Run(context.Background()); !errors.Is(err, ErrWirePayload) {
+				if err := runJoinOverState(t, j.op, j.storageKey, 3, 3, good, entry); !errors.Is(err, ErrWirePayload) {
 					t.Fatalf("run with a corrupt buffered record: err = %v, want ErrWirePayload", err)
 				}
 			})
 		}
+	}
+	// A record decodes only the other side's entries: a corrupt left-side
+	// entry goes unread while left records arrive, and fails the run as soon
+	// as a right record does.
+	t.Run("incremental/own side", func(t *testing.T) {
+		left, err := appendStateRecord(nil, 0, Record{Key: "k0", Value: int64(7), Time: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		entry := left[:len(left)-1]
+		if err := runJoinOverState(t, incremental, "k0", 3, 0, entry); err != nil {
+			t.Fatalf("left records over a corrupt left-side entry: %v", err)
+		}
+		if err := runJoinOverState(t, incremental, "k0", 3, 3, entry); !errors.Is(err, ErrWirePayload) {
+			t.Fatalf("right records over a corrupt left-side entry: err = %v, want ErrWirePayload", err)
+		}
+	})
+}
+
+// runJoinOverState runs left and right sources of leftN and rightN records,
+// all keyed k0, into the join op, whose task starts from a namespace holding
+// entries under storageKey.
+func runJoinOverState(t *testing.T, op func() Operator, storageKey string, leftN, rightN int64, entries ...[]byte) error {
+	t.Helper()
+	scratch := statebackend.NewStore(nil, statebackend.Options{}).Namespace("scratch")
+	for _, e := range entries {
+		scratch.Append(storageKey, e)
+	}
+	image, err := scratch.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := joinGraph(t, 1)
+	src := func(n int64) Factory {
+		return func(*TaskContext) (any, error) {
+			return NewSource(func(_, i int64) (Record, bool) {
+				return Record{Key: "k0", Value: i, Time: i}, i < n
+			}), nil
+		}
+	}
+	factories := map[dataflow.OperatorID]Factory{
+		"left": src(leftN), "right": src(rightN),
+		"join": func(ctx *TaskContext) (any, error) {
+			return op(), ctx.State.Restore(image)
+		},
+		"sink": func(*TaskContext) (any, error) { return NewSink(nil), nil },
+	}
+	job, err := NewJob(g, roundRobinPlan(t, g, 1), bigWorkers(1, 4), factories, JobOptions{
+		RecordsPerSource: max(leftN, rightN),
+		Stateful:         map[dataflow.OperatorID]bool{"join": true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = job.Run(context.Background())
+	return err
+}
+
+// TestKeyedStateIncrementalJoinOneList: the incremental join keeps one list
+// per record key, both sides in it; a record joins the other side's entries
+// in the order they arrived; and perKeyCap bounds each side on its own — a
+// capped side stops buffering but its records still join.
+func TestKeyedStateIncrementalJoinOneList(t *testing.T) {
+	type arrival struct {
+		side int
+		key  string
+		v    int64
+	}
+	run := func(perKeyCap int, arrivals []arrival) (*statebackend.Namespace, [][2]int64) {
+		t.Helper()
+		op := NewIncrementalJoin(func(l, r Record) (Record, bool) {
+			return Record{Key: l.Key, Value: [2]any{l.Value, r.Value}}, true
+		}, perKeyCap)
+		ns := newNamespace()
+		if err := op.Open(&TaskContext{Op: "join", Parallelism: 1, State: ns}); err != nil {
+			t.Fatal(err)
+		}
+		var pairs [][2]int64
+		emit := func(r Record) {
+			p := r.Value.([2]any)
+			pairs = append(pairs, [2]int64{p[0].(int64), p[1].(int64)})
+		}
+		for _, a := range arrivals {
+			if err := op.Process(Record{Key: a.key, Value: a.v, Time: a.v}, a.side, emit); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ns, pairs
+	}
+
+	ns, pairs := run(0, []arrival{
+		{0, "a", 1}, {1, "a", 2}, {0, "a", 3}, {1, "b", 4}, {1, "a", 5}, {0, "b", 6}, {0, "a", 7}, {1, "c\x00s1", 8},
+	})
+	want := [][2]int64{{1, 2}, {3, 2}, {1, 5}, {3, 5}, {6, 4}, {7, 2}, {7, 5}}
+	if !reflect.DeepEqual(pairs, want) {
+		t.Errorf("joined pairs %v, want %v", pairs, want)
+	}
+	lists := map[string]int{}
+	ns.Scan(func(key string, value []byte) {
+		if value != nil {
+			t.Errorf("join state holds KV key %q", key)
+		}
+		lists[key] = 0
+	})
+	for key := range lists {
+		lists[key] = len(ns.List(key))
+	}
+	if wantLists := map[string]int{"a": 5, "b": 2, "c\x00s1": 1}; !reflect.DeepEqual(lists, wantLists) {
+		t.Errorf("join state lists %v, want one per record key: %v", lists, wantLists)
+	}
+
+	ns, pairs = run(2, []arrival{
+		{0, "x", 1}, {0, "x", 2}, {0, "x", 3}, {1, "x", 4}, {1, "x", 5}, {1, "x", 6}, {0, "x", 7}, {1, "x", 8},
+	})
+	want = [][2]int64{{1, 4}, {2, 4}, {1, 5}, {2, 5}, {1, 6}, {2, 6}, {7, 4}, {7, 5}, {1, 8}, {2, 8}}
+	if !reflect.DeepEqual(pairs, want) {
+		t.Errorf("capped join pairs %v, want %v", pairs, want)
+	}
+	var sides [2]int
+	for _, buf := range ns.List("x") {
+		sides[buf[0]]++
+	}
+	if sides != [2]int{2, 2} {
+		t.Errorf("capped join buffered %v records per side, want 2 each", sides)
 	}
 }
 

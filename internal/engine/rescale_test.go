@@ -23,7 +23,7 @@ func TestRouteMatchesStateAssignment(t *testing.T) {
 			// where every storage key derived from it is kept.
 			for _, key := range []string{fmt.Sprintf("key-%d", i), fmt.Sprintf("key\x00%d", i), fmt.Sprintf("\x00%d", i)} {
 				got := e.route(Record{Key: key})
-				for _, sk := range []string{key, winKey(key, int64(i)*100), sideKey(key, i%2)} {
+				for _, sk := range []string{key, winKey(key, int64(i)*100)} {
 					if want := statebackend.TaskForGroup(statebackend.KeyGroupOf(sk, G), n, G); got != want {
 						t.Fatalf("n=%d key %q routed to %d, its state under %q lives on %d", n, key, got, sk, want)
 					}

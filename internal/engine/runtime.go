@@ -397,10 +397,11 @@ type localCoord struct{ a *attempt }
 
 func (c localCoord) EpochStarted(epoch int64) { c.a.j.sup.EpochStarted(c.a.no, epoch) }
 
-func (c localCoord) TaskSnapshot(s *TaskSnapshot) {
+func (c localCoord) TaskSnapshot(s *TaskSnapshot) error {
 	if done, drain := c.a.j.sup.RecordSnapshot(c.a.no, s); drain {
 		c.a.drain(done)
 	}
+	return nil
 }
 
 // RunAttempt builds, restores and runs one in-process attempt.
@@ -916,7 +917,9 @@ func (a *attempt) snapshotTask(rt *taskRuntime, epoch, srcOffset int64) error {
 		snap.OpState = b
 	}
 	if a.coord != nil {
-		a.coord.TaskSnapshot(snap)
+		if err := a.coord.TaskSnapshot(snap); err != nil {
+			return fmt.Errorf("checkpoint epoch %d: %w", epoch, err)
+		}
 	}
 	return nil
 }

@@ -4,19 +4,25 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"math"
+	"math/bits"
+	"net"
 	"reflect"
 	"sort"
 
 	"capsys/internal/dataflow"
 )
 
-// This file is the payload codec of the five data-plane frames. Control
-// frames stay gob (frame.go: EncodePayload) — they are rare, their bodies
-// are deep structs that change with the control protocol, and reflection
-// cost is invisible there. The data plane is the opposite: three frames per
-// batch, one fixed shape each, so the bytes are laid out by hand, written in
-// one pass into the frame's own buffer and read back without reflection.
+// This file is the payload codec of the five data-plane frames and of the
+// SNAPSHOT control frame. The other control frames stay gob (frame.go:
+// EncodePayload) — they are rare and small, their bodies are deep structs
+// that change with the control protocol, and reflection cost is invisible
+// there. The data plane is the opposite: three frames per batch, one fixed
+// shape each, so the bytes are laid out by hand, written in one pass into the
+// frame's own buffer and read back without reflection. SNAPSHOT is laid out
+// by hand for its size: it carries a task's whole state image.
 //
 // Integers are varints (encoding/binary's: unsigned LEB128, signed through
 // zigzag); a string or byte run is a uvarint length followed by the bytes.
@@ -618,15 +624,16 @@ func decodeRecords(payload []byte, out *[]Record) error {
 // A join buffers a record in list state as one state record — the same
 // primitives and the same value codec as a data frame, one record at a time:
 //
-//	staterec = uvarint(side) str(key) varint(event time) varint(size) value
+//	staterec = byte(side) str(key) varint(event time) varint(size) value
 //
 // so keyed state holds records in the one encoding the wire uses, and a value
 // read back from state has the Go type it was stored with. side is the join
-// input the record arrived on, 0 or 1.
+// input the record arrived on, 0 or 1, in the record's first byte, so a join
+// can tell the sides apart in a list without decoding.
 
 // appendStateRecord fails only on a value appendValue has no codec for.
 func appendStateRecord(dst []byte, side int, rec Record) ([]byte, error) {
-	dst = appendUvarint(dst, uint64(side))
+	dst = append(dst, byte(side))
 	dst = AppendWireString(dst, rec.Key)
 	dst = appendVarint(dst, rec.Time)
 	dst = appendVarint(dst, int64(rec.Size))
@@ -637,10 +644,104 @@ func appendStateRecord(dst []byte, side int, rec Record) ([]byte, error) {
 // appendStateRecord could not have written.
 func decodeStateRecord(buf []byte) (side int, rec Record, err error) {
 	r := WireReader{b: buf}
-	if side = r.index(); side > 1 {
+	if side = int(r.fixed(1)[0]); side > 1 {
 		r.fail("join side out of range")
 	}
 	rec = Record{Key: r.Str(), Time: r.Varint(), Size: int(r.Varint())}
 	rec.Value = r.value(0)
 	return side, rec, r.done()
+}
+
+// --- SNAPSHOT payloads ----------------------------------------------------------
+
+// A SNAPSHOT frame (worker → coordinator) ships one task's checkpoint
+// contribution of an attempt:
+//
+//	snapshot = uvarint(attempt) task varint(epoch) varint(records in)
+//	           varint(records out) varint(bytes out) varint(src offset)
+//	           uvarint(len+1) len × varint(position)   RR
+//	           uvarint(len+1) bytes                     OpState
+//	           uvarint(len+1) bytes                     NSState
+//
+// where a length of 0 stands for a nil slice. The namespace image is written
+// to the connection from where it lies, and read back as a slice of the frame.
+
+// WriteSnapshotFrame writes attempt's SNAPSHOT frame for s to w as three
+// pieces: the envelope, the fields and the operator image from a buffer of
+// their size; the namespace image from s itself, uncopied; and the checksum.
+// A TCP connection sends them with one writev. A payload past
+// MaxFramePayload is an error naming its size, and nothing is written.
+// Callers serialise writes to w.
+func WriteSnapshotFrame(w io.Writer, attempt int, s *TaskSnapshot) error {
+	n := uvarintSize(uint64(attempt)) + uvarintSize(uint64(len(s.Task.Op))) + len(s.Task.Op) + uvarintSize(uint64(s.Task.Index)) +
+		varintSize(s.Epoch) + varintSize(s.RecordsIn) + varintSize(s.RecordsOut) + varintSize(s.BytesOut) + varintSize(s.SrcOffset) +
+		uvarintSize(uint64(len(s.RR))+1) + uvarintSize(uint64(len(s.OpState))+1) + len(s.OpState) + uvarintSize(uint64(len(s.NSState))+1)
+	for _, p := range s.RR {
+		n += varintSize(int64(p))
+	}
+	if n+len(s.NSState) > MaxFramePayload {
+		return fmt.Errorf("engine: SNAPSHOT payload of %d bytes exceeds the %d-byte frame cap", n+len(s.NSState), MaxFramePayload)
+	}
+	head := beginFrame(make([]byte, 0, frameHeaderLen+1+n+frameTrailerLen), FrameSnapshot)
+	head = appendUvarint(head, uint64(attempt))
+	head = appendTask(head, s.Task)
+	for _, v := range [...]int64{s.Epoch, s.RecordsIn, s.RecordsOut, s.BytesOut, s.SrcOffset} {
+		head = appendVarint(head, v)
+	}
+	head = appendLen(head, len(s.RR), s.RR == nil)
+	for _, p := range s.RR {
+		head = appendVarint(head, int64(p))
+	}
+	head = append(appendLen(head, len(s.OpState), s.OpState == nil), s.OpState...)
+	head = appendLen(head, len(s.NSState), s.NSState == nil)
+	binary.BigEndian.PutUint32(head, uint32(len(head)-frameHeaderLen+len(s.NSState)))
+	sum := crc32.Update(crc32.ChecksumIEEE(head[frameHeaderLen:]), crc32.IEEETable, s.NSState)
+	trailer := binary.BigEndian.AppendUint32(head[len(head):], sum)
+	bufs := net.Buffers{head, s.NSState, trailer}
+	_, err := bufs.WriteTo(w)
+	return err
+}
+
+func uvarintSize(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+func varintSize(x int64) int { return uvarintSize(uint64(x<<1) ^ uint64(x>>63)) }
+
+// DecodeSnapshot decodes a SNAPSHOT payload; anything WriteSnapshotFrame
+// could not have written is an error wrapping ErrWirePayload. The snapshot's
+// OpState and NSState are slices of payload (their capacity ends where they
+// do), so the caller hands the payload over: it must not be reused.
+func DecodeSnapshot(payload []byte) (attempt int, s *TaskSnapshot, err error) {
+	r := WireReader{b: payload}
+	attempt = r.index()
+	s = &TaskSnapshot{
+		Task:  dataflow.TaskID{Op: dataflow.OperatorID(r.Str()), Index: r.index()},
+		Epoch: r.Varint(), RecordsIn: r.Varint(), RecordsOut: r.Varint(), BytesOut: r.Varint(), SrcOffset: r.Varint(),
+	}
+	if n, isNil := r.count(1); !isNil {
+		s.RR = make([]int, n)
+		for i := range s.RR {
+			v := r.Varint()
+			if int64(int(v)) != v {
+				r.fail("round-robin position overflows this platform's int")
+			}
+			s.RR[i] = int(v)
+		}
+	}
+	s.OpState, s.NSState = r.bytesRun(), r.bytesRun()
+	if err := r.done(); err != nil {
+		return 0, nil, err
+	}
+	return attempt, s, nil
+}
+
+// bytesRun reads a uvarint(len+1) byte run, nil for 0, as a slice of the
+// payload whose capacity ends where it does.
+func (r *WireReader) bytesRun() []byte {
+	n, isNil := r.count(1)
+	if isNil || r.err != nil {
+		return nil
+	}
+	v := r.b[:n:n]
+	r.b = r.b[n:]
+	return v
 }

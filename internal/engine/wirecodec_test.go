@@ -624,3 +624,52 @@ func FuzzWireBatchRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSnapshotPayload feeds DecodeSnapshot whatever a worker's control
+// connection might carry. A payload it accepts is a snapshot: encoded again
+// it makes a SNAPSHOT frame whose payload decodes to the same attempt and
+// snapshot, nil and empty slices apart, and every strict prefix of that
+// payload is refused. Anything else is an error wrapping ErrWirePayload —
+// never a panic, and never an allocation beyond a constant times the
+// payload's length (the state images are slices of it, and the RR count is
+// checked against the bytes that remain).
+func FuzzSnapshotPayload(f *testing.F) {
+	// Seeds are the committed corpus under testdata/fuzz/FuzzSnapshotPayload.
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		// Averaged over many decodes, so the harness's own allocations do
+		// not count against one.
+		const decodes = 64
+		before := allocatedBytes()
+		for i := 1; i < decodes; i++ {
+			DecodeSnapshot(payload)
+		}
+		attempt, s, err := DecodeSnapshot(payload)
+		if grew := allocatedBytes() - before; grew > decodes*(16*uint64(len(payload))+256)+16<<10 {
+			t.Fatalf("%d decodes of a %d-byte payload allocated %d bytes", decodes, len(payload), grew)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrWirePayload) {
+				t.Fatalf("untyped decode error: %v", err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteSnapshotFrame(&buf, attempt, s); err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		frame := buf.Bytes()
+		fr, n, err := DecodeFrame(frame)
+		if err != nil || n != len(frame) || fr.Type != FrameSnapshot {
+			t.Fatalf("frame of %d bytes: type %d over %d bytes, %v", len(frame), fr.Type, n, err)
+		}
+		again, s2, err := DecodeSnapshot(fr.Payload)
+		if err != nil || again != attempt || !reflect.DeepEqual(s2, s) {
+			t.Fatalf("decode(encode(x)) = attempt %d %+v (%v), want attempt %d %+v", again, s2, err, attempt, s)
+		}
+		for i := range fr.Payload {
+			if _, _, err := DecodeSnapshot(fr.Payload[:i]); !errors.Is(err, ErrWirePayload) {
+				t.Fatalf("prefix of %d/%d bytes: %v, want ErrWirePayload", i, len(fr.Payload), err)
+			}
+		}
+	})
+}

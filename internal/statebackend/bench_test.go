@@ -6,20 +6,25 @@ import (
 )
 
 // The two state shapes the engine's operators produce. join is the
-// incremental join's: 20 k list keys (record key, NUL, side) of one to three
-// buffered records of 120 bytes. window is the sliding window's: 50 k KV keys
-// of the winKey form with a two-byte accumulator — all key, hardly any value,
-// so it is the sort that costs.
+// incremental join's: 10 k list keys, each a record key holding both sides'
+// buffered records — three to five state records of 120 bytes, each opening
+// with its side. window is the sliding window's: 50 k KV keys of the winKey
+// form with a two-byte accumulator — all key, hardly any value, so it is the
+// sort that costs.
 var benchShapes = []struct {
 	name string
 	fill func(put func(recordKey, storageKey string, value []byte, list bool))
 }{
 	{"join", func(put func(string, string, []byte, bool)) {
-		value := make([]byte, 120)
+		var sides [2][]byte
+		for side := range sides {
+			sides[side] = make([]byte, 120)
+			sides[side][0] = byte(side)
+		}
 		for k := 0; k < 20000; k++ {
 			key := fmt.Sprint("p", k/2)
 			for v := 0; v <= k%3; v++ {
-				put(key, fmt.Sprintf("%s\x00s%d", key, k%2), value, true)
+				put(key, key, sides[k%2], true)
 			}
 		}
 	}},

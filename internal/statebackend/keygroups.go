@@ -23,11 +23,14 @@ const DefaultKeyGroups = 128
 
 // KeyHash is the hash keyed routing and key-group partitioning share: FNV-1a
 // (as hash/fnv.New32a) over the logical key, which is the key up to its first
-// NUL byte. Operators derive storage keys from a record key by appending a
-// NUL and binary metadata (the engine's winKey and sideKey conventions), so
-// stopping there keeps every storage key of one record key in the group its
-// records are routed by. The price is skew, not correctness: record keys that
-// differ only after a NUL of their own share a key-group and a task.
+// NUL byte. Operators store state under the record key itself (the
+// incremental join, sessions) or under a storage key derived from it by
+// appending a NUL and binary metadata (the engine's winKey), so stopping
+// there keeps every storage key of one record key in the group its records
+// are routed by. A namespace hashes a key once, when it is first written,
+// and keeps the group beside the entry. The price is skew, not correctness:
+// record keys that differ only after a NUL of their own share a key-group and
+// a task.
 func KeyHash(key string) uint32 { return keyHash(key) }
 
 func keyHash[K string | []byte](key K) uint32 {

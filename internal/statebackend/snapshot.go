@@ -1,9 +1,9 @@
 package statebackend
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 )
@@ -56,17 +56,18 @@ type snapEntry struct {
 func (ns *Namespace) Snapshot() ([]byte, error) {
 	numGroups := ns.store.opts.NumKeyGroups
 	// Segment 2g is group g's KV entries and segment 2g+1 its lists, laid out
-	// in that order in one array: count, carve, fill.
+	// in that order in one array: count, carve, fill — each entry by the
+	// key-group it carries, so no key is hashed here.
 	count := make([]int, 2*numGroups)
 	next := make([]int, 2*numGroups)
 	ns.mu.Lock()
 	size := 0
-	for k, v := range ns.data {
-		count[2*KeyGroupOf(k, numGroups)]++
-		size += fieldLen(len(k)) + fieldLen(len(v))
+	for k, e := range ns.data {
+		count[2*e.g]++
+		size += fieldLen(len(k)) + fieldLen(len(e.val))
 	}
 	for k, l := range ns.lists {
-		count[2*KeyGroupOf(k, numGroups)+1]++
+		count[2*l.g+1]++
 		size += fieldLen(len(k)) + uvarintLen(l.n) + len(l.run)
 	}
 	groups, total := 0, 0
@@ -80,13 +81,13 @@ func (ns *Namespace) Snapshot() ([]byte, error) {
 	}
 	size += imageHeaderLen(groups)
 	ents := make([]snapEntry, total)
-	for k, v := range ns.data {
-		s := 2 * KeyGroupOf(k, numGroups)
-		ents[next[s]] = snapEntry{key: k, val: v}
+	for k, e := range ns.data {
+		s := 2 * e.g
+		ents[next[s]] = snapEntry{key: k, val: e.val}
 		next[s]++
 	}
 	for k, l := range ns.lists {
-		s := 2*KeyGroupOf(k, numGroups) + 1
+		s := 2*l.g + 1
 		ents[next[s]] = snapEntry{key: k, val: l.run, n: l.n}
 		next[s]++
 	}
@@ -97,7 +98,7 @@ func (ns *Namespace) Snapshot() ([]byte, error) {
 	writeAccount(0, written)
 
 	buf := appendImageHeader(make([]byte, 0, size), groups)
-	order := make([]keyRef, 0, slices.Max(count))
+	order := make([]uint64, 0, slices.Max(count))
 	for g := 0; g < numGroups; g++ {
 		kvs, lists := ents[:count[2*g]], ents[count[2*g]:count[2*g]+count[2*g+1]]
 		ents = ents[len(kvs)+len(lists):]
@@ -108,41 +109,47 @@ func (ns *Namespace) Snapshot() ([]byte, error) {
 		buf = binary.AppendUvarint(buf, uint64(len(kvs)))
 		order = keyOrder(kvs, order)
 		for _, o := range order {
-			buf = appendField(appendField(buf, kvs[o.index].key), kvs[o.index].val)
+			buf = appendField(appendField(buf, kvs[o].key), kvs[o].val)
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(lists)))
 		order = keyOrder(lists, order)
 		for _, o := range order {
-			e := &lists[o.index]
+			e := &lists[o]
 			buf = append(binary.AppendUvarint(appendField(buf, e.key), uint64(e.n)), e.val...)
 		}
 	}
 	return buf, nil
 }
 
-// keyRef stands for ents[index] while a group is put in key order: the sort
-// moves these sixteen pointer-free bytes, not the entries, and settles most
-// comparisons on the key's first eight bytes (big-endian, zero-padded — equal
-// prefixes decide nothing and fall through to the keys).
-type keyRef struct {
-	prefix uint64
-	index  int
-}
-
 // keyOrder returns the indexes of ents in ascending key order, reusing order.
-func keyOrder(ents []snapEntry, order []keyRef) []keyRef {
+// Each entry sorts as one integer — the first bytes of its key (big-endian,
+// zero-padded) above its index, as many bytes as the index leaves room for —
+// so the sort compares integers and reads no key. Entries those bytes do not
+// tell apart are then put in key order among themselves.
+func keyOrder(ents []snapEntry, order []uint64) []uint64 {
+	shift := uint(bits.Len(uint(len(ents))))
+	index := uint64(1)<<shift - 1
 	order = order[:0]
 	for i, e := range ents {
 		var p [8]byte
 		copy(p[:], e.key)
-		order = append(order, keyRef{binary.BigEndian.Uint64(p[:]), i})
+		order = append(order, binary.BigEndian.Uint64(p[:])&^index|uint64(i))
 	}
-	slices.SortFunc(order, func(a, b keyRef) int {
-		if a.prefix != b.prefix {
-			return cmp.Compare(a.prefix, b.prefix)
+	slices.Sort(order)
+	for lo := 0; lo < len(order); {
+		hi := lo + 1
+		for hi < len(order) && order[hi]&^index == order[lo]&^index {
+			hi++
 		}
-		return strings.Compare(ents[a.index].key, ents[b.index].key)
-	})
+		if hi-lo > 1 {
+			slices.SortFunc(order[lo:hi], func(a, b uint64) int {
+				return strings.Compare(ents[a&index].key, ents[b&index].key)
+			})
+		}
+		for ; lo < hi; lo++ {
+			order[lo] &= index
+		}
+	}
 	return order
 }
 
@@ -283,7 +290,7 @@ func decodeImageGroups(buf []byte, numGroups int, into *contents) ([]decodedGrou
 			}
 			d.held += int64(len(k) + len(v))
 			if into != nil {
-				into.data[string(k)] = v
+				into.data[string(k)] = kvEntry{val: v, g: d.g}
 			}
 			prev = k
 		}
@@ -297,7 +304,7 @@ func decodeImageGroups(buf []byte, numGroups int, into *contents) ([]decodedGrou
 			if err != nil {
 				return nil, err
 			}
-			l := listRun{}
+			l := listRun{g: d.g}
 			if l.n, err = r.count("list size"); err != nil {
 				return nil, err
 			}

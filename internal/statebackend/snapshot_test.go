@@ -3,6 +3,7 @@ package statebackend
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -79,6 +80,49 @@ func TestSnapshotDeterministic(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("variant %d: snapshot bytes depend on more than the contents\n got %x\nwant %x", i, got, want)
 		}
+	}
+}
+
+// TestSnapshotKeyOrder: the snapshot sorts a group on the leading key bytes
+// its index leaves room for, then puts ties in full key order. Keys that
+// share long prefixes, differ only past them or only in length, hold NULs and
+// 0xff bytes, and fill a group with thousands of entries must still come out
+// strictly ascending — the decoder refuses anything else — and in the same
+// bytes whatever order they were written in.
+func TestSnapshotKeyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	alphabet := []byte{0, 1, 'a', 'b', 0xfe, 0xff}
+	var keys []string
+	seen := map[string]bool{}
+	for len(keys) < 5000 {
+		k := make([]byte, rng.Intn(14))
+		for i := range k {
+			k[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		if !seen[string(k)] {
+			seen[string(k)] = true
+			keys = append(keys, string(k))
+		}
+	}
+	image := func(keys []string) []byte {
+		ns := NewStore(nil, Options{NumKeyGroups: 2}).Namespace("t")
+		for _, k := range keys {
+			ns.Put(k, []byte(k))
+			ns.Append(k, []byte{1})
+		}
+		img, err := ns.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := NewStore(nil, Options{NumKeyGroups: 2}).Namespace("r").Restore(img); err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	want := image(keys)
+	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	if !bytes.Equal(image(keys), want) {
+		t.Error("snapshot bytes depend on the order keys were written in")
 	}
 }
 

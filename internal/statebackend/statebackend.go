@@ -127,11 +127,20 @@ type Namespace struct {
 // contents is what a namespace holds and what a snapshot image describes.
 // Stored bytes are never written again: Put and Append store fresh bytes, a
 // run only grows past its end or is dropped whole. That is what lets Snapshot
-// encode, and Get and List hand out, slices of them without copying.
+// encode, and Get and List hand out, slices of them without copying. Every
+// entry carries its key-group, hashed when the key is first written (or taken
+// from the image group a restore decoded it from), so a snapshot files
+// entries by group without hashing a key.
 type contents struct {
-	data  map[string][]byte
+	data  map[string]kvEntry
 	lists map[string]listRun
 	bytes int // len(key)+len(value) per KV entry, len(key)+sum(len(value)) per list
+}
+
+// kvEntry is one key's KV state.
+type kvEntry struct {
+	val []byte
+	g   int // key-group
 }
 
 // listRun is one key's list state: its values back to back, each behind its
@@ -141,10 +150,16 @@ type listRun struct {
 	run   []byte
 	n     int // values in run
 	bytes int // sum of their lengths, without the length prefixes
+	g     int // key-group
 }
 
 func newContents() contents {
-	return contents{data: make(map[string][]byte), lists: make(map[string]listRun)}
+	return contents{data: make(map[string]kvEntry), lists: make(map[string]listRun)}
+}
+
+// groupOf is key's key-group in this namespace's store.
+func (ns *Namespace) groupOf(key string) int {
+	return KeyGroupOf(key, ns.store.opts.NumKeyGroups)
 }
 
 // SetAccount overrides the store-level accounting callback for this
@@ -187,13 +202,15 @@ func (ns *Namespace) accountLocked() AccountFunc {
 func (ns *Namespace) Put(key string, value []byte) {
 	cp := append([]byte(nil), value...)
 	ns.mu.Lock()
-	old, existed := ns.data[key]
-	ns.data[key] = cp
+	e, existed := ns.data[key]
 	if existed {
-		ns.bytes += len(cp) - len(old)
+		ns.bytes += len(cp) - len(e.val)
 	} else {
+		e.g = ns.groupOf(key)
 		ns.bytes += len(key) + len(cp)
 	}
+	e.val = cp
+	ns.data[key] = e
 	account, n := ns.noteWriteLocked(len(key) + len(value))
 	ns.mu.Unlock()
 	account(0, n)
@@ -205,7 +222,8 @@ func (ns *Namespace) Put(key string, value []byte) {
 // contents), and its capacity ends where it does, so an append to it copies.
 func (ns *Namespace) Get(key string) ([]byte, bool) {
 	ns.mu.Lock()
-	v, ok := ns.data[key]
+	e, ok := ns.data[key]
+	v := e.val
 	account, n := ns.noteReadLocked(len(key) + len(v))
 	ns.mu.Unlock()
 	account(n, 0)
@@ -218,10 +236,10 @@ func (ns *Namespace) Get(key string) ([]byte, bool) {
 // Delete removes key and reports whether it existed.
 func (ns *Namespace) Delete(key string) bool {
 	ns.mu.Lock()
-	v, ok := ns.data[key]
+	e, ok := ns.data[key]
 	if ok {
 		delete(ns.data, key)
-		ns.bytes -= len(key) + len(v)
+		ns.bytes -= len(key) + len(e.val)
 	}
 	account, n := ns.noteWriteLocked(len(key))
 	ns.mu.Unlock()
@@ -235,6 +253,10 @@ func (ns *Namespace) Append(key string, value []byte) (fresh bool) {
 	ns.mu.Lock()
 	l, ok := ns.lists[key]
 	if !ok {
+		// Sized for its first value: one allocation, not one for the
+		// length and another for the value.
+		l.run = make([]byte, 0, uvarintLen(len(value))+len(value))
+		l.g = ns.groupOf(key)
 		ns.bytes += len(key)
 	}
 	l.run = append(binary.AppendUvarint(l.run, uint64(len(value))), value...)
@@ -294,7 +316,8 @@ func (ns *Namespace) ClearList(key string) int {
 func (ns *Namespace) Scan(fn func(key string, value []byte)) {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	for k, v := range ns.data {
+	for k, e := range ns.data {
+		v := e.val
 		if v == nil {
 			v = []byte{}
 		}
