@@ -99,15 +99,18 @@ examples:
 
 # loc prints the non-test, non-blank, non-comment Go line counts the
 # simplification PRs are judged on: the lifecycle packages, the three CLIs
-# (with the flag package they share shown separately), and the studies and
-# examples that call into them.
+# (with the flag package they share shown separately), the studies and
+# examples that call into them, the static analyzers, and the metrics and
+# telemetry packages. Fixture packages under testdata/ are not counted.
 loc:
-	@count() { find "$$@" -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | grep -v '^[[:space:]]*$$' | grep -cv '^[[:space:]]*//'; }; \
+	@count() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | xargs -0 cat | grep -v '^[[:space:]]*$$' | grep -cv '^[[:space:]]*//'; }; \
 	echo "internal/engine + internal/controller: $$(count internal/engine internal/controller)"; \
 	echo "cmd/{caplive,capsim,capsysctl}:          $$(count cmd/caplive cmd/capsim cmd/capsysctl)"; \
 	echo "cmd/internal/cliflags:                   $$(count cmd/internal/cliflags)"; \
 	echo "internal/experiments:                    $$(count internal/experiments)"; \
-	echo "examples/:                               $$(count examples)"
+	echo "examples/:                               $$(count examples)"; \
+	echo "internal/lint:                           $$(count internal/lint)"; \
+	echo "internal/metrics + internal/telemetry:   $$(count internal/metrics internal/telemetry)"
 
 # cover writes an aggregate coverage profile and prints the per-function
 # summary; open with `go tool cover -html=cover.out`.
@@ -117,11 +120,12 @@ cover:
 
 # lint runs capslint, the project's own static analysis suite — per-package
 # checks (determinism, lock pairing, channel hygiene, goroutine lifecycle,
-# metric naming) plus the whole-program analyzers (lock-order cycles across
-# the call graph, sync/atomic access discipline, wire-frame protocol
-# exhaustiveness) — in strict mode, which additionally reports stale
-# //capslint:allow comments. Built on the standard library only, so it
-# works from a clean checkout.
+# typed atomics only) plus the whole-program analyzers (lock-order cycles
+# across the call graph, wire-frame protocol exhaustiveness) — in strict
+# mode, which additionally reports stale //capslint:allow comments. Metric
+# names are checked at run time, where their cells are created, and copies
+# of atomics by `go vet`. Built on the standard library only, so it works
+# from a clean checkout.
 lint:
 	$(GO) run ./cmd/capslint -strict ./...
 

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"capsys/cmd/internal/cliflags"
+	"capsys/internal/metrics"
+	"capsys/internal/telemetry"
 )
 
 // parseFlags parses args exactly as main would.
@@ -45,5 +47,28 @@ func TestFlagErrors(t *testing.T) {
 				t.Errorf("caplive %s: error = %v, want one containing %q", strings.Join(tc.args, " "), err, tc.want)
 			}
 		})
+	}
+}
+
+// TestSummarize: the per-operator table joins the per-task series of every
+// operator — one with a bracket in its ID included — with its latency
+// histogram, and prints "-" for an operator that observed none.
+func TestSummarize(t *testing.T) {
+	reg := metrics.NewRegistry()
+	tel := telemetry.New()
+	for i, op := range []string{"slide-win", "Q[1]"} {
+		reg.Counter(metrics.TaskMetricName(op, i, "records_in")).Inc(100)
+		reg.Gauge(metrics.TaskMetricName(op, i, "useful_fraction")).Set(0.5)
+	}
+	tel.Histogram("latency.slide-win").Observe(0.002)
+	out := summarize(reg, tel)
+	var rows []string
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) == 7 && f[1] == "100" {
+			rows = append(rows, f[0]+" "+f[4])
+		}
+	}
+	if strings.Join(rows, ",") != "Q[1] -,slide-win 2.00" {
+		t.Errorf("summarize rows = %q from\n%s", rows, out)
 	}
 }

@@ -59,9 +59,9 @@ func main() {
 	}
 	cfg := lint.Config{Strict: *strict, Enable: splitList(*checks), Disable: splitList(*disable)}
 	// Load every target package first, then lint them together as one
-	// program: the whole-program analyzers (lockorder, atomics, frameproto)
-	// need to see a call site in one package and the function body, atomic
-	// field, or frame constant it refers to in another.
+	// program: the whole-program analyzers (lockorder, frameproto) need to
+	// see a call site in one package and the function body or frame
+	// constant it refers to in another.
 	var pkgs []*lint.Package
 	for _, dir := range dirs {
 		p, err := loader.Load(dir)

@@ -10,6 +10,7 @@ import (
 	"capsys/internal/cluster"
 	"capsys/internal/costmodel"
 	"capsys/internal/dataflow"
+	"capsys/internal/telemetry"
 )
 
 // paperExample builds the example of paper Figure 4: S -> T -> I -> K with
@@ -441,5 +442,30 @@ func TestRejectFloorBoundsIdenticalSearches(t *testing.T) {
 func TestCountsKeyWideWorker(t *testing.T) {
 	if a, b := countsKey([][]int{{300, 0}}), countsKey([][]int{{44, 0}}); a == b {
 		t.Errorf("countsKey aliases 300 and 44 tasks on one worker: %q", a)
+	}
+}
+
+// TestSearchExportsStats: a search given a hub accumulates its effort
+// counters there, under names that pass the registry's name check.
+func TestSearchExportsStats(t *testing.T) {
+	p, c, u := paperExample(t)
+	tel := telemetry.New()
+	cold, err := Search(context.Background(), p, c, u, Options{Alpha: Unbounded, Mode: FirstFeasible, Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := Search(context.Background(), p, c, u, Options{Alpha: Unbounded, Mode: FirstFeasible, Warm: cold.Plan, Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := tel.Registry().Snapshot()
+	if snap["caps.search.runs"] != 2 || snap["caps.search.warm_runs"] != 1 {
+		t.Errorf("runs %v, warm runs %v; want 2 and 1", snap["caps.search.runs"], snap["caps.search.warm_runs"])
+	}
+	if got, want := snap["caps.search.nodes"], float64(cold.Stats.Nodes+warm.Stats.Nodes); got != want {
+		t.Errorf("caps.search.nodes = %v, want %v", got, want)
+	}
+	if _, ok := snap["caps.search.seconds"]; !ok {
+		t.Error("caps.search.seconds not exported")
 	}
 }

@@ -101,7 +101,6 @@ func (s *hbSampler) sample() *wireStats {
 		}
 	}
 	for _, name := range s.tel.HistogramNames() {
-		//capslint:allow metricnames iterating the hub's own registered histogram names, not inventing new ones
 		snap := s.tel.Histogram(name).Snapshot()
 		delta := snap.Sub(s.prevH[name])
 		s.prevH[name] = snap
@@ -115,6 +114,42 @@ func (s *hbSampler) sample() *wireStats {
 
 // ---------------------------------------------------------------------------
 // coordinator side: aggregation
+
+// decodeHeartbeat returns a HEARTBEAT payload's stats, or nil — pure
+// liveness — when the payload does not decode or would create a series
+// under a name that fails metrics.CheckName: the names are another
+// process's, so they are checked here and applyStats can trust them.
+func decodeHeartbeat(payload []byte, worker string) *wireStats {
+	var hb wireHeartbeat
+	if json.Unmarshal(payload, &hb) != nil || hb.Stats == nil {
+		return nil
+	}
+	s, ok := hb.Stats, true
+	check := func(name string, kind metrics.Kind) {
+		ok = ok && metrics.CheckName(name, kind) == nil
+	}
+	for n := range s.Counters {
+		check(metrics.WorkerMetricName(worker, n), metrics.CellName)
+		check(metrics.ClusterMetricName(n), metrics.CellName)
+	}
+	for n := range s.Times {
+		check(metrics.WorkerMetricName(worker, n), metrics.CellName)
+		check(metrics.ClusterMetricName(n), metrics.CellName)
+	}
+	for n := range s.Gauges {
+		check(metrics.WorkerMetricName(worker, n), metrics.CellName)
+	}
+	for _, g := range s.FnGauges {
+		check(g.Family, metrics.FamilyName)
+	}
+	for n := range s.Hists {
+		check(n, metrics.HistogramName)
+	}
+	if !ok {
+		return nil
+	}
+	return s
+}
 
 // clusterAgg merges worker heartbeat stats and trace batches into the
 // coordinator's telemetry hub. A zero clusterAgg (nil hub) is disabled and
@@ -135,19 +170,14 @@ func (a *clusterAgg) applyStats(worker string, s *wireStats) {
 	}
 	reg := a.tel.Registry()
 	for n, d := range s.Counters {
-		//capslint:allow metricnames per-worker series are runtime-keyed by the canonical WorkerMetricName/ClusterMetricName helpers
 		reg.Counter(metrics.WorkerMetricName(worker, n)).Inc(d)
-		//capslint:allow metricnames cluster rollup of the same runtime-keyed series
 		reg.Counter(metrics.ClusterMetricName(n)).Inc(d)
 	}
 	for n, d := range s.Times {
-		//capslint:allow metricnames per-worker series are runtime-keyed by the canonical WorkerMetricName/ClusterMetricName helpers
 		reg.Time(metrics.WorkerMetricName(worker, n)).Add(d)
-		//capslint:allow metricnames cluster rollup of the same runtime-keyed series
 		reg.Time(metrics.ClusterMetricName(n)).Add(d)
 	}
 	for n, v := range s.Gauges {
-		//capslint:allow metricnames per-worker series are runtime-keyed by the canonical WorkerMetricName helper
 		reg.Gauge(metrics.WorkerMetricName(worker, n)).Set(v)
 	}
 	for _, g := range s.FnGauges {
@@ -160,11 +190,9 @@ func (a *clusterAgg) applyStats(worker string, s *wireStats) {
 			labels["worker"] = worker
 		}
 		v := g.Value
-		//capslint:allow metricnames the family is the worker's own literal family, relayed verbatim
 		a.tel.SetGaugeFunc(g.Family, labels, func() float64 { return v })
 	}
 	for n, snap := range s.Hists {
-		//capslint:allow metricnames histogram families are the worker's own literal names, merged under the same name
 		if err := a.tel.Histogram(n).Absorb(snap); err != nil {
 			reg.Counter("cluster.histogram_merge_errors").Inc(1)
 		}
@@ -184,7 +212,6 @@ func (a *clusterAgg) applyTrace(worker string, wt *wireTrace) {
 		tr.Emit(ev)
 	}
 	if wt.Dropped > 0 {
-		//capslint:allow metricnames per-worker series are runtime-keyed by the canonical WorkerMetricName helper
 		a.tel.Registry().Gauge(metrics.WorkerMetricName(worker, "trace_dropped")).Set(float64(wt.Dropped))
 	}
 }

@@ -72,11 +72,12 @@ func TestDistHBSamplerDeltas(t *testing.T) {
 
 // FuzzHeartbeatPayload feeds arbitrary bytes to the coordinator's HEARTBEAT
 // path — decode, fold into a hub, render the hub — which must never panic:
-// a payload that does not decode is pure liveness, and stats that do are
-// applied whatever they hold. The seeds are a real heartbeat and the two
-// malformed histogram shapes that used to crash the coordinator: counts past
-// the overflow bucket (Absorb) and counts short of the bounds (the report
-// merge).
+// a payload that does not decode, or whose stats would create a series under
+// a name that fails the name check, is pure liveness; stats that pass are
+// applied, and every series they create passes the check. The seeds are a
+// real heartbeat, the two malformed histogram shapes that used to crash the
+// coordinator — counts past the overflow bucket (Absorb) and counts short of
+// the bounds (the report merge) — and one bad name of each kind.
 func FuzzHeartbeatPayload(f *testing.F) {
 	tel := telemetry.New()
 	tel.Registry().Counter("net.frames_sent").Inc(5)
@@ -100,15 +101,30 @@ func FuzzHeartbeatPayload(f *testing.F) {
 		bad.Counts[1] = bad.Count
 		seed(&wireStats{Hists: map[string]telemetry.HistogramSnapshot{"net.credit_wait_seconds": bad}})
 	}
+	seed(&wireStats{TypedValues: metrics.TypedValues{Counters: map[string]int64{"Net.Frames": 1}}})
+	seed(&wireStats{TypedValues: metrics.TypedValues{Gauges: map[string]float64{"queue depth": 1}}})
+	seed(&wireStats{Hists: map[string]telemetry.HistogramSnapshot{"Latency": wait}})
+	seed(&wireStats{FnGauges: []telemetry.GaugeSample{{Family: "Worker-Saturation", Value: 1}}})
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		var hb wireHeartbeat
-		if json.Unmarshal(payload, &hb) != nil {
-			return
-		}
 		agg := clusterAgg{tel: telemetry.New()}
 		// A second beat folds into the cells and histograms the first made.
-		agg.applyStats("w0", hb.Stats)
-		agg.applyStats("w0", hb.Stats)
+		agg.applyStats("w0", decodeHeartbeat(payload, "w0"))
+		agg.applyStats("w0", decodeHeartbeat(payload, "w0"))
+		for _, n := range agg.tel.Registry().Names() {
+			if err := metrics.CheckName(n, metrics.CellName); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, n := range agg.tel.HistogramNames() {
+			if err := metrics.CheckName(n, metrics.HistogramName); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, g := range agg.tel.SampleGaugeFuncs() {
+			if err := metrics.CheckName(g.Family, metrics.FamilyName); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if err := agg.tel.WritePrometheus(io.Discard); err != nil {
 			t.Fatal(err)
 		}
@@ -445,7 +461,6 @@ func TestDistAggregationLive(t *testing.T) {
 	// must be present in the merged hub.
 	var histCount int64
 	for _, name := range coTel.HistogramNames() {
-		//capslint:allow metricnames iterating the merged hub's own registered names
 		histCount += coTel.Histogram(name).Count()
 	}
 	if histCount == 0 {

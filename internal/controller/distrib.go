@@ -13,6 +13,7 @@ import (
 	"capsys/internal/clock"
 	"capsys/internal/dataflow"
 	"capsys/internal/engine"
+	"capsys/internal/metrics"
 	"capsys/internal/telemetry"
 )
 
@@ -466,11 +467,7 @@ func (co *Coordinator) readLoop(w int, cc *coordConn) {
 		switch f.Type {
 		case engine.FrameHeartbeat:
 			if co.agg.enabled() && len(f.Payload) > 0 {
-				var hb wireHeartbeat
-				// Undecodable stats degrade the frame to pure liveness.
-				if err := json.Unmarshal(f.Payload, &hb); err == nil {
-					co.agg.applyStats(worker, hb.Stats)
-				}
+				co.agg.applyStats(worker, decodeHeartbeat(f.Payload, worker))
 			}
 		case engine.FrameTrace:
 			var wt wireTrace
@@ -688,12 +685,12 @@ func (a *distAttempt) run(ctx context.Context) (engine.AttemptEnd, error) {
 			a.end.At = co.clk()
 			return a.abort(ctx)
 		case engine.FrameDone:
-			var r wireReport
-			if err := engine.DecodePayload(ev.frame.Payload, &r); err != nil || r.Report == nil {
+			rep, err := decodeReport(ev.frame.Payload)
+			if err != nil {
 				return engine.AttemptEnd{}, fmt.Errorf("controller: bad DONE from worker %d: %v", ev.worker, err)
 			}
-			if r.Report.Attempt == no {
-				reports[ev.worker] = r.Report
+			if rep.Attempt == no {
+				reports[ev.worker] = rep
 			}
 		}
 	}
@@ -701,6 +698,43 @@ func (a *distAttempt) run(ctx context.Context) (engine.AttemptEnd, error) {
 		a.end.Reports = append(a.end.Reports, r)
 	}
 	return a.end, nil
+}
+
+// decodeReport decodes a DONE or STOPPED payload. The report is another
+// process's, so every series name assembleResult will register from it —
+// its named metrics and the per-task names of its task IDs — is checked
+// here.
+func decodeReport(payload []byte) (*engine.WorkerReport, error) {
+	var r wireReport
+	if err := engine.DecodePayload(payload, &r); err != nil {
+		return nil, err
+	}
+	rep := r.Report
+	if rep == nil {
+		return nil, errors.New("no report")
+	}
+	var err error
+	check := func(name string) {
+		if err == nil {
+			err = metrics.CheckName(name, metrics.CellName)
+		}
+	}
+	for n := range rep.Metrics.Counters {
+		check(n)
+	}
+	for n := range rep.Metrics.Times {
+		check(n)
+	}
+	for n := range rep.Metrics.Gauges {
+		check(n)
+	}
+	for t := range rep.Tasks {
+		check(metrics.TaskMetricName(string(t.Op), t.Index, "records_in"))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return rep, nil
 }
 
 // sendFailed classifies a failed DEPLOY/START send. A local encode failure
@@ -793,10 +827,9 @@ func (a *distAttempt) abort(ctx context.Context) (engine.AttemptEnd, error) {
 			}
 			switch ev.frame.Type {
 			case engine.FrameStopped, engine.FrameDone:
-				var r wireReport
-				if err := engine.DecodePayload(ev.frame.Payload, &r); err == nil && r.Report != nil && r.Report.Attempt == no && !stopped[ev.worker] {
+				if rep, err := decodeReport(ev.frame.Payload); err == nil && rep.Attempt == no && !stopped[ev.worker] {
 					stopped[ev.worker] = true
-					a.end.Reports = append(a.end.Reports, r.Report)
+					a.end.Reports = append(a.end.Reports, rep)
 				}
 			case engine.FrameEpochStart, engine.FrameSnapshot:
 				// Checkpoint traffic that raced the abort is still valid state.

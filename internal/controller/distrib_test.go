@@ -688,6 +688,55 @@ func TestDistPeerDownEscalatesAfterBudget(t *testing.T) {
 	}
 }
 
+// TestDistBadNameInDoneReport: a worker's DONE report is relayed input, so a
+// series name in it that fails the name check ends the run on the bad-DONE
+// error path instead of panicking the coordinator in assembleResult.
+func TestDistBadNameInDoneReport(t *testing.T) {
+	fx := newDistFixture(t, "Q3-inf")
+	for what, rep := range map[string]*engine.WorkerReport{
+		"counter": {Metrics: metrics.TypedValues{Counters: map[string]int64{"Net.Frames": 1}}},
+		"time":    {Metrics: metrics.TypedValues{Times: map[string]time.Duration{"busy seconds": 1}}},
+		"gauge":   {Metrics: metrics.TypedValues{Gauges: map[string]float64{"worker.w0.CPU": 1}}},
+		"task":    {Tasks: map[dataflow.TaskID]engine.TaskStats{{Op: "win", Index: -1}: {}}},
+	} {
+		t.Run(what, func(t *testing.T) {
+			co, err := NewCoordinator("127.0.0.1:0", fx.deployOn(2, len(fx.deploy.Assign)), 2, CoordinatorOptions{
+				HeartbeatTimeout: 30 * time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer co.Shutdown()
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			joined := make(chan error, 1)
+			go func() { joined <- co.WaitJoined(ctx) }()
+			fakes := []*fakeDistWorker{joinFakeWorker(t, co.Addr()), joinFakeWorker(t, co.Addr())}
+			if err := <-joined; err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := co.Run(ctx)
+				done <- err
+			}()
+			for _, fw := range fakes {
+				fw.expectDeployReady(1)
+			}
+			for _, fw := range fakes {
+				fw.expect(engine.FrameStart)
+			}
+			rep.Worker, rep.Attempt, rep.Completed = fakes[0].id, 1, true
+			if err := fakes[0].w.send(engine.FrameDone, wireReport{Report: rep}); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-done; err == nil || !strings.Contains(err.Error(), "bad DONE") {
+				t.Fatalf("run ended with %v, want a bad DONE error", err)
+			}
+		})
+	}
+}
+
 // TestWirePayloadRoundTrip pins that every control-plane payload carrying
 // engine types survives its encoding unchanged — gob, JSON for the
 // heartbeat and the hand-laid SNAPSHOT codec: the frames speak

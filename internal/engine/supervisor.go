@@ -615,13 +615,13 @@ func assembleResult(reports []*WorkerReport, agg runAgg) *JobResult {
 	var stateBytes, stateKeys, stateNamespaces int64
 	for _, rep := range reports {
 		for n, v := range rep.Metrics.Counters {
-			res.Metrics.Counter(n).Inc(v) //capslint:allow metricnames relayed under the literal name the attempt declared the cell with
+			res.Metrics.Counter(n).Inc(v)
 		}
 		for n, d := range rep.Metrics.Times {
-			res.Metrics.Time(n).Add(d) //capslint:allow metricnames relayed under the literal name the attempt declared the cell with
+			res.Metrics.Time(n).Add(d)
 		}
 		for n, v := range rep.Metrics.Gauges {
-			res.Metrics.Gauge(n).Set(v) //capslint:allow metricnames relayed under the name the attempt reported it with
+			res.Metrics.Gauge(n).Set(v)
 		}
 		for n, h := range rep.Hists {
 			// A snapshot that does not fit the layout (ErrHistogramLayout) is
@@ -642,15 +642,15 @@ func assembleResult(reports []*WorkerReport, agg runAgg) *JobResult {
 			name := func(metric string) string {
 				return metrics.TaskMetricName(string(t.Op), t.Index, metric)
 			}
-			res.Metrics.Counter(name("records_in")).Inc(ts.RecordsIn)            //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-			res.Metrics.Counter(name("records_out")).Inc(ts.RecordsOut)          //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-			res.Metrics.Counter(name("bytes_out")).Inc(ts.BytesOut)              //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-			res.Metrics.Time(name("busy_seconds")).Add(ts.BusyTime)              //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-			res.Metrics.Time(name("backpressure_seconds")).Add(ts.BackpressureT) //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-			res.Metrics.Gauge(name("useful_fraction")).Set(ts.UsefulFraction)    //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
+			res.Metrics.Counter(name("records_in")).Inc(ts.RecordsIn)
+			res.Metrics.Counter(name("records_out")).Inc(ts.RecordsOut)
+			res.Metrics.Counter(name("bytes_out")).Inc(ts.BytesOut)
+			res.Metrics.Time(name("busy_seconds")).Add(ts.BusyTime)
+			res.Metrics.Time(name("backpressure_seconds")).Add(ts.BackpressureT)
+			res.Metrics.Gauge(name("useful_fraction")).Set(ts.UsefulFraction)
 			if ts.Stateful {
-				res.Metrics.Gauge(name("state_bytes")).Set(float64(ts.StateBytes)) //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-				res.Metrics.Gauge(name("state_keys")).Set(float64(ts.StateKeys))   //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
+				res.Metrics.Gauge(name("state_bytes")).Set(float64(ts.StateBytes))
+				res.Metrics.Gauge(name("state_keys")).Set(float64(ts.StateKeys))
 				stateBytes += ts.StateBytes
 				stateKeys += ts.StateKeys
 				stateNamespaces++

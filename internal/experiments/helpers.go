@@ -18,7 +18,7 @@ func mergedLatencyQuantile(tel *telemetry.Telemetry, p float64) float64 {
 	var merged telemetry.HistogramSnapshot
 	first := true
 	for _, name := range tel.HistogramNames() {
-		snap := tel.Histogram(name).Snapshot() //capslint:allow metricnames iterates names already registered on the hub
+		snap := tel.Histogram(name).Snapshot()
 		if first {
 			merged = snap
 			first = false

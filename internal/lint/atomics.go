@@ -1,369 +1,28 @@
 package lint
 
-import (
-	"fmt"
-	"go/ast"
-	"go/token"
-	"go/types"
-	"sort"
-)
+import "go/types"
 
-// atomicsAnalyzer enforces the all-or-nothing access discipline around
-// sync/atomic: once any code path touches a field through an atomic
-// operation, every access must — one plain read or write reintroduces
-// exactly the race the atomic was bought to prevent. This is the static
-// guard for the MeterShard single-writer/atomic-publish contract (PR 8):
-//
-//   - a field (or package variable) whose address is passed to a
-//     sync/atomic function anywhere in the program must never be read,
-//     written, or have its address escape outside atomic calls;
-//   - a struct containing atomic state (an atomic.* typed field, an array
-//     of them, or an atomic-function-accessed field) must never be copied
-//     by value: assignments from a dereference or selector, by-value
-//     range iteration, and by-value argument passing all duplicate the
-//     atomic cell, silently forking the counter readers are polling.
-//
-// The analyzer is whole-program: the atomic access that poisons a field
-// may live in a different package than the plain access that breaks it.
+// atomicsAnalyzer keeps every atomic cell typed: any use of a sync/atomic
+// package function (atomic.AddInt64(&n, 1), or the function as a value) is
+// a finding. With typed atomics (atomic.Int64, atomic.Pointer[T], ...) a
+// plain read or write of the cell does not compile and a copy of a struct
+// holding one is a `go vet` copylocks finding, so the all-or-nothing access
+// discipline holds by construction.
 var atomicsAnalyzer = &Analyzer{
-	Name:       "atomics",
-	Doc:        "plain reads/writes/copies of fields accessed through sync/atomic",
-	RunProgram: runAtomics,
+	Name: "atomics",
+	Doc:  "sync/atomic package functions; use a typed atomic",
+	Run:  runAtomics,
 }
 
-// atomicSite is one sync/atomic access of a variable, with the package the
-// access appears in (needed to render its path in cross-references).
-type atomicSite struct {
-	pkg  *Package
-	node ast.Node
-}
-
-type atomicsState struct {
-	prog *Program
-	// fnAccessed maps variables to their sync/atomic access sites.
-	fnAccessed map[*types.Var][]atomicSite
-	// atomicArgNodes marks the operand nodes inside `&x` arguments of
-	// atomic calls — the sanctioned uses.
-	atomicArgNodes map[ast.Node]bool
-	// fieldOwner maps a struct field to its declaring named type.
-	fieldOwner map[*types.Var]*types.Named
-	// atomicStructs are named structs containing atomic state.
-	atomicStructs map[*types.Named]bool
-}
-
-func runAtomics(prog *Program) []Diagnostic {
-	st := &atomicsState{
-		prog:           prog,
-		fnAccessed:     make(map[*types.Var][]atomicSite),
-		atomicArgNodes: make(map[ast.Node]bool),
-		fieldOwner:     make(map[*types.Var]*types.Named),
-		atomicStructs:  make(map[*types.Named]bool),
-	}
-	st.collect()
+func runAtomics(p *Package) []Diagnostic {
 	var out []Diagnostic
-	out = append(out, st.flagPlainAccess()...)
-	out = append(out, st.flagCopies()...)
-	return out
-}
-
-// collect records atomic-function access sites, struct field ownership, and
-// the set of atomic-bearing structs.
-func (st *atomicsState) collect() {
-	for _, p := range st.prog.Packages {
-		for _, f := range p.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch x := n.(type) {
-				case *ast.CallExpr:
-					st.collectAtomicCall(p, x)
-				case *ast.TypeSpec:
-					st.collectStruct(p, x)
-				}
-				return true
-			})
-		}
-	}
-	for v := range st.fnAccessed {
-		if owner := st.fieldOwner[v]; owner != nil {
-			st.atomicStructs[owner] = true
-		}
-	}
-}
-
-func (st *atomicsState) collectAtomicCall(p *Package, call *ast.CallExpr) {
-	_, path, ok := pkgFuncObj(p, call.Fun)
-	if !ok || path != "sync/atomic" || len(call.Args) == 0 {
-		return
-	}
-	un, isAddr := ast.Unparen(call.Args[0]).(*ast.UnaryExpr)
-	if !isAddr || un.Op != token.AND {
-		return
-	}
-	target := ast.Unparen(un.X)
-	if v := varOf(p, target); v != nil {
-		st.fnAccessed[v] = append(st.fnAccessed[v], atomicSite{pkg: p, node: call})
-		st.atomicArgNodes[target] = true
-	}
-}
-
-func (st *atomicsState) collectStruct(p *Package, ts *ast.TypeSpec) {
-	strct, isStruct := ts.Type.(*ast.StructType)
-	if !isStruct {
-		return
-	}
-	tn, _ := p.Info.Defs[ts.Name].(*types.TypeName)
-	if tn == nil {
-		return
-	}
-	named, _ := tn.Type().(*types.Named)
-	if named == nil {
-		return
-	}
-	for _, field := range strct.Fields.List {
-		for _, nameIdent := range field.Names {
-			v, _ := p.Info.Defs[nameIdent].(*types.Var)
-			if v == nil {
-				continue
-			}
-			st.fieldOwner[v] = named
-			if isAtomicValueType(v.Type()) {
-				st.atomicStructs[named] = true
-			}
-		}
-	}
-}
-
-// varOf resolves a selector or identifier to its variable object.
-func varOf(p *Package, e ast.Expr) *types.Var {
-	switch x := e.(type) {
-	case *ast.SelectorExpr:
-		v, _ := p.Info.Uses[x.Sel].(*types.Var)
-		return v
-	case *ast.Ident:
-		v, _ := p.Info.Uses[x].(*types.Var)
-		return v
-	}
-	return nil
-}
-
-// isAtomicValueType reports whether t is a sync/atomic value type or an
-// array of them.
-func isAtomicValueType(t types.Type) bool {
-	if arr, isArr := t.Underlying().(*types.Array); isArr {
-		return isAtomicValueType(arr.Elem())
-	}
-	n := namedOf(t)
-	return n != nil && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "sync/atomic"
-}
-
-// flagPlainAccess reports every use of an atomic-function-accessed variable
-// that is not itself inside an atomic call argument.
-func (st *atomicsState) flagPlainAccess() []Diagnostic {
-	var out []Diagnostic
-	for _, p := range st.prog.Packages {
-		for _, f := range p.Files {
-			var stack []ast.Node
-			ast.Inspect(f, func(n ast.Node) bool {
-				if n == nil {
-					stack = stack[:len(stack)-1]
-					return true
-				}
-				stack = append(stack, n)
-				var v *types.Var
-				switch x := n.(type) {
-				case *ast.SelectorExpr:
-					v = varOf(p, x)
-				case *ast.Ident:
-					// Bare identifier uses (package-level vars); field
-					// selections are handled by the SelectorExpr case —
-					// skip the Sel ident itself to avoid double reports.
-					if len(stack) >= 2 {
-						if sel, isSel := stack[len(stack)-2].(*ast.SelectorExpr); isSel && sel.Sel == x {
-							return true
-						}
-					}
-					if obj, isUse := p.Info.Uses[x]; isUse {
-						v, _ = obj.(*types.Var)
-					}
-				default:
-					return true
-				}
-				if v == nil {
-					return true
-				}
-				sites, tracked := st.fnAccessed[v]
-				if !tracked || st.atomicArgNodes[n] {
-					return true
-				}
-				if inCompositeLitKey(stack) {
-					return true
-				}
-				kind := "read"
-				if isWriteContext(stack) {
-					kind = "write"
-				}
-				out = append(out, diagAt(p, "atomics", n,
-					"plain %s of %s, which is accessed with sync/atomic (e.g. %s); every access must use atomic operations",
-					kind, v.Name(), earliestSite(sites)))
-				return true
-			})
-		}
-	}
-	return out
-}
-
-// earliestSite renders the first atomic access site of a variable, for the
-// cross-reference in the diagnostic.
-func earliestSite(sites []atomicSite) string {
-	sort.Slice(sites, func(i, j int) bool { return sites[i].node.Pos() < sites[j].node.Pos() })
-	file, line, _ := posOf(sites[0].pkg, sites[0].node.Pos())
-	return fmt.Sprintf("%s:%d", file, line)
-}
-
-// inCompositeLitKey reports whether the node on top of the stack is the key
-// of a keyed composite-literal entry — initialization before publication,
-// which is safe.
-func inCompositeLitKey(stack []ast.Node) bool {
-	if len(stack) < 3 {
-		return false
-	}
-	kv, isKV := stack[len(stack)-2].(*ast.KeyValueExpr)
-	if !isKV || kv.Key != stack[len(stack)-1] {
-		return false
-	}
-	_, isLit := stack[len(stack)-3].(*ast.CompositeLit)
-	return isLit
-}
-
-// isWriteContext reports whether the accessed node is the target of an
-// assignment or inc/dec statement.
-func isWriteContext(stack []ast.Node) bool {
-	n := stack[len(stack)-1]
-	for i := len(stack) - 2; i >= 0; i-- {
-		switch parent := stack[i].(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range parent.Lhs {
-				if containsNode(lhs, n) {
-					return true
-				}
-			}
-			return false
-		case *ast.IncDecStmt:
-			return containsNode(parent.X, n)
-		case *ast.SelectorExpr, *ast.ParenExpr, *ast.IndexExpr:
-			n = stack[i].(ast.Node)
+	for id, obj := range p.Info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" || fn.Type().(*types.Signature).Recv() != nil {
 			continue
-		default:
-			return false
 		}
-	}
-	return false
-}
-
-func containsNode(root ast.Expr, target ast.Node) bool {
-	found := false
-	ast.Inspect(root, func(m ast.Node) bool {
-		if m == target {
-			found = true
-			return false
-		}
-		return !found
-	})
-	return found
-}
-
-// flagCopies reports by-value copies of structs carrying atomic state.
-func (st *atomicsState) flagCopies() []Diagnostic {
-	var out []Diagnostic
-	if len(st.atomicStructs) == 0 {
-		return out
-	}
-	for _, p := range st.prog.Packages {
-		for _, f := range p.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch x := n.(type) {
-				case *ast.RangeStmt:
-					if x.Value == nil {
-						return true
-					}
-					if elem := rangeElemType(p, x.X); elem != nil {
-						if named := st.atomicStruct(elem); named != nil {
-							out = append(out, diagAt(p, "atomics", x.Value,
-								"ranging by value copies %s, which contains atomic state; iterate by index or over pointers",
-								named.Obj().Name()))
-						}
-					}
-				case *ast.AssignStmt:
-					for _, rhs := range x.Rhs {
-						if named := st.copiedAtomicStruct(p, rhs); named != nil {
-							out = append(out, diagAt(p, "atomics", rhs,
-								"assignment copies %s by value, which contains atomic state; keep a pointer instead",
-								named.Obj().Name()))
-						}
-					}
-				case *ast.CallExpr:
-					for _, arg := range x.Args {
-						if named := st.copiedAtomicStruct(p, arg); named != nil {
-							out = append(out, diagAt(p, "atomics", arg,
-								"passing %s by value copies its atomic state; pass a pointer instead",
-								named.Obj().Name()))
-						}
-					}
-				}
-				return true
-			})
-		}
+		out = append(out, diagAt(p, "atomics", id,
+			"sync/atomic function %s; use a typed atomic (plain access to one does not compile, go vet flags its copies)", fn.Name()))
 	}
 	return out
-}
-
-// atomicStruct returns the named atomic-bearing struct behind t (not behind
-// a pointer — pointer copies are fine), or nil.
-func (st *atomicsState) atomicStruct(t types.Type) *types.Named {
-	if t == nil {
-		return nil
-	}
-	if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-		return nil
-	}
-	named, _ := t.(*types.Named)
-	if named != nil && st.atomicStructs[named] {
-		return named
-	}
-	return nil
-}
-
-// copiedAtomicStruct reports whether evaluating e copies a live
-// atomic-bearing struct: a dereference, selector, index or identifier of
-// struct type. Fresh values (composite literals, call results, conversions)
-// are not copies of shared state.
-func (st *atomicsState) copiedAtomicStruct(p *Package, e ast.Expr) *types.Named {
-	switch ast.Unparen(e).(type) {
-	case *ast.StarExpr, *ast.SelectorExpr, *ast.Ident, *ast.IndexExpr:
-	default:
-		return nil
-	}
-	return st.atomicStruct(p.Info.TypeOf(e))
-}
-
-// rangeElemType returns the per-iteration value type of ranging over e.
-func rangeElemType(p *Package, e ast.Expr) types.Type {
-	t := p.Info.TypeOf(e)
-	if t == nil {
-		return nil
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Slice:
-		return u.Elem()
-	case *types.Array:
-		return u.Elem()
-	case *types.Pointer: // *[N]T
-		if arr, isArr := u.Elem().Underlying().(*types.Array); isArr {
-			return arr.Elem()
-		}
-	case *types.Map:
-		return u.Elem()
-	case *types.Chan:
-		return u.Elem()
-	}
-	return nil
 }

@@ -86,7 +86,7 @@ func TestFixturesTripTheGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"determ", "locks", "chans", "goroutines", "metricnames", "lockorder", "atomics", "frameproto", "overlap"} {
+	for _, name := range []string{"determ", "locks", "chans", "goroutines", "atomics", "lockorder", "frameproto", "overlap"} {
 		p, err := loader.Load(filepath.Join("testdata/src", name))
 		if err != nil {
 			t.Fatal(err)

@@ -8,11 +8,10 @@ import (
 
 // goroutinesAnalyzer covers goroutine lifecycle hygiene in the runtime
 // packages: a `go func` literal must be tied off — a WaitGroup Done, a
-// stop/ctx channel it watches, or ownership of a channel it closes — and
-// must not capture loop variables it should receive as arguments.
+// stop/ctx channel it watches, or ownership of a channel it closes.
 var goroutinesAnalyzer = &Analyzer{
 	Name:     "goroutines",
-	Doc:      "go func literals that capture loop variables or lack a WaitGroup/stop-channel tie-off",
+	Doc:      "go func literals that lack a WaitGroup/stop-channel tie-off",
 	Packages: []string{"engine", "controller"},
 	Run:      runGoroutines,
 }
@@ -20,94 +19,21 @@ var goroutinesAnalyzer = &Analyzer{
 func runGoroutines(p *Package) []Diagnostic {
 	var out []Diagnostic
 	for _, f := range p.Files {
-		// Track loop variables in scope at each go statement by walking
-		// with an explicit stack.
-		var loopVars []map[types.Object]string
-		var walk func(n ast.Node)
-		walk = func(n ast.Node) {
-			switch x := n.(type) {
-			case nil:
-				return
-			case *ast.RangeStmt:
-				vars := make(map[types.Object]string)
-				if x.Tok == token.DEFINE {
-					for _, e := range []ast.Expr{x.Key, x.Value} {
-						if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-							if obj := p.Info.Defs[id]; obj != nil {
-								vars[obj] = id.Name
-							}
-						}
-					}
-				}
-				loopVars = append(loopVars, vars)
-				walkChildren(x, walk)
-				loopVars = loopVars[:len(loopVars)-1]
-				return
-			case *ast.ForStmt:
-				vars := make(map[types.Object]string)
-				if init, ok := x.Init.(*ast.AssignStmt); ok && init.Tok == token.DEFINE {
-					for _, e := range init.Lhs {
-						if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-							if obj := p.Info.Defs[id]; obj != nil {
-								vars[obj] = id.Name
-							}
-						}
-					}
-				}
-				loopVars = append(loopVars, vars)
-				walkChildren(x, walk)
-				loopVars = loopVars[:len(loopVars)-1]
-				return
-			case *ast.GoStmt:
-				if lit, ok := x.Call.Fun.(*ast.FuncLit); ok {
-					out = append(out, checkGoLiteral(p, x, lit, loopVars)...)
+		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				if lit, ok := g.Call.Fun.(*ast.FuncLit); ok && !tiedOff(p, lit) {
+					out = append(out, diagAt(p, "goroutines", g,
+						"goroutine literal has no lifecycle tie-off: add a WaitGroup Done, watch a stop/ctx channel, or range over a closable channel"))
 				}
 			}
-			walkChildren(n, walk)
-		}
-		walk(f)
+			return true
+		})
 	}
 	return out
 }
 
-func walkChildren(n ast.Node, walk func(ast.Node)) {
-	ast.Inspect(n, func(m ast.Node) bool {
-		if m == n {
-			return true
-		}
-		if m != nil {
-			walk(m)
-		}
-		return false
-	})
-}
-
-func checkGoLiteral(p *Package, g *ast.GoStmt, lit *ast.FuncLit, loopVars []map[types.Object]string) []Diagnostic {
-	var out []Diagnostic
-	// Loop-variable capture: the literal's body references a variable
-	// defined by an enclosing loop. Per-iteration semantics (go >= 1.22)
-	// make this safe in today's toolchain, but the engine convention is to
-	// pass the value explicitly — it survives vendoring into older modules
-	// and makes the data flow visible.
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := p.Info.Uses[id]
-		if obj == nil {
-			return true
-		}
-		for _, vars := range loopVars {
-			if name, captured := vars[obj]; captured {
-				out = append(out, diagAt(p, "goroutines", id,
-					"goroutine literal captures loop variable %s; pass it as an argument (go func(%s ...) { ... }(%s))",
-					name, name, name))
-			}
-		}
-		return true
-	})
-	// Lifecycle tie-off: the goroutine must be joinable or stoppable.
+// tiedOff reports whether a goroutine literal is joinable or stoppable.
+func tiedOff(p *Package, lit *ast.FuncLit) bool {
 	tied := false
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		if tied {
@@ -148,14 +74,7 @@ func checkGoLiteral(p *Package, g *ast.GoStmt, lit *ast.FuncLit, loopVars []map[
 		}
 		return true
 	})
-	if !tied {
-		tied = connReaderLoop(p, lit)
-	}
-	if !tied {
-		out = append(out, diagAt(p, "goroutines", g,
-			"goroutine literal has no lifecycle tie-off: add a WaitGroup Done, watch a stop/ctx channel, or range over a closable channel"))
-	}
-	return out
+	return tied || connReaderLoop(p, lit)
 }
 
 // connReaderLoop recognizes the goroutine-per-connection idiom the network

@@ -14,19 +14,21 @@
 //     "guarded by <mu>" field annotations
 //   - chans: bounded-channel sends outside a cancellable select
 //   - goroutines: goroutine literals without a lifecycle tie-off
-//   - metricnames: telemetry names must be clean string literals or
-//     constant-foldable Sprintf/concat families
+//   - atomics: sync/atomic package functions instead of typed atomics
 //   - lockorder: cyclic lock-acquisition orders across the call graph
 //     (potential deadlocks)
-//   - atomics: fields accessed through sync/atomic must never be read,
-//     written or copied plainly
 //   - frameproto: every declared wire-frame type is handled by a dispatch
 //     switch, and every Frame literal uses a declared constant
 //
-// The first five are per-package syntax/type checks. The last three are
+// The first five are per-package syntax/type checks. The last two are
 // whole-program: they run once over every loaded package together (the CFG
 // and call-graph foundation in cfg.go and callgraph.go), so `capslint ./...`
 // sees lock edges and frame handlers wherever they live.
+//
+// What the toolchain or the runtime already enforces is left to them: go
+// vet's copylocks check flags copies of typed atomics, Go 1.22 loop
+// variables are per iteration, and metric names are checked where their
+// cells are created (metrics.CheckName).
 //
 // Findings are suppressed in place with
 //
@@ -75,8 +77,6 @@ type Analyzer struct {
 	// Packages restricts the check to packages with these names (the
 	// package clause, not the import path); nil means every package.
 	Packages []string
-	// Exclude skips packages with these names (applied after Packages).
-	Exclude []string
 	// Run reports the raw findings for one package; suppression filtering
 	// happens in the driver. Exactly one of Run and RunProgram is set.
 	Run func(p *Package) []Diagnostic
@@ -87,11 +87,6 @@ type Analyzer struct {
 }
 
 func (a *Analyzer) appliesTo(pkgName string) bool {
-	for _, e := range a.Exclude {
-		if e == pkgName {
-			return false
-		}
-	}
 	if a.Packages == nil {
 		return true
 	}
@@ -114,9 +109,8 @@ func Analyzers() []*Analyzer {
 		locksAnalyzer,
 		chansAnalyzer,
 		goroutinesAnalyzer,
-		metricnamesAnalyzer,
-		lockorderAnalyzer,
 		atomicsAnalyzer,
+		lockorderAnalyzer,
 		frameprotoAnalyzer,
 	}
 }

@@ -96,9 +96,9 @@ func TestStaleOnlyWhenCheckRan(t *testing.T) {
 }
 
 // TestOverlapSuppressionScoping pins per-check suppression on one line: the
-// overlap fixture trips determinism and metricnames on the same statement
-// and carries an allow naming only determinism. The metricnames finding
-// must survive, and the allow must not be stale.
+// overlap fixture trips determinism and atomics on the same statement and
+// carries an allow naming only determinism. The atomics finding must
+// survive, and the allow must not be stale.
 func TestOverlapSuppressionScoping(t *testing.T) {
 	_, p := loadFixture(t, "overlap")
 	diags, err := RunPackage(p, Config{Strict: true})
@@ -109,8 +109,8 @@ func TestOverlapSuppressionScoping(t *testing.T) {
 	if counts["determinism"] != 0 {
 		t.Errorf("determinism finding not suppressed: %v", diags)
 	}
-	if counts["metricnames"] != 1 {
-		t.Errorf("want exactly 1 surviving metricnames finding, got %d: %v", counts["metricnames"], diags)
+	if counts["atomics"] != 1 {
+		t.Errorf("want exactly 1 surviving atomics finding, got %d: %v", counts["atomics"], diags)
 	}
 	if counts[SuppressCheck] != 0 {
 		t.Errorf("allow reported as stale or malformed: %v", diags)
@@ -123,9 +123,9 @@ func TestOverlapSuppressionScoping(t *testing.T) {
 // analyzers.
 func TestStaleScopingWithProgramChecks(t *testing.T) {
 	_, p := loadFixture(t, "overlap")
-	// metricnames runs, determinism does not: the determinism allow is
-	// unused but must not be stale, and the metricnames finding survives.
-	scoped, err := RunPackage(p, Config{Strict: true, Enable: []string{"metricnames"}})
+	// atomics runs, determinism does not: the determinism allow is unused
+	// but must not be stale, and the atomics finding survives.
+	scoped, err := RunPackage(p, Config{Strict: true, Enable: []string{"atomics"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +133,8 @@ func TestStaleScopingWithProgramChecks(t *testing.T) {
 	if counts[SuppressCheck] != 0 {
 		t.Errorf("determinism did not run, yet its allow is flagged: %v", scoped)
 	}
-	if counts["metricnames"] != 1 {
-		t.Errorf("want 1 metricnames finding under -checks metricnames, got %d", counts["metricnames"])
+	if counts["atomics"] != 1 {
+		t.Errorf("want 1 atomics finding under -checks atomics, got %d", counts["atomics"])
 	}
 	// Only a whole-program analyzer runs: no findings, and still no stale
 	// report for the determinism allow.
@@ -248,22 +248,6 @@ func TestRunAggregatesAndSorts(t *testing.T) {
 	}
 }
 
-func TestSanitizeMetricName(t *testing.T) {
-	cases := map[string]string{
-		"Worker-CPU%":   "worker_cpu",
-		"latency.sink":  "latency.sink",
-		"__a__":         "a",
-		"":              "unnamed",
-		"A B\tC":        "a_b_c",
-		"records_total": "records_total",
-	}
-	for in, want := range cases {
-		if got := sanitizeMetricName(in); got != want {
-			t.Errorf("sanitizeMetricName(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 // TestAnalyzerApplicability pins the package-name scoping: determinism must
 // skip non-deterministic packages entirely.
 func TestAnalyzerApplicability(t *testing.T) {
@@ -275,8 +259,5 @@ func TestAnalyzerApplicability(t *testing.T) {
 	}
 	if chansAnalyzer.appliesTo("caps") {
 		t.Error("chans applies to caps; it must not")
-	}
-	if metricnamesAnalyzer.appliesTo("telemetry") {
-		t.Error("metricnames applies to telemetry's own internals; it must not")
 	}
 }

@@ -1,13 +1,13 @@
 // Package atomfix is a capslint fixture exercising the atomics analyzer:
-// once a field is touched through sync/atomic, every access must be — plain
-// reads, writes and struct copies are flagged.
+// sync/atomic's package functions are flagged, called or taken as values;
+// typed atomics are not.
 package atomfix
 
 import "sync/atomic"
 
 // shard mirrors the engine's MeterShard contract: tokens is published with
-// atomic stores and polled with atomic loads; hits uses an atomic value
-// type.
+// atomic stores and polled with atomic loads, through the function API;
+// hits uses a typed atomic.
 type shard struct {
 	tokens int64
 	hits   atomic.Int64
@@ -17,41 +17,17 @@ func (s *shard) publish(n int64) { atomic.StoreInt64(&s.tokens, n) }
 
 func (s *shard) poll() int64 { return atomic.LoadInt64(&s.tokens) }
 
-// plainRead is the seeded violation: a non-atomic read of tokens races with
-// publish.
-func (s *shard) plainRead() int64 { return s.tokens }
+// adder takes the function as a value: still the function API.
+var adder = atomic.AddInt64
 
-// reset writes tokens plainly.
-func (s *shard) reset() { s.tokens = 0 }
+// hit and total use the typed atomic and are not flagged: a plain access of
+// hits does not compile, and go vet flags a copy of the shard.
+func (s *shard) hit() { s.hits.Add(1) }
 
-// newShard initializes before publication, which is safe and not flagged.
-func newShard(n int64) *shard { return &shard{tokens: n} }
-
-// total ranges by value, copying each shard's atomic state mid-flight.
-func total(shards []shard) int64 {
+func total(shards []*shard) int64 {
 	var sum int64
 	for _, sh := range shards {
 		sum += sh.hits.Load()
 	}
 	return sum
 }
-
-// totalByIndex iterates without copying and is not flagged.
-func totalByIndex(shards []*shard) int64 {
-	var sum int64
-	for _, sh := range shards {
-		sum += sh.hits.Load()
-	}
-	return sum
-}
-
-// dup copies the whole struct through a dereference.
-func dup(s *shard) int64 {
-	snap := *s
-	return snap.hits.Load()
-}
-
-func consume(s shard) int64 { return s.hits.Load() }
-
-// byValue passes the struct (and its atomic cells) by value.
-func byValue(s *shard) int64 { return consume(*s) }

@@ -4,15 +4,14 @@
 package caps
 
 import (
+	"sync/atomic"
 	"time"
-
-	"capsys/internal/metrics"
 )
 
-// TwoFindingsOneLine reads the wall clock (determinism) while building an
-// unfoldably-illegal metric name (metricnames) on the same line. The allow
-// above names only determinism: the metricnames finding stays.
-func TwoFindingsOneLine(reg *metrics.Registry) {
+// TwoFindingsOneLine reads the wall clock (determinism) inside a call to a
+// sync/atomic function (atomics) on the same line. The allow above names
+// only determinism: the atomics finding stays.
+func TwoFindingsOneLine(n *int64) {
 	//capslint:allow determinism fixture exercises per-check same-line scoping
-	reg.Gauge("Wall." + time.Now().String()).Set(1)
+	atomic.AddInt64(n, time.Now().UnixNano())
 }

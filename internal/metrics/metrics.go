@@ -6,6 +6,14 @@
 // Task Managers: monotonic record counters, busy/idle time accumulators (the
 // basis of DS2's useful-time fractions), and byte counters for network and
 // state access.
+//
+// Names follow one rule, checked once where a cell is created: SplitName
+// separates a name's family from its label parts (a "worker.<id>." prefix,
+// an "<op>[<i>]." task prefix, a histogram's "latency.<op>"), and the family
+// must match ^[a-z0-9_.]+$. Label parts are not judged, since operator and
+// worker IDs are user input. Creating a cell under a bad name panics, like
+// regexp.MustCompile on a bad pattern; code that relays names from another
+// process checks them with CheckName where it decodes them.
 package metrics
 
 import (
@@ -113,6 +121,7 @@ func (r *Registry) Counter(name string) *Counter {
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	if !ok {
+		mustName(name)
 		c = &Counter{}
 		if r.parent != nil {
 			c.up = r.parent.Counter(name)
@@ -128,6 +137,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
 	if !ok {
+		mustName(name)
 		g = &Gauge{}
 		if r.parent != nil {
 			g.up = r.parent.Gauge(name)
@@ -143,6 +153,7 @@ func (r *Registry) Time(name string) *TimeAccumulator {
 	defer r.mu.Unlock()
 	t, ok := r.times[name]
 	if !ok {
+		mustName(name)
 		t = &TimeAccumulator{}
 		if r.parent != nil {
 			t.up = r.parent.Time(name)
@@ -229,8 +240,8 @@ type TaskMetric struct {
 // WorkerMetricName builds the canonical per-worker metric name used by the
 // cluster aggregation plane, e.g. "worker.w1.net.frames_sent": a worker's
 // series lands in the coordinator registry under its cluster-spec worker
-// ID. Worker IDs must not contain dots (cluster validation enforces the
-// IDs the engine uses; ParseWorkerMetricName splits at the first dot).
+// ID. Worker IDs must not contain dots: ParseWorkerMetricName splits at the
+// first dot, so the rest of a dotted ID would be judged as the family.
 func WorkerMetricName(worker, metric string) string {
 	return "worker." + worker + "." + metric
 }
@@ -266,9 +277,10 @@ func ParseWorkerMetricName(name string) (WorkerMetric, bool) {
 // "win[3].records_in" into its operator, task index and metric parts. The
 // second return is false for names that are not per-task metrics (job-level
 // series like "job.recoveries", malformed brackets, negative or non-numeric
-// indices).
+// indices). The index bracket is the name's last '[': an operator ID may
+// contain '[' ("Q[1]"), a metric part may not.
 func ParseTaskMetricName(name string) (TaskMetric, bool) {
-	open := strings.IndexByte(name, '[')
+	open := strings.LastIndexByte(name, '[')
 	if open <= 0 {
 		return TaskMetric{}, false
 	}
@@ -292,4 +304,95 @@ func ParseTaskMetricName(name string) (TaskMetric, bool) {
 		return TaskMetric{}, false
 	}
 	return TaskMetric{Op: name[:open], Index: idx, Metric: metric}, true
+}
+
+// Kind says which label parts a name may carry.
+type Kind uint8
+
+const (
+	// CellName is a Registry counter, gauge or time accumulator name: it may
+	// carry a "worker.<id>." prefix and an "<op>[<i>]." task prefix.
+	CellName Kind = iota
+	// HistogramName is a telemetry histogram name: "latency.<op>" is the
+	// latency family with an op label.
+	HistogramName
+	// FamilyName is a callback gauge's family, whose labels travel apart:
+	// all of it is family.
+	FamilyName
+)
+
+// Series is a metric name split into the family it is exported under and
+// the label parts that tell its series apart.
+type Series struct {
+	Family string
+	Worker string // "" unless the name is per-worker
+	Op     string // "" unless the name is per-task or a latency histogram
+	Index  int    // the task index; -1 unless the name is per-task
+}
+
+// SplitName is the one place that decides which part of a name is its
+// family: the Prometheus exporter renders what it returns and CheckName
+// judges it. A cell name is split at its task prefix first, so that no
+// operator ID can leak into the family: the last '[' of
+// TaskMetricName(op, i, m) is always the index bracket. A worker prefix is
+// then taken from the operator part, or from the whole name when the name
+// is not per-task.
+func SplitName(name string, kind Kind) Series {
+	s := Series{Family: name, Index: -1}
+	switch kind {
+	case HistogramName:
+		if op, ok := strings.CutPrefix(name, "latency."); ok && op != "" {
+			s.Family, s.Op = "latency", op
+		}
+	case CellName:
+		if tm, ok := ParseTaskMetricName(name); ok {
+			s.Family, s.Op, s.Index = tm.Metric, tm.Op, tm.Index
+			if wm, ok := ParseWorkerMetricName(tm.Op); ok {
+				s.Worker, s.Op = wm.Worker, wm.Metric
+			}
+		} else if wm, ok := ParseWorkerMetricName(name); ok {
+			s.Worker, s.Family = wm.Worker, wm.Metric
+		}
+	}
+	return s
+}
+
+// Labels returns the series' label parts as exposition labels ("worker",
+// "op", "index").
+func (s Series) Labels() map[string]string {
+	l := make(map[string]string, 3)
+	if s.Worker != "" {
+		l["worker"] = s.Worker
+	}
+	if s.Op != "" {
+		l["op"] = s.Op
+	}
+	if s.Index >= 0 {
+		l["index"] = strconv.Itoa(s.Index)
+	}
+	return l
+}
+
+// CheckName returns an error unless name's family (SplitName) matches
+// ^[a-z0-9_.]+$.
+func CheckName(name string, kind Kind) error {
+	fam := SplitName(name, kind).Family
+	if fam == "" {
+		return fmt.Errorf("metrics: name %q has an empty family", name)
+	}
+	for i := 0; i < len(fam); i++ {
+		if c := fam[i]; !(c >= 'a' && c <= 'z' || c >= '0' && c <= '9' || c == '_' || c == '.') {
+			return fmt.Errorf("metrics: name %q: family %q must match ^[a-z0-9_.]+$", name, fam)
+		}
+	}
+	return nil
+}
+
+// mustName panics on a cell name that fails CheckName: every name that
+// reaches a registry is either written in this repository or was checked
+// where it was decoded.
+func mustName(name string) {
+	if err := CheckName(name, CellName); err != nil {
+		panic(err)
+	}
 }

@@ -160,6 +160,89 @@ func TestParseTaskMetricName(t *testing.T) {
 	}
 }
 
+// TestOperatorIDsPassTheNameCheck: operator IDs are user input and only a
+// label, so real ones — punctuation, capitals, a bracket, a dot — must pass
+// the name check and round-trip through the task name.
+func TestOperatorIDsPassTheNameCheck(t *testing.T) {
+	r := NewRegistry()
+	for i, op := range []string{"slide-win", "snkB", "S", "Q[1]", "a.b", "worker.w1."} {
+		name := TaskMetricName(op, i, "records_in")
+		if err := CheckName(name, CellName); err != nil {
+			t.Errorf("op %q: %v", op, err)
+			continue
+		}
+		r.Counter(name).Inc(1)
+		tm, ok := ParseTaskMetricName(name)
+		if !ok || tm != (TaskMetric{Op: op, Index: i, Metric: "records_in"}) {
+			t.Errorf("ParseTaskMetricName(%q) = %+v, %v", name, tm, ok)
+		}
+		s := SplitName(name, CellName)
+		if s.Family != "records_in" || s.Op != op || s.Index != i || s.Worker != "" {
+			t.Errorf("SplitName(%q) = %+v", name, s)
+		}
+	}
+}
+
+// TestSplitName pins which parts of a name are labels, per kind.
+func TestSplitName(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		kind Kind
+		want Series
+	}{
+		{"job.recoveries", CellName, Series{Family: "job.recoveries", Index: -1}},
+		{"worker.w1.net.frames_sent", CellName, Series{Family: "net.frames_sent", Worker: "w1", Index: -1}},
+		{"worker.w1.win[3].records_in", CellName, Series{Family: "records_in", Worker: "w1", Op: "win", Index: 3}},
+		{"cluster.net.frames_sent", CellName, Series{Family: "cluster.net.frames_sent", Index: -1}},
+		{"latency.win", CellName, Series{Family: "latency.win", Index: -1}},
+		{"latency.Slide-Win", HistogramName, Series{Family: "latency", Op: "Slide-Win", Index: -1}},
+		{"latency.", HistogramName, Series{Family: "latency.", Index: -1}},
+		{"win[3].records_in", HistogramName, Series{Family: "win[3].records_in", Index: -1}},
+		{"worker.w1.x", FamilyName, Series{Family: "worker.w1.x", Index: -1}},
+	} {
+		if got := SplitName(tc.name, tc.kind); got != tc.want {
+			t.Errorf("SplitName(%q, %d) = %+v, want %+v", tc.name, tc.kind, got, tc.want)
+		}
+	}
+}
+
+// TestBadNamePanics: creating a cell under a name whose family breaks the
+// rule panics, whether the name is a literal, a Sprintf or a concatenation;
+// looking up an existing cell never checks again.
+func TestBadNamePanics(t *testing.T) {
+	shard, suffix := 3, "Total"
+	bad := []string{
+		"Worker-CPU%",
+		fmt.Sprintf("Shard-%d-CPU", shard),
+		"records." + suffix,
+		TaskMetricName("win", 0, "Records"),
+		"win[0].",
+		"",
+	}
+	r := NewRegistry()
+	create := map[string]func(string){
+		"Counter": func(n string) { r.Counter(n) },
+		"Gauge":   func(n string) { r.Gauge(n) },
+		"Time":    func(n string) { r.Time(n) },
+		"Scope":   func(n string) { r.Scope().Counter(n) },
+	}
+	for kind, fn := range create {
+		for _, name := range bad {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%q) did not panic", kind, name)
+					}
+				}()
+				fn(name)
+			}()
+		}
+	}
+	if names := r.Names(); len(names) != 0 {
+		t.Errorf("bad names were registered: %v", names)
+	}
+}
+
 // TestRegistryConcurrent hammers every metric type from parallel goroutines
 // while snapshots are taken, asserting that counter-like series observed in
 // successive snapshots never move backwards (no torn reads).

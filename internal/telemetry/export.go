@@ -123,26 +123,19 @@ func (t *Telemetry) renderRegistry(doc *promDoc, reg *metrics.Registry) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		prefix, metric := "capsys_", name
-		var labels map[string]string
-		if wm, ok := metrics.ParseWorkerMetricName(name); ok {
-			prefix, metric = "capsys_worker_", wm.Metric
-			labels = map[string]string{"worker": wm.Worker}
+		s := metrics.SplitName(name, metrics.CellName)
+		prefix := "capsys_"
+		if s.Index >= 0 {
+			prefix = "capsys_task_"
+		} else if s.Worker != "" {
+			prefix = "capsys_worker_"
 		}
-		if tm, ok := metrics.ParseTaskMetricName(metric); ok {
-			prefix, metric = "capsys_task_", tm.Metric
-			if labels == nil {
-				labels = make(map[string]string, 2)
-			}
-			labels["op"] = tm.Op
-			labels["index"] = strconv.Itoa(tm.Index)
-		}
-		fam, typ := prefix+sanitizeName(metric), "gauge"
+		fam, typ := prefix+sanitizeName(s.Family), "gauge"
 		if monotone[name] {
 			fam += "_total"
 			typ = "counter"
 		}
-		doc.family(fam, typ).add(fam, labels, values[name])
+		doc.family(fam, typ).add(fam, s.Labels(), values[name])
 	}
 }
 
@@ -188,10 +181,11 @@ func (t *Telemetry) renderHistograms(doc *promDoc) {
 // histogramFamily maps a histogram name to its exposition family and labels.
 // "latency.<op>" histograms share one family with an op label.
 func histogramFamily(name string) (string, map[string]string) {
-	if op, ok := strings.CutPrefix(name, "latency."); ok && op != "" {
-		return "capsys_latency_seconds", map[string]string{"op": op}
+	s := metrics.SplitName(name, metrics.HistogramName)
+	if s.Op != "" {
+		return "capsys_latency_seconds", s.Labels()
 	}
-	return "capsys_" + sanitizeName(name), nil
+	return "capsys_" + sanitizeName(s.Family), nil
 }
 
 func withLabel(labels map[string]string, k, v string) map[string]string {

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -201,5 +202,55 @@ func TestTelemetryHubBasics(t *testing.T) {
 	}
 	if tel.Window("latency.a") == nil {
 		t.Error("Window missing for registered histogram")
+	}
+}
+
+// TestBadNamePanics: a histogram or callback-gauge family that breaks the
+// name rule panics where it is created; an operator ID after "latency." is
+// a label and is not judged.
+func TestBadNamePanics(t *testing.T) {
+	tel := New()
+	op := "Slide-Win"
+	tel.Histogram("latency." + op).Observe(0.001)
+	tel.SetGaugeFunc("worker_saturation", map[string]string{"worker": "W-1"}, func() float64 { return 1 })
+	for what, create := range map[string]func(){
+		"Histogram literal":   func() { tel.Histogram("Latency") },
+		"Histogram concat":    func() { tel.Histogram("exchange." + op) },
+		"Window Sprintf":      func() { tel.Window(fmt.Sprintf("Batch-%d", 3)) },
+		"SetGaugeFunc":        func() { tel.SetGaugeFunc("Worker-Saturation", nil, func() float64 { return 1 }) },
+		"SetGaugeFunc worker": func() { tel.SetGaugeFunc("worker.W1.x", nil, func() float64 { return 1 }) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: bad name did not panic", what)
+				}
+			}()
+			create()
+		}()
+	}
+	if names := tel.HistogramNames(); len(names) != 1 || names[0] != "latency."+op {
+		t.Errorf("HistogramNames = %v, want only the latency histogram", names)
+	}
+	if n := len(tel.SampleGaugeFuncs()); n != 1 {
+		t.Errorf("%d callback gauges registered, want 1", n)
+	}
+}
+
+// TestRuntimeGauges: the process gauges register under valid families and
+// read live values at sample time.
+func TestRuntimeGauges(t *testing.T) {
+	tel := New()
+	tel.RegisterRuntimeGauges()
+	(*Telemetry)(nil).RegisterRuntimeGauges() // nil hub: no-op
+	got := map[string]float64{}
+	for _, g := range tel.SampleGaugeFuncs() {
+		got[g.Family] = g.Value
+	}
+	if len(got) != 3 || got["runtime_goroutines"] < 1 || got["runtime_heap_alloc_bytes"] <= 0 {
+		t.Errorf("runtime gauges = %v", got)
+	}
+	if _, ok := got["runtime_gc_pause_seconds_total"]; !ok {
+		t.Errorf("runtime gauges = %v, missing the GC pause total", got)
 	}
 }

@@ -92,7 +92,8 @@ func (t *Telemetry) Tracer() *Tracer {
 
 // Histogram returns (creating if needed) the named histogram with the
 // default latency layout, paired with a windowed view. Returns nil on a nil
-// hub — and a nil *Histogram's Observe is a no-op.
+// hub — and a nil *Histogram's Observe is a no-op. Creating one under a name
+// that fails metrics.CheckName panics.
 func (t *Telemetry) Histogram(name string) *Histogram {
 	if t == nil {
 		return nil
@@ -101,6 +102,9 @@ func (t *Telemetry) Histogram(name string) *Histogram {
 	defer t.mu.Unlock()
 	h, ok := t.hists[name]
 	if !ok {
+		if err := metrics.CheckName(name, metrics.HistogramName); err != nil {
+			panic(err)
+		}
 		h, _ = NewHistogram(DefaultLatencyOptions())
 		t.hists[name] = h
 		t.windows[name] = NewWindowed(h, t.winEvery, t.winSlots)
@@ -137,7 +141,8 @@ func (t *Telemetry) HistogramNames() []string {
 
 // SetGaugeFunc registers (or replaces) a callback gauge in the given metric
 // family with the given label set. The callback runs at scrape time, so the
-// exported value is live. The (family, labels) pair identifies the series.
+// exported value is live. The (family, labels) pair identifies the series;
+// registering a new one under a family that fails metrics.CheckName panics.
 func (t *Telemetry) SetGaugeFunc(family string, labels map[string]string, fn func() float64) {
 	if t == nil || fn == nil {
 		return
@@ -149,6 +154,11 @@ func (t *Telemetry) SetGaugeFunc(family string, labels map[string]string, fn fun
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if _, ok := t.gaugeFns[key]; !ok {
+		if err := metrics.CheckName(family, metrics.FamilyName); err != nil {
+			panic(err)
+		}
+	}
 	t.gaugeFns[key] = gaugeFunc{family: family, labels: cp, fn: fn}
 }
 
