@@ -48,11 +48,12 @@ race:
 	$(GO) test -race ./...
 
 # fuzz runs every Fuzz* target in the tree for ten seconds each (go test
-# takes one -fuzz target per invocation, so they are found by name): ten
+# takes one -fuzz target per invocation, so they are found by name): eleven
 # today — the frame envelope, the data-plane batch codec, the join state
 # record, the SNAPSHOT payload, namespace images, query specs, key-group
-# partitioning, metric names (two) and the heartbeat payload. A failing input
-# is written under the package's testdata/fuzz/ and fails the target.
+# partitioning, metric names (two), the heartbeat payload and every control
+# payload. A failing input is written under the package's testdata/fuzz/ and
+# fails the target.
 fuzz:
 	@set -e; grep -rEo --include='*_test.go' '^func Fuzz[A-Za-z0-9_]+' cmd internal | sort | \
 	while IFS=: read -r file fn; do \

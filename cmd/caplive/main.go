@@ -221,7 +221,7 @@ func runCoordinator(f *cliflags.Common, o *liveFlags, eo engine.JobOptions) erro
 		return err
 	}
 	// The coordinator's hub is the cluster aggregation point: worker
-	// heartbeat deltas and trace batches merge into it (DESIGN.md §9).
+	// heartbeat deltas and trace events merge into it (DESIGN.md §9).
 	tel := telemetry.New()
 	tel.RegisterRuntimeGauges()
 	stop, err := cliflags.Observe(tel, f.TraceOut, "", nil)

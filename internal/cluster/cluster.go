@@ -5,11 +5,17 @@
 // co-located tasks.
 package cluster
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"strings"
+)
 
 // Worker describes one node of the cluster.
 type Worker struct {
-	// ID is a stable human-readable identifier (e.g. "tm-3" or an IP).
+	// ID is a stable human-readable identifier (e.g. "tm-3"), unique in
+	// its cluster and free of '.': it is the label part of the worker's
+	// "worker.<id>.<metric>" series.
 	ID string
 	// Slots is the number of compute slots; each slot hosts at most one task.
 	Slots int
@@ -29,19 +35,19 @@ type Cluster struct {
 	workers []Worker
 }
 
+// ErrWorkerID reports a worker ID that is empty, repeated or holds a '.'.
+var ErrWorkerID = errors.New("cluster: invalid worker ID")
+
 // New creates a cluster from the given workers. It returns an error if any
-// worker is malformed or IDs collide.
+// worker is malformed or IDs collide (wrapping ErrWorkerID for a bad ID).
 func New(workers []Worker) (*Cluster, error) {
 	if len(workers) == 0 {
 		return nil, fmt.Errorf("cluster: no workers")
 	}
 	seen := make(map[string]bool, len(workers))
 	for i, w := range workers {
-		if w.ID == "" {
-			return nil, fmt.Errorf("cluster: worker %d has empty ID", i)
-		}
-		if seen[w.ID] {
-			return nil, fmt.Errorf("cluster: duplicate worker ID %q", w.ID)
+		if w.ID == "" || seen[w.ID] || strings.Contains(w.ID, ".") {
+			return nil, fmt.Errorf("%w: worker %d has ID %q (empty, repeated or dotted)", ErrWorkerID, i, w.ID)
 		}
 		seen[w.ID] = true
 		if w.Slots <= 0 {

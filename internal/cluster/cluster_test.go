@@ -1,6 +1,9 @@
 package cluster
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 func TestNewValidation(t *testing.T) {
 	cases := []struct {
@@ -22,6 +25,24 @@ func TestNewValidation(t *testing.T) {
 		if _, err := New(tc.workers); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+}
+
+// TestNewRejectsBadWorkerIDs: an empty, repeated or dotted ID is refused
+// with ErrWorkerID; an ID is a metric label, so its case and dashes are free.
+func TestNewRejectsBadWorkerIDs(t *testing.T) {
+	w := func(id string) Worker { return Worker{ID: id, Slots: 4, CPU: 4, IOBandwidth: 1, NetBandwidth: 1} }
+	for _, ids := range [][]string{{""}, {"a", "a"}, {"x.Y"}, {"w0", "w.1"}, {"10.0.0.1"}} {
+		var ws []Worker
+		for _, id := range ids {
+			ws = append(ws, w(id))
+		}
+		if _, err := New(ws); !errors.Is(err, ErrWorkerID) {
+			t.Errorf("IDs %q: error %v, want ErrWorkerID", ids, err)
+		}
+	}
+	if _, err := New([]Worker{w("tm-3"), w("W1")}); err != nil {
+		t.Errorf("valid IDs refused: %v", err)
 	}
 }
 

@@ -3,17 +3,19 @@ package controller
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"time"
 
+	"capsys/internal/engine"
 	"capsys/internal/metrics"
 	"capsys/internal/telemetry"
 )
 
 // This file is the coordinator side of the cluster observability plane.
-// Worker processes piggyback compact metric snapshots on their HEARTBEAT
-// frames and ship batched tracer events in TRACE frames; the coordinator
-// merges both into its own telemetry hub, so one scrape of the
+// Worker processes piggyback compact metric snapshots and their new tracer
+// events on their HEARTBEAT frames; the coordinator merges both into its own
+// telemetry hub, so one scrape of the
 // coordinator's /metrics shows every worker's live series (keyed
 // "worker.<id>.<name>" plus "cluster.<name>" rollups) and one trace file
 // holds the causally-ordered cluster timeline.
@@ -37,23 +39,17 @@ type wireStats struct {
 	Hists map[string]telemetry.HistogramSnapshot
 }
 
-// wireHeartbeat is the HEARTBEAT payload, JSON-encoded: the JSON decoder
-// allocates no more than the payload holds, where gob pre-sizes every map
-// from an element count the sender declares, so one hostile beat could make
-// the coordinator allocate without bound. Stats is nil when the worker runs
-// without a telemetry hub (or its stats cannot be encoded); the coordinator
-// treats the frame as pure liveness then.
+// wireHeartbeat is the HEARTBEAT payload, the worker's one observability
+// payload per tick. Stats is nil when the worker runs without a telemetry
+// hub; the coordinator treats such a frame as pure liveness. Events are the
+// tracer events since the previous beat, stamped with the origin's identity
+// (Src, WSeq), and Dropped is how many events the shipping feed has dropped
+// so far: shipping is best-effort by design — the feed never blocks the
+// instrumented code — so Dropped is the honesty counter.
 type wireHeartbeat struct {
-	Stats *wireStats
-}
-
-// wireTrace is the TRACE payload: a batch of tracer events stamped with
-// the origin's identity (Src, WSeq), plus how many events the shipping
-// feed has dropped so far. Shipping is best-effort by design — the feed
-// never blocks the instrumented code — so Dropped is the honesty counter.
-type wireTrace struct {
-	Events  []telemetry.Event
-	Dropped int64
+	Stats   *wireStats        `json:",omitempty"`
+	Events  []telemetry.Event `json:",omitempty"`
+	Dropped int64             `json:",omitempty"`
 }
 
 // ---------------------------------------------------------------------------
@@ -115,60 +111,91 @@ func (s *hbSampler) sample() *wireStats {
 // ---------------------------------------------------------------------------
 // coordinator side: aggregation
 
-// decodeHeartbeat returns a HEARTBEAT payload's stats, or nil — pure
-// liveness — when the payload does not decode or would create a series
-// under a name that fails metrics.CheckName: the names are another
-// process's, so they are checked here and applyStats can trust them.
-func decodeHeartbeat(payload []byte, worker string) *wireStats {
+// decodeHeartbeat decodes worker's HEARTBEAT payload. A payload that does
+// not decode, or whose stats would create a series under a name that fails
+// metrics.CheckName, is an error wrapping engine.ErrControlPayload, and the
+// frame is pure liveness: the names are another process's, so they are
+// checked here (checkRelayed, and the callback-gauge families on top) and
+// apply can trust them.
+func decodeHeartbeat(payload []byte, worker string) (*wireHeartbeat, error) {
 	var hb wireHeartbeat
-	if json.Unmarshal(payload, &hb) != nil || hb.Stats == nil {
-		return nil
+	if err := engine.DecodePayload(payload, &hb); err != nil {
+		return nil, err
 	}
-	s, ok := hb.Stats, true
-	check := func(name string, kind metrics.Kind) {
-		ok = ok && metrics.CheckName(name, kind) == nil
+	if s := hb.Stats; s != nil {
+		err := checkRelayed(s.TypedValues, s.Hists, metrics.WorkerMetricName(worker, ""), metrics.ClusterMetricName(""))
+		for _, g := range s.FnGauges {
+			if err == nil {
+				err = metrics.CheckName(g.Family, metrics.FamilyName)
+			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", engine.ErrControlPayload, err)
+		}
 	}
-	for n := range s.Counters {
-		check(metrics.WorkerMetricName(worker, n), metrics.CellName)
-		check(metrics.ClusterMetricName(n), metrics.CellName)
-	}
-	for n := range s.Times {
-		check(metrics.WorkerMetricName(worker, n), metrics.CellName)
-		check(metrics.ClusterMetricName(n), metrics.CellName)
-	}
-	for n := range s.Gauges {
-		check(metrics.WorkerMetricName(worker, n), metrics.CellName)
-	}
-	for _, g := range s.FnGauges {
-		check(g.Family, metrics.FamilyName)
-	}
-	for n := range s.Hists {
-		check(n, metrics.HistogramName)
-	}
-	if !ok {
-		return nil
-	}
-	return s
+	return &hb, nil
 }
 
-// clusterAgg merges worker heartbeat stats and trace batches into the
+// checkRelayed is the one name check of relayed series, shared by HEARTBEAT
+// and DONE/STOPPED: it returns the first failure of metrics.CheckName over
+// the histogram names in hists and the cell names in tv under each prefix
+// they register under — a report's as they are (""), a heartbeat's under
+// "worker.<id>." and the "cluster." rollup. (A heartbeat gauge has no
+// rollup, but with a dotless worker ID both prefixes leave a name the same
+// family, so checking it under both refuses nothing more.)
+func checkRelayed(tv metrics.TypedValues, hists map[string]telemetry.HistogramSnapshot, prefixes ...string) error {
+	var err error
+	check := func(name string, kind metrics.Kind) {
+		if err == nil {
+			err = metrics.CheckName(name, kind)
+		}
+	}
+	for _, p := range prefixes {
+		for n := range tv.Counters {
+			check(p+n, metrics.CellName)
+		}
+		for n := range tv.Times {
+			check(p+n, metrics.CellName)
+		}
+		for n := range tv.Gauges {
+			check(p+n, metrics.CellName)
+		}
+	}
+	for n := range hists {
+		check(n, metrics.HistogramName)
+	}
+	return err
+}
+
+// clusterAgg merges worker heartbeat stats and trace events into the
 // coordinator's telemetry hub. A zero clusterAgg (nil hub) is disabled and
 // every method is a cheap no-op.
 type clusterAgg struct {
 	tel *telemetry.Telemetry
 }
 
-func (a *clusterAgg) enabled() bool { return a.tel != nil }
-
-// applyStats folds one worker's delta into the cluster registry: monotone
-// series add under both the per-worker name and the cluster rollup; gauges
-// and callback gauges land per-worker only (absolutes across workers have
-// no meaningful sum).
-func (a *clusterAgg) applyStats(worker string, s *wireStats) {
-	if a.tel == nil || s == nil {
+// apply folds one worker's decoded heartbeat into the hub. Trace events are
+// re-emitted into the cluster tracer: they keep their origin identity (Src,
+// WSeq) and gain a fresh cluster sequence number and arrival timestamp — the
+// merged timeline is ordered by arrival, causally consistent per origin via
+// WSeq. Monotone series add under both the per-worker name and the cluster
+// rollup; gauges and callback gauges land per-worker only (absolutes across
+// workers have no meaningful sum).
+func (a *clusterAgg) apply(worker string, hb *wireHeartbeat) {
+	if a.tel == nil || hb == nil {
 		return
 	}
-	reg := a.tel.Registry()
+	reg, tr := a.tel.Registry(), a.tel.Tracer()
+	for _, ev := range hb.Events {
+		tr.Emit(ev)
+	}
+	if hb.Dropped > 0 {
+		reg.Gauge(metrics.WorkerMetricName(worker, "trace_dropped")).Set(float64(hb.Dropped))
+	}
+	s := hb.Stats
+	if s == nil {
+		return
+	}
 	for n, d := range s.Counters {
 		reg.Counter(metrics.WorkerMetricName(worker, n)).Inc(d)
 		reg.Counter(metrics.ClusterMetricName(n)).Inc(d)
@@ -181,14 +208,8 @@ func (a *clusterAgg) applyStats(worker string, s *wireStats) {
 		reg.Gauge(metrics.WorkerMetricName(worker, n)).Set(v)
 	}
 	for _, g := range s.FnGauges {
-		labels := g.Labels
-		if _, ok := labels["worker"]; !ok {
-			labels = make(map[string]string, len(g.Labels)+1)
-			for k, v := range g.Labels {
-				labels[k] = v
-			}
-			labels["worker"] = worker
-		}
+		labels := map[string]string{"worker": worker} // unless the origin set one
+		maps.Copy(labels, g.Labels)
 		v := g.Value
 		a.tel.SetGaugeFunc(g.Family, labels, func() float64 { return v })
 	}
@@ -196,23 +217,6 @@ func (a *clusterAgg) applyStats(worker string, s *wireStats) {
 		if err := a.tel.Histogram(n).Absorb(snap); err != nil {
 			reg.Counter("cluster.histogram_merge_errors").Inc(1)
 		}
-	}
-}
-
-// applyTrace re-emits one worker's trace batch into the cluster tracer.
-// Events keep their origin identity (Src, WSeq) and gain a fresh cluster
-// sequence number and arrival timestamp — the merged timeline is ordered
-// by arrival, causally consistent per origin via WSeq.
-func (a *clusterAgg) applyTrace(worker string, wt *wireTrace) {
-	if a.tel == nil || wt == nil {
-		return
-	}
-	tr := a.tel.Tracer()
-	for _, ev := range wt.Events {
-		tr.Emit(ev)
-	}
-	if wt.Dropped > 0 {
-		a.tel.Registry().Gauge(metrics.WorkerMetricName(worker, "trace_dropped")).Set(float64(wt.Dropped))
 	}
 }
 
@@ -268,13 +272,9 @@ func (co *Coordinator) Health() HealthReport {
 		if !alive {
 			rep.Healthy = false
 		}
-		id := ""
-		if w < len(co.spec.Workers) {
-			id = co.spec.Workers[w].ID
-		}
 		rep.Workers = append(rep.Workers, WorkerHealth{
 			Worker:          w,
-			ID:              id,
+			ID:              co.workerID(w),
 			Addr:            cc.addr,
 			Alive:           alive,
 			LastHeartbeatMS: age.Milliseconds(),

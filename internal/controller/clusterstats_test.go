@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,6 +15,7 @@ import (
 	"time"
 
 	"capsys/internal/clock"
+	"capsys/internal/engine"
 	"capsys/internal/metrics"
 	"capsys/internal/telemetry"
 )
@@ -67,14 +70,15 @@ func TestDistHBSamplerDeltas(t *testing.T) {
 		t.Errorf("nil-hub sample = %+v, want nil", st)
 	}
 	var agg clusterAgg
-	agg.applyStats("w0", nil) // must not panic
+	agg.apply("w0", nil) // must not panic
 }
 
 // FuzzHeartbeatPayload feeds arbitrary bytes to the coordinator's HEARTBEAT
 // path — decode, fold into a hub, render the hub — which must never panic:
 // a payload that does not decode, or whose stats would create a series under
-// a name that fails the name check, is pure liveness; stats that pass are
-// applied, and every series they create passes the check. The seeds are a
+// a name that fails the name check, is pure liveness (an error wrapping
+// engine.ErrControlPayload); stats that pass are applied, and every series
+// they create passes the check. The seeds are a
 // real heartbeat, the two malformed histogram shapes that used to crash the
 // coordinator — counts past the overflow bucket (Absorb) and counts short of
 // the bounds (the report merge) — and one bad name of each kind.
@@ -107,9 +111,13 @@ func FuzzHeartbeatPayload(f *testing.F) {
 	seed(&wireStats{FnGauges: []telemetry.GaugeSample{{Family: "Worker-Saturation", Value: 1}}})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		agg := clusterAgg{tel: telemetry.New()}
+		hb, err := decodeHeartbeat(payload, "w0")
+		if err != nil && !errors.Is(err, engine.ErrControlPayload) {
+			t.Fatalf("decode error %v does not wrap engine.ErrControlPayload", err)
+		}
 		// A second beat folds into the cells and histograms the first made.
-		agg.applyStats("w0", decodeHeartbeat(payload, "w0"))
-		agg.applyStats("w0", decodeHeartbeat(payload, "w0"))
+		agg.apply("w0", hb)
+		agg.apply("w0", hb)
 		for _, n := range agg.tel.Registry().Names() {
 			if err := metrics.CheckName(n, metrics.CellName); err != nil {
 				t.Fatal(err)
@@ -153,7 +161,7 @@ func TestDistClusterMetricsGolden(t *testing.T) {
 	h.Observe(0.001)
 	h.Observe(0.004)
 
-	agg.applyStats("w0", &wireStats{
+	agg.apply("w0", &wireHeartbeat{Stats: &wireStats{
 		TypedValues: metrics.TypedValues{
 			Counters: map[string]int64{"net.frames_sent": 40, "net.bytes_sent": 4096},
 			Times:    map[string]time.Duration{"exchange.credit_stall_seconds": time.Second},
@@ -164,12 +172,12 @@ func TestDistClusterMetricsGolden(t *testing.T) {
 			{Family: "net_pump_queue_depth", Labels: nil, Value: 3},
 		},
 		Hists: map[string]telemetry.HistogramSnapshot{"net.credit_wait_seconds": h.Snapshot()},
-	})
-	agg.applyStats("w1", &wireStats{TypedValues: metrics.TypedValues{
-		Counters: map[string]int64{"net.frames_sent": 2, "sink[0].records_in": 17},
 	}})
+	agg.apply("w1", &wireHeartbeat{Stats: &wireStats{TypedValues: metrics.TypedValues{
+		Counters: map[string]int64{"net.frames_sent": 2, "sink[0].records_in": 17},
+	}}})
 	// A second heartbeat from w0 must add, not replace.
-	agg.applyStats("w0", &wireStats{TypedValues: metrics.TypedValues{Counters: map[string]int64{"net.frames_sent": 2}}})
+	agg.apply("w0", &wireHeartbeat{Stats: &wireStats{TypedValues: metrics.TypedValues{Counters: map[string]int64{"net.frames_sent": 2}}}})
 
 	// Two seconds of pinned wall clock pass before the scrape, giving the
 	// windowed view a deterministic nonzero span.
@@ -206,11 +214,11 @@ func TestDistClusterTraceMerge(t *testing.T) {
 	tel := telemetry.New()
 	agg := clusterAgg{tel: tel}
 
-	agg.applyTrace("w1", &wireTrace{Events: []telemetry.Event{
+	agg.apply("w1", &wireHeartbeat{Events: []telemetry.Event{
 		{Src: "w1", WSeq: 0, Kind: telemetry.EventWorkerAttemptStart, Worker: "w1", Attempt: 1},
 		{Src: "w1", WSeq: 3, Kind: telemetry.EventCheckpointStart, Epoch: 1},
 	}})
-	agg.applyTrace("w0", &wireTrace{
+	agg.apply("w0", &wireHeartbeat{
 		Events:  []telemetry.Event{{Src: "w0", WSeq: 5, Kind: telemetry.EventCheckpointComplete, Epoch: 1}},
 		Dropped: 4,
 	})
@@ -329,7 +337,7 @@ func startTelemetryCluster(t *testing.T, ctx context.Context, fx *distFixture, c
 
 // joinTelemetryWorkers joins n in-process workers to co, each with its own
 // hub shipped on its heartbeats, and waits for the cluster to be complete.
-func joinTelemetryWorkers(t *testing.T, ctx context.Context, co *Coordinator, n int, hbEvery time.Duration) {
+func joinTelemetryWorkers(t *testing.T, ctx context.Context, co *Coordinator, n int, hbEvery time.Duration, setup ...func(*telemetry.Telemetry)) {
 	t.Helper()
 	var cancels []context.CancelFunc
 	var errs []chan error
@@ -339,6 +347,9 @@ func joinTelemetryWorkers(t *testing.T, ctx context.Context, co *Coordinator, n 
 		errc := make(chan error, 1)
 		errs = append(errs, errc)
 		wtel := telemetry.New()
+		for _, f := range setup {
+			f(wtel)
+		}
 		go func() {
 			errc <- JoinCluster(wctx, co.Addr(), NexmarkBuilderWith(wtel), JoinOptions{
 				HeartbeatEvery: hbEvery,
@@ -362,9 +373,9 @@ func joinTelemetryWorkers(t *testing.T, ctx context.Context, co *Coordinator, n 
 
 // TestDistFlushBeforeDone is the regression test for the lost telemetry
 // tail: workers whose heartbeat never ticks must still land their trace
-// events and metric deltas at the coordinator, because each DONE is preceded
-// on the same connection by a final trace batch and heartbeat. Nothing may
-// depend on waiting after Run returns.
+// events — every one, in order — and metric deltas at the coordinator,
+// because each DONE is preceded on the same connection by a final
+// heartbeat carrying both. Nothing may depend on waiting after Run returns.
 func TestDistFlushBeforeDone(t *testing.T) {
 	fx := newDistFixture(t, "Q3-inf")
 	coTel := telemetry.New()
@@ -376,9 +387,16 @@ func TestDistFlushBeforeDone(t *testing.T) {
 	}
 	snap := coTel.Registry().Snapshot()
 	done := map[string]bool{}
+	next := map[string]int64{} // each worker's events arrive whole and in order
 	for _, ev := range coTel.Tracer().Events() {
 		if ev.Kind == telemetry.EventWorkerAttemptDone {
 			done[ev.Src] = true
+		}
+		if ev.Src != "coord" {
+			if ev.WSeq != next[ev.Src] {
+				t.Errorf("%s's event %d (%s) arrived where its event %d was due", ev.Src, ev.WSeq, ev.Kind, next[ev.Src])
+			}
+			next[ev.Src] = ev.WSeq + 1
 		}
 	}
 	for w := 0; w < distWorkers; w++ {
@@ -388,6 +406,45 @@ func TestDistFlushBeforeDone(t *testing.T) {
 		}
 		if name := metrics.WorkerMetricName(id, "net.frames_sent"); snap[name] <= 0 {
 			t.Errorf("%s = %v when Run returned, want > 0", name, snap[name])
+		}
+	}
+}
+
+// TestDistNonFiniteGauges: JSON has no NaN or ±Inf, so a worker gauge
+// reading one is left out of the payloads it would make unencodable — and
+// only it: every other series of the worker's still reaches the coordinator
+// in the heartbeat before DONE.
+func TestDistNonFiniteGauges(t *testing.T) {
+	fx := newDistFixture(t, "Q3-inf")
+	coTel := telemetry.New()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	co, err := NewCoordinator("127.0.0.1:0", fx.deploy, distWorkers, CoordinatorOptions{HeartbeatTimeout: 5 * time.Second, Telemetry: coTel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	joinTelemetryWorkers(t, ctx, co, distWorkers, time.Hour, func(tel *telemetry.Telemetry) {
+		tel.Registry().Gauge("probe.nan").Set(math.NaN())
+		tel.Registry().Gauge("probe.half").Set(0.5)
+		tel.SetGaugeFunc("probe_inf", nil, func() float64 { return math.Inf(1) })
+	})
+	if _, err := co.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	snap := coTel.Registry().Snapshot()
+	for w := 0; w < distWorkers; w++ {
+		id := fx.deploy.Workers[w].ID
+		if snap[metrics.WorkerMetricName(id, "probe.half")] != 0.5 || snap[metrics.WorkerMetricName(id, "net.frames_sent")] <= 0 {
+			t.Errorf("%s: probe.half %v, net.frames_sent %v: the heartbeat lost its finite series",
+				id, snap[metrics.WorkerMetricName(id, "probe.half")], snap[metrics.WorkerMetricName(id, "net.frames_sent")])
+		}
+		if _, ok := snap[metrics.WorkerMetricName(id, "probe.nan")]; ok {
+			t.Errorf("%s: a NaN gauge was relayed", id)
+		}
+	}
+	for _, g := range coTel.SampleGaugeFuncs() {
+		if g.Family == "probe_inf" {
+			t.Errorf("an infinite callback gauge was relayed: %+v", g)
 		}
 	}
 }

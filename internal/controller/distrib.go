@@ -2,10 +2,12 @@ package controller
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,13 +22,16 @@ import (
 // This file is the control plane of the distributed runtime: a Coordinator
 // process deploys one engine attempt per worker process and supervises the
 // run, and JoinCluster is the worker-side loop. Control traffic uses the
-// engine's length-prefixed frame codec over one TCP connection per worker;
-// the data plane (records, barriers, credits) flows worker-to-worker over
-// the engine's network transport and never touches the coordinator.
+// engine's length-prefixed frame codec over one TCP connection per worker,
+// every body JSON (engine.EncodePayload) but SNAPSHOT's, which has its own
+// layout (engine.WriteSnapshotFrame) in both directions; the data plane
+// (records, barriers, credits) flows worker-to-worker over the engine's
+// network transport and never touches the coordinator.
 //
 // Per attempt the protocol is two-phase:
 //
-//	coordinator -> worker  DEPLOY  {spec: query, plan, restore snapshots}
+//	coordinator -> worker  SNAPSHOT ...  {restore state, one frame per task}
+//	coordinator -> worker  DEPLOY  {spec: query, plan, restore epoch}
 //	worker -> coordinator  READY   {bound data-plane address}
 //	coordinator -> worker  START   {all peers' data addresses}
 //	worker -> coordinator  EPOCH_START | SNAPSHOT | HEARTBEAT | PEERDOWN ...
@@ -69,7 +74,9 @@ func assignmentsOf(tasks []dataflow.TaskID, plan *dataflow.Plan) ([]TaskAssignme
 // job: the query identity and options (so every process derives the same
 // deterministic graph, factories and generators), the full cluster spec and
 // plan (so the cross-worker channel census agrees across processes), and
-// the attempt-specific restore state.
+// the attempt-specific fields. The restore state itself travels ahead of the
+// DEPLOY, one SNAPSHOT frame per task, so no frame carries more than one
+// task's state.
 type DeploySpec struct {
 	Query            string
 	Seed             int64
@@ -96,7 +103,6 @@ type DeploySpec struct {
 	Attempt      int
 	Local        int
 	RestoreEpoch int64
-	Snapshots    []*engine.TaskSnapshot
 }
 
 // Plan reconstructs the dataflow plan from the assignments.
@@ -130,8 +136,7 @@ type (
 		Attempt int
 		Epoch   int64
 	}
-	wireReport struct{ Report *engine.WorkerReport }
-	wirePeer   struct {
+	wirePeer struct {
 		Attempt int
 		Peer    int
 	}
@@ -168,10 +173,14 @@ type (
 // list under the record key and ships SNAPSHOT in its own hand-laid layout
 // instead of gob (engine.WriteSnapshotFrame): a version-9 worker would
 // restore a version-10 join image as empty side buffers, and a version-9
-// coordinator would drop every SNAPSHOT as undecodable.
-const distProtoVersion = 10
+// coordinator would drop every SNAPSHOT as undecodable. Version 11 encodes
+// every other control body as JSON instead of gob, sends the restore set as
+// SNAPSHOT frames ahead of the DEPLOY instead of inside it, and carries trace
+// events in HEARTBEAT (there is no TRACE frame): a version-10 peer could
+// decode none of it.
+const distProtoVersion = 11
 
-// errEncodePayload marks a send that failed locally while gob-encoding the
+// errEncodePayload marks a send that failed locally while encoding the
 // body — the data was unencodable or too large (MaxFramePayload), which
 // says nothing about the peer's health. Callers deciding recovery must
 // check for it: treating an encode failure as a connection error would
@@ -187,22 +196,24 @@ type connWriter struct {
 }
 
 func (w *connWriter) send(typ byte, body any) error {
-	var payload []byte
-	if body != nil {
-		var err error
-		payload, err = engine.EncodePayload(body)
-		if err != nil {
-			return fmt.Errorf("%w: %v", errEncodePayload, err)
-		}
+	payload, err := engine.EncodePayload(body)
+	if err != nil {
+		return fmt.Errorf("%w: %v", errEncodePayload, err)
 	}
-	return w.sendRaw(typ, payload)
-}
-
-// sendRaw sends an already encoded payload.
-func (w *connWriter) sendRaw(typ byte, payload []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return engine.WriteFrame(w.c, engine.Frame{Type: typ, Payload: payload})
+}
+
+// sendSnapshot writes attempt's SNAPSHOT frame for s straight to the
+// connection: the namespace image is sent from where the snapshot holds it,
+// never copied into a frame buffer (nor one of snapshot size kept in the
+// frame buffer pool). A snapshot over the frame cap is an error wrapping
+// engine.ErrFrameTooLarge, and nothing is written.
+func (w *connWriter) sendSnapshot(attempt int, s *engine.TaskSnapshot) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return engine.WriteSnapshotFrame(w.c, attempt, s)
 }
 
 // ---------------------------------------------------------------------------
@@ -238,8 +249,8 @@ type CoordinatorOptions struct {
 	// complete", "worker 1 dead: ...").
 	Logf func(format string, args ...any)
 	// Telemetry, when set, turns the coordinator into the cluster's
-	// aggregation point: worker heartbeat stats merge into its registry
-	// (see clusterstats.go), worker trace batches merge into its tracer,
+	// aggregation point: the metric deltas on worker heartbeats merge into
+	// its registry and their trace events into its tracer (clusterstats.go),
 	// and ClusterHandler serves the combined view. Nil disables
 	// aggregation; heartbeats degrade to pure liveness.
 	Telemetry *telemetry.Telemetry
@@ -319,17 +330,11 @@ func NewCoordinator(listen string, spec DeploySpec, workers int, opts Coordinato
 	}
 	// Pin the key-group count so every worker, every attempt, and the
 	// supervisor's own repartitioning agree on how keyed state and keyed
-	// routing partition — before and after any rescale. The resolution
-	// mirrors engine.NewJob's default so a pre-rescale cluster is
+	// routing partition — before and after any rescale. A zero count
+	// resolves as engine.NewJob resolves it, so a pre-rescale cluster is
 	// byte-compatible with one that never pins.
 	if spec.KeyGroups == 0 {
-		spec.KeyGroups = engine.DefaultKeyGroups
-		perOp := make(map[dataflow.OperatorID]int)
-		for _, a := range spec.Assign {
-			if perOp[a.Task.Op]++; perOp[a.Task.Op] > spec.KeyGroups {
-				spec.KeyGroups = perOp[a.Task.Op]
-			}
-		}
+		spec.KeyGroups = engine.DefaultKeyGroupsFor(spec.Plan())
 	}
 	co := &Coordinator{
 		spec:   spec,
@@ -451,10 +456,11 @@ func (co *Coordinator) WaitJoined(ctx context.Context) error {
 }
 
 // readLoop forwards one worker's frames to the supervision loop. The
-// observability plane is intercepted here, off the supervision path:
-// heartbeat stat payloads and trace batches merge into the coordinator hub
+// observability plane is intercepted here, off the supervision path: a
+// heartbeat's metric deltas and trace events merge into the coordinator hub
 // as they arrive, so /metrics and the cluster timeline are live mid-attempt
-// without the supervision loop in the way.
+// without the supervision loop in the way. A heartbeat that does not decode
+// is still liveness.
 func (co *Coordinator) readLoop(w int, cc *coordConn) {
 	worker := co.workerID(w)
 	for {
@@ -464,17 +470,10 @@ func (co *Coordinator) readLoop(w int, cc *coordConn) {
 			return
 		}
 		cc.lastSeen.Store(co.clk().UnixNano())
-		switch f.Type {
-		case engine.FrameHeartbeat:
-			if co.agg.enabled() && len(f.Payload) > 0 {
-				co.agg.applyStats(worker, decodeHeartbeat(f.Payload, worker))
+		if f.Type == engine.FrameHeartbeat && co.agg.tel != nil {
+			if hb, err := decodeHeartbeat(f.Payload, worker); err == nil {
+				co.agg.apply(worker, hb)
 			}
-		case engine.FrameTrace:
-			var wt wireTrace
-			if err := engine.DecodePayload(f.Payload, &wt); err == nil {
-				co.agg.applyTrace(worker, &wt)
-			}
-			continue // trace batches never reach the supervision loop
 		}
 		co.events <- coordEvent{worker: w, frame: f}
 	}
@@ -590,16 +589,22 @@ func (a *distAttempt) run(ctx context.Context) (engine.AttemptEnd, error) {
 	}
 	restoreSnaps := co.sup.EpochSnapshots(a.at.RestoreEpoch)
 	for w := range a.alive {
+		// Each task's restore state goes down as it came up, one SNAPSHOT
+		// frame per task tagged with the new attempt, ahead of the DEPLOY
+		// that uses it.
+		for _, s := range restoreSnaps {
+			if a.at.Plan.MustWorker(s.Task) != w {
+				continue
+			}
+			if err := co.conns[w].w.sendSnapshot(no, s); err != nil {
+				return a.sendFailed(ctx, w, "restore", err)
+			}
+		}
 		d := co.spec
 		d.Assign = assign
 		d.Attempt = no
 		d.Local = w
 		d.RestoreEpoch = a.at.RestoreEpoch
-		for _, s := range restoreSnaps {
-			if a.at.Plan.MustWorker(s.Task) == w {
-				d.Snapshots = append(d.Snapshots, s)
-			}
-		}
 		if err := co.conns[w].w.send(engine.FrameDeploy, d); err != nil {
 			return a.sendFailed(ctx, w, "deploy", err)
 		}
@@ -687,7 +692,7 @@ func (a *distAttempt) run(ctx context.Context) (engine.AttemptEnd, error) {
 		case engine.FrameDone:
 			rep, err := decodeReport(ev.frame.Payload)
 			if err != nil {
-				return engine.AttemptEnd{}, fmt.Errorf("controller: bad DONE from worker %d: %v", ev.worker, err)
+				return engine.AttemptEnd{}, fmt.Errorf("controller: bad DONE from worker %d: %w", ev.worker, err)
 			}
 			if rep.Attempt == no {
 				reports[ev.worker] = rep
@@ -702,47 +707,31 @@ func (a *distAttempt) run(ctx context.Context) (engine.AttemptEnd, error) {
 
 // decodeReport decodes a DONE or STOPPED payload. The report is another
 // process's, so every series name assembleResult will register from it —
-// its named metrics and the per-task names of its task IDs — is checked
-// here.
+// its named metrics (checkRelayed) and, on top, the per-task names of its
+// task IDs — is checked here. Every error wraps engine.ErrControlPayload.
 func decodeReport(payload []byte) (*engine.WorkerReport, error) {
-	var r wireReport
-	if err := engine.DecodePayload(payload, &r); err != nil {
+	rep := new(engine.WorkerReport)
+	if err := engine.DecodePayload(payload, rep); err != nil {
 		return nil, err
 	}
-	rep := r.Report
-	if rep == nil {
-		return nil, errors.New("no report")
-	}
-	var err error
-	check := func(name string) {
+	err := checkRelayed(rep.Metrics, rep.Hists, "")
+	for t := range rep.Tasks {
 		if err == nil {
-			err = metrics.CheckName(name, metrics.CellName)
+			err = metrics.CheckName(metrics.TaskMetricName(string(t.Op), t.Index, "records_in"), metrics.CellName)
 		}
 	}
-	for n := range rep.Metrics.Counters {
-		check(n)
-	}
-	for n := range rep.Metrics.Times {
-		check(n)
-	}
-	for n := range rep.Metrics.Gauges {
-		check(n)
-	}
-	for t := range rep.Tasks {
-		check(metrics.TaskMetricName(string(t.Op), t.Index, "records_in"))
-	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", engine.ErrControlPayload, err)
 	}
 	return rep, nil
 }
 
-// sendFailed classifies a failed DEPLOY/START send. A local encode failure
-// (e.g. the restore snapshot set outgrew MaxFramePayload) says nothing
+// sendFailed classifies a failed SNAPSHOT/DEPLOY/START send. A local encode
+// failure (a body or a restore snapshot over MaxFramePayload) says nothing
 // about the worker, and the oversized data would survive any redeploy: fail
 // the run with the real cause. Anything else is the worker's connection.
 func (a *distAttempt) sendFailed(ctx context.Context, w int, what string, err error) (engine.AttemptEnd, error) {
-	if errors.Is(err, errEncodePayload) {
+	if errors.Is(err, errEncodePayload) || errors.Is(err, engine.ErrFrameTooLarge) {
 		return engine.AttemptEnd{}, fmt.Errorf("controller: %s for worker %d: %w", what, w, err)
 	}
 	a.died(w, err)
@@ -873,13 +862,8 @@ func (c *coordClient) EpochStarted(epoch int64) {
 	c.w.send(engine.FrameEpochStart, wireEpoch{Attempt: c.attempt, Epoch: epoch})
 }
 
-// TaskSnapshot writes the frame straight to the connection: the namespace
-// image is sent from where the snapshot put it, never copied into a frame
-// buffer (nor one of snapshot size kept in the frame buffer pool).
 func (c *coordClient) TaskSnapshot(s *engine.TaskSnapshot) error {
-	c.w.mu.Lock()
-	defer c.w.mu.Unlock()
-	return engine.WriteSnapshotFrame(c.w.c, c.attempt, s)
+	return c.w.sendSnapshot(c.attempt, s)
 }
 
 // JoinCluster runs one worker process's control loop: join the coordinator
@@ -933,62 +917,69 @@ func JoinCluster(ctx context.Context, addr string, build JobBuilder, opts JoinOp
 			frames <- coordEvent{frame: f}
 		}
 	}()
-	// ship sends the tracer's new events (stamped with this worker's
-	// identity) and a heartbeat carrying the metric delta since the previous
-	// call. It runs on every tick and once more before each DONE/STOPPED, so
-	// an attempt that finishes between ticks still lands its tail at the
-	// coordinator — in order on the same connection, ahead of the report.
-	// Both payloads are best-effort observability: the trace feed drops
-	// rather than blocks, and an encode failure must not kill liveness, so
-	// only the heartbeat send's error is returned. shipMu serializes the
-	// sampler, which keeps per-call state.
+	// ship sends a heartbeat carrying the metric delta since the previous
+	// call and the tracer's new events (stamped with this worker's identity),
+	// then, when given one, the attempt's DONE or STOPPED report. It runs on
+	// every tick with no report and once with each report, so an attempt that
+	// finishes between ticks still lands its telemetry tail at the
+	// coordinator — in order on the same connection, ahead of the report. It
+	// is the one place both payloads are built, so it drops the gauges JSON
+	// cannot carry (NaN, ±Inf) from both: one such reading must cost neither
+	// liveness nor the report. shipMu serializes the sampler, which keeps
+	// per-call state.
 	var shipMu sync.Mutex
 	sampler := newHBSampler(opts.Telemetry)
 	feed := opts.Telemetry.Tracer().Subscribe(0)
 	srcID := fmt.Sprintf("w%d", me)
-	ship := func() error {
+	ship := func(typ byte, rep *engine.WorkerReport) error {
 		shipMu.Lock()
 		defer shipMu.Unlock()
-		for evs := feed.Drain(256); len(evs) > 0; evs = feed.Drain(256) {
-			for i := range evs {
-				evs[i].Src = srcID
-				evs[i].WSeq = evs[i].Seq
-			}
-			_ = w.send(engine.FrameTrace, wireTrace{Events: evs, Dropped: feed.Dropped()})
+		hb := wireHeartbeat{Stats: sampler.sample(), Events: feed.Drain(maxBeatEvents), Dropped: feed.Dropped()}
+		for i := range hb.Events {
+			hb.Events[i].Src = srcID
+			hb.Events[i].WSeq = hb.Events[i].Seq
 		}
-		hb, err := json.Marshal(wireHeartbeat{Stats: sampler.sample()})
-		if err != nil {
-			// Stats JSON cannot carry (a NaN gauge) must not cost liveness.
-			hb, _ = json.Marshal(wireHeartbeat{})
+		if hb.Stats != nil {
+			maps.DeleteFunc(hb.Stats.Gauges, nonFinite)
+			hb.Stats.FnGauges = slices.DeleteFunc(hb.Stats.FnGauges, func(g telemetry.GaugeSample) bool { return nonFinite("", g.Value) })
 		}
-		return w.sendRaw(engine.FrameHeartbeat, hb)
+		if err := w.send(engine.FrameHeartbeat, hb); err != nil || rep == nil {
+			return err
+		}
+		maps.DeleteFunc(rep.Metrics.Gauges, nonFinite)
+		return w.send(typ, rep)
 	}
+	// One goroutine beats on the ticker and, on ctx's end, closes the
+	// connection to unblock the read and any write. A failed beat stops the
+	// beating only: the connection's end reaches the loop below as a read
+	// error.
 	stopHB := make(chan struct{})
 	defer close(stopHB)
 	go func() {
 		t := time.NewTicker(opts.HeartbeatEvery)
 		defer t.Stop()
+		beat := t.C
 		for {
 			select {
-			case <-t.C:
-				if ship() != nil {
-					return
+			case <-beat:
+				if ship(0, nil) != nil {
+					beat = nil
 				}
+			case <-ctx.Done():
+				c.Close()
+				return
 			case <-stopHB:
 				return
 			}
 		}
 	}()
-	go func() {
-		select {
-		case <-ctx.Done():
-			c.Close()
-		case <-stopHB:
-		}
-	}()
 
 	var run *engine.WorkerRun
 	var attempt int
+	// restore collects, per attempt, the SNAPSHOT frames the coordinator
+	// sends ahead of a DEPLOY; a DEPLOY takes its own attempt's and drops the
+	// rest.
+	restore := make(map[int][]*engine.TaskSnapshot)
 	runDone := make(chan *engine.WorkerRun, 1)
 	// A live attempt must not outlive the control loop (the process may be
 	// long-lived: tests join many clusters from one process).
@@ -1008,11 +999,19 @@ func JoinCluster(ctx context.Context, addr string, build JobBuilder, opts JoinOp
 				return fmt.Errorf("controller: coordinator connection lost: %w", fe.err)
 			}
 			switch fe.frame.Type {
+			case engine.FrameSnapshot:
+				at, s, err := engine.DecodeSnapshot(fe.frame.Payload)
+				if err != nil {
+					return fmt.Errorf("controller: bad SNAPSHOT: %w", err)
+				}
+				restore[at] = append(restore[at], s)
 			case engine.FrameDeploy:
 				var spec DeploySpec
 				if err := engine.DecodePayload(fe.frame.Payload, &spec); err != nil {
 					return fmt.Errorf("controller: bad DEPLOY: %w", err)
 				}
+				snaps := restore[spec.Attempt]
+				clear(restore)
 				if run != nil {
 					run.Abort()
 					<-run.Done()
@@ -1026,14 +1025,15 @@ func JoinCluster(ctx context.Context, addr string, build JobBuilder, opts JoinOp
 					Local:        spec.Local,
 					AttemptNo:    spec.Attempt,
 					RestoreEpoch: spec.RestoreEpoch,
-					Snapshots:    spec.Snapshots,
+					Snapshots:    snaps,
 					Coord:        &coordClient{w: w, attempt: spec.Attempt},
 					OnPeerDown: func(peer int, err error) {
 						w.send(engine.FramePeerDown, wirePeer{Attempt: spec.Attempt, Peer: peer})
 					},
 				})
 				if err != nil {
-					return fmt.Errorf("controller: preparing attempt %d: %w", spec.Attempt, err)
+					// A restore set lacking one of this worker's tasks ends here.
+					return fmt.Errorf("controller: bad DEPLOY of attempt %d: %w", spec.Attempt, err)
 				}
 				logf("attempt %d prepared (restore epoch %d), data plane on %s", spec.Attempt, spec.RestoreEpoch, run.DataAddr())
 				if err := w.send(engine.FrameReady, wireReady{Attempt: spec.Attempt, Addr: run.DataAddr()}); err != nil {
@@ -1065,10 +1065,7 @@ func JoinCluster(ctx context.Context, addr string, build JobBuilder, opts JoinOp
 				}
 				run = nil
 				logf("attempt %d aborted", attempt)
-				if err := ship(); err != nil {
-					return err
-				}
-				if err := w.send(engine.FrameStopped, wireReport{Report: rep}); err != nil {
+				if err := ship(engine.FrameStopped, rep); err != nil {
 					return err
 				}
 			case engine.FrameShutdown:
@@ -1089,10 +1086,7 @@ func JoinCluster(ctx context.Context, addr string, build JobBuilder, opts JoinOp
 			if !rep.Completed {
 				typ = engine.FrameStopped
 			}
-			if err := ship(); err != nil {
-				return err
-			}
-			if err := w.send(typ, wireReport{Report: rep}); err != nil {
+			if err := ship(typ, rep); err != nil {
 				return err
 			}
 		case <-ctx.Done():
@@ -1100,6 +1094,14 @@ func JoinCluster(ctx context.Context, addr string, build JobBuilder, opts JoinOp
 		}
 	}
 }
+
+// maxBeatEvents bounds the trace events one HEARTBEAT carries (a few hundred
+// bytes of JSON each). It is above the feed's capacity, so a beat empties a
+// quiet feed — the last beat before a report ships the attempt's whole tail.
+const maxBeatEvents = 4096
+
+// nonFinite reports a gauge reading JSON cannot carry: NaN or ±Inf.
+func nonFinite(_ string, v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
 
 func sumRecordsIn(rep *engine.WorkerReport) int64 {
 	var n int64

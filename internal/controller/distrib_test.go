@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -572,7 +573,7 @@ func TestDistPeerDownRestartsAttempt(t *testing.T) {
 	// The coordinator must abort BOTH workers and collect their progress.
 	for _, fw := range fakes {
 		fw.expect(engine.FrameAbort)
-		if err := fw.w.send(engine.FrameStopped, wireReport{Report: &engine.WorkerReport{Worker: fw.id, Attempt: 1}}); err != nil {
+		if err := fw.w.send(engine.FrameStopped, &engine.WorkerReport{Worker: fw.id, Attempt: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -584,7 +585,7 @@ func TestDistPeerDownRestartsAttempt(t *testing.T) {
 		fw.expect(engine.FrameStart)
 	}
 	for _, fw := range fakes {
-		if err := fw.w.send(engine.FrameDone, wireReport{Report: &engine.WorkerReport{Worker: fw.id, Attempt: 2, Completed: true}}); err != nil {
+		if err := fw.w.send(engine.FrameDone, &engine.WorkerReport{Worker: fw.id, Attempt: 2, Completed: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -666,12 +667,12 @@ func TestDistPeerDownEscalatesAfterBudget(t *testing.T) {
 	// Escalation: fw1 is declared dead (conn closed, no abort for it); the
 	// survivor is aborted and redeployed with fw1's tasks re-placed.
 	fw0.expect(engine.FrameAbort)
-	if err := fw0.w.send(engine.FrameStopped, wireReport{Report: &engine.WorkerReport{Worker: fw0.id, Attempt: 1}}); err != nil {
+	if err := fw0.w.send(engine.FrameStopped, &engine.WorkerReport{Worker: fw0.id, Attempt: 1}); err != nil {
 		t.Fatal(err)
 	}
 	fw0.expectDeployReady(2)
 	fw0.expect(engine.FrameStart)
-	if err := fw0.w.send(engine.FrameDone, wireReport{Report: &engine.WorkerReport{Worker: fw0.id, Attempt: 2, Completed: true}}); err != nil {
+	if err := fw0.w.send(engine.FrameDone, &engine.WorkerReport{Worker: fw0.id, Attempt: 2, Completed: true}); err != nil {
 		t.Fatal(err)
 	}
 	out := <-done
@@ -727,7 +728,7 @@ func TestDistBadNameInDoneReport(t *testing.T) {
 				fw.expect(engine.FrameStart)
 			}
 			rep.Worker, rep.Attempt, rep.Completed = fakes[0].id, 1, true
-			if err := fakes[0].w.send(engine.FrameDone, wireReport{Report: rep}); err != nil {
+			if err := fakes[0].w.send(engine.FrameDone, rep); err != nil {
 				t.Fatal(err)
 			}
 			if err := <-done; err == nil || !strings.Contains(err.Error(), "bad DONE") {
@@ -737,11 +738,14 @@ func TestDistBadNameInDoneReport(t *testing.T) {
 	}
 }
 
-// TestWirePayloadRoundTrip pins that every control-plane payload carrying
-// engine types survives its encoding unchanged — gob, JSON for the
-// heartbeat and the hand-laid SNAPSHOT codec: the frames speak
-// dataflow.TaskID, engine.TaskSnapshot, engine.TaskStats and named metric
-// snapshots directly, with no wire-only mirror in between to drift.
+// TestWirePayloadRoundTrip pins that every control-plane payload survives
+// its plane's one codec unchanged — JSON for every control body, the
+// hand-laid layout for SNAPSHOT: the frames speak dataflow.TaskID,
+// engine.TaskSnapshot, engine.TaskStats and named metric snapshots directly,
+// with no wire-only mirror in between to drift. The one exception is the
+// trace events a heartbeat carries: JSON turns an integer attr into a
+// float64, so those are compared in the form the timeline is written in,
+// their JSONL bytes.
 func TestWirePayloadRoundTrip(t *testing.T) {
 	win0, win1 := dataflow.TaskID{Op: "win", Index: 0}, dataflow.TaskID{Op: "win", Index: 1}
 	snap := &engine.TaskSnapshot{
@@ -754,21 +758,44 @@ func TestWirePayloadRoundTrip(t *testing.T) {
 	}
 	wait.Observe(0.002)
 	wait.Observe(0.040)
+	hb := &wireHeartbeat{
+		Stats: &wireStats{
+			TypedValues: metrics.TypedValues{
+				Counters: map[string]int64{"net.frames_sent": 3},
+				Gauges:   map[string]float64{"queue.depth": 4},
+				Times:    map[string]time.Duration{"exchange.credit_stall_seconds": time.Millisecond},
+			},
+			FnGauges: []telemetry.GaugeSample{{Family: "worker_saturation", Labels: map[string]string{"resource": "cpu"}, Value: 0.25}},
+			Hists:    map[string]telemetry.HistogramSnapshot{"net.credit_wait_seconds": wait.Snapshot()},
+		},
+		Events: []telemetry.Event{
+			{Schema: 1, Seq: 4, Src: "w1", WSeq: 4, TMS: 12.5, Kind: telemetry.EventJobComplete, Attempt: 2,
+				Attrs: map[string]any{"sink_records": 1600, "reprocessed": int64(7), "downtime_ms": 1.25, "transport": "network", "completed": true}},
+			{Seq: 5, Src: "w1", WSeq: 5, Kind: telemetry.EventCheckpointStart, Task: "win[1]", Epoch: 3},
+		},
+		Dropped: 2,
+	}
 	payloads := []any{
+		&wireJoin{Proto: distProtoVersion},
+		&wireWelcome{Worker: 2},
 		&DeploySpec{
-			Query: "Q1-sliding", Seed: 5, RecordsPerSource: 800, SnapshotInterval: 100, KeyGroups: 128,
+			Query: "Q1-sliding", Seed: 5, RecordsPerSource: 800, SnapshotInterval: 100, ChannelCapacity: 64,
+			BatchSize: 32, BatchLinger: time.Millisecond, DisableFusion: true, CPUCostScale: 0.5, KeyGroups: 128,
 			Workers:  []engine.WorkerSpec{{ID: "w0", Slots: 4, Cores: 2, IOBps: 1e6, NetBps: 1e9}},
-			Assign:   []TaskAssignment{{Task: win0, Worker: 0}, {Task: win1, Worker: 1}},
+			Assign:   []TaskAssignment{{Task: win0, Worker: 0}, {Task: win1, Worker: 1}, {Task: dataflow.TaskID{Op: "Q[1]", Index: 3}, Worker: 1}},
 			Rescaled: map[dataflow.OperatorID]int{"win": 6},
 			Attempt:  2, Local: 1, RestoreEpoch: 3,
-			Snapshots: []*engine.TaskSnapshot{snap},
 		},
-		&wireReport{Report: &engine.WorkerReport{
+		&wireReady{Attempt: 2, Addr: "127.0.0.1:4100"},
+		&wireStart{Attempt: 2, Peers: map[int]string{0: "127.0.0.1:4100", 1: "127.0.0.1:4101"}},
+		&wireEpoch{Attempt: 2, Epoch: 3},
+		&wirePeer{Attempt: 2, Peer: 1},
+		&engine.WorkerReport{
 			Worker: 1, Attempt: 2, Completed: true, Lost: 4,
 			Tasks: map[dataflow.TaskID]engine.TaskStats{
 				win1: {Worker: 1, RecordsIn: 300, RecordsOut: 120, BytesOut: 9600,
 					BusyTime: 3 * time.Millisecond, BackpressureT: time.Millisecond, Sink: true, Dead: true,
-					Stateful: true, StateBytes: 4096, StateKeys: 17},
+					Stateful: true, StateBytes: 4096, StateKeys: 17, CPUDraw: 0.125, IODraw: 4096, NetDraw: 9600},
 			},
 			Metrics: metrics.TypedValues{
 				Counters: map[string]int64{"net.frames_sent": 40, "exchange.batches": 12},
@@ -776,17 +803,9 @@ func TestWirePayloadRoundTrip(t *testing.T) {
 				Times:    map[string]time.Duration{"exchange.credit_stall_seconds": 5 * time.Millisecond},
 			},
 			Hists: map[string]telemetry.HistogramSnapshot{"net.credit_wait_seconds": wait.Snapshot()},
-		}},
-	}
-	hb := &wireHeartbeat{Stats: &wireStats{
-		TypedValues: metrics.TypedValues{
-			Counters: map[string]int64{"net.frames_sent": 3},
-			Gauges:   map[string]float64{"queue.depth": 4},
-			Times:    map[string]time.Duration{"exchange.credit_stall_seconds": time.Millisecond},
 		},
-		FnGauges: []telemetry.GaugeSample{{Family: "worker_saturation", Labels: map[string]string{"resource": "cpu"}, Value: 0.25}},
-		Hists:    map[string]telemetry.HistogramSnapshot{"net.credit_wait_seconds": wait.Snapshot()},
-	}}
+		&wireHeartbeat{Stats: hb.Stats, Dropped: hb.Dropped},
+	}
 	for _, in := range payloads {
 		buf, err := engine.EncodePayload(in)
 		if err != nil {
@@ -799,6 +818,28 @@ func TestWirePayloadRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(in, out) {
 			t.Errorf("%T changed in transit:\n sent %+v\n got  %+v", in, in, out)
 		}
+	}
+	buf, err := engine.EncodePayload(hb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeHeartbeat(buf, "w1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonl := func(evs []telemetry.Event) string {
+		var b strings.Builder
+		for _, ev := range evs {
+			line, err := json.Marshal(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Write(append(line, '\n'))
+		}
+		return b.String()
+	}
+	if !reflect.DeepEqual(got.Stats, hb.Stats) || got.Dropped != hb.Dropped || jsonl(got.Events) != jsonl(hb.Events) {
+		t.Errorf("heartbeat changed in transit:\n sent %+v\n%s got  %+v\n%s", hb.Stats, jsonl(hb.Events), got.Stats, jsonl(got.Events))
 	}
 	// SNAPSHOT keeps nil and empty slices apart, and an image just under
 	// the frame cap still ships.
@@ -833,14 +874,6 @@ func TestWirePayloadRoundTrip(t *testing.T) {
 	var over bytes.Buffer
 	if err := engine.WriteSnapshotFrame(&over, 2, &engine.TaskSnapshot{Task: win0, NSState: make([]byte, engine.MaxFramePayload)}); err == nil || over.Len() > 0 {
 		t.Errorf("a SNAPSHOT over the frame cap: %v, %d bytes written", err, over.Len())
-	}
-	buf, err := json.Marshal(hb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out wireHeartbeat
-	if err := json.Unmarshal(buf, &out); err != nil || !reflect.DeepEqual(hb, &out) {
-		t.Errorf("heartbeat changed in transit (%v):\n sent %+v\n got  %+v", err, hb.Stats, out.Stats)
 	}
 }
 
@@ -941,6 +974,216 @@ func TestDistOversizedSnapshotFailsTask(t *testing.T) {
 	}
 }
 
+// heavyStateOp passes records through and holds an operator image of
+// heavyImage bytes, each its task index + 1; restoring checks every byte, so
+// a restore set that did not arrive whole fails the attempt.
+type heavyStateOp struct {
+	fill     byte
+	restored *atomic.Int64
+}
+
+const heavyImage = engine.MaxFramePayload/2 + 64<<10
+
+func (heavyStateOp) Open(*engine.TaskContext) error { return nil }
+func (heavyStateOp) Process(r engine.Record, _ int, emit engine.Emit) error {
+	emit(r)
+	return nil
+}
+func (heavyStateOp) Close(engine.Emit) error { return nil }
+func (o heavyStateOp) SnapshotState() ([]byte, error) {
+	return bytes.Repeat([]byte{o.fill}, heavyImage), nil
+}
+func (o heavyStateOp) RestoreState(img []byte) error {
+	if len(img) != heavyImage || bytes.Count(img, []byte{o.fill}) != heavyImage {
+		return fmt.Errorf("restored a %d-byte image that is not task %d's", len(img), o.fill-1)
+	}
+	o.restored.Add(1)
+	return nil
+}
+
+// TestDistRestoreOverFrameCap: a worker whose tasks each checkpoint under the
+// frame cap but together hold more than it must still be recoverable. Two
+// heavy tasks share a worker, so whichever worker is killed after the first
+// complete epoch, one survivor is redeployed with both images — more than
+// MaxFramePayload of restore state, each image sent as its own SNAPSHOT
+// frame — and the job finishes with nothing lost and the sink of a run
+// without faults.
+func TestDistRestoreOverFrameCap(t *testing.T) {
+	g := dataflow.NewLogicalGraph()
+	for _, op := range []dataflow.Operator{
+		{ID: "src", Kind: dataflow.KindSource, Parallelism: 1, Selectivity: 1},
+		{ID: "heavy", Kind: dataflow.KindMap, Parallelism: 2, Selectivity: 1},
+		{ID: "sink", Kind: dataflow.KindSink, Parallelism: 1},
+	} {
+		if err := g.AddOperator(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range []dataflow.Edge{{From: "src", To: "heavy"}, {From: "heavy", To: "sink"}} {
+		if err := g.AddEdge(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	phys, err := dataflow.Expand(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := dataflow.NewPlan()
+	plan.Assign(dataflow.TaskID{Op: "src", Index: 0}, 0)
+	plan.Assign(dataflow.TaskID{Op: "sink", Index: 0}, 0)
+	plan.Assign(dataflow.TaskID{Op: "heavy", Index: 0}, 1)
+	plan.Assign(dataflow.TaskID{Op: "heavy", Index: 1}, 1)
+	assign, err := AssignmentsOf(phys, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker := engine.WorkerSpec{Slots: 4, Cores: 4, IOBps: 1e9, NetBps: 1e9}
+	w0, w1 := worker, worker
+	w0.ID, w1.ID = "w0", "w1"
+	deploy := DeploySpec{Query: "heavy-state", RecordsPerSource: 3000, SnapshotInterval: 500, Workers: []engine.WorkerSpec{w0, w1}, Assign: assign}
+	var restored atomic.Int64
+	factories := map[dataflow.OperatorID]engine.Factory{
+		"src": func(*engine.TaskContext) (any, error) {
+			return engine.NewSource(func(_, i int64) (engine.Record, bool) {
+				return engine.Record{Key: fmt.Sprint(i), Value: i, Time: i}, true
+			}), nil
+		},
+		"heavy": func(tc *engine.TaskContext) (any, error) {
+			return heavyStateOp{fill: byte(tc.Index + 1), restored: &restored}, nil
+		},
+		"sink": func(*engine.TaskContext) (any, error) { return engine.NewSink(nil), nil },
+	}
+	build := func(spec DeploySpec) (*engine.Job, error) {
+		opts := spec.jobOptions()
+		// Paced, so the kill lands while the job runs.
+		opts.SourceRate = map[dataflow.OperatorID]float64{"src": 3000}
+		return engine.NewJob(g, spec.Plan(), engine.ClusterSpec{Workers: spec.Workers}, factories, opts)
+	}
+	refOpts := deploy.jobOptions()
+	refOpts.Transport = engine.TransportBatched
+	ref, err := engine.NewJob(g, plan, engine.ClusterSpec{Workers: deploy.Workers}, factories, refOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	checkpointed := make(chan struct{})
+	var once sync.Once
+	co, err := NewCoordinator("127.0.0.1:0", deploy, 2, CoordinatorOptions{
+		HeartbeatTimeout: 5 * time.Second,
+		StopTimeout:      30 * time.Second,
+		Replan: func(ev engine.FailureEvent) (*dataflow.Plan, error) {
+			next := dataflow.NewPlanSized(len(assign))
+			for _, a := range assign {
+				next.Assign(a.Task, 1-ev.DeadWorkers[0])
+			}
+			return next, nil
+		},
+		Logf: func(format string, args ...any) {
+			if strings.HasPrefix(fmt.Sprintf(format, args...), "checkpoint: epoch 1 complete") {
+				once.Do(func() { close(checkpointed) })
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	victimCtx, kill := context.WithCancel(ctx)
+	errs := make(chan error, 2)
+	for _, wctx := range []context.Context{ctx, victimCtx} {
+		go func() {
+			errs <- JoinCluster(wctx, co.Addr(), build, JoinOptions{HeartbeatEvery: 50 * time.Millisecond})
+		}()
+	}
+	if err := co.WaitJoined(ctx); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		select {
+		case <-checkpointed:
+			kill()
+		case <-ctx.Done():
+		}
+	}()
+	res, runErr := co.Run(ctx)
+	co.Shutdown()
+	cancel()
+	for i := 0; i < 2; i++ {
+		<-errs
+	}
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	if res.Recoveries != 1 || res.RestoredEpoch < 1 {
+		t.Fatalf("recoveries %d from epoch %d, want one restore from a checkpoint", res.Recoveries, res.RestoredEpoch)
+	}
+	if n := restored.Load(); n != 2 {
+		t.Errorf("%d heavy images restored, want both", n)
+	}
+	if res.LostRecords != 0 || res.SinkRecords != want.SinkRecords || res.SourceRecords != want.SourceRecords {
+		t.Errorf("lost %d, sink %d, source %d; the run without faults: sink %d, source %d",
+			res.LostRecords, res.SinkRecords, res.SourceRecords, want.SinkRecords, want.SourceRecords)
+	}
+}
+
+// TestJoinRefusesIncompleteRestore: a worker deploys an attempt that
+// restores from a checkpoint only with a snapshot of each of its tasks at
+// that epoch, sent as SNAPSHOT frames tagged with that attempt. Frames of
+// another attempt are dropped, and a DEPLOY whose restore set then lacks a
+// task is refused before the worker reports READY.
+func TestJoinRefusesIncompleteRestore(t *testing.T) {
+	fx := newDistFixture(t, "Q3-inf")
+	all := len(fx.deploy.Assign)
+	for name, sent := range map[string]struct{ attempt, tasks int }{
+		"stale attempt": {attempt: 1, tasks: all},
+		"missing task":  {attempt: 2, tasks: all - 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			joined := make(chan error, 1)
+			go func() {
+				joined <- JoinCluster(ctx, ln.Addr().String(), NexmarkBuilderWith(nil), JoinOptions{HeartbeatEvery: time.Hour})
+			}()
+			c, err := ln.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			w := &connWriter{c: c}
+			if f, err := engine.ReadFrame(c); err != nil || f.Type != engine.FrameHello {
+				t.Fatalf("expected HELLO, got %d (%v)", f.Type, err)
+			}
+			if err := w.send(engine.FrameWelcome, wireWelcome{Worker: 0}); err != nil {
+				t.Fatal(err)
+			}
+			d := fx.deployOn(1, all)
+			d.Attempt, d.RestoreEpoch = 2, 1
+			for _, a := range d.Assign[:sent.tasks] {
+				if err := w.sendSnapshot(sent.attempt, &engine.TaskSnapshot{Task: a.Task, Epoch: 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.send(engine.FrameDeploy, d); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-joined; err == nil || !strings.Contains(err.Error(), "bad DEPLOY of attempt 2") || !strings.Contains(err.Error(), "without a snapshot") {
+				t.Fatalf("join ended with %v, want a refused DEPLOY naming the missing snapshot", err)
+			}
+		})
+	}
+}
+
 // TestDistJoinVersionGate: report and restore payloads changed shape between
 // protocol 3 and 4 and the data plane's frames between 4 and 5, so a worker
 // from the other side of either line must be turned away at the handshake —
@@ -967,6 +1210,8 @@ func TestDistJoinVersionGate(t *testing.T) {
 		// shipped the namespace image as JSON, which a proto-7 restore refuses,
 		// and hashed a record key past its first NUL. Proto 9 kept an
 		// incremental join's sides under two keys and gob-encoded SNAPSHOT.
+		// Proto 10 gob-encoded every other control body and sent restore
+		// snapshots inside DEPLOY.
 		{4, false}, {5, false},
 		{distProtoVersion - 1, false}, {distProtoVersion + 1, false}, {distProtoVersion, true},
 	} {
@@ -1224,7 +1469,7 @@ func runWithReplan(t *testing.T, deploy DeploySpec, next func(survivor int) *dat
 	}
 	victim.c.Close()
 	survivor.expect(engine.FrameAbort)
-	if err := survivor.w.send(engine.FrameStopped, wireReport{Report: &engine.WorkerReport{Worker: survivor.id, Attempt: 1}}); err != nil {
+	if err := survivor.w.send(engine.FrameStopped, &engine.WorkerReport{Worker: survivor.id, Attempt: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// A deployable plan reaches the survivor as attempt 2; a rejected one
@@ -1234,7 +1479,7 @@ func runWithReplan(t *testing.T, deploy DeploySpec, next func(survivor int) *dat
 		if fr, err := engine.ReadFrame(survivor.c); err == nil && fr.Type == engine.FrameDeploy {
 			survivor.w.send(engine.FrameReady, wireReady{Attempt: 2, Addr: "127.0.0.1:40000"})
 			if fr, err := engine.ReadFrame(survivor.c); err == nil && fr.Type == engine.FrameStart {
-				survivor.w.send(engine.FrameDone, wireReport{Report: &engine.WorkerReport{Worker: survivor.id, Attempt: 2, Completed: true}})
+				survivor.w.send(engine.FrameDone, &engine.WorkerReport{Worker: survivor.id, Attempt: 2, Completed: true})
 			}
 		}
 	}()

@@ -3,6 +3,8 @@ package dataflow
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // TaskID identifies a physical task: the Index-th replica of operator Op.
@@ -12,6 +14,25 @@ type TaskID struct {
 }
 
 func (t TaskID) String() string { return fmt.Sprintf("%s[%d]", t.Op, t.Index) }
+
+// MarshalText renders the task in its String form, "op[i]", so a TaskID is a
+// JSON string and can key a JSON object.
+func (t TaskID) MarshalText() ([]byte, error) { return []byte(t.String()), nil }
+
+// UnmarshalText is the inverse of MarshalText. The index bracket is the
+// text's last '[' (an operator ID may itself contain '['), and the index
+// must be in the canonical form String writes.
+func (t *TaskID) UnmarshalText(b []byte) error {
+	s := string(b)
+	open := strings.LastIndexByte(s, '[')
+	digits, closed := strings.CutSuffix(s[open+1:], "]")
+	i, err := strconv.Atoi(digits)
+	if open < 0 || !closed || err != nil || strconv.Itoa(i) != digits {
+		return fmt.Errorf("dataflow: task %q is not of the form op[index]", s)
+	}
+	*t = TaskID{Op: OperatorID(s[:open]), Index: i}
+	return nil
+}
 
 // Channel is a physical data link between two tasks.
 type Channel struct {

@@ -201,3 +201,25 @@ func TestPlanValidateProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestTaskIDText: a TaskID's text form is its String form and parses back at
+// the last '[', so operator IDs holding brackets or dots round-trip; text
+// that String could not have written is refused.
+func TestTaskIDText(t *testing.T) {
+	for _, id := range []TaskID{{"win", 0}, {"slide-win", 12}, {"Q[1]", 3}, {"a.b", 0}, {"", 7}, {"x", -1}} {
+		b, err := id.MarshalText()
+		if err != nil || string(b) != id.String() {
+			t.Fatalf("%v: text %q, %v", id, b, err)
+		}
+		var got TaskID
+		if err := got.UnmarshalText(b); err != nil || got != id {
+			t.Errorf("%q parsed as %v, %v; want %v", b, got, err, id)
+		}
+	}
+	for _, bad := range []string{"", "win", "win[", "win[]", "win[1", "win[01]", "win[+1]", "win[1]x", "win[1.5]"} {
+		var got TaskID
+		if err := got.UnmarshalText([]byte(bad)); err == nil {
+			t.Errorf("%q parsed as %v, want an error", bad, got)
+		}
+	}
+}

@@ -27,9 +27,9 @@ type Snapshotter interface {
 // invariant to which epoch the restore happens from (the counters count the
 // whole stream exactly once, and rebalanced routing resumes mid-cycle
 // instead of resetting). The same value crosses the control plane of a
-// distributed run — workers ship snapshots to the coordinator as they are
-// taken and receive the restore set back with a redeploy — so every field is
-// exported for gob.
+// distributed run in the SNAPSHOT layout (wirecodec.go) — workers ship
+// snapshots to the coordinator as they are taken and receive the restore set
+// back, one SNAPSHOT frame per task, ahead of a redeploy.
 type TaskSnapshot struct {
 	Task       dataflow.TaskID
 	Epoch      int64

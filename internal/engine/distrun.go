@@ -14,8 +14,8 @@ import (
 // process, runs exactly that worker's tasks as an attempt over the network
 // transport, and collects snapshots and final reports over the control
 // plane. What crosses that plane is the engine's own vocabulary —
-// dataflow.TaskID, TaskSnapshot, TaskStats, metrics.TypedValues — all of it
-// gob-safe as declared.
+// dataflow.TaskID, TaskStats, metrics.TypedValues as JSON, TaskSnapshot in
+// its SNAPSHOT layout — with no wire-only mirror types.
 
 // CoordClient is an attempt's view of the Supervisor's checkpoint surface,
 // the same in both executors: in process it calls Supervisor.EpochStarted
@@ -44,8 +44,9 @@ type WorkerNetConfig struct {
 	// DataBind is the data-plane listen address ("127.0.0.1:0" when empty).
 	DataBind string
 	// RestoreEpoch and Snapshots restore this attempt from a checkpoint:
-	// Snapshots must hold every task's snapshot at RestoreEpoch (the
-	// coordinator filters to the tasks placed on this worker).
+	// Snapshots must hold every local task's snapshot at RestoreEpoch (the
+	// coordinator sends each as a SNAPSHOT frame ahead of the DEPLOY), or
+	// PrepareWorkerAttempt refuses the attempt.
 	RestoreEpoch int64
 	Snapshots    []*TaskSnapshot
 	// Coord receives epoch starts and snapshots (nil drops them — only

@@ -3,7 +3,7 @@ package engine
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -16,9 +16,12 @@ import (
 //
 //	offset 0: uint32 big-endian N = 1 + len(payload)
 //	offset 4: frame type byte (never zero)
-//	offset 5: payload (N-1 bytes: gob on control frames, the hand-rolled
-//	          layouts of wirecodec.go on the data-plane frames)
+//	offset 5: payload (N-1 bytes)
 //	offset 4+N: uint32 big-endian CRC32 (IEEE) over bytes [4, 4+N)
+//
+// Each plane has one payload codec: the data-plane frames use the hand-laid
+// layouts of wirecodec.go, SNAPSHOT (in both directions) its own hand-laid
+// layout there, and every other control frame JSON (EncodePayload).
 //
 // The length covers the type byte so a zero length is unambiguously
 // invalid, and the checksum covers type+payload so a flipped type bit is
@@ -54,18 +57,17 @@ const (
 	// Control plane.
 	FrameHello      // worker -> coordinator: join with advertised data address
 	FrameWelcome    // coordinator -> worker: assigned worker index
-	FrameDeploy     // coordinator -> worker: plan, peers, restore snapshots
+	FrameDeploy     // coordinator -> worker: query, plan and restore epoch of an attempt
 	FrameReady      // worker -> coordinator: attempt built, listening
 	FrameStart      // coordinator -> worker: begin the attempt
 	FrameEpochStart // worker -> coordinator: source opened a checkpoint epoch
-	FrameSnapshot   // worker -> coordinator: one task's checkpoint state
+	FrameSnapshot   // either way: one task's checkpoint state (taken, or to restore)
 	FrameDone       // worker -> coordinator: attempt finished, report attached
 	FrameAbort      // coordinator -> worker: abort the running attempt
 	FrameStopped    // worker -> coordinator: abort acknowledged, progress attached
-	FrameHeartbeat  // worker -> coordinator: liveness
+	FrameHeartbeat  // worker -> coordinator: liveness, metric deltas, trace events
 	FramePeerDown   // worker -> coordinator: a data peer became unreachable
 	FrameShutdown   // coordinator -> worker: leave the join loop
-	FrameTrace      // worker -> coordinator: batched tracer events for the cluster timeline
 
 	frameTypeEnd // sentinel: first invalid type value
 )
@@ -81,6 +83,9 @@ var (
 	ErrFrameTruncated = errors.New("frame: truncated")
 	// ErrFrameChecksum reports a checksum mismatch (corruption).
 	ErrFrameChecksum = errors.New("frame: checksum mismatch")
+	// ErrFrameTooLarge reports a payload refused before sending because it
+	// exceeds MaxFramePayload: a fault of the data, not of the connection.
+	ErrFrameTooLarge = errors.New("frame: payload over the frame cap")
 )
 
 // AppendFrame appends the encoded frame to dst and returns the extended
@@ -114,26 +119,42 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 		return Frame{}, 0, ErrFrameTruncated
 	}
 	n := binary.BigEndian.Uint32(b)
-	if n == 0 {
-		return Frame{}, 0, errors.New("frame: zero length")
-	}
-	if n > MaxFramePayload+1 {
-		return Frame{}, 0, fmt.Errorf("frame: length %d exceeds cap %d", n, MaxFramePayload+1)
+	if err := checkFrameLen(n); err != nil {
+		return Frame{}, 0, err
 	}
 	total := frameHeaderLen + int(n) + frameTrailerLen
 	if len(b) < total {
 		return Frame{}, 0, ErrFrameTruncated
 	}
-	body := b[frameHeaderLen : frameHeaderLen+int(n)]
-	sum := binary.BigEndian.Uint32(b[frameHeaderLen+int(n):])
-	if crc32.ChecksumIEEE(body) != sum {
-		return Frame{}, 0, ErrFrameChecksum
+	f, err := checkFrameBody(b[frameHeaderLen:total-frameTrailerLen], b[total-frameTrailerLen:])
+	if err != nil {
+		return Frame{}, 0, err
+	}
+	return f, total, nil
+}
+
+// checkFrameLen refuses a length prefix before anything is sized by it.
+func checkFrameLen(n uint32) error {
+	if n == 0 {
+		return errors.New("frame: zero length")
+	}
+	if n > MaxFramePayload+1 {
+		return fmt.Errorf("frame: length %d exceeds cap %d", n, MaxFramePayload+1)
+	}
+	return nil
+}
+
+// checkFrameBody checks a frame's body (type byte and payload) against the
+// checksum that follows it and returns the frame, its payload aliasing body.
+func checkFrameBody(body, sum []byte) (Frame, error) {
+	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(sum) {
+		return Frame{}, ErrFrameChecksum
 	}
 	typ := body[0]
 	if typ == frameInvalid || typ >= frameTypeEnd {
-		return Frame{}, 0, fmt.Errorf("frame: unknown type %d", typ)
+		return Frame{}, fmt.Errorf("frame: unknown type %d", typ)
 	}
-	return Frame{Type: typ, Payload: body[1:]}, total, nil
+	return Frame{Type: typ, Payload: body[1:]}, nil
 }
 
 // frameBufPool recycles encode buffers across WriteFrame calls (control
@@ -148,7 +169,7 @@ var frameBufPool = sync.Pool{
 // WriteFrame writes one encoded frame to w.
 func WriteFrame(w io.Writer, f Frame) error {
 	if len(f.Payload) > MaxFramePayload {
-		return fmt.Errorf("frame: payload %d exceeds cap %d", len(f.Payload), MaxFramePayload)
+		return fmt.Errorf("%w: %d bytes, cap %d", ErrFrameTooLarge, len(f.Payload), MaxFramePayload)
 	}
 	bp := frameBufPool.Get().(*[]byte)
 	*bp = AppendFrame((*bp)[:0], f)
@@ -177,11 +198,8 @@ func readFrameInto(r io.Reader, buf []byte) (Frame, []byte, error) {
 		return Frame{}, buf, err
 	}
 	n := binary.BigEndian.Uint32(hdr)
-	if n == 0 {
-		return Frame{}, buf, errors.New("frame: zero length")
-	}
-	if n > MaxFramePayload+1 {
-		return Frame{}, buf, fmt.Errorf("frame: length %d exceeds cap %d", n, MaxFramePayload+1)
+	if err := checkFrameLen(n); err != nil {
+		return Frame{}, buf, err
 	}
 	need := int(n) + frameTrailerLen
 	if cap(buf) < need {
@@ -196,40 +214,51 @@ func readFrameInto(r io.Reader, buf []byte) (Frame, []byte, error) {
 		}
 		return Frame{}, buf, err
 	}
-	body := rest[:n]
-	sum := binary.BigEndian.Uint32(rest[n:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return Frame{}, buf, ErrFrameChecksum
-	}
-	typ := body[0]
-	if typ == frameInvalid || typ >= frameTypeEnd {
-		return Frame{}, buf, fmt.Errorf("frame: unknown type %d", typ)
-	}
-	return Frame{Type: typ, Payload: body[1:]}, buf, nil
+	f, err := checkFrameBody(rest[:n], rest[n:])
+	return f, buf, err
 }
 
-// EncodePayload encodes v for use as a frame payload: gob for a control
+// ErrControlPayload reports a control-frame body that does not decode: not
+// JSON, a field the body's type does not have, a value of the wrong type,
+// or bytes after the body. Control decoders wrap it in every error they
+// return for the payload itself.
+var ErrControlPayload = errors.New("frame: malformed control payload")
+
+// EncodePayload encodes v for use as a frame payload: JSON for a control
 // frame's body, the data-frame batch layout (wirecodec.go) for a []Record.
-func EncodePayload(v any) ([]byte, error) {
+// JSON allocates on decode no more than the payload holds, so a hostile
+// sender cannot make a reader pre-size a map or a slice from a count it
+// declares.
+func EncodePayload(v any) (b []byte, err error) {
 	if recs, ok := v.([]Record); ok {
-		return encodeRecords(recs)
+		b, err = encodeRecords(recs)
+	} else {
+		b, err = json.Marshal(v)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	if buf.Len() > MaxFramePayload {
-		return nil, fmt.Errorf("frame: encoded payload %d exceeds cap %d", buf.Len(), MaxFramePayload)
+	if len(b) > MaxFramePayload {
+		return nil, fmt.Errorf("%w: %d bytes, cap %d", ErrFrameTooLarge, len(b), MaxFramePayload)
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
 // DecodePayload decodes a frame payload into v, the inverse of
 // EncodePayload: v is a *[]Record for a batch, a pointer to the body's type
-// for a control frame.
+// for a control frame. A control body with an unknown field or trailing
+// bytes is refused; every such error wraps ErrControlPayload.
 func DecodePayload(b []byte, v any) error {
 	if recs, ok := v.(*[]Record); ok {
 		return decodeRecords(b, recs)
 	}
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("%w: %v", ErrControlPayload, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("%w: trailing bytes after the body", ErrControlPayload)
+	}
+	return nil
 }

@@ -134,4 +134,15 @@ func TestFramePayloadCodec(t *testing.T) {
 	if out.Task != in.Task || out.Epoch != in.Epoch || len(out.Vals) != 3 {
 		t.Fatalf("payload round trip: %+v", out)
 	}
+	// A control body is strict: a field its type lacks, a value of the wrong
+	// type, trailing bytes or no JSON at all is refused, wrapping
+	// ErrControlPayload.
+	for _, bad := range []string{`{"Task":"x","Extra":1}`, `{"Epoch":"9"}`, `{"Epoch":9} {}`, `{"Epoch":9}]`, `{"Epoch"`, "", "\x00"} {
+		if err := DecodePayload([]byte(bad), &out); !errors.Is(err, ErrControlPayload) {
+			t.Errorf("%q: %v, want ErrControlPayload", bad, err)
+		}
+	}
+	if err := DecodePayload([]byte(" {\"Epoch\":9}\n"), &out); err != nil {
+		t.Errorf("surrounding white space refused: %v", err)
+	}
 }

@@ -24,6 +24,24 @@ import (
 // the state layer.
 const DefaultKeyGroups = statebackend.DefaultKeyGroups
 
+// DefaultKeyGroupsFor is the key-group count of a job placed by plan that
+// sets none: DefaultKeyGroups, raised to the widest operator's task count so
+// that every task of a keyed operator owns a group. NewJob and the
+// distributed coordinator both resolve a zero count with it, so a cluster
+// that pins the count agrees with a job that does not.
+func DefaultKeyGroupsFor(plan *dataflow.Plan) int {
+	n := DefaultKeyGroups
+	if plan == nil {
+		return n // refused later as ErrInvalidPlan
+	}
+	width := make(map[dataflow.OperatorID]int)
+	plan.Each(func(t dataflow.TaskID, _ int) {
+		width[t.Op]++
+		n = max(n, width[t.Op])
+	})
+	return n
+}
+
 // RescalePlan schedules one parallelism change.
 type RescalePlan struct {
 	// Op is the operator to rescale. Sources cannot be rescaled (their

@@ -47,15 +47,12 @@ type JobOptions struct {
 	PerRecordCPU map[dataflow.OperatorID]float64
 	// Stateful marks operators that need a state namespace.
 	Stateful map[dataflow.OperatorID]bool
-	// StateOptions configures the per-worker state backends.
-	StateOptions statebackend.Options
 	// KeyGroups is the number of key-groups keyed records and keyed state
 	// are partitioned into (Flink's maxParallelism). It is fixed for the
 	// life of the job, bounds every keyed operator's parallelism, and is
 	// what makes live rescaling exact: records route hash→group→task, state
 	// snapshots split along group boundaries, and both use the same map.
-	// Zero means statebackend.DefaultKeyGroups, raised if an operator's
-	// initial parallelism exceeds it.
+	// Zero means DefaultKeyGroupsFor(plan).
 	KeyGroups int
 
 	// Transport selects the data-plane exchange discipline: TransportUnary
@@ -128,7 +125,8 @@ type JobOptions struct {
 }
 
 // TaskStats is one task's runtime telemetry: what JobResult.Tasks exposes
-// and what worker reports carry (so it must stay gob-safe).
+// and what worker reports carry across the control plane as JSON (so every
+// field stays an exported plain value).
 type TaskStats struct {
 	Worker          int
 	RecordsIn       int64
@@ -270,24 +268,13 @@ func NewJob(g *dataflow.LogicalGraph, plan *dataflow.Plan, spec ClusterSpec, fac
 		return nil, fmt.Errorf("engine: KeyGroups must be non-negative")
 	}
 	if opts.KeyGroups == 0 {
-		opts.KeyGroups = statebackend.DefaultKeyGroups
-		// An explicit zero adapts to the graph: an operator wider than the
-		// default group count just gets more groups, so pre-key-group jobs
-		// keep working unchanged.
-		for _, op := range g.Operators() {
-			if op.Parallelism > opts.KeyGroups {
-				opts.KeyGroups = op.Parallelism
-			}
-		}
-	} else {
-		for _, op := range g.Operators() {
-			if op.Parallelism > opts.KeyGroups {
-				return nil, fmt.Errorf("engine: operator %q parallelism %d exceeds %d key-groups", op.ID, op.Parallelism, opts.KeyGroups)
-			}
+		opts.KeyGroups = DefaultKeyGroupsFor(plan)
+	}
+	for _, op := range g.Operators() {
+		if op.Parallelism > opts.KeyGroups {
+			return nil, fmt.Errorf("engine: operator %q parallelism %d exceeds %d key-groups", op.ID, op.Parallelism, opts.KeyGroups)
 		}
 	}
-	// Snapshots must split along the same group boundaries records route on.
-	opts.StateOptions.NumKeyGroups = opts.KeyGroups
 	transport, err := transportFor(opts)
 	if err != nil {
 		return nil, err
@@ -515,7 +502,8 @@ func (j *Job) buildAttempt(no int, plan *dataflow.Plan, faults *faultState, rest
 		workers[i] = NewWorkerResources(ws.ID, ws.Cores, ws.IOBps, ws.NetBps)
 		// Every namespace charges its task goroutine's IO-meter shard
 		// (SetAccount below), so the store itself accounts nothing.
-		stores[i] = statebackend.NewStore(nil, j.opts.StateOptions)
+		// Snapshots split along the same group boundaries records route on.
+		stores[i] = statebackend.NewStore(nil, statebackend.Options{NumKeyGroups: j.opts.KeyGroups})
 	}
 	a.workers = workers
 	// Callback saturation gauges read the live meters at scrape time; a
@@ -602,6 +590,9 @@ func (j *Job) buildAttempt(no int, plan *dataflow.Plan, faults *faultState, rest
 			Watermark:   func() int64 { return rt.watermark },
 		}
 		snap := snaps[t]
+		if dist != nil && dist.RestoreEpoch > 0 && (snap == nil || snap.Epoch != dist.RestoreEpoch) {
+			return nil, fmt.Errorf("engine: restoring epoch %d without a snapshot of %v at that epoch", dist.RestoreEpoch, t)
+		}
 		if j.opts.Stateful[t.Op] {
 			tctx.State = stores[w].Namespace(t.String())
 			// State I/O is only struck on the IO shard of the goroutine that

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -98,6 +99,10 @@ var (
 	// ErrNoReplacementHook ends a run in which a worker died and no OnFault
 	// hook exists to re-place its tasks.
 	ErrNoReplacementHook = errors.New("no re-placement hook is configured")
+	// ErrWorkerID refuses a worker ID that is empty, repeated or holds a
+	// '.': an ID is the label part of "worker.<id>.<metric>" series, and a
+	// dot in it would move the ID's tail into the family.
+	ErrWorkerID = errors.New("engine: invalid worker ID")
 )
 
 // SupervisorConfig describes the job a Supervisor runs.
@@ -173,6 +178,13 @@ type Supervisor struct {
 func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, fmt.Errorf("engine: no workers")
+	}
+	seen := make(map[string]bool, len(cfg.Workers))
+	for i, w := range cfg.Workers {
+		if w.ID == "" || seen[w.ID] || strings.Contains(w.ID, ".") {
+			return nil, fmt.Errorf("%w: worker %d has ID %q (empty, repeated or dotted)", ErrWorkerID, i, w.ID)
+		}
+		seen[w.ID] = true
 	}
 	if err := validatePlan(cfg.Plan, cfg.Tasks, cfg.Workers, nil); err != nil {
 		return nil, err

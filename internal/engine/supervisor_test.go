@@ -358,3 +358,37 @@ func TestSupervisorLifecycle(t *testing.T) {
 		})
 	}
 }
+
+// TestWorkerIDsValidated: a worker ID is the label part of
+// "worker.<id>.<metric>" series, so one that is empty, repeated or dotted is
+// refused when the job is built — by NewSupervisor, which both executors
+// build — instead of panicking the run when its result is assembled.
+func TestWorkerIDsValidated(t *testing.T) {
+	g := chainGraph(t, []dataflow.Operator{
+		{ID: "src", Kind: dataflow.KindSource, Parallelism: 2, Selectivity: 1},
+		{ID: "sink", Kind: dataflow.KindSink, Parallelism: 1},
+	})
+	factories := map[dataflow.OperatorID]Factory{
+		"src": func(*TaskContext) (any, error) {
+			return NewSource(func(_, i int64) (Record, bool) { return Record{Key: "k", Value: i, Time: i}, true }), nil
+		},
+		"sink": func(*TaskContext) (any, error) { return NewSink(nil), nil },
+	}
+	plan := roundRobinPlan(t, g, 2)
+	for _, ids := range [][2]string{{"x.Y", "w1"}, {"w0", "w.1"}, {"", "w1"}, {"w0", "w0"}} {
+		spec := bigWorkers(2, 4)
+		spec.Workers[0].ID, spec.Workers[1].ID = ids[0], ids[1]
+		if _, err := NewJob(g, plan, spec, factories, JobOptions{RecordsPerSource: 10}); !errors.Is(err, ErrWorkerID) {
+			t.Errorf("workers %q: NewJob error %v, want ErrWorkerID", ids, err)
+		}
+	}
+	spec := bigWorkers(2, 4)
+	spec.Workers[0].ID, spec.Workers[1].ID = "tm-3", "W1"
+	job, err := NewJob(g, plan, spec, factories, JobOptions{RecordsPerSource: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := job.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}

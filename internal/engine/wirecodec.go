@@ -16,13 +16,14 @@ import (
 )
 
 // This file is the payload codec of the five data-plane frames and of the
-// SNAPSHOT control frame. The other control frames stay gob (frame.go:
+// SNAPSHOT control frame. The other control frames are JSON (frame.go:
 // EncodePayload) — they are rare and small, their bodies are deep structs
 // that change with the control protocol, and reflection cost is invisible
 // there. The data plane is the opposite: three frames per batch, one fixed
 // shape each, so the bytes are laid out by hand, written in one pass into the
 // frame's own buffer and read back without reflection. SNAPSHOT is laid out
-// by hand for its size: it carries a task's whole state image.
+// by hand for its size: it carries a task's whole state image, up to the
+// coordinator when it is taken and back down to a worker to restore it.
 //
 // Integers are varints (encoding/binary's: unsigned LEB128, signed through
 // zigzag); a string or byte run is a uvarint length followed by the bytes.
@@ -594,9 +595,6 @@ func encodeRecords(recs []Record) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(*bp) > MaxFramePayload {
-		return nil, fmt.Errorf("frame: encoded payload %d exceeds cap %d", len(*bp), MaxFramePayload)
-	}
 	return append([]byte(nil), *bp...), nil
 }
 
@@ -654,8 +652,10 @@ func decodeStateRecord(buf []byte) (side int, rec Record, err error) {
 
 // --- SNAPSHOT payloads ----------------------------------------------------------
 
-// A SNAPSHOT frame (worker → coordinator) ships one task's checkpoint
-// contribution of an attempt:
+// A SNAPSHOT frame ships one task's checkpoint contribution, tagged with an
+// attempt: worker → coordinator as the attempt takes it, and coordinator →
+// worker, tagged with the attempt about to be deployed, as that task's
+// restore state:
 //
 //	snapshot = uvarint(attempt) task varint(epoch) varint(records in)
 //	           varint(records out) varint(bytes out) varint(src offset)
@@ -680,7 +680,7 @@ func WriteSnapshotFrame(w io.Writer, attempt int, s *TaskSnapshot) error {
 		n += varintSize(int64(p))
 	}
 	if n+len(s.NSState) > MaxFramePayload {
-		return fmt.Errorf("engine: SNAPSHOT payload of %d bytes exceeds the %d-byte frame cap", n+len(s.NSState), MaxFramePayload)
+		return fmt.Errorf("engine: SNAPSHOT payload of %d bytes exceeds the %d-byte frame cap (%w)", n+len(s.NSState), MaxFramePayload, ErrFrameTooLarge)
 	}
 	head := beginFrame(make([]byte, 0, frameHeaderLen+1+n+frameTrailerLen), FrameSnapshot)
 	head = appendUvarint(head, uint64(attempt))

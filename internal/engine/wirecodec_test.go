@@ -136,7 +136,7 @@ func everyValueBatch() []batchEntry {
 
 // TestWireDataPlaneRoundTrip covers the five hand-rolled layouts: each
 // decodes to what was encoded, and each rejects trailing bytes and every
-// strict prefix with ErrWirePayload. (The gob control payloads are covered
+// strict prefix with ErrWirePayload. (The JSON control payloads are covered
 // by the controller's TestWirePayloadRoundTrip.)
 func TestWireDataPlaneRoundTrip(t *testing.T) {
 	task := dataflow.TaskID{Op: "slide-win", Index: 3}
@@ -284,7 +284,7 @@ func allocatedBytes() uint64 {
 
 // TestEncodePayloadRecords: the exported payload functions route a []Record
 // to the batch codec (what the benchmark's engine.frame.* probes call), and
-// everything else still to gob.
+// everything else to JSON.
 func TestEncodePayloadRecords(t *testing.T) {
 	var recs []Record
 	var want []batchEntry

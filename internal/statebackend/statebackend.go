@@ -5,8 +5,7 @@
 // The store keeps data in memory but charges every operation's bytes to an
 // accounting callback, which the engine wires to the owning worker's shared
 // disk-I/O meter — so co-located stateful tasks genuinely contend for I/O
-// bandwidth, the effect the paper measures in §3.3. Read and write
-// amplification factors model LSM compaction and read overheads.
+// bandwidth, the effect the paper measures in §3.3.
 package statebackend
 
 import (
@@ -25,12 +24,6 @@ type AccountFunc func(readBytes, writeBytes int)
 
 // Options tunes the backend.
 type Options struct {
-	// WriteAmplification multiplies charged write bytes (LSM compaction
-	// rewrites data several times). Values < 1 are treated as 1.
-	WriteAmplification float64
-	// ReadAmplification multiplies charged read bytes (LSM point reads may
-	// touch several levels). Values < 1 are treated as 1.
-	ReadAmplification float64
 	// NumKeyGroups is the number of key-groups namespace snapshots are
 	// partitioned into (see keygroups.go). It is fixed for the life of a job
 	// and bounds the maximum operator parallelism a rescale can reach. Zero
@@ -51,12 +44,6 @@ type Store struct {
 // NewStore creates a store charging operations to account (nil = no
 // accounting).
 func NewStore(account AccountFunc, opts Options) *Store {
-	if opts.WriteAmplification < 1 {
-		opts.WriteAmplification = 1
-	}
-	if opts.ReadAmplification < 1 {
-		opts.ReadAmplification = 1
-	}
 	if opts.NumKeyGroups <= 0 {
 		opts.NumKeyGroups = DefaultKeyGroups
 	}
@@ -177,18 +164,16 @@ func (ns *Namespace) SetAccount(f AccountFunc) {
 // it has unlocked calls the returned callback with the returned amount: the
 // callback may block on a bandwidth meter, so it never runs under the lock.
 func (ns *Namespace) noteReadLocked(n int) (AccountFunc, int) {
-	amp := int(float64(n) * ns.store.opts.ReadAmplification)
 	ns.reads++
-	ns.readBytes += amp
-	return ns.accountLocked(), amp
+	ns.readBytes += n
+	return ns.accountLocked(), n
 }
 
 // noteWriteLocked is noteReadLocked for a write.
 func (ns *Namespace) noteWriteLocked(n int) (AccountFunc, int) {
-	amp := int(float64(n) * ns.store.opts.WriteAmplification)
 	ns.writes++
-	ns.writeBytes += amp
-	return ns.accountLocked(), amp
+	ns.writeBytes += n
+	return ns.accountLocked(), n
 }
 
 func (ns *Namespace) accountLocked() AccountFunc {

@@ -196,28 +196,6 @@ func TestAccounting(t *testing.T) {
 	}
 }
 
-func TestAmplification(t *testing.T) {
-	var reads, writes int
-	s := NewStore(func(r, w int) { reads += r; writes += w }, Options{
-		WriteAmplification: 3, ReadAmplification: 2,
-	})
-	ns := s.Namespace("t")
-	ns.Put("ab", []byte("cd")) // 4 raw -> 12 charged
-	if writes != 12 {
-		t.Errorf("amplified writes = %d, want 12", writes)
-	}
-	ns.Get("ab") // 4 raw -> 8 charged
-	if reads != 8 {
-		t.Errorf("amplified reads = %d, want 8", reads)
-	}
-	// Amplification below 1 is clamped.
-	s2 := NewStore(func(r, w int) { writes = w }, Options{WriteAmplification: 0.5})
-	s2.Namespace("x").Put("a", []byte("b"))
-	if writes != 2 {
-		t.Errorf("clamped amplification writes = %d, want 2", writes)
-	}
-}
-
 func TestStoredBytesTracking(t *testing.T) {
 	s := NewStore(nil, Options{})
 	ns := s.Namespace("t")

@@ -164,7 +164,7 @@ func (t *Telemetry) SetGaugeFunc(family string, labels map[string]string, fn fun
 
 // GaugeSample is one callback gauge's identity and current value, as
 // captured by SampleGaugeFuncs. All fields are plain exported values, so
-// samples survive gob encoding — workers ship them to the coordinator on
+// samples survive JSON encoding — workers ship them to the coordinator on
 // the heartbeat piggyback.
 type GaugeSample struct {
 	Family string
