@@ -19,25 +19,28 @@ test-dist:
 # key-group partitioning invariants (incl. the fuzz seed corpus) in
 # statebackend, the engine's drain→repartition→resume protocol (identity,
 # validation, fault-interleaving, all transports) and its per-operator
-# restore/rescale matrix (TestKeyedStateRestoreAndRescale), the in-process
-# and distributed controller paths, and the fused/unfused × transport study.
+# restore/rescale matrix (TestKeyedStateRestoreAndRescale), the supervisor's
+# lifecycle table (TestSupervisorLifecycle: every scripted drain/fault
+# interleaving, one drain per due set), the in-process and distributed
+# controller paths, and the fused/unfused × transport study.
 test-rescale:
 	$(GO) test -race -timeout 5m ./internal/statebackend
-	$(GO) test -race -timeout 5m -run 'Rescale|KeyedState|RouteMatchesStateAssignment' ./internal/engine ./internal/controller ./internal/experiments
+	$(GO) test -race -timeout 5m -run 'Rescale|KeyedState|RouteMatchesStateAssignment|TestSupervisor' ./internal/engine ./internal/controller ./internal/experiments
 
 # stress repeats the schedule-sensitive batteries — the distributed control
 # plane, worker attempts over the wire, wire payloads, rescale (the keyed-
-# state restore matrix included), fusion, the checkpoint timeline in both
-# modes and close-time backpressure — five times each at GOMAXPROCS 1
-# and 4, once plain and once under the race detector: a flake that needs a
-# particular interleaving gets twenty chances to show instead of one. The
+# state restore matrix included), the supervisor's lifecycle table, fusion,
+# the checkpoint timeline in both modes and close-time backpressure — five
+# times each at GOMAXPROCS 1 and 4, once plain and once under the race
+# detector: a flake that needs a particular interleaving gets twenty chances
+# to show instead of one. The
 # CAPS search's quick.Check properties draw fresh random instances on every
 # run, and the soundness of its prunes (the capacity lookahead's included)
 # rests on them, so they run ten more times over. Last, the parallel search's
 # exactness battery, its MaxNodes and cancellation cases run under the race
 # detector at GOMAXPROCS 1, 2 and 4, five times each: whether a helper's
 # subtree is adopted, raced or redone depends on the interleaving.
-STRESS_RUN = TestDist|TestWorkerRun|TestWire|TestPrepareWorkerAttempt|Rescale|KeyedState|Fus|TestCheckpointTimeline|TestCloseBackpressure
+STRESS_RUN = TestDist|TestWorkerRun|TestWire|TestPrepareWorkerAttempt|Rescale|KeyedState|TestSupervisor|Fus|TestCheckpointTimeline|TestCloseBackpressure
 stress:
 	$(GO) test -timeout 20m -count=5 -cpu 1,4 -run '$(STRESS_RUN)' ./internal/engine ./internal/controller
 	$(GO) test -race -timeout 30m -count=5 -cpu 1,4 -run '$(STRESS_RUN)' ./internal/engine ./internal/controller

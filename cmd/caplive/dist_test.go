@@ -22,8 +22,8 @@ import (
 
 // The process battery: build the caplive binary once, run a coordinator and
 // three worker OS processes over loopback TCP, and require the distributed
-// sink outcome — clean and with a SIGKILLed worker — to match an in-process
-// reference run of the identical job.
+// sink outcome — clean, live-rescaled and with a SIGKILLed worker — to match
+// an in-process reference run of the identical job.
 
 var capliveBin string
 
@@ -348,6 +348,42 @@ func TestProcessClusterCleanRun(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestProcessClusterRescale: a two-operator -rescale across three worker OS
+// processes. Every worker builds the rescaled topology from the DEPLOY's
+// assignments alone; the run applies both changes, loses nothing and lands on
+// the in-process reference's sink outcome.
+func TestProcessClusterRescale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process battery")
+	}
+	wantSink, wantSource := battReference(t, "Q1-sliding", "evenly")
+	pc := startProcCluster(t, "Q1-sliding", "evenly", "-rescale", "map=3,slide-win=5")
+	d := pc.finish(2 * time.Minute)
+	if got := d.get(t, "rescales"); got != 2 {
+		t.Errorf("rescales = %d, want 2 (map and slide-win)", got)
+	}
+	if got := d.get(t, "rescale_moved_bytes"); got <= 0 {
+		t.Errorf("rescale_moved_bytes = %d, want > 0", got)
+	}
+	if got := d.get(t, "lost_records"); got != 0 {
+		t.Errorf("lost_records = %d after the rescale", got)
+	}
+	if got := d.get(t, "recoveries"); got != 0 {
+		t.Errorf("recoveries = %d on a clean rescale", got)
+	}
+	if got := d.get(t, "sink_records"); got != wantSink {
+		t.Errorf("sink_records = %d, in-process reference = %d", got, wantSink)
+	}
+	if got := d.get(t, "source_records"); got != wantSource {
+		t.Errorf("source_records = %d, in-process reference = %d", got, wantSource)
+	}
+	for _, j := range pc.joiners {
+		if err := j.Wait(); err != nil {
+			t.Errorf("joiner exited nonzero: %v", err)
+		}
 	}
 }
 

@@ -105,7 +105,8 @@ func (c *Common) DisableFusion() (bool, error) {
 }
 
 // Rescales parses the -rescale "op=parallelism[,op=parallelism]" spec into
-// the engine's rescale schedule, all firing at -rescale-epoch.
+// the engine's rescale schedule, all firing at -rescale-epoch: one change of
+// several operators, applied in one drain.
 func (c *Common) Rescales() ([]engine.RescalePlan, error) {
 	if c.Rescale == "" {
 		return nil, nil

@@ -2,9 +2,9 @@
 // rescaling. An under-provisioned Q1-sliding runs on the live engine to
 // profile per-task rates; DS2 turns the profile into a per-operator
 // parallelism decision; the decision becomes a live rescale schedule —
-// drain to a checkpoint epoch, repartition the window operator's
-// key-groups, re-place with CAPS, resume — and the measured downtime of
-// every applied decision is printed from the engine's trace events.
+// one drain to a checkpoint epoch, repartition every changed operator's
+// key-groups, re-place with CAPS once, resume — and the measured downtime
+// of each applied change is printed from the engine's trace events.
 //
 // Run with:
 //
@@ -104,10 +104,11 @@ func run(ctx context.Context) error {
 		return nil
 	}
 
-	// Phase 3 — apply live: the same job runs again and each decision is
-	// applied in place at a checkpoint epoch, with CAPS re-placing the
-	// rescaled graph. No restart, no lost records.
-	fmt.Printf("\nphase 3: applying %d decision(s) live (drain -> repartition key-groups -> CAPS re-place -> resume)\n", len(plans))
+	// Phase 3 — apply live: the same job runs again and the decision is
+	// applied in place at one checkpoint epoch — one drain, every changed
+	// operator repartitioned, CAPS re-placing the rescaled graph once. No
+	// restart, no lost records.
+	fmt.Printf("\nphase 3: applying the decision's %d change(s) live in one drain (drain -> repartition key-groups -> CAPS re-place -> resume)\n", len(plans))
 	tel := telemetry.New()
 	opts.Rescales, opts.Telemetry = plans, tel
 	out, err := d.Run(ctx, opts)

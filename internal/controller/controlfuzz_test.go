@@ -67,10 +67,9 @@ func FuzzControlPayload(f *testing.F) {
 		wireWelcome{Worker: 1},
 		DeploySpec{
 			Query: "Q1-sliding", Seed: 5, RecordsPerSource: 800, SnapshotInterval: 100, KeyGroups: 128,
-			Workers:  []engine.WorkerSpec{{ID: "w0", Slots: 4, Cores: 2, IOBps: 1e6, NetBps: 1e9}},
-			Assign:   []TaskAssignment{{Task: win, Worker: 0}, {Task: dataflow.TaskID{Op: "Q[1]", Index: 0}, Worker: 0}},
-			Rescaled: map[dataflow.OperatorID]int{"win": 6},
-			Attempt:  2, RestoreEpoch: 3,
+			Workers: []engine.WorkerSpec{{ID: "w0", Slots: 4, Cores: 2, IOBps: 1e6, NetBps: 1e9}},
+			Assign:  []TaskAssignment{{Task: win, Worker: 0}, {Task: dataflow.TaskID{Op: "Q[1]", Index: 0}, Worker: 0}},
+			Attempt: 2, RestoreEpoch: 3,
 		},
 		wireReady{Attempt: 2, Addr: "127.0.0.1:4100"},
 		wireStart{Attempt: 2, Peers: map[int]string{0: "127.0.0.1:4100", 1: "127.0.0.1:4101"}},

@@ -74,9 +74,11 @@ func assignmentsOf(tasks []dataflow.TaskID, plan *dataflow.Plan) ([]TaskAssignme
 // job: the query identity and options (so every process derives the same
 // deterministic graph, factories and generators), the full cluster spec and
 // plan (so the cross-worker channel census agrees across processes), and
-// the attempt-specific fields. The restore state itself travels ahead of the
-// DEPLOY, one SNAPSHOT frame per task, so no frame carries more than one
-// task's state.
+// the attempt-specific fields. Assign lists every task, so it also states the
+// topology: a worker runs each operator at its task count there, before and
+// after any rescale. The restore state itself travels ahead of the DEPLOY,
+// one SNAPSHOT frame per task, so no frame carries more than one task's
+// state.
 type DeploySpec struct {
 	Query            string
 	Seed             int64
@@ -94,10 +96,6 @@ type DeploySpec struct {
 	// and partitions keyed state identically. Zero lets each worker resolve
 	// the engine default — only safe when no rescale will ever run.
 	KeyGroups int
-	// Rescaled carries per-operator parallelism overrides from applied live
-	// rescales; workers rebuild the query graph with these parallelisms, so
-	// a redeploy after a rescale derives the rescaled topology everywhere.
-	Rescaled map[dataflow.OperatorID]int
 
 	// Attempt-specific, filled by the coordinator per deploy.
 	Attempt      int
@@ -177,8 +175,11 @@ type (
 // every other control body as JSON instead of gob, sends the restore set as
 // SNAPSHOT frames ahead of the DEPLOY instead of inside it, and carries trace
 // events in HEARTBEAT (there is no TRACE frame): a version-10 peer could
-// decode none of it.
-const distProtoVersion = 11
+// decode none of it. Version 12 drops DEPLOY's per-operator parallelism
+// overrides (Rescaled): the assignments are the topology. A version-11 worker
+// would build a rescaled attempt on the query's original graph, and a
+// version-11 coordinator's DEPLOY would not decode.
+const distProtoVersion = 12
 
 // errEncodePayload marks a send that failed locally while encoding the
 // body — the data was unencodable or too large (MaxFramePayload), which
@@ -234,16 +235,17 @@ type CoordinatorOptions struct {
 	// the attempt in place. Nil means worker loss is fatal.
 	Replan func(engine.FailureEvent) (*dataflow.Plan, error)
 	// Rescales schedules live parallelism changes: each plan triggers at the
-	// first globally complete checkpoint epoch >= its AtEpoch, draining the
-	// cluster to that epoch, repartitioning the operator's key-groups in the
-	// coordinator's snapshot store, and redeploying every worker on the
-	// rescaled topology. More can be added at runtime via ScheduleRescale.
+	// first globally complete checkpoint epoch >= its AtEpoch. Every plan due
+	// then shares one drain: the cluster drains to that epoch, each changed
+	// operator's key-groups are repartitioned in the coordinator's snapshot
+	// store, and every worker redeploys once on the rescaled topology. More
+	// can be added at runtime via ScheduleRescale.
 	Rescales []engine.RescalePlan
-	// RescaleAssign re-places tasks for an applied rescale (the previous
-	// plan still names the old task set; the returned one must cover the
-	// rescaled one). Nil keeps surviving tasks where they are and packs new
-	// tasks onto the lowest-index live workers with free slots.
-	// Deployment.Coordinator sets both hooks to its one re-placement closure.
+	// RescaleAssign re-places tasks once per drain (the previous plan still
+	// names the old task set; the returned one must cover the rescaled one).
+	// Nil keeps surviving tasks where they are and packs new tasks onto the
+	// lowest-index live workers with free slots. Deployment.Coordinator sets
+	// both hooks to its one re-placement closure.
 	RescaleAssign func(ev engine.RescaleEvent, prev *dataflow.Plan) (*dataflow.Plan, error)
 	// Logf, when set, receives progress lines ("checkpoint: epoch 3
 	// complete", "worker 1 dead: ...").
@@ -543,22 +545,13 @@ func (co *Coordinator) Run(ctx context.Context) (*engine.JobResult, error) {
 // remoteExecutor is the Coordinator as the supervisor's AttemptExecutor.
 type remoteExecutor struct{ co *Coordinator }
 
-// SetParallelism records the new parallelism as a deploy-spec override, so
-// every later DEPLOY makes the workers derive the rescaled topology.
-func (x remoteExecutor) SetParallelism(op dataflow.OperatorID, parallelism int) error {
-	if x.co.spec.Rescaled == nil {
-		x.co.spec.Rescaled = make(map[dataflow.OperatorID]int)
-	}
-	x.co.spec.Rescaled[op] = parallelism
-	return nil
-}
-
 // RunAttempt deploys one attempt to every live worker and supervises it to
-// its end.
+// its end. The DEPLOY's assignments are the attempt's task set, so workers
+// build the topology the supervisor states.
 func (x remoteExecutor) RunAttempt(ctx context.Context, at engine.AttemptSpec) (engine.AttemptEnd, error) {
 	co := x.co
 	co.curAttempt.Store(int64(at.No))
-	a := &distAttempt{co: co, at: at, alive: make(map[int]bool, co.n)}
+	a := &distAttempt{co: co, at: at, alive: make(map[int]bool, co.n), done: make(map[int]*engine.WorkerReport, co.n)}
 	for w := 0; w < co.n; w++ {
 		a.alive[w] = true
 	}
@@ -573,6 +566,9 @@ type distAttempt struct {
 	co    *Coordinator
 	at    engine.AttemptSpec
 	alive map[int]bool
+	// done holds the DONE reports of this attempt read so far: a worker that
+	// sent one has nothing left to stop.
+	done map[int]*engine.WorkerReport
 	// end accumulates what the supervisor needs to know about how the
 	// attempt ended: the fault or drain, deaths, fault records.
 	end engine.AttemptEnd
@@ -613,8 +609,7 @@ func (a *distAttempt) run(ctx context.Context) (engine.AttemptEnd, error) {
 	// Every frame is attempt-tagged, so stale traffic from an aborted
 	// attempt (snapshots, late DONE/STOPPED reports) is dropped below.
 	peers := make(map[int]string, len(a.alive))
-	reports := make(map[int]*engine.WorkerReport, len(a.alive))
-	for len(reports) < len(a.alive) {
+	for len(a.done) < len(a.alive) {
 		ev, err := co.nextEvent(ctx, a.alive)
 		if err != nil {
 			return engine.AttemptEnd{}, err
@@ -625,7 +620,7 @@ func (a *distAttempt) run(ctx context.Context) (engine.AttemptEnd, error) {
 		if ev.err != nil {
 			// A connection error after DONE is an exiting worker, not a
 			// failure of the attempt.
-			if reports[ev.worker] != nil {
+			if a.done[ev.worker] != nil {
 				continue
 			}
 			a.died(ev.worker, ev.err)
@@ -695,11 +690,11 @@ func (a *distAttempt) run(ctx context.Context) (engine.AttemptEnd, error) {
 				return engine.AttemptEnd{}, fmt.Errorf("controller: bad DONE from worker %d: %w", ev.worker, err)
 			}
 			if rep.Attempt == no {
-				reports[ev.worker] = rep
+				a.done[ev.worker] = rep
 			}
 		}
 	}
-	for _, r := range reports {
+	for _, r := range a.done {
 		a.end.Reports = append(a.end.Reports, r)
 	}
 	return a.end, nil
@@ -792,16 +787,22 @@ func (a *distAttempt) died(w int, cause error) {
 // abort ends the attempt early: it aborts every live worker and collects
 // their STOPPED progress reports for the supervisor's reprocessing
 // accounting (checkpoint snapshots that raced the abort are still
-// recorded). A worker dying while stopping is one more death of this
+// recorded). A worker whose DONE was already read has stopped, and its DONE
+// is its report. A worker dying while stopping is one more death of this
 // attempt. Workers silent past StopTimeout are left for the next attempt's
 // liveness checks.
 func (a *distAttempt) abort(ctx context.Context) (engine.AttemptEnd, error) {
 	co, no := a.co, a.at.No
+	stopped := make(map[int]bool, len(a.alive))
 	for w := range a.alive {
+		if rep := a.done[w]; rep != nil {
+			stopped[w] = true
+			a.end.Reports = append(a.end.Reports, rep)
+			continue
+		}
 		// A failed send surfaces as that worker's read error below.
 		_ = co.conns[w].w.send(engine.FrameAbort, wireEpoch{Attempt: no})
 	}
-	stopped := make(map[int]bool, len(a.alive))
 	deadline := time.After(co.opts.StopTimeout)
 	for len(stopped) < len(a.alive) {
 		select {

@@ -781,10 +781,9 @@ func TestWirePayloadRoundTrip(t *testing.T) {
 		&DeploySpec{
 			Query: "Q1-sliding", Seed: 5, RecordsPerSource: 800, SnapshotInterval: 100, ChannelCapacity: 64,
 			BatchSize: 32, BatchLinger: time.Millisecond, DisableFusion: true, CPUCostScale: 0.5, KeyGroups: 128,
-			Workers:  []engine.WorkerSpec{{ID: "w0", Slots: 4, Cores: 2, IOBps: 1e6, NetBps: 1e9}},
-			Assign:   []TaskAssignment{{Task: win0, Worker: 0}, {Task: win1, Worker: 1}, {Task: dataflow.TaskID{Op: "Q[1]", Index: 3}, Worker: 1}},
-			Rescaled: map[dataflow.OperatorID]int{"win": 6},
-			Attempt:  2, Local: 1, RestoreEpoch: 3,
+			Workers: []engine.WorkerSpec{{ID: "w0", Slots: 4, Cores: 2, IOBps: 1e6, NetBps: 1e9}},
+			Assign:  []TaskAssignment{{Task: win0, Worker: 0}, {Task: win1, Worker: 1}, {Task: dataflow.TaskID{Op: "Q[1]", Index: 3}, Worker: 1}},
+			Attempt: 2, Local: 1, RestoreEpoch: 3,
 		},
 		&wireReady{Attempt: 2, Addr: "127.0.0.1:4100"},
 		&wireStart{Attempt: 2, Peers: map[int]string{0: "127.0.0.1:4100", 1: "127.0.0.1:4101"}},
@@ -1254,32 +1253,51 @@ func TestConnWriterClassifiesEncodeErrors(t *testing.T) {
 	}
 }
 
-// TestDistValidation covers the coordinator's guard rails without any
-// network traffic beyond a bound listener.
-// TestDistClusterRescaleLive schedules a live rescale of the stateful window
-// operator on a running 3-process-style cluster: the coordinator drains the
-// cluster to a complete epoch, repartitions the operator's key-groups in its
-// snapshot store, redeploys every worker on the rescaled topology, and the
-// job finishes with the in-memory reference's sink outcome — nothing lost,
-// no full replay, state actually moved.
+// TestDistClusterRescaleLive schedules live rescales on a running
+// 3-process-style cluster: the coordinator drains the cluster to a complete
+// epoch, repartitions each changed operator's key-groups in its snapshot
+// store, redeploys every worker on the rescaled topology, and the job
+// finishes with the in-memory reference's sink outcome — nothing lost, no
+// full replay, state actually moved. Plans of two operators due at one epoch
+// are one decision: one drain, so every rescale.start names one attempt. The
+// last case drains at the final epoch, after some worker's DONE: the abort
+// counts that worker stopped instead of waiting out StopTimeout for it.
 func TestDistClusterRescaleLive(t *testing.T) {
-	for _, to := range []int{10, 5} {
-		t.Run(fmt.Sprintf("slide-win 8→%d", to), func(t *testing.T) {
+	cases := []struct {
+		name  string
+		plans []engine.RescalePlan
+		// wantDowntime bounds RescaleDowntime (0 = no bound beyond > 0).
+		wantDowntime time.Duration
+	}{
+		{name: "slide-win 8→10", plans: []engine.RescalePlan{{Op: "slide-win", Parallelism: 10, AtEpoch: 2}}},
+		{name: "slide-win 8→5", plans: []engine.RescalePlan{{Op: "slide-win", Parallelism: 5, AtEpoch: 2}}},
+		{name: "map 4→3 and slide-win 8→5", plans: []engine.RescalePlan{
+			{Op: "map", Parallelism: 3, AtEpoch: 2}, {Op: "slide-win", Parallelism: 5, AtEpoch: 2}}},
+		{name: "slide-win 8→5 at the last epoch", wantDowntime: 3 * time.Second,
+			plans: []engine.RescalePlan{{Op: "slide-win", Parallelism: 5, AtEpoch: distRecords / distSnapshot}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
 			fx := newDistFixture(t, "Q1-sliding")
 			want := fx.referenceResult(t, engine.TransportBatched)
 
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
+			tel := telemetry.New()
 			dc := startDistCluster(t, ctx, fx, CoordinatorOptions{
 				HeartbeatTimeout: 5 * time.Second,
-				Rescales:         []engine.RescalePlan{{Op: "slide-win", Parallelism: to, AtEpoch: 2}},
+				// Well above wantDowntime: a drain that waits on a worker
+				// which will never send STOPPED shows as a StopTimeout stall.
+				StopTimeout: 10 * time.Second,
+				Rescales:    tc.plans,
+				Telemetry:   tel,
 			})
 			res, err := dc.co.Run(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Rescales != 1 {
-				t.Fatalf("Rescales = %d, want 1", res.Rescales)
+			if res.Rescales != len(tc.plans) {
+				t.Fatalf("Rescales = %d, want %d", res.Rescales, len(tc.plans))
 			}
 			if res.Failed || res.LostRecords != 0 {
 				t.Fatalf("rescale lost records: failed=%v lost=%d", res.Failed, res.LostRecords)
@@ -1291,14 +1309,25 @@ func TestDistClusterRescaleLive(t *testing.T) {
 				t.Errorf("totals diverge from in-memory reference: sink %d/%d source %d/%d",
 					res.SinkRecords, want.SinkRecords, res.SourceRecords, want.SourceRecords)
 			}
-			seen := 0
-			for id := range res.Tasks {
-				if id.Op == "slide-win" {
-					seen++
+			for _, p := range tc.plans {
+				seen := 0
+				for id := range res.Tasks {
+					if id.Op == p.Op {
+						seen++
+					}
+				}
+				if seen != p.Parallelism {
+					t.Errorf("result has %d %s tasks, want %d", seen, p.Op, p.Parallelism)
 				}
 			}
-			if seen != to {
-				t.Errorf("result has %d slide-win tasks, want %d", seen, to)
+			drained := make(map[int]bool)
+			for _, ev := range tel.Tracer().Events() {
+				if ev.Kind == telemetry.EventRescaleStart {
+					drained[ev.Attempt] = true
+				}
+			}
+			if len(drained) != 1 {
+				t.Errorf("rescale.start events name attempts %v, want one drain", drained)
 			}
 			if res.RestoredEpoch < 2 {
 				t.Errorf("RestoredEpoch = %d, want >= 2 (resume must come from the drain epoch)", res.RestoredEpoch)
@@ -1306,14 +1335,38 @@ func TestDistClusterRescaleLive(t *testing.T) {
 			if res.RescaleDowntime <= 0 {
 				t.Error("rescale must account downtime")
 			}
+			if tc.wantDowntime > 0 && res.RescaleDowntime > tc.wantDowntime {
+				t.Errorf("RescaleDowntime = %v, want <= %v", res.RescaleDowntime, tc.wantDowntime)
+			}
 			if res.RescaleMovedBytes <= 0 {
 				t.Error("changing the window operator's parallelism must move state")
 			}
 			snap := res.Metrics.Snapshot()
-			if snap["job.rescales"] != 1 {
-				t.Errorf("job.rescales = %v, want 1", snap["job.rescales"])
+			if snap["job.rescales"] != float64(len(tc.plans)) {
+				t.Errorf("job.rescales = %v, want %d", snap["job.rescales"], len(tc.plans))
 			}
 		})
+	}
+}
+
+// TestDistRescaleOfSourceFails: a coordinator built directly from a
+// DeploySpec has no graph to refuse a source rescale with, so the drain
+// refuses it — the run fails with an error naming the source instead of
+// completing with a third source's records on top of the reference's.
+func TestDistRescaleOfSourceFails(t *testing.T) {
+	fx := newDistFixture(t, "Q1-sliding")
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	dc := startDistCluster(t, ctx, fx, CoordinatorOptions{
+		HeartbeatTimeout: 5 * time.Second,
+		Rescales:         []engine.RescalePlan{{Op: "src", Parallelism: 3, AtEpoch: 2}},
+	})
+	res, err := dc.co.Run(ctx)
+	if err == nil {
+		t.Fatalf("source rescale completed: failed=%v lost=%d source records %d", res.Failed, res.LostRecords, res.SourceRecords)
+	}
+	if !strings.Contains(err.Error(), `"src" is a source`) {
+		t.Errorf("Run error = %v, want the source named", err)
 	}
 }
 
@@ -1342,6 +1395,8 @@ func TestDistRescaleValidation(t *testing.T) {
 	}
 }
 
+// TestDistValidation covers the coordinator's guard rails without any
+// network traffic beyond a bound listener.
 func TestDistValidation(t *testing.T) {
 	fx := newDistFixture(t, "Q3-inf")
 	if _, err := NewCoordinator("127.0.0.1:0", fx.deploy, 0, CoordinatorOptions{}); err == nil {

@@ -235,12 +235,15 @@ func NexmarkBuilderWith(tel *telemetry.Telemetry) JobBuilder {
 		if err != nil {
 			return nil, err
 		}
-		graph := q.Graph
-		if len(spec.Rescaled) > 0 {
-			graph, err = graph.Rescale(spec.Rescaled)
-			if err != nil {
-				return nil, fmt.Errorf("controller: applying rescale overrides: %w", err)
-			}
+		// DEPLOY's assignments list every task, so they are the topology: the
+		// query graph runs at their per-operator task counts.
+		par := make(map[dataflow.OperatorID]int)
+		for _, a := range spec.Assign {
+			par[a.Task.Op]++
+		}
+		graph, err := q.Graph.Rescale(par)
+		if err != nil {
+			return nil, fmt.Errorf("controller: deployed topology: %w", err)
 		}
 		opts := spec.jobOptions()
 		opts.Stateful, opts.PerRecordCPU, opts.Telemetry = binding.Stateful, binding.PerRecordCPU, tel
@@ -266,10 +269,10 @@ func (d *Deployment) emitDecision(emit func(telemetry.Event)) {
 // OnFailure and OnRescale hooks in-process, the coordinator's Replan and
 // RescaleAssign across processes. It owns what a re-placement must know
 // about the run so far — the topology actually running (the query's graph
-// with every applied parallelism override), the plan actually deployed —
-// and takes the dead set from the event, which lists every worker lost so
-// far. Each re-placement is Replace over the survivors, warm-started from
-// the running plan, and tasks moved are counted against that plan. The
+// at the parallelism the last rescale event stated), the plan actually
+// deployed — and takes the dead set from the event, which lists every worker
+// lost so far. Each re-placement is Replace over the survivors, warm-started
+// from the running plan, and tasks moved are counted against that plan. The
 // supervisor calls its hooks from the one goroutine driving the run, so the
 // state needs no lock.
 type replacer struct {
@@ -278,7 +281,6 @@ type replacer struct {
 	emit func(telemetry.Event)
 	logf func(format string, args ...any) // nil = silent
 
-	over  map[dataflow.OperatorID]int
 	phys  *dataflow.PhysicalGraph
 	usage *costmodel.Usage
 	plan  *dataflow.Plan
@@ -288,8 +290,7 @@ type replacer struct {
 }
 
 func (d *Deployment) newReplacer(ctx context.Context, emit func(telemetry.Event), logf func(string, ...any)) *replacer {
-	return &replacer{d: d, ctx: ctx, emit: emit, logf: logf,
-		over: make(map[dataflow.OperatorID]int), phys: d.Phys, usage: d.usage, plan: d.Plan}
+	return &replacer{d: d, ctx: ctx, emit: emit, logf: logf, phys: d.Phys, usage: d.usage, plan: d.Plan}
 }
 
 // onFailure re-places after a worker death; any other fault restarts in
@@ -302,12 +303,11 @@ func (r *replacer) onFailure(ev engine.FailureEvent) (*dataflow.Plan, error) {
 		Attrs: map[string]any{"dead_workers": len(ev.DeadWorkers)}})
 }
 
-// onRescale re-places the rescaled topology, pricing the usage model on the
-// parallelisms actually running. The supervisor's view of the previous plan
-// is the closure's own.
+// onRescale re-places a drain's rescaled topology, pricing the usage model on
+// the parallelisms the event says are running. The supervisor's view of the
+// previous plan is the closure's own.
 func (r *replacer) onRescale(ev engine.RescaleEvent, _ *dataflow.Plan) (*dataflow.Plan, error) {
-	r.over[ev.Op] = ev.NewParallelism
-	g, err := r.d.Spec.Graph.Rescale(r.over)
+	g, err := r.d.Spec.Graph.Rescale(ev.Parallelism)
 	if err == nil {
 		r.phys, err = dataflow.Expand(g)
 	}
@@ -317,8 +317,8 @@ func (r *replacer) onRescale(ev engine.RescaleEvent, _ *dataflow.Plan) (*dataflo
 	if err != nil {
 		return nil, fmt.Errorf("controller: rescaled topology: %w", err)
 	}
-	return r.replace(ev.DeadWorkers, ev.Epoch, telemetry.Event{Op: string(ev.Op), Epoch: ev.Epoch,
-		Attrs: map[string]any{"from": ev.OldParallelism, "to": ev.NewParallelism}})
+	return r.replace(ev.DeadWorkers, ev.Epoch, telemetry.Event{Epoch: ev.Epoch,
+		Attrs: map[string]any{"changes": ev.String()}})
 }
 
 // replace runs the strategy over the survivors, adopts its plan as the

@@ -280,7 +280,7 @@ func BenchmarkBatchedSend(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	att, err := job.buildAttempt(1, job.plan, newFaultState(FaultPlan{}, job.clk(), job.clk, nil), nil, nil)
+	att, err := job.buildAttempt(1, nil, job.plan, newFaultState(FaultPlan{}, job.clk(), job.clk, nil), nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

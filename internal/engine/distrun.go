@@ -107,7 +107,7 @@ func (j *Job) PrepareWorkerAttempt(cfg WorkerNetConfig) (*WorkerRun, error) {
 		cfg.AttemptNo = 1
 	}
 	faults := newFaultState(FaultPlan{}, j.clk(), j.clk, j.opts.Telemetry.Tracer())
-	att, err := j.buildAttempt(cfg.AttemptNo, j.plan, faults, cfg.Snapshots, &cfg)
+	att, err := j.buildAttempt(cfg.AttemptNo, nil, j.plan, faults, cfg.Snapshots, &cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -256,8 +256,8 @@ func newNetAttempt(a *attempt, byID map[dataflow.TaskID]*taskRuntime, cross []cr
 		reconnects:       a.reg.Counter("net.reconnects"),
 		encodeErrors:     a.reg.Counter("net.encode_errors"),
 	}
-	for _, op := range a.j.graph.Operators() {
-		na.ops[string(op.ID)] = wireOp{id: op.ID, inputs: len(a.j.graph.Upstream(op.ID))}
+	for _, op := range a.graph.Operators() {
+		na.ops[string(op.ID)] = wireOp{id: op.ID, inputs: len(a.graph.Upstream(op.ID))}
 	}
 	bind := "127.0.0.1:0"
 	var locals []int

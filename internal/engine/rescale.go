@@ -2,22 +2,24 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 
 	"capsys/internal/dataflow"
 	"capsys/internal/statebackend"
 )
 
-// Live rescaling: change one operator's parallelism on a running job without
+// Live rescaling: change operators' parallelism on a running job without
 // replaying the stream from the start. The protocol is
 // checkpoint→repartition→resume: the job drains to the next barrier-aligned
-// epoch (every task snapshots, exactly as for fault recovery), the affected
+// epoch (every task snapshots, exactly as for fault recovery), each changed
 // operator's per-task snapshots are split/merged along key-group boundaries
 // (statebackend.Repartition), the coordinator's durable snapshot set is
-// rewritten for the new task count, and the job redeploys resuming from that
-// epoch. Records between the epoch barrier and the drain are re-read from
-// the sources' snapshotted offsets — bounded by one epoch interval, never a
-// full replay — and nothing is lost, because every record either reached a
-// snapshot or is replayed past the restore point.
+// rewritten for the new task counts, and the job redeploys resuming from that
+// epoch. Every plan due at the epoch shares the one drain. Records between the
+// epoch barrier and the drain are re-read from the sources' snapshotted
+// offsets — bounded by one epoch interval, never a full replay — and nothing
+// is lost, because every record either reached a snapshot or is replayed past
+// the restore point.
 
 // DefaultKeyGroups re-exports the statebackend default so callers sizing a
 // job's key-group space (the distributed coordinator, CLIs) need not import
@@ -54,21 +56,41 @@ type RescalePlan struct {
 	AtEpoch int64
 }
 
-// RescaleEvent describes an applied rescale, passed to the OnRescale
-// re-placement hook and mirrored in the rescale.start trace event.
+// RescaleChange is one operator's parallelism change within a drain.
+type RescaleChange struct {
+	Op       dataflow.OperatorID
+	From, To int
+	// MovedBytes counts the operator's stored state bytes whose owning task
+	// changed.
+	MovedBytes int64
+}
+
+// RescaleEvent describes one applied drain — every plan due at its epoch, at
+// most one per operator — passed to the OnRescale re-placement hook and
+// mirrored in one rescale.start trace event per change.
 type RescaleEvent struct {
-	Op             dataflow.OperatorID
-	OldParallelism int
-	NewParallelism int
+	// Changes lists every operator the drain changed, in scheduling order.
+	Changes []RescaleChange
+	// Parallelism is the job's whole running parallelism after the drain.
+	Parallelism map[dataflow.OperatorID]int
 	// Epoch is the checkpoint epoch the job resumes from.
 	Epoch int64
-	// MovedBytes counts the stored state bytes whose owning task changed.
+	// MovedBytes sums the changes' MovedBytes.
 	MovedBytes int64
 	// DeadWorkers lists workers lost to earlier faults (their slots are
 	// unavailable to the re-placement).
 	DeadWorkers []int
-	// Attempt is the attempt number that drained for this rescale.
+	// Attempt is the attempt number that drained.
 	Attempt int
+}
+
+// String lists the drain's changes: `"map" 4→3, "slide-win" 8→5`.
+func (ev RescaleEvent) String() string {
+	what := make([]string, len(ev.Changes))
+	for i, c := range ev.Changes {
+		what[i] = fmt.Sprintf("%q %d→%d", c.Op, c.From, c.To)
+	}
+	return strings.Join(what, ", ")
 }
 
 // repartitionTaskSnapshots converts one operator's oldP snapshots at a
@@ -76,10 +98,12 @@ type RescaleEvent struct {
 // lives in the namespace images and moves along key-group boundaries
 // (statebackend.Repartition) — nothing else moves. A Snapshotter image is
 // opaque bytes with no key-groups to move it by, so an operator whose tasks
-// carry one is refused. Progress counters are preserved in aggregate
-// (survivor tasks keep theirs, removed tasks' counters fold onto task 0) so
-// job-level totals — sink records, reprocessing accounting — stay exact
-// across the rescale. Per-task round-robin cursors carry over for surviving
+// carry one is refused; so is a source, whose offsets fix the input
+// partitioning (both executors drain through here, so a coordinator built
+// without Job.Rescale's graph check refuses it too). Progress counters are
+// preserved in aggregate (survivor tasks keep theirs, removed tasks' counters
+// fold onto task 0) so job-level totals — sink records, reprocessing
+// accounting — stay exact across the rescale. Per-task round-robin cursors carry over for surviving
 // tasks and start fresh for new ones.
 func repartitionTaskSnapshots(snaps []*TaskSnapshot, oldP, newP, numGroups int) ([]*TaskSnapshot, int64, error) {
 	epoch := int64(0)
@@ -92,6 +116,9 @@ func repartitionTaskSnapshots(snaps []*TaskSnapshot, oldP, newP, numGroups int) 
 			epoch = s.Epoch
 		} else if s.Epoch != epoch {
 			return nil, 0, fmt.Errorf("engine: rescale: task %d snapshot at epoch %d, want %d", i, s.Epoch, epoch)
+		}
+		if s.SrcOffset > 0 {
+			return nil, 0, fmt.Errorf("engine: rescale: operator %q is a source (task %d has a source offset), whose count fixes the input partitioning", s.Task.Op, i)
 		}
 		if len(s.OpState) > 0 {
 			return nil, 0, fmt.Errorf("engine: rescale: operator %q keeps a Snapshotter image (task %d), which cannot be repartitioned; keyed state belongs in the namespace", s.Task.Op, i)
@@ -136,47 +163,25 @@ func (j *Job) Rescale(op dataflow.OperatorID, parallelism int) error {
 
 func (j *Job) schedule(p RescalePlan) error {
 	// The graph-shaped rules are checked here, where the graph lives; the
-	// supervisor checks the rest and owns the queue. rescaleMu: SetParallelism
-	// swaps the graph between attempts.
-	j.rescaleMu.Lock()
-	g := j.graph
-	j.rescaleMu.Unlock()
-	if g.Operator(p.Op) != nil {
-		if len(g.Upstream(p.Op)) == 0 {
+	// supervisor checks the rest and owns the queue. NewJob's graph gives the
+	// same answer as the running one: sources and Forward-edge peers never
+	// change parallelism.
+	if j.graph.Operator(p.Op) != nil {
+		if len(j.graph.Upstream(p.Op)) == 0 {
 			return fmt.Errorf("engine: cannot rescale source %q (source count fixes the input partitioning)", p.Op)
 		}
 		// A Forward-edge peer would be left at the old parallelism; reject
 		// now rather than fail the drain later.
-		if _, err := g.Rescale(map[dataflow.OperatorID]int{p.Op: p.Parallelism}); err != nil {
+		if _, err := j.graph.Rescale(map[dataflow.OperatorID]int{p.Op: p.Parallelism}); err != nil {
 			return fmt.Errorf("engine: %w", err)
 		}
 	}
 	return j.sup.Schedule(p)
 }
 
-// SetParallelism swaps in the rescaled graph between attempts (the local
-// executor's topology step; no task goroutine is alive).
-func (x *localExecutor) SetParallelism(op dataflow.OperatorID, parallelism int) error {
-	j := x.j
-	g, err := j.graph.Rescale(map[dataflow.OperatorID]int{op: parallelism})
-	if err != nil {
-		return err
-	}
-	phys, err := dataflow.Expand(g)
-	if err != nil {
-		return err
-	}
-	// rescaleMu: Job.Rescale validates against j.graph from other
-	// goroutines; Run's goroutine is the only writer.
-	j.rescaleMu.Lock()
-	j.graph, j.phys, j.fuseNext = g, phys, fusionMap(g, j.opts.DisableFusion)
-	j.rescaleMu.Unlock()
-	return nil
-}
-
-// fusionMap recomputes the fusion successor map for a (possibly rescaled)
-// graph; NewJob and SetParallelism share it so an attempt after a rescale
-// fuses by exactly the same rule as the first.
+// fusionMap computes the fusion successor map of an attempt's (possibly
+// rescaled) graph, so an attempt after a rescale fuses by exactly the same
+// rule as the first.
 func fusionMap(g *dataflow.LogicalGraph, disabled bool) map[dataflow.OperatorID]dataflow.OperatorID {
 	fuseNext := make(map[dataflow.OperatorID]dataflow.OperatorID)
 	if disabled {

@@ -138,7 +138,7 @@ type keepLast struct {
 }
 
 func (x *keepLast) RunAttempt(ctx context.Context, at AttemptSpec) (AttemptEnd, error) {
-	att, err := x.j.buildAttempt(at.No, at.Plan, x.faults, nil, nil)
+	att, err := x.j.buildAttempt(at.No, nil, at.Plan, x.faults, nil, nil)
 	if err != nil {
 		return AttemptEnd{}, err
 	}

@@ -217,26 +217,20 @@ func (r *JobResult) OperatorInRate(op dataflow.OperatorID) float64 {
 	return total
 }
 
-// Job is a deployable engine job.
+// Job is a deployable engine job. graph and plan are the job as NewJob was
+// given it and never change; a rescaled attempt's graph is derived from the
+// supervisor's task set (localExecutor.RunAttempt).
 type Job struct {
 	graph     *dataflow.LogicalGraph
-	phys      *dataflow.PhysicalGraph
 	plan      *dataflow.Plan
 	spec      ClusterSpec
 	opts      JobOptions
 	factories map[dataflow.OperatorID]Factory
 	transport transport
 	clk       clock.Clock
-	// fuseNext maps each operator to the operator fused onto it when the
-	// plan co-locates their paired tasks (empty when fusion is disabled).
-	fuseNext map[dataflow.OperatorID]dataflow.OperatorID
-	// sup runs the job's lifecycle (see supervisor.go) and owns the
-	// checkpoint store and the pending-rescale queue. A live rescale rewrites
-	// graph/phys/fuseNext between attempts: Run's goroutine is the only
-	// writer, and rescaleMu orders those writes against Job.Rescale, which
-	// reads graph from any goroutine.
-	sup       *Supervisor
-	rescaleMu sync.Mutex
+	// sup runs the job's lifecycle (see supervisor.go) and owns the task
+	// set, the checkpoint store and the pending-rescale queue.
+	sup *Supervisor
 }
 
 // NewJob wires a physical graph onto engine workers according to plan.
@@ -318,14 +312,12 @@ func NewJob(g *dataflow.LogicalGraph, plan *dataflow.Plan, spec ClusterSpec, fac
 	}
 	j := &Job{
 		graph:     g,
-		phys:      phys,
 		plan:      plan,
 		spec:      spec,
 		opts:      opts,
 		factories: factories,
 		transport: transport,
 		clk:       opts.Now.OrSystem(),
-		fuseNext:  fusionMap(g, opts.DisableFusion),
 	}
 	cfg := SupervisorConfig{
 		Tasks:            tasks,
@@ -339,10 +331,13 @@ func NewJob(g *dataflow.LogicalGraph, plan *dataflow.Plan, spec ClusterSpec, fac
 		Now:              opts.Now,
 	}
 	if opts.OnRescale != nil {
-		// The hook's caller-facing shape takes the rescaled physical graph,
-		// which SetParallelism has installed by the time the supervisor asks.
+		// The hook's caller-facing shape takes the rescaled physical graph.
 		cfg.OnRescale = func(ev RescaleEvent, prev *dataflow.Plan) (*dataflow.Plan, error) {
-			return opts.OnRescale(ev, prev, j.phys)
+			_, phys, err := j.topology(ev.Parallelism)
+			if err != nil {
+				return nil, err
+			}
+			return opts.OnRescale(ev, prev, phys)
 		}
 	}
 	if j.sup, err = NewSupervisor(cfg); err != nil {
@@ -391,9 +386,10 @@ func (c localCoord) TaskSnapshot(s *TaskSnapshot) error {
 	return nil
 }
 
-// RunAttempt builds, restores and runs one in-process attempt.
+// RunAttempt builds, restores and runs one in-process attempt on the job's
+// graph at the parallelism of the attempt's task set.
 func (x *localExecutor) RunAttempt(ctx context.Context, at AttemptSpec) (AttemptEnd, error) {
-	att, err := x.j.buildAttempt(at.No, at.Plan, x.faults, x.j.sup.EpochSnapshots(at.RestoreEpoch), nil)
+	att, err := x.j.buildAttempt(at.No, parallelism(at.Tasks), at.Plan, x.faults, x.j.sup.EpochSnapshots(at.RestoreEpoch), nil)
 	if err != nil {
 		return AttemptEnd{}, err
 	}
@@ -423,8 +419,11 @@ func (x *localExecutor) RunAttempt(ctx context.Context, at AttemptSpec) (Attempt
 // attempt is one deployment of the job: fresh workers, stores, channels and
 // task runtimes, optionally restored from a checkpoint epoch.
 type attempt struct {
-	j       *Job
-	no      int
+	j  *Job
+	no int
+	// graph is the logical graph this attempt runs (rescaled from the job's);
+	// plan places its tasks.
+	graph   *dataflow.LogicalGraph
 	plan    *dataflow.Plan
 	coord   CoordClient // nil drops checkpoint traffic
 	faults  *faultState
@@ -477,12 +476,31 @@ func localTo(dist *WorkerNetConfig, w int) bool {
 	return dist == nil || w == dist.Local
 }
 
-// buildAttempt builds attempt no of plan, its tasks restored from the
-// restore set (one snapshot per task, all at one epoch; empty = start
-// fresh). A worker-local attempt (dist set) checkpoints through dist.Coord,
-// an in-process one through localCoord.
-func (j *Job) buildAttempt(no int, plan *dataflow.Plan, faults *faultState, restore []*TaskSnapshot, dist *WorkerNetConfig) (*attempt, error) {
-	a := &attempt{j: j, no: no, plan: plan, faults: faults, clk: j.clk, abort: make(chan struct{}), dist: dist}
+// topology is the job's graph at the given per-operator parallelism (nil =
+// as NewJob was given it) and its physical expansion.
+func (j *Job) topology(par map[dataflow.OperatorID]int) (*dataflow.LogicalGraph, *dataflow.PhysicalGraph, error) {
+	g, err := j.graph.Rescale(par)
+	if err != nil {
+		return nil, nil, err
+	}
+	phys, err := dataflow.Expand(g)
+	return g, phys, err
+}
+
+// buildAttempt builds attempt no of the job's graph at parallelism par (see
+// topology) placed by plan, its tasks restored from the restore set (one
+// snapshot per task, all at one epoch; empty = start fresh). A worker-local
+// attempt (dist set) checkpoints through dist.Coord, an in-process one
+// through localCoord.
+func (j *Job) buildAttempt(no int, par map[dataflow.OperatorID]int, plan *dataflow.Plan, faults *faultState, restore []*TaskSnapshot, dist *WorkerNetConfig) (*attempt, error) {
+	g, phys, err := j.topology(par)
+	if err != nil {
+		return nil, err
+	}
+	// fuseNext maps each operator to the operator fused onto it when the plan
+	// co-locates their paired tasks (empty when fusion is disabled).
+	fuseNext := fusionMap(g, j.opts.DisableFusion)
+	a := &attempt{j: j, no: no, graph: g, plan: plan, faults: faults, clk: j.clk, abort: make(chan struct{}), dist: dist}
 	a.coord = localCoord{a}
 	if dist != nil {
 		a.coord = dist.Coord
@@ -527,9 +545,9 @@ func (j *Job) buildAttempt(no int, plan *dataflow.Plan, faults *faultState, rest
 	}
 
 	// Build runtimes and inboxes.
-	byID := make(map[dataflow.TaskID]*taskRuntime, j.phys.NumTasks())
+	byID := make(map[dataflow.TaskID]*taskRuntime, phys.NumTasks())
 	var tasks []*taskRuntime
-	for _, t := range j.phys.Tasks() {
+	for _, t := range phys.Tasks() {
 		w, ok := plan.Worker(t)
 		if !ok {
 			return nil, fmt.Errorf("engine: task %v unassigned", t)
@@ -539,7 +557,7 @@ func (j *Job) buildAttempt(no int, plan *dataflow.Plan, faults *faultState, rest
 			// remote tasks exist as wire endpoints wired below.
 			continue
 		}
-		op := j.graph.Operator(t.Op)
+		op := g.Operator(t.Op)
 		rt := &taskRuntime{
 			id:      t,
 			worker:  w,
@@ -547,11 +565,11 @@ func (j *Job) buildAttempt(no int, plan *dataflow.Plan, faults *faultState, rest
 			att:     a,
 			inbox:   make(chan message, j.opts.ChannelCapacity),
 			gate:    j.transport.newGate(j.opts.ChannelCapacity),
-			numIn:   len(j.phys.In(t)),
+			numIn:   len(phys.In(t)),
 			cpuCost: j.opts.PerRecordCPU[t.Op],
-			isSink:  len(j.graph.Downstream(t.Op)) == 0,
+			isSink:  len(g.Downstream(t.Op)) == 0,
 		}
-		if len(j.phys.In(t)) > 0 {
+		if len(phys.In(t)) > 0 {
 			// Non-source tasks sample end-to-end latency; parallel tasks of
 			// one operator share the operator's histogram.
 			rt.lat = j.opts.Telemetry.Histogram("latency." + string(t.Op))
@@ -649,12 +667,12 @@ func (j *Job) buildAttempt(no int, plan *dataflow.Plan, faults *faultState, rest
 	// including remote ones in a distributed attempt — so channel indices
 	// are identical in every process of a cluster; cross-worker channels
 	// are collected for the network transport's grantor/mirror setup.
-	nextCh := make(map[dataflow.TaskID]int, j.phys.NumTasks())
+	nextCh := make(map[dataflow.TaskID]int, phys.NumTasks())
 	var cross []crossChan
-	for _, e := range j.graph.Edges() {
-		downTasks := j.phys.TasksOf(e.To)
-		inIdx := upstreamIndex(j.graph, e.To, e.From)
-		for _, ut := range j.phys.TasksOf(e.From) {
+	for _, e := range g.Edges() {
+		downTasks := phys.TasksOf(e.To)
+		inIdx := upstreamIndex(g, e.To, e.From)
+		for _, ut := range phys.TasksOf(e.From) {
 			uw, ok := plan.Worker(ut)
 			if !ok {
 				return nil, fmt.Errorf("engine: task %v unassigned", ut)
@@ -697,7 +715,7 @@ func (j *Job) buildAttempt(no int, plan *dataflow.Plan, faults *faultState, rest
 				// task will run inline on this goroutine instead of behind an
 				// inbox. Both conditions are pure functions of (graph, plan),
 				// so every process of a distributed attempt fuses identically.
-				if j.fuseNext[e.From] == e.To && len(edge.workers) == 1 && edge.workers[0] == uw {
+				if fuseNext[e.From] == e.To && len(edge.workers) == 1 && edge.workers[0] == uw {
 					if drt := byID[edge.tasks[0]]; drt != nil {
 						edge.fuseTo = drt
 						drt.fusedIn = true

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -28,11 +29,12 @@ import (
 // run aggregate, job/checkpoint/recovery/rescale trace events and result
 // assembly. An AttemptExecutor owns everything that is mechanism: how tasks
 // are deployed (goroutines here, a two-phase TCP deploy in
-// internal/controller), how a fault is detected, and how the topology is
-// represented.
+// internal/controller) and how a fault is detected. The supervisor's task set
+// is the one statement of the running topology: an executor derives an
+// attempt's graph from AttemptSpec.Tasks.
 
 // AttemptExecutor deploys and runs single attempts of a job on behalf of a
-// Supervisor. Both methods are called from Supervisor.Run's goroutine only.
+// Supervisor. RunAttempt is called from Supervisor.Run's goroutine only.
 type AttemptExecutor interface {
 	// RunAttempt deploys at.Plan restored from at.RestoreEpoch and blocks
 	// until the attempt ends: every task finished, a fault aborted it, or it
@@ -40,19 +42,15 @@ type AttemptExecutor interface {
 	// returns no task of the attempt is running. A non-nil error is
 	// unrecoverable and fails the run.
 	RunAttempt(ctx context.Context, at AttemptSpec) (AttemptEnd, error)
-	// SetParallelism rewrites the executor's topology so that later attempts
-	// run op at the given parallelism. Only the executor knows how the
-	// topology is represented; the supervisor has already rewritten the
-	// snapshot store and derives the new task set itself.
-	SetParallelism(op dataflow.OperatorID, parallelism int) error
 }
 
 // AttemptSpec is one attempt as the supervisor wants it run.
 type AttemptSpec struct {
 	// No is the 1-based attempt number.
 	No int
-	// Tasks is the job's current task set; Plan assigns exactly these tasks
-	// to workers outside Dead, within every worker's slot capacity.
+	// Tasks is the job's current task set, and with it every operator's
+	// parallelism; Plan assigns exactly these tasks to workers outside Dead,
+	// within every worker's slot capacity.
 	Tasks []dataflow.TaskID
 	Plan  *dataflow.Plan
 	// RestoreEpoch is the checkpoint epoch to restore from (0 = start empty).
@@ -120,8 +118,9 @@ type SupervisorConfig struct {
 	// OnFault re-places after a fault. A nil hook makes worker deaths
 	// fatal; a nil plan keeps the placement (non-death faults only).
 	OnFault func(FailureEvent) (*dataflow.Plan, error)
-	// OnRescale re-places the rescaled task set given the previous plan;
-	// nil keeps surviving tasks in place and packs new ones onto free slots.
+	// OnRescale re-places a drain's rescaled task set given the previous
+	// plan, once per drain; nil keeps surviving tasks in place and packs new
+	// ones onto free slots.
 	OnRescale func(RescaleEvent, *dataflow.Plan) (*dataflow.Plan, error)
 	// Emit receives lifecycle trace events, Logf progress lines (both may
 	// be nil, and both must be safe for concurrent use: checkpoint progress
@@ -161,13 +160,12 @@ type Supervisor struct {
 	pending []RescalePlan
 
 	// Everything below belongs to Run's goroutine.
-	exec AttemptExecutor
 	plan *dataflow.Plan
 	dead map[int]bool
 	agg  runAgg
 	// failedAt and rescaledAt are the two downtime clocks: opened when an
-	// outage begins, closed by the next attempt's Up. rescaled is the
-	// rescale the open rescale clock belongs to.
+	// outage begins, closed by the next attempt's Up. rescaled is the drain
+	// the open rescale clock belongs to.
 	failedAt   time.Time
 	rescaledAt time.Time
 	rescaled   *RescaleEvent
@@ -214,7 +212,6 @@ func (s *Supervisor) logf(format string, args ...any) {
 // Run drives the job through exec until an attempt completes (the result),
 // or a fault cannot be recovered, a plan is rejected or ctx ends (an error).
 func (s *Supervisor) Run(ctx context.Context, exec AttemptExecutor) (*JobResult, error) {
-	s.exec = exec
 	start := s.clk()
 	s.emit(telemetry.Event{Kind: telemetry.EventJobStart, Attrs: map[string]any{
 		"tasks":     len(s.tasks),
@@ -277,8 +274,10 @@ func (s *Supervisor) attemptUp(no int) {
 		s.rescaledAt = time.Time{}
 		ev := s.rescaled
 		s.rescaled = nil
-		s.emit(telemetry.Event{Kind: telemetry.EventRescaleComplete, Op: string(ev.Op), Epoch: ev.Epoch, Attempt: no,
-			Attrs: map[string]any{"from": ev.OldParallelism, "to": ev.NewParallelism, "downtime_ms": d.Seconds() * 1e3}})
+		for _, c := range ev.Changes {
+			s.emit(telemetry.Event{Kind: telemetry.EventRescaleComplete, Op: string(c.Op), Epoch: ev.Epoch, Attempt: no,
+				Attrs: map[string]any{"from": c.From, "to": c.To, "downtime_ms": d.Seconds() * 1e3}})
+		}
 	}
 }
 
@@ -336,9 +335,10 @@ func (s *Supervisor) recover(no int, end AttemptEnd) error {
 	return nil
 }
 
-// rescale is the single drained branch: repartition the operator's
-// snapshots at the resume epoch, have the executor rewrite its topology,
-// re-place the new task set, and redeploy from that epoch.
+// rescale is the single drained branch: every plan due at the drain epoch —
+// at most one per operator — applies in this one drain. Each changed
+// operator's snapshots are repartitioned at the resume epoch, the new task set
+// is re-placed once, and the job redeploys once from that epoch.
 func (s *Supervisor) rescale(no int, end AttemptEnd) error {
 	// A later epoch may have completed (pruning the trigger epoch's
 	// snapshots) between the trigger and the abort landing; the newest
@@ -347,68 +347,65 @@ func (s *Supervisor) rescale(no int, end AttemptEnd) error {
 	if lc := s.store.lastCompleteEpoch(); lc > epoch {
 		epoch = lc
 	}
-	p := s.dueRescale(epoch)
-	if p == nil {
+	due := s.dueRescales(epoch)
+	if len(due) == 0 {
 		return fmt.Errorf("engine: rescale drained at epoch %d but no plan is pending", epoch)
 	}
 	// Account the rolled-back work before the store forgets the old task set.
 	reprocessed := s.reprocessedSince(end.Reports, epoch)
-	oldP := parallelismOf(s.tasks, p.Op)
-	moved, err := s.store.repartition(p.Op, oldP, p.Parallelism, s.cfg.KeyGroups, epoch)
-	if err != nil {
-		return err
-	}
-	if err := s.exec.SetParallelism(p.Op, p.Parallelism); err != nil {
-		return fmt.Errorf("engine: rescale %q: %w", p.Op, err)
-	}
-	tasks := rescaledTasks(s.tasks, p.Op, oldP, p.Parallelism)
-	ev := RescaleEvent{
-		Op:             p.Op,
-		OldParallelism: oldP,
-		NewParallelism: p.Parallelism,
-		Epoch:          epoch,
-		MovedBytes:     moved,
-		DeadWorkers:    deadList(s.dead),
-		Attempt:        no,
+	ev := RescaleEvent{Parallelism: parallelism(s.tasks), Epoch: epoch, DeadWorkers: deadList(s.dead), Attempt: no}
+	tasks := s.tasks
+	for _, p := range due {
+		c := RescaleChange{Op: p.Op, From: ev.Parallelism[p.Op], To: p.Parallelism}
+		var err error
+		if c.MovedBytes, err = s.store.repartition(p.Op, c.From, c.To, s.cfg.KeyGroups, epoch); err != nil {
+			return err
+		}
+		tasks = rescaledTasks(tasks, p.Op, c.From, c.To)
+		ev.Parallelism[p.Op] = c.To
+		ev.Changes = append(ev.Changes, c)
+		ev.MovedBytes += c.MovedBytes
 	}
 	var next *dataflow.Plan
+	var err error
 	if s.cfg.OnRescale != nil {
 		next, err = s.cfg.OnRescale(ev, s.plan)
 	} else {
 		next, err = keepSurvivorsPlan(s.plan, tasks, s.cfg.Workers, s.dead)
 	}
 	if err != nil {
-		return fmt.Errorf("engine: re-placement for rescale of %q: %w", p.Op, err)
+		return fmt.Errorf("engine: re-placement for rescale at epoch %d: %w", epoch, err)
 	}
 	if err := validatePlan(next, tasks, s.cfg.Workers, s.dead); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	s.tasks = tasks
-	for i := range s.pending {
-		if s.pending[i] == *p {
-			s.pending = append(s.pending[:i], s.pending[i+1:]...)
-			break
-		}
+	for _, p := range due {
+		i := slices.Index(s.pending, p)
+		s.pending = slices.Delete(s.pending, i, i+1)
 	}
 	s.mu.Unlock()
 	s.plan = next
 	s.agg.reprocessed += reprocessed
 	s.agg.restoredEpoch = epoch
-	s.agg.rescales++
-	s.agg.rescaleMoved += moved
+	s.agg.rescales += len(ev.Changes)
+	s.agg.rescaleMoved += ev.MovedBytes
 	s.rescaledAt = end.At
 	s.rescaled = &ev
-	s.logf("rescale: %q %d→%d applied at epoch %d (%d state bytes moved); redeploying", p.Op, oldP, p.Parallelism, epoch, moved)
-	s.emit(telemetry.Event{Kind: telemetry.EventRescaleStart, Op: string(p.Op), Epoch: epoch, Attempt: no,
-		Attrs: map[string]any{"from": oldP, "to": p.Parallelism, "state_moved_bytes": moved}})
+	s.logf("rescale: %v applied at epoch %d (%d state bytes moved); redeploying", ev, epoch, ev.MovedBytes)
+	for _, c := range ev.Changes {
+		s.emit(telemetry.Event{Kind: telemetry.EventRescaleStart, Op: string(c.Op), Epoch: epoch, Attempt: no,
+			Attrs: map[string]any{"from": c.From, "to": c.To, "state_moved_bytes": c.MovedBytes}})
+	}
 	return nil
 }
 
 // Schedule queues a live parallelism change; it triggers at the first
-// complete checkpoint epoch >= p.AtEpoch. Safe from any goroutine, before or
-// during Run. Topology rules only the executor can check (sources, Forward
-// peers) are its caller's to enforce.
+// complete checkpoint epoch >= p.AtEpoch, sharing that drain with every
+// other plan due then. Safe from any goroutine, before or during Run.
+// Forward-edge peers are its caller's to enforce; a source its caller let
+// through fails the run at the drain (repartitionTaskSnapshots).
 func (s *Supervisor) Schedule(p RescalePlan) error {
 	if s.cfg.SnapshotInterval <= 0 {
 		return fmt.Errorf("engine: rescale needs checkpoints; set SnapshotInterval > 0")
@@ -416,7 +413,7 @@ func (s *Supervisor) Schedule(p RescalePlan) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {
-	case parallelismOf(s.tasks, p.Op) == 0:
+	case parallelism(s.tasks)[p.Op] == 0:
 		return fmt.Errorf("engine: rescale of unknown operator %q", p.Op)
 	case p.Parallelism <= 0:
 		return fmt.Errorf("engine: rescale of %q to non-positive parallelism %d", p.Op, p.Parallelism)
@@ -429,19 +426,21 @@ func (s *Supervisor) Schedule(p RescalePlan) error {
 	return nil
 }
 
-// dueRescale returns the first pending rescale due at the given complete
-// epoch without removing it: the plan stays pending until applied, so a
-// fault racing the drain simply re-triggers it at the next complete epoch.
-func (s *Supervisor) dueRescale(epoch int64) *RescalePlan {
+// dueRescales returns the pending plans due at the given complete epoch, the
+// earliest-scheduled one of each operator, without removing them: a plan
+// stays pending until applied, so a fault racing the drain simply re-triggers
+// the whole set at the next complete epoch, and an operator's later plans
+// wait for the next drain.
+func (s *Supervisor) dueRescales(epoch int64) []RescalePlan {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i := range s.pending {
-		if epoch >= s.pending[i].AtEpoch {
-			p := s.pending[i]
-			return &p
+	var due []RescalePlan
+	for _, p := range s.pending {
+		if epoch >= p.AtEpoch && !slices.ContainsFunc(due, func(d RescalePlan) bool { return d.Op == p.Op }) {
+			due = append(due, p)
 		}
 	}
-	return nil
+	return due
 }
 
 // EpochStarted notes that attempt no injected an epoch's first barrier. The
@@ -468,7 +467,7 @@ func (s *Supervisor) RecordSnapshot(no int, snap *TaskSnapshot) (done int64, dra
 	s.logf("checkpoint: epoch %d complete (%d snapshots)", done, taken)
 	s.emit(telemetry.Event{Kind: telemetry.EventCheckpointComplete, Epoch: done, Attempt: no,
 		Attrs: map[string]any{"snapshots": taken}})
-	return done, s.dueRescale(done) != nil
+	return done, len(s.dueRescales(done)) > 0
 }
 
 // EpochSnapshots returns every task's snapshot at the given epoch in task
@@ -519,16 +518,14 @@ func deadList(dead map[int]bool) []int {
 	return out
 }
 
-// parallelismOf counts op's tasks (task indices are dense, so the count is
-// the parallelism).
-func parallelismOf(tasks []dataflow.TaskID, op dataflow.OperatorID) int {
-	n := 0
+// parallelism counts each operator's tasks in a task set (task indices are
+// dense, so the count is the operator's parallelism).
+func parallelism(tasks []dataflow.TaskID) map[dataflow.OperatorID]int {
+	par := make(map[dataflow.OperatorID]int)
 	for _, t := range tasks {
-		if t.Op == op {
-			n++
-		}
+		par[t.Op]++
 	}
-	return n
+	return par
 }
 
 // rescaledTasks is tasks with op's indices cut or extended to newP.

@@ -35,13 +35,7 @@ type scriptedExecutor struct {
 	now    time.Time
 
 	specs     []AttemptSpec
-	rescaled  []int // parallelisms SetParallelism was asked for
 	lastEpoch int64
-}
-
-func (x *scriptedExecutor) SetParallelism(op dataflow.OperatorID, parallelism int) error {
-	x.rescaled = append(x.rescaled, parallelism)
-	return nil
 }
 
 func (x *scriptedExecutor) RunAttempt(_ context.Context, at AttemptSpec) (AttemptEnd, error) {
@@ -109,7 +103,10 @@ func TestSupervisorLifecycle(t *testing.T) {
 		wantReprocessed int64
 		wantRecoveries  int
 		wantRescales    int
-		wantEvents      string
+		// wantDrains counts the attempts that drained for rescales: each
+		// carries one re-placement and one 10ms rescale outage.
+		wantDrains int
+		wantEvents string
 		// wantReplaced is the number of attempts whose plan differs from its
 		// predecessor's.
 		wantReplaced int
@@ -145,7 +142,7 @@ func TestSupervisorLifecycle(t *testing.T) {
 				{epochs: []int64{3}},
 			},
 			wantRestore: []int64{0, 1, 2}, wantTasks: []int{5, 5, 6},
-			wantReprocessed: 10*5 + 20*5, wantRecoveries: 1, wantRescales: 1,
+			wantReprocessed: 10*5 + 20*5, wantRecoveries: 1, wantRescales: 1, wantDrains: 1,
 			wantEvents: recovery + " " + rescale, wantReplaced: 1,
 		},
 		{
@@ -157,8 +154,21 @@ func TestSupervisorLifecycle(t *testing.T) {
 				{epochs: []int64{3}},
 			},
 			wantRestore: []int64{0, 1, 2}, wantTasks: []int{5, 6, 4},
-			wantReprocessed: 5*5 + 5*6, wantRescales: 2,
+			wantReprocessed: 5*5 + 5*6, wantRescales: 2, wantDrains: 2,
 			wantEvents: rescale + " " + rescale, wantReplaced: 2,
+		},
+		{
+			// Plans of two operators due at one epoch are one decision: one
+			// drain, one repartition epoch, one re-placement, one redeploy.
+			name:     "win and sink due at epoch 1",
+			rescales: []RescalePlan{{Op: "win", Parallelism: 3, AtEpoch: 1}, {Op: "sink", Parallelism: 2, AtEpoch: 1}},
+			script: []scriptedAttempt{
+				{epochs: []int64{1}, progress: 5},
+				{epochs: []int64{2}},
+			},
+			wantRestore: []int64{0, 1}, wantTasks: []int{5, 7},
+			wantReprocessed: 5 * 5, wantRescales: 2, wantDrains: 1,
+			wantEvents: "rescale.start rescale.start rescale.complete rescale.complete", wantReplaced: 1,
 		},
 		{
 			name: "four data-plane failures",
@@ -299,8 +309,15 @@ func TestSupervisorLifecycle(t *testing.T) {
 			if last := x.specs[len(x.specs)-1]; !reflect.DeepEqual(last.Dead, tc.wantDead) && len(last.Dead)+len(tc.wantDead) > 0 {
 				t.Errorf("dead set = %v, want %v", last.Dead, tc.wantDead)
 			}
-			if len(x.rescaled) != tc.wantRescales {
-				t.Errorf("executor rewrote its topology %d times, want %d", len(x.rescaled), tc.wantRescales)
+			// A drain's rescale.start events all carry the attempt it drained.
+			drained := make(map[int]bool)
+			for _, ev := range events {
+				if ev.Kind == telemetry.EventRescaleStart {
+					drained[ev.Attempt] = true
+				}
+			}
+			if len(drained) != tc.wantDrains {
+				t.Errorf("rescale.start events name %d drained attempts (%v), want %d", len(drained), drained, tc.wantDrains)
 			}
 
 			// Each outage is counted once and each downtime clock is opened
@@ -312,7 +329,7 @@ func TestSupervisorLifecycle(t *testing.T) {
 			if want := time.Duration(tc.wantRecoveries) * 10 * time.Millisecond; res.Downtime != want {
 				t.Errorf("Downtime = %v, want %v", res.Downtime, want)
 			}
-			if want := time.Duration(tc.wantRescales) * 10 * time.Millisecond; res.RescaleDowntime != want {
+			if want := time.Duration(tc.wantDrains) * 10 * time.Millisecond; res.RescaleDowntime != want {
 				t.Errorf("RescaleDowntime = %v, want %v", res.RescaleDowntime, want)
 			}
 			if res.RestoredEpoch != tc.wantRestore[len(tc.wantRestore)-1] {

@@ -299,7 +299,7 @@ func (rt *taskRuntime) chargeCPU(cost float64) {
 // original run exactly. Rate pacing always follows the wall clock; the
 // attempt clock only stamps statistics.
 func (a *attempt) runSource(ctx context.Context, rt *taskRuntime, src Source) error {
-	op := a.j.graph.Operator(rt.id.Op)
+	op := a.graph.Operator(rt.id.Op)
 	rate := 0.0
 	if r, ok := a.j.opts.SourceRate[rt.id.Op]; ok && r > 0 {
 		rate = r / float64(op.Parallelism)
