@@ -62,7 +62,7 @@ func battReference(t *testing.T, query, strategy string) (sink, source int64) {
 	t.Helper()
 	f, o := parseFlags(t, "-query", query, "-strategy", strategy, "-seed", fmt.Sprint(battSeed),
 		"-workers", fmt.Sprint(battWorkers), "-slots", fmt.Sprint(battSlots))
-	d, err := launch(f, o, true)
+	d, err := launch(f, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,9 @@
 //	caplive -query Q1-sliding -strategy worst -records 5000   # pack the heavy operator
 //	caplive -query Q1-sliding -metrics-addr :9090             # curl :9090/metrics mid-run
 //	caplive -query Q1-sliding -trace-out run.jsonl            # structured event trace
-//	caplive -checkpoint-every 200 -kill-worker 1 -trace-out f.jsonl  # checkpoint + fault events
 //	caplive -query Q1-sliding -transport batched -batch-size 64       # batched exchange layer
+//	caplive -checkpoint-every 200 -kill-worker 1 -slots 6 -trace-out f.jsonl  # kill, re-place, restore
+//	caplive -checkpoint-every 100 -rescale slide-win=6 -source-rate 20000      # live rescale
 //
 // Distributed mode runs the same job as one coordinator plus N worker OS
 // processes, with the data plane on TCP (see DESIGN.md §12):
@@ -24,11 +25,14 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // -pprof-addr registers the /debug/pprof handlers
 	"os"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"capsys/cmd/internal/cliflags"
@@ -41,44 +45,56 @@ import (
 	"capsys/internal/telemetry"
 )
 
-// liveFlags are the flags only caplive has; the shared ones are in
-// cliflags.Common.
+// liveFlags are the flags only caplive has; the cluster and placement ones
+// are in cliflags.Common.
 type liveFlags struct {
-	costScale   float64
-	timeout     time.Duration
-	metricsAddr string
-	ckptEvery   int64
-	killWorker  int
-	killEpoch   int64
-	listenAddr  string
-	joinAddr    string
-	hbEvery     time.Duration
-	pprofAddr   string
+	records      int64
+	transport    string
+	batchSize    int
+	batchLinger  time.Duration
+	fuse         string
+	rescale      string
+	rescaleEpoch int64
+	sourceRate   float64
+	traceOut     string
+	costScale    float64
+	timeout      time.Duration
+	metricsAddr  string
+	ckptEvery    int64
+	killWorker   int
+	killEpoch    int64
+	listenAddr   string
+	joinAddr     string
+	hbEvery      time.Duration
+	pprofAddr    string
 }
 
 // registerFlags declares every caplive flag on fs.
 func registerFlags(fs *flag.FlagSet) (*cliflags.Common, *liveFlags) {
 	f := &cliflags.Common{
-		Query: "Q1-sliding", Strategy: "caps", Records: 5000,
+		Query: "Q1-sliding", Strategy: "caps",
 		Workers: 4, Slots: 4, Cores: 2, IOBps: 50e6, NetBps: 500e6,
-		Transport: engine.TransportUnary, Fuse: "on", RescaleEpoch: 2,
 	}
 	f.Register(fs, map[string]string{
-		"strategy":     "placement: caps|default|evenly|random|greedy|worst",
-		"seed":         "seed for randomized strategies and event generation",
-		"cores":        "CPU cores per worker (engine meter)",
-		"rescale":      "live rescale: comma-separated op=parallelism changes applied at -rescale-epoch (requires -checkpoint-every; local and -listen modes)",
-		"transport":    "data-plane exchange: unary|batched|network (forced to network in -listen/-join mode)",
-		"fuse":         "operator fusion: run co-located Forward chains as one goroutine, bypassing the exchange (on|off)",
-		"batch-size":   "batched/network transport: records per batch (0 = engine default)",
-		"batch-linger": "batched/network transport: max wait for a partial batch (0 = engine default, negative disables)",
+		"strategy": "placement: caps|default|evenly|random|greedy|worst",
+		"seed":     "seed for randomized strategies and event generation",
+		"cores":    "CPU cores per worker (engine meter)",
 	})
 	o := &liveFlags{}
+	fs.Int64Var(&o.records, "records", 5000, "records per source task")
+	fs.StringVar(&o.transport, "transport", engine.TransportUnary, "data-plane exchange: unary|batched|network (forced to network in -listen/-join mode)")
+	fs.IntVar(&o.batchSize, "batch-size", 0, "batched/network transport: records per batch (0 = engine default)")
+	fs.DurationVar(&o.batchLinger, "batch-linger", 0, "batched/network transport: max wait for a partial batch (0 = engine default, negative disables)")
+	fs.StringVar(&o.fuse, "fuse", "on", "operator fusion: run co-located Forward chains as one goroutine, bypassing the exchange (on|off)")
+	fs.StringVar(&o.rescale, "rescale", "", "live rescale: comma-separated op=parallelism changes applied at -rescale-epoch (requires -checkpoint-every; local and -listen modes)")
+	fs.Int64Var(&o.rescaleEpoch, "rescale-epoch", 2, "checkpoint epoch at which -rescale fires")
+	fs.Float64Var(&o.sourceRate, "source-rate", 0, "throttle each source task to this records/s (0 = unthrottled; local mode)")
+	fs.StringVar(&o.traceOut, "trace-out", "", "append structured trace events as JSONL to this file")
 	fs.Float64Var(&o.costScale, "cost-scale", 1, "multiply profiled per-record CPU costs")
 	fs.DurationVar(&o.timeout, "timeout", 5*time.Minute, "run timeout")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve live telemetry over HTTP (/metrics Prometheus, /events JSON) on this address")
 	fs.Int64Var(&o.ckptEvery, "checkpoint-every", 0, "inject a checkpoint barrier every N source records (0 disables)")
-	fs.IntVar(&o.killWorker, "kill-worker", -1, "kill this worker when it passes -kill-epoch (degraded run; -1 disables)")
+	fs.IntVar(&o.killWorker, "kill-worker", -1, "local mode: kill this worker when it passes -kill-epoch; the strategy re-places its tasks on the survivors and the job restarts from the last complete checkpoint (-strategy worst degrades instead; -1 disables)")
 	fs.Int64Var(&o.killEpoch, "kill-epoch", 1, "checkpoint epoch at which -kill-worker fires")
 	fs.StringVar(&o.listenAddr, "listen", "", "coordinator mode: run the control plane on this address and wait for -workers joiners")
 	fs.StringVar(&o.joinAddr, "join", "", "worker mode: join the coordinator at this address and serve deploys until shutdown")
@@ -122,11 +138,10 @@ func dispatch(f *cliflags.Common, o *liveFlags) error {
 // validate checks the flag combination for every mode and returns the
 // engine options the flags determine.
 func validate(f *cliflags.Common, o *liveFlags) (engine.JobOptions, error) {
-	eo, err := f.EngineOptions()
+	eo, err := o.engineOptions()
 	if err != nil {
 		return eo, err
 	}
-	eo.SnapshotInterval = o.ckptEvery
 	switch {
 	case o.costScale <= 0:
 		return eo, fmt.Errorf("-cost-scale must be > 0 (got %v)", o.costScale)
@@ -136,17 +151,70 @@ func validate(f *cliflags.Common, o *liveFlags) (engine.JobOptions, error) {
 		return eo, nil // the job's flags are the coordinator's to check
 	case len(eo.Rescales) > 0 && o.ckptEvery <= 0:
 		return eo, fmt.Errorf("-rescale requires -checkpoint-every > 0 (rescales are epoch-aligned)")
+	case o.listenAddr != "" && o.killWorker >= 0:
+		return eo, fmt.Errorf("-kill-worker is local-mode only: in a -listen cluster a worker dies by a SIGKILL of its -join process")
+	case o.listenAddr != "" && o.sourceRate > 0:
+		return eo, fmt.Errorf("-source-rate is local-mode only: a deploy carries no source throttle")
 	case o.killWorker >= 0 && o.ckptEvery <= 0:
 		return eo, fmt.Errorf("-kill-worker requires -checkpoint-every > 0 (kills are epoch-aligned)")
 	case o.killWorker >= f.Workers:
 		return eo, fmt.Errorf("-kill-worker %d out of range (workers: %d)", o.killWorker, f.Workers)
+	case o.killWorker >= 0 && f.Workers < 2:
+		return eo, fmt.Errorf("-kill-worker needs at least 2 workers")
+	case o.killWorker >= 0 && f.Strategy != "worst":
+		// The strategy re-places the dead worker's tasks on the survivors.
+		spec, err := nexmark.ByName(f.Query)
+		if err != nil {
+			return eo, err
+		}
+		tasks, survivors := spec.Graph.TotalTasks(), f.Workers-1
+		if survivors*f.Slots < tasks {
+			need := (tasks + survivors - 1) / survivors
+			return eo, fmt.Errorf("-kill-worker %d: %d survivors with -slots %d cannot host %s's %d tasks; use -slots %d or more",
+				o.killWorker, survivors, f.Slots, f.Query, tasks, need)
+		}
+	}
+	return eo, nil
+}
+
+// engineOptions maps the engine flags onto the job options every mode
+// shares: a -rescale "op=parallelism[,op=parallelism]" spec is one change of
+// several operators at -rescale-epoch, applied in one drain.
+func (o *liveFlags) engineOptions() (engine.JobOptions, error) {
+	eo := engine.JobOptions{
+		RecordsPerSource: o.records,
+		SnapshotInterval: o.ckptEvery,
+		Transport:        o.transport,
+		BatchSize:        o.batchSize,
+		BatchLinger:      o.batchLinger,
+	}
+	switch o.fuse {
+	case "on", "":
+	case "off":
+		eo.DisableFusion = true
+	default:
+		return eo, fmt.Errorf("-fuse must be on or off (got %q)", o.fuse)
+	}
+	if o.rescale == "" {
+		return eo, nil
+	}
+	for _, kv := range strings.Split(o.rescale, ",") {
+		op, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
+		if !ok || op == "" {
+			return eo, fmt.Errorf("-rescale entry %q: want op=parallelism", kv)
+		}
+		p, err := strconv.Atoi(v)
+		if err != nil || p <= 0 {
+			return eo, fmt.Errorf("-rescale entry %q: parallelism must be a positive integer", kv)
+		}
+		eo.Rescales = append(eo.Rescales, engine.RescalePlan{Op: dataflow.OperatorID(op), Parallelism: p, AtEpoch: o.rescaleEpoch})
 	}
 	return eo, nil
 }
 
 // launch places and binds the query the flags name and prints the plan.
 // "worst" is plan-only: it has no live strategy, so nothing re-places it.
-func launch(f *cliflags.Common, o *liveFlags, noRecovery bool) (*controller.Deployment, error) {
+func launch(f *cliflags.Common, o *liveFlags) (*controller.Deployment, error) {
 	spec, err := nexmark.ByName(f.Query)
 	if err != nil {
 		return nil, err
@@ -155,7 +223,7 @@ func launch(f *cliflags.Common, o *liveFlags, noRecovery bool) (*controller.Depl
 	if err != nil {
 		return nil, err
 	}
-	lo := controller.LaunchOptions{Seed: f.Seed, CPUCostScale: o.costScale, NoRecovery: noRecovery}
+	lo := controller.LaunchOptions{Seed: f.Seed, CPUCostScale: o.costScale}
 	var strat placement.Strategy
 	if f.Strategy == "worst" {
 		phys, err := dataflow.Expand(spec.Graph)
@@ -172,6 +240,56 @@ func launch(f *cliflags.Common, o *liveFlags, noRecovery bool) (*controller.Depl
 	}
 	fmt.Printf("plan (%s):\n%s\n", f.Strategy, d.Plan)
 	return d, nil
+}
+
+// observe wires a hub to the outside: trace events append to traceOut as
+// JSONL and the hub's /metrics and /events are served on metricsAddr, each
+// only when non-empty. The bound address is announced on stdout. stop
+// releases both; call it after the run, then check the tracer's SinkErr.
+func observe(tel *telemetry.Telemetry, traceOut, metricsAddr string) (stop func(), err error) {
+	var closers []io.Closer
+	stop = func() {
+		for _, c := range closers {
+			c.Close()
+		}
+	}
+	if traceOut != "" {
+		f, err := os.OpenFile(traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return nil, fmt.Errorf("open -trace-out: %w", err)
+		}
+		closers = append(closers, f)
+		tel.Tracer().SetSink(f)
+	}
+	if metricsAddr != "" {
+		srv, bound, err := tel.Serve(metricsAddr)
+		if err != nil {
+			stop()
+			return nil, err
+		}
+		closers = append(closers, srv)
+		fmt.Printf("telemetry: serving http://%s/metrics and /events\n", bound)
+	}
+	return stop, nil
+}
+
+// resultLines renders how a live run ended, in local and -listen mode
+// alike: "<status> in <elapsed>: ...", the rescale line when any was
+// applied, the recovery line and the controller's share of the run (read
+// from the controller.* series Deployment.Run and the coordinator export).
+func resultLines(status string, res *engine.JobResult) string {
+	out := fmt.Sprintf("%s in %v: %d source records (%.0f rec/s), %d sink records\n",
+		status, res.Elapsed.Round(time.Millisecond), res.SourceRecords,
+		float64(res.SourceRecords)/res.Elapsed.Seconds(), res.SinkRecords)
+	if res.Rescales > 0 {
+		out += fmt.Sprintf("rescale: %d applied, downtime %v, moved %d state bytes, reprocessed %d records\n",
+			res.Rescales, res.RescaleDowntime.Round(time.Millisecond), res.RescaleMovedBytes, res.RecordsReprocessed)
+	}
+	out += fmt.Sprintf("recovery: %d recoveries, restored epoch %d, downtime %v, reprocessed %d records, lost %d records\n",
+		res.Recoveries, res.RestoredEpoch, res.Downtime.Round(time.Millisecond), res.RecordsReprocessed, res.LostRecords)
+	snap := res.Metrics.Snapshot()
+	return out + fmt.Sprintf("controller: placement %.1f ms, re-placement %.1f ms, %.0f tasks moved\n",
+		snap["controller.placement_seconds"]*1e3, snap["controller.replacement_seconds"]*1e3, snap["controller.tasks_moved"])
 }
 
 // servePprof exposes net/http/pprof's default-mux handlers on addr — live
@@ -195,7 +313,7 @@ func servePprof(addr string) (stop func(), err error) {
 func runJoin(f *cliflags.Common, o *liveFlags) error {
 	tel := telemetry.New()
 	tel.RegisterRuntimeGauges()
-	stop, err := cliflags.Observe(tel, f.TraceOut, o.metricsAddr, os.Stdout)
+	stop, err := observe(tel, o.traceOut, o.metricsAddr)
 	if err != nil {
 		return err
 	}
@@ -216,7 +334,7 @@ func runJoin(f *cliflags.Common, o *liveFlags) error {
 // supervise to completion; worker deaths and rescales are re-placed by the
 // strategy over the survivors.
 func runCoordinator(f *cliflags.Common, o *liveFlags, eo engine.JobOptions) error {
-	d, err := launch(f, o, false)
+	d, err := launch(f, o)
 	if err != nil {
 		return err
 	}
@@ -224,7 +342,7 @@ func runCoordinator(f *cliflags.Common, o *liveFlags, eo engine.JobOptions) erro
 	// heartbeat deltas and trace events merge into it (DESIGN.md §9).
 	tel := telemetry.New()
 	tel.RegisterRuntimeGauges()
-	stop, err := cliflags.Observe(tel, f.TraceOut, "", nil)
+	stop, err := observe(tel, o.traceOut, "")
 	if err != nil {
 		return err
 	}
@@ -259,7 +377,7 @@ func runCoordinator(f *cliflags.Common, o *liveFlags, eo engine.JobOptions) erro
 	if err != nil {
 		return err
 	}
-	fmt.Print(cliflags.ResultLines("finished", res))
+	fmt.Print(resultLines("finished", res))
 	snap := res.Metrics.Snapshot()
 	fmt.Printf("network: %.0f data batches, %.0f credit frames, %.0f frames sent, %.0f bytes sent\n",
 		snap["net.data_batches"], snap["net.credit_frames"], snap["net.frames_sent"], snap["net.bytes_sent"])
@@ -278,15 +396,18 @@ func runCoordinator(f *cliflags.Common, o *liveFlags, eo engine.JobOptions) erro
 	return nil
 }
 
-// run is local mode: the whole job in this process. A -kill-worker is not
-// recovered from — the run degrades, exposing the lost throughput.
+// run is local mode: the whole job in this process. A -kill-worker is
+// recovered as a -listen cluster recovers a dead worker process — the
+// strategy re-places its tasks on the survivors and the job restarts from the
+// last complete checkpoint — except under the plan-only "worst", where the
+// run degrades, exposing the lost throughput.
 func run(f *cliflags.Common, o *liveFlags, eo engine.JobOptions) error {
-	d, err := launch(f, o, true)
+	d, err := launch(f, o)
 	if err != nil {
 		return err
 	}
 	tel := telemetry.New()
-	stop, err := cliflags.Observe(tel, f.TraceOut, o.metricsAddr, os.Stdout)
+	stop, err := observe(tel, o.traceOut, o.metricsAddr)
 	if err != nil {
 		return err
 	}
@@ -294,6 +415,12 @@ func run(f *cliflags.Common, o *liveFlags, eo engine.JobOptions) error {
 	eo.Telemetry = tel
 	if o.killWorker >= 0 {
 		eo.FaultPlan.KillWorkers = []engine.WorkerKill{{Worker: o.killWorker, AtEpoch: o.killEpoch}}
+	}
+	if o.sourceRate > 0 {
+		eo.SourceRate = map[dataflow.OperatorID]float64{}
+		for _, src := range d.Spec.Graph.Sources() {
+			eo.SourceRate[src.ID] = o.sourceRate
+		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), o.timeout)
 	defer cancel()
@@ -306,17 +433,15 @@ func run(f *cliflags.Common, o *liveFlags, eo engine.JobOptions) error {
 	if res.Failed {
 		status = "finished DEGRADED (worker killed, no recovery)"
 	}
-	fmt.Print(cliflags.ResultLines(status, res))
-	if out.Transport != engine.TransportUnary {
-		snap := res.Metrics.Snapshot()
-		mean := 0.0
-		if b := snap["exchange.batches"]; b > 0 {
-			mean = snap["exchange.batch_records"] / b
-		}
-		fmt.Printf("exchange: %s transport, %.0f batches (mean %.1f records), %.0f credit stalls (%.3fs waiting)\n",
-			out.Transport, snap["exchange.batches"], mean,
-			snap["exchange.credit_stalls"], snap["exchange.credit_stall_seconds"])
+	fmt.Print(resultLines(status, res))
+	snap := res.Metrics.Snapshot()
+	mean := 0.0
+	if b := snap["exchange.batches"]; b > 0 {
+		mean = snap["exchange.batch_records"] / b
 	}
+	fmt.Printf("exchange: %s transport, %.0f batches (mean %.1f records), %.0f credit stalls (%.3fs waiting)\n",
+		out.Transport, snap["exchange.batches"], mean,
+		snap["exchange.credit_stalls"], snap["exchange.credit_stall_seconds"])
 	if err := tel.Tracer().SinkErr(); err != nil {
 		return fmt.Errorf("trace sink: %w", err)
 	}

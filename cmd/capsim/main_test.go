@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"capsys/internal/engine"
 	"capsys/internal/telemetry"
 )
 
@@ -80,23 +79,10 @@ func TestRunErrors(t *testing.T) {
 		{"unknown query", func() error { return runArgs("-query", "Q99") }},
 		{"unknown strategy", func() error { return runArgs("-query", "Q1-sliding", "-strategy", "zap") }},
 		{"bad cluster", func() error { return runArgs("-query", "Q1-sliding", "-workers", "0") }},
-		{"bad fuse", func() error { return runArgs("-query", "Q1-sliding", "-fuse", "maybe") }},
-		{"bad rescale", func() error { return runArgs("-query", "Q1-sliding", "-rescale", "slide-win") }},
 	}
 	for _, tc := range cases {
 		if err := tc.f(); err == nil {
 			t.Errorf("%s: no error", tc.name)
 		}
-	}
-}
-
-func TestRunLiveMode(t *testing.T) {
-	for _, tr := range engine.TransportNames() {
-		if err := runArgs("-query", "Q1-sliding", "-live", "-records", "500", "-transport", tr); err != nil {
-			t.Fatalf("%s: %v", tr, err)
-		}
-	}
-	if err := runArgs("-query", "Q1-sliding", "-live", "-records", "500", "-transport", "carrier-pigeon"); err == nil {
-		t.Error("unknown live transport: no error")
 	}
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // TestHelpUnchanged builds the three binaries that register their shared
-// flags through this package and compares each one's -h output with the
-// output of the same binary before the flags were shared (testdata/*.help):
-// names, defaults and help text must not move.
+// flags through this package and pins each one's -h output
+// (testdata/<binary>.help): a flag's name, default or help text moves only
+// with its golden.
 func TestHelpUnchanged(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range []string{"caplive", "capsim", "capsysctl"} {

@@ -31,10 +31,6 @@ type LaunchOptions struct {
 	// for the initial placement (a joint multi-query placement, a
 	// hand-built worst case).
 	Plan *dataflow.Plan
-	// NoRecovery leaves worker deaths un-reconciled: in-process the kill
-	// degrades the job instead of restarting it, exposing the lost
-	// throughput; on a coordinator it is fatal.
-	NoRecovery bool
 }
 
 // Launch places spec on c with strat — or adopts lo.Plan — and binds its
@@ -112,8 +108,9 @@ type Outcome struct {
 // Run executes the deployment in-process. opts are the engine's own options;
 // Stateful and PerRecordCPU default to the query's binding where left nil
 // (pass an empty map to run with operator CPU uncharged). The re-placement
-// closure is installed as OnRescale and, unless NoRecovery, OnFailure; a
-// kill in opts.FaultPlan and a schedule in opts.Rescales may share one run.
+// closure is installed as OnRescale and OnFailure (a plan-only deployment
+// installs neither, so a kill degrades the job); a kill in opts.FaultPlan
+// and a schedule in opts.Rescales may share one run.
 // The controller's share is exported on the result's registry as
 // "controller.placement_seconds", "controller.replacement_seconds" and
 // "controller.tasks_moved", beside the engine's job.* series. A Deployment
@@ -134,9 +131,7 @@ func (d *Deployment) Run(ctx context.Context, opts engine.JobOptions) (*Outcome,
 		opts.OnRescale = func(ev engine.RescaleEvent, prev *dataflow.Plan, _ *dataflow.PhysicalGraph) (*dataflow.Plan, error) {
 			return r.onRescale(ev, prev)
 		}
-		if !d.launch.NoRecovery {
-			opts.OnFailure = r.onFailure
-		}
+		opts.OnFailure = r.onFailure
 	}
 	d.emitDecision(emit)
 	job, err := engine.NewJob(d.Spec.Graph, d.Plan, EngineCluster(d.cluster), d.binding.Factories, opts)
@@ -178,9 +173,7 @@ func (d *Deployment) Coordinator(listen string, workers int, opts engine.JobOpti
 	r := d.newReplacer(context.Background(), nil, copts.Logf)
 	if d.strat != nil {
 		copts.RescaleAssign = r.onRescale
-		if !d.launch.NoRecovery {
-			copts.Replan = r.onFailure
-		}
+		copts.Replan = r.onFailure
 	}
 	co, err := NewCoordinator(listen, spec, workers, copts)
 	if err != nil {

@@ -19,12 +19,9 @@ type RecoveryOutcome struct {
 	Outcome
 	// KilledWorker is the worker index that died.
 	KilledWorker int
-	// TasksOnKilled is the number of tasks the initial plan had placed on
-	// the killed worker.
-	TasksOnKilled int
 	// Recovered reports whether the job restarted from a checkpoint (false
-	// when NoRecovery, when no snapshot completed in time, or when the
-	// fault never fired).
+	// for a plan-only deployment, when no snapshot completed in time, or when
+	// the fault never fired).
 	Recovered bool
 	// Backpressure is the peak per-task backpressure fraction of the run
 	// (backpressure time / elapsed), a proxy for post-recovery health.
@@ -35,8 +32,8 @@ type RecoveryOutcome struct {
 // epoch (opts.SnapshotInterval must be > 0: kills are epoch-aligned). A
 // negative kill.Worker selects the worker hosting the most tasks under the
 // initial plan (ties to the lowest index), so the fault hits comparable load
-// under every strategy. Unless the deployment was launched NoRecovery, the
-// run reconciles: the supervisor detects the failure, the re-placement
+// under every strategy. Unless the deployment is plan-only, the run
+// reconciles: the supervisor detects the failure, the re-placement
 // closure drops the dead worker from the cluster view and re-runs the
 // strategy over the survivors, and the job re-deploys from the last complete
 // checkpoint. This is the controller-side workflow the paper's §7 discussion
@@ -58,10 +55,9 @@ func (d *Deployment) RunRecovery(ctx context.Context, kill engine.WorkerKill, op
 	}
 	res := run.Result
 	out := &RecoveryOutcome{
-		Outcome:       *run,
-		KilledWorker:  kill.Worker,
-		TasksOnKilled: len(d.Plan.TasksOn(kill.Worker)),
-		Recovered:     res.Recoveries > 0,
+		Outcome:      *run,
+		KilledWorker: kill.Worker,
+		Recovered:    res.Recoveries > 0,
 	}
 	for _, ts := range res.Tasks {
 		if res.Elapsed > 0 {

@@ -44,7 +44,8 @@ func TestRunRecoveryReconciles(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
-	out, err := mustLaunch(t, spec, c, placement.FlinkEvenly{}, LaunchOptions{Seed: 7}).RunRecovery(ctx,
+	d := mustLaunch(t, spec, c, placement.FlinkEvenly{}, LaunchOptions{Seed: 7})
+	out, err := d.RunRecovery(ctx,
 		engine.WorkerKill{Worker: -1, AtEpoch: 2},
 		engine.JobOptions{RecordsPerSource: 600, SnapshotInterval: 100})
 	if err != nil {
@@ -60,11 +61,12 @@ func TestRunRecoveryReconciles(t *testing.T) {
 	if res.LostRecords != 0 {
 		t.Errorf("recovered job lost %d records", res.LostRecords)
 	}
-	if out.TasksOnKilled <= 0 {
-		t.Errorf("kill worker selection picked an empty worker (%d tasks)", out.TasksOnKilled)
+	onKilled := len(d.Plan.TasksOn(out.KilledWorker))
+	if onKilled <= 0 {
+		t.Errorf("kill worker selection picked an empty worker (%d tasks)", onKilled)
 	}
-	if out.MovedTasks < out.TasksOnKilled {
-		t.Errorf("moved %d tasks, but %d lived on the dead worker", out.MovedTasks, out.TasksOnKilled)
+	if out.MovedTasks < onKilled {
+		t.Errorf("moved %d tasks, but %d lived on the dead worker", out.MovedTasks, onKilled)
 	}
 	// Every source record must be accounted for after the restart.
 	var wantSrc int64
@@ -125,14 +127,16 @@ func TestRunRecoveryDegraded(t *testing.T) {
 	c := recoveryCluster(t, spec, 4)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	out, err := mustLaunch(t, spec, c, placement.FlinkEvenly{}, LaunchOptions{Seed: 7, NoRecovery: true}).RunRecovery(ctx,
+	// Plan-only: FlinkEvenly's plan deployed with no strategy to re-place it.
+	plan := mustLaunch(t, spec, c, placement.FlinkEvenly{}, LaunchOptions{Seed: 7}).Plan
+	out, err := mustLaunch(t, spec, c, nil, LaunchOptions{Seed: 7, Plan: plan}).RunRecovery(ctx,
 		engine.WorkerKill{Worker: -1, AtEpoch: 2},
 		engine.JobOptions{RecordsPerSource: 600, SnapshotInterval: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Recovered {
-		t.Error("NoRecovery run reported Recovered")
+		t.Error("plan-only run reported Recovered")
 	}
 	if !out.Result.Failed {
 		t.Error("degraded run did not report Failed")

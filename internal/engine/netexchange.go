@@ -367,11 +367,11 @@ func newNetAttempt(a *attempt, byID map[dataflow.TaskID]*taskRuntime, cross []cr
 	return na, nil
 }
 
-// registerGauges exports per-peer wire gauges: records granted to a sending
-// worker but not yet arrived ("in flight on the wire toward this node").
+// registerGauges adds per-peer wire gauges to the attempt's set: records
+// granted to a sending worker but not yet arrived ("in flight on the wire
+// toward this node").
 func (na *netAttempt) registerGauges() {
-	tel := na.a.j.opts.Telemetry
-	if tel == nil {
+	if na.a.j.opts.Telemetry == nil {
 		return
 	}
 	workerID := func(w int) string { return na.a.j.spec.Workers[w].ID }
@@ -381,7 +381,7 @@ func (na *netAttempt) registerGauges() {
 			byFrom[k.from] = append(byFrom[k.from], g)
 		}
 		for from, gs := range byFrom {
-			tel.SetGaugeFunc("net_peer_inflight_records",
+			na.a.gauge("net_peer_inflight_records",
 				map[string]string{"from": workerID(from), "to": workerID(node.worker)},
 				func() float64 {
 					var sum int64
@@ -399,13 +399,13 @@ func (na *netAttempt) registerGauges() {
 		for _, typ := range dataFrameTypes {
 			for _, dir := range []string{"sent", "received"} {
 				l := map[string]string{"local": labels["local"], "peer": labels["peer"], "dir": dir, "type": frameTypeName(typ)}
-				tel.SetGaugeFunc("net_peer_frames", l, func() float64 {
+				na.a.gauge("net_peer_frames", l, func() float64 {
 					if dir == "sent" {
 						return float64(ps.sentFrames[typ].Load())
 					}
 					return float64(ps.recvFrames[typ].Load())
 				})
-				tel.SetGaugeFunc("net_peer_bytes", l, func() float64 {
+				na.a.gauge("net_peer_bytes", l, func() float64 {
 					if dir == "sent" {
 						return float64(ps.sentBytes[typ].Load())
 					}
@@ -417,7 +417,7 @@ func (na *netAttempt) registerGauges() {
 	for _, node := range na.nodes {
 		// Total records/markers parked in this node's delivery pumps —
 		// wire-side inbox depth, the receiver half of backpressure.
-		tel.SetGaugeFunc("net_pump_queue_depth",
+		na.a.gauge("net_pump_queue_depth",
 			map[string]string{"worker": workerID(node.worker)},
 			func() float64 {
 				node.dmu.Lock()
@@ -443,17 +443,17 @@ func (na *netAttempt) registerGauges() {
 				continue
 			}
 			gate := rt.gate
-			tel.SetGaugeFunc("net_credit_gate_avail",
+			na.a.gauge("net_credit_gate_avail",
 				map[string]string{"task": t.String(), "worker": workerID(node.worker)},
 				func() float64 { return float64(gate.avail.Load()) })
 		}
 		for t, m := range node.mirrors {
 			labels := map[string]string{"task": t.String(), "worker": workerID(node.worker)}
-			tel.SetGaugeFunc("net_mirror_credit_avail", labels, func() float64 {
+			na.a.gauge("net_mirror_credit_avail", labels, func() float64 {
 				avail, _ := m.depth()
 				return float64(avail)
 			})
-			tel.SetGaugeFunc("net_mirror_parked_frames", labels, func() float64 {
+			na.a.gauge("net_mirror_parked_frames", labels, func() float64 {
 				_, parked := m.depth()
 				return float64(parked)
 			})

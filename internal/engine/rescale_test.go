@@ -7,6 +7,7 @@ import (
 
 	"capsys/internal/dataflow"
 	"capsys/internal/statebackend"
+	"capsys/internal/telemetry"
 )
 
 // TestRouteMatchesStateAssignment pins the routing↔state contract live
@@ -191,6 +192,45 @@ func TestRescaleLive(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestRescaleReleasesGaugesOfDrainedTasks: after a downscale, the hub's
+// callback gauges name only tasks the job still runs. The drained attempt's
+// set — queue depth, keyed-state size and, over the network transport, credit
+// gates and mirrors of the tasks the rescale removed — is replaced, not kept
+// alive beside the new one.
+func TestRescaleReleasesGaugesOfDrainedTasks(t *testing.T) {
+	for _, transport := range TransportNames() {
+		t.Run(transport, func(t *testing.T) {
+			tel := telemetry.New()
+			res, err := rescalePipeline(t, 3, false, func(o *JobOptions) {
+				o.Transport, o.Telemetry = transport, tel
+				o.Rescales = []RescalePlan{{Op: "win", Parallelism: 1, AtEpoch: 3}}
+			}).Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Rescales != 1 {
+				t.Fatalf("Rescales = %d, want 1", res.Rescales)
+			}
+			running := map[string]bool{}
+			for id := range res.Tasks {
+				running[id.String()] = true
+			}
+			labelled := 0
+			for _, g := range tel.SampleGaugeFuncs() {
+				if task, ok := g.Labels["task"]; ok {
+					labelled++
+					if !running[task] {
+						t.Errorf("gauge %s %v names %s, which the job no longer runs (value %v)", g.Family, g.Labels, task, g.Value)
+					}
+				}
+			}
+			if labelled == 0 {
+				t.Fatal("no callback gauge has a task label")
+			}
+		})
 	}
 }
 

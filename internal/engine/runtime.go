@@ -450,6 +450,9 @@ type attempt struct {
 	fusedChains int64
 	fusedTasks  int64
 
+	// gauges is the attempt's set of callback gauges (see buildAttempt).
+	gauges []telemetry.GaugeFunc
+
 	abort     chan struct{}
 	abortOnce sync.Once
 	// abortFlag mirrors the abort channel as a cheap per-record check for
@@ -527,19 +530,13 @@ func (j *Job) buildAttempt(no int, par map[dataflow.OperatorID]int, plan *datafl
 	// Callback saturation gauges read the live meters at scrape time; a
 	// restarted attempt re-registers the same (family, labels) series, so the
 	// exporter always reflects the current attempt's meters.
-	if tel := j.opts.Telemetry; tel != nil {
+	if j.opts.Telemetry != nil {
 		for i, res := range workers {
 			if !localTo(dist, i) {
 				continue
 			}
-			id := j.spec.Workers[i].ID
-			for _, m := range []struct {
-				resource string
-				meter    *Meter
-			}{{"cpu", res.CPU}, {"io", res.IO}, {"net", res.Net}} {
-				tel.SetGaugeFunc("worker_saturation",
-					map[string]string{"worker": id, "resource": m.resource},
-					m.meter.Utilization)
+			for resource, m := range map[string]*Meter{"cpu": res.CPU, "io": res.IO, "net": res.Net} {
+				a.gauge("worker_saturation", map[string]string{"worker": j.spec.Workers[i].ID, "resource": resource}, m.Utilization)
 			}
 		}
 	}
@@ -579,10 +576,9 @@ func (j *Job) buildAttempt(no int, par map[dataflow.OperatorID]int, plan *datafl
 				rt.batchSizeH = j.opts.Telemetry.Histogram("exchange.batch_size")
 			}
 			// Live queue-depth gauge: len on a channel is safe from the
-			// exporter goroutine, and a restarted attempt re-registers the
-			// same (family, labels) series.
+			// exporter goroutine.
 			inbox := rt.inbox
-			j.opts.Telemetry.SetGaugeFunc("exchange_queue_depth",
+			a.gauge("exchange_queue_depth",
 				map[string]string{"task": t.String()},
 				func() float64 { return float64(len(inbox)) })
 		}
@@ -623,15 +619,14 @@ func (j *Job) buildAttempt(no int, par map[dataflow.OperatorID]int, plan *datafl
 					return nil, fmt.Errorf("engine: restore state of %v: %w", t, err)
 				}
 			}
-			if tel := j.opts.Telemetry; tel != nil {
+			if j.opts.Telemetry != nil {
 				// Live keyed-state gauges (rescale observability): sizes read
-				// from the namespace at scrape time; a restarted attempt
-				// re-registers the same (family, labels) series.
+				// from the namespace at scrape time.
 				ns := tctx.State
-				tel.SetGaugeFunc("state.bytes",
+				a.gauge("state.bytes",
 					map[string]string{"task": t.String()},
 					func() float64 { return float64(ns.StoredBytes()) })
-				tel.SetGaugeFunc("state.keys",
+				a.gauge("state.keys",
 					map[string]string{"task": t.String()},
 					func() float64 { return float64(ns.Keys()) })
 			}
@@ -783,7 +778,25 @@ func (j *Job) buildAttempt(no int, par map[dataflow.OperatorID]int, plan *datafl
 		}
 	}
 	a.tasks = tasks
+	// The attempt's callback gauges replace, as one set, those the previous
+	// attempt on the same workers registered — whichever Job built it, as a
+	// worker process builds one per deploy — so a task, peer or meter this
+	// attempt no longer has stops being exported, and the drained attempt's
+	// namespaces, inboxes and wire state are not kept alive by callbacks. An
+	// in-process attempt's set is the hub's one in-process set; the last
+	// attempt's series stay readable after the run.
+	owner := "engine"
+	if dist != nil {
+		owner += "/" + j.spec.Workers[dist.Local].ID
+	}
+	j.opts.Telemetry.ReplaceGaugeFuncs(owner, a.gauges)
 	return a, nil
+}
+
+// gauge adds a callback gauge to the attempt's set, which buildAttempt
+// registers on the hub once the attempt is built.
+func (a *attempt) gauge(family string, labels map[string]string, fn func() float64) {
+	a.gauges = append(a.gauges, telemetry.GaugeFunc{Family: family, Labels: labels, Fn: fn})
 }
 
 // run launches all task goroutines and waits for the attempt to finish —

@@ -52,10 +52,9 @@ func Recovery(ctx context.Context) (*Report, error) {
 	return recoveryStudy(ctx, defaultRecoveryConfig())
 }
 
-// RecoveryStrategies returns the study's strategy lineup: CAPS, the two
-// Flink baselines and ODRP (adapted onto the fixed graph). Shared with the
-// capsysctl -recovery mode.
-func RecoveryStrategies(spec nexmark.QuerySpec, nodes int64) []placement.Strategy {
+// recoveryStrategies returns the study's strategy lineup: CAPS, the two
+// Flink baselines and ODRP (adapted onto the fixed graph).
+func recoveryStrategies(spec nexmark.QuerySpec, nodes int64) []placement.Strategy {
 	return []placement.Strategy{
 		placement.CAPS{Search: caps.Options{MaxNodes: nodes}},
 		placement.FlinkDefault{},
@@ -88,7 +87,7 @@ func recoveryStudy(ctx context.Context, cfg recoveryConfig) (*Report, error) {
 			"downtime_ms", "reprocessed", "lost", "sink_records", "moved_tasks", "peak_bp", "p99_ms", "events"},
 	}
 	var outcomes []*controller.RecoveryOutcome
-	for _, strat := range RecoveryStrategies(spec, cfg.SearchNodes) {
+	for _, strat := range recoveryStrategies(spec, cfg.SearchNodes) {
 		// Per-strategy recovered-record accounting across transports: the
 		// exchange discipline must be invisible to exactly-once delivery.
 		// Which epoch the restore starts from (and hence the reprocessed

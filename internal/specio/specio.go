@@ -1,7 +1,8 @@
 // Package specio serializes query specifications and cluster descriptions
-// to/from JSON, the interchange format of the command-line tools: a user can
-// describe their own dataflow (operators, edges, profiled unit costs, target
-// rates) and cluster in a file and feed it to capsysctl or capsim.
+// to/from JSON, and renders plans to it: the interchange format of capsysctl,
+// the placement CLI. A user can describe their own dataflow (operators,
+// edges, profiled unit costs, target rates) and cluster in a file, feed them
+// to capsysctl -query-file and -cluster-file, and get the plan back as JSON.
 package specio
 
 import (

@@ -89,8 +89,8 @@ func (t *Telemetry) WritePrometheus(w io.Writer) error {
 	t.renderRegistry(doc, t.reg)
 	t.renderHistograms(doc)
 	for _, g := range t.gaugeFuncs() {
-		fam := "capsys_" + sanitizeName(g.family)
-		doc.family(fam, "gauge").add(fam, g.labels, g.fn())
+		fam := "capsys_" + sanitizeName(g.Family)
+		doc.family(fam, "gauge").add(fam, g.Labels, g.Fn())
 	}
 	return doc.write(w)
 }

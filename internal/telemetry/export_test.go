@@ -254,3 +254,36 @@ func TestRuntimeGauges(t *testing.T) {
 		t.Errorf("runtime gauges = %v, missing the GC pause total", got)
 	}
 }
+
+// TestReplaceGaugeFuncs: an owner's set replaces that owner's previous set
+// whole — a series it no longer registers is gone — and leaves other
+// owners' sets and SetGaugeFunc's gauges alone; a series registered under a
+// new owner moves to it.
+func TestReplaceGaugeFuncs(t *testing.T) {
+	tel := New()
+	gauge := func(task string, v float64) GaugeFunc {
+		return GaugeFunc{Family: "exchange_queue_depth", Labels: map[string]string{"task": task}, Fn: func() float64 { return v }}
+	}
+	tel.SetGaugeFunc("runtime_goroutines", nil, func() float64 { return 1 })
+	tel.ReplaceGaugeFuncs("a", []GaugeFunc{gauge("x", 1), gauge("y", 1)})
+	tel.ReplaceGaugeFuncs("b", []GaugeFunc{gauge("z", 2)})
+	tel.ReplaceGaugeFuncs("a", []GaugeFunc{gauge("y", 3)})
+	(*Telemetry)(nil).ReplaceGaugeFuncs("a", nil) // nil hub: no-op
+	series := func() string {
+		var out []string
+		for _, g := range tel.SampleGaugeFuncs() {
+			out = append(out, fmt.Sprintf("%s %v=%v", g.Family, g.Labels, g.Value))
+		}
+		return strings.Join(out, " ")
+	}
+	want := "exchange_queue_depth map[task:y]=3 exchange_queue_depth map[task:z]=2 runtime_goroutines map[]=1"
+	if got := series(); got != want {
+		t.Errorf("after replacing a's set: %s, want %s", got, want)
+	}
+	tel.ReplaceGaugeFuncs("b", []GaugeFunc{gauge("y", 4)})
+	tel.ReplaceGaugeFuncs("a", nil)
+	want = "exchange_queue_depth map[task:y]=4 runtime_goroutines map[]=1"
+	if got := series(); got != want {
+		t.Errorf("after y moved to b and a emptied: %s, want %s", got, want)
+	}
+}

@@ -13,6 +13,7 @@
 package telemetry
 
 import (
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -31,45 +32,38 @@ type Telemetry struct {
 	windows  map[string]*Windowed  // guarded by mu
 	gaugeFns map[string]gaugeFunc  // guarded by mu
 	tracer   *Tracer
-	winEvery time.Duration
-	winSlots int
 }
 
 type gaugeFunc struct {
-	family string
-	labels map[string]string
-	fn     func() float64
+	GaugeFunc
+	owner string // the ReplaceGaugeFuncs set it belongs to ("" = none)
 }
 
-// Options configures a Telemetry hub.
-type Options struct {
-	// TracerCapacity bounds the event ring buffer (default 4096).
-	TracerCapacity int
-	// WindowInterval and WindowIntervals shape the windowed histogram views
-	// (defaults: 5s x 12, a one-minute rolling window).
-	WindowInterval  time.Duration
-	WindowIntervals int
+// GaugeFunc is one callback gauge: the (Family, Labels) series and the
+// callback that reads its value at scrape time.
+type GaugeFunc struct {
+	Family string
+	Labels map[string]string
+	Fn     func() float64
 }
 
-// New creates a hub with default options.
-func New() *Telemetry { return NewWith(Options{}) }
+const (
+	// TracerCapacity bounds a hub's event ring buffer.
+	TracerCapacity = 4096
+	// WindowInterval and WindowIntervals shape the windowed histogram
+	// views: a one-minute rolling window.
+	WindowInterval  = 5 * time.Second
+	WindowIntervals = 12
+)
 
-// NewWith creates a hub with explicit options.
-func NewWith(opts Options) *Telemetry {
-	if opts.WindowInterval <= 0 {
-		opts.WindowInterval = 5 * time.Second
-	}
-	if opts.WindowIntervals < 1 {
-		opts.WindowIntervals = 12
-	}
+// New creates a hub.
+func New() *Telemetry {
 	return &Telemetry{
 		reg:      metrics.NewRegistry(),
 		hists:    make(map[string]*Histogram),
 		windows:  make(map[string]*Windowed),
 		gaugeFns: make(map[string]gaugeFunc),
-		tracer:   NewTracer(opts.TracerCapacity),
-		winEvery: opts.WindowInterval,
-		winSlots: opts.WindowIntervals,
+		tracer:   NewTracer(TracerCapacity),
 	}
 }
 
@@ -107,7 +101,7 @@ func (t *Telemetry) Histogram(name string) *Histogram {
 		}
 		h, _ = NewHistogram(DefaultLatencyOptions())
 		t.hists[name] = h
-		t.windows[name] = NewWindowed(h, t.winEvery, t.winSlots)
+		t.windows[name] = NewWindowed(h, WindowInterval, WindowIntervals)
 	}
 	return h
 }
@@ -147,19 +141,45 @@ func (t *Telemetry) SetGaugeFunc(family string, labels map[string]string, fn fun
 	if t == nil || fn == nil {
 		return
 	}
-	key := family + "|" + renderLabels(labels)
-	cp := make(map[string]string, len(labels))
-	for k, v := range labels {
-		cp[k] = v
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.setGaugeFuncLocked("", GaugeFunc{Family: family, Labels: labels, Fn: fn})
+}
+
+// ReplaceGaugeFuncs registers gs as owner's set of callback gauges: every
+// gauge an earlier call registered for owner is removed, so a series owner
+// no longer registers stops being exported and its callback — with whatever
+// state it reads — is released. A series gs shares with another owner's set
+// moves to owner's. Each gauge is registered as by SetGaugeFunc.
+func (t *Telemetry) ReplaceGaugeFuncs(owner string, gs []GaugeFunc) {
+	if t == nil {
+		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	for key, g := range t.gaugeFns {
+		if g.owner == owner {
+			delete(t.gaugeFns, key)
+		}
+	}
+	for _, g := range gs {
+		t.setGaugeFuncLocked(owner, g)
+	}
+}
+
+// setGaugeFuncLocked registers g under a copy of its labels. t.mu must be held.
+func (t *Telemetry) setGaugeFuncLocked(owner string, g GaugeFunc) {
+	key := g.Family + "|" + renderLabels(g.Labels)
 	if _, ok := t.gaugeFns[key]; !ok {
-		if err := metrics.CheckName(family, metrics.FamilyName); err != nil {
+		if err := metrics.CheckName(g.Family, metrics.FamilyName); err != nil {
 			panic(err)
 		}
 	}
-	t.gaugeFns[key] = gaugeFunc{family: family, labels: cp, fn: fn}
+	g.Labels = maps.Clone(g.Labels)
+	if g.Labels == nil {
+		g.Labels = map[string]string{}
+	}
+	t.gaugeFns[key] = gaugeFunc{GaugeFunc: g, owner: owner}
 }
 
 // GaugeSample is one callback gauge's identity and current value, as
@@ -181,7 +201,7 @@ func (t *Telemetry) SampleGaugeFuncs() []GaugeSample {
 	fns := t.gaugeFuncs()
 	out := make([]GaugeSample, 0, len(fns))
 	for _, g := range fns {
-		out = append(out, GaugeSample{Family: g.family, Labels: g.labels, Value: g.fn()})
+		out = append(out, GaugeSample{Family: g.Family, Labels: g.Labels, Value: g.Fn()})
 	}
 	return out
 }
