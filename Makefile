@@ -30,7 +30,9 @@ test-rescale:
 # stress repeats the schedule-sensitive batteries — the distributed control
 # plane, worker attempts over the wire, wire payloads, rescale (the keyed-
 # state restore matrix included), the supervisor's lifecycle table, fusion,
-# the checkpoint timeline in both modes and close-time backpressure — five
+# the checkpoint timeline in both modes, close-time backpressure and the
+# in-process fault batteries (every task of a killed worker races to abort
+# the attempt) — five
 # times each at GOMAXPROCS 1 and 4, once plain and once under the race
 # detector: a flake that needs a particular interleaving gets twenty chances
 # to show instead of one. The
@@ -40,7 +42,7 @@ test-rescale:
 # exactness battery, its MaxNodes and cancellation cases run under the race
 # detector at GOMAXPROCS 1, 2 and 4, five times each: whether a helper's
 # subtree is adopted, raced or redone depends on the interleaving.
-STRESS_RUN = TestDist|TestWorkerRun|TestWire|TestPrepareWorkerAttempt|Rescale|KeyedState|TestSupervisor|Fus|TestCheckpointTimeline|TestCloseBackpressure
+STRESS_RUN = TestDist|TestWorkerRun|TestWire|TestPrepareWorkerAttempt|Rescale|KeyedState|TestSupervisor|Fus|TestCheckpointTimeline|TestCloseBackpressure|TestDeterministicRecoveryBattery|TestRecovery|TestRunRecovery
 stress:
 	$(GO) test -timeout 20m -count=5 -cpu 1,4 -run '$(STRESS_RUN)' ./internal/engine ./internal/controller
 	$(GO) test -race -timeout 30m -count=5 -cpu 1,4 -run '$(STRESS_RUN)' ./internal/engine ./internal/controller

@@ -88,13 +88,13 @@ func registerFlags(fs *flag.FlagSet) (*cliflags.Common, *liveFlags) {
 	fs.StringVar(&o.fuse, "fuse", "on", "operator fusion: run co-located Forward chains as one goroutine, bypassing the exchange (on|off)")
 	fs.StringVar(&o.rescale, "rescale", "", "live rescale: comma-separated op=parallelism changes applied at -rescale-epoch (requires -checkpoint-every; local and -listen modes)")
 	fs.Int64Var(&o.rescaleEpoch, "rescale-epoch", 2, "checkpoint epoch at which -rescale fires")
-	fs.Float64Var(&o.sourceRate, "source-rate", 0, "throttle each source task to this records/s (0 = unthrottled; local mode)")
+	fs.Float64Var(&o.sourceRate, "source-rate", 0, "throttle each source task to this records/s (0 = unthrottled; local and -listen modes)")
 	fs.StringVar(&o.traceOut, "trace-out", "", "append structured trace events as JSONL to this file")
 	fs.Float64Var(&o.costScale, "cost-scale", 1, "multiply profiled per-record CPU costs")
 	fs.DurationVar(&o.timeout, "timeout", 5*time.Minute, "run timeout")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve live telemetry over HTTP (/metrics Prometheus, /events JSON) on this address")
 	fs.Int64Var(&o.ckptEvery, "checkpoint-every", 0, "inject a checkpoint barrier every N source records (0 disables)")
-	fs.IntVar(&o.killWorker, "kill-worker", -1, "local mode: kill this worker when it passes -kill-epoch; the strategy re-places its tasks on the survivors and the job restarts from the last complete checkpoint (-strategy worst degrades instead; -1 disables)")
+	fs.IntVar(&o.killWorker, "kill-worker", -1, "local mode: kill this worker when it passes -kill-epoch; the strategy re-places its tasks on the survivors and the job restarts from the last complete checkpoint (-1 disables)")
 	fs.Int64Var(&o.killEpoch, "kill-epoch", 1, "checkpoint epoch at which -kill-worker fires")
 	fs.StringVar(&o.listenAddr, "listen", "", "coordinator mode: run the control plane on this address and wait for -workers joiners")
 	fs.StringVar(&o.joinAddr, "join", "", "worker mode: join the coordinator at this address and serve deploys until shutdown")
@@ -138,7 +138,7 @@ func dispatch(f *cliflags.Common, o *liveFlags) error {
 // validate checks the flag combination for every mode and returns the
 // engine options the flags determine.
 func validate(f *cliflags.Common, o *liveFlags) (engine.JobOptions, error) {
-	eo, err := o.engineOptions()
+	eo, err := o.engineOptions(f.Query)
 	if err != nil {
 		return eo, err
 	}
@@ -153,15 +153,15 @@ func validate(f *cliflags.Common, o *liveFlags) (engine.JobOptions, error) {
 		return eo, fmt.Errorf("-rescale requires -checkpoint-every > 0 (rescales are epoch-aligned)")
 	case o.listenAddr != "" && o.killWorker >= 0:
 		return eo, fmt.Errorf("-kill-worker is local-mode only: in a -listen cluster a worker dies by a SIGKILL of its -join process")
-	case o.listenAddr != "" && o.sourceRate > 0:
-		return eo, fmt.Errorf("-source-rate is local-mode only: a deploy carries no source throttle")
 	case o.killWorker >= 0 && o.ckptEvery <= 0:
 		return eo, fmt.Errorf("-kill-worker requires -checkpoint-every > 0 (kills are epoch-aligned)")
 	case o.killWorker >= f.Workers:
 		return eo, fmt.Errorf("-kill-worker %d out of range (workers: %d)", o.killWorker, f.Workers)
 	case o.killWorker >= 0 && f.Workers < 2:
 		return eo, fmt.Errorf("-kill-worker needs at least 2 workers")
-	case o.killWorker >= 0 && f.Strategy != "worst":
+	case o.killWorker >= 0 && f.Strategy == "worst":
+		return eo, fmt.Errorf("-kill-worker under -strategy worst: worst is a fixed plan with no strategy to re-place the dead worker's tasks")
+	case o.killWorker >= 0:
 		// The strategy re-places the dead worker's tasks on the survivors.
 		spec, err := nexmark.ByName(f.Query)
 		if err != nil {
@@ -178,15 +178,26 @@ func validate(f *cliflags.Common, o *liveFlags) (engine.JobOptions, error) {
 }
 
 // engineOptions maps the engine flags onto the job options every mode
-// shares: a -rescale "op=parallelism[,op=parallelism]" spec is one change of
-// several operators at -rescale-epoch, applied in one drain.
-func (o *liveFlags) engineOptions() (engine.JobOptions, error) {
+// shares: -source-rate throttles every source of the query, and a -rescale
+// "op=parallelism[,op=parallelism]" spec is one change of several operators
+// at -rescale-epoch, applied in one drain.
+func (o *liveFlags) engineOptions(query string) (engine.JobOptions, error) {
 	eo := engine.JobOptions{
 		RecordsPerSource: o.records,
 		SnapshotInterval: o.ckptEvery,
 		Transport:        o.transport,
 		BatchSize:        o.batchSize,
 		BatchLinger:      o.batchLinger,
+	}
+	if o.sourceRate > 0 {
+		spec, err := nexmark.ByName(query)
+		if err != nil {
+			return eo, err
+		}
+		eo.SourceRate = map[dataflow.OperatorID]float64{}
+		for _, src := range spec.Graph.Sources() {
+			eo.SourceRate[src.ID] = o.sourceRate
+		}
 	}
 	switch o.fuse {
 	case "on", "":
@@ -274,12 +285,12 @@ func observe(tel *telemetry.Telemetry, traceOut, metricsAddr string) (stop func(
 }
 
 // resultLines renders how a live run ended, in local and -listen mode
-// alike: "<status> in <elapsed>: ...", the rescale line when any was
+// alike: "finished in <elapsed>: ...", the rescale line when any was
 // applied, the recovery line and the controller's share of the run (read
 // from the controller.* series Deployment.Run and the coordinator export).
-func resultLines(status string, res *engine.JobResult) string {
-	out := fmt.Sprintf("%s in %v: %d source records (%.0f rec/s), %d sink records\n",
-		status, res.Elapsed.Round(time.Millisecond), res.SourceRecords,
+func resultLines(res *engine.JobResult) string {
+	out := fmt.Sprintf("finished in %v: %d source records (%.0f rec/s), %d sink records\n",
+		res.Elapsed.Round(time.Millisecond), res.SourceRecords,
 		float64(res.SourceRecords)/res.Elapsed.Seconds(), res.SinkRecords)
 	if res.Rescales > 0 {
 		out += fmt.Sprintf("rescale: %d applied, downtime %v, moved %d state bytes, reprocessed %d records\n",
@@ -377,7 +388,7 @@ func runCoordinator(f *cliflags.Common, o *liveFlags, eo engine.JobOptions) erro
 	if err != nil {
 		return err
 	}
-	fmt.Print(resultLines("finished", res))
+	fmt.Print(resultLines(res))
 	snap := res.Metrics.Snapshot()
 	fmt.Printf("network: %.0f data batches, %.0f credit frames, %.0f frames sent, %.0f bytes sent\n",
 		snap["net.data_batches"], snap["net.credit_frames"], snap["net.frames_sent"], snap["net.bytes_sent"])
@@ -397,10 +408,9 @@ func runCoordinator(f *cliflags.Common, o *liveFlags, eo engine.JobOptions) erro
 }
 
 // run is local mode: the whole job in this process. A -kill-worker is
-// recovered as a -listen cluster recovers a dead worker process — the
+// recovered as a -listen cluster recovers a dead worker process: the
 // strategy re-places its tasks on the survivors and the job restarts from the
-// last complete checkpoint — except under the plan-only "worst", where the
-// run degrades, exposing the lost throughput.
+// last complete checkpoint.
 func run(f *cliflags.Common, o *liveFlags, eo engine.JobOptions) error {
 	d, err := launch(f, o)
 	if err != nil {
@@ -416,12 +426,6 @@ func run(f *cliflags.Common, o *liveFlags, eo engine.JobOptions) error {
 	if o.killWorker >= 0 {
 		eo.FaultPlan.KillWorkers = []engine.WorkerKill{{Worker: o.killWorker, AtEpoch: o.killEpoch}}
 	}
-	if o.sourceRate > 0 {
-		eo.SourceRate = map[dataflow.OperatorID]float64{}
-		for _, src := range d.Spec.Graph.Sources() {
-			eo.SourceRate[src.ID] = o.sourceRate
-		}
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), o.timeout)
 	defer cancel()
 	out, err := d.Run(ctx, eo)
@@ -429,11 +433,7 @@ func run(f *cliflags.Common, o *liveFlags, eo engine.JobOptions) error {
 		return err
 	}
 	res := out.Result
-	status := "finished"
-	if res.Failed {
-		status = "finished DEGRADED (worker killed, no recovery)"
-	}
-	fmt.Print(resultLines(status, res))
+	fmt.Print(resultLines(res))
 	snap := res.Metrics.Snapshot()
 	mean := 0.0
 	if b := snap["exchange.batches"]; b > 0 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"net/http"
+	"sync"
 	"time"
 
 	"capsys/internal/engine"
@@ -172,7 +173,15 @@ func checkRelayed(tv metrics.TypedValues, hists map[string]telemetry.HistogramSn
 // every method is a cheap no-op.
 type clusterAgg struct {
 	tel *telemetry.Telemetry
+	// mu orders a dead worker's drop after every callback-gauge set its
+	// read loop relays: a heartbeat read just before the death must not
+	// re-register what drop removed.
+	mu   sync.Mutex
+	dead map[string]bool // guarded by mu
 }
+
+// gaugeOwner names worker's set of relayed callback gauges on the hub.
+func gaugeOwner(worker string) string { return "worker/" + worker }
 
 // apply folds one worker's decoded heartbeat into the hub. Trace events are
 // re-emitted into the cluster tracer: they keep their origin identity (Src,
@@ -180,7 +189,9 @@ type clusterAgg struct {
 // merged timeline is ordered by arrival, causally consistent per origin via
 // WSeq. Monotone series add under both the per-worker name and the cluster
 // rollup; gauges and callback gauges land per-worker only (absolutes across
-// workers have no meaningful sum).
+// workers have no meaningful sum). A heartbeat samples every callback gauge
+// its worker has, so the worker's relayed set is replaced whole: a series
+// the worker no longer registers (a task a rescale moved away) leaves.
 func (a *clusterAgg) apply(worker string, hb *wireHeartbeat) {
 	if a.tel == nil || hb == nil {
 		return
@@ -207,17 +218,37 @@ func (a *clusterAgg) apply(worker string, hb *wireHeartbeat) {
 	for n, v := range s.Gauges {
 		reg.Gauge(metrics.WorkerMetricName(worker, n)).Set(v)
 	}
+	gs := make([]telemetry.GaugeFunc, 0, len(s.FnGauges))
 	for _, g := range s.FnGauges {
 		labels := map[string]string{"worker": worker} // unless the origin set one
 		maps.Copy(labels, g.Labels)
 		v := g.Value
-		a.tel.SetGaugeFunc(g.Family, labels, func() float64 { return v })
+		gs = append(gs, telemetry.GaugeFunc{Family: g.Family, Labels: labels, Fn: func() float64 { return v }})
 	}
+	a.mu.Lock()
+	if !a.dead[worker] {
+		a.tel.ReplaceGaugeFuncs(gaugeOwner(worker), gs)
+	}
+	a.mu.Unlock()
 	for n, snap := range s.Hists {
 		if err := a.tel.Histogram(n).Absorb(snap); err != nil {
 			reg.Counter("cluster.histogram_merge_errors").Inc(1)
 		}
 	}
+}
+
+// drop removes a dead worker's relayed callback gauges for good.
+func (a *clusterAgg) drop(worker string) {
+	if a.tel == nil {
+		return
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.dead == nil {
+		a.dead = make(map[string]bool)
+	}
+	a.dead[worker] = true
+	a.tel.ReplaceGaugeFuncs(gaugeOwner(worker), nil)
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -161,23 +162,28 @@ func TestDistClusterMetricsGolden(t *testing.T) {
 	h.Observe(0.001)
 	h.Observe(0.004)
 
+	w0Gauges := []telemetry.GaugeSample{
+		{Family: "worker_saturation", Labels: map[string]string{"worker": "w0", "resource": "cpu"}, Value: 0.25},
+		{Family: "net_pump_queue_depth", Labels: nil, Value: 3},
+	}
 	agg.apply("w0", &wireHeartbeat{Stats: &wireStats{
 		TypedValues: metrics.TypedValues{
 			Counters: map[string]int64{"net.frames_sent": 40, "net.bytes_sent": 4096},
 			Times:    map[string]time.Duration{"exchange.credit_stall_seconds": time.Second},
 			Gauges:   map[string]float64{"trace_dropped": 2},
 		},
-		FnGauges: []telemetry.GaugeSample{
-			{Family: "worker_saturation", Labels: map[string]string{"worker": "w0", "resource": "cpu"}, Value: 0.25},
-			{Family: "net_pump_queue_depth", Labels: nil, Value: 3},
-		},
-		Hists: map[string]telemetry.HistogramSnapshot{"net.credit_wait_seconds": h.Snapshot()},
+		FnGauges: w0Gauges,
+		Hists:    map[string]telemetry.HistogramSnapshot{"net.credit_wait_seconds": h.Snapshot()},
 	}})
 	agg.apply("w1", &wireHeartbeat{Stats: &wireStats{TypedValues: metrics.TypedValues{
 		Counters: map[string]int64{"net.frames_sent": 2, "sink[0].records_in": 17},
 	}}})
-	// A second heartbeat from w0 must add, not replace.
-	agg.apply("w0", &wireHeartbeat{Stats: &wireStats{TypedValues: metrics.TypedValues{Counters: map[string]int64{"net.frames_sent": 2}}}})
+	// A second heartbeat from w0 must add, not replace; like every real
+	// heartbeat it samples all of w0's callback gauges.
+	agg.apply("w0", &wireHeartbeat{Stats: &wireStats{
+		TypedValues: metrics.TypedValues{Counters: map[string]int64{"net.frames_sent": 2}},
+		FnGauges:    w0Gauges,
+	}})
 
 	// Two seconds of pinned wall clock pass before the scrape, giving the
 	// windowed view a deterministic nonzero span.
@@ -203,6 +209,39 @@ func TestDistClusterMetricsGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("cluster exposition drifted from golden.\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// TestDistRelayedGaugesLeave: a worker's relayed callback gauges are its
+// latest heartbeat's whole set, so a series the worker stopped sampling (a
+// task a rescale moved away) leaves the coordinator's hub, and every series
+// of a worker declared dead leaves with it — a heartbeat read just before
+// the death included.
+func TestDistRelayedGaugesLeave(t *testing.T) {
+	agg := clusterAgg{tel: telemetry.New()}
+	depth := func(task string) telemetry.GaugeSample {
+		return telemetry.GaugeSample{Family: "exchange_queue_depth", Labels: map[string]string{"task": task}, Value: 1}
+	}
+	beat := func(gs ...telemetry.GaugeSample) *wireHeartbeat {
+		return &wireHeartbeat{Stats: &wireStats{FnGauges: gs}}
+	}
+	series := func() string {
+		var out []string
+		for _, g := range agg.tel.SampleGaugeFuncs() {
+			out = append(out, g.Labels["worker"]+"/"+g.Labels["task"])
+		}
+		return strings.Join(out, " ")
+	}
+	agg.apply("w0", beat(depth("win[0]"), depth("win[1]")))
+	agg.apply("w1", beat(depth("win[2]")))
+	agg.apply("w0", beat(depth("win[0]")))
+	if got, want := series(), "w0/win[0] w1/win[2]"; got != want {
+		t.Errorf("after w0 stopped sampling win[1]: relayed %q, want %q", got, want)
+	}
+	agg.drop("w1")
+	agg.apply("w1", beat(depth("win[2]")))
+	if got, want := series(), "w0/win[0]"; got != want {
+		t.Errorf("after w1 was declared dead: relayed %q, want %q", got, want)
 	}
 }
 

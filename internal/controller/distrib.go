@@ -96,6 +96,9 @@ type DeploySpec struct {
 	// and partitions keyed state identically. Zero lets each worker resolve
 	// the engine default — only safe when no rescale will ever run.
 	KeyGroups int
+	// SourceRate is engine.JobOptions.SourceRate: each source operator's
+	// aggregate records/second cap (missing = uncapped).
+	SourceRate map[dataflow.OperatorID]float64
 
 	// Attempt-specific, filled by the coordinator per deploy.
 	Attempt      int
@@ -178,8 +181,11 @@ type (
 // decode none of it. Version 12 drops DEPLOY's per-operator parallelism
 // overrides (Rescaled): the assignments are the topology. A version-11 worker
 // would build a rescaled attempt on the query's original graph, and a
-// version-11 coordinator's DEPLOY would not decode.
-const distProtoVersion = 12
+// version-11 coordinator's DEPLOY would not decode. Version 13 drops DONE's
+// lost-record count and per-task dead flag (a kill either recovers or fails
+// the run) and carries the source throttle in DEPLOY: a version-12 worker
+// would run a throttled job unthrottled.
+const distProtoVersion = 13
 
 // errEncodePayload marks a send that failed locally while encoding the
 // body — the data was unencodable or too large (MaxFramePayload), which
@@ -773,6 +779,7 @@ func (a *distAttempt) died(w int, cause error) {
 	delete(a.alive, w)
 	co.conns[w].alive.Store(false)
 	co.conns[w].c.Close()
+	co.agg.drop(co.workerID(w))
 	a.end.NewDead = append(a.end.NewDead, w)
 	a.end.Faults = append(a.end.Faults, engine.FaultRecord{Kind: engine.FaultKillWorker, Worker: w, At: co.clk.Since(co.start)})
 	if a.end.Fault == nil || a.end.Fault.Kind != engine.FaultKillWorker {

@@ -255,6 +255,36 @@ func TestDistClusterMatchesInMemory(t *testing.T) {
 	}
 }
 
+// TestDistSourceRate: DEPLOY carries the source throttle, so a coordinator's
+// run of a rate-limited job is paced on every worker: it takes at least the
+// time each source task needs to emit its records at its share of the rate.
+// Operator CPU is scaled down so the unthrottled run takes a fraction of that.
+func TestDistSourceRate(t *testing.T) {
+	perTask := 1200.0 // records/s per source task: 600 records take ≈ 0.5 s
+	fx := newDistFixture(t, "Q3-inf")
+	fx.deploy.CPUCostScale = 0.01
+	fx.deploy.SourceRate = map[dataflow.OperatorID]float64{}
+	var sourceTasks int64
+	for _, src := range fx.spec.Graph.Sources() {
+		fx.deploy.SourceRate[src.ID] = perTask * float64(src.Parallelism)
+		sourceTasks += int64(src.Parallelism)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	dc := startDistCluster(t, ctx, fx, CoordinatorOptions{HeartbeatTimeout: 5 * time.Second})
+	res, err := dc.co.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A source task's last record is due (records-1)/rate after its first.
+	if min := time.Duration((distRecords - 1) / perTask * float64(time.Second)); res.Elapsed < min {
+		t.Errorf("throttled run took %v, want at least %v", res.Elapsed, min)
+	}
+	if want := sourceTasks * distRecords; res.SourceRecords != want {
+		t.Errorf("source records = %d, want %d", res.SourceRecords, want)
+	}
+}
+
 // TestDistResultSeriesMatchInProcess: a JobResult is assembled from worker
 // reports alone in both executors, so an in-process run on the network
 // transport and a coordinator with three joined workers export the same set
@@ -781,19 +811,20 @@ func TestWirePayloadRoundTrip(t *testing.T) {
 		&DeploySpec{
 			Query: "Q1-sliding", Seed: 5, RecordsPerSource: 800, SnapshotInterval: 100, ChannelCapacity: 64,
 			BatchSize: 32, BatchLinger: time.Millisecond, DisableFusion: true, CPUCostScale: 0.5, KeyGroups: 128,
-			Workers: []engine.WorkerSpec{{ID: "w0", Slots: 4, Cores: 2, IOBps: 1e6, NetBps: 1e9}},
-			Assign:  []TaskAssignment{{Task: win0, Worker: 0}, {Task: win1, Worker: 1}, {Task: dataflow.TaskID{Op: "Q[1]", Index: 3}, Worker: 1}},
-			Attempt: 2, Local: 1, RestoreEpoch: 3,
+			SourceRate: map[dataflow.OperatorID]float64{"source": 2500},
+			Workers:    []engine.WorkerSpec{{ID: "w0", Slots: 4, Cores: 2, IOBps: 1e6, NetBps: 1e9}},
+			Assign:     []TaskAssignment{{Task: win0, Worker: 0}, {Task: win1, Worker: 1}, {Task: dataflow.TaskID{Op: "Q[1]", Index: 3}, Worker: 1}},
+			Attempt:    2, Local: 1, RestoreEpoch: 3,
 		},
 		&wireReady{Attempt: 2, Addr: "127.0.0.1:4100"},
 		&wireStart{Attempt: 2, Peers: map[int]string{0: "127.0.0.1:4100", 1: "127.0.0.1:4101"}},
 		&wireEpoch{Attempt: 2, Epoch: 3},
 		&wirePeer{Attempt: 2, Peer: 1},
 		&engine.WorkerReport{
-			Worker: 1, Attempt: 2, Completed: true, Lost: 4,
+			Worker: 1, Attempt: 2, Completed: true,
 			Tasks: map[dataflow.TaskID]engine.TaskStats{
 				win1: {Worker: 1, RecordsIn: 300, RecordsOut: 120, BytesOut: 9600,
-					BusyTime: 3 * time.Millisecond, BackpressureT: time.Millisecond, Sink: true, Dead: true,
+					BusyTime: 3 * time.Millisecond, BackpressureT: time.Millisecond, Sink: true,
 					Stateful: true, StateBytes: 4096, StateKeys: 17, CPUDraw: 0.125, IODraw: 4096, NetDraw: 9600},
 			},
 			Metrics: metrics.TypedValues{

@@ -109,8 +109,9 @@ type Outcome struct {
 // Stateful and PerRecordCPU default to the query's binding where left nil
 // (pass an empty map to run with operator CPU uncharged). The re-placement
 // closure is installed as OnRescale and OnFailure (a plan-only deployment
-// installs neither, so a kill degrades the job); a kill in opts.FaultPlan
-// and a schedule in opts.Rescales may share one run.
+// installs neither, so a kill fails the run with
+// engine.ErrNoReplacementHook); a kill in opts.FaultPlan and a schedule in
+// opts.Rescales may share one run.
 // The controller's share is exported on the result's registry as
 // "controller.placement_seconds", "controller.replacement_seconds" and
 // "controller.tasks_moved", beside the engine's job.* series. A Deployment
@@ -196,6 +197,7 @@ func deploySpecOf(o engine.JobOptions) DeploySpec {
 		BatchLinger:      o.BatchLinger,
 		DisableFusion:    o.DisableFusion,
 		KeyGroups:        o.KeyGroups,
+		SourceRate:       o.SourceRate,
 	}
 }
 
@@ -209,6 +211,7 @@ func (s DeploySpec) jobOptions() engine.JobOptions {
 		BatchLinger:      s.BatchLinger,
 		DisableFusion:    s.DisableFusion,
 		KeyGroups:        s.KeyGroups,
+		SourceRate:       s.SourceRate,
 	}
 }
 

@@ -20,8 +20,8 @@ type RecoveryOutcome struct {
 	// KilledWorker is the worker index that died.
 	KilledWorker int
 	// Recovered reports whether the job restarted from a checkpoint (false
-	// for a plan-only deployment, when no snapshot completed in time, or when
-	// the fault never fired).
+	// when the fault never fired; a plan-only deployment's kill fails the run
+	// with engine.ErrNoReplacementHook instead).
 	Recovered bool
 	// Backpressure is the peak per-task backpressure fraction of the run
 	// (backpressure time / elapsed), a proxy for post-recovery health.

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -119,6 +120,9 @@ func TestRunRecoveryDeterministicOutcome(t *testing.T) {
 	}
 }
 
+// TestRunRecoveryDegraded: a kill on a degraded deployment — plan-only, with
+// no strategy to re-place the dead worker's tasks — fails the run with
+// engine.ErrNoReplacementHook.
 func TestRunRecoveryDegraded(t *testing.T) {
 	spec, err := nexmark.ByName("Q1-sliding")
 	if err != nil {
@@ -127,22 +131,13 @@ func TestRunRecoveryDegraded(t *testing.T) {
 	c := recoveryCluster(t, spec, 4)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	// Plan-only: FlinkEvenly's plan deployed with no strategy to re-place it.
+	// FlinkEvenly's plan, deployed with no strategy.
 	plan := mustLaunch(t, spec, c, placement.FlinkEvenly{}, LaunchOptions{Seed: 7}).Plan
-	out, err := mustLaunch(t, spec, c, nil, LaunchOptions{Seed: 7, Plan: plan}).RunRecovery(ctx,
+	_, err = mustLaunch(t, spec, c, nil, LaunchOptions{Seed: 7, Plan: plan}).RunRecovery(ctx,
 		engine.WorkerKill{Worker: -1, AtEpoch: 2},
 		engine.JobOptions{RecordsPerSource: 600, SnapshotInterval: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Recovered {
-		t.Error("plan-only run reported Recovered")
-	}
-	if !out.Result.Failed {
-		t.Error("degraded run did not report Failed")
-	}
-	if out.Result.LostRecords == 0 {
-		t.Error("degraded run lost no records despite a dead worker with tasks")
+	if !errors.Is(err, engine.ErrNoReplacementHook) {
+		t.Errorf("plan-only kill: error = %v, want %v", err, engine.ErrNoReplacementHook)
 	}
 }
 

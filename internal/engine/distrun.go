@@ -65,7 +65,6 @@ type WorkerReport struct {
 	Worker    int
 	Attempt   int
 	Completed bool
-	Lost      int64
 	// Tasks holds the local tasks' counters, meter draws and keyed-state
 	// sizes; the fields derived from the run's elapsed time (UsefulFraction,
 	// Observed*Rate) are assembleResult's to fill.
@@ -193,7 +192,6 @@ func (a *attempt) report() *WorkerReport {
 		Worker:    -1,
 		Attempt:   a.no,
 		Completed: !a.abortFlag.Load(),
-		Lost:      a.lost.Load(),
 		Tasks:     make(map[dataflow.TaskID]TaskStats, len(a.tasks)),
 		Metrics:   a.reg.TypedSnapshot(),
 	}
@@ -211,7 +209,6 @@ func (a *attempt) report() *WorkerReport {
 			BackpressureT: rt.bp,
 			Sink:          rt.isSink,
 			Source:        rt.numIn == 0,
-			Dead:          rt.dead,
 			CPUDraw:       rt.cpuShard.total,
 			NetDraw:       rt.netShard.total,
 		}

@@ -92,9 +92,9 @@ type FaultRecord struct {
 	At        time.Duration   // wall-clock offset from job start (informational)
 }
 
-// FailureEvent is handed to JobOptions.OnFailure when a recoverable fault
-// aborts the current attempt. DeadWorkers lists every worker index lost so
-// far (cumulative across recoveries); the callback must return a plan that
+// FailureEvent is handed to JobOptions.OnFailure when a fault aborts the
+// current attempt. DeadWorkers lists every worker index lost so far
+// (cumulative across recoveries); the callback must return a plan that
 // avoids all of them.
 type FailureEvent struct {
 	Kind        FaultKind

@@ -23,16 +23,16 @@ import (
 //   - records: send replays the edge's route() so the round-robin cursor
 //     (part of the checkpoint image) stays bit-identical, advances the
 //     upstream's records/bytes-out, updates the member's single-channel
-//     watermark, honors drain-and-discard for failed or degraded members,
-//     then runs processRecord — the same entry the unfused loops use.
+//     watermark, honors drain-and-discard for failed members, then runs
+//     processRecord — the same entry the unfused loops use.
 //   - barriers: a single-input task's alignment is complete the moment its
 //     one barrier arrives, so barrier() goes straight to completeAlignment:
 //     snapshot, forward downstream (recursing through the chain), then the
 //     epoch-aligned kill check — the same order as the unfused path.
 //   - EOF: eof() marks the member's only channel exhausted, lifts its
 //     watermark, and runs the member's finish path (operator Close, then
-//     EOF on its own senders), skipping Close for failed or degraded
-//     members exactly as runOperator does.
+//     EOF on its own senders), skipping Close for failed members exactly as
+//     runOperator does.
 //
 // Divergences are confined to timing telemetry: the head's busy time covers
 // the whole chain (members never wait on a channel, so their busy and
@@ -86,10 +86,6 @@ func (s *fusedSender) send(rec Record) {
 	if down.failure != nil {
 		return // drain-and-discard after a failure
 	}
-	if down.dead {
-		s.att.lost.Add(1)
-		return
-	}
 	s.att.processRecord(down, s.opr, rec, s.edge.inIdx, rt.ingestNS, false)
 	if down.aborted {
 		rt.aborted = true
@@ -126,7 +122,7 @@ func (s *fusedSender) eof() {
 	down.chanEOF[s.ch] = true
 	down.chanWM[s.ch] = maxInt64
 	down.refreshWatermark()
-	if down.failure != nil || down.dead {
+	if down.failure != nil {
 		down.finish(nil)
 	} else {
 		down.finish(s.opr)

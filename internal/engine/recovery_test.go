@@ -42,8 +42,7 @@ func canonicalTaskCounters(res *JobResult) string {
 // also replay identically.
 func canonicalOutcome(res *JobResult) string {
 	return canonicalTaskCounters(res) +
-		fmt.Sprintf("lost=%d recoveries=%d failed=%v faults=%d\n",
-			res.LostRecords, res.Recoveries, res.Failed, len(res.Faults))
+		fmt.Sprintf("recoveries=%d faults=%d\n", res.Recoveries, len(res.Faults))
 }
 
 // winPipeline builds the shared stateful test topology:
@@ -191,29 +190,31 @@ func sumPipeline(t *testing.T, fault FaultPlan, withRecovery bool, muts ...func(
 // TestDeterministicRecoveryBattery is the core fault battery: every case is
 // run three times and must produce byte-identical counters, and recovered
 // cases must match a clean (fault-free) run exactly — zero records lost,
-// zero duplicated, despite the mid-run failure.
+// zero duplicated, despite the mid-run failure. A case with wantErr is a
+// fault the run cannot recover: it runs once under each transport, and each
+// run must fail with that error.
 func TestDeterministicRecoveryBattery(t *testing.T) {
+	crashWin0 := FaultPlan{CrashTasks: []TaskCrash{{Task: dataflow.TaskID{Op: "win", Index: 0}, AfterRecords: 250}}}
 	cases := []struct {
 		name           string
-		build          func(t *testing.T) *Job
+		build          func(t *testing.T, mut func(*JobOptions)) *Job
 		clean          func(t *testing.T) *Job // nil: no clean-run comparison
 		wantRecoveries int
-		wantFailed     bool
-		wantLost       bool
+		wantErr        error
 		verify         func(t *testing.T, res *JobResult)
 	}{
 		{
 			name: "kill-worker-recover",
-			build: func(t *testing.T) *Job {
-				return winPipeline(t, FaultPlan{KillWorkers: []WorkerKill{{Worker: 1, AtEpoch: 3}}}, true)
+			build: func(t *testing.T, mut func(*JobOptions)) *Job {
+				return winPipeline(t, FaultPlan{KillWorkers: []WorkerKill{{Worker: 1, AtEpoch: 3}}}, true, mut)
 			},
 			clean:          func(t *testing.T) *Job { return winPipeline(t, FaultPlan{}, false) },
 			wantRecoveries: 1,
 		},
 		{
 			name: "kill-worker-stateful-source-recover",
-			build: func(t *testing.T) *Job {
-				return sumPipeline(t, FaultPlan{KillWorkers: []WorkerKill{{Worker: 1, AtEpoch: 4}}}, true)
+			build: func(t *testing.T, mut func(*JobOptions)) *Job {
+				return sumPipeline(t, FaultPlan{KillWorkers: []WorkerKill{{Worker: 1, AtEpoch: 4}}}, true, mut)
 			},
 			clean:          func(t *testing.T) *Job { return sumPipeline(t, FaultPlan{}, false) },
 			wantRecoveries: 1,
@@ -228,38 +229,62 @@ func TestDeterministicRecoveryBattery(t *testing.T) {
 		},
 		{
 			name: "crash-task-recover",
-			build: func(t *testing.T) *Job {
-				return winPipeline(t, FaultPlan{CrashTasks: []TaskCrash{
-					{Task: dataflow.TaskID{Op: "win", Index: 0}, AfterRecords: 250},
-				}}, false)
+			build: func(t *testing.T, mut func(*JobOptions)) *Job {
+				return winPipeline(t, crashWin0, false, mut)
 			},
 			clean:          func(t *testing.T) *Job { return winPipeline(t, FaultPlan{}, false) },
 			wantRecoveries: 1,
 		},
 		{
-			name: "kill-worker-degraded",
-			build: func(t *testing.T) *Job {
-				return winPipeline(t, FaultPlan{KillWorkers: []WorkerKill{{Worker: 1, AtEpoch: 3}}}, false)
+			// With no complete epoch to restore, a crash restarts the job
+			// from the beginning.
+			name: "crash-task-no-checkpoint",
+			build: func(t *testing.T, mut func(*JobOptions)) *Job {
+				return winPipeline(t, crashWin0, false, mut, func(o *JobOptions) { o.SnapshotInterval = 0 })
 			},
-			wantFailed: true,
-			wantLost:   true,
+			clean:          func(t *testing.T) *Job { return winPipeline(t, FaultPlan{}, false) },
+			wantRecoveries: 1,
+			verify: func(t *testing.T, res *JobResult) {
+				if res.RestoredEpoch != 0 {
+					t.Errorf("RestoredEpoch = %d, want 0", res.RestoredEpoch)
+				}
+			},
+		},
+		{
+			// Nothing re-places the dead worker's tasks: the run fails with
+			// the error a coordinator's run gets (TestDistValidation).
+			name: "kill-worker-no-hook",
+			build: func(t *testing.T, mut func(*JobOptions)) *Job {
+				return winPipeline(t, FaultPlan{KillWorkers: []WorkerKill{{Worker: 1, AtEpoch: 3}}}, false, mut)
+			},
+			wantErr: ErrNoReplacementHook,
 		},
 		{
 			name: "stall-task",
-			build: func(t *testing.T) *Job {
+			build: func(t *testing.T, mut func(*JobOptions)) *Job {
 				return winPipeline(t, FaultPlan{StallTasks: []TaskStall{
 					{Task: dataflow.TaskID{Op: "win", Index: 0}, AfterRecords: 100, Stall: 20 * time.Millisecond},
-				}}, false)
+				}}, false, mut)
 			},
 			clean: func(t *testing.T) *Job { return winPipeline(t, FaultPlan{}, false) },
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.wantErr != nil {
+				for _, tr := range TransportNames() {
+					if _, err := tc.build(t, asTransport(tr, 0, 0)).Run(context.Background()); !errors.Is(err, tc.wantErr) {
+						t.Errorf("%s: Run error = %v, want %v", tr, err, tc.wantErr)
+					}
+				}
+				return
+			}
 			var canon []string
 			var last *JobResult
+			var job *Job
 			for run := 0; run < 3; run++ {
-				res, err := tc.build(t).Run(context.Background())
+				job = tc.build(t, asTransport(TransportUnary, 0, 0))
+				res, err := job.Run(context.Background())
 				if err != nil {
 					t.Fatalf("run %d: %v", run, err)
 				}
@@ -274,20 +299,11 @@ func TestDeterministicRecoveryBattery(t *testing.T) {
 			if last.Recoveries != tc.wantRecoveries {
 				t.Errorf("Recoveries = %d, want %d", last.Recoveries, tc.wantRecoveries)
 			}
-			if last.Failed != tc.wantFailed {
-				t.Errorf("Failed = %v, want %v", last.Failed, tc.wantFailed)
-			}
-			if tc.wantLost && last.LostRecords == 0 {
-				t.Error("expected lost records, got none")
-			}
-			if !tc.wantLost && last.LostRecords != 0 {
-				t.Errorf("LostRecords = %d, want 0", last.LostRecords)
-			}
 			if tc.wantRecoveries > 0 {
 				if last.Downtime <= 0 {
 					t.Error("recovered run reports zero downtime")
 				}
-				if last.SnapshotsTaken == 0 {
+				if job.opts.SnapshotInterval > 0 && last.SnapshotsTaken == 0 {
 					t.Error("recovered run reports zero snapshots")
 				}
 				recovered := false

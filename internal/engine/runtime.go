@@ -92,9 +92,8 @@ type JobOptions struct {
 	// the plan it returns (over surviving workers) is re-deployed with every
 	// task restored from the last globally complete snapshot epoch. For
 	// non-kill faults a nil plan keeps the current placement. If OnFailure
-	// is nil, worker kills degrade the job instead of restarting it: dead
-	// tasks stop, drain their channels, and the job completes with
-	// Failed=true and the lost throughput recorded.
+	// is nil, a worker kill fails the run with ErrNoReplacementHook, as on a
+	// coordinator; a task crash still restarts in place.
 	OnFailure func(FailureEvent) (*dataflow.Plan, error)
 
 	// Rescales schedules live parallelism changes (see RescalePlan); the
@@ -138,9 +137,8 @@ type TaskStats struct {
 	ObservedInRate  float64
 	ObservedOutRate float64
 	// Sink and Source mark tasks of operators without downstream or
-	// upstream edges; Dead marks a task that degraded in place (its worker
-	// was killed with no recovery configured).
-	Sink, Source, Dead bool
+	// upstream edges.
+	Sink, Source bool
 	// Stateful marks a task with a keyed-state namespace; StateBytes and
 	// StateKeys are that namespace's stored bytes and keys when the task's
 	// attempt reported.
@@ -176,20 +174,25 @@ type JobResult struct {
 	// and, when the attempt fused, "engine.fuse.{chains,tasks,records}".
 	Metrics *metrics.Registry
 
-	// Failed reports that at least one task died without recovery (the job
-	// ran degraded to completion).
+	// Failed is always false: a fault the run cannot recover fails Run with
+	// an error instead. It is kept for the benchmark harness (bench/), which
+	// reads it.
 	Failed bool
 	// Faults lists every injected fault that fired.
 	Faults []FaultRecord
 	// Recoveries counts checkpoint restarts performed.
 	Recoveries int
-	// Downtime is the wall-clock time lost to failures: abort-to-restart
-	// for recovered faults, fault-to-completion for unrecovered ones.
+	// Downtime is the wall-clock time lost to failures: abort to restart,
+	// summed over recoveries.
 	Downtime time.Duration
 	// RecordsReprocessed counts records whose processing was rolled back by
 	// restores and had to be replayed.
 	RecordsReprocessed int64
-	// LostRecords counts records dropped by degraded (unrecovered) tasks.
+	// LostRecords is always 0: a recovery replays from the last complete
+	// checkpoint, and a fault the run cannot recover fails it. It is kept
+	// for the benchmark harness (bench/), which reads it, and for the
+	// job.lost_records series and the lost columns caplive and the RECOVERY
+	// study print.
 	LostRecords int64
 	// SnapshotsTaken counts distinct (task, epoch) snapshots recorded.
 	SnapshotsTaken int64
@@ -356,9 +359,10 @@ func (j *Job) Transport() string { return j.opts.Transport }
 
 // Run executes the job until all sources are exhausted and the pipeline has
 // drained, or ctx is canceled (sources stop early; the pipeline still
-// drains). Recoverable faults restart the job from the last complete
-// checkpoint epoch, re-placing tasks via OnFailure when a worker dies; due
-// rescales drain, repartition and resume it (see Supervisor).
+// drains). Faults restart the job from the last complete checkpoint epoch,
+// re-placing tasks via OnFailure when a worker dies (without it a death is
+// ErrNoReplacementHook); due rescales drain, repartition and resume it (see
+// Supervisor).
 func (j *Job) Run(ctx context.Context) (*JobResult, error) {
 	x := &localExecutor{j: j, faults: newFaultState(j.opts.FaultPlan, j.clk(), j.clk, j.opts.Telemetry.Tracer())}
 	return j.sup.Run(ctx, x)
@@ -470,7 +474,6 @@ type attempt struct {
 	// sources inject epochs in order, so an epoch above it is a first
 	// injection.
 	startedEpoch int64 // guarded by mu
-	lost         atomic.Int64
 }
 
 // localTo reports whether worker w's tasks run in this process: always in
@@ -868,23 +871,17 @@ func (a *attempt) close() {
 	}
 }
 
-// trigger fires a fault. It returns true when the fault is recoverable —
-// the attempt is then aborted and the caller's task must exit — and false
-// when the task should instead degrade in place (drain and discard).
-func (a *attempt) trigger(kind FaultKind, rt *taskRuntime, epoch, records int64, killIdx int) bool {
-	recoverable := a.j.opts.SnapshotInterval > 0 && kind != FaultStallTask
-	if kind == FaultKillWorker && a.j.opts.OnFailure == nil {
-		recoverable = false
-	}
+// trigger fires a kill or a crash on rt: it records the fault, aborts the
+// attempt and marks rt aborted, so the caller's task exits. What follows —
+// re-place and restore, restart in place, or fail the run — is the
+// supervisor's.
+func (a *attempt) trigger(kind FaultKind, rt *taskRuntime, epoch, records int64, killIdx int) {
 	rec := FaultRecord{Kind: kind, Worker: -1, Task: rt.id, Epoch: epoch, Records: records}
 	if kind == FaultKillWorker {
 		rec.Worker = rt.worker
 		a.faults.noteKill(killIdx, rec)
 	} else {
 		a.faults.note(rec)
-	}
-	if !recoverable {
-		return false
 	}
 	a.mu.Lock()
 	if a.failEv == nil {
@@ -898,7 +895,7 @@ func (a *attempt) trigger(kind FaultKind, rt *taskRuntime, epoch, records int64,
 	}
 	a.mu.Unlock()
 	a.doAbort()
-	return true
+	rt.aborted = true
 }
 
 // doAbort tears the attempt down for recovery: the channel unblocks selects,

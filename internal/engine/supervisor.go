@@ -138,7 +138,6 @@ type runAgg struct {
 	recoveries      int
 	downtime        time.Duration
 	reprocessed     int64
-	lost            int64
 	restoredEpoch   int64
 	snapshots       int64
 	faults          []FaultRecord
@@ -231,9 +230,6 @@ func (s *Supervisor) Run(ctx context.Context, exec AttemptExecutor) (*JobResult,
 			return nil, err
 		}
 		s.agg.faults = append(s.agg.faults, end.Faults...)
-		for _, rep := range end.Reports {
-			s.agg.lost += rep.Lost
-		}
 		switch {
 		case end.Fault != nil:
 			// Faults win over rescales: a drain that raced a fault is
@@ -248,7 +244,6 @@ func (s *Supervisor) Run(ctx context.Context, exec AttemptExecutor) (*JobResult,
 			res := assembleResult(end.Reports, s.agg)
 			s.emit(telemetry.Event{Kind: telemetry.EventJobComplete, Attempt: no, Attrs: map[string]any{
 				"elapsed_ms":   res.Elapsed.Seconds() * 1e3,
-				"failed":       res.Failed,
 				"recoveries":   res.Recoveries,
 				"sink_records": res.SinkRecords,
 				"snapshots":    res.SnapshotsTaken,
@@ -670,9 +665,6 @@ func assembleResult(reports []*WorkerReport, agg runAgg) *JobResult {
 			if ts.Source {
 				res.SourceRecords += ts.RecordsOut
 			}
-			if ts.Dead {
-				res.Failed = true
-			}
 		}
 	}
 	if wait, ok := hists[creditWaitSeries]; ok {
@@ -689,23 +681,11 @@ func assembleResult(reports []*WorkerReport, agg runAgg) *JobResult {
 	res.Recoveries = agg.recoveries
 	res.Downtime = agg.downtime
 	res.RecordsReprocessed = agg.reprocessed
-	res.LostRecords = agg.lost
 	res.SnapshotsTaken = agg.snapshots
 	res.RestoredEpoch = agg.restoredEpoch
 	res.Rescales = agg.rescales
 	res.RescaleDowntime = agg.rescaleDowntime
 	res.RescaleMovedBytes = agg.rescaleMoved
-	if res.Failed {
-		// Unrecovered faults leave their tasks down from the fault until
-		// the end of the run.
-		first := agg.elapsed
-		for _, f := range res.Faults {
-			if f.Kind != FaultStallTask && !f.Recovered && f.At < first {
-				first = f.At
-			}
-		}
-		res.Downtime += agg.elapsed - first
-	}
 	res.Metrics.Counter("job.recoveries").Inc(int64(res.Recoveries))
 	res.Metrics.Gauge("job.downtime_seconds").Set(res.Downtime.Seconds())
 	res.Metrics.Counter("job.records_reprocessed").Inc(res.RecordsReprocessed)

@@ -77,8 +77,6 @@ type taskRuntime struct {
 	// restore carries the snapshot to apply during wiring (rr positions).
 	restore *TaskSnapshot
 
-	// dead marks a degraded task: it drains and discards its input.
-	dead bool
 	// aborted marks that this attempt is being torn down for recovery.
 	aborted bool
 	// failure holds the first genuine operator error.
@@ -198,10 +196,6 @@ func (a *attempt) processBatch(rt *taskRuntime, opr Operator, msg message) {
 		if rt.failure != nil {
 			continue // drain-and-discard after a failure
 		}
-		if rt.dead {
-			a.lost.Add(1)
-			continue
-		}
 		a.processRecord(rt, opr, e.rec, msg.in, e.ingest, false)
 		if rt.aborted {
 			return
@@ -257,11 +251,7 @@ func (a *attempt) processRecord(rt *taskRuntime, opr Operator, rec Record, in in
 		return
 	}
 	if a.faults.shouldCrash(rt.id, rt.recordsIn) {
-		if a.trigger(FaultCrashTask, rt, rt.epoch, rt.recordsIn, -1) {
-			rt.aborted = true
-			return
-		}
-		rt.dead = true
+		a.trigger(FaultCrashTask, rt, rt.epoch, rt.recordsIn, -1)
 	}
 }
 
@@ -392,15 +382,8 @@ func (a *attempt) runSource(ctx context.Context, rt *taskRuntime, src Source) er
 				return nil
 			}
 			if rt.killEpoch >= 0 && epoch >= rt.killEpoch {
-				if a.trigger(FaultKillWorker, rt, epoch, i+1, rt.killIdx) {
-					rt.aborted = true
-					return nil
-				}
-				// Degraded: this source stops emitting; the rest of its
-				// records are lost throughput.
-				a.lost.Add(a.j.opts.RecordsPerSource - (i + 1))
-				rt.dead = true
-				break
+				a.trigger(FaultKillWorker, rt, epoch, i+1, rt.killIdx)
+				return nil
 			}
 		}
 	}
@@ -435,7 +418,7 @@ func (a *attempt) completeAlignment(rt *taskRuntime) error {
 	// per channel by appending them behind the existing queue.
 	rt.queue = append(rt.queue, rt.alignBuf...)
 	rt.alignBuf = nil
-	if !rt.dead && rt.failure == nil {
+	if rt.failure == nil {
 		if err := a.snapshotTask(rt, epoch, 0); err != nil {
 			return err
 		}
@@ -445,12 +428,8 @@ func (a *attempt) completeAlignment(rt *taskRuntime) error {
 	if rt.aborted {
 		return nil
 	}
-	if rt.killEpoch >= 0 && epoch >= rt.killEpoch && !rt.dead {
-		if a.trigger(FaultKillWorker, rt, epoch, rt.recordsIn, rt.killIdx) {
-			rt.aborted = true
-			return nil
-		}
-		rt.dead = true
+	if rt.killEpoch >= 0 && epoch >= rt.killEpoch {
+		a.trigger(FaultKillWorker, rt, epoch, rt.recordsIn, rt.killIdx)
 	}
 	return nil
 }
@@ -462,11 +441,10 @@ func (a *attempt) completeAlignment(rt *taskRuntime) error {
 // release point that cannot deadlock alignment, since every sender to this
 // task shares one gate and a pre-barrier flush must be able to acquire —
 // and are then either processed inline or held whole in the alignment
-// buffer. After an operator failure — or once the task is degraded by an
-// unrecovered fault — the task keeps draining (and discarding) its inbox so
-// upstream senders blocked on the full channel cannot deadlock the job;
-// barriers are still forwarded so live tasks keep checkpointing around the
-// corpse.
+// buffer. After an operator failure the task keeps draining (and discarding)
+// its inbox so upstream senders blocked on the full channel cannot deadlock
+// the job before the run returns the error; barriers are still forwarded so
+// the other tasks keep checkpointing.
 func (a *attempt) runOperator(rt *taskRuntime) error {
 	opr, ok := rt.op.(Operator)
 	if !ok {
@@ -537,10 +515,6 @@ func (a *attempt) runOperator(rt *taskRuntime) error {
 		if rt.failure != nil {
 			continue // drain-and-discard after a failure
 		}
-		if rt.dead {
-			a.lost.Add(1)
-			continue
-		}
 		a.processRecord(rt, opr, msg.rec, msg.in, msg.ingest, true)
 		if rt.aborted {
 			return nil
@@ -552,10 +526,6 @@ func (a *attempt) runOperator(rt *taskRuntime) error {
 	if rt.failure != nil {
 		rt.finish(nil)
 		return rt.failure
-	}
-	if rt.dead {
-		rt.finish(nil)
-		return nil
 	}
 	rt.finish(opr)
 	return rt.failure
