@@ -83,7 +83,7 @@ func registerFlags(fs *flag.FlagSet) (*cliflags.Common, *liveFlags) {
 	o := &liveFlags{}
 	fs.Int64Var(&o.records, "records", 5000, "records per source task")
 	fs.StringVar(&o.transport, "transport", engine.TransportUnary, "data-plane exchange: unary|batched|network (forced to network in -listen/-join mode)")
-	fs.IntVar(&o.batchSize, "batch-size", 0, "batched/network transport: records per batch (0 = engine default)")
+	fs.IntVar(&o.batchSize, "batch-size", 0, "batched/network transport: records per batch (0 = engine default: 32, 256 under network)")
 	fs.DurationVar(&o.batchLinger, "batch-linger", 0, "batched/network transport: max wait for a partial batch (0 = engine default, negative disables)")
 	fs.StringVar(&o.fuse, "fuse", "on", "operator fusion: run co-located Forward chains as one goroutine, bypassing the exchange (on|off)")
 	fs.StringVar(&o.rescale, "rescale", "", "live rescale: comma-separated op=parallelism changes applied at -rescale-epoch (requires -checkpoint-every; local and -listen modes)")

@@ -173,14 +173,14 @@ func checkRelayed(tv metrics.TypedValues, hists map[string]telemetry.HistogramSn
 // every method is a cheap no-op.
 type clusterAgg struct {
 	tel *telemetry.Telemetry
-	// mu orders a dead worker's drop after every callback-gauge set its
-	// read loop relays: a heartbeat read just before the death must not
-	// re-register what drop removed.
+	// mu orders a dead worker's drop after every gauge set its read loop
+	// relays: a heartbeat read just before the death must not re-register
+	// what drop removed.
 	mu   sync.Mutex
 	dead map[string]bool // guarded by mu
 }
 
-// gaugeOwner names worker's set of relayed callback gauges on the hub.
+// gaugeOwner names worker's set of relayed gauges on the hub.
 func gaugeOwner(worker string) string { return "worker/" + worker }
 
 // apply folds one worker's decoded heartbeat into the hub. Trace events are
@@ -188,10 +188,11 @@ func gaugeOwner(worker string) string { return "worker/" + worker }
 // WSeq) and gain a fresh cluster sequence number and arrival timestamp — the
 // merged timeline is ordered by arrival, causally consistent per origin via
 // WSeq. Monotone series add under both the per-worker name and the cluster
-// rollup; gauges and callback gauges land per-worker only (absolutes across
-// workers have no meaningful sum). A heartbeat samples every callback gauge
-// its worker has, so the worker's relayed set is replaced whole: a series
-// the worker no longer registers (a task a rescale moved away) leaves.
+// rollup; gauges, the trace drop count and callback gauges land per-worker
+// only (absolutes across workers have no meaningful sum). A heartbeat
+// carries every gauge its worker has, so they are one set per worker,
+// replaced whole: a series the worker no longer registers (a task a rescale
+// moved away) leaves, and drop removes the set of a dead worker for good.
 func (a *clusterAgg) apply(worker string, hb *wireHeartbeat) {
 	if a.tel == nil || hb == nil {
 		return
@@ -200,44 +201,54 @@ func (a *clusterAgg) apply(worker string, hb *wireHeartbeat) {
 	for _, ev := range hb.Events {
 		tr.Emit(ev)
 	}
+	var gs []telemetry.GaugeFunc
 	if hb.Dropped > 0 {
-		reg.Gauge(metrics.WorkerMetricName(worker, "trace_dropped")).Set(float64(hb.Dropped))
+		gs = append(gs, relayedGauge(worker, "trace_dropped", float64(hb.Dropped)))
 	}
-	s := hb.Stats
-	if s == nil {
-		return
-	}
-	for n, d := range s.Counters {
-		reg.Counter(metrics.WorkerMetricName(worker, n)).Inc(d)
-		reg.Counter(metrics.ClusterMetricName(n)).Inc(d)
-	}
-	for n, d := range s.Times {
-		reg.Time(metrics.WorkerMetricName(worker, n)).Add(d)
-		reg.Time(metrics.ClusterMetricName(n)).Add(d)
-	}
-	for n, v := range s.Gauges {
-		reg.Gauge(metrics.WorkerMetricName(worker, n)).Set(v)
-	}
-	gs := make([]telemetry.GaugeFunc, 0, len(s.FnGauges))
-	for _, g := range s.FnGauges {
-		labels := map[string]string{"worker": worker} // unless the origin set one
-		maps.Copy(labels, g.Labels)
-		v := g.Value
-		gs = append(gs, telemetry.GaugeFunc{Family: g.Family, Labels: labels, Fn: func() float64 { return v }})
+	if s := hb.Stats; s != nil {
+		for n, d := range s.Counters {
+			reg.Counter(metrics.WorkerMetricName(worker, n)).Inc(d)
+			reg.Counter(metrics.ClusterMetricName(n)).Inc(d)
+		}
+		for n, d := range s.Times {
+			reg.Time(metrics.WorkerMetricName(worker, n)).Add(d)
+			reg.Time(metrics.ClusterMetricName(n)).Add(d)
+		}
+		for n, v := range s.Gauges {
+			gs = append(gs, relayedGauge(worker, n, v))
+		}
+		for _, g := range s.FnGauges {
+			labels := map[string]string{"worker": worker} // unless the origin set one
+			maps.Copy(labels, g.Labels)
+			v := g.Value
+			gs = append(gs, telemetry.GaugeFunc{Family: g.Family, Labels: labels, Fn: func() float64 { return v }})
+		}
+		for n, snap := range s.Hists {
+			if err := a.tel.Histogram(n).Absorb(snap); err != nil {
+				reg.Counter("cluster.histogram_merge_errors").Inc(1)
+			}
+		}
 	}
 	a.mu.Lock()
 	if !a.dead[worker] {
 		a.tel.ReplaceGaugeFuncs(gaugeOwner(worker), gs)
 	}
 	a.mu.Unlock()
-	for n, snap := range s.Hists {
-		if err := a.tel.Histogram(n).Absorb(snap); err != nil {
-			reg.Counter("cluster.histogram_merge_errors").Inc(1)
-		}
-	}
 }
 
-// drop removes a dead worker's relayed callback gauges for good.
+// relayedGauge is worker's registry gauge n as a callback gauge, exported as
+// the registry cell "worker.<id>.<n>" would be: a per-task gauge in the task
+// family, any other in the worker family, the worker (and task) as labels.
+func relayedGauge(worker, n string, v float64) telemetry.GaugeFunc {
+	s := metrics.SplitName(metrics.WorkerMetricName(worker, n), metrics.CellName)
+	scope := "worker."
+	if s.Index >= 0 {
+		scope = "task."
+	}
+	return telemetry.GaugeFunc{Family: scope + s.Family, Labels: s.Labels(), Fn: func() float64 { return v }}
+}
+
+// drop removes a dead worker's relayed gauges for good.
 func (a *clusterAgg) drop(worker string) {
 	if a.tel == nil {
 		return

@@ -179,10 +179,13 @@ func TestDistClusterMetricsGolden(t *testing.T) {
 		Counters: map[string]int64{"net.frames_sent": 2, "sink[0].records_in": 17},
 	}}})
 	// A second heartbeat from w0 must add, not replace; like every real
-	// heartbeat it samples all of w0's callback gauges.
+	// heartbeat it samples all of w0's gauges and callback gauges.
 	agg.apply("w0", &wireHeartbeat{Stats: &wireStats{
-		TypedValues: metrics.TypedValues{Counters: map[string]int64{"net.frames_sent": 2}},
-		FnGauges:    w0Gauges,
+		TypedValues: metrics.TypedValues{
+			Counters: map[string]int64{"net.frames_sent": 2},
+			Gauges:   map[string]float64{"trace_dropped": 2},
+		},
+		FnGauges: w0Gauges,
 	}})
 
 	// Two seconds of pinned wall clock pass before the scrape, giving the
@@ -212,11 +215,23 @@ func TestDistClusterMetricsGolden(t *testing.T) {
 	}
 }
 
-// TestDistRelayedGaugesLeave: a worker's relayed callback gauges are its
-// latest heartbeat's whole set, so a series the worker stopped sampling (a
-// task a rescale moved away) leaves the coordinator's hub, and every series
-// of a worker declared dead leaves with it — a heartbeat read just before
-// the death included.
+// relayed returns the relayed gauge of family for worker on tel's hub, or -1
+// when there is none.
+func relayed(tel *telemetry.Telemetry, family, worker string) float64 {
+	for _, g := range tel.SampleGaugeFuncs() {
+		if g.Family == family && g.Labels["worker"] == worker {
+			return g.Value
+		}
+	}
+	return -1
+}
+
+// TestDistRelayedGaugesLeave: a worker's relayed gauges — its callback
+// gauges, its registry gauges and its trace drop count — are its latest
+// heartbeat's whole set, so a series the worker stopped sampling (a task a
+// rescale moved away) leaves the coordinator's hub, and every series of a
+// worker declared dead leaves with it — a heartbeat read just before the
+// death included.
 func TestDistRelayedGaugesLeave(t *testing.T) {
 	agg := clusterAgg{tel: telemetry.New()}
 	depth := func(task string) telemetry.GaugeSample {
@@ -228,7 +243,9 @@ func TestDistRelayedGaugesLeave(t *testing.T) {
 	series := func() string {
 		var out []string
 		for _, g := range agg.tel.SampleGaugeFuncs() {
-			out = append(out, g.Labels["worker"]+"/"+g.Labels["task"])
+			if g.Family == "exchange_queue_depth" {
+				out = append(out, g.Labels["worker"]+"/"+g.Labels["task"])
+			}
 		}
 		return strings.Join(out, " ")
 	}
@@ -238,10 +255,27 @@ func TestDistRelayedGaugesLeave(t *testing.T) {
 	if got, want := series(), "w0/win[0] w1/win[2]"; got != want {
 		t.Errorf("after w0 stopped sampling win[1]: relayed %q, want %q", got, want)
 	}
+	w1 := beat(depth("win[2]"))
+	w1.Stats.Gauges = map[string]float64{"queue.depth": 4}
+	w1.Dropped = 3
+	agg.apply("w1", w1)
+	if d, q := relayed(agg.tel, "worker.trace_dropped", "w1"), relayed(agg.tel, "worker.queue.depth", "w1"); d != 3 || q != 4 {
+		t.Errorf("w1 alive: trace_dropped %v and queue.depth %v relayed, want 3 and 4", d, q)
+	}
 	agg.drop("w1")
-	agg.apply("w1", beat(depth("win[2]")))
+	agg.apply("w1", w1)
 	if got, want := series(), "w0/win[0]"; got != want {
 		t.Errorf("after w1 was declared dead: relayed %q, want %q", got, want)
+	}
+	if d, q := relayed(agg.tel, "worker.trace_dropped", "w1"), relayed(agg.tel, "worker.queue.depth", "w1"); d != -1 || q != -1 {
+		t.Errorf("after w1 was declared dead: trace_dropped %v and queue.depth %v still relayed", d, q)
+	}
+	var buf bytes.Buffer
+	if err := agg.tel.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), `worker="w1"`) {
+		t.Errorf("a dead worker's series are still on /metrics:\n%s", buf.String())
 	}
 }
 
@@ -277,7 +311,7 @@ func TestDistClusterTraceMerge(t *testing.T) {
 	if evs[2].Src != "w0" || evs[2].WSeq != 5 {
 		t.Errorf("origin provenance lost: %+v", evs[2])
 	}
-	if got := tel.Registry().Snapshot()["worker.w0.trace_dropped"]; got != 4 {
+	if got := relayed(tel, "worker.trace_dropped", "w0"); got != 4 {
 		t.Errorf("worker.w0.trace_dropped = %v, want 4", got)
 	}
 }
@@ -473,11 +507,12 @@ func TestDistNonFiniteGauges(t *testing.T) {
 	snap := coTel.Registry().Snapshot()
 	for w := 0; w < distWorkers; w++ {
 		id := fx.deploy.Workers[w].ID
-		if snap[metrics.WorkerMetricName(id, "probe.half")] != 0.5 || snap[metrics.WorkerMetricName(id, "net.frames_sent")] <= 0 {
+		half := relayed(coTel, "worker.probe.half", id)
+		if half != 0.5 || snap[metrics.WorkerMetricName(id, "net.frames_sent")] <= 0 {
 			t.Errorf("%s: probe.half %v, net.frames_sent %v: the heartbeat lost its finite series",
-				id, snap[metrics.WorkerMetricName(id, "probe.half")], snap[metrics.WorkerMetricName(id, "net.frames_sent")])
+				id, half, snap[metrics.WorkerMetricName(id, "net.frames_sent")])
 		}
-		if _, ok := snap[metrics.WorkerMetricName(id, "probe.nan")]; ok {
+		if relayed(coTel, "worker.probe.nan", id) != -1 {
 			t.Errorf("%s: a NaN gauge was relayed", id)
 		}
 	}

@@ -184,8 +184,12 @@ type (
 // version-11 coordinator's DEPLOY would not decode. Version 13 drops DONE's
 // lost-record count and per-task dead flag (a kill either recovers or fails
 // the run) and carries the source throttle in DEPLOY: a version-12 worker
-// would run a throttled job unthrottled.
-const distProtoVersion = 13
+// would run a throttled job unthrottled. Version 14 changes no frame but the
+// data plane's defaults: a worker derives an unset ChannelCapacity and
+// BatchSize from the deployed network transport (512 and 256 records), and
+// a version-13 worker's 64-record gate could never grant a version-14
+// sender's 256-record frame (engine.ErrCreditOverCapacity).
+const distProtoVersion = 14
 
 // errEncodePayload marks a send that failed locally while encoding the
 // body — the data was unencodable or too large (MaxFramePayload), which

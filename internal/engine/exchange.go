@@ -48,6 +48,10 @@ const (
 	// DefaultBatchSize is the batched transport's per-target flush
 	// threshold when JobOptions.BatchSize is zero.
 	DefaultBatchSize = 32
+	// DefaultNetworkBatchSize is the network transport's: a DATA frame and
+	// its credit round trip carry this many records, and the default gate
+	// (JobOptions.ChannelCapacity) holds two such frames.
+	DefaultNetworkBatchSize = 256
 	// DefaultBatchLinger bounds how long a partial batch may wait for more
 	// records when JobOptions.BatchLinger is zero. Negative linger disables
 	// time-based flushing entirely.
@@ -505,8 +509,8 @@ func (s *batchedSender) remoteAt(idx int) *netTarget {
 type creditGate struct {
 	// capacity is the gate's initial credit count — the most that can ever
 	// be available at once, so any single acquire larger than it can never
-	// be satisfied. The network transport's grantors chunk their grants by
-	// it.
+	// be satisfied. The network transport refuses a credit request larger
+	// than it (ErrCreditOverCapacity).
 	capacity int64
 	avail    atomic.Int64
 	// notify is a capacity-1 wakeup token. A successful acquirer re-signals

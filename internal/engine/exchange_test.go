@@ -396,47 +396,59 @@ func TestStalledDownstreamCannotDeadlockKill(t *testing.T) {
 // time it wakes from pacing. Each record then sees the 2 ms that passed and
 // flushes its predecessor with it: batches of two at most, a record waiting
 // one period for the next. With only the every-8th-record backstop a batch
-// would collect eight records and the first would wait 14 ms.
+// would collect eight records and the first would wait 14 ms. The network
+// case runs on the defaulted sizes: its 256-record frames fill only under
+// saturation, and at a low rate linger still flushes as it does in memory.
 func TestBatchLingerAtLowRate(t *testing.T) {
-	tel := telemetry.New()
-	g := chainGraph(t, []dataflow.Operator{
-		{ID: "src", Kind: dataflow.KindSource, Parallelism: 1, Selectivity: 1},
-		{ID: "snk", Kind: dataflow.KindSink, Parallelism: 1},
-	})
-	factories := map[dataflow.OperatorID]Factory{
-		"src": func(*TaskContext) (any, error) {
-			return NewSource(func(_, i int64) (Record, bool) { return Record{Value: i, Time: i}, true }), nil
-		},
-		"snk": func(*TaskContext) (any, error) { return NewSink(nil), nil },
-	}
-	job, err := NewJob(g, roundRobinPlan(t, g, 2), bigWorkers(2, 2), factories, JobOptions{
-		RecordsPerSource: 200,
-		SourceRate:       map[dataflow.OperatorID]float64{"src": 500},
-		Transport:        TransportBatched,
-		BatchSize:        32,
-		BatchLinger:      time.Millisecond,
-		Telemetry:        tel,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := job.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SinkRecords != 200 {
-		t.Fatalf("sink saw %d records, want 200", res.SinkRecords)
-	}
-	// A source that falls a few periods behind (a loaded host, the race
-	// detector) legitimately batches its catch-up burst, so the pin is on the
-	// mean batch — 2 against 8 — and the latency bound sits between the two
-	// regimes (2 ms and 14 ms).
-	sizes := tel.Histogram("exchange.batch_size").Snapshot()
-	if mean := sizes.Sum / float64(sizes.Count); mean > 4 {
-		t.Errorf("mean flushed batch holds %.1f records (max %v), want at most 2: the linger check is reading a stale clock", mean, sizes.Max)
-	}
-	if p99 := tel.Histogram("latency.snk").Snapshot().Quantile(0.99); p99 > 0.010 && !raceEnabled {
-		t.Errorf("sink latency p99 = %.1f ms, want a few ms", p99*1e3)
+	for _, c := range []struct {
+		transport string
+		batchSize int
+	}{
+		{TransportBatched, 32},
+		{TransportNetwork, 0},
+	} {
+		t.Run(c.transport, func(t *testing.T) {
+			tel := telemetry.New()
+			g := chainGraph(t, []dataflow.Operator{
+				{ID: "src", Kind: dataflow.KindSource, Parallelism: 1, Selectivity: 1},
+				{ID: "snk", Kind: dataflow.KindSink, Parallelism: 1},
+			})
+			factories := map[dataflow.OperatorID]Factory{
+				"src": func(*TaskContext) (any, error) {
+					return NewSource(func(_, i int64) (Record, bool) { return Record{Value: i, Time: i}, true }), nil
+				},
+				"snk": func(*TaskContext) (any, error) { return NewSink(nil), nil },
+			}
+			job, err := NewJob(g, roundRobinPlan(t, g, 2), bigWorkers(2, 2), factories, JobOptions{
+				RecordsPerSource: 200,
+				SourceRate:       map[dataflow.OperatorID]float64{"src": 500},
+				Transport:        c.transport,
+				BatchSize:        c.batchSize,
+				BatchLinger:      time.Millisecond,
+				Telemetry:        tel,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := job.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.SinkRecords != 200 {
+				t.Fatalf("sink saw %d records, want 200", res.SinkRecords)
+			}
+			// A source that falls a few periods behind (a loaded host, the race
+			// detector) legitimately batches its catch-up burst, so the pin is on
+			// the mean batch — 2 against 8 — and the latency bound sits between
+			// the two regimes (2 ms and 14 ms).
+			sizes := tel.Histogram("exchange.batch_size").Snapshot()
+			if mean := sizes.Sum / float64(sizes.Count); mean > 4 {
+				t.Errorf("mean flushed batch holds %.1f records (max %v), want at most 2: the linger check is reading a stale clock", mean, sizes.Max)
+			}
+			if p99 := tel.Histogram("latency.snk").Snapshot().Quantile(0.99); p99 > 0.010 && !raceEnabled {
+				t.Errorf("sink latency p99 = %.1f ms, want a few ms", p99*1e3)
+			}
+		})
 	}
 }
 

@@ -62,7 +62,7 @@ func (o *tumblingJoinOp) Open(ctx *TaskContext) error {
 		return fmt.Errorf("engine: invalid join window %d", o.size)
 	}
 	o.ctx = ctx
-	o.ends = make(windowIndex)
+	o.ends = newWindowIndex()
 	return o.ends.rebuild(ctx.State, o.size)
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -61,9 +62,9 @@ import (
 
 const (
 	netDialTimeout = 10 * time.Second
-	// connReadBuffer sizes a data connection's bufio.Reader: room for a few
-	// dozen default-sized batches of small records, so under load one read
-	// syscall drains many frames.
+	// connReadBuffer sizes a data connection's bufio.Reader: room for about
+	// twenty default-sized frames of small records (≈ 6 B each), so under
+	// load one read syscall drains many frames.
 	connReadBuffer = 32 << 10
 )
 
@@ -874,13 +875,21 @@ func (n *netNode) serveConn(c net.Conn) {
 	}
 }
 
+// ErrCreditOverCapacity reports a CREDIT_REQ for more records than the
+// receiving task's gate holds. No grant could ever cover it, so the
+// receiving worker's attempt fails with this error rather than leave the
+// sender's frame parked forever; peers that disagree on the gate or batch
+// size (mismatched builds) are what sends one.
+var ErrCreditOverCapacity = errors.New("wire: credit request exceeds the receiving gate")
+
 // handleFrame processes one inbound frame. Returning false severs the
 // connection — reserved for undecodable payloads, where the stream's
-// integrity itself is in doubt. A decodable frame with an unexpected key
-// (unknown task, no matching grantor/mirror, non-positive credit count) is
-// a stray — stale, misrouted, or from a buggy peer — and is counted and
-// skipped instead: one bad frame must not sever every channel multiplexed
-// on the shared connection.
+// integrity itself is in doubt, and for a credit request no gate could grant
+// (ErrCreditOverCapacity, which also fails the attempt). A decodable frame
+// with an unexpected key (unknown task, no matching grantor/mirror,
+// non-positive credit count) is a stray — stale, misrouted, or from a buggy
+// peer — and is counted and skipped instead: one bad frame must not sever
+// every channel multiplexed on the shared connection.
 func (n *netNode) handleFrame(from int, f Frame) bool {
 	switch f.Type {
 	case FrameCredit:
@@ -906,6 +915,13 @@ func (n *netNode) handleFrame(from int, f Frame) bool {
 		if g == nil || cr.n <= 0 {
 			n.na.unexpectedFrames.Inc(1)
 			return true
+		}
+		if cr.n > g.gate.capacity {
+			// No grant can ever cover it: the sender's frame would park for
+			// good. Fail the attempt instead of leaving it stalled.
+			n.na.failFatal(fmt.Errorf("%w: worker %d asks %d credits for task %v, whose gate holds %d",
+				ErrCreditOverCapacity, from, cr.n, task, g.gate.capacity))
+			return false
 		}
 		// Hand off to the grantor goroutine: its gate acquire may block, and
 		// this reader must keep draining data frames (the task consuming them
@@ -1081,8 +1097,8 @@ type grantor struct {
 	// can feed this task through one shared mirror, and their
 	// concurrent requests can sum past the gate's capacity; a merged
 	// acquire for that sum could never be satisfied and would deadlock the
-	// cluster. Individually each request is at most BatchSize <= capacity,
-	// so granted one by one (and chunked to capacity as a backstop) every
+	// cluster. Individually each request is at most BatchSize <= capacity
+	// (handleFrame refuses a larger one), so granted one by one every
 	// acquire is satisfiable.
 	reqMu sync.Mutex
 	reqs  []int64
@@ -1170,42 +1186,33 @@ func (g *grantor) run(n *netNode) {
 				return
 			}
 		}
-		// Grant this one request, chunked to the gate's capacity so no
-		// single acquire can exceed what the gate could ever hold. Partial
-		// grants are safe: the sender's mirror pools them until the whole
-		// frame's worth has arrived.
-		for want > 0 {
-			chunk := want
-			if g.gate.capacity > 0 && chunk > g.gate.capacity {
-				chunk = g.gate.capacity
-			}
-			t0 := na.a.clk()
-			ok, stalled := g.gate.acquire(chunk, g.cancel)
-			if stalled && ok {
-				na.grantWaitH.Observe(na.a.clk.Since(t0).Seconds())
-			}
-			if !ok {
-				// Canceled: on quit the credits we still hold go back; on
-				// teardown the gate dies with the attempt.
-				select {
-				case <-g.quit:
-					g.gate.release(g.outstanding.Load())
-				default:
-				}
-				return
-			}
-			g.outstanding.Add(chunk)
-			if err := n.conns[g.from].sendCredit(FrameCredit, g.task, chunk); err != nil {
-				// Connection failed: return the grant and retire. If the peer is
-				// truly dead the coordinator aborts the attempt; if it already
-				// finished cleanly these credits were never needed.
-				g.outstanding.Add(-chunk)
-				g.gate.release(chunk)
-				return
-			}
-			na.creditFrames.Inc(1)
-			want -= chunk
+		// Grant this one request whole: handleFrame refused any request
+		// larger than the gate, so the acquire can always complete.
+		t0 := na.a.clk()
+		ok, stalled := g.gate.acquire(want, g.cancel)
+		if stalled && ok {
+			na.grantWaitH.Observe(na.a.clk.Since(t0).Seconds())
 		}
+		if !ok {
+			// Canceled: on quit the credits we still hold go back; on
+			// teardown the gate dies with the attempt.
+			select {
+			case <-g.quit:
+				g.gate.release(g.outstanding.Load())
+			default:
+			}
+			return
+		}
+		g.outstanding.Add(want)
+		if err := n.conns[g.from].sendCredit(FrameCredit, g.task, want); err != nil {
+			// Connection failed: return the grant and retire. If the peer is
+			// truly dead the coordinator aborts the attempt; if it already
+			// finished cleanly these credits were never needed.
+			g.outstanding.Add(-want)
+			g.gate.release(want)
+			return
+		}
+		na.creditFrames.Inc(1)
 	}
 }
 

@@ -857,3 +857,108 @@ func TestPrepareWorkerAttemptValidation(t *testing.T) {
 		t.Error("out-of-range worker accepted")
 	}
 }
+
+// TestWireOversizedCreditRequestFails: a CREDIT_REQ for more records than
+// the receiving task's gate holds can never be granted — the sender's frame
+// would stay parked and the cluster would stall with heartbeats flowing. A
+// scripted peer asks one record past the gate's capacity; the receiving
+// worker's attempt must end, promptly, with ErrCreditOverCapacity.
+func TestWireOversizedCreditRequestFails(t *testing.T) {
+	j1 := wireJob(t, nil, JobOptions{RecordsPerSource: 100})
+	r1, err := j1.PrepareWorkerAttempt(WorkerNetConfig{Local: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	r1.Start(ctx, map[int]string{0: newWirePeer(t, true).addr()})
+	defer func() { r1.Abort(); <-r1.Done() }()
+
+	c, err := net.Dial("tcp", r1.DataAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	snk := dataflow.TaskID{Op: "snk", Index: 0}
+	capacity := int64(j1.opts.ChannelCapacity)
+	for _, f := range []Frame{
+		{Type: FrameDataHello, Payload: appendHello(nil, 0, r1.att.no)},
+		{Type: FrameCreditReq, Payload: appendCredit(nil, snk, capacity+1)},
+	} {
+		if err := WriteFrame(c, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-r1.Done():
+	case <-time.After(30 * time.Second):
+		t.Fatal("an oversized credit request left the worker running: its sender would wait forever")
+	}
+	if _, err := r1.Report(); !errors.Is(err, ErrCreditOverCapacity) {
+		t.Fatalf("report error = %v, want ErrCreditOverCapacity", err)
+	}
+	c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := c.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("the connection that sent the oversized request was left open (read: %v)", err)
+	}
+}
+
+// TestWireDefaultEconomics pins what the network transport's defaults cost
+// on the wire, without a clock: a fan-out of two sources into two sinks, each
+// task on its own worker, flushes by size only (BatchLinger < 0), so every
+// sender-target pair ships ceil(records/256) DATA frames and each is granted
+// by one CREDIT frame. The in-memory batched transport keeps its defaults
+// (32-record batches, a 64-record gate).
+func TestWireDefaultEconomics(t *testing.T) {
+	const perSource = 2000 // 1000 per sender-target pair: 3 full frames and one of 232
+	run := func(transport string) (*Job, map[string]float64) {
+		t.Helper()
+		g := chainGraph(t, []dataflow.Operator{
+			{ID: "src", Kind: dataflow.KindSource, Parallelism: 2, Selectivity: 1},
+			{ID: "snk", Kind: dataflow.KindSink, Parallelism: 2},
+		})
+		factories := map[dataflow.OperatorID]Factory{
+			"src": func(*TaskContext) (any, error) {
+				return NewSource(func(_, i int64) (Record, bool) { return Record{Value: i, Time: i}, true }), nil
+			},
+			"snk": func(*TaskContext) (any, error) { return NewSink(nil), nil },
+		}
+		job, err := NewJob(g, roundRobinPlan(t, g, 4), bigWorkers(4, 1), factories, JobOptions{
+			RecordsPerSource: perSource,
+			Transport:        transport,
+			BatchLinger:      -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := job.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SinkRecords != 2*perSource {
+			t.Fatalf("%s: sink saw %d records, want %d", transport, res.SinkRecords, 2*perSource)
+		}
+		return job, res.Metrics.Snapshot()
+	}
+	pairs := 4.0
+	perPair := func(size int) float64 { return float64((perSource/2 + size - 1) / size) }
+
+	job, snap := run(TransportNetwork)
+	if got := [2]int{job.opts.BatchSize, job.opts.ChannelCapacity}; got != [2]int{DefaultNetworkBatchSize, 2 * DefaultNetworkBatchSize} {
+		t.Errorf("network defaults: batch %d, capacity %d; want %d and %d", got[0], got[1], DefaultNetworkBatchSize, 2*DefaultNetworkBatchSize)
+	}
+	want := pairs * perPair(DefaultNetworkBatchSize)
+	for _, name := range []string{"net.data_batches", "net.credit_frames", "exchange.batches"} {
+		if snap[name] != want {
+			t.Errorf("network: %s = %v, want %v", name, snap[name], want)
+		}
+	}
+
+	job, snap = run(TransportBatched)
+	if got := [2]int{job.opts.BatchSize, job.opts.ChannelCapacity}; got != [2]int{DefaultBatchSize, 64} {
+		t.Errorf("batched defaults: batch %d, capacity %d; want %d and 64", got[0], got[1], DefaultBatchSize)
+	}
+	if want := pairs * perPair(DefaultBatchSize); snap["exchange.batches"] != want || snap["net.data_batches"] != 0 {
+		t.Errorf("batched: exchange.batches = %v and net.data_batches = %v, want %v and 0", snap["exchange.batches"], snap["net.data_batches"], want)
+	}
+}

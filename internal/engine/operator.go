@@ -175,16 +175,31 @@ func splitWinKey(sk string) (key string, start int64, ok bool) {
 // storage key exactly once, exactly while the namespace holds it — so a task
 // rebuilds it from its namespace in Open (the runtime restores the namespace
 // first) and it is never snapshotted or repartitioned on its own. Operators
-// add a key only when its state is new, which keeps it listed once.
-type windowIndex map[int64][]string
+// add a key only when its state is new, which keeps it listed once. The open
+// ends are also kept in ascending order, so a record that fires nothing costs
+// fire one comparison.
+type windowIndex struct {
+	keys map[int64][]string
+	ends []int64 // the keys of keys, ascending
+}
 
-func (x windowIndex) add(end int64, sk string) { x[end] = append(x[end], sk) }
+func newWindowIndex() windowIndex { return windowIndex{keys: make(map[int64][]string)} }
+
+func (x *windowIndex) add(end int64, sk string) {
+	sks, open := x.keys[end]
+	if !open {
+		// New ends are almost always the latest: the search lands at the tail.
+		i, _ := slices.BinarySearch(x.ends, end)
+		x.ends = slices.Insert(x.ends, i, end)
+	}
+	x.keys[end] = append(sks, sk)
+}
 
 // rebuild indexes every window the namespace holds; size is the window
 // length. A restored end fires its keys in key order: the namespace has no
 // first-touch order to offer. A storage key that is not a window key fails
 // the task.
-func (x windowIndex) rebuild(ns *statebackend.Namespace, size int64) error {
+func (x *windowIndex) rebuild(ns *statebackend.Namespace, size int64) error {
 	var err error
 	ns.Scan(func(sk string, _ []byte) {
 		if _, start, ok := splitWinKey(sk); ok {
@@ -193,7 +208,7 @@ func (x windowIndex) rebuild(ns *statebackend.Namespace, size int64) error {
 			err = fmt.Errorf("engine: state key %q is not a window key", sk)
 		}
 	})
-	for _, sks := range x {
+	for _, sks := range x.keys {
 		slices.Sort(sks)
 	}
 	return err
@@ -202,24 +217,16 @@ func (x windowIndex) rebuild(ns *statebackend.Namespace, size int64) error {
 // fire calls each for every indexed window the watermark has passed — ends in
 // ascending order, an end's storage keys in index order — and drops those
 // windows from the index.
-func (x windowIndex) fire(watermark int64, each func(end int64, sk string) error) error {
-	var fired []int64
-	for end := range x {
-		if end <= watermark {
-			fired = append(fired, end)
-		}
-	}
-	if len(fired) == 0 {
-		return nil
-	}
-	slices.Sort(fired)
-	for _, end := range fired {
-		for _, sk := range x[end] {
+func (x *windowIndex) fire(watermark int64, each func(end int64, sk string) error) error {
+	for len(x.ends) > 0 && x.ends[0] <= watermark {
+		end := x.ends[0]
+		for _, sk := range x.keys[end] {
 			if err := each(end, sk); err != nil {
 				return err
 			}
 		}
-		delete(x, end)
+		delete(x.keys, end)
+		x.ends = x.ends[1:]
 	}
 	return nil
 }
@@ -252,7 +259,7 @@ func (o *slidingWindowOp) Open(ctx *TaskContext) error {
 		return fmt.Errorf("engine: invalid window size=%d slide=%d", o.size, o.slide)
 	}
 	o.ctx = ctx
-	o.ends = make(windowIndex)
+	o.ends = newWindowIndex()
 	return o.ends.rebuild(ctx.State, o.size)
 }
 

@@ -30,10 +30,11 @@ type ClusterSpec struct {
 
 // JobOptions configures a run.
 type JobOptions struct {
-	// ChannelCapacity is the bounded inbox size per task (default 64);
-	// smaller values propagate backpressure faster. Under the batched
-	// transport it is also the credit budget per receiver — the bound on
-	// records in flight toward a task.
+	// ChannelCapacity is the bounded inbox size per task (default 64, 512
+	// under TransportNetwork: two default frames); smaller values propagate
+	// backpressure faster. Under the batched and network transports it is
+	// also the credit budget per receiver — the bound on records in flight
+	// toward a task, wire included.
 	ChannelCapacity int
 	// SourceRate caps each source operator's aggregate generation rate in
 	// records/second (0 or missing = uncapped).
@@ -56,13 +57,15 @@ type JobOptions struct {
 	KeyGroups int
 
 	// Transport selects the data-plane exchange discipline: TransportUnary
-	// (one channel message per record, the reference semantics) or
+	// (one channel message per record, the reference semantics),
 	// TransportBatched (size/linger-bounded batches under credit-based flow
-	// control). Empty means unary.
+	// control) or TransportNetwork (batched, cross-worker edges over TCP).
+	// Empty means unary.
 	Transport string
-	// BatchSize is the batched transport's per-target flush threshold
-	// (default DefaultBatchSize, clamped to ChannelCapacity so one batch
-	// can always acquire its credits).
+	// BatchSize is the batched and network transports' per-target flush
+	// threshold (default DefaultBatchSize, DefaultNetworkBatchSize under
+	// TransportNetwork; clamped to ChannelCapacity so one batch can always
+	// acquire its credits).
 	BatchSize int
 	// BatchLinger bounds how long a partial batch may wait for more records
 	// before flushing (default DefaultBatchLinger; negative disables
@@ -243,17 +246,22 @@ func NewJob(g *dataflow.LogicalGraph, plan *dataflow.Plan, spec ClusterSpec, fac
 	if opts.RecordsPerSource <= 0 {
 		return nil, fmt.Errorf("engine: RecordsPerSource must be positive")
 	}
-	if opts.ChannelCapacity <= 0 {
-		opts.ChannelCapacity = 64
-	}
 	if opts.SnapshotInterval < 0 {
 		return nil, fmt.Errorf("engine: SnapshotInterval must be non-negative")
 	}
 	if opts.Transport == "" {
 		opts.Transport = TransportUnary
 	}
+	// The wire gets a deeper gate, two default frames; in memory it stays 64.
+	capacity, batch := 64, DefaultBatchSize
+	if opts.Transport == TransportNetwork {
+		capacity, batch = 2*DefaultNetworkBatchSize, DefaultNetworkBatchSize
+	}
+	if opts.ChannelCapacity <= 0 {
+		opts.ChannelCapacity = capacity
+	}
 	if opts.BatchSize <= 0 {
-		opts.BatchSize = DefaultBatchSize
+		opts.BatchSize = batch
 	}
 	if opts.BatchSize > opts.ChannelCapacity {
 		opts.BatchSize = opts.ChannelCapacity

@@ -52,13 +52,13 @@ func (h *opHarness) close() {
 	}
 }
 
-// index returns the operator's firing index.
-func (h *opHarness) index() windowIndex {
+// index returns the operator's firing index: its storage keys per open end.
+func (h *opHarness) index() map[int64][]string {
 	switch op := h.op.(type) {
 	case *slidingWindowOp:
-		return op.ends
+		return op.ends.keys
 	case *tumblingJoinOp:
-		return op.ends
+		return op.ends.keys
 	}
 	h.t.Fatalf("%T has no firing index", h.op)
 	return nil
@@ -246,5 +246,51 @@ func TestSlidingWindowProcessAllocs(t *testing.T) {
 	})
 	if got > agg+2 {
 		t.Errorf("Process into an open window allocates %v times, want at most the AggFunc's %v + 2", got, agg)
+	}
+}
+
+// TestWindowIndexIdleFire: the firing index keeps its open ends ascending
+// through ends added out of order (a late record reopening an earlier one
+// included) and partial fires, and a record that fires nothing — the common
+// case, once per record — costs fire one comparison, allocating nothing
+// however many windows are open.
+func TestWindowIndexIdleFire(t *testing.T) {
+	x := newWindowIndex()
+	for _, end := range []int64{300, 100, 200, 100, 400, 50} {
+		x.add(end, winKey(fmt.Sprintf("k%d", len(x.keys)), end-10))
+	}
+	check := func(when string, want ...int64) {
+		t.Helper()
+		var indexed []int64
+		for end := range x.keys {
+			indexed = append(indexed, end)
+		}
+		slices.Sort(indexed)
+		if !slices.Equal(x.ends, want) || !slices.Equal(indexed, want) {
+			t.Fatalf("%s: ends %v, indexed %v, want %v", when, x.ends, indexed, want)
+		}
+	}
+	check("after adds", 50, 100, 200, 300, 400)
+	var fired []int64
+	collect := func(end int64, _ string) error { fired = append(fired, end); return nil }
+	if err := x.fire(250, collect); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int64{50, 100, 100, 200}; !slices.Equal(fired, want) {
+		t.Fatalf("fire(250) fired ends %v, want %v", fired, want)
+	}
+	check("after fire(250)", 300, 400)
+	x.add(150, winKey("late", 140))
+	check("after a late end", 150, 300, 400)
+
+	for end := int64(1000); end < 11000; end++ {
+		x.add(end, winKey("k", end-10))
+	}
+	idle := func(int64, string) error { t.Fatal("an idle fire fired"); return nil }
+	if raceEnabled {
+		return // the race detector allocates on its own account
+	}
+	if got := testing.AllocsPerRun(100, func() { x.fire(149, idle) }); got != 0 {
+		t.Errorf("a fire that fires nothing allocates %v times, want 0", got)
 	}
 }

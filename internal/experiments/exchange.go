@@ -82,10 +82,14 @@ func exchangeStudy(ctx context.Context, cfg exchangeConfig) (*Report, error) {
 	for _, size := range cfg.BatchSizes {
 		runs = append(runs, runSpec{transport: engine.TransportBatched, batchSize: size})
 	}
-	// One network row at the default batch size: the same batched senders
-	// feed loopback TCP sockets, so the delta over the batched row at the
-	// same size is the framing + socket cost.
-	runs = append(runs, runSpec{transport: engine.TransportNetwork, batchSize: engine.DefaultBatchSize})
+	// Two network rows. The first runs the batched transport's default size:
+	// the same batched senders feed loopback TCP sockets, so its delta over
+	// the batched row at that size is the framing + socket cost. The second
+	// leaves the sizes to the engine, which gives the network transport
+	// 256-record frames behind a 512-record gate.
+	runs = append(runs,
+		runSpec{transport: engine.TransportNetwork, batchSize: engine.DefaultBatchSize},
+		runSpec{transport: engine.TransportNetwork})
 
 	rep := &Report{
 		ID:    "EXCHANGE",
@@ -123,6 +127,9 @@ func exchangeStudy(ctx context.Context, cfg exchangeConfig) (*Report, error) {
 			unarySinks = res.SinkRecords
 		} else {
 			sizeCell = fmt.Sprintf("%d", r.batchSize)
+			if r.batchSize == 0 {
+				sizeCell = fmt.Sprintf("%d (default)", engine.DefaultNetworkBatchSize)
+			}
 			if unaryRate > 0 {
 				speedup = rate / unaryRate
 			}
@@ -153,7 +160,8 @@ func exchangeStudy(ctx context.Context, cfg exchangeConfig) (*Report, error) {
 	rep.Notes = append(rep.Notes,
 		"sink records are identical across every transport and batch size: the exchange layer is invisible to delivery semantics",
 		"credit stalls replace per-record channel blocking as the batched transport's backpressure signal",
-		"the network row pushes the same batches through loopback TCP with demand-driven wire credits; its delta over batched at the same size is the framing and socket cost")
+		"the first network row pushes the same batches through loopback TCP with demand-driven wire credits; its delta over batched at the same size is the framing and socket cost",
+		"the default network row ships 256-record frames behind a 512-record gate: one credit round trip per 256 records instead of per 32")
 	if cfg.ChainRecords > 0 {
 		if err := exchangeChainSection(ctx, rep, cfg); err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"strconv"
 	"testing"
 	"time"
@@ -21,17 +22,23 @@ func TestExchangeStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Q3-inf: unary baseline + one row per batch size + the network row;
-	// chain section: three unfused transports + one fused row.
-	q3Rows := 2 + len(cfg.BatchSizes)
+	// Q3-inf: unary baseline + one row per batch size + the two network
+	// rows (the batched default size, then the network default); chain
+	// section: three unfused transports + one fused row.
+	q3Rows := 3 + len(cfg.BatchSizes)
 	if want := q3Rows + 4; len(rep.Rows) != want {
 		t.Fatalf("expected %d rows, got %d", want, len(rep.Rows))
 	}
 	if rep.Rows[0][1] != engine.TransportUnary {
 		t.Fatalf("first row should be the unary baseline: %v", rep.Rows[0])
 	}
-	if rep.Rows[q3Rows-1][1] != engine.TransportNetwork {
-		t.Fatalf("row %d should be the network transport: %v", q3Rows-1, rep.Rows[q3Rows-1])
+	for _, i := range []int{q3Rows - 2, q3Rows - 1} {
+		if rep.Rows[i][1] != engine.TransportNetwork {
+			t.Fatalf("row %d should be the network transport: %v", i, rep.Rows[i])
+		}
+	}
+	if got, want := rep.Rows[q3Rows-1][2], fmt.Sprintf("%d (default)", engine.DefaultNetworkBatchSize); got != want {
+		t.Errorf("default network row's batch size cell = %q, want %q", got, want)
 	}
 	sink := rep.Rows[0][7]
 	for i, row := range rep.Rows[:q3Rows] {
