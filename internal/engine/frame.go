@@ -86,6 +86,9 @@ var (
 	// ErrFrameTooLarge reports a payload refused before sending because it
 	// exceeds MaxFramePayload: a fault of the data, not of the connection.
 	ErrFrameTooLarge = errors.New("frame: payload over the frame cap")
+	// ErrFrameLength reports a received length prefix refused before
+	// anything is sized by it: zero, or past the frame cap.
+	ErrFrameLength = errors.New("frame: length prefix out of range")
 )
 
 // AppendFrame appends the encoded frame to dst and returns the extended
@@ -136,10 +139,10 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 // checkFrameLen refuses a length prefix before anything is sized by it.
 func checkFrameLen(n uint32) error {
 	if n == 0 {
-		return errors.New("frame: zero length")
+		return fmt.Errorf("%w: zero", ErrFrameLength)
 	}
 	if n > MaxFramePayload+1 {
-		return fmt.Errorf("frame: length %d exceeds cap %d", n, MaxFramePayload+1)
+		return fmt.Errorf("%w: %d exceeds cap %d", ErrFrameLength, n, MaxFramePayload+1)
 	}
 	return nil
 }

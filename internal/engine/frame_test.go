@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"strings"
 	"testing"
 )
 
@@ -71,10 +70,10 @@ func TestFrameOversized(t *testing.T) {
 	// A length prefix past the cap must be rejected before any body
 	// allocation, in both the buffer and stream paths.
 	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	if _, _, err := DecodeFrame(huge); err == nil || !strings.Contains(err.Error(), "cap") {
+	if _, _, err := DecodeFrame(huge); !errors.Is(err, ErrFrameLength) {
 		t.Fatalf("oversized decode: %v", err)
 	}
-	if _, err := ReadFrame(bytes.NewReader(huge)); err == nil || !strings.Contains(err.Error(), "cap") {
+	if _, err := ReadFrame(bytes.NewReader(huge)); !errors.Is(err, ErrFrameLength) {
 		t.Fatalf("oversized read: %v", err)
 	}
 	if err := WriteFrame(io.Discard, Frame{Type: FrameData, Payload: make([]byte, MaxFramePayload+1)}); err == nil {

@@ -501,7 +501,7 @@ func TestJoinUnregisteredValueFailsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := job.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "unregistered") {
+	if _, err := job.Run(context.Background()); !errors.Is(err, ErrWireValue) {
 		t.Fatalf("join over an unregistered value type: err = %v, want the type named", err)
 	}
 }

@@ -30,20 +30,15 @@ import (
 //     grantor. Credits are demand-driven: a flush seals its batch into a DATA
 //     frame, queues a FrameCreditReq for its record count and parks the frame
 //     in the sending worker's mirror of the task's gate; the grantor acquires
-//     that much from the task's real gate on the sender's behalf — serving
-//     requests strictly one at a time in FIFO order, never coalescing them
-//     (summed concurrent requests can exceed the gate's capacity, an acquire
-//     that could never complete) — and grants it back as a FrameCredit. The
-//     sending worker's connection reader adds the grant to the mirror and
-//     moves every parked frame the credits now cover to the peer's write
-//     queue, in request order. The discipline is a local sender's blocking
-//     acquire with the round trip taken off the task goroutine: a parked
-//     frame holds no credit and has not been sent, a granted credit is spent
-//     the moment it arrives — a remote sender can never hoard a receiver's
-//     gate by holding credits it isn't using (with multiple senders sharing
-//     one gate, proactive window grants deadlock) — and the global bound, at
-//     most ChannelCapacity records in flight toward any task, wire included,
-//     is exactly the in-memory batched transport's bound.
+//     exactly that much from the task's real gate on the sender's behalf, one
+//     request at a time in FIFO order, and grants it back as a FrameCredit,
+//     which the sending worker's connection reader spends at once on the
+//     oldest parked frame, moving it to the peer's write queue. The protocol's
+//     state and transitions are wirecredit.go's; this file drives them. A
+//     parked frame holds no credit and has not been sent, so a remote sender
+//     can never hoard a receiver's gate while it waits on something else, and
+//     at most ChannelCapacity records are in flight toward any task, wire
+//     included: exactly the in-memory batched transport's bound.
 //   - Nothing but a peerConn's writer goroutine touches its socket: tasks,
 //     grantors and readers append sealed frames to the peer's queue, and the
 //     writer issues one Write for everything queued since its last.
@@ -52,8 +47,6 @@ import (
 //     stead (see dispatch). A reader stuck on one full inbox would stall
 //     the credit requests multiplexed behind it on the same connection and
 //     deadlock the cluster under backpressure.
-//   - When every channel from a sending worker has delivered EOF, the
-//     grantor retires and returns any unconsumed grants to the gate.
 //
 // An in-process job under TransportNetwork runs every worker's node in one
 // process (loopback sockets); a distributed attempt (attempt.dist != nil)
@@ -303,25 +296,20 @@ func newNetAttempt(a *attempt, byID map[dataflow.TaskID]*taskRuntime, cross []cr
 	// so the in-flight bound is the receiver's gate capacity.
 	for _, cc := range cross {
 		if node := na.nodes[cc.to]; node != nil {
-			k := grantKey{task: cc.task, from: cc.from}
-			g := node.grants[k]
-			if g == nil {
+			if k := (grantKey{task: cc.task, from: cc.from}); node.grants[k] == nil {
 				rt := byID[cc.task]
 				if rt == nil || rt.gate == nil {
 					na.shutdown()
 					return nil, fmt.Errorf("engine: network transport: no gate for local task %v", cc.task)
 				}
-				g = &grantor{
-					task:   cc.task,
-					from:   cc.from,
-					gate:   rt.gate,
-					reqSig: make(chan struct{}, 1),
-					quit:   make(chan struct{}),
-					cancel: make(chan struct{}),
+				node.grants[k] = &grantor{
+					task: cc.task,
+					from: cc.from,
+					gate: rt.gate,
+					sig:  make(chan struct{}, 1),
+					q:    grantQueue{capacity: rt.gate.capacity},
 				}
-				node.grants[k] = g
 			}
-			g.chansLeft++
 		}
 		if node := na.nodes[cc.from]; node != nil {
 			if node.mirrors[cc.task] == nil {
@@ -359,8 +347,7 @@ func newNetAttempt(a *attempt, byID map[dataflow.TaskID]*taskRuntime, cross []cr
 			go pc.run()
 		}
 		for _, g := range node.grants {
-			na.wg.Add(2)
-			go g.watch(na)
+			na.wg.Add(1)
 			go g.run(node)
 		}
 	}
@@ -387,7 +374,9 @@ func (na *netAttempt) registerGauges() {
 				func() float64 {
 					var sum int64
 					for _, g := range gs {
-						sum += g.outstanding.Load()
+						g.mu.Lock()
+						sum += g.q.outstanding
+						g.mu.Unlock()
 					}
 					return float64(sum)
 				})
@@ -436,9 +425,8 @@ func (na *netAttempt) registerGauges() {
 				return float64(n)
 			})
 		// Receiver-side credit gates (capacity left for local tasks fed
-		// over the wire) and sender-side mirrors (credit granted toward each
-		// remote task that no parked frame has spent yet — a partial grant —
-		// and the frames parked for more).
+		// over the wire) and sender-side mirrors (the frames parked for
+		// credit toward each remote task).
 		for t, rt := range node.tasks {
 			if rt.gate == nil {
 				continue
@@ -449,15 +437,13 @@ func (na *netAttempt) registerGauges() {
 				func() float64 { return float64(gate.avail.Load()) })
 		}
 		for t, m := range node.mirrors {
-			labels := map[string]string{"task": t.String(), "worker": workerID(node.worker)}
-			na.a.gauge("net_mirror_credit_avail", labels, func() float64 {
-				avail, _ := m.depth()
-				return float64(avail)
-			})
-			na.a.gauge("net_mirror_parked_frames", labels, func() float64 {
-				_, parked := m.depth()
-				return float64(parked)
-			})
+			na.a.gauge("net_mirror_parked_frames",
+				map[string]string{"task": t.String(), "worker": workerID(node.worker)},
+				func() float64 {
+					m.mu.Lock()
+					defer m.mu.Unlock()
+					return float64(len(m.q.parked))
+				})
 		}
 	}
 }
@@ -875,58 +861,37 @@ func (n *netNode) serveConn(c net.Conn) {
 	}
 }
 
-// ErrCreditOverCapacity reports a CREDIT_REQ for more records than the
-// receiving task's gate holds. No grant could ever cover it, so the
-// receiving worker's attempt fails with this error rather than leave the
-// sender's frame parked forever; peers that disagree on the gate or batch
-// size (mismatched builds) are what sends one.
-var ErrCreditOverCapacity = errors.New("wire: credit request exceeds the receiving gate")
-
 // handleFrame processes one inbound frame. Returning false severs the
 // connection — reserved for undecodable payloads, where the stream's
-// integrity itself is in doubt, and for a credit request no gate could grant
-// (ErrCreditOverCapacity, which also fails the attempt). A decodable frame
+// integrity itself is in doubt, and for a credit frame the protocol refuses
+// (ErrCreditOverCapacity, ErrCreditMismatch: each also fails the attempt,
+// since the frame it leaves parked could never ship). A decodable frame
 // with an unexpected key (unknown task, no matching grantor/mirror,
 // non-positive credit count) is a stray — stale, misrouted, or from a buggy
 // peer — and is counted and skipped instead: one bad frame must not sever
 // every channel multiplexed on the shared connection.
 func (n *netNode) handleFrame(from int, f Frame) bool {
 	switch f.Type {
-	case FrameCredit:
+	case FrameCredit, FrameCreditReq:
 		cr, err := decodeCredit(f.Payload)
 		if err != nil {
 			return false
 		}
 		task, _, _ := n.na.resolve(cr.task)
-		mirror := n.mirrors[task]
-		if mirror == nil || cr.n <= 0 {
+		mirror, g := n.mirrors[task], n.grants[grantKey{task: task, from: from}]
+		if cr.n <= 0 || (f.Type == FrameCredit && mirror == nil) || (f.Type == FrameCreditReq && g == nil) {
 			n.na.unexpectedFrames.Inc(1)
 			return true
 		}
-		mirror.grant(cr.n)
-		return true
-	case FrameCreditReq:
-		cr, err := decodeCredit(f.Payload)
+		if f.Type == FrameCredit {
+			err = mirror.grant(cr.n)
+		} else {
+			err = g.request(cr.n)
+		}
 		if err != nil {
+			n.na.failFatal(fmt.Errorf("engine: worker %d, task %v: %w", from, task, err))
 			return false
 		}
-		task, _, _ := n.na.resolve(cr.task)
-		g := n.grants[grantKey{task: task, from: from}]
-		if g == nil || cr.n <= 0 {
-			n.na.unexpectedFrames.Inc(1)
-			return true
-		}
-		if cr.n > g.gate.capacity {
-			// No grant can ever cover it: the sender's frame would park for
-			// good. Fail the attempt instead of leaving it stalled.
-			n.na.failFatal(fmt.Errorf("%w: worker %d asks %d credits for task %v, whose gate holds %d",
-				ErrCreditOverCapacity, from, cr.n, task, g.gate.capacity))
-			return false
-		}
-		// Hand off to the grantor goroutine: its gate acquire may block, and
-		// this reader must keep draining data frames (the task consuming them
-		// is what returns credits to the gate).
-		g.requested(cr.n)
 		return true
 	case FrameData:
 		r := WireReader{b: f.Payload}
@@ -943,7 +908,9 @@ func (n *netNode) handleFrame(from int, f Frame) bool {
 			return false
 		}
 		if g := n.grants[grantKey{task: task, from: from}]; g != nil {
-			g.consumed(int64(h.count))
+			g.mu.Lock()
+			g.q.arrived(int64(h.count))
+			g.mu.Unlock()
 		}
 		n.dispatch(task, message{in: h.in, ch: h.ch, batch: entries})
 		return true
@@ -964,15 +931,6 @@ func (n *netNode) handleFrame(from int, f Frame) bool {
 			msg.epoch = m.epoch
 		}
 		n.dispatch(task, msg)
-		if msg.eof {
-			// All data from `from` on this channel has arrived (TCP FIFO,
-			// and the pump preserves arrival order); when every channel is
-			// done the grantor retires and returns its unconsumed grants
-			// to the gate.
-			if g := n.grants[grantKey{task: task, from: from}]; g != nil {
-				g.chanDone()
-			}
-		}
 		return true
 	default:
 		// A foreign frame type (e.g. a control-plane frame that strayed onto
@@ -1084,81 +1042,30 @@ func (p *chanPump) run() {
 
 // grantor acquires credits from a local task's gate on behalf of one
 // remote sending worker, on demand: each FrameCreditReq names how many
-// records the sender's pending batch needs, the grantor blocks acquiring
+// records the sender's parked frame needs, the grantor blocks acquiring
 // exactly that much, and grants it back over the wire.
 type grantor struct {
 	task dataflow.TaskID
 	from int
 	gate *creditGate
+	sig  chan struct{} // cap-1 signal: a request arrived
 
-	// reqs is a FIFO of credit-request sizes, one entry per FrameCreditReq.
-	// Requests are granted strictly one at a time, in arrival order — NOT
-	// coalesced into a single acquire. Several of the sending worker's tasks
-	// can feed this task through one shared mirror, and their
-	// concurrent requests can sum past the gate's capacity; a merged
-	// acquire for that sum could never be satisfied and would deadlock the
-	// cluster. Individually each request is at most BatchSize <= capacity
-	// (handleFrame refuses a larger one), so granted one by one every
-	// acquire is satisfiable.
-	reqMu sync.Mutex
-	reqs  []int64
-
-	outstanding atomic.Int64  // granted, data not yet arrived
-	reqSig      chan struct{} // cap-1 signal: a request arrived
-	quit        chan struct{} // closed when every channel from `from` EOF'd
-	quitOnce    sync.Once
-	cancel      chan struct{} // closed by watch() on quit or teardown
-	chansLeft   int64         // touched only by the serving reader goroutine
+	mu sync.Mutex
+	q  grantQueue // guarded by mu
 }
 
-// requested is called by the reader when a credit request arrives.
-func (g *grantor) requested(n int64) {
-	g.reqMu.Lock()
-	g.reqs = append(g.reqs, n)
-	g.reqMu.Unlock()
+// request queues a credit request for the grantor goroutine: its gate acquire
+// may block, and the connection reader handing it over must keep draining
+// data frames (the task consuming them is what returns credits to the gate).
+func (g *grantor) request(n int64) error {
+	g.mu.Lock()
+	err := g.q.request(n)
+	g.mu.Unlock()
 	select {
-	case g.reqSig <- struct{}{}:
+	case g.sig <- struct{}{}:
 	default:
 	}
-}
-
-// nextReq pops the oldest pending request size, if any.
-func (g *grantor) nextReq() (int64, bool) {
-	g.reqMu.Lock()
-	defer g.reqMu.Unlock()
-	if len(g.reqs) == 0 {
-		return 0, false
-	}
-	n := g.reqs[0]
-	g.reqs = g.reqs[1:]
-	if len(g.reqs) == 0 {
-		g.reqs = nil // let the drained backing array go
-	}
-	return n, true
-}
-
-// consumed is called by the reader when a data batch arrives.
-func (g *grantor) consumed(n int64) {
-	g.outstanding.Add(-n)
-}
-
-// chanDone is called by the reader when a channel delivers EOF.
-func (g *grantor) chanDone() {
-	g.chansLeft--
-	if g.chansLeft == 0 {
-		g.quitOnce.Do(func() { close(g.quit) })
-	}
-}
-
-// watch merges the grantor's two exit signals into the single cancel
-// channel its gate acquisition blocks on.
-func (g *grantor) watch(na *netAttempt) {
-	defer na.wg.Done()
-	defer close(g.cancel)
-	select {
-	case <-g.quit:
-	case <-na.stop:
-	}
+	return err
 }
 
 func (g *grantor) run(n *netNode) {
@@ -1170,45 +1077,37 @@ func (g *grantor) run(n *netNode) {
 		return
 	}
 	for {
-		want, ok := g.nextReq()
+		g.mu.Lock()
+		want, ok := g.q.next()
+		g.mu.Unlock()
 		if !ok {
 			select {
-			case <-g.reqSig:
+			case <-g.sig:
 				continue
 			case <-na.stop:
 				return
-			case <-g.quit:
-				// The sender EOF'd every channel: grants still in flight can
-				// never be spent — hand them back to the gate. (All data the
-				// sender shipped precedes its EOFs on the TCP stream, so the
-				// reader has already run consumed() for it.)
-				g.gate.release(g.outstanding.Load())
-				return
 			}
 		}
-		// Grant this one request whole: handleFrame refused any request
-		// larger than the gate, so the acquire can always complete.
 		t0 := na.a.clk()
-		ok, stalled := g.gate.acquire(want, g.cancel)
-		if stalled && ok {
-			na.grantWaitH.Observe(na.a.clk.Since(t0).Seconds())
-		}
+		ok, stalled := g.gate.acquire(want, na.stop)
 		if !ok {
-			// Canceled: on quit the credits we still hold go back; on
-			// teardown the gate dies with the attempt.
-			select {
-			case <-g.quit:
-				g.gate.release(g.outstanding.Load())
-			default:
-			}
 			return
 		}
-		g.outstanding.Add(want)
-		if err := n.conns[g.from].sendCredit(FrameCredit, g.task, want); err != nil {
-			// Connection failed: return the grant and retire. If the peer is
-			// truly dead the coordinator aborts the attempt; if it already
-			// finished cleanly these credits were never needed.
-			g.outstanding.Add(-want)
+		if stalled {
+			na.grantWaitH.Observe(na.a.clk.Since(t0).Seconds())
+		}
+		// Granted with the send, under the lock: the reader cannot count this
+		// grant's data as arrived before the grant itself.
+		g.mu.Lock()
+		err := n.conns[g.from].sendCredit(FrameCredit, g.task, want)
+		if err == nil {
+			g.q.granted(want)
+		}
+		g.mu.Unlock()
+		if err != nil {
+			// Connection failed: the grant never left, so its credits go back
+			// to the gate. The peer is reported down; recovery is the
+			// coordinator's.
 			g.gate.release(want)
 			return
 		}
@@ -1217,53 +1116,53 @@ func (g *grantor) run(n *netNode) {
 }
 
 // creditMirror is the sending worker's half of one remote task's gate: the
-// credits the task's grantor has granted this worker, and the sealed DATA
-// frames of this worker's senders waiting for them, oldest request first. A
-// grant is spent the moment the connection reader delivers it — grant moves
-// every frame the credits now cover to the peer's write queue — so credits
-// are never held by a goroutine that could be blocked on something else.
-// That is the whole deadlock argument: acquiring on the task goroutine
+// sealed DATA frames of this worker's senders waiting for credit, oldest
+// request first. A grant is spent the moment the connection reader delivers
+// it — grant moves the frame it pays for to the peer's write queue — so
+// credits are never held by a goroutine that could be blocked on something
+// else. That is the whole deadlock argument: acquiring on the task goroutine
 // instead ("request early, acquire later") lets a task hold one target's
 // credits while it waits on another's, which cycles at ChannelCapacity ==
 // BatchSize across three workers. Lock order: mirror.mu, then peerConn.mu.
 type creditMirror struct {
-	mu     sync.Mutex
-	avail  int64        // granted and not yet spent: a partial grant; guarded by mu
-	parked []*netTarget // guarded by mu
+	mu sync.Mutex
+	q  creditQueue[*netTarget] // guarded by mu
 }
 
-// grant adds n credits and ships what they cover, in request order. Called
-// by the connection reader, it never blocks: peerConn.enqueue only appends.
-func (m *creditMirror) grant(n int64) {
+// grant ships the frame one CREDIT of n records pays for. Called by the
+// connection reader, it never blocks: peerConn.enqueue only appends.
+func (m *creditMirror) grant(n int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.avail += n
-	k := 0
-	for ; k < len(m.parked) && m.parked[k].need <= m.avail; k++ {
-		t := m.parked[k]
-		m.avail -= t.need
-		// A failed connection drops the frame; its sender is released through
-		// pc.failed or its next send's error, not from here.
-		frame := t.frame
-		if t.pc.enqueue(func(out []byte) []byte { return append(out, frame...) }) == nil {
-			t.pc.node.na.dataBatches.Inc(1)
-		}
-		t.parked.Store(false)
-		select {
-		case t.shipped <- struct{}{}:
-		default:
-		}
+	t, err := m.q.grant(n)
+	if err != nil {
+		return err
 	}
-	if k > 0 {
-		m.parked = m.parked[:copy(m.parked, m.parked[k:])]
+	// A failed connection drops the frame; its sender is released through
+	// pc.failed or its next send's error, not from here.
+	if t.pc.enqueue(func(out []byte) []byte { return append(out, t.frame...) }) == nil {
+		t.pc.node.na.dataBatches.Inc(1)
 	}
+	select {
+	case t.shipped <- struct{}{}:
+	default:
+	}
+	return nil
 }
 
-// depth reports the unspent credits and the parked frame count.
-func (m *creditMirror) depth() (avail int64, parked int) {
+// holds reports whether t's last frame is still parked: its buffer is not
+// the task's yet.
+func (m *creditMirror) holds(t *netTarget) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.avail, len(m.parked)
+	return m.q.holds(t)
+}
+
+// mark reports whether a marker for t's channel may enter the write queue.
+func (m *creditMirror) mark(t *netTarget) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.q.mark(t)
 }
 
 // netTarget ships one sender's batches and markers to a task on a peer
@@ -1278,13 +1177,11 @@ type netTarget struct {
 	mirror *creditMirror
 	task   dataflow.TaskID
 
-	// frame is the sealed DATA frame of the last batch flushed here and need
-	// its record count. While parked is set they belong to the mirror (read by
-	// the connection reader under mirror.mu); the task may rewrite them only
-	// after awaitShipped. shipped is the reader's wakeup token.
+	// frame is the sealed DATA frame of the last batch flushed here. While
+	// the mirror holds it, it is the connection reader's (read under
+	// mirror.mu); the task may rewrite it only after awaitShipped. shipped is
+	// the reader's wakeup token.
 	frame   []byte
-	need    int64
-	parked  atomic.Bool
 	shipped chan struct{}
 }
 
@@ -1294,13 +1191,13 @@ type netTarget struct {
 // read, when it already had). ok is false when the attempt aborts or the
 // connection fails first.
 func (t *netTarget) awaitShipped(rt *taskRuntime) (waited time.Duration, ok bool) {
-	if !t.parked.Load() {
+	if !t.mirror.holds(t) {
 		return 0, true
 	}
 	att := rt.att
 	att.creditStalls.Inc(1)
 	t0 := att.clk()
-	for t.parked.Load() {
+	for t.mirror.holds(t) {
 		select {
 		case <-t.shipped:
 		case <-t.pc.failed:
@@ -1317,9 +1214,9 @@ func (t *netTarget) awaitShipped(rt *taskRuntime) (waited time.Duration, ok bool
 }
 
 // ship seals one batch into the target's frame and parks it behind a credit
-// request for its records. Request and park happen under the mirror lock, so
-// request order is park order even across co-located senders sharing the
-// mirror — grants come back in request order and must find the frames in it.
+// request for its records. A batch that cannot be encoded, or whose frame
+// would pass MaxFramePayload, is a fault of the data, not of the peer: the
+// attempt fails with it at once.
 func (t *netTarget) ship(rt *taskRuntime, inIdx, ch int, entries []batchEntry) bool {
 	waited, ok := t.awaitShipped(rt)
 	if !ok {
@@ -1329,39 +1226,40 @@ func (t *netTarget) ship(rt *taskRuntime, inIdx, ch int, entries []batchEntry) b
 	na.creditWaitH.Observe(waited.Seconds())
 	frame, err := appendBatch(beginFrame(t.frame[:0], FrameData), t.task, inIdx, ch, entries)
 	if payload := len(frame) - frameHeaderLen - 1; err == nil && payload > MaxFramePayload {
-		err = fmt.Errorf("frame: payload %d exceeds cap %d", payload, MaxFramePayload)
+		err = fmt.Errorf("%w: %d bytes, cap %d", ErrFrameTooLarge, payload, MaxFramePayload)
 	}
 	if err != nil {
 		na.encodeErrors.Inc(1)
-		return na.failSend(t.pc.peer, err)
+		na.failFatal(fmt.Errorf("engine: batch for task %v: %w", t.task, err))
+		return false
 	}
-	t.frame, t.need = sealFrame(frame, 0), int64(len(entries))
-	if err := t.park(); err != nil {
+	t.frame = sealFrame(frame, 0)
+	// Request and park under one lock: request order is park order even
+	// across co-located senders sharing the mirror, and grants come back in
+	// request order.
+	t.mirror.mu.Lock()
+	err = t.pc.sendCredit(FrameCreditReq, t.task, t.mirror.q.park(t, int64(len(entries))))
+	t.mirror.mu.Unlock()
+	if err != nil {
 		return na.failSend(t.pc.peer, err)
 	}
 	return true
 }
 
-func (t *netTarget) park() error {
-	m := t.mirror
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := t.pc.sendCredit(FrameCreditReq, t.task, t.need); err != nil {
-		return err
-	}
-	t.parked.Store(true)
-	m.parked = append(m.parked, t)
-	return nil
-}
-
 // control queues a barrier or EOF marker once the channel's parked frame has
 // shipped, so the marker follows the channel's data in the writer's FIFO.
 func (t *netTarget) control(rt *taskRuntime, inIdx, ch int, tmpl message) bool {
-	if _, ok := t.awaitShipped(rt); !ok {
-		return false
+	for !t.mirror.mark(t) {
+		if _, ok := t.awaitShipped(rt); !ok {
+			return false
+		}
+	}
+	typ := FrameBarrier
+	if tmpl.eof {
+		typ = FrameEOF
 	}
 	err := t.pc.enqueue(func(out []byte) []byte {
-		return sealFrame(appendMark(beginFrame(out, tmplFrameType(tmpl)), t.task, inIdx, ch, tmpl.epoch), len(out))
+		return sealFrame(appendMark(beginFrame(out, typ), t.task, inIdx, ch, tmpl.epoch), len(out))
 	})
 	if err != nil {
 		return t.pc.node.na.failSend(t.pc.peer, err)
@@ -1379,6 +1277,10 @@ func (t *netTarget) control(rt *taskRuntime, inIdx, ch int, tmpl message) bool {
 // it.
 var dataPlaneEscalation = 30 * time.Second
 
+// ErrDataPlaneSend reports a send toward a peer whose connection failed, when
+// no recovery arrived within dataPlaneEscalation.
+var ErrDataPlaneSend = errors.New("engine: data-plane send failed")
+
 // failSend handles a dead peer connection: report it, then wait for the
 // attempt to be torn down. Completing the task as if the send had happened
 // would be silent data loss; recovery is the coordinator's decision, not the
@@ -1391,15 +1293,8 @@ func (na *netAttempt) failSend(peer int, err error) bool {
 	case <-na.a.abort:
 	case <-na.stop:
 	case <-time.After(dataPlaneEscalation):
-		na.failFatal(fmt.Errorf("engine: data-plane send to worker %d failed and no recovery arrived within %v: %w",
-			peer, dataPlaneEscalation, err))
+		na.failFatal(fmt.Errorf("%w toward worker %d, and no recovery arrived within %v: %w",
+			ErrDataPlaneSend, peer, dataPlaneEscalation, err))
 	}
 	return false
-}
-
-func tmplFrameType(tmpl message) byte {
-	if tmpl.eof {
-		return FrameEOF
-	}
-	return FrameBarrier
 }

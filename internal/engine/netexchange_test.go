@@ -9,8 +9,8 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -367,8 +367,8 @@ func escalates(t *testing.T, peerAddr string, inject func(*WorkerRun)) {
 	}
 	if _, err := r0.Report(); err == nil {
 		t.Fatal("attempt with unrecovered send failure reported success")
-	} else if !strings.Contains(err.Error(), "data-plane send to worker 1") {
-		t.Errorf("escalation error = %v, want the failed peer named", err)
+	} else if !errors.Is(err, ErrDataPlaneSend) {
+		t.Errorf("escalation error = %v, want ErrDataPlaneSend", err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -378,31 +378,42 @@ func escalates(t *testing.T, peerAddr string, inject func(*WorkerRun)) {
 }
 
 // TestWireUnregisteredValueIsEncodeError: a value type the codec table does
-// not know cannot be shipped. The flush counts it in net.encode_errors
-// without touching the peer, and the attempt fails visibly — naming the type
-// — instead of dropping the record or hanging.
+// not know cannot be shipped. That is a fault of the data, not of the peer:
+// the flush counts it in net.encode_errors, ships nothing, reports no peer
+// down, and the attempt fails at once with ErrWireValue — well inside
+// dataPlaneEscalation, which a send failure would wait out before blaming the
+// healthy worker.
 func TestWireUnregisteredValueIsEncodeError(t *testing.T) {
-	old := dataPlaneEscalation
-	dataPlaneEscalation = 300 * time.Millisecond
-	defer func() { dataPlaneEscalation = old }()
-
 	type unregistered struct{ A int }
 	j0 := wireJob(t, nil, JobOptions{RecordsPerSource: 4, BatchSize: 4})
 	j0.factories["src"] = func(*TaskContext) (any, error) {
 		return NewSource(func(_, i int64) (Record, bool) { return Record{Value: unregistered{A: int(i)}}, true }), nil
 	}
 	j1 := wireJob(t, nil, JobOptions{RecordsPerSource: 4, BatchSize: 4})
+	var peersDown atomic.Int64
+	r0, err := j0.PrepareWorkerAttempt(WorkerNetConfig{Local: 0, OnPeerDown: func(int, error) { peersDown.Add(1) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, err := j1.PrepareWorkerAttempt(WorkerNetConfig{Local: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	r0, r1 := startWirePair(t, ctx, j0, j1)
+	r0.Start(ctx, map[int]string{1: r1.DataAddr()})
+	r1.Start(ctx, map[int]string{0: r0.DataAddr()})
 	defer func() { r1.Abort(); <-r1.Done() }()
 	select {
 	case <-r0.Done():
-	case <-time.After(30 * time.Second):
-		t.Fatal("attempt with an unencodable batch never finished")
+	case <-time.After(10 * time.Second):
+		t.Fatal("attempt with an unencodable batch did not fail at once")
 	}
-	if _, err := r0.Report(); err == nil || !strings.Contains(err.Error(), "unregistered") {
-		t.Errorf("report error = %v, want the unregistered value type named", err)
+	if _, err := r0.Report(); !errors.Is(err, ErrWireValue) {
+		t.Errorf("report error = %v, want ErrWireValue", err)
+	}
+	if n := peersDown.Load(); n != 0 {
+		t.Errorf("OnPeerDown called %d times for an encode fault", n)
 	}
 	if got := r0.att.net.encodeErrors.Value(); got != 1 {
 		t.Errorf("net.encode_errors = %d, want 1", got)
@@ -632,59 +643,90 @@ func wireSenders(t *testing.T, job *Job, peer *wirePeer) (*WorkerRun, []*taskRun
 
 // TestWireMirrorShipsInRequestOrder drives the sender-side mirror by hand:
 // two co-located senders park frames for one remote task (A1, B1, then A2
-// once A1 has shipped), and grants arriving in chunks must ship them in
-// exactly request order — a chunk that does not cover the oldest frame ships
-// nothing, and never a younger frame that it would cover. A grant for an
-// unknown task or with a non-positive count stays a counted stray.
+// once A1 has shipped), and grants of exactly the oldest parked frame's
+// record count ship them in exactly request order. A grant for an unknown
+// task or with a non-positive count stays a counted stray. A grant that is
+// partial, oversized or finds nothing parked breaks the protocol: it fails
+// the attempt with ErrCreditMismatch, severs the connection and ships
+// nothing.
 func TestWireMirrorShipsInRequestOrder(t *testing.T) {
-	peer := newWirePeer(t, false)
-	job := fanInWireJob(t, JobOptions{RecordsPerSource: 1, ChannelCapacity: 4, BatchSize: 4})
-	r, tasks, senders := wireSenders(t, job, peer)
-	node := r.att.net.nodes[0]
 	snk := dataflow.TaskID{Op: "snk", Index: 0}
-	a, b := senders[0].remote[0], senders[1].remote[0]
+	credit := func(task dataflow.TaskID, n int64) Frame {
+		return Frame{Type: FrameCredit, Payload: appendCredit(nil, task, n)}
+	}
+	setup := func(t *testing.T) (*wirePeer, *WorkerRun, []*batchedSender, func(i int, first int64, n int)) {
+		peer := newWirePeer(t, false)
+		job := fanInWireJob(t, JobOptions{RecordsPerSource: 1, ChannelCapacity: 4, BatchSize: 4})
+		r, tasks, senders := wireSenders(t, job, peer)
+		ship := func(i int, first int64, n int) {
+			t.Helper()
+			if !senders[i].remote[0].ship(tasks[i], 0, senders[i].edge.chans[0], intEntries(first, n)) {
+				t.Fatal("ship failed")
+			}
+			peer.next(t, FrameCreditReq)
+		}
+		return peer, r, senders, ship
+	}
+
+	peer, r, senders, ship := setup(t)
+	node := r.att.net.nodes[0]
 	chA, chB := senders[0].edge.chans[0], senders[1].edge.chans[0]
 	grant := func(task dataflow.TaskID, n int64) {
 		t.Helper()
-		if !node.handleFrame(1, Frame{Type: FrameCredit, Payload: appendCredit(nil, task, n)}) {
+		if !node.handleFrame(1, credit(task, n)) {
 			t.Fatalf("credit grant %v/%d severed the connection", task, n)
 		}
 	}
-	ship := func(tgt *netTarget, rt *taskRuntime, ch int, entries []batchEntry) {
-		t.Helper()
-		if !tgt.ship(rt, 0, ch, entries) {
-			t.Fatal("ship failed")
-		}
-	}
-
-	ship(a, tasks[0], chA, intEntries(10, 4)) // A1
-	ship(b, tasks[1], chB, intEntries(20, 2)) // B1: smaller, so a chunk of 2 would cover it
-	peer.next(t, FrameCreditReq)
-	peer.next(t, FrameCreditReq)
-	grant(snk, 2) // covers B1 but not A1, the oldest: nothing may ship
-	if _, parked := node.mirrors[snk].depth(); parked != 2 {
-		t.Fatalf("%d frames parked after a partial grant, want 2", parked)
-	}
-	grant(snk, 2)
+	ship(0, 10, 4) // A1
+	ship(1, 20, 2) // B1
+	grant(snk, 4)
 	peer.nextData(t, chA, 10)
-	ship(a, tasks[0], chA, intEntries(30, 4)) // A2, behind B1
-	peer.next(t, FrameCreditReq)
+	ship(0, 30, 4) // A2, behind B1
 	grant(snk, 2)
 	peer.nextData(t, chB, 20)
 	grant(snk, 4)
 	peer.nextData(t, chA, 30)
-	if avail, parked := node.mirrors[snk].depth(); avail != 0 || parked != 0 {
-		t.Errorf("mirror holds %d credits and %d frames after every grant was spent, want 0 and 0", avail, parked)
+	if parked := len(node.mirrors[snk].q.parked); parked != 0 {
+		t.Errorf("%d frames parked after every grant was spent, want 0", parked)
 	}
-
 	before := r.att.net.unexpectedFrames.Value()
 	grant(dataflow.TaskID{Op: "ghost"}, 4)
 	grant(snk, 0)
 	if got := r.att.net.unexpectedFrames.Value() - before; got != 2 {
 		t.Errorf("stray grants counted %d times, want 2", got)
 	}
-	if avail, _ := node.mirrors[snk].depth(); avail != 0 {
-		t.Errorf("a stray grant left %d credits in the mirror", avail)
+	if err := r.att.net.fatalErr(); err != nil {
+		t.Errorf("a stray grant failed the attempt: %v", err)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		park  int // records in the one parked frame; 0 parks nothing
+		grant int64
+	}{
+		{"partial", 4, 2},
+		{"oversized", 2, 4},
+		{"nothing parked", 0, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, r, _, ship := setup(t)
+			node := r.att.net.nodes[0]
+			if tc.park > 0 {
+				ship(0, 10, tc.park)
+			}
+			if node.handleFrame(1, credit(snk, tc.grant)) {
+				t.Error("a mismatched grant left the connection open")
+			}
+			if err := r.att.net.fatalErr(); !errors.Is(err, ErrCreditMismatch) {
+				t.Errorf("attempt error = %v, want ErrCreditMismatch", err)
+			}
+			if got := r.att.net.dataBatches.Value(); got != 0 {
+				t.Errorf("a mismatched grant shipped %d frames", got)
+			}
+			if want, got := min(tc.park, 1), len(node.mirrors[snk].q.parked); got != want {
+				t.Errorf("%d frames parked after a mismatched grant, want %d", got, want)
+			}
+		})
 	}
 }
 

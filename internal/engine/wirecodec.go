@@ -52,6 +52,11 @@ import (
 // carried it is severed.
 var ErrWirePayload = errors.New("wire: malformed payload")
 
+// ErrWireValue reports a record value the codec cannot encode: a type with no
+// registered codec, or composites nested past maxValueDepth. It is a fault of
+// the data, not of any peer.
+var ErrWireValue = errors.New("wire: value has no encoding")
+
 // Value tags. Tags below WireTagUser are the engine's built-ins; a package
 // that ships its own struct as Record.Value registers a codec under a tag
 // of its own (RegisterValueCodec).
@@ -223,13 +228,13 @@ func appendValue(dst []byte, v any, depth int) ([]byte, error) {
 		return append(appendLen(append(dst, tagBytes), len(x), x == nil), x...), nil
 	case [2]any, []any, map[string]any:
 		if depth >= maxValueDepth {
-			return dst, fmt.Errorf("engine: wire value nests deeper than %d", maxValueDepth)
+			return dst, fmt.Errorf("%w: nests deeper than %d", ErrWireValue, maxValueDepth)
 		}
 		return appendComposite(dst, v, depth+1)
 	}
 	tag, ok := valueTagByTyp[reflect.TypeOf(v)]
 	if !ok {
-		return dst, fmt.Errorf("engine: no wire codec registered for value type %T", v)
+		return dst, fmt.Errorf("%w: no codec registered for value type %T", ErrWireValue, v)
 	}
 	return valueCodecs[tag].Append(append(dst, tag), v), nil
 }

@@ -270,8 +270,8 @@ func TestWirePayloadBounds(t *testing.T) {
 		"pointer":                &wirePoint{},
 		"nested unregistered":    []any{[2]any{int8(1), nil}},
 	} {
-		if _, err := appendBatch(nil, dataflow.TaskID{}, 0, 0, []batchEntry{{rec: Record{Value: v}}}); err == nil {
-			t.Errorf("%s: encoded without error", name)
+		if _, err := appendBatch(nil, dataflow.TaskID{}, 0, 0, []batchEntry{{rec: Record{Value: v}}}); !errors.Is(err, ErrWireValue) {
+			t.Errorf("%s: %v, want ErrWireValue", name, err)
 		}
 	}
 }

@@ -99,7 +99,7 @@ func exchangeStudy(ctx context.Context, cfg exchangeConfig) (*Report, error) {
 	}
 	var unaryRate float64
 	var unarySinks int64
-	bestRate, bestSize := 0.0, 0
+	var netCounts [][2]float64 // batches and credit stalls of each network row, in run order
 	for _, r := range runs {
 		out, err := d.Run(ctx, engine.JobOptions{
 			RecordsPerSource: cfg.Records,
@@ -133,8 +133,8 @@ func exchangeStudy(ctx context.Context, cfg exchangeConfig) (*Report, error) {
 			if unaryRate > 0 {
 				speedup = rate / unaryRate
 			}
-			if r.transport == engine.TransportBatched && rate > bestRate {
-				bestRate, bestSize = rate, r.batchSize
+			if r.transport == engine.TransportNetwork {
+				netCounts = append(netCounts, [2]float64{snap["exchange.batches"], snap["exchange.credit_stalls"]})
 			}
 			if res.SinkRecords != unarySinks {
 				return nil, fmt.Errorf("experiments: exchange: batched(size %d) delivered %d sink records, unary %d",
@@ -152,16 +152,14 @@ func exchangeStudy(ctx context.Context, cfg exchangeConfig) (*Report, error) {
 			speedup,
 		)
 	}
-	if unaryRate > 0 && bestRate > 0 {
-		rep.Notes = append(rep.Notes, fmt.Sprintf(
-			"batching amortizes channel handshakes and meter draws: batch size %d sustains %.2fx the unary throughput",
-			bestSize, bestRate/unaryRate))
-	}
+	// Q3-inf's rates do not separate the transports (its rows run within noise
+	// of each other), so its notes claim only delivery and counts; the
+	// speed-up of batching is the chain section's.
 	rep.Notes = append(rep.Notes,
 		"sink records are identical across every transport and batch size: the exchange layer is invisible to delivery semantics",
 		"credit stalls replace per-record channel blocking as the batched transport's backpressure signal",
-		"the first network row pushes the same batches through loopback TCP with demand-driven wire credits; its delta over batched at the same size is the framing and socket cost",
-		"the default network row ships 256-record frames behind a 512-record gate: one credit round trip per 256 records instead of per 32")
+		fmt.Sprintf("the default network row ships 256-record frames behind a 512-record gate: %.0f batches and %.0f credit stalls, against %.0f and %.0f for the network row at size %d",
+			netCounts[1][0], netCounts[1][1], netCounts[0][0], netCounts[0][1], engine.DefaultBatchSize))
 	if cfg.ChainRecords > 0 {
 		if err := exchangeChainSection(ctx, rep, cfg); err != nil {
 			return nil, err
@@ -235,6 +233,7 @@ func exchangeChainSection(ctx context.Context, rep *Report, cfg exchangeConfig) 
 	}
 	var unaryRate, fusedRate float64
 	var unarySinks int64
+	unfusedRate := map[string]float64{}
 	for _, r := range runs {
 		job, err := engine.NewJob(g, plan, engine.ClusterSpec{Workers: workers}, factories, engine.JobOptions{
 			RecordsPerSource: cfg.ChainRecords,
@@ -261,6 +260,8 @@ func exchangeChainSection(ctx context.Context, rep *Report, cfg exchangeConfig) 
 		if r.fuse {
 			fuse, transport = "on", "-"
 			fusedRate = rate
+		} else {
+			unfusedRate[r.transport] = rate
 		}
 		if r.transport == engine.TransportUnary && !r.fuse {
 			unaryRate = rate
@@ -282,6 +283,11 @@ func exchangeChainSection(ctx context.Context, rep *Report, cfg exchangeConfig) 
 			snap["exchange.credit_stalls"],
 			speedup,
 		)
+	}
+	if unaryRate > 0 {
+		rep.Notes = append(rep.Notes, fmt.Sprintf(
+			"batching amortizes channel handshakes and meter draws: on the unfused chain, batched sustains %.2fx and network %.2fx the unary throughput",
+			unfusedRate[engine.TransportBatched]/unaryRate, unfusedRate[engine.TransportNetwork]/unaryRate))
 	}
 	if unaryRate > 0 && fusedRate > 0 {
 		rep.Notes = append(rep.Notes, fmt.Sprintf(

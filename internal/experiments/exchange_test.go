@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -81,5 +82,12 @@ func TestExchangeStudy(t *testing.T) {
 	}
 	if fused != 1 {
 		t.Errorf("chain section has %d fused rows, want 1", fused)
+	}
+	// Q3-inf's rows run within noise of each other: only the chain section
+	// may read a speed-up off the rates.
+	for _, n := range rep.Notes {
+		if strings.Contains(n, "the unary throughput") && !strings.Contains(n, "unfused chain") {
+			t.Errorf("note %q claims a speed-up outside the chain section", n)
+		}
 	}
 }
