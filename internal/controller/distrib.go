@@ -188,7 +188,10 @@ type (
 // data plane's defaults: a worker derives an unset ChannelCapacity and
 // BatchSize from the deployed network transport (512 and 256 records), and
 // a version-13 worker's 64-record gate could never grant a version-14
-// sender's 256-record frame (engine.ErrCreditOverCapacity).
+// sender's 256-record frame (engine.ErrCreditOverCapacity). The network
+// gate's default later grew from 512 to 1024 records with no new version:
+// frames are unchanged and every request (at most 256 records) fits either
+// gate.
 const distProtoVersion = 14
 
 // errEncodePayload marks a send that failed locally while encoding the

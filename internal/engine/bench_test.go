@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -50,6 +51,18 @@ func RunQueryBench(b *testing.B, wantFused bool, wantSink int64, build func(b *t
 	}
 }
 
+// boxedValues holds the linear and fanout sources' record values, boxed once
+// per process: boxing an int64 of 256 or more allocates, and a generator that
+// boxed per record would make most of the allocations these benchmarks
+// report instead of the engine. It covers the largest perSource below.
+var boxedValues = sync.OnceValue(func() []any {
+	vals := make([]any, 25000)
+	for i := range vals {
+		vals[i] = int64(i)
+	}
+	return vals
+})
+
 // linearJob: src(2) =fwd=> fwd(2) =fwd=> sink(2), index i co-located on
 // worker i. Fully fusion-eligible: fused, each pipeline is one goroutine
 // making direct calls — the ROADMAP raw-speed shape. Meters are effectively
@@ -68,8 +81,9 @@ func linearJob(b *testing.B, transport string, fused bool, perSource int64) *Job
 	}
 	factories := map[dataflow.OperatorID]Factory{
 		"src": func(*TaskContext) (any, error) {
+			vals := boxedValues()
 			return NewSource(func(task, i int64) (Record, bool) {
-				return Record{Value: i}, true
+				return Record{Value: vals[i]}, true
 			}), nil
 		},
 		"fwd":  func(*TaskContext) (any, error) { return NewMap(func(r Record) Record { return r }), nil },
@@ -115,8 +129,9 @@ func fanoutJob(b *testing.B, transport string, perSource int64) *Job {
 	}
 	factories := map[dataflow.OperatorID]Factory{
 		"src": func(*TaskContext) (any, error) {
+			vals := boxedValues()
 			return NewSource(func(task, i int64) (Record, bool) {
-				return Record{Value: i}, true
+				return Record{Value: vals[i]}, true
 			}), nil
 		},
 		"hot":  passthrough,

@@ -49,9 +49,13 @@ const (
 	// threshold when JobOptions.BatchSize is zero.
 	DefaultBatchSize = 32
 	// DefaultNetworkBatchSize is the network transport's: a DATA frame and
-	// its credit round trip carry this many records, and the default gate
-	// (JobOptions.ChannelCapacity) holds two such frames.
+	// its credit round trip carry this many records.
 	DefaultNetworkBatchSize = 256
+	// DefaultNetworkChannelCapacity is the network transport's gate
+	// (JobOptions.ChannelCapacity) when none is set: four default frames,
+	// room for the wireParkDepth frames each of two senders keeps in flight.
+	// In memory the default stays 64.
+	DefaultNetworkChannelCapacity = 4 * DefaultNetworkBatchSize
 	// DefaultBatchLinger bounds how long a partial batch may wait for more
 	// records when JobOptions.BatchLinger is zero. Negative linger disables
 	// time-based flushing entirely.

@@ -29,7 +29,8 @@ import (
 //   - For each (receiving task, sending worker) pair the receiver runs a
 //     grantor. Credits are demand-driven: a flush seals its batch into a DATA
 //     frame, queues a FrameCreditReq for its record count and parks the frame
-//     in the sending worker's mirror of the task's gate; the grantor acquires
+//     in the sending worker's mirror of the task's gate (up to wireParkDepth
+//     frames per sender-target pair at once); the grantor acquires
 //     exactly that much from the task's real gate on the sender's behalf, one
 //     request at a time in FIFO order, and grants it back as a FrameCredit,
 //     which the sending worker's connection reader spends at once on the
@@ -313,7 +314,7 @@ func newNetAttempt(a *attempt, byID map[dataflow.TaskID]*taskRuntime, cross []cr
 		}
 		if node := na.nodes[cc.from]; node != nil {
 			if node.mirrors[cc.task] == nil {
-				node.mirrors[cc.task] = &creditMirror{}
+				node.mirrors[cc.task] = &creditMirror{q: creditQueue[*netTarget]{depth: wireParkDepth}}
 			}
 		}
 	}
@@ -1134,13 +1135,14 @@ type creditMirror struct {
 func (m *creditMirror) grant(n int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	t, err := m.q.grant(n)
+	p, err := m.q.grant(n)
 	if err != nil {
 		return err
 	}
 	// A failed connection drops the frame; its sender is released through
 	// pc.failed or its next send's error, not from here.
-	if t.pc.enqueue(func(out []byte) []byte { return append(out, t.frame...) }) == nil {
+	t, frame := p.key, p.key.frames[p.slot]
+	if t.pc.enqueue(func(out []byte) []byte { return append(out, frame...) }) == nil {
 		t.pc.node.na.dataBatches.Inc(1)
 	}
 	select {
@@ -1150,81 +1152,79 @@ func (m *creditMirror) grant(n int64) error {
 	return nil
 }
 
-// holds reports whether t's last frame is still parked: its buffer is not
-// the task's yet.
-func (m *creditMirror) holds(t *netTarget) bool {
+// ready reports whether t may go on: for a flush, with the frame buffer it
+// seals into; for a marker, once none of its frames is parked.
+func (m *creditMirror) ready(t *netTarget, marker bool) (slot int, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.q.holds(t)
-}
-
-// mark reports whether a marker for t's channel may enter the write queue.
-func (m *creditMirror) mark(t *netTarget) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.q.mark(t)
+	if marker {
+		return 0, m.q.mark(t)
+	}
+	return m.q.vacant(t)
 }
 
 // netTarget ships one sender's batches and markers to a task on a peer
-// worker. It owns one frame buffer: a flush seals its batch into it and
-// parks it in the mirror behind its own credit request, and the task goes
-// back to filling the next batch while the round trip runs. The task blocks
-// only when it needs the buffer — or the channel's place in the write queue,
-// for a marker — before that frame has shipped: one parked and one filling
-// per sender-target pair.
+// worker. It owns wireParkDepth frame buffers: a flush seals its batch into
+// a vacant one and parks it in the mirror behind its own credit request, and
+// the task goes back to filling the next batch while the round trip runs.
+// The task blocks only when every buffer is parked — or, for a marker, while
+// any is: up to two frames parked and one filling per sender-target pair.
 type netTarget struct {
 	pc     *peerConn
 	mirror *creditMirror
 	task   dataflow.TaskID
 
-	// frame is the sealed DATA frame of the last batch flushed here. While
-	// the mirror holds it, it is the connection reader's (read under
-	// mirror.mu); the task may rewrite it only after awaitShipped. shipped is
-	// the reader's wakeup token.
-	frame   []byte
+	// frames are the sealed DATA frames of the last batches flushed here.
+	// While the mirror holds one parked, it is the connection reader's (read
+	// under mirror.mu); the task rewrites only the slot ready hands it.
+	// shipped is the reader's wakeup token.
+	frames  [wireParkDepth][]byte
 	shipped chan struct{}
 }
 
-// awaitShipped blocks until the frame last parked here has moved to the
-// write queue — the network transport's credit stall, accounted like the
-// in-memory gate's — and returns how long that took (zero, without a clock
-// read, when it already had). ok is false when the attempt aborts or the
+// await blocks until t may go on (see creditMirror.ready) — the network
+// transport's credit stall, accounted like the in-memory gate's — and
+// returns the slot, and how long the wait took (zero, without a clock read,
+// when there was none). ok is false when the attempt aborts or the
 // connection fails first.
-func (t *netTarget) awaitShipped(rt *taskRuntime) (waited time.Duration, ok bool) {
-	if !t.mirror.holds(t) {
-		return 0, true
+func (t *netTarget) await(rt *taskRuntime, marker bool) (slot int, waited time.Duration, ok bool) {
+	if slot, ok := t.mirror.ready(t, marker); ok {
+		return slot, 0, true
 	}
 	att := rt.att
 	att.creditStalls.Inc(1)
 	t0 := att.clk()
-	for t.mirror.holds(t) {
+	for {
 		select {
 		case <-t.shipped:
 		case <-t.pc.failed:
-			return 0, t.pc.node.na.failSend(t.pc.peer, t.pc.sendErr())
+			return 0, 0, t.pc.node.na.failSend(t.pc.peer, t.pc.sendErr())
 		case <-att.abort:
-			return 0, false
+			return 0, 0, false
+		}
+		if slot, ok = t.mirror.ready(t, marker); ok {
+			break
 		}
 	}
 	waited = att.clk.Since(t0)
 	att.creditStallT.Add(waited)
 	rt.bp += waited
 	rt.readClock()
-	return waited, true
+	return slot, waited, true
 }
 
-// ship seals one batch into the target's frame and parks it behind a credit
-// request for its records. A batch that cannot be encoded, or whose frame
-// would pass MaxFramePayload, is a fault of the data, not of the peer: the
-// attempt fails with it at once.
+// ship seals one batch into a vacant frame buffer and parks it behind a
+// credit request for its records. A batch that cannot be encoded, or whose
+// frame would pass MaxFramePayload, is a fault of the data, not of the peer:
+// the attempt fails with it at once.
 func (t *netTarget) ship(rt *taskRuntime, inIdx, ch int, entries []batchEntry) bool {
-	waited, ok := t.awaitShipped(rt)
+	slot, waited, ok := t.await(rt, false)
 	if !ok {
 		return false
 	}
 	na := t.pc.node.na
 	na.creditWaitH.Observe(waited.Seconds())
-	frame, err := appendBatch(beginFrame(t.frame[:0], FrameData), t.task, inIdx, ch, entries)
+	frame, err := appendBatch(beginFrame(t.frames[slot][:0], FrameData), t.task, inIdx, ch, entries)
 	if payload := len(frame) - frameHeaderLen - 1; err == nil && payload > MaxFramePayload {
 		err = fmt.Errorf("%w: %d bytes, cap %d", ErrFrameTooLarge, payload, MaxFramePayload)
 	}
@@ -1233,12 +1233,12 @@ func (t *netTarget) ship(rt *taskRuntime, inIdx, ch int, entries []batchEntry) b
 		na.failFatal(fmt.Errorf("engine: batch for task %v: %w", t.task, err))
 		return false
 	}
-	t.frame = sealFrame(frame, 0)
+	t.frames[slot] = sealFrame(frame, 0)
 	// Request and park under one lock: request order is park order even
 	// across co-located senders sharing the mirror, and grants come back in
 	// request order.
 	t.mirror.mu.Lock()
-	err = t.pc.sendCredit(FrameCreditReq, t.task, t.mirror.q.park(t, int64(len(entries))))
+	err = t.pc.sendCredit(FrameCreditReq, t.task, t.mirror.q.park(t, slot, int64(len(entries))))
 	t.mirror.mu.Unlock()
 	if err != nil {
 		return na.failSend(t.pc.peer, err)
@@ -1246,13 +1246,12 @@ func (t *netTarget) ship(rt *taskRuntime, inIdx, ch int, entries []batchEntry) b
 	return true
 }
 
-// control queues a barrier or EOF marker once the channel's parked frame has
-// shipped, so the marker follows the channel's data in the writer's FIFO.
+// control queues a barrier or EOF marker once every parked frame of the
+// channel has shipped, so the marker follows the channel's data in the
+// writer's FIFO.
 func (t *netTarget) control(rt *taskRuntime, inIdx, ch int, tmpl message) bool {
-	for !t.mirror.mark(t) {
-		if _, ok := t.awaitShipped(rt); !ok {
-			return false
-		}
+	if _, _, ok := t.await(rt, true); !ok {
+		return false
 	}
 	typ := FrameBarrier
 	if tmpl.eof {

@@ -760,6 +760,67 @@ func TestWireMarkerFollowsParkedFrame(t *testing.T) {
 	}
 }
 
+// TestWireTwoFramesInFlight: a sender-target pair keeps up to wireParkDepth
+// frames parked. Against a peer that grants nothing, the sender flushes two
+// batches — two CREDIT_REQs on the wire — and stalls on its third with both
+// frames parked. Grants then ship the frames oldest first, each with its own
+// records (the second seal must not have overwritten the first), the third
+// batch parks as soon as a buffer is vacant, and the barrier follows all
+// three.
+func TestWireTwoFramesInFlight(t *testing.T) {
+	const batch = 4
+	peer := newWirePeer(t, false)
+	job := wireJob(t, nil, JobOptions{RecordsPerSource: 1, ChannelCapacity: 2 * batch, BatchSize: batch, BatchLinger: -1})
+	r, _, senders := wireSenders(t, job, peer)
+	node := r.att.net.nodes[0]
+	snk := dataflow.TaskID{Op: "snk"}
+	s := senders[0]
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := int64(0); i < 3*batch; i++ {
+			s.send(Record{Value: i})
+		}
+		s.barrier(7)
+	}()
+	peer.next(t, FrameCreditReq)
+	peer.next(t, FrameCreditReq)
+	waitFor(t, "the sender to stall on its third batch", func() bool { return r.att.creditStalls.Value() > 0 })
+	select {
+	case f := <-peer.frames:
+		t.Fatalf("a %s frame reached the wire with both frames parked", frameTypeName(f.Type))
+	case <-time.After(50 * time.Millisecond):
+	}
+	m := node.mirrors[snk]
+	m.mu.Lock()
+	parked := len(m.q.parked)
+	m.mu.Unlock()
+	if parked != wireParkDepth {
+		t.Fatalf("%d frames parked at the stall, want %d", parked, wireParkDepth)
+	}
+	grant := func() {
+		t.Helper()
+		if !node.handleFrame(1, Frame{Type: FrameCredit, Payload: appendCredit(nil, snk, batch)}) {
+			t.Fatal("grant severed the connection")
+		}
+	}
+	ch := s.edge.chans[0]
+	grant()
+	peer.nextData(t, ch, 0)
+	peer.next(t, FrameCreditReq) // the third batch, parked in the vacated buffer
+	grant()
+	peer.nextData(t, ch, batch)
+	grant()
+	peer.nextData(t, ch, 2*batch)
+	<-done
+	if mk, err := decodeMark(peer.next(t, FrameBarrier).Payload); err != nil || mk.epoch != 7 {
+		t.Errorf("barrier frame = %+v, %v; want epoch 7", mk, err)
+	}
+	if err := r.att.net.fatalErr(); err != nil {
+		t.Errorf("attempt failed: %v", err)
+	}
+}
+
 // TestWireParkAllocs pins the steady state of a remote flush: sealing a
 // batch into the target's frame, queueing the request, parking, and the
 // grant that ships it allocate nothing once the buffers are warm — the
@@ -986,8 +1047,8 @@ func TestWireDefaultEconomics(t *testing.T) {
 	perPair := func(size int) float64 { return float64((perSource/2 + size - 1) / size) }
 
 	job, snap := run(TransportNetwork)
-	if got := [2]int{job.opts.BatchSize, job.opts.ChannelCapacity}; got != [2]int{DefaultNetworkBatchSize, 2 * DefaultNetworkBatchSize} {
-		t.Errorf("network defaults: batch %d, capacity %d; want %d and %d", got[0], got[1], DefaultNetworkBatchSize, 2*DefaultNetworkBatchSize)
+	if got := [2]int{job.opts.BatchSize, job.opts.ChannelCapacity}; got != [2]int{DefaultNetworkBatchSize, 4 * DefaultNetworkBatchSize} {
+		t.Errorf("network defaults: batch %d, capacity %d; want %d and %d", got[0], got[1], DefaultNetworkBatchSize, 4*DefaultNetworkBatchSize)
 	}
 	want := pairs * perPair(DefaultNetworkBatchSize)
 	for _, name := range []string{"net.data_batches", "net.credit_frames", "exchange.batches"} {

@@ -30,11 +30,11 @@ type ClusterSpec struct {
 
 // JobOptions configures a run.
 type JobOptions struct {
-	// ChannelCapacity is the bounded inbox size per task (default 64, 512
-	// under TransportNetwork: two default frames); smaller values propagate
-	// backpressure faster. Under the batched and network transports it is
-	// also the credit budget per receiver — the bound on records in flight
-	// toward a task, wire included.
+	// ChannelCapacity is the bounded inbox size per task (default 64,
+	// DefaultNetworkChannelCapacity under TransportNetwork: four default
+	// frames); smaller values propagate backpressure faster. Under the
+	// batched and network transports it is also the credit budget per
+	// receiver — the bound on records in flight toward a task, wire included.
 	ChannelCapacity int
 	// SourceRate caps each source operator's aggregate generation rate in
 	// records/second (0 or missing = uncapped).
@@ -252,10 +252,9 @@ func NewJob(g *dataflow.LogicalGraph, plan *dataflow.Plan, spec ClusterSpec, fac
 	if opts.Transport == "" {
 		opts.Transport = TransportUnary
 	}
-	// The wire gets a deeper gate, two default frames; in memory it stays 64.
 	capacity, batch := 64, DefaultBatchSize
 	if opts.Transport == TransportNetwork {
-		capacity, batch = 2*DefaultNetworkBatchSize, DefaultNetworkBatchSize
+		capacity, batch = DefaultNetworkChannelCapacity, DefaultNetworkBatchSize
 	}
 	if opts.ChannelCapacity <= 0 {
 		opts.ChannelCapacity = capacity

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -13,11 +14,13 @@ import (
 // checked exhaustively against the real creditGate (TestWireCreditProtocol).
 //
 //   - Sender: a creditQueue per (sending worker, remote task), behind the
-//     creditMirror's lock. A flush parks its sealed frame of n records and
-//     sends CREDIT_REQ{n}; a CREDIT ships exactly the oldest parked frame and
-//     must grant exactly its n; a barrier or EOF marker enters the write
-//     queue only once its channel's frame has shipped, so it follows the
-//     data it closes.
+//     creditMirror's lock. Each sender-target pair owns wireParkDepth frame
+//     buffers; a flush seals its frame of n records into a vacant one, parks
+//     it and sends CREDIT_REQ{n}, and blocks only when every buffer of the
+//     pair is parked. A CREDIT ships exactly the oldest parked frame, from
+//     its own buffer, and must grant exactly its n; a barrier or EOF marker
+//     enters the write queue only once every parked frame of its channel has
+//     shipped, so it follows the data it closes.
 //   - Receiver: a grantQueue per (receiving task, sending worker), behind
 //     the grantor's lock. Requests queue in arrival order; each is acquired
 //     whole from the task's gate and answered with CREDIT{n}; granted records
@@ -43,45 +46,67 @@ var (
 	ErrCreditMismatch = errors.New("wire: credit grant does not match the oldest parked frame")
 )
 
+// wireParkDepth is how many sealed frames one sender-target pair may have
+// parked at once: one waiting on its credit round trip while the next
+// already waits behind it, so a saturated sender keeps a frame in the
+// pipeline while it fills the following one. Parked frames hold no credit,
+// so the depth does not move the in-flight bound.
+const wireParkDepth = 2
+
 // creditQueue is the sender's half: the frames parked for one remote task,
 // oldest request first, keyed by the sender-target pair that owns each.
 type creditQueue[K comparable] struct {
+	depth  int // frame buffers per sender-target pair, ≤ 64
 	parked []parkedFrame[K]
 }
 
+// parkedFrame is one sealed frame waiting for its credit: slot names which
+// of its pair's frame buffers holds it.
 type parkedFrame[K comparable] struct {
 	key  K
+	slot int
 	need int64
 }
 
-// park queues key's sealed frame of n records and returns the credit request
-// to send for it.
-func (q *creditQueue[K]) park(key K, n int64) int64 {
-	q.parked = append(q.parked, parkedFrame[K]{key: key, need: n})
+// vacant returns the lowest of key's frame buffers that holds no parked
+// frame — the one its next flush seals into — and false when all of them
+// are parked.
+func (q *creditQueue[K]) vacant(key K) (slot int, ok bool) {
+	var held uint64
+	for _, p := range q.parked {
+		if p.key == key {
+			held |= 1 << p.slot
+		}
+	}
+	slot = bits.TrailingZeros64(^held)
+	return slot, slot < q.depth
+}
+
+// park queues key's frame of n records, sealed into buffer slot, and returns
+// the credit request to send for it.
+func (q *creditQueue[K]) park(key K, slot int, n int64) int64 {
+	q.parked = append(q.parked, parkedFrame[K]{key: key, slot: slot, need: n})
 	return n
 }
 
-// holds reports whether key's last frame is still parked.
-func (q *creditQueue[K]) holds(key K) bool {
-	return slices.ContainsFunc(q.parked, func(p parkedFrame[K]) bool { return p.key == key })
+// mark reports whether a barrier or EOF marker on key's channel may enter the
+// write queue now: only once none of the channel's frames is parked.
+func (q *creditQueue[K]) mark(key K) bool {
+	return !slices.ContainsFunc(q.parked, func(p parkedFrame[K]) bool { return p.key == key })
 }
 
-// mark reports whether a barrier or EOF marker on key's channel may enter the
-// write queue now: only behind the channel's parked frame.
-func (q *creditQueue[K]) mark(key K) bool { return !q.holds(key) }
-
 // grant spends one CREDIT of n records on the oldest parked frame and returns
-// its key: that frame moves to the write queue.
-func (q *creditQueue[K]) grant(n int64) (key K, err error) {
+// it: that frame's buffer moves to the write queue and is vacant again.
+func (q *creditQueue[K]) grant(n int64) (parkedFrame[K], error) {
 	if len(q.parked) == 0 {
-		return key, fmt.Errorf("%w: %d credits with no frame parked", ErrCreditMismatch, n)
+		return parkedFrame[K]{}, fmt.Errorf("%w: %d credits with no frame parked", ErrCreditMismatch, n)
 	}
-	if need := q.parked[0].need; need != n {
-		return key, fmt.Errorf("%w: %d credits for a frame of %d records", ErrCreditMismatch, n, need)
+	p := q.parked[0]
+	if p.need != n {
+		return parkedFrame[K]{}, fmt.Errorf("%w: %d credits for a frame of %d records", ErrCreditMismatch, n, p.need)
 	}
-	key = q.parked[0].key
 	q.parked = q.parked[:copy(q.parked, q.parked[1:])]
-	return key, nil
+	return p, nil
 }
 
 // grantQueue is the receiver's half for one sending worker: its requests in

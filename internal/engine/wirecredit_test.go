@@ -9,9 +9,10 @@ import (
 
 // TestWireCreditProtocol checks the wire-credit protocol exhaustively: every
 // interleaving of two co-located senders feeding one remote task through a
-// gate of at most 3 records, each sender flushing at most 3 batches of any
-// size the gate admits and then its EOF marker, with an abort, a peer-down
-// and a hostile grant possible at every point. Each step drives the real
+// gate of at most 3 records, each sender keeping up to depth frames parked
+// and flushing at most 3 batches of any size the gate admits and then its
+// EOF marker, with an abort, a peer-down and a hostile grant possible at
+// every point. Each step drives the real
 // creditQueue and grantQueue of wirecredit.go and the real creditGate; what
 // the drivers do around them — the write queues and TCP streams, the
 // receiving task's inbox, the waits of blocked parties — is modelled here.
@@ -35,15 +36,31 @@ import (
 // reached and terminate: a writer blocked on a dead peer during a drain (both senders have queued
 // their EOF when the connection dies under queued frames), and a grant that
 // arrives after an abort (it ships its frame into a dead queue and fails
-// nothing). The number of distinct states explored is pinned per gate size,
-// so a refactor that quietly shrinks the explored space fails here.
+// nothing). The number of distinct states explored is pinned per
+// configuration, so a refactor that quietly shrinks the explored space fails
+// here. Depth 2 is the engine's (wireParkDepth); its larger gates run two
+// batches per sender, not three, which keeps the whole check near 2 s
+// (three batches at gate 3 is 5.3 M states and over 20 s).
 func TestWireCreditProtocol(t *testing.T) {
-	// Distinct states per gate capacity; a change to the protocol or to the
-	// model moves them, and the change must say why.
-	want := map[int]int{1: 10508, 2: 64757, 3: 229494}
-	for capacity := 1; capacity <= 3; capacity++ {
-		t.Run(fmt.Sprintf("gate%d", capacity), func(t *testing.T) {
-			c := newCreditChecker(int64(capacity))
+	// states is the distinct states explored; a change to the protocol or to
+	// the model moves it, and the change must say why.
+	for _, cfg := range []struct {
+		depth, capacity, batches int
+		states                   int
+	}{
+		{1, 1, 3, 10508},
+		{1, 2, 3, 47816},
+		{1, 3, 3, 159900},
+		{2, 1, 3, 46020},
+		{2, 2, 2, 82645},
+		{2, 3, 2, 335103},
+	} {
+		name := fmt.Sprintf("gate%d", cfg.capacity)
+		if cfg.depth > 1 {
+			name = fmt.Sprintf("depth%d/%s", cfg.depth, name)
+		}
+		t.Run(name, func(t *testing.T) {
+			c := newCreditChecker(int64(cfg.capacity), cfg.depth, cfg.batches)
 			if err := c.explore(); err != nil {
 				t.Fatal(err)
 			}
@@ -53,8 +70,8 @@ func TestWireCreditProtocol(t *testing.T) {
 				t.Errorf("named cases not reached: drain on a dead peer %d, grant after abort %d",
 					c.drainOnDeadPeer, c.grantAfterAbort)
 			}
-			if len(c.seen) != want[capacity] {
-				t.Errorf("explored %d distinct states, want %d", len(c.seen), want[capacity])
+			if len(c.seen) != cfg.states {
+				t.Errorf("explored %d distinct states, want %d", len(c.seen), cfg.states)
 			}
 		})
 	}
@@ -62,7 +79,6 @@ func TestWireCreditProtocol(t *testing.T) {
 
 const (
 	wcSenders = 2
-	wcBatches = 3
 
 	// Frame kinds on the sender-to-receiver stream.
 	wcReq  = 'R'
@@ -72,12 +88,11 @@ const (
 
 // wcState is one global state of the model, comparable so it can key the
 // visited set. Queues are strings of bytes: the sender's parked frames as
-// (sender, records) pairs, the data stream as (kind, sender, records)
+// (sender, buffer, records) triples, the data stream as (kind, sender, records)
 // triples, the grant stream and the grantor's requests as record counts,
 // and each channel's inbox as record counts with 0 for its EOF.
 type wcState struct {
 	batches [wcSenders]uint8 // batches flushed
-	frame   [wcSenders]uint8 // records in each sender's frame buffer
 	eofSent [wcSenders]bool  // EOF marker queued
 	parked  string           // creditQueue
 	data    string           // sender -> receiver: write queue, socket, reader
@@ -95,13 +110,14 @@ type wcState struct {
 
 type creditChecker struct {
 	capacity                         int64
+	depth, batches                   int
 	seen                             map[string]struct{} // wcState.key of every state reached
 	steps                            int
 	drainOnDeadPeer, grantAfterAbort int
 }
 
-func newCreditChecker(capacity int64) *creditChecker {
-	return &creditChecker{capacity: capacity, seen: make(map[string]struct{})}
+func newCreditChecker(capacity int64, depth, batches int) *creditChecker {
+	return &creditChecker{capacity: capacity, depth: depth, batches: batches, seen: make(map[string]struct{})}
 }
 
 // explore runs a breadth-first search from the initial state and returns
@@ -140,8 +156,8 @@ func (c *creditChecker) explore() error {
 func (s *wcState) done() bool { return s.eofDone[0] && s.eofDone[1] }
 
 func (s wcState) String() string {
-	return fmt.Sprintf("batches %v frames %v eof sent %v in %v done %v | parked %q data %q grants %q | requests %q outstanding %d acquiring %d gate %d inbox %q | aborted %v peer-down %v hostile %v",
-		s.batches, s.frame, s.eofSent, s.eofIn, s.eofDone, s.parked, s.data, s.grants,
+	return fmt.Sprintf("batches %v eof sent %v in %v done %v | parked %q data %q grants %q | requests %q outstanding %d acquiring %d gate %d inbox %q | aborted %v peer-down %v hostile %v",
+		s.batches, s.eofSent, s.eofIn, s.eofDone, s.parked, s.data, s.grants,
 		s.reqs, s.out, s.acq, s.avail, s.inbox, s.aborted, s.peerDown, s.hostile)
 }
 
@@ -155,7 +171,7 @@ func (s *wcState) key() string {
 			flags |= 1 << i
 		}
 	}
-	b := []byte{s.batches[0], s.batches[1], s.frame[0], s.frame[1], byte(flags), byte(flags >> 8), byte(s.out), s.acq, byte(s.avail)}
+	b := []byte{s.batches[0], s.batches[1], byte(flags), byte(flags >> 8), byte(s.out), s.acq, byte(s.avail)}
 	for _, q := range []string{s.parked, s.data, s.grants, s.reqs, s.inbox[0], s.inbox[1]} {
 		b = append(append(b, byte(len(q))), q...)
 	}
@@ -164,9 +180,9 @@ func (s *wcState) key() string {
 
 // The real machine values a state stands for.
 func (c *creditChecker) sender(s wcState) *creditQueue[int] {
-	q := &creditQueue[int]{}
-	for i := 0; i < len(s.parked); i += 2 {
-		q.park(int(s.parked[i]), int64(s.parked[i+1]))
+	q := &creditQueue[int]{depth: c.depth}
+	for i := 0; i < len(s.parked); i += 3 {
+		q.park(int(s.parked[i]), int(s.parked[i+1]), int64(s.parked[i+2]))
 	}
 	return q
 }
@@ -191,9 +207,21 @@ func encodeParked(q *creditQueue[int]) string {
 	var b strings.Builder
 	for _, p := range q.parked {
 		b.WriteByte(byte(p.key))
+		b.WriteByte(byte(p.slot))
 		b.WriteByte(byte(p.need))
 	}
 	return b.String()
+}
+
+// bufferRecords is the record count of the frame sealed into sender's buffer
+// slot, read off the parked frames.
+func bufferRecords(parked string, sender, slot int) byte {
+	for i := 0; i < len(parked); i += 3 {
+		if int(parked[i]) == sender && int(parked[i+1]) == slot {
+			return parked[i+2]
+		}
+	}
+	panic(fmt.Sprintf("sender %d's buffer %d is not parked in %q", sender, slot, parked))
 }
 
 func encodeReqs(g *grantQueue) string {
@@ -270,15 +298,14 @@ func (c *creditChecker) senderSteps(s wcState, emit func(wcState, bool)) {
 		if s.eofSent[i] {
 			continue
 		}
-		if q := c.sender(s); !q.holds(i) && s.batches[i] < wcBatches {
+		if slot, ok := c.sender(s).vacant(i); ok && int(s.batches[i]) < c.batches {
 			for n := int64(1); n <= c.capacity; n++ {
 				q := c.sender(s)
-				req := q.park(i, n)
+				req := q.park(i, slot, n)
 				to := s
 				to.parked = encodeParked(q)
 				to.data += string([]byte{wcReq, byte(i), byte(req)})
 				to.batches[i]++
-				to.frame[i] = byte(n)
 				emit(to, false)
 			}
 		}
@@ -363,14 +390,15 @@ func (c *creditChecker) receiverSteps(s wcState, emit func(wcState, bool)) error
 }
 
 // grantArrives is the sending worker's reader taking the next CREDIT: it
-// ships exactly the oldest parked frame — also after an abort, into a queue
-// nobody writes any more.
+// ships the frame buffer the grant names, holding the records of the frame
+// parked in it — exactly the oldest parked frame — also after an abort, into
+// a queue nobody writes any more.
 func (c *creditChecker) grantArrives(s wcState, emit func(wcState, bool)) error {
 	if len(s.grants) == 0 {
 		return nil
 	}
 	q := c.sender(s)
-	key, err := q.grant(int64(s.grants[0]))
+	p, err := q.grant(int64(s.grants[0]))
 	if err != nil {
 		return fmt.Errorf("a grant the receiver sent was refused: %v", err)
 	}
@@ -378,7 +406,7 @@ func (c *creditChecker) grantArrives(s wcState, emit func(wcState, bool)) error 
 	to.grants = s.grants[1:]
 	to.parked = encodeParked(q)
 	if !s.aborted {
-		to.data += string([]byte{wcData, byte(key), s.frame[key]})
+		to.data += string([]byte{wcData, byte(p.key), bufferRecords(s.parked, p.key, p.slot)})
 	} else if !s.peerDown {
 		c.grantAfterAbort++
 	}

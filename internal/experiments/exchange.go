@@ -85,8 +85,9 @@ func exchangeStudy(ctx context.Context, cfg exchangeConfig) (*Report, error) {
 	// Two network rows. The first runs the batched transport's default size:
 	// the same batched senders feed loopback TCP sockets, so its delta over
 	// the batched row at that size is the framing + socket cost. The second
-	// leaves the sizes to the engine, which gives the network transport
-	// 256-record frames behind a 512-record gate.
+	// leaves the sizes to the engine's network defaults
+	// (DefaultNetworkBatchSize-record frames behind a
+	// DefaultNetworkChannelCapacity-record gate).
 	runs = append(runs,
 		runSpec{transport: engine.TransportNetwork, batchSize: engine.DefaultBatchSize},
 		runSpec{transport: engine.TransportNetwork})
@@ -100,6 +101,12 @@ func exchangeStudy(ctx context.Context, cfg exchangeConfig) (*Report, error) {
 	var unaryRate float64
 	var unarySinks int64
 	var netCounts [][2]float64 // batches and credit stalls of each network row, in run order
+	// One discarded unary run first: the first run of a process pays for
+	// warming the runtime, and would otherwise be charged to the unary row
+	// every speed-up is relative to.
+	if _, err := d.Run(ctx, engine.JobOptions{RecordsPerSource: cfg.Records, PerRecordCPU: map[dataflow.OperatorID]float64{}}); err != nil {
+		return nil, fmt.Errorf("experiments: exchange warm-up: %w", err)
+	}
 	for _, r := range runs {
 		out, err := d.Run(ctx, engine.JobOptions{
 			RecordsPerSource: cfg.Records,
@@ -158,7 +165,8 @@ func exchangeStudy(ctx context.Context, cfg exchangeConfig) (*Report, error) {
 	rep.Notes = append(rep.Notes,
 		"sink records are identical across every transport and batch size: the exchange layer is invisible to delivery semantics",
 		"credit stalls replace per-record channel blocking as the batched transport's backpressure signal",
-		fmt.Sprintf("the default network row ships 256-record frames behind a 512-record gate: %.0f batches and %.0f credit stalls, against %.0f and %.0f for the network row at size %d",
+		fmt.Sprintf("the default network row ships %d-record frames behind a %d-record gate: %.0f batches and %.0f credit stalls, against %.0f and %.0f for the network row at size %d",
+			engine.DefaultNetworkBatchSize, engine.DefaultNetworkChannelCapacity,
 			netCounts[1][0], netCounts[1][1], netCounts[0][0], netCounts[0][1], engine.DefaultBatchSize))
 	if cfg.ChainRecords > 0 {
 		if err := exchangeChainSection(ctx, rep, cfg); err != nil {
