@@ -1207,7 +1207,7 @@ func TestJoinRefusesIncompleteRestore(t *testing.T) {
 			if err := w.send(engine.FrameDeploy, d); err != nil {
 				t.Fatal(err)
 			}
-			if err := <-joined; err == nil || !strings.Contains(err.Error(), "bad DEPLOY of attempt 2") || !strings.Contains(err.Error(), "without a snapshot") {
+			if err := <-joined; !errors.Is(err, engine.ErrMissingSnapshot) || !strings.Contains(err.Error(), "bad DEPLOY of attempt 2") {
 				t.Fatalf("join ended with %v, want a refused DEPLOY naming the missing snapshot", err)
 			}
 		})
@@ -1397,8 +1397,8 @@ func TestDistRescaleOfSourceFails(t *testing.T) {
 	if err == nil {
 		t.Fatalf("source rescale completed: failed=%v lost=%d source records %d", res.Failed, res.LostRecords, res.SourceRecords)
 	}
-	if !strings.Contains(err.Error(), `"src" is a source`) {
-		t.Errorf("Run error = %v, want the source named", err)
+	if !errors.Is(err, engine.ErrRescaleRefused) || !strings.Contains(err.Error(), `"src" is a source`) {
+		t.Errorf("Run error = %v, want a refusal naming the source", err)
 	}
 }
 

@@ -25,14 +25,13 @@ import (
 //     upstream's records/bytes-out, updates the member's single-channel
 //     watermark, honors drain-and-discard for failed members, then runs
 //     processRecord — the same entry the unfused loops use.
-//   - barriers: a single-input task's alignment is complete the moment its
-//     one barrier arrives, so barrier() goes straight to completeAlignment:
-//     snapshot, forward downstream (recursing through the chain), then the
-//     epoch-aligned kill check — the same order as the unfused path.
-//   - EOF: eof() marks the member's only channel exhausted, lifts its
-//     watermark, and runs the member's finish path (operator Close, then
-//     EOF on its own senders), skipping Close for failed members exactly as
-//     runOperator does.
+//   - barriers: a single-input task is aligned the moment its one barrier
+//     arrives, so barrier() goes straight to the checkpoint step every task
+//     takes: snapshot, forward downstream (recursing through the chain),
+//     then the epoch-aligned kill check.
+//   - EOF: eof() lifts the member's watermark and runs its finish path
+//     (operator Close, then EOF on its own senders), skipping Close for
+//     failed members exactly as runOperator does.
 //
 // Divergences are confined to timing telemetry: the head's busy time covers
 // the whole chain (members never wait on a channel, so their busy and
@@ -104,11 +103,8 @@ func (s *fusedSender) barrier(epoch int64) {
 		return
 	}
 	// The member's single input channel is this edge: the barrier that just
-	// arrived completes its alignment immediately.
-	down.alignEpoch = epoch
-	if err := s.att.completeAlignment(down); err != nil {
-		down.failure = err
-	}
+	// arrived aligns it, so the member checkpoints at once.
+	s.att.checkpoint(down, epoch, 0)
 	if down.aborted {
 		rt.aborted = true
 	}
@@ -119,9 +115,7 @@ func (s *fusedSender) eof() {
 	if rt.aborted {
 		return
 	}
-	down.chanEOF[s.ch] = true
-	down.chanWM[s.ch] = maxInt64
-	down.refreshWatermark()
+	down.observe(message{eof: true, ch: s.ch})
 	if down.failure != nil {
 		down.finish(nil)
 	} else {

@@ -306,7 +306,7 @@ func TestRescaleRefusesSnapshotterImage(t *testing.T) {
 		o.Rescales = []RescalePlan{{Op: "sink", Parallelism: 2, AtEpoch: 2}}
 	})
 	_, err := job.Run(context.Background())
-	if err == nil || !strings.Contains(err.Error(), `"sink"`) || !strings.Contains(err.Error(), "Snapshotter") {
+	if !errors.Is(err, ErrRescaleRefused) || !strings.Contains(err.Error(), `"sink"`) || !strings.Contains(err.Error(), "Snapshotter") {
 		t.Fatalf("rescaling an operator with a Snapshotter image: err = %v, want a refusal naming it", err)
 	}
 }

@@ -456,7 +456,8 @@ func TestHandleFrameToleratesStrayFrames(t *testing.T) {
 		{Type: FrameHeartbeat}, // control-plane type strayed onto a data conn
 		// A known task addressed on an input or channel it does not have:
 		// dispatched, each would start a pump for a channel that does not
-		// exist and the task loop would index chanWM/chanSeen out of range.
+		// exist and the task loop would index chanWM and the alignment's
+		// channel statuses out of range.
 		{Type: FrameData, Payload: data(snk, 1, 0)},
 		{Type: FrameData, Payload: data(snk, 0, 1)},
 		{Type: FrameBarrier, Payload: appendMark(nil, snk, 0, 7, 3)},

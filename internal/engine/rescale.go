@@ -118,10 +118,10 @@ func repartitionTaskSnapshots(snaps []*TaskSnapshot, oldP, newP, numGroups int) 
 			return nil, 0, fmt.Errorf("engine: rescale: task %d snapshot at epoch %d, want %d", i, s.Epoch, epoch)
 		}
 		if s.SrcOffset > 0 {
-			return nil, 0, fmt.Errorf("engine: rescale: operator %q is a source (task %d has a source offset), whose count fixes the input partitioning", s.Task.Op, i)
+			return nil, 0, typedError{ErrRescaleRefused, fmt.Errorf("engine: rescale: operator %q is a source (task %d has a source offset), whose count fixes the input partitioning", s.Task.Op, i)}
 		}
 		if len(s.OpState) > 0 {
-			return nil, 0, fmt.Errorf("engine: rescale: operator %q keeps a Snapshotter image (task %d), which cannot be repartitioned; keyed state belongs in the namespace", s.Task.Op, i)
+			return nil, 0, typedError{ErrRescaleRefused, fmt.Errorf("engine: rescale: operator %q keeps a Snapshotter image (task %d), which cannot be repartitioned; keyed state belongs in the namespace", s.Task.Op, i)}
 		}
 		nsStates[i] = s.NSState
 	}

@@ -604,8 +604,7 @@ func (j *Job) buildAttempt(no int, par map[dataflow.OperatorID]int, plan *datafl
 			rt.chanWM[i] = minInt64
 		}
 		rt.watermark = minInt64
-		rt.chanEOF = make([]bool, rt.numIn)
-		rt.chanSeen = make([]bool, rt.numIn)
+		rt.align = newAligner(rt.numIn)
 		rt.killEpoch, rt.killIdx = faults.killEpochFor(w)
 		tctx := &TaskContext{
 			Op:          string(t.Op),
@@ -615,7 +614,7 @@ func (j *Job) buildAttempt(no int, par map[dataflow.OperatorID]int, plan *datafl
 		}
 		snap := snaps[t]
 		if dist != nil && dist.RestoreEpoch > 0 && (snap == nil || snap.Epoch != dist.RestoreEpoch) {
-			return nil, fmt.Errorf("engine: restoring epoch %d without a snapshot of %v at that epoch", dist.RestoreEpoch, t)
+			return nil, typedError{ErrMissingSnapshot, fmt.Errorf("engine: restoring epoch %d without a snapshot of %v at that epoch", dist.RestoreEpoch, t)}
 		}
 		if j.opts.Stateful[t.Op] {
 			tctx.State = stores[w].Namespace(t.String())

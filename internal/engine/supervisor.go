@@ -101,7 +101,20 @@ var (
 	// '.': an ID is the label part of "worker.<id>.<metric>" series, and a
 	// dot in it would move the ID's tail into the family.
 	ErrWorkerID = errors.New("engine: invalid worker ID")
+	// ErrRescaleRefused marks a rescale the drain cannot carry out: the
+	// operator is a source, or its tasks keep a Snapshotter image.
+	ErrRescaleRefused = errors.New("engine: rescale refused")
+	// ErrMissingSnapshot refuses an attempt that restores an epoch without a
+	// snapshot of one of its tasks at that epoch.
+	ErrMissingSnapshot = errors.New("engine: missing snapshot")
 )
+
+// typedError is err, matching kind as well under errors.Is: a typed failure
+// whose text stays its own.
+type typedError struct{ kind, err error }
+
+func (e typedError) Error() string   { return e.err.Error() }
+func (e typedError) Unwrap() []error { return []error{e.kind, e.err} }
 
 // SupervisorConfig describes the job a Supervisor runs.
 type SupervisorConfig struct {

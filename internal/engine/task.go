@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"capsys/internal/dataflow"
@@ -55,17 +56,8 @@ type taskRuntime struct {
 	chanWM    []int64
 	watermark int64
 
-	// Barrier alignment state: chanEOF marks exhausted channels (an EOF'd
-	// channel counts as aligned), chanSeen marks channels whose barrier for
-	// the in-flight epoch has arrived, alignBuf holds messages that arrived
-	// on already-aligned channels (they belong to the next epoch), and
-	// queue holds released messages awaiting processing.
-	chanEOF    []bool
-	chanSeen   []bool
-	aligning   bool
-	alignEpoch int64
-	alignBuf   []message
-	queue      []message
+	// align lines up checkpoint barriers across the input channels.
+	align aligner
 
 	// epoch is the last snapshot epoch this task completed.
 	epoch int64
@@ -150,13 +142,7 @@ func (rt *taskRuntime) observe(msg message) {
 // refreshWatermark recomputes the task watermark as the minimum over its
 // per-channel watermarks.
 func (rt *taskRuntime) refreshWatermark() {
-	wm := int64(maxInt64)
-	for _, w := range rt.chanWM {
-		if w < wm {
-			wm = w
-		}
-	}
-	rt.watermark = wm
+	rt.watermark = slices.Min(rt.chanWM)
 }
 
 // emit fans one record out to every out-edge through the transport's
@@ -167,17 +153,6 @@ func (rt *taskRuntime) emit(rec Record) {
 			return
 		}
 		s.send(rec)
-	}
-}
-
-// forwardBarrier flushes pending batches and broadcasts a checkpoint
-// barrier on every out-edge.
-func (rt *taskRuntime) forwardBarrier(epoch int64) {
-	for _, s := range rt.senders {
-		if rt.aborted {
-			return
-		}
-		s.barrier(epoch)
 	}
 }
 
@@ -373,16 +348,11 @@ func (a *attempt) runSource(ctx context.Context, rt *taskRuntime, src Source) er
 			closeRun()
 			epoch := (i + 1) / interval
 			a.epochStarted(epoch)
-			if err := a.snapshotTask(rt, epoch, i+1); err != nil {
-				return err
+			a.checkpoint(rt, epoch, i+1)
+			if rt.failure != nil {
+				return rt.failure
 			}
-			rt.forwardBarrier(epoch)
-			rt.epoch = epoch
 			if rt.aborted {
-				return nil
-			}
-			if rt.killEpoch >= 0 && epoch >= rt.killEpoch {
-				a.trigger(FaultKillWorker, rt, epoch, i+1, rt.killIdx)
 				return nil
 			}
 		}
@@ -394,68 +364,50 @@ func (a *attempt) runSource(ctx context.Context, rt *taskRuntime, src Source) er
 	return nil
 }
 
-// alignmentComplete reports whether every live channel has delivered the
-// in-flight barrier (EOF'd channels count as aligned).
-func (rt *taskRuntime) alignmentComplete() bool {
-	for i := range rt.chanSeen {
-		if !rt.chanSeen[i] && !rt.chanEOF[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// completeAlignment fires when the in-flight barrier has arrived on every
-// live channel: snapshot, forward the barrier downstream, release held-back
-// messages, then honor any epoch-aligned worker kill.
-func (a *attempt) completeAlignment(rt *taskRuntime) error {
-	epoch := rt.alignEpoch
-	rt.aligning = false
-	for i := range rt.chanSeen {
-		rt.chanSeen[i] = false
-	}
-	// Held-back messages arrived after older queued ones; keep FIFO order
-	// per channel by appending them behind the existing queue.
-	rt.queue = append(rt.queue, rt.alignBuf...)
-	rt.alignBuf = nil
+// checkpoint is every task's checkpoint step at epoch — a source's at
+// position pos (its next record index), an aligned operator's and a fused
+// member's with pos 0: snapshot, unless the task has failed (a snapshot that
+// fails is the task's failure, and ends the step), flush pending batches and
+// forward the barrier on every out-edge, then honor any epoch-aligned worker
+// kill, which counts a source's position or an operator's records in (a
+// source's is 0).
+func (a *attempt) checkpoint(rt *taskRuntime, epoch, pos int64) {
 	if rt.failure == nil {
-		if err := a.snapshotTask(rt, epoch, 0); err != nil {
-			return err
+		if rt.failure = a.snapshotTask(rt, epoch, pos); rt.failure != nil {
+			return
 		}
 	}
 	rt.epoch = epoch
-	rt.forwardBarrier(epoch)
-	if rt.aborted {
-		return nil
+	for _, s := range rt.senders {
+		if rt.aborted {
+			return
+		}
+		s.barrier(epoch)
 	}
-	if rt.killEpoch >= 0 && epoch >= rt.killEpoch {
-		a.trigger(FaultKillWorker, rt, epoch, rt.recordsIn, rt.killIdx)
+	if !rt.aborted && rt.killEpoch >= 0 && epoch >= rt.killEpoch {
+		a.trigger(FaultKillWorker, rt, epoch, max(pos, rt.recordsIn), rt.killIdx)
 	}
-	return nil
 }
 
 // runOperator drives a non-source task: consume the inbox until every
 // upstream channel has delivered EOF, aligning on checkpoint barriers along
-// the way. Batch messages release their credits the moment they leave the
-// inbox — the same point a unary record frees its inbox slot, and the only
-// release point that cannot deadlock alignment, since every sender to this
-// task shares one gate and a pre-barrier flush must be able to acquire —
-// and are then either processed inline or held whole in the alignment
-// buffer. After an operator failure the task keeps draining (and discarding)
-// its inbox so upstream senders blocked on the full channel cannot deadlock
-// the job before the run returns the error; barriers are still forwarded so
-// the other tasks keep checkpointing.
+// the way (alignment.go). Batch messages release their credits the moment
+// they leave the inbox — the same point a unary record frees its inbox slot,
+// and the only release point that cannot deadlock alignment, since every
+// sender to this task shares one gate and a pre-barrier flush must be able
+// to acquire — and are then either processed inline or held whole. After an
+// operator failure the task keeps draining (and discarding) its inbox so
+// upstream senders blocked on the full channel cannot deadlock the job
+// before the run returns the error; barriers are still forwarded so the
+// other tasks keep checkpointing.
 func (a *attempt) runOperator(rt *taskRuntime) error {
 	opr, ok := rt.op.(Operator)
 	if !ok {
 		return fmt.Errorf("unexpected instance type %T", rt.op)
 	}
-	remaining := rt.numIn
-	for remaining > 0 {
-		var msg message
-		if len(rt.queue) > 0 {
-			msg, rt.queue = rt.queue[0], rt.queue[1:]
-		} else {
+	for done := rt.numIn == 0; !done; {
+		msg, ok := rt.align.next()
+		if !ok {
 			select {
 			case msg = <-rt.inbox:
 			case <-rt.att.abort:
@@ -467,61 +419,28 @@ func (a *attempt) runOperator(rt *taskRuntime) error {
 			}
 			rt.readClock()
 		}
-		if rt.aligning && rt.chanSeen[msg.ch] {
-			// This channel already delivered the in-flight barrier:
-			// anything after it belongs to the next epoch. Batch messages
-			// are held whole (their credits are already back).
-			rt.alignBuf = append(rt.alignBuf, msg)
-			continue
-		}
-		if len(msg.batch) > 0 {
+		act, epoch := rt.align.offer(&msg)
+		switch {
+		case act == alignProcess && len(msg.batch) > 0:
 			a.processBatch(rt, opr, msg)
-			if rt.aborted {
-				return nil
-			}
-			continue
-		}
-		if msg.barrier {
-			if !rt.aligning {
-				rt.aligning = true
-				rt.alignEpoch = msg.epoch
-			}
-			rt.chanSeen[msg.ch] = true
-			if rt.alignmentComplete() {
-				if err := a.completeAlignment(rt); err != nil {
-					rt.failure = err
-				}
-				if rt.aborted {
-					return nil
-				}
-			}
-			continue
-		}
-		if msg.eof {
-			rt.chanEOF[msg.ch] = true
-			remaining--
+		case act == alignProcess:
 			rt.observe(msg)
-			if rt.aligning && rt.alignmentComplete() {
-				if err := a.completeAlignment(rt); err != nil {
-					rt.failure = err
-				}
-				if rt.aborted {
-					return nil
-				}
+			if rt.failure == nil { // else drain and discard
+				a.processRecord(rt, opr, msg.rec, msg.in, msg.ingest, true)
 			}
-			continue
+		case act == alignHold:
+		default:
+			if msg.eof {
+				rt.observe(msg)
+			}
+			if act == alignCheckpoint {
+				a.checkpoint(rt, epoch, 0)
+			}
+			done = act == alignDone
 		}
-		rt.observe(msg)
-		if rt.failure != nil {
-			continue // drain-and-discard after a failure
-		}
-		a.processRecord(rt, opr, msg.rec, msg.in, msg.ingest, true)
 		if rt.aborted {
 			return nil
 		}
-	}
-	if rt.aborted {
-		return nil
 	}
 	if rt.failure != nil {
 		rt.finish(nil)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"capsys/internal/cluster"
 	"capsys/internal/dataflow"
@@ -11,13 +12,17 @@ import (
 	"capsys/internal/telemetry"
 )
 
-// mergedLatencyQuantile merges every per-operator latency histogram on the
-// hub (they share one bucket layout) and returns the p-quantile in seconds,
-// or 0 when the hub recorded no samples.
+// mergedLatencyQuantile merges the per-operator latency histograms on the
+// hub (latency.*: they share one bucket layout; the hub's other histograms —
+// batch sizes, credit waits — are not latencies) and returns the p-quantile
+// in seconds, or 0 when the hub recorded no samples.
 func mergedLatencyQuantile(tel *telemetry.Telemetry, p float64) float64 {
 	var merged telemetry.HistogramSnapshot
 	first := true
 	for _, name := range tel.HistogramNames() {
+		if !strings.HasPrefix(name, "latency.") {
+			continue
+		}
 		snap := tel.Histogram(name).Snapshot()
 		if first {
 			merged = snap

@@ -226,8 +226,8 @@ func rescaleStudy(ctx context.Context, cfg rescaleConfig) (*Report, error) {
 	}
 	rep.Notes = append(rep.Notes,
 		"every rescale delivers exactly the baseline's sink records: draining to a barrier-aligned epoch and repartitioning key-groups loses nothing and is invisible to delivery",
-		fmt.Sprintf("reprocessing stays bounded by the records emitted past the drain epoch (budget: %d/source/epoch), never a replay of the stream", cfg.SnapshotInterval),
+		"reprocessing stays below a full replay of the stream: the run resumes from the drain epoch's checkpoint, and the study fails any row that replays everything",
 		"re-placement decision time (replace_ms) sits inside the measured downtime: the scheduler is on the rescale's critical path, as it is on recovery's",
-		"the p99 dip against base_p99_ms is the latency cost of the drain; fused and unfused rows pay it alike under all three transports")
+		"p99_ms and base_p99_ms are the merged per-operator end-to-end latency histograms (latency.*) of the rescaled run and of its no-rescale baseline")
 	return rep, nil
 }
