@@ -28,7 +28,7 @@ test-rescale:
 	$(GO) test -race -timeout 5m -run 'Rescale|KeyedState|RouteMatchesStateAssignment|TestSupervisor' ./internal/engine ./internal/controller ./internal/experiments
 
 # stress repeats the schedule-sensitive batteries — the barrier-alignment
-# checker, the distributed control plane, worker attempts over the wire, wire payloads, rescale (the keyed-
+# and epoch-ledger checkers, the distributed control plane, worker attempts over the wire, wire payloads, rescale (the keyed-
 # state restore matrix included), the supervisor's lifecycle table, fusion,
 # the checkpoint timeline in both modes, close-time backpressure and the
 # in-process fault batteries (every task of a killed worker races to abort
@@ -42,7 +42,7 @@ test-rescale:
 # exactness battery, its MaxNodes and cancellation cases run under the race
 # detector at GOMAXPROCS 1, 2 and 4, five times each: whether a helper's
 # subtree is adopted, raced or redone depends on the interleaving.
-STRESS_RUN = TestAlignment|TestDist|TestWorkerRun|TestWire|TestPrepareWorkerAttempt|Rescale|KeyedState|TestSupervisor|Fus|TestCheckpointTimeline|TestCloseBackpressure|TestDeterministicRecoveryBattery|TestRecovery|TestRunRecovery
+STRESS_RUN = TestAlignment|TestEpochLedger|TestDist|TestWorkerRun|TestWire|TestPrepareWorkerAttempt|Rescale|KeyedState|TestSupervisor|Fus|TestCheckpointTimeline|TestCloseBackpressure|TestDeterministicRecoveryBattery|TestRecovery|TestRunRecovery
 stress:
 	$(GO) test -timeout 20m -count=5 -cpu 1,4 -run '$(STRESS_RUN)' ./internal/engine ./internal/controller
 	$(GO) test -race -timeout 30m -count=5 -cpu 1,4 -run '$(STRESS_RUN)' ./internal/engine ./internal/controller

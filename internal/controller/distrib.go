@@ -662,9 +662,9 @@ func (a *distAttempt) run(ctx context.Context) (engine.AttemptEnd, error) {
 		case engine.FrameEpochStart, engine.FrameSnapshot:
 			if done, drain := a.checkpoint(ev); drain {
 				// The abort is the drain: every task's state as of the epoch
-				// is already in the store.
+				// is already in the store. A death while it aborts is an
+				// outage that began here.
 				co.logf("rescale: draining at epoch %d (attempt %d)", done, no)
-				a.end.DrainEpoch = done
 				a.end.At = co.clk()
 				return a.abort(ctx)
 			}

@@ -761,8 +761,8 @@ func TestDistBadNameInDoneReport(t *testing.T) {
 			if err := fakes[0].w.send(engine.FrameDone, rep); err != nil {
 				t.Fatal(err)
 			}
-			if err := <-done; err == nil || !strings.Contains(err.Error(), "bad DONE") {
-				t.Fatalf("run ended with %v, want a bad DONE error", err)
+			if err := <-done; !errors.Is(err, engine.ErrControlPayload) {
+				t.Fatalf("run ended with %v, want a bad DONE error (ErrControlPayload)", err)
 			}
 		})
 	}

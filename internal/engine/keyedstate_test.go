@@ -254,11 +254,10 @@ func TestKeyedStateRestoreAndRescale(t *testing.T) {
 						t.Errorf("sink multiset differs from the undisturbed run: %d distinct records, want %d%s",
 							len(sink.seen), len(ref.seen), firstDifference(sink.seen, ref.seen))
 					}
-					store := job.sup.store
-					store.mu.Lock()
-					defer store.mu.Unlock()
+					job.sup.mu.Lock()
+					defer job.sup.mu.Unlock()
 					checked := 0
-					for task, byEpoch := range store.snaps {
+					for task, byEpoch := range job.sup.led.snaps {
 						for epoch, snap := range byEpoch {
 							if task.Op != "op" {
 								continue

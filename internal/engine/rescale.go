@@ -118,10 +118,10 @@ func repartitionTaskSnapshots(snaps []*TaskSnapshot, oldP, newP, numGroups int) 
 			return nil, 0, fmt.Errorf("engine: rescale: task %d snapshot at epoch %d, want %d", i, s.Epoch, epoch)
 		}
 		if s.SrcOffset > 0 {
-			return nil, 0, typedError{ErrRescaleRefused, fmt.Errorf("engine: rescale: operator %q is a source (task %d has a source offset), whose count fixes the input partitioning", s.Task.Op, i)}
+			return nil, 0, rescaleRefused("engine: rescale: operator %q is a source (task %d has a source offset), whose count fixes the input partitioning", s.Task.Op, i)
 		}
 		if len(s.OpState) > 0 {
-			return nil, 0, typedError{ErrRescaleRefused, fmt.Errorf("engine: rescale: operator %q keeps a Snapshotter image (task %d), which cannot be repartitioned; keyed state belongs in the namespace", s.Task.Op, i)}
+			return nil, 0, rescaleRefused("engine: rescale: operator %q keeps a Snapshotter image (task %d), which cannot be repartitioned; keyed state belongs in the namespace", s.Task.Op, i)
 		}
 		nsStates[i] = s.NSState
 	}
@@ -154,9 +154,10 @@ func repartitionTaskSnapshots(snaps []*TaskSnapshot, oldP, newP, numGroups int) 
 // next complete checkpoint epoch, repartitions the operator's key-groups,
 // and resumes from that epoch. Safe to call from any goroutine (including
 // telemetry callbacks) while the job runs; the change applies at the next
-// epoch boundary. Returns an error if the request can never apply —
-// unknown or source operator, parallelism out of [1, KeyGroups], snapshots
-// disabled, or a Forward-edge peer pinning the operator's parallelism.
+// epoch boundary. Returns an ErrRescaleRefused error if the request can
+// never apply — unknown or source operator, parallelism out of [1,
+// KeyGroups], snapshots disabled, or a Forward-edge peer pinning the
+// operator's parallelism.
 func (j *Job) Rescale(op dataflow.OperatorID, parallelism int) error {
 	return j.schedule(RescalePlan{Op: op, Parallelism: parallelism})
 }
@@ -168,12 +169,12 @@ func (j *Job) schedule(p RescalePlan) error {
 	// change parallelism.
 	if j.graph.Operator(p.Op) != nil {
 		if len(j.graph.Upstream(p.Op)) == 0 {
-			return fmt.Errorf("engine: cannot rescale source %q (source count fixes the input partitioning)", p.Op)
+			return rescaleRefused("engine: cannot rescale source %q (source count fixes the input partitioning)", p.Op)
 		}
 		// A Forward-edge peer would be left at the old parallelism; reject
 		// now rather than fail the drain later.
 		if _, err := j.graph.Rescale(map[dataflow.OperatorID]int{p.Op: p.Parallelism}); err != nil {
-			return fmt.Errorf("engine: %w", err)
+			return rescaleRefused("engine: %w", err)
 		}
 	}
 	return j.sup.Schedule(p)
@@ -193,17 +194,4 @@ func fusionMap(g *dataflow.LogicalGraph, disabled bool) map[dataflow.OperatorID]
 		}
 	}
 	return fuseNext
-}
-
-// drain aborts an in-process attempt for a rescale due at the completed
-// epoch (localCoord, on a task goroutine). A fault that already aborted it
-// wins the race: the rescale stays pending and re-arms.
-func (a *attempt) drain(epoch int64) {
-	a.mu.Lock()
-	if a.failEv == nil && a.rescaleEpoch == 0 {
-		a.rescaleEpoch = epoch
-		a.rescaleAt = a.clk()
-	}
-	a.mu.Unlock()
-	a.doAbort()
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -280,8 +281,8 @@ func TestRescaleValidation(t *testing.T) {
 		"zero":           job.Rescale("win", 0),
 		"over keygroups": job.Rescale("win", statebackend.DefaultKeyGroups+1),
 	} {
-		if err == nil {
-			t.Errorf("%s: expected error", name)
+		if !errors.Is(err, ErrRescaleRefused) {
+			t.Errorf("%s: error %v, want ErrRescaleRefused", name, err)
 		}
 	}
 	if err := job.Rescale("win", 3); err != nil {
@@ -290,14 +291,14 @@ func TestRescaleValidation(t *testing.T) {
 
 	// Without checkpoints there is no epoch to drain to.
 	noSnap := rescalePipeline(t, 2, false, func(o *JobOptions) { o.SnapshotInterval = 0 })
-	if err := noSnap.Rescale("win", 3); err == nil {
-		t.Error("rescale without SnapshotInterval should fail")
+	if err := noSnap.Rescale("win", 3); !errors.Is(err, ErrRescaleRefused) {
+		t.Errorf("rescale without SnapshotInterval: error %v, want ErrRescaleRefused", err)
 	}
 
 	// A Forward-edge peer pins the operator's parallelism.
 	fusedJob := rescalePipeline(t, 2, true)
-	if err := fusedJob.Rescale("tag", 3); err == nil {
-		t.Error("rescaling one side of a Forward pair should fail")
+	if err := fusedJob.Rescale("tag", 3); !errors.Is(err, ErrRescaleRefused) {
+		t.Errorf("rescaling one side of a Forward pair: error %v, want ErrRescaleRefused", err)
 	}
 }
 

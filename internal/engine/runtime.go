@@ -391,8 +391,8 @@ type localCoord struct{ a *attempt }
 func (c localCoord) EpochStarted(epoch int64) { c.a.j.sup.EpochStarted(c.a.no, epoch) }
 
 func (c localCoord) TaskSnapshot(s *TaskSnapshot) error {
-	if done, drain := c.a.j.sup.RecordSnapshot(c.a.no, s); drain {
-		c.a.drain(done)
+	if _, drain := c.a.j.sup.RecordSnapshot(c.a.no, s); drain {
+		c.a.doAbort()
 	}
 	return nil
 }
@@ -411,10 +411,7 @@ func (x *localExecutor) RunAttempt(ctx context.Context, at AttemptSpec) (Attempt
 		return AttemptEnd{}, err
 	}
 	att.mu.Lock()
-	end := AttemptEnd{Fault: att.failEv, DrainEpoch: att.rescaleEpoch, At: att.rescaleAt}
-	if end.Fault != nil {
-		end.At = att.failAt
-	}
+	end := AttemptEnd{Fault: att.failEv, At: att.failAt}
 	att.mu.Unlock()
 	end.Faults = x.faults.takeNew()
 	if ev := end.Fault; ev != nil {
@@ -473,10 +470,6 @@ type attempt struct {
 	mu        sync.Mutex
 	failEv    *FailureEvent // guarded by mu
 	failAt    time.Time     // guarded by mu
-	// rescaleEpoch/rescaleAt mark an abort that drained for a live rescale
-	// rather than a fault (guarded by mu; failEv wins a race).
-	rescaleEpoch int64
-	rescaleAt    time.Time
 	// startedEpoch is the newest epoch a source of this attempt has injected;
 	// sources inject epochs in order, so an epoch above it is a first
 	// injection.
@@ -810,7 +803,7 @@ func (a *attempt) gauge(family string, labels map[string]string, fn func() float
 
 // run launches all task goroutines and waits for the attempt to finish —
 // either a clean drain or an abort; once it returns no task goroutine
-// remains, so the outcome fields (failEv, rescaleEpoch, ...) are stable.
+// remains, so the outcome fields (failEv, failAt) are stable.
 func (a *attempt) run(ctx context.Context) error {
 	if a.net != nil {
 		// Peer addresses are complete by now; unblock the credit grantors.

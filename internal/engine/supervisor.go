@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -22,15 +21,16 @@ import (
 //	for { end := exec.RunAttempt(attempt, plan, restoreEpoch)
 //	      switch end { done → result | fault → recover | drained → rescale } }
 //
-// The Supervisor owns everything that is policy — attempt numbering, the
-// dead set, the pending-rescale queue, "faults win over rescales",
-// restore-epoch selection, reprocessed accounting, the two downtime clocks,
-// snapshot repartition, plan validation, the default rescale placement, the
-// run aggregate, job/checkpoint/recovery/rescale trace events and result
-// assembly. An AttemptExecutor owns everything that is mechanism: how tasks
-// are deployed (goroutines here, a two-phase TCP deploy in
-// internal/controller) and how a fault is detected. The supervisor's task set
-// is the one statement of the running topology: an executor derives an
+// The Supervisor owns everything that is policy. It drives the epoch ledger
+// (epochledger.go) — the task set, checkpoint completion, the pending-rescale
+// queue, "faults win over rescales" and the restore epoch — behind one lock,
+// and keeps around it attempt numbering, the dead set, reprocessed
+// accounting, the two downtime clocks, plan validation, the default rescale
+// placement, the run aggregate, job/checkpoint/recovery/rescale trace events
+// and result assembly. An AttemptExecutor owns everything that is mechanism:
+// how tasks are deployed (goroutines here, a two-phase TCP deploy in
+// internal/controller) and how a fault is detected. The ledger's task set is
+// the one statement of the running topology: an executor derives an
 // attempt's graph from AttemptSpec.Tasks.
 
 // AttemptExecutor deploys and runs single attempts of a job on behalf of a
@@ -38,7 +38,7 @@ import (
 type AttemptExecutor interface {
 	// RunAttempt deploys at.Plan restored from at.RestoreEpoch and blocks
 	// until the attempt ends: every task finished, a fault aborted it, or it
-	// drained because RecordSnapshot reported a rescale due. By the time it
+	// drained because RecordSnapshot answered drain. By the time it
 	// returns no task of the attempt is running. A non-nil error is
 	// unrecoverable and fails the run.
 	RunAttempt(ctx context.Context, at AttemptSpec) (AttemptEnd, error)
@@ -63,8 +63,9 @@ type AttemptSpec struct {
 	Up func()
 }
 
-// AttemptEnd describes how an attempt ended. With neither Fault nor
-// DrainEpoch set the attempt ran to completion and Reports are final.
+// AttemptEnd describes how an attempt ended. Without a Fault it drained if
+// RecordSnapshot answered drain during it, and otherwise ran to completion
+// and Reports are final.
 type AttemptEnd struct {
 	// Fault is the fault that aborted the attempt. Kind, Worker, WorkerID,
 	// Task and Epoch are the executor's; the supervisor fills DeadWorkers
@@ -76,10 +77,8 @@ type AttemptEnd struct {
 	// NewDead lists workers that died during this attempt, including while
 	// it was being aborted or drained.
 	NewDead []int
-	// DrainEpoch is the complete epoch at which the attempt drained for a
-	// pending rescale (0 = it did not).
-	DrainEpoch int64
-	// At is when the outage — fault or drain — began.
+	// At is when the fault's outage began. A drain's begins when the
+	// supervisor answers it.
 	At time.Time
 	// Faults are the fault records that fired during this attempt.
 	Faults []FaultRecord
@@ -101,8 +100,12 @@ var (
 	// '.': an ID is the label part of "worker.<id>.<metric>" series, and a
 	// dot in it would move the ID's tail into the family.
 	ErrWorkerID = errors.New("engine: invalid worker ID")
-	// ErrRescaleRefused marks a rescale the drain cannot carry out: the
-	// operator is a source, or its tasks keep a Snapshotter image.
+	// ErrRescaleRefused marks a rescale that can never apply. Scheduling
+	// refuses an unknown or source operator, a parallelism outside [1,
+	// KeyGroups], a negative epoch, a job without SnapshotInterval and a
+	// Forward-edge peer pinning the operator's parallelism; the drain refuses
+	// a source a caller let through and an operator whose tasks keep a
+	// Snapshotter image.
 	ErrRescaleRefused = errors.New("engine: rescale refused")
 	// ErrMissingSnapshot refuses an attempt that restores an epoch without a
 	// snapshot of one of its tasks at that epoch.
@@ -115,6 +118,11 @@ type typedError struct{ kind, err error }
 
 func (e typedError) Error() string   { return e.err.Error() }
 func (e typedError) Unwrap() []error { return []error{e.kind, e.err} }
+
+// rescaleRefused is an ErrRescaleRefused failure with its own text.
+func rescaleRefused(format string, args ...any) error {
+	return typedError{ErrRescaleRefused, fmt.Errorf(format, args...)}
+}
 
 // SupervisorConfig describes the job a Supervisor runs.
 type SupervisorConfig struct {
@@ -137,7 +145,8 @@ type SupervisorConfig struct {
 	OnRescale func(RescaleEvent, *dataflow.Plan) (*dataflow.Plan, error)
 	// Emit receives lifecycle trace events, Logf progress lines (both may
 	// be nil, and both must be safe for concurrent use: checkpoint progress
-	// arrives from task goroutines in process); Now is the clock (nil =
+	// arrives from task goroutines in process, under the supervisor's lock,
+	// so neither may call back into the supervisor); Now is the clock (nil =
 	// system).
 	Emit func(telemetry.Event)
 	Logf func(format string, args ...any)
@@ -161,15 +170,16 @@ type runAgg struct {
 
 // Supervisor runs one job to completion through an AttemptExecutor.
 type Supervisor struct {
-	cfg   SupervisorConfig
-	clk   clock.Clock
-	store *checkpointCoordinator
+	cfg SupervisorConfig
+	clk clock.Clock
 
-	// mu guards tasks and pending: Schedule and dueRescale are called from
-	// arbitrary goroutines while Run's goroutine rewrites both on a rescale.
+	// mu is the lifecycle's one lock: attempts report epochs and snapshots
+	// from task goroutines (in process) or the coordinator's pump, Schedule
+	// runs on any goroutine, and Run's goroutine ends attempts. drainAt is
+	// when the running attempt was answered drain.
 	mu      sync.Mutex
-	tasks   []dataflow.TaskID
-	pending []RescalePlan
+	led     epochLedger // guarded by mu
+	drainAt time.Time   // guarded by mu
 
 	// Everything below belongs to Run's goroutine.
 	plan *dataflow.Plan
@@ -200,12 +210,11 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 		return nil, err
 	}
 	return &Supervisor{
-		cfg:   cfg,
-		clk:   cfg.Now.OrSystem(),
-		store: newCheckpointCoordinator(len(cfg.Tasks)),
-		tasks: cfg.Tasks,
-		plan:  cfg.Plan,
-		dead:  make(map[int]bool),
+		cfg:  cfg,
+		clk:  cfg.Now.OrSystem(),
+		led:  newEpochLedger(cfg.Tasks),
+		plan: cfg.Plan,
+		dead: make(map[int]bool),
 	}, nil
 }
 
@@ -226,34 +235,32 @@ func (s *Supervisor) logf(format string, args ...any) {
 func (s *Supervisor) Run(ctx context.Context, exec AttemptExecutor) (*JobResult, error) {
 	start := s.clk()
 	s.emit(telemetry.Event{Kind: telemetry.EventJobStart, Attrs: map[string]any{
-		"tasks":     len(s.tasks),
+		"tasks":     len(s.cfg.Tasks),
 		"workers":   len(s.cfg.Workers),
 		"transport": s.cfg.Transport,
 	}})
 	for no := 1; ; no++ {
-		end, err := exec.RunAttempt(ctx, AttemptSpec{
-			No:           no,
-			Tasks:        s.tasks,
-			Plan:         s.plan,
-			RestoreEpoch: s.agg.restoredEpoch,
-			Dead:         deadList(s.dead),
-			Up:           func() { s.attemptUp(no) },
-		})
+		s.mu.Lock()
+		at := AttemptSpec{No: no, Tasks: s.led.tasks, Plan: s.plan, RestoreEpoch: s.led.restore, Dead: deadList(s.dead),
+			Up: func() { s.attemptUp(no) }}
+		s.mu.Unlock()
+		end, err := exec.RunAttempt(ctx, at)
 		if err != nil {
 			return nil, err
 		}
 		s.agg.faults = append(s.agg.faults, end.Faults...)
-		switch {
-		case end.Fault != nil:
-			// Faults win over rescales: a drain that raced a fault is
-			// dropped, its rescale stays pending and re-triggers at the next
-			// complete epoch of the recovered deployment.
-			err = s.recover(no, end)
-		case end.DrainEpoch > 0:
-			err = s.rescale(no, end)
+		s.mu.Lock()
+		ending, due := s.led.end(end.Fault != nil)
+		s.agg.snapshots, s.agg.restoredEpoch = s.led.taken, s.led.restore
+		drainAt := s.drainAt
+		s.mu.Unlock()
+		switch ending {
+		case endFault:
+			err = s.recover(no, at.Tasks, end)
+		case endDrained:
+			err = s.rescale(no, at.Tasks, end, due, drainAt)
 		default:
 			s.agg.elapsed = s.clk.Since(start)
-			s.agg.snapshots = s.store.snapshotsTaken()
 			res := assembleResult(end.Reports, s.agg)
 			s.emit(telemetry.Event{Kind: telemetry.EventJobComplete, Attempt: no, Attrs: map[string]any{
 				"elapsed_ms":   res.Elapsed.Seconds() * 1e3,
@@ -290,9 +297,9 @@ func (s *Supervisor) attemptUp(no int) {
 }
 
 // recover is the single fault branch: count the outage, re-place if a worker
-// died (or the hook wants to), pick the newest complete epoch, and account
-// the work that restore rolls back.
-func (s *Supervisor) recover(no int, end AttemptEnd) error {
+// died (or the hook wants to), and account the work that restoring the
+// newest complete epoch rolls back.
+func (s *Supervisor) recover(no int, tasks []dataflow.TaskID, end AttemptEnd) error {
 	ev := *end.Fault
 	ev.Attempt = no
 	for _, w := range end.NewDead {
@@ -320,15 +327,14 @@ func (s *Supervisor) recover(no int, end AttemptEnd) error {
 			return fmt.Errorf("engine: re-placement after %v in attempt %d: %w", ev.Kind, no, err)
 		}
 		if next != nil || died {
-			if err := validatePlan(next, s.tasks, s.cfg.Workers, s.dead); err != nil {
+			if err := validatePlan(next, tasks, s.cfg.Workers, s.dead); err != nil {
 				return err
 			}
 			s.plan = next
 		}
 	}
-	restore := s.store.lastCompleteEpoch()
+	restore := s.agg.restoredEpoch
 	s.agg.reprocessed += s.reprocessedSince(end.Reports, restore)
-	s.agg.restoredEpoch = restore
 	for i := range s.agg.faults {
 		f := &s.agg.faults[i]
 		switch {
@@ -343,39 +349,28 @@ func (s *Supervisor) recover(no int, end AttemptEnd) error {
 	return nil
 }
 
-// rescale is the single drained branch: every plan due at the drain epoch —
-// at most one per operator — applies in this one drain. Each changed
-// operator's snapshots are repartitioned at the resume epoch, the new task set
-// is re-placed once, and the job redeploys once from that epoch.
-func (s *Supervisor) rescale(no int, end AttemptEnd) error {
-	// A later epoch may have completed (pruning the trigger epoch's
-	// snapshots) between the trigger and the abort landing; the newest
-	// complete epoch is always fully retained, so resume from it.
-	epoch := end.DrainEpoch
-	if lc := s.store.lastCompleteEpoch(); lc > epoch {
-		epoch = lc
-	}
-	due := s.dueRescales(epoch)
-	if len(due) == 0 {
-		return fmt.Errorf("engine: rescale drained at epoch %d but no plan is pending", epoch)
-	}
-	// Account the rolled-back work before the store forgets the old task set.
+// rescale is the single drained branch: every plan due at the newest
+// complete epoch — at most one per operator — applies in this one drain.
+// Each changed operator's snapshots are repartitioned at that epoch, the new
+// task set is re-placed once, and the job redeploys once from it.
+func (s *Supervisor) rescale(no int, tasks []dataflow.TaskID, end AttemptEnd, due []RescalePlan, drainAt time.Time) error {
+	epoch := s.agg.restoredEpoch
+	// Account the rolled-back work before the ledger forgets the old task set.
 	reprocessed := s.reprocessedSince(end.Reports, epoch)
-	ev := RescaleEvent{Parallelism: parallelism(s.tasks), Epoch: epoch, DeadWorkers: deadList(s.dead), Attempt: no}
-	tasks := s.tasks
-	for _, p := range due {
-		c := RescaleChange{Op: p.Op, From: ev.Parallelism[p.Op], To: p.Parallelism}
-		var err error
-		if c.MovedBytes, err = s.store.repartition(p.Op, c.From, c.To, s.cfg.KeyGroups, epoch); err != nil {
-			return err
-		}
-		tasks = rescaledTasks(tasks, p.Op, c.From, c.To)
-		ev.Parallelism[p.Op] = c.To
-		ev.Changes = append(ev.Changes, c)
+	ev := RescaleEvent{Parallelism: parallelism(tasks), Epoch: epoch, DeadWorkers: deadList(s.dead), Attempt: no}
+	s.mu.Lock()
+	changes, err := s.led.apply(due, s.cfg.KeyGroups)
+	tasks = s.led.tasks
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	ev.Changes = changes
+	for _, c := range changes {
+		ev.Parallelism[c.Op] = c.To
 		ev.MovedBytes += c.MovedBytes
 	}
 	var next *dataflow.Plan
-	var err error
 	if s.cfg.OnRescale != nil {
 		next, err = s.cfg.OnRescale(ev, s.plan)
 	} else {
@@ -387,19 +382,11 @@ func (s *Supervisor) rescale(no int, end AttemptEnd) error {
 	if err := validatePlan(next, tasks, s.cfg.Workers, s.dead); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.tasks = tasks
-	for _, p := range due {
-		i := slices.Index(s.pending, p)
-		s.pending = slices.Delete(s.pending, i, i+1)
-	}
-	s.mu.Unlock()
 	s.plan = next
 	s.agg.reprocessed += reprocessed
-	s.agg.restoredEpoch = epoch
 	s.agg.rescales += len(ev.Changes)
 	s.agg.rescaleMoved += ev.MovedBytes
-	s.rescaledAt = end.At
+	s.rescaledAt = drainAt
 	s.rescaled = &ev
 	s.logf("rescale: %v applied at epoch %d (%d state bytes moved); redeploying", ev, epoch, ev.MovedBytes)
 	for _, c := range ev.Changes {
@@ -412,106 +399,88 @@ func (s *Supervisor) rescale(no int, end AttemptEnd) error {
 // Schedule queues a live parallelism change; it triggers at the first
 // complete checkpoint epoch >= p.AtEpoch, sharing that drain with every
 // other plan due then. Safe from any goroutine, before or during Run.
-// Forward-edge peers are its caller's to enforce; a source its caller let
-// through fails the run at the drain (repartitionTaskSnapshots).
+// Every refusal is ErrRescaleRefused. Forward-edge peers are its caller's to
+// enforce; a source its caller let through fails the run at the drain
+// (repartitionTaskSnapshots).
 func (s *Supervisor) Schedule(p RescalePlan) error {
 	if s.cfg.SnapshotInterval <= 0 {
-		return fmt.Errorf("engine: rescale needs checkpoints; set SnapshotInterval > 0")
+		return rescaleRefused("engine: rescale needs checkpoints; set SnapshotInterval > 0")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {
-	case parallelism(s.tasks)[p.Op] == 0:
-		return fmt.Errorf("engine: rescale of unknown operator %q", p.Op)
+	case parallelism(s.led.tasks)[p.Op] == 0:
+		return rescaleRefused("engine: rescale of unknown operator %q", p.Op)
 	case p.Parallelism <= 0:
-		return fmt.Errorf("engine: rescale of %q to non-positive parallelism %d", p.Op, p.Parallelism)
+		return rescaleRefused("engine: rescale of %q to non-positive parallelism %d", p.Op, p.Parallelism)
 	case p.Parallelism > s.cfg.KeyGroups:
-		return fmt.Errorf("engine: rescale of %q to %d exceeds %d key-groups", p.Op, p.Parallelism, s.cfg.KeyGroups)
+		return rescaleRefused("engine: rescale of %q to %d exceeds %d key-groups", p.Op, p.Parallelism, s.cfg.KeyGroups)
 	case p.AtEpoch < 0:
-		return fmt.Errorf("engine: rescale of %q at negative epoch %d", p.Op, p.AtEpoch)
+		return rescaleRefused("engine: rescale of %q at negative epoch %d", p.Op, p.AtEpoch)
 	}
-	s.pending = append(s.pending, p)
+	s.led.schedule(p)
 	return nil
 }
 
-// dueRescales returns the pending plans due at the given complete epoch, the
-// earliest-scheduled one of each operator, without removing them: a plan
-// stays pending until applied, so a fault racing the drain simply re-triggers
-// the whole set at the next complete epoch, and an operator's later plans
-// wait for the next drain.
-func (s *Supervisor) dueRescales(epoch int64) []RescalePlan {
+// EpochStarted notes that attempt no injected an epoch's barrier. The first
+// injection in the run is the epoch's checkpoint.start; replays after a
+// restore and the other sources' injections are not.
+func (s *Supervisor) EpochStarted(no int, epoch int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var due []RescalePlan
-	for _, p := range s.pending {
-		if epoch >= p.AtEpoch && !slices.ContainsFunc(due, func(d RescalePlan) bool { return d.Op == p.Op }) {
-			due = append(due, p)
-		}
+	if s.led.start(epoch) {
+		s.logf("epoch %d started", epoch)
+		s.emit(telemetry.Event{Kind: telemetry.EventCheckpointStart, Epoch: epoch, Attempt: no})
 	}
-	return due
-}
-
-// EpochStarted notes that attempt no injected an epoch's first barrier. The
-// first injection in the run is the epoch's checkpoint.start; replays after
-// a restore and the other sources' injections are not.
-func (s *Supervisor) EpochStarted(no int, epoch int64) {
-	if !s.store.noteStarted(epoch) {
-		return
-	}
-	s.logf("epoch %d started", epoch)
-	s.emit(telemetry.Event{Kind: telemetry.EventCheckpointStart, Epoch: epoch, Attempt: no})
 }
 
 // RecordSnapshot stores one task's checkpoint contribution from attempt no.
 // done is the epoch it completed (0 = none), which is that epoch's
-// checkpoint.complete; drain reports that a rescale is due at that epoch, so
-// the executor must abort the attempt and return DrainEpoch = done. Both
-// executors call it, the local one from task goroutines.
+// checkpoint.complete; drain, answered at most once per attempt, says a
+// rescale is due at that epoch, so the executor must abort the attempt.
+// Both executors call it, the local one from task goroutines; the events go
+// out under the lock, in the order the ledger answers them.
 func (s *Supervisor) RecordSnapshot(no int, snap *TaskSnapshot) (done int64, drain bool) {
-	done, taken := s.store.record(snap)
-	if done == 0 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if done, drain = s.led.snapshot(snap); done == 0 {
 		return 0, false
 	}
-	s.logf("checkpoint: epoch %d complete (%d snapshots)", done, taken)
+	if drain {
+		s.drainAt = s.clk()
+	}
+	s.logf("checkpoint: epoch %d complete (%d snapshots)", done, s.led.taken)
 	s.emit(telemetry.Event{Kind: telemetry.EventCheckpointComplete, Epoch: done, Attempt: no,
-		Attrs: map[string]any{"snapshots": taken}})
-	return done, len(s.dueRescales(done)) > 0
+		Attrs: map[string]any{"snapshots": s.led.taken}})
+	return done, drain
 }
 
 // EpochSnapshots returns every task's snapshot at the given epoch in task
 // order (nil for epoch 0): the restore set an executor deploys an attempt
 // with. Like RunAttempt, it runs on Run's goroutine.
 func (s *Supervisor) EpochSnapshots(epoch int64) []*TaskSnapshot {
-	var out []*TaskSnapshot
-	for _, t := range s.tasks {
-		if snap := s.store.snapshotFor(t, epoch); snap != nil {
-			out = append(out, snap)
-		}
-	}
-	return out
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.led.restoreSet(epoch)
 }
 
 // reprocessedSince counts the records the ended attempt's surviving tasks
 // processed beyond the restore epoch — work the restore rolls back and the
-// next attempt must redo. A task without a snapshot at the restore epoch is
-// measured against the snapshot the attempt itself started from. Dead
-// workers send no report, so their progress since their last snapshot is
-// unknowable and uncounted.
+// next attempt must redo — against each task's snapshot there (the ledger
+// holds one for every task at the newest complete epoch; at epoch 0 there is
+// none, and all of it is redone). Dead workers send no report, so their
+// progress since their last snapshot is unknowable and uncounted.
 func (s *Supervisor) reprocessedSince(reports []*WorkerReport, restore int64) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var total int64
 	for _, rep := range reports {
 		for t, ts := range rep.Tasks {
-			snap := s.store.snapshotFor(t, restore)
-			if snap == nil {
-				snap = s.store.snapshotFor(t, s.agg.restoredEpoch)
-			}
-			base := int64(0)
-			if snap != nil {
+			var base int64
+			if snap := s.led.snaps[t][restore]; snap != nil {
 				base = snap.RecordsIn
 			}
-			if d := ts.RecordsIn - base; d > 0 {
-				total += d
-			}
+			total += max(0, ts.RecordsIn-base)
 		}
 	}
 	return total

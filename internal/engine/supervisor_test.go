@@ -14,14 +14,16 @@ import (
 )
 
 // scriptedAttempt is one attempt of a lifecycle script: which checkpoint
-// epochs complete while it runs, how far past its newest snapshot every
+// epochs complete while it runs, which complete after a drain was answered
+// and before the attempt ends, how far past its newest snapshot every
 // surviving task gets, and how it ends (no fault = it runs to completion,
 // unless a completed epoch made a rescale due, in which case it drains).
 type scriptedAttempt struct {
-	epochs   []int64
-	progress int64
-	fault    *FailureEvent
-	dead     []int
+	epochs     []int64
+	afterDrain []int64
+	progress   int64
+	fault      *FailureEvent
+	dead       []int
 }
 
 // scriptedExecutor plays a script against a Supervisor on a hand-cranked
@@ -49,26 +51,30 @@ func (x *scriptedExecutor) RunAttempt(_ context.Context, at AttemptSpec) (Attemp
 	x.now = x.now.Add(time.Second)
 
 	end := AttemptEnd{Fault: step.fault, NewDead: step.dead}
-	for _, e := range step.epochs {
+	drained := false
+	record := func(e int64) {
 		for _, task := range at.Tasks {
 			done, drain := x.sup.RecordSnapshot(at.No, &TaskSnapshot{Task: task, Epoch: e, RecordsIn: e * 100})
 			if done > 0 {
 				x.lastEpoch = done
 			}
-			if drain {
-				end.DrainEpoch = done
-			}
+			drained = drained || drain
 		}
-		if end.DrainEpoch > 0 {
+	}
+	for _, e := range step.epochs {
+		if record(e); drained {
 			break
 		}
+	}
+	for _, e := range step.afterDrain {
+		record(e)
 	}
 	end.At = x.now
 	gone := make(map[int]bool)
 	for _, w := range append(append([]int(nil), at.Dead...), step.dead...) {
 		gone[w] = true
 	}
-	rep := &WorkerReport{Attempt: at.No, Completed: step.fault == nil && end.DrainEpoch == 0, Tasks: make(map[dataflow.TaskID]TaskStats)}
+	rep := &WorkerReport{Attempt: at.No, Completed: step.fault == nil && !drained, Tasks: make(map[dataflow.TaskID]TaskStats)}
 	for _, task := range at.Tasks {
 		if w := at.Plan.MustWorker(task); !gone[w] {
 			rep.Tasks[task] = TaskStats{Worker: w, RecordsIn: x.lastEpoch*100 + step.progress}
@@ -167,6 +173,20 @@ func TestSupervisorLifecycle(t *testing.T) {
 				{epochs: []int64{2}},
 			},
 			wantRestore: []int64{0, 1}, wantTasks: []int{5, 7},
+			wantReprocessed: 5 * 5, wantRescales: 2, wantDrains: 1,
+			wantEvents: "rescale.start rescale.start rescale.complete rescale.complete", wantReplaced: 1,
+		},
+		{
+			// Epoch 2 completes after the drain answer at epoch 1 and before
+			// the attempt ends: the run resumes from 2 in one drain that
+			// applies every plan due there, sink's too.
+			name:     "epoch completed during the drain",
+			rescales: []RescalePlan{{Op: "win", Parallelism: 3, AtEpoch: 1}, {Op: "sink", Parallelism: 2, AtEpoch: 2}},
+			script: []scriptedAttempt{
+				{epochs: []int64{1}, afterDrain: []int64{2}, progress: 5},
+				{epochs: []int64{3}},
+			},
+			wantRestore: []int64{0, 2}, wantTasks: []int{5, 7},
 			wantReprocessed: 5 * 5, wantRescales: 2, wantDrains: 1,
 			wantEvents: "rescale.start rescale.start rescale.complete rescale.complete", wantReplaced: 1,
 		},
@@ -361,7 +381,7 @@ func TestSupervisorLifecycle(t *testing.T) {
 				kinds = append(kinds, ev.Kind)
 			}
 			for i, step := range tc.script {
-				for _, e := range step.epochs {
+				for _, e := range append(step.epochs, step.afterDrain...) {
 					wantCkpts = append(wantCkpts, fmt.Sprintf("%d@%d", e, i+1))
 				}
 			}
