@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -330,6 +331,62 @@ func TestDeterministicRecoveryBattery(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestNoGoroutineOutlivesAttempt: every goroutine an attempt starts — task
+// loops, flushers, pumps, grantors, connection readers and writers — has
+// ended once the run returns, including those of the attempt a worker kill
+// tore down. It runs the kill-and-recover row under every transport, and a
+// clean pair of worker attempts over TCP, which is the path a distributed
+// worker takes. Engine tests do not run in parallel, so the process's
+// goroutine count is the measure.
+func TestNoGoroutineOutlivesAttempt(t *testing.T) {
+	kill := FaultPlan{KillWorkers: []WorkerKill{{Worker: 1, AtEpoch: 3}}}
+	for _, tr := range TransportNames() {
+		before := runtime.NumGoroutine()
+		res, err := winPipeline(t, kill, true, asTransport(tr, 0, 0)).Run(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", tr, err)
+		}
+		if res.Recoveries != 1 {
+			t.Fatalf("%s: Recoveries = %d, want 1", tr, res.Recoveries)
+		}
+		checkNoGoroutineLeak(t, tr+" Job.Run", before)
+	}
+	before := runtime.NumGoroutine()
+	opts := JobOptions{RecordsPerSource: 300, ChannelCapacity: 16, BatchSize: 8}
+	ctx, cancel := context.WithCancel(context.Background())
+	r0, r1 := startWirePair(t, ctx, wireJob(t, nil, opts), wireJob(t, nil, opts))
+	for i, r := range []*WorkerRun{r0, r1} {
+		select {
+		case <-r.Done():
+		case <-time.After(time.Minute):
+			t.Fatalf("worker attempt %d never finished:\n%s", i, allStacks())
+		}
+		if _, err := r.Report(); err != nil {
+			t.Fatalf("worker attempt %d: %v", i, err)
+		}
+	}
+	cancel()
+	checkNoGoroutineLeak(t, "worker attempts", before)
+}
+
+// checkNoGoroutineLeak waits up to five seconds for the goroutine count to
+// fall back to before — goroutines that are already exiting may linger for a
+// moment — and fails with every goroutine's stack if it does not.
+func checkNoGoroutineLeak(t *testing.T, what string, before int) {
+	t.Helper()
+	for i := 0; i < 500 && runtime.NumGoroutine() > before; i++ {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%s: %d goroutines outlive the run (%d before):\n%s", what, n-before, before, allStacks())
+	}
+}
+
+func allStacks() []byte {
+	buf := make([]byte, 1<<20)
+	return buf[:runtime.Stack(buf, true)]
 }
 
 // A recovered run must expose the recovery in the metrics registry too.

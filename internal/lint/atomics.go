@@ -10,7 +10,6 @@ import "go/types"
 // discipline holds by construction.
 var atomicsAnalyzer = &Analyzer{
 	Name: "atomics",
-	Doc:  "sync/atomic package functions; use a typed atomic",
 	Run:  runAtomics,
 }
 

@@ -3,40 +3,7 @@ package lint
 import (
 	"testing"
 	"time"
-
-	"capsys/internal/clock"
 )
-
-// TestRunStatsWithStepClock pins the timing plumbing deterministically: a
-// Step clock makes every analyzer appear to cost exactly one step, and the
-// total covers at least the per-check sum.
-func TestRunStatsWithStepClock(t *testing.T) {
-	_, p := loadFixture(t, "determ")
-	step := time.Millisecond
-	clk := clock.Step(time.Unix(0, 0), step)
-	_, stats, err := RunTimed([]*Package{p}, Config{}, clk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats.PerCheck) != len(Analyzers()) {
-		t.Fatalf("PerCheck has %d entries, want one per analyzer (%d)", len(stats.PerCheck), len(Analyzers()))
-	}
-	var sum time.Duration
-	for _, a := range Analyzers() {
-		d, ok := stats.PerCheck[a.Name]
-		if !ok {
-			t.Errorf("no timing entry for %s", a.Name)
-			continue
-		}
-		if d != step {
-			t.Errorf("PerCheck[%s] = %v, want exactly one clock step (%v)", a.Name, d, step)
-		}
-		sum += d
-	}
-	if stats.Total < sum {
-		t.Errorf("Total %v is less than the per-check sum %v", stats.Total, sum)
-	}
-}
 
 // selfRuntimeBudget bounds a full-tree capslint analysis pass. The suite is
 // part of `make verify`, so its own latency is a correctness property: a
@@ -46,8 +13,8 @@ func TestRunStatsWithStepClock(t *testing.T) {
 const selfRuntimeBudget = 30 * time.Second
 
 // TestSelfRuntimeBudgetFullTree loads the whole module and runs the full
-// strict suite, asserting the analysis stays inside the budget and — the
-// gate `make lint` relies on — reports zero unsuppressed findings.
+// suite, asserting the analysis stays inside the budget and — the gate
+// `make lint` relies on — reports zero unsuppressed findings.
 func TestSelfRuntimeBudgetFullTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-tree load is not a -short test")
@@ -75,17 +42,14 @@ func TestSelfRuntimeBudgetFullTree(t *testing.T) {
 	if len(pkgs) < 10 {
 		t.Fatalf("only %d packages loaded from the module root; expansion is broken", len(pkgs))
 	}
-	diags, stats, err := RunTimed(pkgs, Config{Strict: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	runStart := time.Now()
+	diags := Run(pkgs)
+	runTime := time.Since(runStart)
 	for _, d := range diags {
 		t.Errorf("unsuppressed finding on the tree: %v", d)
 	}
-	if stats.Total > selfRuntimeBudget {
-		t.Errorf("full-tree analysis took %v (load/type-check: %v), over the %v budget; per-check: %v",
-			stats.Total, loadTime, selfRuntimeBudget, stats.PerCheck)
+	if runTime > selfRuntimeBudget {
+		t.Errorf("full-tree analysis took %v (load/type-check: %v), over the %v budget", runTime, loadTime, selfRuntimeBudget)
 	}
-	t.Logf("full tree: %d packages, load %v, analysis %v, per-check %v",
-		len(pkgs), loadTime, stats.Total, stats.PerCheck)
+	t.Logf("full tree: %d packages, load %v, analysis %v", len(pkgs), loadTime, runTime)
 }

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 )
 
 // chansAnalyzer guards the engine's backpressure story: every channel in
@@ -17,7 +18,6 @@ import (
 // recognizes that shape structurally instead of requiring a suppression.
 var chansAnalyzer = &Analyzer{
 	Name:     "chans",
-	Doc:      "sends on bounded channels outside a select with a stop/ctx case",
 	Packages: []string{"engine"},
 	Run:      runChans,
 }
@@ -59,25 +59,16 @@ func runChans(p *Package) []Diagnostic {
 			case badSelect[send]:
 				out = append(out, diagAt(p, "chans", send,
 					"send on %s sits in a select with no stop/ctx or default case; a dead receiver deadlocks the sender",
-					sendTarget(send)))
+					types.ExprString(send.Chan)))
 			default:
-				d := diagAt(p, "chans", send,
+				out = append(out, diagAt(p, "chans", send,
 					"bare send on bounded channel %s can block forever under backpressure; wrap it in a select with a stop/ctx case",
-					sendTarget(send))
-				d.Suggestion = "select { case " + sendTarget(send) + " <- ...: case <-stop: return }"
-				out = append(out, d)
+					types.ExprString(send.Chan)))
 			}
 			return true
 		})
 	}
 	return out
-}
-
-func sendTarget(send *ast.SendStmt) string {
-	if s := exprString(send.Chan); s != "" {
-		return s
-	}
-	return "channel"
 }
 
 // sizedFanInSends finds bare sends that cannot block by construction: the

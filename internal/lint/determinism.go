@@ -25,7 +25,6 @@ var seededRandCtors = map[string]bool{"New": true, "NewSource": true, "NewZipf":
 
 var determinismAnalyzer = &Analyzer{
 	Name:     "determinism",
-	Doc:      "wall-clock reads, global math/rand and map iteration in deterministic packages",
 	Packages: deterministicPackages,
 	Run:      runDeterminism,
 }
@@ -39,16 +38,12 @@ func runDeterminism(p *Package) []Diagnostic {
 			switch x := n.(type) {
 			case *ast.CallExpr:
 				if name, ok := resolvePkgCall(p, f, x, "time", timeName); ok && wallClockFuncs[name] {
-					d := diagAt(p, "determinism", x,
-						"time.%s reads the wall clock inside a deterministic package; inject a clock.Clock (internal/clock) through the options instead", name)
-					d.Suggestion = "opts.Now.OrSystem()() // thread a clock.Clock through Options.Now"
-					out = append(out, d)
+					out = append(out, diagAt(p, "determinism", x,
+						"time.%s reads the wall clock inside a deterministic package; inject a clock.Clock (internal/clock) through the options instead", name))
 				}
 				if name, ok := resolvePkgCall(p, f, x, "math/rand", randName); ok && !seededRandCtors[name] {
-					d := diagAt(p, "determinism", x,
-						"rand.%s draws from the process-global source; use rand.New(rand.NewSource(seed)) so runs replay", name)
-					d.Suggestion = "rng := rand.New(rand.NewSource(seed)); rng." + name + "(...)"
-					out = append(out, d)
+					out = append(out, diagAt(p, "determinism", x,
+						"rand.%s draws from the process-global source; use rand.New(rand.NewSource(seed)) so runs replay", name))
 				}
 			case *ast.RangeStmt:
 				if d, bad := mapRangeDiag(p, x); bad {
@@ -113,10 +108,8 @@ func mapRangeDiag(p *Package, rs *ast.RangeStmt) (Diagnostic, bool) {
 	if orderInsensitiveBody(p, rs.Body, keyName) {
 		return Diagnostic{}, false
 	}
-	d := diagAt(p, "determinism", rs,
-		"map iteration order is nondeterministic and this loop body observes it; collect and sort the keys first")
-	d.Suggestion = "keys := make([]K, 0, len(m)); for k := range m { keys = append(keys, k) }; sort/slices.Sort(keys); for _, k := range keys { ... }"
-	return d, true
+	return diagAt(p, "determinism", rs,
+		"map iteration order is nondeterministic and this loop body observes it; collect and sort the keys first"), true
 }
 
 func orderInsensitiveBody(p *Package, body *ast.BlockStmt, keyName string) bool {

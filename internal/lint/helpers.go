@@ -29,8 +29,8 @@ func exprString(e ast.Expr) string {
 }
 
 // funcBody pairs a function-like node with its body. Nested function
-// literals are separate entries: lock pairing and lifecycle rules apply per
-// function, not per lexical file.
+// literals are separate entries: lock pairing applies per function, not per
+// lexical file.
 type funcBody struct {
 	name string // "" for literals
 	node ast.Node
@@ -90,33 +90,6 @@ func pkgFuncObj(p *Package, fun ast.Expr) (name, pkgPath string, ok bool) {
 		return "", "", false
 	}
 	return obj.Name(), obj.Pkg().Path(), true
-}
-
-// methodOnType resolves a call's method name and the defining named type's
-// package path and type name ("internal/metrics", "Registry"). ok is false
-// for non-methods or when type information is unavailable.
-func methodOnType(p *Package, call *ast.CallExpr) (method, pkgPath, typeName string, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", "", false
-	}
-	obj, _ := p.Info.Uses[sel.Sel].(*types.Func)
-	if obj == nil {
-		return "", "", "", false
-	}
-	sig, _ := obj.Type().(*types.Signature)
-	if sig == nil || sig.Recv() == nil {
-		return "", "", "", false
-	}
-	t := sig.Recv().Type()
-	if ptr, isPtr := t.(*types.Pointer); isPtr {
-		t = ptr.Elem()
-	}
-	named, isNamed := t.(*types.Named)
-	if !isNamed || named.Obj().Pkg() == nil {
-		return "", "", "", false
-	}
-	return obj.Name(), named.Obj().Pkg().Path(), named.Obj().Name(), true
 }
 
 // importedAs returns the local name binding an import path in file f

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -35,7 +36,6 @@ import (
 // its own //capslint:allow.
 var lockorderAnalyzer = &Analyzer{
 	Name:       "lockorder",
-	Doc:        "cyclic lock-acquisition orders across the call graph (potential deadlocks)",
 	RunProgram: runLockOrder,
 }
 
@@ -292,45 +292,29 @@ func (lo *lockOrder) analyzeBody(p *Package, body *ast.BlockStmt, entry heldSet)
 	in[cfg.Entry.Index] = entry.clone()
 	preds := cfg.Preds()
 	// Iterate to fixpoint; the lattice (sets of classes, union) is finite.
+	// The entry block keeps its seed; a block no reachable predecessor
+	// feeds stays nil (unreachable).
 	for changed := true; changed; {
 		changed = false
 		for _, b := range cfg.Blocks {
-			state := in[b.Index]
-			if state == nil {
-				if b != cfg.Entry {
-					merged := heldSet{}
-					reachable := false
-					for _, pr := range preds[b] {
-						if in[pr.Index] != nil {
-							reachable = true
-							for k := range lo.transferBlock(p, pr, in[pr.Index], false) {
-								merged[k] = true
-							}
-						}
-					}
-					if !reachable {
-						continue
-					}
-					in[b.Index] = merged
-					changed = true
-				}
+			if b == cfg.Entry {
 				continue
 			}
-			if b == cfg.Entry {
-				// Entry keeps its seed.
-			} else {
-				merged := heldSet{}
-				for _, pr := range preds[b] {
-					if in[pr.Index] != nil {
-						for k := range lo.transferBlock(p, pr, in[pr.Index], false) {
-							merged[k] = true
-						}
-					}
+			var merged heldSet
+			for _, pr := range preds[b] {
+				if in[pr.Index] == nil {
+					continue
 				}
-				if !merged.equal(state) {
-					in[b.Index] = merged
-					changed = true
+				if merged == nil {
+					merged = heldSet{}
 				}
+				for k := range lo.transferBlock(p, pr, in[pr.Index], false) {
+					merged[k] = true
+				}
+			}
+			if merged != nil && (in[b.Index] == nil || !merged.equal(in[b.Index])) {
+				in[b.Index] = merged
+				changed = true
 			}
 		}
 	}
@@ -359,12 +343,11 @@ func (lo *lockOrder) transferNode(p *Package, n ast.Node, state heldSet, record 
 	if _, isGo := n.(*ast.GoStmt); isGo {
 		return
 	}
-	if ds, isDefer := n.(*ast.DeferStmt); isDefer {
+	if _, isDefer := n.(*ast.DeferStmt); isDefer {
 		// `defer mu.Unlock()` releases at exit — the lock stays held for
 		// the rest of this function, which the per-block states already
 		// express; deferred calls to other functions run with an unknown
 		// held set and are not charged edges.
-		_ = ds
 		return
 	}
 	ast.Inspect(n, func(m ast.Node) bool {
@@ -417,15 +400,15 @@ func (lo *lockOrder) addEdge(from, to string, site lockEdgeSite) {
 	lo.edges[lockEdge{from, to}] = append(lo.edges[lockEdge{from, to}], site)
 }
 
-// report finds strongly connected components of the acquisition-order graph
-// and emits one diagnostic per in-cycle edge, anchored at its earliest
-// program point.
+// report emits one diagnostic per acquisition edge that lies on a cycle —
+// its target reaches back to its source — anchored at the edge's earliest
+// program point and naming a shortest such cycle.
 func (lo *lockOrder) report() []Diagnostic {
 	adj := make(map[string][]string)
-	seen := make(map[lockEdge]bool)
 	var keys []lockEdge
 	for e := range lo.edges {
 		keys = append(keys, e)
+		adj[e.from] = append(adj[e.from], e.to)
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].from != keys[j].from {
@@ -433,20 +416,15 @@ func (lo *lockOrder) report() []Diagnostic {
 		}
 		return keys[i].to < keys[j].to
 	})
-	for _, e := range keys {
-		if !seen[e] {
-			seen[e] = true
-			adj[e.from] = append(adj[e.from], e.to)
-		}
+	for _, tos := range adj {
+		sort.Strings(tos)
 	}
-	scc := stronglyConnected(adj)
 	var out []Diagnostic
 	for _, e := range keys {
-		comp, ok := scc[e.from]
-		if !ok || scc[e.to] != comp || len(componentMembers(scc, comp)) < 2 {
+		back := shortestPath(adj, e.to, e.from)
+		if back == nil {
 			continue
 		}
-		cycle := shortestCycle(adj, scc, e)
 		sites := lo.edges[e]
 		sort.Slice(sites, func(i, j int) bool { return sites[i].node.Pos() < sites[j].node.Pos() })
 		s := sites[0]
@@ -456,125 +434,33 @@ func (lo *lockOrder) report() []Diagnostic {
 		}
 		out = append(out, diagAt(s.p, "lockorder", s.node,
 			"acquires %s while holding %s%s; completes the lock-order cycle %s — a goroutine taking the opposite order deadlocks",
-			e.to, e.from, via, strings.Join(cycle, " -> ")))
+			e.to, e.from, via, strings.Join(append([]string{e.from}, back...), " -> ")))
 	}
 	return out
 }
 
-// componentMembers lists the classes in one SCC.
-func componentMembers(scc map[string]int, comp int) []string {
-	var out []string
-	for k, c := range scc {
-		if c == comp {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// shortestCycle renders a minimal cycle through edge e: e.from -> e.to ->
-// … -> e.from, found by BFS inside the SCC.
-func shortestCycle(adj map[string][]string, scc map[string]int, e lockEdge) []string {
-	comp := scc[e.from]
-	prev := map[string]string{e.to: ""}
-	queue := []string{e.to}
-	for len(queue) > 0 {
+// shortestPath is a breadth-first search over adj (neighbours sorted) and
+// returns the classes from src to dst inclusive, or nil when dst is
+// unreachable.
+func shortestPath(adj map[string][]string, src, dst string) []string {
+	prev := map[string]string{src: ""}
+	for queue := []string{src}; len(queue) > 0; queue = queue[1:] {
 		cur := queue[0]
-		queue = queue[1:]
-		if cur == e.from {
-			break
-		}
-		next := append([]string(nil), adj[cur]...)
-		sort.Strings(next)
-		for _, n := range next {
-			if scc[n] != comp {
-				continue
+		if cur == dst {
+			var path []string
+			for ; cur != src; cur = prev[cur] {
+				path = append(path, cur)
 			}
-			if _, visited := prev[n]; !visited {
+			path = append(path, src)
+			slices.Reverse(path)
+			return path
+		}
+		for _, n := range adj[cur] {
+			if _, seen := prev[n]; !seen {
 				prev[n] = cur
 				queue = append(queue, n)
 			}
 		}
 	}
-	if _, found := prev[e.from]; !found {
-		return []string{e.from, e.to, e.from} // degenerate; should not happen in an SCC
-	}
-	var back []string
-	for cur := e.from; cur != ""; cur = prev[cur] {
-		back = append(back, cur)
-		if cur == e.to {
-			break
-		}
-	}
-	// back is [e.from … e.to]; the cycle is e.from -> e.to -> … -> e.from.
-	cycle := []string{e.from}
-	for i := len(back) - 1; i >= 0; i-- {
-		cycle = append(cycle, back[i])
-	}
-	return cycle
-}
-
-// stronglyConnected is Tarjan's algorithm, iterative-friendly enough for
-// lock graphs (a handful of nodes). Returns a component id per node; nodes
-// in the same component are mutually reachable.
-func stronglyConnected(adj map[string][]string) map[string]int {
-	nodesSet := make(map[string]bool)
-	for from, tos := range adj {
-		nodesSet[from] = true
-		for _, t := range tos {
-			nodesSet[t] = true
-		}
-	}
-	var nodes []string
-	for n := range nodesSet {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-
-	index := make(map[string]int)
-	low := make(map[string]int)
-	onStack := make(map[string]bool)
-	comp := make(map[string]int)
-	var stack []string
-	counter, comps := 0, 0
-
-	var strong func(v string)
-	strong = func(v string) {
-		index[v] = counter
-		low[v] = counter
-		counter++
-		stack = append(stack, v)
-		onStack[v] = true
-		next := append([]string(nil), adj[v]...)
-		sort.Strings(next)
-		for _, w := range next {
-			if _, visited := index[w]; !visited {
-				strong(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp[w] = comps
-				if w == v {
-					break
-				}
-			}
-			comps++
-		}
-	}
-	for _, v := range nodes {
-		if _, visited := index[v]; !visited {
-			strong(v)
-		}
-	}
-	return comp
+	return nil
 }

@@ -8,7 +8,6 @@ import (
 
 var locksAnalyzer = &Analyzer{
 	Name: "locks",
-	Doc:  "Lock without Unlock on every return path; 'guarded by <mu>' field access checking",
 	Run:  runLocks,
 }
 
@@ -118,11 +117,9 @@ func runLockPairing(p *Package) []Diagnostic {
 						return true
 					})
 					if escaped {
-						d := diagAt(p, "locks", es,
+						out = append(out, diagAt(p, "locks", es,
 							"%s.%s() is released by an explicit %s below, but a return between them escapes with the lock held; use `defer %s.%s()`",
-							recv, method, want, recv, want)
-						d.Suggestion = "defer " + recv + "." + want + "()"
-						out = append(out, d)
+							recv, method, want, recv, want))
 						break
 					}
 				}

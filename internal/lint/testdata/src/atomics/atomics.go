@@ -31,3 +31,16 @@ func total(shards []*shard) int64 {
 	}
 	return sum
 }
+
+// attempt is the engine's abort flag (runtime.go, fuse.go) made a plain
+// int32 behind the function API: the abort stores it atomically, and the
+// fused barrier path reads it plainly. No engine or controller test runs that
+// read, so neither they nor the race detector see the data race; atomics
+// catches the function API that lets it compile.
+type attempt struct {
+	abortFlag int32
+}
+
+func (a *attempt) abort() { atomic.StoreInt32(&a.abortFlag, 1) }
+
+func (a *attempt) barrierAborted() bool { return a.abortFlag != 0 }

@@ -98,3 +98,55 @@ func FanOutWrongSize(jobs []func() error, others []int) {
 	}
 	wg.Wait()
 }
+
+// The two shapes below are the engine's own sends with their abort cases
+// dropped. Each blocks forever once the receiving task is gone, yet the
+// engine and controller tests pass with either in place: a live receiver
+// drains its inbox to the end in every test run. chans is what catches them.
+
+type message struct {
+	ch    int
+	batch []int
+}
+
+type edge struct {
+	inboxes []chan message
+}
+
+// FlushBatch is the batched in-memory sender's flush (exchange.go): the
+// batch goes to the inbox of the routed receiver, named by an index
+// expression.
+func FlushBatch(e *edge, idx int, batch []int) {
+	e.inboxes[idx] <- message{ch: idx, batch: batch}
+}
+
+type chanPump struct {
+	mu    sync.Mutex
+	q     []message
+	sig   chan struct{}
+	stop  chan struct{}
+	inbox chan message
+}
+
+// Run is the network pump's delivery loop (netexchange.go): the wait for
+// work is cancellable, but the delivery into the task inbox is not.
+func (p *chanPump) Run() {
+	for {
+		p.mu.Lock()
+		var msg message
+		ok := len(p.q) > 0
+		if ok {
+			msg, p.q = p.q[0], p.q[1:]
+		}
+		p.mu.Unlock()
+		if !ok {
+			select {
+			case <-p.sig:
+				continue
+			case <-p.stop:
+				return
+			}
+		}
+		p.inbox <- msg
+	}
+}

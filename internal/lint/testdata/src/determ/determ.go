@@ -4,6 +4,7 @@
 package caps
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"time"
@@ -60,4 +61,26 @@ func CountOnly(m map[string]int) int {
 		n++
 	}
 	return n
+}
+
+// TaskID names one parallel instance of an operator.
+type TaskID struct {
+	Op    string
+	Index int
+}
+
+// MetricsFromObservation is ds2's (ds2.go) with its sorted task order
+// dropped: each operator's rates are appended in map order, so every float
+// sum DS2 takes over them can differ in its last bits from run to run. The
+// ds2, controller, experiments and engine tests compare such sums with
+// tolerances and all pass with it; determinism is what catches it.
+func MetricsFromObservation(obs map[TaskID]float64) (map[string][]float64, error) {
+	m := make(map[string][]float64)
+	for t, r := range obs {
+		if t.Op == "" {
+			return nil, errors.New("observation for no operator")
+		}
+		m[t.Op] = append(m[t.Op], r)
+	}
+	return m, nil
 }

@@ -75,3 +75,65 @@ func Flush(done chan struct{}) {
 		close(done)
 	}()
 }
+
+// peerConn, grantor and mirror are the network transport's shape: a grantor
+// and a credit mirror each queue a frame on the peer connection while
+// holding their own lock (grantor.mu -> peerConn.mu, mirror.mu ->
+// peerConn.mu). Fail is peerConn.fail with the seeded reversal: it resets
+// the failed peer's grantors and mirrors under peerConn.mu. Only a failure
+// racing a grant deadlocks, which no engine or controller test schedules;
+// lockorder is what catches it.
+type peerConn struct {
+	mu       sync.Mutex
+	out      []byte
+	grantors []*grantor
+	mirrors  []*mirror
+}
+
+type grantor struct {
+	mu   sync.Mutex
+	owed int64
+	pc   *peerConn
+}
+
+type mirror struct {
+	mu     sync.Mutex
+	parked int
+	pc     *peerConn
+}
+
+func (pc *peerConn) enqueue(b byte) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	pc.out = append(pc.out, b)
+}
+
+func (g *grantor) grant() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.pc.enqueue(1)
+	g.owed = 0
+}
+
+func (m *mirror) ship() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.pc.enqueue(2)
+	m.parked--
+}
+
+func (pc *peerConn) Fail() {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	pc.out = nil
+	for _, g := range pc.grantors {
+		g.mu.Lock()
+		g.owed = 0
+		g.mu.Unlock()
+	}
+	for _, m := range pc.mirrors {
+		m.mu.Lock()
+		m.parked = 0
+		m.mu.Unlock()
+	}
+}

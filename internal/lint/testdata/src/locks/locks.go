@@ -23,16 +23,25 @@ func (c *counter) Leak() {
 	c.n++
 }
 
-// Escape releases explicitly, but an early return escapes with the lock
-// held.
-func (c *counter) Escape(cond bool) int {
+type conn struct {
+	mu  sync.Mutex
+	out []byte // guarded by mu
+	err error  // guarded by mu
+}
+
+// Enqueue is the network transport's peerConn.enqueue (netexchange.go) with
+// its deferred Unlock made explicit: the return on a failed connection
+// escapes with the lock held, and the connection's next sender blocks
+// forever. No engine or controller test reaches that return, so they all
+// pass with it; locks is what catches it.
+func (c *conn) Enqueue(add func([]byte) []byte) error {
 	c.mu.Lock()
-	if cond {
-		return 0
+	if c.err != nil {
+		return c.err
 	}
-	v := c.n
+	c.out = add(c.out)
 	c.mu.Unlock()
-	return v
+	return nil
 }
 
 // Straight locks and unlocks in the same block with no return in between

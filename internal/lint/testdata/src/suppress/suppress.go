@@ -1,7 +1,7 @@
 // Package caps is a capslint fixture exercising the suppression comments:
 // valid allows (same line and line above), an allow with no reason, an
-// allow naming an unknown check, an allow naming nothing, and a stale allow
-// that suppresses no finding.
+// allow naming an unknown check, an allow naming nothing, a stale allow that
+// suppresses no finding, and one naming a check that never applies here.
 package caps
 
 import "time"
@@ -36,8 +36,15 @@ func NamesNothing() int {
 	return 0
 }
 
-// Stale suppresses nothing; reported only under -strict.
+// Stale suppresses nothing.
 func Stale() int {
 	//capslint:allow determinism nothing on this or the next line to suppress
 	return 42
+}
+
+// NeverApplies names chans, which only runs on package engine: the allow
+// can never suppress anything in this package, so it is stale.
+func NeverApplies(out chan int) {
+	//capslint:allow chans not a check of this package
+	out <- 1
 }

@@ -3,6 +3,7 @@ package statebackend
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"runtime"
@@ -191,9 +192,9 @@ func imageOf(parts ...any) []byte {
 // decoder, so anything that is not a whole image in the binary layout — the
 // JSON image of protocol 6 among them — a group out of range or repeated, a
 // key repeated, misfiled or out of order and a count or length the bytes
-// cannot back are errors that say what is wrong, never a namespace silently
-// restored empty or partial; a rejected restore leaves the contents alone and
-// allocates nothing sized by what the image claims.
+// cannot back are ErrBadImage errors that say what is wrong, never a
+// namespace silently restored empty or partial; a rejected restore leaves the
+// contents alone and allocates nothing sized by what the image claims.
 func TestRestoreRejectsForeignImage(t *testing.T) {
 	const G = 8 // "a", and any "a\x00…", hashes to group 4 of 8
 	ns := NewStore(nil, Options{NumKeyGroups: G}).Namespace("t")
@@ -245,11 +246,11 @@ func TestRestoreRejectsForeignImage(t *testing.T) {
 		err := ns.Restore(tc.img)
 		_, _, rerr := Repartition([][]byte{tc.img}, 1, 2, G)
 		runtime.ReadMemStats(&ms1)
-		if err == nil || !strings.Contains(err.Error(), tc.why) {
-			t.Errorf("%s: Restore error %v, want one naming %q", tc.name, err, tc.why)
+		if !errors.Is(err, ErrBadImage) || !strings.Contains(err.Error(), tc.why) {
+			t.Errorf("%s: Restore error %v, want an ErrBadImage naming %q", tc.name, err, tc.why)
 		}
-		if rerr == nil || !strings.Contains(rerr.Error(), tc.why) {
-			t.Errorf("%s: Repartition error %v, want one naming %q", tc.name, rerr, tc.why)
+		if !errors.Is(rerr, ErrBadImage) || !strings.Contains(rerr.Error(), tc.why) {
+			t.Errorf("%s: Repartition error %v, want an ErrBadImage naming %q", tc.name, rerr, tc.why)
 		}
 		if got := ms1.TotalAlloc - ms0.TotalAlloc; got > 16<<10 {
 			t.Errorf("%s: refusing a %d-byte image allocated %d bytes", tc.name, len(tc.img), got)

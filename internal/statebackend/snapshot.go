@@ -2,6 +2,7 @@ package statebackend
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -184,6 +185,11 @@ type decodedGroup struct {
 	held int64  // stored bytes, by the Namespace bookkeeping (see contents.bytes)
 }
 
+// ErrBadImage is wrapped by every refusal of a namespace image that does not
+// decode: truncated or corrupt, the JSON layout, no magic, a group out of
+// range, twice or out of order, a key out of place, or trailing bytes.
+var ErrBadImage = errors.New("statebackend: bad key-group image")
+
 // imageReader walks an image. Every count it reads is of things at least one
 // byte long and every length is of bytes that follow, so either is checked
 // against the bytes that remain before anything is sized by it.
@@ -195,7 +201,7 @@ type imageReader struct {
 func (r *imageReader) uvarint(what string) (uint64, error) {
 	v, w := binary.Uvarint(r.buf[r.off:])
 	if w <= 0 {
-		return 0, fmt.Errorf("statebackend: image truncated or corrupt at byte %d, reading %s", r.off, what)
+		return 0, fmt.Errorf("%w: truncated or corrupt at byte %d, reading %s", ErrBadImage, r.off, what)
 	}
 	r.off += w
 	return v, nil
@@ -204,7 +210,7 @@ func (r *imageReader) uvarint(what string) (uint64, error) {
 func (r *imageReader) count(what string) (int, error) {
 	v, err := r.uvarint(what)
 	if err == nil && v > uint64(len(r.buf)-r.off) {
-		err = fmt.Errorf("statebackend: image truncated or corrupt at byte %d: %s %d with %d bytes left", r.off, what, v, len(r.buf)-r.off)
+		err = fmt.Errorf("%w: truncated or corrupt at byte %d: %s %d with %d bytes left", ErrBadImage, r.off, what, v, len(r.buf)-r.off)
 	}
 	return int(v), err
 }
@@ -230,7 +236,7 @@ func (r *imageReader) key(kind string, g, numGroups int, prev []byte) ([]byte, e
 		return nil, err
 	}
 	if int(keyHash(k)%uint32(numGroups)) != g || prev != nil && string(prev) >= string(k) {
-		return nil, fmt.Errorf("statebackend: image holds %s %q out of place in group %d", kind, k, g)
+		return nil, fmt.Errorf("%w: %s %q out of place in group %d", ErrBadImage, kind, k, g)
 	}
 	return k, nil
 }
@@ -248,10 +254,10 @@ func decodeImageGroups(buf []byte, numGroups int, into *contents) ([]decodedGrou
 		return nil, nil
 	}
 	if buf[0] == '{' {
-		return nil, fmt.Errorf("statebackend: image is the JSON layout of control-plane protocol 6 and earlier, not a binary key-group image")
+		return nil, fmt.Errorf("%w: the JSON layout of control-plane protocol 6 and earlier, not a binary key-group image", ErrBadImage)
 	}
 	if len(buf) < len(imageMagic) || string(buf[:len(imageMagic)]) != imageMagic {
-		return nil, fmt.Errorf("statebackend: image does not start with the key-group image magic")
+		return nil, fmt.Errorf("%w: no key-group image magic", ErrBadImage)
 	}
 	r := &imageReader{buf: buf, off: len(imageMagic)}
 	n, err := r.count("group count")
@@ -265,14 +271,14 @@ func decodeImageGroups(buf []byte, numGroups int, into *contents) ([]decodedGrou
 			return nil, err
 		}
 		if gv >= uint64(numGroups) {
-			return nil, fmt.Errorf("statebackend: image holds group %d outside [0,%d)", gv, numGroups)
+			return nil, fmt.Errorf("%w: group %d outside [0,%d)", ErrBadImage, gv, numGroups)
 		}
 		d, bodyStart := decodedGroup{g: int(gv)}, r.off
 		if i > 0 && d.g == groups[i-1].g {
-			return nil, fmt.Errorf("statebackend: image holds group %d twice", d.g)
+			return nil, fmt.Errorf("%w: group %d twice", ErrBadImage, d.g)
 		}
 		if i > 0 && d.g < groups[i-1].g {
-			return nil, fmt.Errorf("statebackend: image holds group %d after group %d", d.g, groups[i-1].g)
+			return nil, fmt.Errorf("%w: group %d after group %d", ErrBadImage, d.g, groups[i-1].g)
 		}
 		kvs, err := r.count("entry count")
 		if err != nil {
@@ -330,7 +336,7 @@ func decodeImageGroups(buf []byte, numGroups int, into *contents) ([]decodedGrou
 		groups = append(groups, d)
 	}
 	if r.off != len(buf) {
-		return nil, fmt.Errorf("statebackend: image has %d bytes after its last group", len(buf)-r.off)
+		return nil, fmt.Errorf("%w: %d bytes after its last group", ErrBadImage, len(buf)-r.off)
 	}
 	return groups, nil
 }
